@@ -8,9 +8,11 @@ Reports are JSON on stdout with sorted keys so identical runs are
 byte-identical.  Exit codes: 0 success / member, 2 input error,
 3 infeasible or non-member, 4 side-condition (low power) failure.
 
-Network files are JSON.  Deterministic rates and listen fractions are
-written as integer or "p/q" strings -- decimal notation is rejected so
-boundary tuples never pass through floats.  Gaussian rates are decimals.
+Network files are JSON.  Deterministic gains and ``pairs`` are JSON
+integers; floats, booleans and strings are rejected, never truncated.
+Deterministic rates and listen fractions are written as integer or "p/q"
+strings -- decimal notation is rejected so boundary tuples never pass
+through floats.  Gaussian rates, magnitudes and power are finite decimals.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -82,10 +85,12 @@ def load_network(path: str):
         if unknown:
             raise InputError(f"{path}: unknown fields {sorted(unknown)}")
         try:
-            pairs = int(doc["pairs"])
-            gains = {k: tuple(int(v) for v in doc[k]) for k in ("n_ar", "n_br", "n_ra", "n_rb")}
-        except (KeyError, TypeError, ValueError) as exc:
+            pairs = doc["pairs"]
+            gains = {k: tuple(doc[k]) for k in ("n_ar", "n_br", "n_ra", "n_rb")}
+        except (KeyError, TypeError) as exc:
             raise InputError(f"{path}: bad deterministic network fields ({exc})") from exc
+        if type(pairs) is not int:
+            raise InputError(f"{path}: pairs must be an integer, got {pairs!r}")
         if any(len(g) != pairs for g in gains.values()):
             raise InputError(f"{path}: gain arrays must each hold {pairs} entries")
         try:
@@ -126,6 +131,19 @@ def load_network(path: str):
         return net, None, digest
 
     raise InputError(f"{path}: kind must be 'deterministic' or 'gaussian', got {kind!r}")
+
+
+def _gaussian_rates(text: str) -> list[float]:
+    """Four finite decimal rates from a comma-separated list."""
+    try:
+        rates = [float(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"gaussian rates must be decimals: {exc}") from exc
+    if len(rates) != 4:
+        raise InputError(f"expected 4 rates, got {len(rates)}")
+    if not all(math.isfinite(r) for r in rates):
+        raise InputError(f"gaussian rates must be finite, got {text!r}")
+    return rates
 
 
 def _emit(report: dict) -> None:
@@ -171,12 +189,7 @@ def cmd_region(args) -> int:
         )
         _emit(report)
         return EXIT_OK if membership.member else EXIT_INFEASIBLE
-    try:
-        rates = [float(tok) for tok in args.rates.split(",")]
-    except ValueError as exc:
-        raise InputError(f"gaussian rates must be decimals: {exc}") from exc
-    if len(rates) != 4:
-        raise InputError(f"expected 4 rates, got {len(rates)}")
+    rates = _gaussian_rates(args.rates)
     check = gaussian.gauss_restricted_cutset(net, rates) if args.restricted else gaussian.gauss_cutset(net, rates)
     report.update(
         network="gaussian",
@@ -235,12 +248,7 @@ def cmd_gauss_verify(args) -> int:
     net, _, digest = load_network(args.network)
     if not isinstance(net, GaussNetwork):
         raise InputError("gauss-verify requires a gaussian network")
-    try:
-        rates = [float(tok) for tok in args.rates.split(",")]
-    except ValueError as exc:
-        raise InputError(f"gaussian rates must be decimals: {exc}") from exc
-    if len(rates) != 4:
-        raise InputError(f"expected 4 rates, got {len(rates)}")
+    rates = _gaussian_rates(args.rates)
 
     report = gaussian.verify_constant_gap(net, rates)
     doc = {

@@ -14,11 +14,20 @@ member: orientation 1 puts A_i on the transmitting side of the cut
 
 with the uplink term scaled by delta and the downlink term by (1 - delta)
 when the relay is half-duplex.
+
+Membership does not walk the 3^M - 1 cuts.  A cut's bound depends only on
+its largest oriented uplink gain a and downlink gain b, so the region is
+cut by one threshold test per (a, b): the largest rate sum of any cut whose
+gains stay <= (a, b) must not exceed the bound at (a, b).  `cutset_holds`
+runs that test in integers in O(M K^2) with K <= 2M distinct gains; see its
+docstring for why it is exact.  `enumerate_cuts` and `det_cut_bound` stay
+as the brute-force reference, and list the violated cuts of a non-member.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +42,7 @@ RateTuple = tuple[Rate, ...]
 
 
 class RegionSizeError(RuntimeError):
-    """The enumeration box exceeds the configured cell budget."""
+    """A brute-force enumeration box or a time expansion exceeds its budget."""
 
 
 @dataclass(frozen=True)
@@ -107,23 +116,89 @@ def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Fraction, ...]
     if len(rates) != 2 * net.pairs:
         raise ValueError(f"expected {2 * net.pairs} rate components, got {len(rates)}")
     out = tuple(Fraction(r) for r in rates)
-    if any(r < 0 for r in out):
+    if any(r.numerator < 0 for r in out):
         raise ValueError(f"rates must be non-negative, got {rates}")
     return out
+
+
+def cutset_holds(
+    n_ar: Sequence[int],
+    n_br: Sequence[int],
+    n_ra: Sequence[int],
+    n_rb: Sequence[int],
+    rates: Sequence[int],
+    up_scale: int = 1,
+    down_scale: int = 1,
+) -> bool:
+    """Integer threshold test: True iff every cut satisfies
+
+        sum of its oriented rates <= min(up_scale * a, down_scale * b)
+
+    where a and b are the cut's largest oriented uplink and downlink gain.
+    ``rates`` are non-negative ints in the usual (R_A1, R_B1, ...) order;
+    integral full-duplex rates use the unit scales.
+
+    Session (i, A) has oriented gains (n_ar[i], n_rb[i]), session (i, B) has
+    (n_br[i], n_ra[i]).  For every threshold pair (a, b) of those gains,
+    taken over the sessions with positive rate (b only from sessions whose
+    uplink gain is <= a), the test adds up, per pair, its largest rate whose
+    oriented gains are both <= (a, b) and compares the sum with the bound
+    at (a, b).  That is O(M K^2) with K <= 2M.
+
+    Exactness.  If a cut is violated, drop its zero-rate members: its rate
+    sum stays and its bound cannot grow, so it stays violated, and its gains
+    (a, b) are among the thresholds tried.  The cut is one selection of at
+    most one session per pair with gains <= (a, b), so the maximised sum is
+    at least its rate sum and the test fails.  Conversely, if the test fails
+    at (a, b), the maximising selection is itself a cut, nonempty because its
+    sum is positive, with largest gains a' <= a and b' <= b; the bound is
+    monotone in both gains, so the cut's bound is at most the bound at
+    (a, b), which the sum exceeds.
+    """
+    sessions = []
+    for i, (ra, rb) in enumerate(zip(rates[0::2], rates[1::2])):
+        if ra:
+            sessions.append((i, ra, n_ar[i], n_rb[i]))
+        if rb:
+            sessions.append((i, rb, n_br[i], n_ra[i]))
+    for a in {s[2] for s in sessions}:
+        below = [s for s in sessions if s[2] <= a]
+        for b in {s[3] for s in below}:
+            best: dict[int, int] = {}
+            for i, r, _, d in below:
+                if d <= b and r > best.get(i, 0):
+                    best[i] = r
+            if sum(best.values()) > min(up_scale * a, down_scale * b):
+                return False
+    return True
 
 
 def in_det_cutset(
     net: DetNetwork, rates: Sequence[Rate], mode: DuplexMode = FULL_DUPLEX
 ) -> Membership:
-    """Membership test; on failure reports every violated cut."""
+    """Membership test; on failure reports every violated cut.
+
+    The verdict comes from `cutset_holds` on the rates scaled to a common
+    denominator, together with delta in half duplex.  Only a non-member
+    walks `enumerate_cuts` to list its violated cuts, in that order."""
     rs = _check_rates(net, rates)
+    if isinstance(mode, HalfDuplex):
+        scale = math.lcm(mode.delta.denominator, *(r.denominator for r in rs))
+        up_scale = mode.delta.numerator * (scale // mode.delta.denominator)
+        down_scale = scale - up_scale
+    else:
+        scale = math.lcm(*(r.denominator for r in rs))
+        up_scale = down_scale = scale
+    ints = [r.numerator * (scale // r.denominator) for r in rs]
+    if cutset_holds(net.n_ar, net.n_br, net.n_ra, net.n_rb, ints, up_scale, down_scale):
+        return Membership(True, ())
     violations = []
     for cut in enumerate_cuts(net.pairs):
         lhs = sum(rs[2 * i] if b else rs[2 * i + 1] for i, b in zip(cut.members, cut.orientation))
         bound = det_cut_bound(net, cut, mode)
         if lhs > bound:
             violations.append(CutViolation(cut, Fraction(lhs), bound))
-    return Membership(not violations, tuple(violations))
+    return Membership(False, tuple(violations))
 
 
 def directed_rate_caps(net: DetNetwork, mode: DuplexMode = FULL_DUPLEX) -> tuple[int, ...]:

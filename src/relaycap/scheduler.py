@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cutset import Membership, Rate, in_det_cutset
+from .cutset import Membership, Rate, RegionSizeError, cutset_holds, in_det_cutset
 from .detnet import (
     FULL_DUPLEX,
     DetNetwork,
@@ -44,6 +44,11 @@ from .detnet import (
 
 XOR = "xor"
 SOLO = "solo"
+
+# Cap on the bits a time-expanded schedule serves, sum of Q times each rate.
+# The induction takes at most one step per bit, and `_replay` is quadratic
+# in the step count (about 3 s at the cap on a 2-vCPU x86 machine).
+STEP_BUDGET = 8192
 
 
 class NotInRegionError(ValueError):
@@ -106,42 +111,55 @@ class Schedule:
         return budgets
 
 
-def _reduce_gains(net: DetNetwork, l_u: int, l_d: int) -> DetNetwork:
-    """Remove uplink level l_u and downlink level l_d: every gain at or
-    above the removed level drops by one."""
-    return DetNetwork(
-        tuple(n - (n >= l_u) for n in net.n_ar),
-        tuple(n - (n >= l_u) for n in net.n_br),
-        tuple(n - (n >= l_d) for n in net.n_ra),
-        tuple(n - (n >= l_d) for n in net.n_rb),
+Gains = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _reduce(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[Gains, int, int]:
+    """One induction step on plain (n_ar, n_br, n_ra, n_rb) gain tuples:
+    pick the levels (l_u, l_d) that serve the bit, then remove them -- every
+    gain at or above a removed level drops by one."""
+    n_ar, n_br, n_ra, n_rb = gains
+    if kind == XOR:
+        if min(n_ar[pair], n_br[pair], n_ra[pair], n_rb[pair]) < 1:
+            raise ValueError(
+                f"pair {pair} has a zero gain {(n_ar[pair], n_br[pair], n_ra[pair], n_rb[pair])}; "
+                f"bidirectional step needs all four links"
+            )
+        l_u = min(n_ar[pair], n_br[pair])
+        l_d = min(n_ra[pair], n_rb[pair])
+    else:
+        l_u, l_d = (n_ar[pair], n_rb[pair]) if side == "A" else (n_br[pair], n_ra[pair])
+        if l_u < 1 or l_d < 1:
+            raise ValueError(
+                f"one-way step {side}{pair + 1} needs positive gains, have l_u={l_u}, l_d={l_d}"
+            )
+    reduced = (
+        tuple(n - (n >= l_u) for n in n_ar),
+        tuple(n - (n >= l_u) for n in n_br),
+        tuple(n - (n >= l_d) for n in n_ra),
+        tuple(n - (n >= l_d) for n in n_rb),
     )
+    return reduced, l_u, l_d
+
+
+def _gains(net: DetNetwork) -> Gains:
+    return net.n_ar, net.n_br, net.n_ra, net.n_rb
 
 
 def reduce_pair_bidirectional(net: DetNetwork, pair: int) -> tuple[DetNetwork, int, int]:
     """Serve one XOR bit of ``pair``: returns the reduced network and the
     removed levels (l_u, l_d)."""
-    gains = (net.n_ar[pair], net.n_br[pair], net.n_ra[pair], net.n_rb[pair])
-    if min(gains) < 1:
-        raise ValueError(
-            f"pair {pair} has a zero gain {gains}; bidirectional step needs all four links"
-        )
-    l_u = min(net.n_ar[pair], net.n_br[pair])
-    l_d = min(net.n_ra[pair], net.n_rb[pair])
-    return _reduce_gains(net, l_u, l_d), l_u, l_d
+    gains, l_u, l_d = _reduce(_gains(net), pair, XOR, None)
+    return DetNetwork(*gains), l_u, l_d
 
 
 def reduce_pair_oneway(net: DetNetwork, pair: int, source: str) -> tuple[DetNetwork, int, int]:
     """Serve one bit from ``source`` of ``pair`` to the opposite side."""
     if source not in ("A", "B"):
         raise ValueError(f"source side must be 'A' or 'B', got {source!r}")
-    l_u = net.uplink_gain(pair, source)
-    dest = "B" if source == "A" else "A"
-    l_d = net.downlink_gain(pair, dest)
-    if l_u < 1 or l_d < 1:
-        raise ValueError(
-            f"one-way step {source}{pair + 1} needs positive gains, have l_u={l_u}, l_d={l_d}"
-        )
-    return _reduce_gains(net, l_u, l_d), l_u, l_d
+    net._check_node(pair, source)
+    gains, l_u, l_d = _reduce(_gains(net), pair, SOLO, source)
+    return DetNetwork(*gains), l_u, l_d
 
 
 def expand_time(net: DetNetwork, q: int) -> DetNetwork:
@@ -182,21 +200,21 @@ def _next_step(rates: list[int]) -> tuple[int, str, str | None]:
 
 
 def _run_induction(net: DetNetwork, rates: Sequence[int]) -> list[_Step]:
-    current = net
+    """Serve ``rates`` bit by bit on int gain tuples, re-checking after every
+    step that the remaining rates lie in the reduced full-duplex region."""
+    gains = _gains(net)
     remaining = list(rates)
     steps: list[_Step] = []
     while any(remaining):
         pair, kind, side = _next_step(remaining)
+        gains, l_u, l_d = _reduce(gains, pair, kind, side)
         if kind == XOR:
-            current, l_u, l_d = reduce_pair_bidirectional(current, pair)
             remaining[2 * pair] -= 1
             remaining[2 * pair + 1] -= 1
         else:
-            current, l_u, l_d = reduce_pair_oneway(current, pair, side)
             remaining[2 * pair + (0 if side == "A" else 1)] -= 1
         steps.append(_Step(pair, kind, side, l_u, l_d))
-        check = in_det_cutset(current, remaining, FULL_DUPLEX)
-        if not check.member:
+        if not cutset_holds(*gains, remaining):
             raise InductionInvariantError(
                 f"reduced tuple {tuple(remaining)} left the reduced region after "
                 f"step {len(steps)} ({kind} pair {pair}); this contradicts the "
@@ -251,6 +269,18 @@ def _interleaved(level: int, lanes: int) -> tuple[int, int]:
     return (level - 1) % lanes, (level + lanes - 1) // lanes
 
 
+def _expanded_rates(fracs: Sequence[Fraction], q: int) -> list[int]:
+    """Rates over Q uses, refused before expanding when they would take
+    more than `STEP_BUDGET` induction steps."""
+    bits = [int(f * q) for f in fracs]
+    if sum(bits) > STEP_BUDGET:
+        raise RegionSizeError(
+            f"time expansion over Q={q} uses serves {sum(bits)} bits, "
+            f"step budget is {STEP_BUDGET}"
+        )
+    return bits
+
+
 def schedule_fractional(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     """Schedule a rational in-region tuple over Q uses, Q = lcm of the rate
     denominators."""
@@ -259,8 +289,8 @@ def schedule_fractional(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     if not membership.member:
         raise NotInRegionError(membership)
     q = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    expanded = expand_time(net, q)
-    steps = _run_induction(expanded, [int(f * q) for f in fracs])
+    bits = _expanded_rates(fracs, q)
+    steps = _run_induction(expand_time(net, q), bits)
     assignments = []
     for s, l_u, l_d in _replay(steps):
         up_slot, up_level = _interleaved(l_u, q)
@@ -283,6 +313,7 @@ def schedule_half_duplex(
     if not membership.member:
         raise NotInRegionError(membership)
     q = math.lcm(delta.denominator, *(f.denominator for f in fracs))
+    bits = _expanded_rates(fracs, q)
     listen = int(delta * q)
     transmit = q - listen
     # Q uses of the half-duplex network concatenate into one full-duplex use
@@ -294,7 +325,7 @@ def schedule_half_duplex(
         tuple(n * transmit for n in net.n_ra),
         tuple(n * transmit for n in net.n_rb),
     )
-    steps = _run_induction(combined, [int(f * q) for f in fracs])
+    steps = _run_induction(combined, bits)
     assignments = []
     for s, l_u, l_d in _replay(steps):
         up_slot, up_level = _interleaved(l_u, listen)

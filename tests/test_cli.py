@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -223,3 +224,65 @@ def test_sweep_det_mode(tmp_path, capsys):
     assert code == EXIT_OK
     assert doc["failures"] == 0 and doc["tuples_checked"] > 0
     assert out.read_text().splitlines()[0] == "trial,seed,verdict,pairs,n_ar,n_br,n_ra,n_rb,tuples_checked,failures"
+
+
+def test_region_non_member_report_pinned(tmp_path, capsys):
+    # Captured from the brute-force oracle before membership moved to the
+    # integer threshold test: same cuts, order, sums and bounds.
+    path = tmp_path / "hd.json"
+    path.write_text(json.dumps({
+        "kind": "deterministic", "pairs": 3, "n_ar": [3, 2, 4], "n_br": [2, 1, 0],
+        "n_ra": [2, 1, 3], "n_rb": [3, 2, 1], "duplex": "half", "delta": "2/5",
+    }))
+    code = main(["region", str(path), "--rates", "1,1/2,1/3,1/2,1,0"])
+    expected = (Path(__file__).parent / "data" / "region_non_member.json").read_text()
+    assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_ar", [3.9, 2]),
+        ("n_ar", [3.0, 2]),
+        ("n_br", [True, 1]),
+        ("n_ra", ["2", 1]),
+        ("pairs", 2.0),
+        ("pairs", "2"),
+        ("pairs", True),
+    ],
+)
+def test_load_rejects_non_integer_gains(tmp_path, capsys, field, value):
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps({**REF_NET, field: value}))
+    with pytest.raises(InputError):
+        load_network(str(path))
+    code, doc, _ = run(capsys, "region", str(path), "--rates", "2,1,1,1")
+    assert code == EXIT_INPUT and doc is None
+
+
+def test_schedule_time_expansion_over_budget(det_file, capsys):
+    rates = ",".join(f"1/{p}" for p in (13, 17, 19, 29))
+    code, _, err = run(capsys, "schedule", det_file, "--rates", rates)
+    assert code == EXIT_INFEASIBLE and "budget" in err
+
+
+@pytest.mark.parametrize("command", ["region", "gauss-verify"])
+@pytest.mark.parametrize("rates", ["nan,4,4,4", "4,inf,4,4", "4,4,-inf,4"])
+def test_gaussian_rates_must_be_finite(gauss_file, capsys, command, rates):
+    code, doc, err = run(capsys, command, gauss_file, "--rates", rates)
+    assert code == EXIT_INPUT and doc is None and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("h_ar", [float("nan"), 16.0]), ("h_rb", [16.0, float("inf")]), ("h_br", ["nan", 16.0]),
+     ("power", float("nan")), ("power", float("inf"))],
+)
+def test_gaussian_file_values_must_be_finite(tmp_path, capsys, field, value):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**GAUSS, field: value}))
+    with pytest.raises(InputError):
+        load_network(str(path))
+    code, doc, _ = run(capsys, "gauss-verify", str(path), "--rates", "4,4,4,4")
+    assert code == EXIT_INPUT and doc is None

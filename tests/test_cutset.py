@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from relaycap import (
     Cut,
+    CutViolation,
     DetNetwork,
     FullDuplex,
     HalfDuplex,
@@ -181,3 +182,63 @@ def test_region_scales_with_time_expansion(ar, br, ra, rb, q):
     scaled = {tuple(q * t for t in tup) for tup in region}
     multiples = {tup for tup in big_region if all(t % q == 0 for t in tup)}
     assert scaled == multiples
+
+
+# --- differential test: threshold oracle against brute-force cuts ------------
+
+
+def brute_violations(net, rates, mode):
+    """Every violated cut, from `enumerate_cuts` and `det_cut_bound` only."""
+    rs = [Fraction(r) for r in rates]
+    out = []
+    for cut in enumerate_cuts(net.pairs):
+        lhs = sum(rs[2 * i] if b else rs[2 * i + 1] for i, b in zip(cut.members, cut.orientation))
+        bound = det_cut_bound(net, cut, mode)
+        if lhs > bound:
+            out.append(CutViolation(cut, Fraction(lhs), bound))
+    return tuple(out)
+
+
+def boundary_point(net, rates, mode, past=0):
+    """``rates`` with the sessions that no cut lets through zeroed, then
+    scaled onto the region's boundary, or ``past`` beyond it."""
+    rs = [
+        Fraction(r) if det_cut_bound(net, Cut((k // 2,), (1 - k % 2,)), mode) else Fraction(0)
+        for k, r in enumerate(rates)
+    ]
+    ratios = []
+    for cut in enumerate_cuts(net.pairs):
+        lhs = sum(rs[2 * i] if b else rs[2 * i + 1] for i, b in zip(cut.members, cut.orientation))
+        if lhs:
+            ratios.append(det_cut_bound(net, cut, mode) / lhs)
+    scale = min(ratios, default=0) + past
+    return [scale * r for r in rs]
+
+
+rate_values = st.one_of(
+    st.just(0),
+    st.integers(1, 4),
+    st.builds(Fraction, st.integers(1, 12), st.integers(2, 6)),
+)
+modes = st.one_of(
+    st.just(FullDuplex()),
+    st.builds(
+        lambda den, num: HalfDuplex(Fraction(num % (den - 1) + 1, den)),
+        st.integers(2, 7),
+        st.integers(0, 5),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5), modes, st.sampled_from(["drawn", "boundary", "above"]), st.data())
+def test_threshold_oracle_matches_brute_force(pairs, mode, where, data):
+    gain_lists = st.lists(st.integers(0, 6), min_size=pairs, max_size=pairs).map(tuple)
+    net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
+    rates = data.draw(st.lists(rate_values, min_size=2 * pairs, max_size=2 * pairs))
+    if where != "drawn":
+        rates = boundary_point(net, rates, mode, Fraction(1, 1000) if where == "above" else 0)
+    expected = brute_violations(net, rates, mode)
+    got = in_det_cutset(net, rates, mode)
+    assert got.member == (not expected)
+    assert got.violations == expected

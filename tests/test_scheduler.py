@@ -1,3 +1,4 @@
+import time
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from relaycap import (
     DetNetwork,
     HalfDuplex,
+    InductionInvariantError,
     LevelAssignment,
     NotInRegionError,
+    RegionSizeError,
     Schedule,
     ScheduleInvalidError,
     ShapeError,
@@ -26,6 +29,8 @@ from relaycap import (
     simulate_schedule,
     validate_schedule,
 )
+from relaycap import scheduler
+from relaycap.scheduler import _run_induction
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
 
@@ -144,6 +149,13 @@ def test_non_member_rejected_before_scheduling():
     assert err.value.violations
 
 
+def test_induction_rechecks_region_after_each_step():
+    # (4, 0, 0, 0) is outside REF's region; the first one-way step goes
+    # through, and the per-step check then finds R_A1 = 3 above its cap of 2.
+    with pytest.raises(InductionInvariantError, match="after step 1"):
+        _run_induction(REF, [4, 0, 0, 0])
+
+
 def test_fractional_rates_rejected_by_integral_path():
     with pytest.raises(ValueError):
         divide_and_conquer(REF, (Fraction(1, 2), 0, 0, 0))
@@ -249,6 +261,43 @@ def test_half_duplex_slot_partition():
             assert budgets[(i, "A")] == rates[2 * i] * sched.slots
             assert budgets[(i, "B")] == rates[2 * i + 1] * sched.slots
         assert_exact_simulation(sched, payloads=3)
+
+
+def test_time_expansion_budget(monkeypatch):
+    ones = DetNetwork((1,), (1,), (1,), (1,))
+    half = (Fraction(1, 2), Fraction(1, 2))
+    monkeypatch.setattr(scheduler, "STEP_BUDGET", 2)
+    assert schedule_fractional(ones, half).slots == 2
+    assert schedule_half_duplex(ones, Fraction(1, 2), half).slots == 2
+    monkeypatch.setattr(scheduler, "STEP_BUDGET", 1)
+    with pytest.raises(RegionSizeError, match="serves 2 bits, step budget is 1"):
+        schedule_fractional(ones, half)
+    with pytest.raises(RegionSizeError, match="serves 2 bits, step budget is 1"):
+        schedule_half_duplex(ones, Fraction(1, 2), half)
+
+
+def test_time_expansion_large_q_few_bits():
+    # Q = 3000 uses but a single bit: the budget counts bits, not Q.
+    rates = (Fraction(1, 3000), 0, 0, 0)
+    sched = schedule_fractional(REF, rates)
+    assert sched.slots == 3000 and len(sched.assignments) == 1
+    assert_exact_simulation(sched, payloads=2)
+    sched = schedule_half_duplex(REF, Fraction(1, 2), rates)
+    assert sched.slots == 3000 and len(sched.assignments) == 1
+    assert_exact_simulation(sched, payloads=2)
+
+
+def test_time_expansion_budget_rejects_prime_denominators_fast():
+    # Q = 13*17*19*23*29*31, about 8.7e7 uses (twice that with delta = 1/2):
+    # refused before expanding.
+    net = DetNetwork((1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1))
+    rates = [Fraction(1, p) for p in (13, 17, 19, 23, 29, 31)]
+    start = time.perf_counter()
+    with pytest.raises(RegionSizeError, match="Q=86822723"):
+        schedule_fractional(net, rates)
+    with pytest.raises(RegionSizeError, match="Q=173645446"):
+        schedule_half_duplex(net, Fraction(1, 2), rates)
+    assert time.perf_counter() - start < 1.0
 
 
 # --- chunked schedules ---------------------------------------------------------
