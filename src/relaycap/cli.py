@@ -313,7 +313,7 @@ def cmd_sweep(args) -> int:
         p_min=args.pmin,
         p_max=args.pmax,
     )
-    report = gaussian.monte_carlo_gap(cfg, workers=args.workers)
+    report = gaussian.monte_carlo_gap(cfg)
     lines = [_GAUSS_CSV_HEADER]
     for r in report.records:
         net = r.net
@@ -433,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmin", type=float, default=1.0)
     p.add_argument("--pmax", type=float, default=100.0)
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-pairs", type=int, default=3, help="det mode: largest M")
     p.add_argument("--max-gain", type=int, default=6, help="det mode: largest channel gain")
     p.set_defaults(func=cmd_sweep)

@@ -40,6 +40,12 @@ from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex
 Rate = Union[int, Fraction]
 RateTuple = tuple[Rate, ...]
 
+# Cap on the work of `enumerate_integral_region`: one numpy pass over the
+# box of candidate tuples per cut, for all 3^M - 1 cuts.  A pass costs about
+# 10 ns per cell plus a fixed 20 us, as much as about 1000 cells (2-vCPU x86
+# machine), so the work is counted as (3^M - 1) * (cells + 1000).
+CELL_BUDGET = 5_000_000
+
 
 class RegionSizeError(RuntimeError):
     """A brute-force enumeration box or a time expansion exceeds its budget."""
@@ -212,19 +218,21 @@ def directed_rate_caps(net: DetNetwork, mode: DuplexMode = FULL_DUPLEX) -> tuple
 
 
 def enumerate_integral_region(
-    net: DetNetwork,
-    mode: DuplexMode = FULL_DUPLEX,
-    cell_budget: int = 5_000_000,
+    net: DetNetwork, mode: DuplexMode = FULL_DUPLEX
 ) -> list[tuple[int, ...]]:
     """Every integral rate tuple inside the cut-set region, in lexicographic
     order.  Brute force over the box of per-direction caps; intended as the
-    oracle for desk-scale networks."""
+    oracle for desk-scale networks.  Refused before any work when the walk
+    would exceed `CELL_BUDGET`."""
     caps = directed_rate_caps(net, mode)
-    cells = 1
-    for c in caps:
-        cells *= c + 1
-    if cells > cell_budget:
-        raise RegionSizeError(f"enumeration box has {cells} cells, budget is {cell_budget}")
+    cells = math.prod(c + 1 for c in caps)
+    cuts = 3**net.pairs - 1
+    work = cuts * (cells + 1000)  # see CELL_BUDGET
+    if work > CELL_BUDGET:
+        raise RegionSizeError(
+            f"enumeration box has {cells} cells and {cuts} cuts, "
+            f"work {work} exceeds budget {CELL_BUDGET}"
+        )
 
     dims = tuple(c + 1 for c in caps)
     # row-major unravel keeps the columns in lexicographic order

@@ -1,19 +1,20 @@
 """Linear shift deterministic channel model over GF(2).
 
-Every node transmits a length-q binary frame per channel use (most
-significant level first).  A link of gain n delivers the transmitter's n
-most significant levels to the bottom n levels of the receiver's frame,
-and simultaneous arrivals on a level add bit-wise mod 2.  Zero-gain links
-are legal and simply contribute nothing.
+Every node transmits a q-level binary frame per channel use.  A frame is
+a plain int in ``[0, 2**q)`` with the most significant level in the top
+bit.  A link of gain n delivers the transmitter's n most significant
+levels to the bottom n levels of the receiver's frame -- a right shift by
+q - n -- and simultaneous arrivals on a level add bit-wise mod 2 (XOR).
+Zero-gain links are legal and simply contribute nothing.
 
 Level-index conventions, used consistently by the scheduler and the
 simulator:
 
 * Uplink relay levels are counted bottom-up: level 1 is the least
-  significant received level.  A node with uplink gain n reaches relay
-  levels 1..n and its most significant transmitted bit lands on level n,
-  so the highest level shared by both users of pair i is
-  ``min(n_ar[i], n_br[i])``.
+  significant received level, bit 0 of the relay's frame.  A node with
+  uplink gain n reaches relay levels 1..n and its most significant
+  transmitted bit lands on level n, so the highest level shared by both
+  users of pair i is ``min(n_ar[i], n_br[i])``.
 * Downlink relay levels are counted top-down: level 1 is the relay's most
   significant transmitted level.  A node with downlink gain n hears relay
   levels 1..n, so the lowest level shared by both users of pair i is
@@ -40,30 +41,7 @@ class InvalidGainError(ValueError):
 
 
 class ShapeError(ValueError):
-    """A frame has the wrong length for the direction it is used in."""
-
-
-@dataclass(frozen=True)
-class LevelVector:
-    """A binary frame, most significant level first."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"frame bits must be 0/1, got {self.bits}")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __xor__(self, other: "LevelVector") -> "LevelVector":
-        if len(other) != len(self):
-            raise ShapeError(f"cannot xor frames of lengths {len(self)} and {len(other)}")
-        return LevelVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    @staticmethod
-    def zeros(q: int) -> "LevelVector":
-        return LevelVector((0,) * q)
+    """A frame does not fit the q levels of the direction it is used in."""
 
 
 @dataclass(frozen=True)
@@ -156,35 +134,27 @@ class DetNetwork:
             raise LookupError(f"no node ({pair}, {side!r}) in an {self.pairs}-pair network")
 
 
-def shifted_contribution(x: LevelVector, gain: int) -> LevelVector:
-    """What a receiver sees from one transmitter: the top ``gain`` levels of
-    ``x`` shifted to the bottom of the frame, zeros above."""
-    q = len(x)
+def shifted_contribution(x: int, gain: int, q: int) -> int:
+    """What a receiver sees from one transmitter: the top ``gain`` of the
+    ``q`` levels of frame ``x`` shifted to the bottom of the frame, zeros
+    above."""
     if not 0 <= gain <= q:
         raise InvalidGainError(f"gain {gain} outside [0, {q}]")
-    shift = q - gain
-    return LevelVector((0,) * shift + x.bits[:gain])
+    if x < 0 or x >> q:
+        raise ShapeError(f"frame {x} outside [0, 2**{q})")
+    return x >> (q - gain)
 
 
-def relay_uplink_receive(net: DetNetwork, frames: Mapping[NodeId, LevelVector]) -> LevelVector:
+def relay_uplink_receive(net: DetNetwork, frames: Mapping[NodeId, int]) -> int:
     """Relay frame received in one use: mod-2 sum of every node's shifted
     contribution.  Nodes absent from ``frames`` are silent."""
     q = net.q_up
-    acc = LevelVector.zeros(q)
+    acc = 0
     for (pair, side), frame in frames.items():
-        gain = net.uplink_gain(pair, side)
-        if len(frame) != q:
-            raise ShapeError(f"frame of node ({pair},{side}) has length {len(frame)}, expected {q}")
-        acc = acc ^ shifted_contribution(frame, gain)
+        acc ^= shifted_contribution(frame, net.uplink_gain(pair, side), q)
     return acc
 
 
-def node_downlink_receive(
-    net: DetNetwork, relay_frame: LevelVector, pair: int, side: Side
-) -> LevelVector:
+def node_downlink_receive(net: DetNetwork, relay_frame: int, pair: int, side: Side) -> int:
     """What node (pair, side) hears when the relay broadcasts ``relay_frame``."""
-    if len(relay_frame) != net.q_down:
-        raise ShapeError(
-            f"relay frame has length {len(relay_frame)}, expected {net.q_down}"
-        )
-    return shifted_contribution(relay_frame, net.downlink_gain(pair, side))
+    return shifted_contribution(relay_frame, net.downlink_gain(pair, side), net.q_down)

@@ -875,7 +875,7 @@ def _sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork, nudge: f
 
 def run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
     """One deterministic trial; the sub-seed depends only on (seed, index),
-    so any partition of trials over workers yields identical records."""
+    so trials run in any order or split yield identical records."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
     net = _sample_network(rng, cfg)
     rates = _sample_boundary_rates(rng, net, cfg.nudge)
@@ -893,16 +893,8 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
     )
 
 
-def monte_carlo_gap(cfg: SweepConfig, workers: int = 1) -> GapReport:
+def monte_carlo_gap(cfg: SweepConfig) -> GapReport:
     """Sample (network, boundary rate tuple) pairs and verify the 2-bit
-    back-off end to end; deterministic for a fixed seed regardless of
-    ``workers``."""
-    if workers <= 1 or cfg.trials <= 1:
-        records = [run_trial(cfg, i) for i in range(cfg.trials)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda i: run_trial(cfg, i), range(cfg.trials)))
-    records.sort(key=lambda r: r.trial)
-    return GapReport(config=cfg, records=tuple(records))
+    back-off end to end; deterministic for a fixed seed."""
+    records = tuple(run_trial(cfg, i) for i in range(cfg.trials))
+    return GapReport(config=cfg, records=records)

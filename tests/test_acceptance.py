@@ -33,7 +33,7 @@ from relaycap import (
 )
 from relaycap.cli import main as cli_main
 from relaycap.cutset import directed_rate_caps
-from relaycap.gaussian import GaussNetwork, restricted_bound_gaps
+from relaycap.gaussian import GaussNetwork, restricted_bound_gaps, run_trial
 
 REF_NET = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
 
@@ -243,18 +243,25 @@ def test_closed_form_spot_checks():
 
 
 def test_sweep_determinism(tmp_path, capsys):
-    paths = [tmp_path / n for n in ("a.csv", "b.csv", "c.csv")]
-    for path, workers in zip(paths, ("1", "1", "6")):
-        code = cli_main(
-            ["sweep", "--trials", "300", "--seed", "99", "--workers", workers, "--out", str(path)]
-        )
+    paths = [tmp_path / n for n in ("a.csv", "b.csv")]
+    for path in paths:
+        code = cli_main(["sweep", "--trials", "300", "--seed", "99", "--out", str(path)])
         capsys.readouterr()
         assert code == 0
     blobs = [p.read_bytes() for p in paths]
-    ok = blobs[0] == blobs[1] == blobs[2]
+    cfg = SweepConfig(trials=300, seed=99)
+    backwards = tuple(run_trial(cfg, i) for i in reversed(range(cfg.trials)))
+    records = monte_carlo_gap(cfg).records
+    verdicts = [line.split(",")[:4] for line in blobs[0].decode().splitlines()[1:]]
+    ok = (
+        blobs[0] == blobs[1]
+        and records == backwards[::-1]
+        and verdicts == [[str(r.trial), "99", "pass" if r.achievable else "fail", r.stage] for r in records]
+    )
     with capsys.disabled():
         conclude(
             "sweep-determinism",
             ok,
-            f"fixed-seed CSV byte-identical across reruns and worker counts ({len(blobs[0])} bytes)",
+            f"fixed-seed CSV byte-identical across reruns, records equal to trials run "
+            f"in reverse order ({len(blobs[0])} bytes)",
         )

@@ -15,7 +15,7 @@ from relaycap.cli import (
     parse_fraction,
 )
 from relaycap.detnet import DetNetwork, FullDuplex, HalfDuplex
-from relaycap.gaussian import GaussNetwork
+from relaycap.gaussian import GaussNetwork, SweepConfig, run_trial
 
 REF_NET = {
     "kind": "deterministic",
@@ -197,16 +197,26 @@ def test_gauss_verify_low_power(tmp_path, capsys):
 def test_sweep_deterministic_csv(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    out3 = tmp_path / "c.csv"
     assert main(["sweep", "--trials", "40", "--seed", "5", "--out", str(out1)]) == EXIT_OK
     capsys.readouterr()
     assert main(["sweep", "--trials", "40", "--seed", "5", "--out", str(out2)]) == EXIT_OK
     capsys.readouterr()
-    assert main(["sweep", "--trials", "40", "--seed", "5", "--workers", "4", "--out", str(out3)]) == EXIT_OK
-    capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
-    header = out1.read_text().splitlines()[0]
+    assert out1.read_bytes() == out2.read_bytes()
+    header, *rows = out1.read_text().splitlines()
     assert header.startswith("trial,seed,verdict,stage,max_alpha_slack,bound_gap,")
+    # Each row is the trial run on its own: trials taken from the last index
+    # back give the same rows.
+    cfg = SweepConfig(trials=40, seed=5)
+    backwards = [run_trial(cfg, i) for i in reversed(range(cfg.trials))]
+    expected = []
+    for r in reversed(backwards):
+        n = r.net
+        cells = (n.h_ar[0], n.h_br[0], n.h_ar[1], n.h_br[1], n.h_ra[0], n.h_rb[0], n.h_ra[1], n.h_rb[1], n.power)
+        expected.append(",".join(
+            [str(r.trial), "5", "pass" if r.achievable else "fail", r.stage,
+             repr(r.max_alpha_excess), repr(r.bound_gap), *map(repr, cells)]
+        ))
+    assert rows == expected
 
 
 def test_sweep_zero_trials_header_only(tmp_path, capsys):
@@ -237,6 +247,33 @@ def test_region_non_member_report_pinned(tmp_path, capsys):
     code = main(["region", str(path), "--rates", "1,1/2,1/3,1/2,1,0"])
     expected = (Path(__file__).parent / "data" / "region_non_member.json").read_text()
     assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().out == expected
+
+
+PINNED_SCHEDULES = {
+    "schedule_fractional": (
+        {"kind": "deterministic", "pairs": 3, "n_ar": [3, 2, 4], "n_br": [2, 1, 3],
+         "n_ra": [2, 1, 3], "n_rb": [3, 2, 1]},
+        "1/2,1/3,1/2,1/4,2/3,1/3",
+    ),
+    "schedule_half_duplex": (
+        {"kind": "deterministic", "pairs": 2, "n_ar": [3, 2], "n_br": [2, 1],
+         "n_ra": [2, 1], "n_rb": [3, 2], "duplex": "half", "delta": "2/5"},
+        "1/2,1/5,1/5,1/5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCHEDULES))
+def test_schedule_report_pinned(tmp_path, capsys, name):
+    # Captured before frames became ints and the two time-expansion bodies
+    # merged: same slots, levels, budgets and decoded payloads.
+    network, rates = PINNED_SCHEDULES[name]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network))
+    code = main(["schedule", str(path), "--rates", rates, "--simulate", "5"])
+    expected = (Path(__file__).parent / "data" / f"{name}.json").read_text()
+    assert code == EXIT_OK
     assert capsys.readouterr().out == expected
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -109,7 +110,19 @@ def test_enumerate_zero_network():
 def test_enumerate_budget_guard():
     net = DetNetwork((50, 50, 50), (50, 50, 50), (50, 50, 50), (50, 50, 50))
     with pytest.raises(RegionSizeError):
-        enumerate_integral_region(net, cell_budget=1000)
+        enumerate_integral_region(net)
+
+
+def test_enumerate_budget_counts_the_cut_walk():
+    # A one-cell box still walks all 3^M - 1 cuts: M = 12 is refused up front.
+    zeros = (0,) * 12
+    start = time.perf_counter()
+    with pytest.raises(RegionSizeError, match="531440 cuts"):
+        enumerate_integral_region(DetNetwork(zeros, zeros, zeros, zeros))
+    assert time.perf_counter() - start < 1.0
+    # The largest desk-scale walk, M = 3 with gains 6, still fits.
+    sixes = (6, 6, 6)
+    assert len(enumerate_integral_region(DetNetwork(sixes, sixes, sixes, sixes))) == 3024
 
 
 def test_enumerate_half_duplex():
@@ -178,7 +191,7 @@ def test_region_scales_with_time_expansion(ar, br, ra, rb, q):
     net = DetNetwork(ar, br, ra, rb)
     big = expand_time(net, q)
     region = set(enumerate_integral_region(net))
-    big_region = set(enumerate_integral_region(big, cell_budget=20_000_000))
+    big_region = set(enumerate_integral_region(big))
     scaled = {tuple(q * t for t in tup) for tup in region}
     multiples = {tup for tup in big_region if all(t % q == 0 for t in tup)}
     assert scaled == multiples

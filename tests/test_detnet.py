@@ -7,49 +7,59 @@ from hypothesis import given, strategies as st
 from relaycap import (
     DetNetwork,
     InvalidGainError,
-    LevelVector,
     ShapeError,
     node_downlink_receive,
     relay_uplink_receive,
     shifted_contribution,
 )
 
+
+def frame(*bits: int) -> int:
+    """Int frame from its levels, most significant first."""
+    return int("".join(map(str, bits)) or "0", 2)
+
+
+def levels(x: int, q: int) -> tuple[int, ...]:
+    """Levels of a q-level int frame, most significant first."""
+    return tuple((x >> (q - 1 - i)) & 1 for i in range(q))
+
+
 # Two-pair reference network: uplink gains (3,2,2,1), downlink (2,3,1,2).
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
 
 
-def matrix_oracle(net: DetNetwork, frames: dict) -> tuple:
+def matrix_oracle(net: DetNetwork, frames: dict) -> int:
     """Independent check of the relay receive: literal shift-matrix algebra."""
     q = net.q_up
     shift = np.eye(q, k=-1, dtype=np.int64)
     acc = np.zeros(q, dtype=np.int64)
-    for (pair, side), frame in frames.items():
+    for (pair, side), x in frames.items():
         n = net.uplink_gain(pair, side)
         mat = np.linalg.matrix_power(shift, q - n)
-        acc = (acc + mat @ np.array(frame.bits)) % 2
-    return tuple(int(b) for b in acc)
+        acc = (acc + mat @ np.array(levels(x, q))) % 2
+    return frame(*(int(b) for b in acc))
 
 
 def test_shift_identity_at_full_gain():
-    assert shifted_contribution(LevelVector((1, 1, 0)), 3).bits == (1, 1, 0)
+    assert shifted_contribution(0b110, 3, 3) == 0b110
 
 
 def test_shift_by_one_keeps_only_msb():
-    assert shifted_contribution(LevelVector((1, 0, 1)), 1).bits == (0, 0, 1)
-    assert shifted_contribution(LevelVector((0, 1, 1)), 1).bits == (0, 0, 0)
+    assert shifted_contribution(0b101, 1, 3) == 0b001
+    assert shifted_contribution(0b011, 1, 3) == 0b000
 
 
 def test_shift_gain_two_reference_node():
     # A2 of the reference network (gain 2) sending [0, a, 0] lands the bit on
     # the relay's bottom level.
-    assert shifted_contribution(LevelVector((0, 1, 0)), 2).bits == (0, 0, 1)
+    assert shifted_contribution(0b010, 2, 3) == 0b001
 
 
 def test_gain_bounds():
     with pytest.raises(InvalidGainError):
-        shifted_contribution(LevelVector((1, 0)), 3)
+        shifted_contribution(0b10, 3, 2)
     with pytest.raises(InvalidGainError):
-        shifted_contribution(LevelVector((1, 0)), -1)
+        shifted_contribution(0b10, -1, 2)
 
 
 def test_relay_receive_worked_example():
@@ -57,50 +67,56 @@ def test_relay_receive_worked_example():
     # must give y_R = [a11, a12^b11, a21^b21] for every bit combination.
     for a11, a12, b11, a21, b21 in itertools.product((0, 1), repeat=5):
         frames = {
-            (0, "A"): LevelVector((a11, a12, 0)),
-            (0, "B"): LevelVector((b11, 0, 0)),
-            (1, "A"): LevelVector((0, a21, 0)),
-            (1, "B"): LevelVector((b21, 0, 0)),
+            (0, "A"): frame(a11, a12, 0),
+            (0, "B"): frame(b11, 0, 0),
+            (1, "A"): frame(0, a21, 0),
+            (1, "B"): frame(b21, 0, 0),
         }
         got = relay_uplink_receive(REF, frames)
-        assert got.bits == (a11, a12 ^ b11, a21 ^ b21)
-        assert got.bits == matrix_oracle(REF, frames)
+        assert got == frame(a11, a12 ^ b11, a21 ^ b21)
+        assert got == matrix_oracle(REF, frames)
 
 
 def test_relay_receive_all_zero():
-    frames = {node: LevelVector.zeros(3) for node in REF.nodes()}
-    assert relay_uplink_receive(REF, frames).bits == (0, 0, 0)
+    frames = {node: 0 for node in REF.nodes()}
+    assert relay_uplink_receive(REF, frames) == 0
 
 
 def test_relay_receive_single_transmitter():
-    frame = LevelVector((1, 0, 1))
-    got = relay_uplink_receive(REF, {(0, "A"): frame})
-    assert got.bits == shifted_contribution(frame, 3).bits
+    x = 0b101
+    got = relay_uplink_receive(REF, {(0, "A"): x})
+    assert got == shifted_contribution(x, 3, 3) == x
 
 
 def test_relay_receive_shape_error():
-    with pytest.raises(ShapeError):
-        relay_uplink_receive(REF, {(0, "A"): LevelVector((1, 0))})
+    # REF frames have q = 3 levels: ints outside [0, 8) are rejected.
+    for bad in (1 << 3, (1 << 3) + 1, -1):
+        with pytest.raises(ShapeError):
+            relay_uplink_receive(REF, {(0, "A"): bad})
+        with pytest.raises(ShapeError):
+            node_downlink_receive(REF, bad, 0, "A")
+        with pytest.raises(ShapeError):
+            shifted_contribution(bad, 2, 3)
 
 
 def test_downlink_receive_worked_example():
     # Relay transmits [a21^b21, a12^b11, a11]; A1 (gain 2) must observe the
     # pair-1 combination among its received levels.
-    x_r = LevelVector((1, 1, 0))  # a21^b21=1, a12^b11=1, a11=0
+    x_r = frame(1, 1, 0)  # a21^b21=1, a12^b11=1, a11=0
     at_a1 = node_downlink_receive(REF, x_r, 0, "A")
-    assert at_a1.bits == (0, 1, 1)  # top two relay levels, shifted down
+    assert at_a1 == frame(0, 1, 1)  # top two relay levels, shifted down
     at_b1 = node_downlink_receive(REF, x_r, 0, "B")
-    assert at_b1.bits == (1, 1, 0)  # gain 3 hears the full frame
+    assert at_b1 == frame(1, 1, 0)  # gain 3 hears the full frame
 
 
 def test_downlink_zero_gain_silent():
     net = DetNetwork((1,), (1,), (0,), (1,))
-    assert node_downlink_receive(net, LevelVector((1,)), 0, "A").bits == (0,)
+    assert node_downlink_receive(net, 0b1, 0, "A") == 0
 
 
 def test_downlink_unknown_node():
     with pytest.raises(LookupError):
-        node_downlink_receive(REF, LevelVector((0, 0, 0)), 5, "A")
+        node_downlink_receive(REF, 0, 5, "A")
 
 
 def test_gain_validation():
@@ -110,34 +126,35 @@ def test_gain_validation():
         DetNetwork((), (), (), ())
 
 
-bits3 = st.tuples(*([st.integers(0, 1)] * 3))
+frames3 = st.integers(0, 0b111)
 
 
 @given(
     st.dictionaries(
-        st.tuples(st.integers(0, 1), st.sampled_from(["A", "B"])), bits3, max_size=4
+        st.tuples(st.integers(0, 1), st.sampled_from(["A", "B"])), frames3, max_size=4
     ),
     st.dictionaries(
-        st.tuples(st.integers(0, 1), st.sampled_from(["A", "B"])), bits3, max_size=4
+        st.tuples(st.integers(0, 1), st.sampled_from(["A", "B"])), frames3, max_size=4
     ),
 )
 def test_receive_is_linear_over_xor(raw1, raw2):
     nodes = set(raw1) | set(raw2)
-    f1 = {n: LevelVector(raw1.get(n, (0, 0, 0))) for n in nodes}
-    f2 = {n: LevelVector(raw2.get(n, (0, 0, 0))) for n in nodes}
+    f1 = {n: raw1.get(n, 0) for n in nodes}
+    f2 = {n: raw2.get(n, 0) for n in nodes}
     combined = {n: f1[n] ^ f2[n] for n in nodes}
     lhs = relay_uplink_receive(REF, combined)
     rhs = relay_uplink_receive(REF, f1) ^ relay_uplink_receive(REF, f2)
-    assert lhs.bits == rhs.bits
+    assert lhs == rhs
+    assert lhs == matrix_oracle(REF, combined)
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=8), st.data())
 def test_shift_zero_fills_and_preserves(bits, data):
     q = len(bits)
     n = data.draw(st.integers(0, q))
-    out = shifted_contribution(LevelVector(tuple(bits)), n)
-    assert out.bits[: q - n] == (0,) * (q - n)
-    assert out.bits[q - n :] == tuple(bits[:n])
+    out = levels(shifted_contribution(frame(*bits), n, q), q)
+    assert out[: q - n] == (0,) * (q - n)
+    assert out[q - n :] == tuple(bits[:n])
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=8), st.data())
@@ -145,7 +162,7 @@ def test_shift_composition(bits, data):
     q = len(bits)
     n = data.draw(st.integers(0, q))
     m = data.draw(st.integers(0, n))
-    x = LevelVector(tuple(bits))
-    via_n = shifted_contribution(x, n).bits[q - n : q - n + m]
-    direct = shifted_contribution(x, m).bits[q - m :]
+    x = frame(*bits)
+    via_n = levels(shifted_contribution(x, n, q), q)[q - n : q - n + m]
+    direct = levels(shifted_contribution(x, m, q), q)[q - m :]
     assert via_n == direct == tuple(bits[:m])

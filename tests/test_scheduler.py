@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -285,6 +286,43 @@ def test_time_expansion_large_q_few_bits():
     sched = schedule_half_duplex(REF, Fraction(1, 2), rates)
     assert sched.slots == 3000 and len(sched.assignments) == 1
     assert_exact_simulation(sched, payloads=2)
+
+
+def test_half_duplex_large_q_bounded_memory():
+    # Q = 4093 * 4091, about 1.67e7 uses, 4093 bits: the combined network has
+    # downlink gains near 3.3e7, so anything allocated per level shows.
+    net = DetNetwork((2,), (2,), (2,), (2,))
+    tracemalloc.start()
+    try:
+        sched = schedule_half_duplex(net, Fraction(1, 4093), (Fraction(1, 4091), 0))
+        assert_exact_simulation(sched, payloads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sched.slots == 4093 * 4091 and sched.listen_slots == 4091
+    assert len(sched.assignments) == 4093
+    assert peak < 10 * 2**20
+
+
+def quadratic_replay(steps):
+    """Reference replay: undo the removals one by one in reverse order,
+    O(steps^2)."""
+    out = []
+    for k, step in enumerate(steps):
+        l_u, l_d = step.l_u, step.l_d
+        for j in range(k - 1, -1, -1):
+            if l_u >= steps[j].l_u:
+                l_u += 1
+            if l_d >= steps[j].l_d:
+                l_d += 1
+        out.append((step, l_u, l_d))
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(1, 24), st.integers(1, 24)), max_size=80))
+def test_replay_matches_quadratic_undo(levels):
+    steps = [scheduler._Step(0, scheduler.XOR, None, l_u, l_d) for l_u, l_d in levels]
+    assert scheduler._replay(steps) == quadratic_replay(steps)
 
 
 def test_time_expansion_budget_rejects_prime_denominators_fast():
