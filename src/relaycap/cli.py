@@ -177,6 +177,8 @@ def cmd_region(args) -> int:
     net, mode, digest = load_network(args.network)
     report = {"command": "region", "input_digest": digest}
     if isinstance(net, DetNetwork):
+        if args.restricted:
+            raise InputError("--restricted applies to gaussian networks only")
         rates = [parse_fraction(tok) for tok in args.rates.split(",")]
         if len(rates) != 2 * net.pairs:
             raise InputError(f"expected {2 * net.pairs} rates, got {len(rates)}")
@@ -204,6 +206,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    if args.simulate < 0:
+        raise InputError(f"--simulate must be non-negative, got {args.simulate}")
     net, mode, digest = load_network(args.network)
     if not isinstance(net, DetNetwork):
         raise InputError("schedule requires a deterministic network")
@@ -217,8 +221,6 @@ def cmd_schedule(args) -> int:
         sched = scheduler.schedule_half_duplex(net, mode.delta, rates)
     elif args.chunked:
         sched = scheduler.chunk_schedule(net, rates)
-    elif all(r.denominator == 1 for r in rates):
-        sched = scheduler.divide_and_conquer(net, rates)
     else:
         sched = scheduler.schedule_fractional(net, rates)
 
@@ -303,6 +305,8 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def cmd_sweep(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be non-negative, got {args.trials}")
     if args.det:
         return _det_sweep(args)
     cfg = SweepConfig(

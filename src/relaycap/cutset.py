@@ -31,11 +31,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex
+from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, HalfDuplex
 
 Rate = Union[int, Fraction]
 RateTuple = tuple[Rate, ...]
@@ -118,10 +118,25 @@ def det_cut_bound(net: DetNetwork, cut: Cut, mode: DuplexMode = FULL_DUPLEX) -> 
     return Fraction(min(up, down))
 
 
-def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Fraction, ...]:
+def _time_scales(mode: DuplexMode, denominators: Iterable[int]) -> tuple[int, int, int]:
+    """(Q, listen, transmit): the fewest channel uses Q that make delta (in
+    half duplex) and every rate with these denominators integral, and how
+    many of them the relay listens and transmits in.  Full duplex listens
+    and transmits in all Q; half duplex listens in delta * Q and transmits
+    in the rest."""
+    if isinstance(mode, HalfDuplex):
+        q = math.lcm(mode.delta.denominator, *denominators)
+        listen = mode.delta.numerator * (q // mode.delta.denominator)
+        return q, listen, q - listen
+    q = math.lcm(*denominators)
+    return q, q, q
+
+
+def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Rate, ...]:
+    """The rates with every non-int converted to a Fraction once."""
     if len(rates) != 2 * net.pairs:
         raise ValueError(f"expected {2 * net.pairs} rate components, got {len(rates)}")
-    out = tuple(Fraction(r) for r in rates)
+    out = tuple(r if isinstance(r, int) else Fraction(r) for r in rates)
     if any(r.numerator < 0 for r in out):
         raise ValueError(f"rates must be non-negative, got {rates}")
     return out
@@ -188,15 +203,9 @@ def in_det_cutset(
     denominator, together with delta in half duplex.  Only a non-member
     walks `enumerate_cuts` to list its violated cuts, in that order."""
     rs = _check_rates(net, rates)
-    if isinstance(mode, HalfDuplex):
-        scale = math.lcm(mode.delta.denominator, *(r.denominator for r in rs))
-        up_scale = mode.delta.numerator * (scale // mode.delta.denominator)
-        down_scale = scale - up_scale
-    else:
-        scale = math.lcm(*(r.denominator for r in rs))
-        up_scale = down_scale = scale
-    ints = [r.numerator * (scale // r.denominator) for r in rs]
-    if cutset_holds(net.n_ar, net.n_br, net.n_ra, net.n_rb, ints, up_scale, down_scale):
+    q, listen, transmit = _time_scales(mode, [r.denominator for r in rs])
+    ints = [r.numerator * (q // r.denominator) for r in rs]
+    if cutset_holds(net.n_ar, net.n_br, net.n_ra, net.n_rb, ints, listen, transmit):
         return Membership(True, ())
     violations = []
     for cut in enumerate_cuts(net.pairs):
@@ -238,20 +247,13 @@ def enumerate_integral_region(
     # row-major unravel keeps the columns in lexicographic order
     points = np.stack(np.unravel_index(np.arange(cells, dtype=np.int64), dims))
 
-    if isinstance(mode, HalfDuplex):
-        # delta = num/den: compare den*lhs <= min(num*up, (den-num)*down)
-        num, den = mode.delta.numerator, mode.delta.denominator
-        up_scale, down_scale = num, den - num
-    else:
-        num = den = 1
-        up_scale = down_scale = 1
-
+    # integral rates over Q uses: Q * lhs <= min(listen * up, transmit * down)
+    q, listen, transmit = _time_scales(mode, ())
     mask = np.ones(points.shape[1], dtype=bool)
     for cut in enumerate_cuts(net.pairs):
         idx = [2 * i if b else 2 * i + 1 for i, b in zip(cut.members, cut.orientation)]
         lhs = points[idx].sum(axis=0)
         up, down = _cut_gains(net, cut)
-        bound = min(up_scale * up, down_scale * down)
-        mask &= den * lhs <= bound
+        mask &= q * lhs <= min(listen * up, transmit * down)
     region = points[:, mask].T
     return [tuple(int(v) for v in row) for row in region]

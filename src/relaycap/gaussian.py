@@ -31,6 +31,11 @@ TOL = 1e-9  # absolute slack tolerance on all rate and power comparisons
 
 MIN_PROVEN_SNR = 2.5  # every |h|^2 P must clear this for the splits to be proven valid
 
+# Sweep sampling: every link SNR of a sampled network clears MIN_LINK_SNR,
+# and boundary rates retreat BOUNDARY_NUDGE bits into the region.
+MIN_LINK_SNR = max(4.0, MIN_PROVEN_SNR)
+BOUNDARY_NUDGE = 1e-6
+
 
 class InfeasibleRatesError(ValueError):
     """A rate precondition fails; carries the name of the first failed inequality."""
@@ -777,15 +782,13 @@ class SweepConfig:
     h_max: float = 100.0
     p_min: float = 1.0
     p_max: float = 100.0
-    min_link_snr: float = 4.0
-    nudge: float = 1e-6  # inward retreat from the region boundary, in bits
 
     def __post_init__(self) -> None:
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if not (0 < self.h_min <= self.h_max and 0 < self.p_min <= self.p_max):
             raise ValueError("magnitude and power ranges must be non-empty and positive")
-        if self.h_max**2 * self.p_max < max(self.min_link_snr, MIN_PROVEN_SNR):
+        if self.h_max**2 * self.p_max < MIN_LINK_SNR:
             raise ValueError(
                 "ranges cannot satisfy the side conditions: "
                 f"max |h|^2 P = {self.h_max ** 2 * self.p_max:.4g}"
@@ -832,7 +835,6 @@ def _sample_network(rng: np.random.Generator, cfg: SweepConfig) -> GaussNetwork:
     SNR floor and the 2-bit base point fits in the restricted region."""
     lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
     lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
-    floor = max(cfg.min_link_snr, MIN_PROVEN_SNR)
     while True:
         h = np.exp(rng.uniform(lo_h, hi_h, size=8))
         p = float(np.exp(rng.uniform(lo_p, hi_p)))
@@ -843,7 +845,7 @@ def _sample_network(rng: np.random.Generator, cfg: SweepConfig) -> GaussNetwork:
             (float(h[6]), float(h[7])),
             p,
         )
-        if min(net.snrs()) < floor:
+        if min(net.snrs()) < MIN_LINK_SNR:
             continue
         rhs = _family_rhs(net, restricted=True)
         base_ok = all(
@@ -854,10 +856,10 @@ def _sample_network(rng: np.random.Generator, cfg: SweepConfig) -> GaussNetwork:
             return net
 
 
-def _sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork, nudge: float) -> RateQuad:
+def _sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork) -> RateQuad:
     """A point of the restricted-region boundary at least 2 in every
     component: walk from (2,2,2,2) along a random non-negative direction to
-    the nearest constraint, then retreat ``nudge`` bits."""
+    the nearest constraint, then retreat `BOUNDARY_NUDGE` bits."""
     rhs = _family_rhs(net, restricted=True)
     while True:
         d = rng.random(4)
@@ -869,7 +871,7 @@ def _sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork, nudge: f
         if step > 0:
             room = rhs[name] - sum(c * b for c, b in zip(coefs, _BASE))
             t_star = min(t_star, room / step)
-    t = max(0.0, t_star - nudge / float(d.max()))
+    t = max(0.0, t_star - BOUNDARY_NUDGE / float(d.max()))
     return tuple(2.0 + t * float(x) for x in d)
 
 
@@ -878,7 +880,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
     so trials run in any order or split yield identical records."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
     net = _sample_network(rng, cfg)
-    rates = _sample_boundary_rates(rng, net, cfg.nudge)
+    rates = _sample_boundary_rates(rng, net)
     report = verify_constant_gap(net, rates)
     gaps = restricted_bound_gaps(net)
     return TrialRecord(

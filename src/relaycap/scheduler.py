@@ -17,21 +17,24 @@ drops by one (the removed level disappears from the frame), and the
 reduced rate tuple provably stays inside the reduced network's cut-set
 region; that invariant is re-checked at runtime on every step.
 
-Steps are recorded in the coordinates of the network current at that
-step; `_replay` translates them back to original-network levels from the
-sorted list of levels removed before each step.
+Each step's levels are mapped to original-network levels as the step is
+taken, from the sorted lists of levels removed before it.
+
+Every schedule is this construction run on Q channel uses: the Q uses
+concatenate into one use of the network with uplink gains scaled by the
+listen slots and downlink gains by the transmit slots.  An integral
+full-duplex tuple is the case Q = 1.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cutset import Membership, Rate, RegionSizeError, cutset_holds, in_det_cutset
+from .cutset import Membership, Rate, RegionSizeError, _time_scales, cutset_holds, in_det_cutset
 from .detnet import (
     FULL_DUPLEX,
     SIDES,
@@ -47,7 +50,8 @@ from .detnet import (
 XOR = "xor"
 SOLO = "solo"
 
-# Cap on the bits a time-expanded schedule serves, sum of Q times each rate.
+# Cap on the bits any schedule serves, sum of Q times each rate (Q = 1 for
+# integral and chunked schedules); refused before any induction or packing.
 # The induction takes at most one step per bit.  At the cap, 8192 one-way
 # steps schedule in about 0.15 s for M = 1 and 0.13 s for M = 3 (2-vCPU x86
 # machine).
@@ -165,32 +169,12 @@ def reduce_pair_oneway(net: DetNetwork, pair: int, source: str) -> tuple[DetNetw
     return DetNetwork(*gains), l_u, l_d
 
 
-def _scaled(net: DetNetwork, up: int, down: int) -> DetNetwork:
-    """The network with uplink gains times ``up`` and downlink gains times
-    ``down``."""
-    return DetNetwork(
-        tuple(n * up for n in net.n_ar),
-        tuple(n * up for n in net.n_br),
-        tuple(n * down for n in net.n_ra),
-        tuple(n * down for n in net.n_rb),
-    )
-
-
 def expand_time(net: DetNetwork, q: int) -> DetNetwork:
     """Q channel uses of a network are one use of the network with all
     gains multiplied by Q."""
     if q < 1:
         raise ValueError("expansion factor must be >= 1")
-    return _scaled(net, q, q)
-
-
-@dataclass
-class _Step:
-    pair: int
-    kind: str
-    side: str | None
-    l_u: int
-    l_d: int
+    return DetNetwork(*(tuple(n * q for n in g) for g in _gains(net)))
 
 
 def _next_step(rates: list[int]) -> tuple[int, str, str | None]:
@@ -208,30 +192,6 @@ def _next_step(rates: list[int]) -> tuple[int, str, str | None]:
     raise AssertionError("no step requested from the zero tuple")
 
 
-def _run_induction(net: DetNetwork, rates: Sequence[int]) -> list[_Step]:
-    """Serve ``rates`` bit by bit on int gain tuples, re-checking after every
-    step that the remaining rates lie in the reduced full-duplex region."""
-    gains = _gains(net)
-    remaining = list(rates)
-    steps: list[_Step] = []
-    while any(remaining):
-        pair, kind, side = _next_step(remaining)
-        gains, l_u, l_d = _reduce(gains, pair, kind, side)
-        if kind == XOR:
-            remaining[2 * pair] -= 1
-            remaining[2 * pair + 1] -= 1
-        else:
-            remaining[2 * pair + (0 if side == "A" else 1)] -= 1
-        steps.append(_Step(pair, kind, side, l_u, l_d))
-        if not cutset_holds(*gains, remaining):
-            raise InductionInvariantError(
-                f"reduced tuple {tuple(remaining)} left the reduced region after "
-                f"step {len(steps)} ({kind} pair {pair}); this contradicts the "
-                f"induction safety proof"
-            )
-    return steps
-
-
 def _original_level(removed: list[int], level: int) -> int:
     """Original level of ``level`` in coordinates with the sorted original
     levels ``removed`` taken out, and record it as removed.  Original level
@@ -242,39 +202,53 @@ def _original_level(removed: list[int], level: int) -> int:
     return level + k
 
 
-def _replay(steps: list[_Step]) -> list[tuple[_Step, int, int]]:
-    """Map each step's (l_u, l_d) from its reduced coordinates back to
-    original-network levels; O(steps log steps) comparisons."""
+def _run_induction(
+    gains: Gains, rates: Sequence[int]
+) -> list[tuple[int, str, str | None, int, int]]:
+    """Serve ``rates`` bit by bit on int gain tuples, re-checking after every
+    step that the remaining rates lie in the reduced full-duplex region.
+    Returns (pair, kind, side, l_u, l_d) per step, levels in the coordinates
+    of ``gains``."""
+    remaining = list(rates)
     removed_up: list[int] = []
     removed_down: list[int] = []
-    return [
-        (s, _original_level(removed_up, s.l_u), _original_level(removed_down, s.l_d))
-        for s in steps
-    ]
+    steps = []
+    while any(remaining):
+        pair, kind, side = _next_step(remaining)
+        gains, l_u, l_d = _reduce(gains, pair, kind, side)
+        if kind == XOR:
+            remaining[2 * pair] -= 1
+            remaining[2 * pair + 1] -= 1
+        else:
+            remaining[2 * pair + (0 if side == "A" else 1)] -= 1
+        up = _original_level(removed_up, l_u)
+        down = _original_level(removed_down, l_d)
+        steps.append((pair, kind, side, up, down))
+        if not cutset_holds(*gains, remaining):
+            raise InductionInvariantError(
+                f"reduced tuple {tuple(remaining)} left the reduced region after "
+                f"step {len(steps)} ({kind} pair {pair}); this contradicts the "
+                f"induction safety proof"
+            )
+    return steps
 
 
 def _integral_rates(rates: Sequence[Rate]) -> list[int]:
+    """The rates as ints; an int is taken as it is, anything else is
+    converted to a Fraction once and must be whole."""
     out = []
     for r in rates:
-        f = Fraction(r)
+        f = r if isinstance(r, int) else Fraction(r)
         if f.denominator != 1:
             raise ValueError(f"expected integral rates, got component {r}")
-        out.append(int(f))
+        out.append(f.numerator)
     return out
 
 
 def divide_and_conquer(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
-    """Single-use schedule achieving an integral in-region rate tuple."""
-    ints = _integral_rates(rates)
-    membership = in_det_cutset(net, ints, FULL_DUPLEX)
-    if not membership.member:
-        raise NotInRegionError(membership)
-    steps = _run_induction(net, ints)
-    assignments = tuple(
-        LevelAssignment(s.pair, s.kind, s.side, 0, l_u, 0, l_d)
-        for s, l_u, l_d in _replay(steps)
-    )
-    return Schedule(net=net, slots=1, assignments=assignments)
+    """Single-use schedule achieving an integral in-region rate tuple: time
+    expansion with Q = 1."""
+    return _time_expanded(net, FULL_DUPLEX, _integral_rates(rates))
 
 
 def _interleaved(level: int, lanes: int) -> tuple[int, int]:
@@ -283,52 +257,58 @@ def _interleaved(level: int, lanes: int) -> tuple[int, int]:
     return (level - 1) % lanes, (level + lanes - 1) // lanes
 
 
-def _expanded_rates(fracs: Sequence[Fraction], q: int) -> list[int]:
-    """Rates over Q uses, refused before expanding when they would take
-    more than `STEP_BUDGET` induction steps."""
-    bits = [int(f * q) for f in fracs]
-    if sum(bits) > STEP_BUDGET:
-        raise RegionSizeError(
-            f"time expansion over Q={q} uses serves {sum(bits)} bits, "
-            f"step budget is {STEP_BUDGET}"
-        )
-    return bits
-
-
-def _time_expanded(net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate]) -> Schedule:
-    """Schedule a rational in-region tuple over Q uses.  The relay listens in
-    the first ``listen`` of the Q slots and transmits in the last
-    ``transmit``; in full duplex both are Q.  The Q uses concatenate into one
-    full-duplex use with uplink gains scaled by ``listen`` and downlink gains
-    by ``transmit``."""
-    fracs = [Fraction(r) for r in rates]
-    membership = in_det_cutset(net, fracs, mode)
+def _expanded_rates(
+    net: DetNetwork, mode: DuplexMode, rates: Sequence[int | Fraction]
+) -> tuple[int, int, int, list[int]]:
+    """(Q, listen, transmit, bits) for a tuple of ints or Fractions: the bits
+    each rate serves over Q uses.  Raises `NotInRegionError` for a
+    non-member and `RegionSizeError` when the bits would take more than
+    `STEP_BUDGET` induction steps."""
+    membership = in_det_cutset(net, rates, mode)
     if not membership.member:
         raise NotInRegionError(membership)
-    half = isinstance(mode, HalfDuplex)
-    q = math.lcm(mode.delta.denominator if half else 1, *(f.denominator for f in fracs))
-    listen = int(mode.delta * q) if half else q
-    transmit = q - listen if half else q
-    bits = _expanded_rates(fracs, q)
-    steps = _run_induction(_scaled(net, listen, transmit), bits)
+    q, listen, transmit = _time_scales(mode, [r.denominator for r in rates])
+    bits = [r.numerator * (q // r.denominator) for r in rates]
+    if sum(bits) > STEP_BUDGET:
+        raise RegionSizeError(
+            f"schedule over Q={q} uses serves {sum(bits)} bits, "
+            f"step budget is {STEP_BUDGET}"
+        )
+    return q, listen, transmit, bits
+
+
+def _time_expanded(
+    net: DetNetwork, mode: DuplexMode, rates: Sequence[int | Fraction]
+) -> Schedule:
+    """Schedule an in-region tuple of ints or Fractions over Q uses.  The
+    relay listens in the first ``listen`` of the Q slots and transmits in the
+    last ``transmit``; in full duplex both are Q.  The Q uses concatenate
+    into one full-duplex use with uplink gains scaled by ``listen`` and
+    downlink gains by ``transmit``."""
+    q, listen, transmit, bits = _expanded_rates(net, mode, rates)
+    gains = (
+        tuple(n * listen for n in net.n_ar),
+        tuple(n * listen for n in net.n_br),
+        tuple(n * transmit for n in net.n_ra),
+        tuple(n * transmit for n in net.n_rb),
+    )
     assignments = []
-    for s, l_u, l_d in _replay(steps):
+    for pair, kind, side, l_u, l_d in _run_induction(gains, bits):
         up_slot, up_level = _interleaved(l_u, listen)
         down_slot, down_level = _interleaved(l_d, transmit)
         assignments.append(
             LevelAssignment(
-                s.pair, s.kind, s.side, up_slot, up_level, q - transmit + down_slot, down_level
+                pair, kind, side, up_slot, up_level, q - transmit + down_slot, down_level
             )
         )
-    return Schedule(
-        net=net, slots=q, assignments=tuple(assignments), listen_slots=listen if half else None
-    )
+    listen_slots = listen if isinstance(mode, HalfDuplex) else None
+    return Schedule(net=net, slots=q, assignments=tuple(assignments), listen_slots=listen_slots)
 
 
 def schedule_fractional(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     """Schedule a rational in-region tuple over Q uses, Q = lcm of the rate
     denominators."""
-    return _time_expanded(net, FULL_DUPLEX, rates)
+    return _time_expanded(net, FULL_DUPLEX, [Fraction(r) for r in rates])
 
 
 def schedule_half_duplex(
@@ -336,7 +316,7 @@ def schedule_half_duplex(
 ) -> Schedule:
     """Schedule under a half-duplex relay listening a ``delta`` fraction of
     the time: the first Q*delta of Q slots listen, the rest transmit."""
-    return _time_expanded(net, HalfDuplex(delta), rates)
+    return _time_expanded(net, HalfDuplex(delta), [Fraction(r) for r in rates])
 
 
 # --- chunked variant -------------------------------------------------------
@@ -363,10 +343,7 @@ def chunk_schedule(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     chunk contiguous, and the cut-set bounds imply the deadline condition,
     so the packing succeeds exactly on in-region tuples.
     """
-    ints = _integral_rates(rates)
-    membership = in_det_cutset(net, ints, FULL_DUPLEX)
-    if not membership.member:
-        raise NotInRegionError(membership)
+    _, _, _, ints = _expanded_rates(net, FULL_DUPLEX, _integral_rates(rates))
 
     chunks: list[_Chunk] = []
     for i in range(net.pairs):

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -256,6 +257,7 @@ PINNED_SCHEDULES = {
          "n_ra": [2, 1, 3], "n_rb": [3, 2, 1]},
         "1/2,1/3,1/2,1/4,2/3,1/3",
     ),
+    "schedule_integral": (REF_NET, "2,1,1,1"),
     "schedule_half_duplex": (
         {"kind": "deterministic", "pairs": 2, "n_ar": [3, 2], "n_br": [2, 1],
          "n_ra": [2, 1], "n_rb": [3, 2], "duplex": "half", "delta": "2/5"},
@@ -267,7 +269,8 @@ PINNED_SCHEDULES = {
 @pytest.mark.parametrize("name", sorted(PINNED_SCHEDULES))
 def test_schedule_report_pinned(tmp_path, capsys, name):
     # Captured before frames became ints and the two time-expansion bodies
-    # merged: same slots, levels, budgets and decoded payloads.
+    # merged (the integral report before integral tuples went through time
+    # expansion with Q = 1): same slots, levels, budgets and decoded payloads.
     network, rates = PINNED_SCHEDULES[name]
     path = tmp_path / "net.json"
     path.write_text(json.dumps(network))
@@ -302,6 +305,30 @@ def test_schedule_time_expansion_over_budget(det_file, capsys):
     rates = ",".join(f"1/{p}" for p in (13, 17, 19, 29))
     code, _, err = run(capsys, "schedule", det_file, "--rates", rates)
     assert code == EXIT_INFEASIBLE and "budget" in err
+
+
+def test_schedule_integral_over_budget(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "deterministic", "pairs": 1, "n_ar": [200000],
+                                "n_br": [200000], "n_ra": [200000], "n_rb": [200000]}))
+    start = time.perf_counter()
+    code, doc, err = run(capsys, "schedule", str(path), "--rates", "200000,0")
+    assert code == EXIT_INFEASIBLE and doc is None and "step budget" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["schedule", "{det}", "--rates", "2,1,1,1", "--simulate", "-3"], "--simulate"),
+        (["sweep", "--det", "--trials", "-4"], "--trials"),
+        (["region", "{det}", "--rates", "2,1,1,1", "--restricted"], "--restricted"),
+    ],
+)
+def test_cli_rejects_invalid_options(det_file, capsys, argv, message):
+    code, doc, err = run(capsys, *(a.format(det=det_file) for a in argv))
+    assert code == EXIT_INPUT and doc is None
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("command", ["region", "gauss-verify"])

@@ -2,6 +2,7 @@ import time
 import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from relaycap import (
     validate_schedule,
 )
 from relaycap import scheduler
-from relaycap.scheduler import _run_induction
+from relaycap.scheduler import _gains, _original_level, _run_induction
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
 
@@ -154,7 +155,7 @@ def test_induction_rechecks_region_after_each_step():
     # (4, 0, 0, 0) is outside REF's region; the first one-way step goes
     # through, and the per-step check then finds R_A1 = 3 above its cap of 2.
     with pytest.raises(InductionInvariantError, match="after step 1"):
-        _run_induction(REF, [4, 0, 0, 0])
+        _run_induction(_gains(REF), [4, 0, 0, 0])
 
 
 def test_fractional_rates_rejected_by_integral_path():
@@ -270,11 +271,16 @@ def test_time_expansion_budget(monkeypatch):
     monkeypatch.setattr(scheduler, "STEP_BUDGET", 2)
     assert schedule_fractional(ones, half).slots == 2
     assert schedule_half_duplex(ones, Fraction(1, 2), half).slots == 2
+    assert len(divide_and_conquer(ones, (1, 1)).assignments) == 1
+    assert len(chunk_schedule(ones, (1, 1)).assignments) == 1
     monkeypatch.setattr(scheduler, "STEP_BUDGET", 1)
     with pytest.raises(RegionSizeError, match="serves 2 bits, step budget is 1"):
         schedule_fractional(ones, half)
     with pytest.raises(RegionSizeError, match="serves 2 bits, step budget is 1"):
         schedule_half_duplex(ones, Fraction(1, 2), half)
+    for integral in (divide_and_conquer, chunk_schedule):
+        with pytest.raises(RegionSizeError, match="Q=1 uses serves 2 bits, step budget is 1"):
+            integral(ones, (1, 1))
 
 
 def test_time_expansion_large_q_few_bits():
@@ -321,8 +327,26 @@ def quadratic_replay(steps):
 
 @given(st.lists(st.tuples(st.integers(1, 24), st.integers(1, 24)), max_size=80))
 def test_replay_matches_quadratic_undo(levels):
-    steps = [scheduler._Step(0, scheduler.XOR, None, l_u, l_d) for l_u, l_d in levels]
-    assert scheduler._replay(steps) == quadratic_replay(steps)
+    # The induction maps each step's levels with `_original_level` as it
+    # takes the step, one sorted list of removed levels per direction.
+    steps = [SimpleNamespace(l_u=l_u, l_d=l_d) for l_u, l_d in levels]
+    removed_up, removed_down = [], []
+    mapped = [
+        (s, _original_level(removed_up, s.l_u), _original_level(removed_down, s.l_d))
+        for s in steps
+    ]
+    assert mapped == quadratic_replay(steps)
+
+
+def test_every_scheduler_is_budgeted():
+    # 200000 bits at Q = 1: refused before any induction or packing.
+    net = DetNetwork((200000,), (200000,), (200000,), (200000,))
+    rates = (200000, 0)
+    start = time.perf_counter()
+    for schedule in (divide_and_conquer, chunk_schedule, schedule_fractional):
+        with pytest.raises(RegionSizeError, match="Q=1 uses serves 200000 bits"):
+            schedule(net, rates)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_time_expansion_budget_rejects_prime_denominators_fast():
