@@ -12,7 +12,8 @@ Network files are JSON.  Deterministic gains and ``pairs`` are JSON
 integers; floats, booleans and strings are rejected, never truncated.
 Deterministic rates and listen fractions are written as integer or "p/q"
 strings -- decimal notation is rejected so boundary tuples never pass
-through floats.  Gaussian rates, magnitudes and power are finite decimals.
+through floats.  Gaussian rates are finite decimals; Gaussian magnitudes
+are arrays of two JSON numbers and power a JSON number, all finite.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ def parse_fraction(text: str) -> Fraction:
 
 _DET_FIELDS = {"kind", "pairs", "n_ar", "n_br", "n_ra", "n_rb", "duplex", "delta"}
 _GAUSS_FIELDS = {"kind", "h_ar", "h_br", "h_ra", "h_rb", "power"}
+_JSON_NUMBER = (int, float)  # exact types: a JSON true is a bool, never a number
 
 
 def load_network(path: str):
@@ -118,19 +120,26 @@ def load_network(path: str):
         unknown = set(doc) - _GAUSS_FIELDS
         if unknown:
             raise InputError(f"{path}: unknown fields {sorted(unknown)}")
+        magnitudes = [doc.get(k) for k in ("h_ar", "h_br", "h_ra", "h_rb")]
+        if not all(type(m) is list and len(m) == 2 for m in magnitudes):
+            raise InputError(f"{path}: h_ar, h_br, h_ra and h_rb must be arrays of two magnitudes")
+        if any(type(v) not in _JSON_NUMBER for v in [*sum(magnitudes, []), doc.get("power")]):
+            raise InputError(f"{path}: magnitudes and power must be JSON numbers")
         try:
-            net = GaussNetwork(
-                tuple(float(v) for v in doc["h_ar"]),
-                tuple(float(v) for v in doc["h_br"]),
-                tuple(float(v) for v in doc["h_ra"]),
-                tuple(float(v) for v in doc["h_rb"]),
-                float(doc["power"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            net = GaussNetwork(*map(tuple, magnitudes), doc["power"])
+        except (ValueError, OverflowError) as exc:
             raise InputError(f"{path}: bad gaussian network fields ({exc})") from exc
         return net, None, digest
 
     raise InputError(f"{path}: kind must be 'deterministic' or 'gaussian', got {kind!r}")
+
+
+def _det_rates(text: str, net: DetNetwork) -> list[Fraction]:
+    """One exact rate per session of ``net`` from a comma-separated list."""
+    rates = [parse_fraction(tok) for tok in text.split(",")]
+    if len(rates) != 2 * net.pairs:
+        raise InputError(f"expected {2 * net.pairs} rates, got {len(rates)}")
+    return rates
 
 
 def _gaussian_rates(text: str) -> list[float]:
@@ -166,6 +175,13 @@ def _assignment_records(sched: scheduler.Schedule) -> list[dict]:
     ]
 
 
+def _check_records(checks, slack: bool = False) -> list[dict]:
+    return [
+        {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, **({"slack": c.slack} if slack else {})}
+        for c in checks
+    ]
+
+
 def _violation_records(violations) -> list[dict]:
     return [
         {"cut": v.cut.describe(), "rate_sum": str(v.rate_sum), "bound": str(v.bound)}
@@ -179,9 +195,7 @@ def cmd_region(args) -> int:
     if isinstance(net, DetNetwork):
         if args.restricted:
             raise InputError("--restricted applies to gaussian networks only")
-        rates = [parse_fraction(tok) for tok in args.rates.split(",")]
-        if len(rates) != 2 * net.pairs:
-            raise InputError(f"expected {2 * net.pairs} rates, got {len(rates)}")
+        rates = _det_rates(args.rates, net)
         membership = in_det_cutset(net, rates, mode)
         report.update(
             network="deterministic",
@@ -198,8 +212,8 @@ def cmd_region(args) -> int:
         region="restricted" if args.restricted else "cut-set",
         rates=rates,
         member=check.inside,
-        violated=[{"name": c.name, "lhs": c.lhs, "rhs": c.rhs} for c in check.violated()],
-        binding=[{"name": c.name, "lhs": c.lhs, "rhs": c.rhs} for c in check.binding()],
+        violated=_check_records(check.violated()),
+        binding=_check_records(check.binding()),
     )
     _emit(report)
     return EXIT_OK if check.inside else EXIT_INFEASIBLE
@@ -211,9 +225,7 @@ def cmd_schedule(args) -> int:
     net, mode, digest = load_network(args.network)
     if not isinstance(net, DetNetwork):
         raise InputError("schedule requires a deterministic network")
-    rates = [parse_fraction(tok) for tok in args.rates.split(",")]
-    if len(rates) != 2 * net.pairs:
-        raise InputError(f"expected {2 * net.pairs} rates, got {len(rates)}")
+    rates = _det_rates(args.rates, net)
 
     if isinstance(mode, HalfDuplex):
         if args.chunked:
@@ -276,14 +288,14 @@ def cmd_gauss_verify(args) -> int:
             "alpha_a2": list(report.uplink.alpha_a2),
             "alpha_b1": report.uplink.alpha_b1,
             "alpha_b2": report.uplink.alpha_b2,
-            "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "slack": c.slack} for c in report.uplink_checks],
+            "checks": _check_records(report.uplink_checks, slack=True),
         }
     if report.downlink is not None:
         doc["downlink"] = {
             "case": report.downlink.case,
             "pairs_swapped": report.downlink.pairs_swapped,
             "alpha_r": list(report.downlink.alpha_r),
-            "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "slack": c.slack} for c in report.downlink_checks],
+            "checks": _check_records(report.downlink_checks, slack=True),
         }
     _emit(doc)
     return EXIT_OK if report.achievable else EXIT_INFEASIBLE

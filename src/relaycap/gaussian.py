@@ -15,12 +15,20 @@ downlink configurations; power splits for each come from walking the
 successive-cancellation chain bottom-up and spending exactly the power
 each stream's rate requires given the interference still standing under
 it.
+
+Rates and magnitudes are indexed by session in the order (A1, B1, A2, B2)
+(session A1 carries A1's message to B1): see `GaussNetwork.uplink` and
+`GaussNetwork.downlink`.  One table, `_FAMILIES`, gives each of the eight
+constraint families its sessions and its uplink and downlink back-off; the
+cut-set and restricted bounds, both hops' rate preconditions and the sweep
+sampler read it, and normalisation swaps and clamps session 4-tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +43,9 @@ MIN_PROVEN_SNR = 2.5  # every |h|^2 P must clear this for the splits to be prove
 # and boundary rates retreat BOUNDARY_NUDGE bits into the region.
 MIN_LINK_SNR = max(4.0, MIN_PROVEN_SNR)
 BOUNDARY_NUDGE = 1e-6
+# Draws per sampled network before a trial is refused; at the default ranges
+# no trial of 10^5 (seed 0) needed more than 10.
+MAX_SAMPLE_DRAWS = 1000
 
 
 class InfeasibleRatesError(ValueError):
@@ -102,54 +113,78 @@ class GaussNetwork:
             h * h * p for h in (*self.h_ar, *self.h_br, *self.h_ra, *self.h_rb)
         )
 
+    @property
+    def uplink(self) -> tuple[float, float, float, float]:
+        """Each session's uplink magnitude: (|h_A1R|, |h_B1R|, |h_A2R|, |h_B2R|)."""
+        return (self.h_ar[0], self.h_br[0], self.h_ar[1], self.h_br[1])
+
+    @property
+    def downlink(self) -> tuple[float, float, float, float]:
+        """The relay's magnitude to each session's destination:
+        (|h_RB1|, |h_RA1|, |h_RB2|, |h_RA2|)."""
+        return (self.h_rb[0], self.h_ra[0], self.h_rb[1], self.h_ra[1])
+
+    # Family RHS in `_FAMILIES` order, once per network: the sampler, the
+    # boundary walk, normalisation and the gap report share them.
+    @cached_property
+    def _cutset_terms(self) -> tuple[float, ...]:
+        return _family_terms(self, restricted=False)
+
+    @cached_property
+    def _restricted_terms(self) -> tuple[float, ...]:
+        return _family_terms(self, restricted=True)
+
 
 RateQuad = tuple[float, float, float, float]  # (R_A1, R_B1, R_A2, R_B2)
 
-# Constraint-family coefficient rows over (R_A1, R_B1, R_A2, R_B2).
-_FAMILY_COEFS = {
-    "R_A1": (1, 0, 0, 0),
-    "R_B1": (0, 1, 0, 0),
-    "R_A2": (0, 0, 1, 0),
-    "R_B2": (0, 0, 0, 1),
-    "R_A1+R_A2": (1, 0, 1, 0),
-    "R_B1+R_B2": (0, 1, 0, 1),
-    "R_A1+R_B2": (1, 0, 0, 1),
-    "R_B1+R_A2": (0, 1, 1, 0),
-}
+_SESSIONS = ("A1", "B1", "A2", "B2")
+
+# The constraint families: name, the sessions whose rates it sums, and the
+# bits its uplink and downlink rate preconditions subtract from the
+# restricted term of that hop.
+_FAMILIES = (
+    ("R_A1", (0,), 2.0, 2.0),
+    ("R_B1", (1,), 1.0, 2.0),
+    ("R_A2", (2,), 2.0, 2.0),
+    ("R_B2", (3,), 1.0, 2.0),
+    ("R_A1+R_A2", (0, 2), 4.0, 3.0),
+    ("R_B1+R_B2", (1, 3), 4.0, 3.0),
+    ("R_A1+R_B2", (0, 3), 4.0, 3.0),
+    ("R_B1+R_A2", (1, 2), 4.0, 3.0),
+)
 
 
-def _family_rhs(net: GaussNetwork, restricted: bool) -> dict[str, float]:
+def _family_terms(net: GaussNetwork, restricted: bool) -> tuple[float, ...]:
     """RHS of each constraint family: min(uplink term, downlink term).
 
-    The general sum families use amplitude sums on the uplink and power
-    sums on the downlink; the restricted families replace those with power
-    sums and maxima respectively.
+    A single session's terms are C(|h|^2 P) on both hops.  A pair adds
+    amplitudes on the uplink and powers on the downlink in the cut-set
+    bound; the restricted bound adds powers on the uplink and takes the
+    larger power on the downlink.
     """
-    (a1, a2), (b1, b2) = net.h_ar, net.h_br
-    (ra1, ra2), (rb1, rb2) = net.h_ra, net.h_rb
-    p = net.power
-    C = awgn_capacity
+    up, down, p = net.uplink, net.downlink, net.power
+    up2, down2 = [h * h for h in up], [h * h for h in down]
+    terms = []
+    for _, sessions, _, _ in _FAMILIES:
+        s, t = sessions[0], sessions[-1]  # s == t for a single session
+        if s == t:
+            snrs = (up2[s] * p, down2[s] * p)
+        elif restricted:
+            snrs = ((up2[s] + up2[t]) * p, max(down2[s], down2[t]) * p)
+        else:
+            snrs = ((up[s] + up[t]) ** 2 * p, (down2[s] + down2[t]) * p)
+        terms.append(min(awgn_capacity(snrs[0]), awgn_capacity(snrs[1])))
+    return tuple(terms)
 
-    def up(x: float, y: float) -> float:
-        if restricted:
-            return C((x * x + y * y) * p)
-        return C((x + y) ** 2 * p)
 
-    def down(x: float, y: float) -> float:
-        if restricted:
-            return C(max(x * x, y * y) * p)
-        return C((x * x + y * y) * p)
-
-    return {
-        "R_A1": min(C(a1 * a1 * p), C(rb1 * rb1 * p)),
-        "R_B1": min(C(b1 * b1 * p), C(ra1 * ra1 * p)),
-        "R_A2": min(C(a2 * a2 * p), C(rb2 * rb2 * p)),
-        "R_B2": min(C(b2 * b2 * p), C(ra2 * ra2 * p)),
-        "R_A1+R_A2": min(up(a1, a2), down(rb1, rb2)),
-        "R_B1+R_B2": min(up(b1, b2), down(ra1, ra2)),
-        "R_A1+R_B2": min(up(a1, b2), down(rb1, ra2)),
-        "R_B1+R_A2": min(up(b1, a2), down(ra1, rb2)),
-    }
+def _rate_quad(rates: Sequence[float]) -> RateQuad:
+    """The four session rates as floats: finite, and none below -TOL."""
+    r = tuple(float(x) for x in rates)
+    if len(r) != 4:
+        raise ValueError(f"expected 4 rate components, got {len(r)}")
+    if not all(-TOL <= x < math.inf for x in r):
+        raise ValueError(f"rates must be finite and non-negative, got {r}")
+    return r
 
 
 @dataclass(frozen=True)
@@ -179,17 +214,13 @@ class RegionVerdict:
 
 
 def _region_verdict(net: GaussNetwork, rates: Sequence[float], restricted: bool) -> RegionVerdict:
-    if len(rates) != 4:
-        raise ValueError(f"expected 4 rate components, got {len(rates)}")
-    if any(r < -TOL for r in rates):
-        raise ValueError(f"rates must be non-negative, got {tuple(rates)}")
-    rhs = _family_rhs(net, restricted)
-    checks = []
-    for name, coefs in _FAMILY_COEFS.items():
-        lhs = sum(c * r for c, r in zip(coefs, rates))
-        checks.append(ConstraintCheck(name, lhs, rhs[name]))
-    checks_t = tuple(checks)
-    return RegionVerdict(all(c.slack >= -TOL for c in checks_t), checks_t)
+    r = _rate_quad(rates)
+    terms = net._restricted_terms if restricted else net._cutset_terms
+    checks = tuple(
+        ConstraintCheck(name, sum(r[s] for s in sessions), rhs)
+        for (name, sessions, _, _), rhs in zip(_FAMILIES, terms)
+    )
+    return RegionVerdict(all(c.slack >= -TOL for c in checks), checks)
 
 
 def gauss_cutset(net: GaussNetwork, rates: Sequence[float]) -> RegionVerdict:
@@ -210,9 +241,10 @@ def restricted_bound_gaps(net: GaussNetwork) -> dict[str, float]:
     identical, and each sum term loses at most the one bit of
     C(2x) <= C(x) + 1.
     """
-    gen = _family_rhs(net, restricted=False)
-    res = _family_rhs(net, restricted=True)
-    gaps = {name: gen[name] - res[name] for name in _FAMILY_COEFS}
+    gaps = {
+        name: gen - res
+        for (name, _, _, _), gen, res in zip(_FAMILIES, net._cutset_terms, net._restricted_terms)
+    }
     bad = {n: g for n, g in gaps.items() if g < -TOL or g > 1.0 + TOL}
     if bad:
         raise AssertionError(f"gap outside [0, 1]: {bad}")
@@ -246,36 +278,35 @@ def reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedPro
         names = ", ".join(c.name for c in verdict.violated())
         raise InfeasibleRatesError(f"rates outside the restricted cut-set region ({names})")
 
-    h_ar, h_br = list(net.h_ar), list(net.h_br)
-    h_ra, h_rb = list(net.h_ra), list(net.h_rb)
+    # Session 4-tuples: a side swap exchanges a pair's two sessions, a clamp
+    # lowers the B session's uplink or downlink (|h_BiR|, |h_RAi|) to the A
+    # session's, and a pair swap exchanges the two pairs.
+    up, down = list(net.uplink), list(net.downlink)
     r = list(float(x) for x in rates)
 
     side_swapped = []
-    for i in range(2):
-        swap = r[2 * i + 1] > r[2 * i]
+    for a in (0, 2):
+        swap = r[a + 1] > r[a]
         side_swapped.append(swap)
         if swap:
-            h_ar[i], h_br[i] = h_br[i], h_ar[i]
-            h_ra[i], h_rb[i] = h_rb[i], h_ra[i]
-            r[2 * i], r[2 * i + 1] = r[2 * i + 1], r[2 * i]
+            for q in (up, down, r):
+                q[a], q[a + 1] = q[a + 1], q[a]
 
     clamped = []
-    for i in range(2):
-        if h_br[i] > h_ar[i]:
-            h_br[i] = h_ar[i]
+    for i, a in enumerate((0, 2)):
+        if up[a + 1] > up[a]:
+            up[a + 1] = up[a]
             clamped.append(f"h_br[{i}]")
-        if h_ra[i] > h_rb[i]:
-            h_ra[i] = h_rb[i]
+        if down[a + 1] > down[a]:
+            down[a + 1] = down[a]
             clamped.append(f"h_ra[{i}]")
 
-    pairs_swapped = h_ar[1] > h_ar[0]
-    if pairs_swapped:
-        for arr in (h_ar, h_br, h_ra, h_rb):
-            arr.reverse()
-        r = [r[2], r[3], r[0], r[1]]
+    pairs_swapped = up[2] > up[0]
+    up, down, quad = (_swap_pairs(q, pairs_swapped) for q in (up, down, r))
 
-    out = GaussNetwork(tuple(h_ar), tuple(h_br), tuple(h_ra), tuple(h_rb), net.power)
-    quad = (r[0], r[1], r[2], r[3])
+    out = GaussNetwork(
+        (up[0], up[2]), (up[1], up[3]), (down[1], down[3]), (down[0], down[2]), net.power
+    )
     post = gauss_restricted_cutset(out, quad)
     if not post:
         raise AssertionError(
@@ -285,14 +316,18 @@ def reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedPro
     return NormalizedProblem(out, quad, tuple(side_swapped), pairs_swapped, tuple(clamped))
 
 
+def _swap_pairs(q: Sequence, swapped: bool) -> tuple:
+    """A session 4-tuple with pair 1 and pair 2 exchanged when ``swapped``."""
+    return (q[2], q[3], q[0], q[1]) if swapped else tuple(q)
+
+
 def classify_case(magnitudes: Sequence[float], direction: str) -> str:
     """Configuration tag for one hop.
 
     ``magnitudes`` is the role-ordered quadruple (strong1, weak1, strong2,
-    weak2): for the uplink (|h_A1R|, |h_B1R|, |h_A2R|, |h_B2R|), for the
-    downlink (|h_RB1|, |h_RA1|, |h_RB2|, |h_RA2|).  Requires the
-    normalized ordering strong_i >= weak_i and strong1 >= strong2.  Ties
-    resolve to the lowest-numbered case.
+    weak2), a hop's session 4-tuple: `GaussNetwork.uplink` or `.downlink`.
+    Requires the normalized ordering strong_i >= weak_i and strong1 >=
+    strong2.  Ties resolve to the lowest-numbered case.
     """
     if direction not in ("uplink", "downlink"):
         raise ValueError(f"direction must be 'uplink' or 'downlink', got {direction!r}")
@@ -333,42 +368,60 @@ class UplinkAllocation:
         return max(worst, -lowest)
 
 
-_UPLINK_RATE_PRECONDITIONS = (
-    ("r_A1 <= C(|h_A1R|^2 P) - 2", (0,), ("x1",), 2.0),
-    ("r_B1 <= C(|h_B1R|^2 P) - 1", (1,), ("x2",), 1.0),
-    ("r_A2 <= C(|h_A2R|^2 P) - 2", (2,), ("x3",), 2.0),
-    ("r_B2 <= C(|h_B2R|^2 P) - 1", (3,), ("x4",), 1.0),
-    ("r_A1 + r_A2 <= C((|h_A1R|^2+|h_A2R|^2) P) - 4", (0, 2), ("x1", "x3"), 4.0),
-    ("r_A1 + r_B2 <= C((|h_A1R|^2+|h_B2R|^2) P) - 4", (0, 3), ("x1", "x4"), 4.0),
-    ("r_B1 + r_B2 <= C((|h_B1R|^2+|h_B2R|^2) P) - 4", (1, 3), ("x2", "x4"), 4.0),
-    ("r_B1 + r_A2 <= C((|h_B1R|^2+|h_A2R|^2) P) - 4", (1, 2), ("x2", "x3"), 4.0),
-)
+def _precondition_rows(direction: str) -> tuple[tuple[str, tuple[int, ...], float], ...]:
+    """(name, sessions, back-off) of each rate precondition of one hop, in
+    checking order: the paper's, which puts A1+B2 before B1+B2.
+
+    A session's uplink is |h_A1R| for session A1; its downlink is the
+    relay's link to its destination, the partner `s ^ 1`: |h_RB1|.
+    """
+    rows = []
+    for k in (0, 1, 2, 3, 4, 6, 5, 7):
+        _, sessions, up_backoff, down_backoff = _FAMILIES[k]
+        if direction == "uplink":
+            powers = [f"|h_{_SESSIONS[s]}R|^2" for s in sessions]
+            snr, backoff = f"({'+'.join(powers)}) P", up_backoff
+        else:
+            powers = [f"|h_R{_SESSIONS[s ^ 1]}|^2" for s in sessions]
+            snr, backoff = f"max({','.join(powers)}) P", down_backoff
+        if len(sessions) == 1:
+            snr = f"{powers[0]} P"
+        lhs = " + ".join(f"r_{_SESSIONS[s]}" for s in sessions)
+        rows.append((f"{lhs} <= C({snr}) - {backoff:g}", sessions, backoff))
+    return tuple(rows)
 
 
-def _uplink_snrs(net: GaussNetwork) -> dict[str, float]:
-    p = net.power
-    return {
-        "x1": net.h_ar[0] ** 2 * p,
-        "x2": net.h_br[0] ** 2 * p,
-        "x3": net.h_ar[1] ** 2 * p,
-        "x4": net.h_br[1] ** 2 * p,
-    }
+_PRECONDITIONS = {direction: _precondition_rows(direction) for direction in ("uplink", "downlink")}
 
 
-def _check_uplink_preconditions(net: GaussNetwork, r: RateQuad) -> None:
-    snr = _uplink_snrs(net)
-    for name, idx, keys, slack in _UPLINK_RATE_PRECONDITIONS:
-        lhs = sum(r[i] for i in idx)
-        rhs = awgn_capacity(sum(snr[k] for k in keys)) - slack
+def _snrs(magnitudes: Sequence[float], power: float) -> tuple[float, ...]:
+    """|h|^2 P of each magnitude of a session 4-tuple."""
+    return tuple(h ** 2 * power for h in magnitudes)
+
+
+def _check_preconditions(direction: str, snr: Sequence[float], r: RateQuad) -> None:
+    """Raise `InfeasibleRatesError` naming the hop's first failed rate
+    precondition.  A pair's uplink term adds the two sessions' SNRs, its
+    downlink term takes the larger one."""
+    combine = sum if direction == "uplink" else max
+    for name, sessions, backoff in _PRECONDITIONS[direction]:
+        lhs = sum(r[s] for s in sessions)
+        rhs = awgn_capacity(combine(snr[s] for s in sessions)) - backoff
         if lhs > rhs + TOL:
             raise InfeasibleRatesError(name, f"lhs={lhs:.6g}, rhs={rhs:.6g}")
 
 
-def _require_normalized_rates(r: RateQuad) -> None:
+def _allocation_inputs(direction: str, net: GaussNetwork, rates: Sequence[float]):
+    """Validated, pair-normalised rates and the hop's session SNRs, once the
+    SNR floor and every rate precondition of the hop hold."""
+    r = _rate_quad(rates)
     if r[1] > r[0] + TOL or r[3] > r[2] + TOL:
         raise ValueError(f"rates {r} not normalized: each pair needs r_A >= r_B")
-    if any(x < -TOL for x in r):
-        raise ValueError(f"rates must be non-negative, got {r}")
+    snr = _snrs(net.uplink if direction == "uplink" else net.downlink, net.power)
+    if min(snr) < MIN_PROVEN_SNR - TOL:
+        raise LowPowerError(f"{direction} |h|^2 P floor {min(snr):.4g} below {MIN_PROVEN_SNR}")
+    _check_preconditions(direction, snr, r)
+    return r, snr
 
 
 def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
@@ -381,17 +434,8 @@ def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     beneath it.  Lattice partners then mirror powers through the alignment
     rule so each pair's lattice codewords arrive level.
     """
-    r = tuple(float(x) for x in r)
-    _require_normalized_rates(r)
-    snr = _uplink_snrs(net)
-    if min(snr.values()) < MIN_PROVEN_SNR - TOL:
-        raise LowPowerError(
-            f"uplink |h|^2 P floor {min(snr.values()):.4g} below {MIN_PROVEN_SNR}"
-        )
-    _check_uplink_preconditions(net, r)
-
-    case = classify_case((net.h_ar[0], net.h_br[0], net.h_ar[1], net.h_br[1]), "uplink")
-    x1, x2, x3, x4 = snr["x1"], snr["x2"], snr["x3"], snr["x4"]
+    r, (x1, x2, x3, x4) = _allocation_inputs("uplink", net, r)
+    case = classify_case(net.uplink, "uplink")
     u, s = 2.0 ** r[0], 2.0 ** r[1]
     v, w = 2.0 ** r[2], 2.0 ** r[3]
 
@@ -436,14 +480,14 @@ def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
 
 def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
     """Evaluate every decoding inequality of the allocation's case."""
-    expected = classify_case((net.h_ar[0], net.h_br[0], net.h_ar[1], net.h_br[1]), "uplink")
+    expected = classify_case(net.uplink, "uplink")
     if expected != alloc.case:
         raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
-    snr = _uplink_snrs(net)
-    G1 = alloc.alpha_a1[0] * snr["x1"]
-    T = alloc.alpha_b1 * snr["x2"]
-    G2 = alloc.alpha_a2[0] * snr["x3"]
-    W = alloc.alpha_b2 * snr["x4"]
+    x1, x2, x3, x4 = _snrs(net.uplink, net.power)
+    G1 = alloc.alpha_a1[0] * x1
+    T = alloc.alpha_b1 * x2
+    G2 = alloc.alpha_a2[0] * x3
+    W = alloc.alpha_b2 * x4
     rg1, rg2 = alloc.gaussian_rates
     rl1, rl2 = alloc.lattice_rates
     C = awgn_capacity
@@ -496,37 +540,6 @@ class DownlinkAllocation:
         return max(sum(self.alpha_r) - 1.0, -min(self.alpha_r))
 
 
-_DOWNLINK_RATE_PRECONDITIONS = (
-    ("r_A1 <= C(|h_RB1|^2 P) - 2", (0,), ("rb1",), 2.0),
-    ("r_B1 <= C(|h_RA1|^2 P) - 2", (1,), ("ra1",), 2.0),
-    ("r_A2 <= C(|h_RB2|^2 P) - 2", (2,), ("rb2",), 2.0),
-    ("r_B2 <= C(|h_RA2|^2 P) - 2", (3,), ("ra2",), 2.0),
-    ("r_A1 + r_A2 <= C(max(|h_RB1|^2,|h_RB2|^2) P) - 3", (0, 2), ("rb1", "rb2"), 3.0),
-    ("r_A1 + r_B2 <= C(max(|h_RB1|^2,|h_RA2|^2) P) - 3", (0, 3), ("rb1", "ra2"), 3.0),
-    ("r_B1 + r_B2 <= C(max(|h_RA1|^2,|h_RA2|^2) P) - 3", (1, 3), ("ra1", "ra2"), 3.0),
-    ("r_B1 + r_A2 <= C(max(|h_RA1|^2,|h_RB2|^2) P) - 3", (1, 2), ("ra1", "rb2"), 3.0),
-)
-
-
-def _downlink_snrs(net: GaussNetwork) -> dict[str, float]:
-    p = net.power
-    return {
-        "ra1": net.h_ra[0] ** 2 * p,
-        "rb1": net.h_rb[0] ** 2 * p,
-        "ra2": net.h_ra[1] ** 2 * p,
-        "rb2": net.h_rb[1] ** 2 * p,
-    }
-
-
-def _check_downlink_preconditions(net: GaussNetwork, r: RateQuad) -> None:
-    snr = _downlink_snrs(net)
-    for name, idx, keys, slack in _DOWNLINK_RATE_PRECONDITIONS:
-        lhs = sum(r[i] for i in idx)
-        rhs = awgn_capacity(max(snr[k] for k in keys)) - slack
-        if lhs > rhs + TOL:
-            raise InfeasibleRatesError(name, f"lhs={lhs:.6g}, rhs={rhs:.6g}")
-
-
 def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocation:
     """Relay power split delivering the four streams at their rates.
 
@@ -535,23 +548,9 @@ def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocati
     has them the other way round the pairs are relabeled internally, which
     the pair-symmetric rate preconditions permit.
     """
-    r = tuple(float(x) for x in r)
-    _require_normalized_rates(r)
-    snr = _downlink_snrs(net)
-    if min(snr.values()) < MIN_PROVEN_SNR - TOL:
-        raise LowPowerError(
-            f"downlink |h|^2 P floor {min(snr.values()):.4g} below {MIN_PROVEN_SNR}"
-        )
-    _check_downlink_preconditions(net, r)
-
+    r, snr = _allocation_inputs("downlink", net, r)
     swapped = net.h_rb[1] > net.h_rb[0]
-    if swapped:
-        b1, a1, b2, a2 = snr["rb2"], snr["ra2"], snr["rb1"], snr["ra1"]
-        r = (r[2], r[3], r[0], r[1])
-        mags = (net.h_rb[1], net.h_ra[1], net.h_rb[0], net.h_ra[0])
-    else:
-        b1, a1, b2, a2 = snr["rb1"], snr["ra1"], snr["rb2"], snr["ra2"]
-        mags = (net.h_rb[0], net.h_ra[0], net.h_rb[1], net.h_ra[1])
+    r, mags, (b1, a1, b2, a2) = (_swap_pairs(q, swapped) for q in (r, net.downlink, snr))
     case = classify_case(mags, "downlink")
 
     u, s = 2.0 ** r[0], 2.0 ** r[1]
@@ -606,13 +605,9 @@ def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[C
     strong pair's A node already knows stream 1, and the other pair's A
     node reconstructs its own solo stream 3.
     """
-    snr = _downlink_snrs(net)
-    if alloc.pairs_swapped:
-        b1, a1, b2, a2 = snr["rb2"], snr["ra2"], snr["rb1"], snr["ra1"]
-        mags = (net.h_rb[1], net.h_ra[1], net.h_rb[0], net.h_ra[0])
-    else:
-        b1, a1, b2, a2 = snr["rb1"], snr["ra1"], snr["rb2"], snr["ra2"]
-        mags = (net.h_rb[0], net.h_ra[0], net.h_rb[1], net.h_ra[1])
+    mags, (b1, a1, b2, a2) = (
+        _swap_pairs(q, alloc.pairs_swapped) for q in (net.downlink, _snrs(net.downlink, net.power))
+    )
     if classify_case(mags, "downlink") != alloc.case:
         raise ValueError("allocation case does not match the network ordering")
 
@@ -696,12 +691,8 @@ class AchievabilityReport:
         return self.stage == "ok"
 
     def max_alpha_excess(self) -> float:
-        vals = [0.0]
-        if self.uplink is not None:
-            vals.append(self.uplink.budget_excess())
-        if self.downlink is not None:
-            vals.append(self.downlink.budget_excess())
-        return max(vals)
+        allocs = (self.uplink, self.downlink)
+        return max([0.0] + [a.budget_excess() for a in allocs if a is not None])
 
     def min_check_slack(self) -> float:
         slacks = [c.slack for c in self.uplink_checks + self.downlink_checks]
@@ -717,9 +708,7 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
     outside the region, SNRs below the proven side conditions); returns a
     report whose ``stage`` pinpoints any internal failure otherwise.
     """
-    target = tuple(float(x) for x in rates)
-    if len(target) != 4:
-        raise ValueError(f"expected 4 rate components, got {len(target)}")
+    target = _rate_quad(rates)
     if any(x < 2.0 - TOL for x in target):
         raise InfeasibleRatesError(
             "constant-gap hypothesis: every component must be >= 2", f"got {target}"
@@ -732,34 +721,28 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
     normalized = reduce_orderings(net, target)  # raises InfeasibleRatesError when outside
 
     r = tuple(max(0.0, x - 2.0) for x in normalized.rates)
-    uplink = None
-    uplink_checks: tuple[ConstraintCheck, ...] = ()
-    downlink = None
-    downlink_checks: tuple[ConstraintCheck, ...] = ()
+    hops = {"uplink": (None, ()), "downlink": (None, ())}
     stage, detail = "ok", ""
-
-    try:
-        uplink = uplink_allocate(normalized.net, r)
-        uplink_checks = uplink_rate_check(normalized.net, uplink)
-        if any(c.slack < -TOL for c in uplink_checks):
-            bad = [c.name for c in uplink_checks if c.slack < -TOL]
-            stage, detail = "uplink-rate-check", ", ".join(bad)
-    except (InfeasibleRatesError, LowPowerError, AllocationInvalidError) as exc:
-        stage, detail = "uplink-allocation", str(exc)
-
-    if stage == "ok":
+    for hop in hops:
+        # Looked up at call time, so wrappers installed on the module see
+        # every call.
+        allocate, rate_check = globals()[f"{hop}_allocate"], globals()[f"{hop}_rate_check"]
         try:
-            downlink = downlink_allocate(normalized.net, r)
-            downlink_checks = downlink_rate_check(normalized.net, downlink)
-            if any(c.slack < -TOL for c in downlink_checks):
-                bad = [c.name for c in downlink_checks if c.slack < -TOL]
-                stage, detail = "downlink-rate-check", ", ".join(bad)
+            alloc = allocate(normalized.net, r)
+            checks = rate_check(normalized.net, alloc)
         except (InfeasibleRatesError, LowPowerError, AllocationInvalidError) as exc:
-            stage, detail = "downlink-allocation", str(exc)
+            stage, detail = f"{hop}-allocation", str(exc)
+            break
+        hops[hop] = (alloc, checks)
+        bad = [c.name for c in checks if c.slack < -TOL]
+        if bad:
+            stage, detail = f"{hop}-rate-check", ", ".join(bad)
+            break
 
+    (uplink, uplink_checks), (downlink, downlink_checks) = hops.values()
     return AchievabilityReport(
         net=net,
-        target=(target[0], target[1], target[2], target[3]),
+        target=target,
         backed_off=tuple(max(0.0, x - 2.0) for x in target),
         normalized=normalized,
         uplink=uplink,
@@ -788,10 +771,14 @@ class SweepConfig:
             raise ValueError("trials must be non-negative")
         if not (0 < self.h_min <= self.h_max and 0 < self.p_min <= self.p_max):
             raise ValueError("magnitude and power ranges must be non-empty and positive")
-        if self.h_max**2 * self.p_max < MIN_LINK_SNR:
+        # Every family term grows with each magnitude and the power, so when
+        # the strongest network in range fails the sampler, every draw does.
+        h = (self.h_max, self.h_max)
+        if not _sampler_accepts(GaussNetwork(h, h, h, h, self.p_max)):
             raise ValueError(
-                "ranges cannot satisfy the side conditions: "
-                f"max |h|^2 P = {self.h_max ** 2 * self.p_max:.4g}"
+                "ranges cannot satisfy the side conditions: even with every |h| = "
+                f"{self.h_max:.4g} and P = {self.p_max:.4g} a network misses the SNR "
+                f"floor {MIN_LINK_SNR} or cannot hold the rates (2, 2, 2, 2)"
             )
 
 
@@ -827,49 +814,45 @@ class GapReport:
         return max((r.bound_gap for r in self.records), default=0.0)
 
 
-_BASE = (2.0, 2.0, 2.0, 2.0)
+def _sampler_accepts(net: GaussNetwork) -> bool:
+    """Every link clears the SNR floor and the 2-bit base point (2, 2, 2, 2)
+    lies in the restricted region, compared exactly."""
+    return min(net.snrs()) >= MIN_LINK_SNR and all(
+        rhs >= 2.0 * len(sessions)
+        for (_, sessions, _, _), rhs in zip(_FAMILIES, net._restricted_terms)
+    )
 
 
-def _sample_network(rng: np.random.Generator, cfg: SweepConfig) -> GaussNetwork:
-    """Log-uniform magnitudes and power, redrawn until every link clears the
-    SNR floor and the 2-bit base point fits in the restricted region."""
+def _sample_network(rng: np.random.Generator, cfg: SweepConfig, trial: int) -> GaussNetwork:
+    """Log-uniform magnitudes and power, redrawn until `_sampler_accepts`
+    the network, at most `MAX_SAMPLE_DRAWS` times."""
     lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
     lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
-    while True:
+    for _ in range(MAX_SAMPLE_DRAWS):
         h = np.exp(rng.uniform(lo_h, hi_h, size=8))
         p = float(np.exp(rng.uniform(lo_p, hi_p)))
-        net = GaussNetwork(
-            (float(h[0]), float(h[1])),
-            (float(h[2]), float(h[3])),
-            (float(h[4]), float(h[5])),
-            (float(h[6]), float(h[7])),
-            p,
-        )
-        if min(net.snrs()) < MIN_LINK_SNR:
-            continue
-        rhs = _family_rhs(net, restricted=True)
-        base_ok = all(
-            rhs[name] >= sum(c * b for c, b in zip(coefs, _BASE))
-            for name, coefs in _FAMILY_COEFS.items()
-        )
-        if base_ok:
+        net = GaussNetwork(h[0:2], h[2:4], h[4:6], h[6:8], p)
+        if _sampler_accepts(net):
             return net
+    raise ValueError(
+        f"trial {trial}: none of {MAX_SAMPLE_DRAWS} sampled networks met the SNR "
+        "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"
+    )
 
 
 def _sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork) -> RateQuad:
     """A point of the restricted-region boundary at least 2 in every
     component: walk from (2,2,2,2) along a random non-negative direction to
     the nearest constraint, then retreat `BOUNDARY_NUDGE` bits."""
-    rhs = _family_rhs(net, restricted=True)
     while True:
         d = rng.random(4)
         if d.max() > 1e-9:
             break
     t_star = math.inf
-    for name, coefs in _FAMILY_COEFS.items():
-        step = sum(c * x for c, x in zip(coefs, d))
+    for (_, sessions, _, _), rhs in zip(_FAMILIES, net._restricted_terms):
+        step = sum(d[s] for s in sessions)
         if step > 0:
-            room = rhs[name] - sum(c * b for c, b in zip(coefs, _BASE))
+            room = rhs - 2.0 * len(sessions)
             t_star = min(t_star, room / step)
     t = max(0.0, t_star - BOUNDARY_NUDGE / float(d.max()))
     return tuple(2.0 + t * float(x) for x in d)
@@ -879,7 +862,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
     """One deterministic trial; the sub-seed depends only on (seed, index),
     so trials run in any order or split yield identical records."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
-    net = _sample_network(rng, cfg)
+    net = _sample_network(rng, cfg, index)
     rates = _sample_boundary_rates(rng, net)
     report = verify_constant_gap(net, rates)
     gaps = restricted_bound_gaps(net)

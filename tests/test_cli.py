@@ -341,7 +341,13 @@ def test_gaussian_rates_must_be_finite(gauss_file, capsys, command, rates):
 @pytest.mark.parametrize(
     "field,value",
     [("h_ar", [float("nan"), 16.0]), ("h_rb", [16.0, float("inf")]), ("h_br", ["nan", 16.0]),
-     ("power", float("nan")), ("power", float("inf"))],
+     ("power", float("nan")), ("power", float("inf")),
+     # JSON numbers only, two per magnitude array: no strings, booleans or
+     # other shapes, and no integer too large for a float.
+     ("h_ar", "16"), ("h_ar", ["16", "8"]), ("h_ra", [True, 16.0]), ("h_rb", 16.0),
+     ("h_br", [16.0]), ("h_br", {"a": 16.0, "b": 16.0}), ("h_ar", None),
+     ("power", "1"), ("power", True), ("power", [1.0]),
+     pytest.param("power", 10**400, id="power-int-too-large")],
 )
 def test_gaussian_file_values_must_be_finite(tmp_path, capsys, field, value):
     path = tmp_path / "g.json"
@@ -350,3 +356,91 @@ def test_gaussian_file_values_must_be_finite(tmp_path, capsys, field, value):
         load_network(str(path))
     code, doc, _ = run(capsys, "gauss-verify", str(path), "--rates", "4,4,4,4")
     assert code == EXIT_INPUT and doc is None
+
+
+# Gaussian networks whose reports together cover uplink and downlink cases
+# I, II and III, side swaps, a pair swap, clamps, the downlink's internal
+# pair swap and a failed uplink allocation.
+_SWAPS_AND_CLAMPS = {
+    "kind": "gaussian", "h_ar": [4.155423117782181, 11.94809192132981],
+    "h_br": [50.82943401311614, 8.611704287674716], "h_ra": [64.11285904857031, 14.42107229073973],
+    "h_rb": [16.85227256544783, 22.615423312883163], "power": 16.78566107782534,
+}
+_UPLINK_II = {
+    "kind": "gaussian", "h_ar": [1.1896467682355065, 1.930778435181802],
+    "h_br": [3.7547160750709745, 49.34840916204055], "h_ra": [4.222016741986733, 3.0587286603978674],
+    "h_rb": [19.97817688024075, 2.056981491287938], "power": 29.74108986887429,
+}
+_CASE_III = {
+    "kind": "gaussian", "h_ar": [21.793177232721572, 1.134814524684768],
+    "h_br": [1.3546075277870684, 3.9098955502489687], "h_ra": [27.452536570160966, 19.249224933040058],
+    "h_rb": [1.133032321175435, 91.9997060486587], "power": 90.33653970229203,
+}
+_DOWNLINK_II = {
+    "kind": "gaussian", "h_ar": [11.155657159687062, 1.4653861006954505],
+    "h_br": [1.8593111622436262, 18.39472087255919], "h_ra": [5.754046429030773, 6.6859580571644],
+    "h_rb": [70.92527999789175, 4.945036782876551], "power": 44.705223577722975,
+}
+_BUDGET_CORNER = {
+    "kind": "gaussian", "h_ar": [31.622776601683793, 31.622776601683793],
+    "h_br": [31.622776601683793, 31.622776601683793], "h_ra": [1000.0, 1000.0],
+    "h_rb": [1000.0, 1000.0], "power": 1.0,
+}
+_SWAPS_RATES = "5.452652749715098,3.194448351870655,4.089432755365802,5.132022350645021"
+
+PINNED_GAUSSIAN = {
+    "gauss_verify_swaps_clamps": (_SWAPS_AND_CLAMPS, ["gauss-verify", "--rates", _SWAPS_RATES], EXIT_OK),
+    "gauss_verify_uplink_ii": (_UPLINK_II, [
+        "gauss-verify", "--rates",
+        "2.715651175756736,3.7810151801070955,4.550790728820813,5.164155306528956"], EXIT_OK),
+    "gauss_verify_case_iii": (_CASE_III, [
+        "gauss-verify", "--rates",
+        "3.951611298866216,4.966414188091564,3.1787515125647503,3.8444687783619447"], EXIT_OK),
+    "gauss_verify_downlink_ii": (_DOWNLINK_II, [
+        "gauss-verify", "--rates",
+        "7.296129149705298,2.656617017739051,2.165610823926282,7.040600208757793"], EXIT_OK),
+    "gauss_verify_symmetric": (GAUSS, ["gauss-verify", "--rates", "4,4,4,4"], EXIT_OK),
+    "gauss_verify_uplink_allocation": (_BUDGET_CORNER, [
+        "gauss-verify", "--rates", "8.95550545190574,2.01,2.011,2.01"], EXIT_INFEASIBLE),
+    "region_gaussian_cutset": (_SWAPS_AND_CLAMPS, ["region", "--rates", _SWAPS_RATES], EXIT_OK),
+    "region_gaussian_restricted": (_SWAPS_AND_CLAMPS, ["region", "--rates", _SWAPS_RATES, "--restricted"], EXIT_OK),
+    "region_gaussian_non_member": (_DOWNLINK_II, ["region", "--rates", "9,2,2,7.5", "--restricted"], EXIT_INFEASIBLE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GAUSSIAN))
+def test_gaussian_report_pinned(tmp_path, capsys, name):
+    # Captured before the constraint families, preconditions and
+    # normalisation moved into one session-ordered table: same exit code,
+    # verdicts, cases, swaps, alphas, checks and slacks, byte for byte.
+    network, argv, exit_code = PINNED_GAUSSIAN[name]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network))
+    code = main([argv[0], str(path), *argv[1:]])
+    expected = (Path(__file__).parent / "data" / f"{name}.json").read_text()
+    assert code == exit_code
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # The strongest network in range cannot hold (2, 2, 2, 2): refused up front.
+        (["--trials", "1", "--hmax", "1.5", "--pmax", "2"], "cannot satisfy"),
+        # Possible, but so rarely drawn that the first trial runs out of draws.
+        (["--trials", "20", "--hmax", "4", "--pmax", "1"], "trial 0"),
+    ],
+)
+def test_sweep_refuses_unsampleable_ranges(capsys, argv, message):
+    start = time.perf_counter()
+    code, doc, err = run(capsys, "sweep", *argv)
+    assert code == EXIT_INPUT and doc is None and message in err
+    assert time.perf_counter() - start < 5.0
+
+
+def test_sweep_csv_pinned(tmp_path, capsys):
+    # `sweep --trials 300 --seed 5` captured before the same change.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--trials", "300", "--seed", "5", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "sweep_seed5.csv").read_bytes()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relaycap import (
     AllocationInvalidError,
@@ -24,7 +24,122 @@ from relaycap import (
     uplink_rate_check,
     verify_constant_gap,
 )
-from relaycap.gaussian import _downlink_snrs, _uplink_snrs, run_trial
+from relaycap import gaussian
+from relaycap.gaussian import MIN_LINK_SNR, TOL, ConstraintCheck, RateQuad, run_trial
+
+
+# --- reference: the constraint families as written out family by family ------
+# Kept verbatim from before the session-ordered family table; the
+# differential test below requires the table to reproduce every verdict,
+# check, precondition and first failing name exactly.
+
+_FAMILY_COEFS = {
+    "R_A1": (1, 0, 0, 0),
+    "R_B1": (0, 1, 0, 0),
+    "R_A2": (0, 0, 1, 0),
+    "R_B2": (0, 0, 0, 1),
+    "R_A1+R_A2": (1, 0, 1, 0),
+    "R_B1+R_B2": (0, 1, 0, 1),
+    "R_A1+R_B2": (1, 0, 0, 1),
+    "R_B1+R_A2": (0, 1, 1, 0),
+}
+
+
+def _family_rhs(net: GaussNetwork, restricted: bool) -> dict[str, float]:
+    """RHS of each constraint family: min(uplink term, downlink term).
+
+    The general sum families use amplitude sums on the uplink and power
+    sums on the downlink; the restricted families replace those with power
+    sums and maxima respectively.
+    """
+    (a1, a2), (b1, b2) = net.h_ar, net.h_br
+    (ra1, ra2), (rb1, rb2) = net.h_ra, net.h_rb
+    p = net.power
+    C = awgn_capacity
+
+    def up(x: float, y: float) -> float:
+        if restricted:
+            return C((x * x + y * y) * p)
+        return C((x + y) ** 2 * p)
+
+    def down(x: float, y: float) -> float:
+        if restricted:
+            return C(max(x * x, y * y) * p)
+        return C((x * x + y * y) * p)
+
+    return {
+        "R_A1": min(C(a1 * a1 * p), C(rb1 * rb1 * p)),
+        "R_B1": min(C(b1 * b1 * p), C(ra1 * ra1 * p)),
+        "R_A2": min(C(a2 * a2 * p), C(rb2 * rb2 * p)),
+        "R_B2": min(C(b2 * b2 * p), C(ra2 * ra2 * p)),
+        "R_A1+R_A2": min(up(a1, a2), down(rb1, rb2)),
+        "R_B1+R_B2": min(up(b1, b2), down(ra1, ra2)),
+        "R_A1+R_B2": min(up(a1, b2), down(rb1, ra2)),
+        "R_B1+R_A2": min(up(b1, a2), down(ra1, rb2)),
+    }
+
+
+_UPLINK_RATE_PRECONDITIONS = (
+    ("r_A1 <= C(|h_A1R|^2 P) - 2", (0,), ("x1",), 2.0),
+    ("r_B1 <= C(|h_B1R|^2 P) - 1", (1,), ("x2",), 1.0),
+    ("r_A2 <= C(|h_A2R|^2 P) - 2", (2,), ("x3",), 2.0),
+    ("r_B2 <= C(|h_B2R|^2 P) - 1", (3,), ("x4",), 1.0),
+    ("r_A1 + r_A2 <= C((|h_A1R|^2+|h_A2R|^2) P) - 4", (0, 2), ("x1", "x3"), 4.0),
+    ("r_A1 + r_B2 <= C((|h_A1R|^2+|h_B2R|^2) P) - 4", (0, 3), ("x1", "x4"), 4.0),
+    ("r_B1 + r_B2 <= C((|h_B1R|^2+|h_B2R|^2) P) - 4", (1, 3), ("x2", "x4"), 4.0),
+    ("r_B1 + r_A2 <= C((|h_B1R|^2+|h_A2R|^2) P) - 4", (1, 2), ("x2", "x3"), 4.0),
+)
+
+
+def _uplink_snrs(net: GaussNetwork) -> dict[str, float]:
+    p = net.power
+    return {
+        "x1": net.h_ar[0] ** 2 * p,
+        "x2": net.h_br[0] ** 2 * p,
+        "x3": net.h_ar[1] ** 2 * p,
+        "x4": net.h_br[1] ** 2 * p,
+    }
+
+
+def _check_uplink_preconditions(net: GaussNetwork, r: RateQuad) -> None:
+    snr = _uplink_snrs(net)
+    for name, idx, keys, slack in _UPLINK_RATE_PRECONDITIONS:
+        lhs = sum(r[i] for i in idx)
+        rhs = awgn_capacity(sum(snr[k] for k in keys)) - slack
+        if lhs > rhs + TOL:
+            raise InfeasibleRatesError(name, f"lhs={lhs:.6g}, rhs={rhs:.6g}")
+
+
+_DOWNLINK_RATE_PRECONDITIONS = (
+    ("r_A1 <= C(|h_RB1|^2 P) - 2", (0,), ("rb1",), 2.0),
+    ("r_B1 <= C(|h_RA1|^2 P) - 2", (1,), ("ra1",), 2.0),
+    ("r_A2 <= C(|h_RB2|^2 P) - 2", (2,), ("rb2",), 2.0),
+    ("r_B2 <= C(|h_RA2|^2 P) - 2", (3,), ("ra2",), 2.0),
+    ("r_A1 + r_A2 <= C(max(|h_RB1|^2,|h_RB2|^2) P) - 3", (0, 2), ("rb1", "rb2"), 3.0),
+    ("r_A1 + r_B2 <= C(max(|h_RB1|^2,|h_RA2|^2) P) - 3", (0, 3), ("rb1", "ra2"), 3.0),
+    ("r_B1 + r_B2 <= C(max(|h_RA1|^2,|h_RA2|^2) P) - 3", (1, 3), ("ra1", "ra2"), 3.0),
+    ("r_B1 + r_A2 <= C(max(|h_RA1|^2,|h_RB2|^2) P) - 3", (1, 2), ("ra1", "rb2"), 3.0),
+)
+
+
+def _downlink_snrs(net: GaussNetwork) -> dict[str, float]:
+    p = net.power
+    return {
+        "ra1": net.h_ra[0] ** 2 * p,
+        "rb1": net.h_rb[0] ** 2 * p,
+        "ra2": net.h_ra[1] ** 2 * p,
+        "rb2": net.h_rb[1] ** 2 * p,
+    }
+
+
+def _check_downlink_preconditions(net: GaussNetwork, r: RateQuad) -> None:
+    snr = _downlink_snrs(net)
+    for name, idx, keys, slack in _DOWNLINK_RATE_PRECONDITIONS:
+        lhs = sum(r[i] for i in idx)
+        rhs = awgn_capacity(max(snr[k] for k in keys)) - slack
+        if lhs > rhs + TOL:
+            raise InfeasibleRatesError(name, f"lhs={lhs:.6g}, rhs={rhs:.6g}")
+
 
 
 def snr_net(x: float) -> GaussNetwork:
@@ -142,6 +257,108 @@ def test_restricted_subset_of_general():
         rates = tuple(rng.uniform(0, 6, size=4))
         if gauss_restricted_cutset(net, rates).inside:
             assert gauss_cutset(net, rates).inside
+
+
+# --- the family table against the reference -----------------------------------------------
+
+
+def _first_failure(check, *args):
+    try:
+        check(*args)
+    except InfeasibleRatesError as exc:
+        return str(exc)
+    return None
+
+
+_magnitudes = st.floats(0.3, 300.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(_magnitudes, min_size=8, max_size=8),
+    st.floats(0.05, 200.0),
+    st.lists(st.floats(0.0, 12.0), min_size=4, max_size=4),
+)
+# Magnitudes where C(h ** 2 P) and C(h * h * P) differ in the last bit:
+# each formula must keep the form it had.
+@example(
+    [1.4399460194402325, 3.063971698296596, 6.065673579434813, 10.138766721090509,
+     4.333145849111602, 5.70823331580167, 10.53795950503214, 2.461094633695714],
+    2.651734888387265,
+    [1.0, 0.5, 1.0, 0.5],
+)
+# Every downlink pair term a hair under C(15) = 4: the sampler's base check
+# is an exact >=, so this network is refused.
+@example([3.872983346194507] * 8, 1.0, [2.0, 2.0, 2.0, 2.0])
+def test_family_table_matches_reference(h, power, rates):
+    net = GaussNetwork(tuple(h[:2]), tuple(h[2:4]), tuple(h[4:6]), tuple(h[6:]), power)
+    for restricted, verdict in ((False, gauss_cutset), (True, gauss_restricted_cutset)):
+        rhs = _family_rhs(net, restricted)
+        expected = tuple(
+            ConstraintCheck(name, sum(c * r for c, r in zip(coefs, rates)), rhs[name])
+            for name, coefs in _FAMILY_COEFS.items()
+        )
+        got = verdict(net, rates)
+        assert got.checks == expected
+        assert got.inside == all(c.slack >= -TOL for c in expected)
+    gen, res = _family_rhs(net, False), _family_rhs(net, True)
+    assert restricted_bound_gaps(net) == {n: gen[n] - res[n] for n in _FAMILY_COEFS}
+    # Rate preconditions of both hops: same pass/fail, same first failing
+    # inequality, same lhs and rhs in its message.
+    r = tuple(rates)
+    for direction, magnitudes, reference_snr, keys, reference in (
+        ("uplink", net.uplink, _uplink_snrs(net), ("x1", "x2", "x3", "x4"), _check_uplink_preconditions),
+        ("downlink", net.downlink, _downlink_snrs(net), ("rb1", "ra1", "rb2", "ra2"),
+         _check_downlink_preconditions),
+    ):
+        snr = gaussian._snrs(magnitudes, net.power)
+        assert snr == tuple(reference_snr[k] for k in keys)  # session order, h ** 2 * P
+        got = _first_failure(gaussian._check_preconditions, direction, snr, r)
+        assert got == _first_failure(reference, net, r)
+    # The sweep sampler's acceptance: SNR floor, then the exact 2-bit base check.
+    base_ok = all(
+        res[name] >= sum(c * b for c, b in zip(coefs, (2.0, 2.0, 2.0, 2.0)))
+        for name, coefs in _FAMILY_COEFS.items()
+    )
+    assert gaussian._sampler_accepts(net) == (min(net.snrs()) >= MIN_LINK_SNR and base_ok)
+
+
+def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
+    # The hop functions are looked up on the module at call time, so a
+    # wrapper installed there (as the benchmark's tracer does) sees every
+    # call; a failing uplink check ends the run before the downlink.
+    calls = []
+    failing = ConstraintCheck("forced", 1.0, 0.0)
+    monkeypatch.setattr(gaussian, "uplink_rate_check", lambda net, alloc: calls.append("up") or (failing,))
+    monkeypatch.setattr(gaussian, "downlink_allocate", lambda net, r: calls.append("down"))
+    report = verify_constant_gap(snr_net(255.0), (4.0, 4.0, 4.0, 4.0))
+    assert calls == ["up"]
+    assert report.stage == "uplink-rate-check" and report.detail == "forced"
+    assert report.uplink is not None and report.uplink_checks == (failing,)
+    assert report.downlink is None and report.downlink_checks == ()
+
+
+def test_precondition_names_match_reference():
+    for direction, reference in (
+        ("uplink", _UPLINK_RATE_PRECONDITIONS),
+        ("downlink", _DOWNLINK_RATE_PRECONDITIONS),
+    ):
+        assert [row[0] for row in gaussian._PRECONDITIONS[direction]] == [row[0] for row in reference]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [gauss_cutset, gauss_restricted_cutset, uplink_allocate, downlink_allocate, verify_constant_gap],
+    ids=lambda f: f.__name__,
+)
+def test_non_finite_rates_rejected(call, bad):
+    # Every comparison with NaN is false, so a NaN rate once passed the
+    # region and allocation checks and came back as NaN alphas.
+    rest = 2.0 if call is verify_constant_gap else 0.0
+    with pytest.raises(ValueError, match="finite") as err:
+        call(snr_net(255.0), (bad, rest, rest, rest))
+    assert err.type is ValueError  # not a verdict such as InfeasibleRatesError
 
 
 # --- outer-vs-restricted gaps ----------------------------------------------------------------
