@@ -319,6 +319,10 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 def cmd_sweep(args) -> int:
     if args.trials < 0:
         raise InputError(f"--trials must be non-negative, got {args.trials}")
+    if args.max_pairs < 1:
+        raise InputError(f"--max-pairs must be at least 1, got {args.max_pairs}")
+    if args.max_gain < 0:
+        raise InputError(f"--max-gain must be non-negative, got {args.max_gain}")
     if args.det:
         return _det_sweep(args)
     cfg = SweepConfig(

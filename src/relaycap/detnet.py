@@ -110,11 +110,6 @@ class DetNetwork:
     def q_down(self) -> int:
         return max((*self.n_ra, *self.n_rb), default=0)
 
-    @property
-    def q(self) -> int:
-        """The single frame length of the channel law (max over all gains)."""
-        return max(self.q_up, self.q_down)
-
     def uplink_gain(self, pair: int, side: Side) -> int:
         self._check_node(pair, side)
         return self.n_ar[pair] if side == "A" else self.n_br[pair]

@@ -11,10 +11,11 @@ The achievable scheme superposes, at the higher-rate user of each pair, a
 Gaussian codeword and a lattice codeword whose receive power matches the
 partner's lattice codeword, so the relay can decode the lattice sum.
 Sorting the users by receive strength leaves three uplink and three
-downlink configurations; power splits for each come from walking the
-successive-cancellation chain bottom-up and spending exactly the power
-each stream's rate requires given the interference still standing under
-it.
+downlink configurations.  Each configuration's successive-cancellation
+chain is written once, in `_UPLINK_CHAINS` or `_DOWNLINK_CHAINS`: the
+power allocators walk it bottom-up, spending exactly the power each
+stream's rate requires given the interference still standing under it,
+and the decoding-rate checks walk the same stages.
 
 Rates and magnitudes are indexed by session in the order (A1, B1, A2, B2)
 (session A1 carries A1's message to B1): see `GaussNetwork.uplink` and
@@ -27,6 +28,7 @@ sampler read it, and normalisation swaps and clamps session 4-tuples.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -82,6 +84,17 @@ def lattice_rate_cap(x: float) -> float:
     return math.log2(x)
 
 
+def _positive(v, name: str) -> float:
+    """``v`` as a float, refusing a bool, a string or any other non-real,
+    and anything not positive and finite."""
+    if not (isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool))):
+        raise ValueError(f"{name}: not a real number: {v!r}")
+    x = float(v)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class GaussNetwork:
     """Channel magnitudes |h| of the two-pair network and the common power
@@ -95,16 +108,21 @@ class GaussNetwork:
 
     def __post_init__(self) -> None:
         for name in ("h_ar", "h_br", "h_ra", "h_rb"):
-            vals = tuple(float(v) for v in getattr(self, name))
+            vals = tuple(_positive(v, name) for v in getattr(self, name))
             if len(vals) != 2:
                 raise ValueError(f"{name} needs one magnitude per pair")
-            if any(v <= 0 or not math.isfinite(v) for v in vals):
-                raise ValueError(f"{name} must be positive finite magnitudes, got {vals}")
             object.__setattr__(self, name, vals)
-        p = float(self.power)
-        if p <= 0 or not math.isfinite(p):
-            raise ValueError(f"power must be positive, got {self.power}")
+        p = _positive(self.power, "power")
         object.__setattr__(self, "power", p)
+        # No square in this module, (x + y) ** 2 P included, exceeds
+        # (2 max|h|)^2 P; `**` raises OverflowError where `*` gives inf.
+        top = 2.0 * max(self.h_ar + self.h_br + self.h_ra + self.h_rb)
+        try:
+            finite = math.isfinite(top ** 2 * p)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"(2 max|h|)^2 P overflows a float: max|h| = {top / 2:.4g}, P = {p:.4g}")
 
     def snrs(self) -> tuple[float, ...]:
         """All eight |h|^2 P products."""
@@ -217,7 +235,7 @@ def _region_verdict(net: GaussNetwork, rates: Sequence[float], restricted: bool)
     r = _rate_quad(rates)
     terms = net._restricted_terms if restricted else net._cutset_terms
     checks = tuple(
-        ConstraintCheck(name, sum(r[s] for s in sessions), rhs)
+        ConstraintCheck(name, sum(map(r.__getitem__, sessions)), rhs)
         for (name, sessions, _, _), rhs in zip(_FAMILIES, terms)
     )
     return RegionVerdict(all(c.slack >= -TOL for c in checks), checks)
@@ -405,8 +423,8 @@ def _check_preconditions(direction: str, snr: Sequence[float], r: RateQuad) -> N
     downlink term takes the larger one."""
     combine = sum if direction == "uplink" else max
     for name, sessions, backoff in _PRECONDITIONS[direction]:
-        lhs = sum(r[s] for s in sessions)
-        rhs = awgn_capacity(combine(snr[s] for s in sessions)) - backoff
+        lhs = sum(map(r.__getitem__, sessions))
+        rhs = awgn_capacity(combine(map(snr.__getitem__, sessions))) - backoff
         if lhs > rhs + TOL:
             raise InfeasibleRatesError(name, f"lhs={lhs:.6g}, rhs={rhs:.6g}")
 
@@ -424,40 +442,66 @@ def _allocation_inputs(direction: str, net: GaussNetwork, rates: Sequence[float]
     return r, snr
 
 
+# The uplink cancellation chains, bottom stage first; the relay decodes
+# from the top.  A stage is a stream and the noise plus interference still
+# undecoded beneath it, from the received powers alpha * |h|^2 P: G1 and G2
+# of the Gaussian codewords, T and W of each lattice codeword of pairs 1
+# and 2 (a lattice sum arrives at twice that).  Cases II and III end in one
+# MAC stage that decodes both Gaussian codewords jointly.
+_G1, _T, _G2, _W = range(4)
+_UPLINK_CHAINS = {
+    "I": (
+        (_W, lambda G1, T, G2, W: 1.0),
+        (_G2, lambda G1, T, G2, W: 2.0 * W + 1.0),
+        (_T, lambda G1, T, G2, W: G2 + 2.0 * W + 1.0),
+        (_G1, lambda G1, T, G2, W: 2.0 * T + G2 + 2.0 * W + 1.0),
+    ),
+    "II": (
+        (_W, lambda G1, T, G2, W: 1.0),
+        (_T, lambda G1, T, G2, W: 2.0 * W + 1.0),
+        ("MAC", lambda G1, T, G2, W: 2.0 * T + 2.0 * W + 1.0),
+    ),
+    "III": (  # pair 2's lattice sum is decoded before pair 1's
+        (_T, lambda G1, T, G2, W: 1.0),
+        (_W, lambda G1, T, G2, W: 2.0 * T + 1.0),
+        ("MAC", lambda G1, T, G2, W: 2.0 * T + 2.0 * W + 1.0),
+    ),
+}
+# Each uplink stream's decoding check and its rate limit.
+_UPLINK_STREAMS = (
+    ("decode x_A1 gaussian", awgn_capacity),
+    ("decode pair-1 lattice sum", lattice_rate_cap),
+    ("decode x_A2 gaussian", awgn_capacity),
+    ("decode pair-2 lattice sum", lattice_rate_cap),
+)
+
+
 def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     """Power splits letting the relay decode both Gaussian codewords and
     both lattice sums at the component rates implied by ``r``.
 
-    Walks the successive-cancellation chain of the classified case from the
-    bottom: each stream gets exactly the receive power that makes its
-    decoding inequality an equality given the streams still undecoded
-    beneath it.  Lattice partners then mirror powers through the alignment
-    rule so each pair's lattice codewords arrive level.
+    Walks the case's chain in `_UPLINK_CHAINS` from the bottom: each stream
+    gets exactly the receive power that makes its decoding inequality an
+    equality given the streams still undecoded beneath it.  Lattice partners
+    then mirror powers through the alignment rule so each pair's lattice
+    codewords arrive level.
     """
     r, (x1, x2, x3, x4) = _allocation_inputs("uplink", net, r)
     case = classify_case(net.uplink, "uplink")
-    u, s = 2.0 ** r[0], 2.0 ** r[1]
-    v, w = 2.0 ** r[2], 2.0 ** r[3]
+    u, s, v, w = [2.0 ** x for x in r]
 
-    # Received power products alpha * |h|^2 P: W and T are the per-codeword
-    # lattice powers of pairs 2 and 1, G2 and G1 the Gaussian powers.
-    if case == "I":
-        W = w
-        G2 = (v / w - 1.0) * (2.0 * W + 1.0)
-        T = s * (G2 + 2.0 * W + 1.0)
-        G1 = (u / s - 1.0) * (2.0 * T + G2 + 2.0 * W + 1.0)
-    else:
-        if case == "II":
-            W = w
-            T = s * (2.0 * W + 1.0)
-        else:  # III: lattice sum of pair 2 is decoded before pair 1's
-            T = s
-            W = w * (2.0 * T + 1.0)
-        den = 2.0 * T + 2.0 * W + 1.0
-        G2 = (v / w - 1.0) * den
-        # Both users' Gaussians are decoded as a MAC: the single-user and the
-        # sum-rate constraints each demand a power; take the binding one.
-        G1 = max(u / s - 1.0, (u * v) / (s * w) - v / w) * den
+    # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.
+    need = (u / s - 1.0, s, v / w - 1.0, w)
+    q = [0.0, 0.0, 0.0, 0.0]
+    for stream, noise in _UPLINK_CHAINS[case]:
+        den = noise(*q)
+        if stream == "MAC":
+            # x_A1's single-user and sum-rate constraints each demand a power; the larger binds.
+            q[_G2] = need[_G2] * den
+            q[_G1] = max(need[_G1], (u * v) / (s * w) - v / w) * den
+        else:
+            q[stream] = need[stream] * den
+    G1, T, G2, W = q
 
     alloc = UplinkAllocation(
         case=case,
@@ -479,44 +523,29 @@ def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
 
 
 def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
-    """Evaluate every decoding inequality of the allocation's case."""
+    """Evaluate every decoding inequality of the allocation's case, in
+    decoding order: the case's chain from the top."""
     expected = classify_case(net.uplink, "uplink")
     if expected != alloc.case:
         raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
     x1, x2, x3, x4 = _snrs(net.uplink, net.power)
-    G1 = alloc.alpha_a1[0] * x1
-    T = alloc.alpha_b1 * x2
-    G2 = alloc.alpha_a2[0] * x3
-    W = alloc.alpha_b2 * x4
-    rg1, rg2 = alloc.gaussian_rates
-    rl1, rl2 = alloc.lattice_rates
-    C = awgn_capacity
+    q = (alloc.alpha_a1[0] * x1, alloc.alpha_b1 * x2, alloc.alpha_a2[0] * x3, alloc.alpha_b2 * x4)
+    (rg1, rg2), (rl1, rl2) = alloc.gaussian_rates, alloc.lattice_rates
+    rates, C = (rg1, rl1, rg2, rl2), awgn_capacity
 
-    if alloc.case == "I":
-        checks = (
-            ConstraintCheck("decode x_A1 gaussian", rg1, C(G1 / (2 * T + G2 + 2 * W + 1.0))),
-            ConstraintCheck("decode pair-1 lattice sum", rl1, lattice_rate_cap(T / (G2 + 2 * W + 1.0))),
-            ConstraintCheck("decode x_A2 gaussian", rg2, C(G2 / (2 * W + 1.0))),
-            ConstraintCheck("decode pair-2 lattice sum", rl2, lattice_rate_cap(W)),
-        )
-    else:
-        den = 2 * T + 2 * W + 1.0
-        mac = (
-            ConstraintCheck("decode x_A1 gaussian (MAC)", rg1, C(G1 / den)),
-            ConstraintCheck("decode x_A2 gaussian (MAC)", rg2, C(G2 / den)),
-            ConstraintCheck("gaussian MAC sum", rg1 + rg2, C((G1 + G2) / den)),
-        )
-        if alloc.case == "II":
-            checks = mac + (
-                ConstraintCheck("decode pair-1 lattice sum", rl1, lattice_rate_cap(T / (2 * W + 1.0))),
-                ConstraintCheck("decode pair-2 lattice sum", rl2, lattice_rate_cap(W)),
+    checks = []
+    for stream, noise in reversed(_UPLINK_CHAINS[alloc.case]):
+        den = noise(*q)
+        if stream == "MAC":
+            checks += (
+                ConstraintCheck("decode x_A1 gaussian (MAC)", rg1, C(q[_G1] / den)),
+                ConstraintCheck("decode x_A2 gaussian (MAC)", rg2, C(q[_G2] / den)),
+                ConstraintCheck("gaussian MAC sum", rg1 + rg2, C((q[_G1] + q[_G2]) / den)),
             )
         else:
-            checks = mac + (
-                ConstraintCheck("decode pair-2 lattice sum", rl2, lattice_rate_cap(W / (2 * T + 1.0))),
-                ConstraintCheck("decode pair-1 lattice sum", rl1, lattice_rate_cap(T)),
-            )
-    return checks
+            name, cap = _UPLINK_STREAMS[stream]
+            checks.append(ConstraintCheck(name, rates[stream], cap(q[stream] / den)))
+    return tuple(checks)
 
 
 # --- Downlink ----------------------------------------------------------------
@@ -524,11 +553,11 @@ def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[Const
 
 @dataclass(frozen=True)
 class DownlinkAllocation:
-    """Relay power split over the four broadcast streams.
-
-    Streams follow the case-normalized pair order: 1 = strong pair's solo
-    stream, 2 = strong pair's shared stream, 3/4 = other pair.  When
-    ``pairs_swapped`` is set, "strong pair" is the input's pair 2.
+    """Relay power split over the four broadcast streams, indexed as in
+    `_DOWNLINK_CHAINS`: 0 = pair 1's solo stream, 1 = pair 1's shared
+    stream, 2 and 3 = pair 2's.  Pair 1 is the pair with the stronger
+    shared-stream receiver; when ``pairs_swapped`` is set, that is the
+    input's pair 2.
     """
 
     case: str
@@ -540,53 +569,70 @@ class DownlinkAllocation:
         return max(sum(self.alpha_r) - 1.0, -min(self.alpha_r))
 
 
+# The downlink cancellation chains, bottom stage first, over the relay
+# power fractions p of the streams.  A stage is a stream and each receiver
+# that decodes it: the position of its SNR in (b1, a1, b2, a2), that is
+# |h_RB1|^2 P, |h_RA1|^2 P, ..., and the interference fraction still
+# standing there.  Pair 1's A node already knows stream 0, and pair 2's A
+# node reconstructs its own solo stream 2.
+_SOLO1, _SHARED1, _SOLO2, _SHARED2 = range(4)
+_B1, _A1, _B2, _A2 = range(4)
+_DOWNLINK_CHAINS = {
+    "I": (
+        (_SOLO1, ((_B1, lambda p: 0.0),)),
+        (_SHARED1, ((_B1, lambda p: p[0]), (_A1, lambda p: 0.0))),
+        (_SOLO2, ((_B2, lambda p: p[0] + p[1]),)),
+        (_SHARED2, ((_B2, lambda p: p[0] + p[1] + p[2]), (_A2, lambda p: p[0] + p[1]))),
+    ),
+    "II": (
+        (_SOLO1, ((_B1, lambda p: 0.0),)),
+        (_SOLO2, ((_B2, lambda p: p[0]),)),
+        (_SHARED1, ((_A1, lambda p: p[2]), (_B2, lambda p: p[0] + p[2]))),
+        (_SHARED2, ((_B2, lambda p: p[0] + p[1] + p[2]), (_A1, lambda p: p[1] + p[2]),
+                    (_A2, lambda p: p[0] + p[1]))),
+    ),
+    "III": (
+        (_SOLO1, ((_B1, lambda p: 0.0),)),
+        (_SOLO2, ((_B2, lambda p: p[0]),)),
+        (_SHARED2, ((_A2, lambda p: p[0]), (_B2, lambda p: p[0] + p[2]))),
+        (_SHARED1, ((_B2, lambda p: p[0] + p[2] + p[3]), (_A1, lambda p: p[2] + p[3]),
+                    (_A2, lambda p: p[0] + p[3]))),
+    ),
+}
+# Each downlink stream's check name, and the order the checks come in.
+_DOWNLINK_STREAMS = ("pair-1 solo stream", "pair-1 shared stream", "pair-2 solo stream", "pair-2 shared stream")
+_DOWNLINK_CHECK_ORDER = (_SHARED1, _SHARED2, _SOLO1, _SOLO2)
+
+
 def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocation:
     """Relay power split delivering the four streams at their rates.
 
-    The case analysis assumes the pair with the stronger shared-stream
-    receiver (the B side, after normalization) is pair 1; when the input
-    has them the other way round the pairs are relabeled internally, which
-    the pair-symmetric rate preconditions permit.
+    Walks the case's chain in `_DOWNLINK_CHAINS` from the bottom: a stream
+    of rate rho needs alpha >= (2^rho - 1) (1 + g q) / g at each receiver
+    of SNR g under interference fraction q.  The chains take pair 1 to be
+    the pair with the stronger shared-stream receiver (the B side, after
+    normalization); when the input has them the other way round the pairs
+    are relabeled internally, which the pair-symmetric rate preconditions
+    permit.
     """
     r, snr = _allocation_inputs("downlink", net, r)
     swapped = net.h_rb[1] > net.h_rb[0]
-    r, mags, (b1, a1, b2, a2) = (_swap_pairs(q, swapped) for q in (r, net.downlink, snr))
+    r, mags, snr = (_swap_pairs(q, swapped) for q in (r, net.downlink, snr))
     case = classify_case(mags, "downlink")
 
-    u, s = 2.0 ** r[0], 2.0 ** r[1]
-    v, w = 2.0 ** r[2], 2.0 ** r[3]
-
-    # Minimal power for a stream of rate rho decoded at SNR g under
-    # interference power fraction q: alpha >= (2^rho - 1) (1 + g q) / g,
-    # maximized over every receiver that must decode the stream.
-    p1 = (u / s - 1.0) / b1
-    if case == "I":
-        p2 = (s - 1.0) * max((1.0 + b1 * p1) / b1, 1.0 / a1)
-        p3 = (v / w - 1.0) * (1.0 + b2 * (p1 + p2)) / b2
-        p4 = (w - 1.0) * max(
-            (1.0 + b2 * (p1 + p2 + p3)) / b2,
-            (1.0 + a2 * (p1 + p2)) / a2,
-        )
-    elif case == "II":
-        p3 = (v / w - 1.0) * (1.0 + b2 * p1) / b2
-        p2 = (s - 1.0) * max((1.0 + a1 * p3) / a1, (1.0 + b2 * (p1 + p3)) / b2)
-        p4 = (w - 1.0) * max(
-            (1.0 + b2 * (p1 + p2 + p3)) / b2,
-            (1.0 + a1 * (p2 + p3)) / a1,
-            (1.0 + a2 * (p1 + p2)) / a2,
-        )
-    else:
-        p3 = (v / w - 1.0) * (1.0 + b2 * p1) / b2
-        p4 = (w - 1.0) * max((1.0 + a2 * p1) / a2, (1.0 + b2 * (p1 + p3)) / b2)
-        p2 = (s - 1.0) * max(
-            (1.0 + b2 * (p1 + p3 + p4)) / b2,
-            (1.0 + a1 * (p3 + p4)) / a1,
-            (1.0 + a2 * (p1 + p4)) / a2,
-        )
+    u, s, v, w = [2.0 ** x for x in r]
+    need = (u / s - 1.0, s - 1.0, v / w - 1.0, w - 1.0)
+    p = [0.0, 0.0, 0.0, 0.0]
+    for stream, receivers in _DOWNLINK_CHAINS[case]:
+        if len(receivers) == 1:  # the closed form's association, bit for bit
+            ((k, under),) = receivers
+            p[stream] = need[stream] * (1.0 + snr[k] * under(p)) / snr[k]
+        else:
+            p[stream] = need[stream] * max([(1.0 + snr[k] * under(p)) / snr[k] for k, under in receivers])
 
     alloc = DownlinkAllocation(
         case=case,
-        alpha_r=(p1, p2, p3, p4),
+        alpha_r=tuple(p),
         stream_rates=(r[0] - r[1], r[1], r[2] - r[3], r[3]),
         pairs_swapped=swapped,
     )
@@ -599,73 +645,24 @@ def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocati
 
 
 def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[ConstraintCheck, ...]:
-    """Evaluate every broadcast decoding inequality of the allocation's case.
-
-    Self-interference facts are baked into the interference sets: the
-    strong pair's A node already knows stream 1, and the other pair's A
-    node reconstructs its own solo stream 3.
-    """
-    mags, (b1, a1, b2, a2) = (
+    """Evaluate every broadcast decoding inequality of the allocation's
+    case: each stream's rate against its worst receiver in the case's chain."""
+    mags, snr = (
         _swap_pairs(q, alloc.pairs_swapped) for q in (net.downlink, _snrs(net.downlink, net.power))
     )
     if classify_case(mags, "downlink") != alloc.case:
         raise ValueError("allocation case does not match the network ordering")
 
-    p1, p2, p3, p4 = alloc.alpha_r
-    g1, shared1, g2, shared2 = alloc.stream_rates
-    C = awgn_capacity
-
-    if alloc.case == "I":
-        checks = (
-            ConstraintCheck(
-                "pair-1 shared stream", shared1,
-                min(C(b1 * p2 / (1 + b1 * p1)), C(a1 * p2)),
-            ),
-            ConstraintCheck(
-                "pair-2 shared stream", shared2,
-                min(
-                    C(b2 * p4 / (1 + b2 * (p1 + p2 + p3))),
-                    C(a2 * p4 / (1 + a2 * (p1 + p2))),
-                ),
-            ),
-            ConstraintCheck("pair-1 solo stream", g1, C(b1 * p1)),
-            ConstraintCheck("pair-2 solo stream", g2, C(b2 * p3 / (1 + b2 * (p1 + p2)))),
-        )
-    elif alloc.case == "II":
-        checks = (
-            ConstraintCheck(
-                "pair-1 shared stream", shared1,
-                min(C(a1 * p2 / (1 + a1 * p3)), C(b2 * p2 / (1 + b2 * (p1 + p3)))),
-            ),
-            ConstraintCheck(
-                "pair-2 shared stream", shared2,
-                min(
-                    C(b2 * p4 / (1 + b2 * (p1 + p2 + p3))),
-                    C(a1 * p4 / (1 + a1 * (p2 + p3))),
-                    C(a2 * p4 / (1 + a2 * (p1 + p2))),
-                ),
-            ),
-            ConstraintCheck("pair-1 solo stream", g1, C(b1 * p1)),
-            ConstraintCheck("pair-2 solo stream", g2, C(b2 * p3 / (1 + b2 * p1))),
-        )
-    else:
-        checks = (
-            ConstraintCheck(
-                "pair-1 shared stream", shared1,
-                min(
-                    C(b2 * p2 / (1 + b2 * (p1 + p3 + p4))),
-                    C(a1 * p2 / (1 + a1 * (p3 + p4))),
-                    C(a2 * p2 / (1 + a2 * (p1 + p4))),
-                ),
-            ),
-            ConstraintCheck(
-                "pair-2 shared stream", shared2,
-                min(C(a2 * p4 / (1 + a2 * p1)), C(b2 * p4 / (1 + b2 * (p1 + p3)))),
-            ),
-            ConstraintCheck("pair-1 solo stream", g1, C(b1 * p1)),
-            ConstraintCheck("pair-2 solo stream", g2, C(b2 * p3 / (1 + b2 * p1))),
-        )
-    return checks
+    p, receivers = alloc.alpha_r, dict(_DOWNLINK_CHAINS[alloc.case])
+    checks = []
+    for stream in _DOWNLINK_CHECK_ORDER:
+        rhs = None  # the smallest capacity over the receivers, as min() picks it
+        for k, under in receivers[stream]:
+            cap = awgn_capacity(snr[k] * p[stream] / (1.0 + snr[k] * under(p)))
+            if rhs is None or cap < rhs:
+                rhs = cap
+        checks.append(ConstraintCheck(_DOWNLINK_STREAMS[stream], alloc.stream_rates[stream], rhs))
+    return tuple(checks)
 
 
 # --- End-to-end verification -------------------------------------------------
@@ -829,7 +826,7 @@ def _sample_network(rng: np.random.Generator, cfg: SweepConfig, trial: int) -> G
     lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
     lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
     for _ in range(MAX_SAMPLE_DRAWS):
-        h = np.exp(rng.uniform(lo_h, hi_h, size=8))
+        h = np.exp(rng.uniform(lo_h, hi_h, size=8)).tolist()
         p = float(np.exp(rng.uniform(lo_p, hi_p)))
         net = GaussNetwork(h[0:2], h[2:4], h[4:6], h[6:8], p)
         if _sampler_accepts(net):
@@ -850,7 +847,7 @@ def _sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork) -> RateQ
             break
     t_star = math.inf
     for (_, sessions, _, _), rhs in zip(_FAMILIES, net._restricted_terms):
-        step = sum(d[s] for s in sessions)
+        step = sum(map(d.__getitem__, sessions))
         if step > 0:
             room = rhs - 2.0 * len(sessions)
             t_star = min(t_star, room / step)

@@ -323,6 +323,11 @@ def test_schedule_integral_over_budget(tmp_path, capsys):
         (["schedule", "{det}", "--rates", "2,1,1,1", "--simulate", "-3"], "--simulate"),
         (["sweep", "--det", "--trials", "-4"], "--trials"),
         (["region", "{det}", "--rates", "2,1,1,1", "--restricted"], "--restricted"),
+        # Once numpy's "low >= high" and "high <= 0", and accepted with --trials 0.
+        (["sweep", "--det", "--max-pairs", "0"], "--max-pairs"),
+        (["sweep", "--det", "--max-gain", "-1"], "--max-gain"),
+        (["sweep", "--det", "--trials", "0", "--max-pairs", "0"], "--max-pairs"),
+        (["sweep", "--det", "--trials", "0", "--max-gain", "-1"], "--max-gain"),
     ],
 )
 def test_cli_rejects_invalid_options(det_file, capsys, argv, message):
@@ -347,7 +352,9 @@ def test_gaussian_rates_must_be_finite(gauss_file, capsys, command, rates):
      ("h_ar", "16"), ("h_ar", ["16", "8"]), ("h_ra", [True, 16.0]), ("h_rb", 16.0),
      ("h_br", [16.0]), ("h_br", {"a": 16.0, "b": 16.0}), ("h_ar", None),
      ("power", "1"), ("power", True), ("power", [1.0]),
-     pytest.param("power", 10**400, id="power-int-too-large")],
+     pytest.param("power", 10**400, id="power-int-too-large"),
+     # Finite, but its square overflows: once an OverflowError traceback.
+     pytest.param("h_ar", [1e160, 16.0], id="magnitude-square-overflows")],
 )
 def test_gaussian_file_values_must_be_finite(tmp_path, capsys, field, value):
     path = tmp_path / "g.json"
@@ -429,6 +436,8 @@ def test_gaussian_report_pinned(tmp_path, capsys, name):
         (["--trials", "1", "--hmax", "1.5", "--pmax", "2"], "cannot satisfy"),
         # Possible, but so rarely drawn that the first trial runs out of draws.
         (["--trials", "20", "--hmax", "4", "--pmax", "1"], "trial 0"),
+        # Squares of these magnitudes overflow a float: once an OverflowError traceback.
+        (["--trials", "3", "--hmax", "1e200", "--pmax", "1e10"], "overflows"),
     ],
 )
 def test_sweep_refuses_unsampleable_ranges(capsys, argv, message):

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -25,7 +27,18 @@ from relaycap import (
     verify_constant_gap,
 )
 from relaycap import gaussian
-from relaycap.gaussian import MIN_LINK_SNR, TOL, ConstraintCheck, RateQuad, run_trial
+from relaycap.gaussian import (
+    MIN_LINK_SNR,
+    TOL,
+    ConstraintCheck,
+    DownlinkAllocation,
+    RateQuad,
+    UplinkAllocation,
+    _allocation_inputs,
+    _snrs,
+    _swap_pairs,
+    run_trial,
+)
 
 
 # --- reference: the constraint families as written out family by family ------
@@ -201,6 +214,51 @@ def random_normalized_net(rng, h_lo=1.0, h_hi=100.0, p_hi=100.0, floor=4.0):
         )
 
 
+# --- network validation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("16", (2, 2), (2, 2), (2, 2), 1.0),  # once read as the magnitudes (1.0, 6.0)
+        ((2, 2), (2, 2), (2, 2), (2, 2), True),  # once read as power 1.0
+        ((2, 2), (True, 2.0), (2, 2), (2, 2), 1.0),
+        ((2, 2), (2, 2), ("2", "2"), (2, 2), 1.0),
+        ((2, 2), (2, 2), (2, 2), (2, np.bool_(True)), 1.0),
+        ((2, 2), (2, 2), (2, 2), (2, 2), "1"),
+    ],
+)
+def test_network_rejects_strings_and_booleans(args):
+    with pytest.raises(ValueError, match="not a real number"):
+        GaussNetwork(*args)
+
+
+def test_network_accepts_ints_and_numpy_floats():
+    net = GaussNetwork((np.float64(2.5), 3), (np.float32(2.0), np.int64(2)), (2, 2), (2, 2), np.float64(4.0))
+    assert net == GaussNetwork((2.5, 3.0), (2.0, 2.0), (2.0, 2.0), (2.0, 2.0), 4.0)
+    assert all(type(v) is float for v in (*net.h_ar, *net.h_br, net.power))
+
+
+@pytest.mark.parametrize(
+    "h,power",
+    [(1e160, 1.0), (7e153, 1.0), (1e150, 1e10), (1.0, 1e308), (1e308, 1e-300)],
+)
+def test_network_refuses_magnitudes_whose_squares_overflow(h, power):
+    # `x ** 2` raises OverflowError where `x * x` gives inf, so a network
+    # whose (2 max|h|)^2 P is not a finite float is refused up front.
+    with pytest.raises(ValueError, match="overflows"):
+        GaussNetwork((h, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), power)
+
+
+def test_network_squares_finite_below_the_overflow_bound():
+    h = 6e153  # (2h)^2 = 1.44e308, just under the largest float
+    net = GaussNetwork((h, h), (h, h), (h, h), (h, h), 1.0)
+    for verdict in (gauss_cutset(net, (0, 0, 0, 0)), gauss_restricted_cutset(net, (0, 0, 0, 0))):
+        assert verdict.inside and all(math.isfinite(c.rhs) for c in verdict.checks)
+    assert all(math.isfinite(g) for g in restricted_bound_gaps(net).values())
+    assert all(math.isfinite(x) for x in (*net.snrs(), *gaussian._snrs(net.uplink, net.power)))
+
+
 # --- rate functions ---------------------------------------------------------
 
 
@@ -359,6 +417,344 @@ def test_non_finite_rates_rejected(call, bad):
     with pytest.raises(ValueError, match="finite") as err:
         call(snr_net(255.0), (bad, rest, rest, rest))
     assert err.type is ValueError  # not a verdict such as InfeasibleRatesError
+
+
+# --- the cancellation-chain tables against the reference ------------------------------
+# The four hop functions as written out case by case before the chain
+# tables, kept verbatim; the differential test below requires the tables to
+# reproduce every allocation, check and error message bit for bit.
+
+
+def reference_uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
+    """Power splits letting the relay decode both Gaussian codewords and
+    both lattice sums at the component rates implied by ``r``.
+
+    Walks the successive-cancellation chain of the classified case from the
+    bottom: each stream gets exactly the receive power that makes its
+    decoding inequality an equality given the streams still undecoded
+    beneath it.  Lattice partners then mirror powers through the alignment
+    rule so each pair's lattice codewords arrive level.
+    """
+    r, (x1, x2, x3, x4) = _allocation_inputs("uplink", net, r)
+    case = classify_case(net.uplink, "uplink")
+    u, s = 2.0 ** r[0], 2.0 ** r[1]
+    v, w = 2.0 ** r[2], 2.0 ** r[3]
+
+    # Received power products alpha * |h|^2 P: W and T are the per-codeword
+    # lattice powers of pairs 2 and 1, G2 and G1 the Gaussian powers.
+    if case == "I":
+        W = w
+        G2 = (v / w - 1.0) * (2.0 * W + 1.0)
+        T = s * (G2 + 2.0 * W + 1.0)
+        G1 = (u / s - 1.0) * (2.0 * T + G2 + 2.0 * W + 1.0)
+    else:
+        if case == "II":
+            W = w
+            T = s * (2.0 * W + 1.0)
+        else:  # III: lattice sum of pair 2 is decoded before pair 1's
+            T = s
+            W = w * (2.0 * T + 1.0)
+        den = 2.0 * T + 2.0 * W + 1.0
+        G2 = (v / w - 1.0) * den
+        # Both users' Gaussians are decoded as a MAC: the single-user and the
+        # sum-rate constraints each demand a power; take the binding one.
+        G1 = max(u / s - 1.0, (u * v) / (s * w) - v / w) * den
+
+    alloc = UplinkAllocation(
+        case=case,
+        alpha_a1=(G1 / x1, T / x1),
+        alpha_a2=(G2 / x3, W / x3),
+        alpha_b1=T / x2,
+        alpha_b2=W / x4,
+        gaussian_rates=(r[0] - r[1], r[2] - r[3]),
+        lattice_rates=(r[1], r[3]),
+    )
+    excess = alloc.budget_excess()
+    if excess > TOL:
+        raise AllocationInvalidError(
+            f"uplink case {case} power budget exceeded by {excess:.3g} "
+            f"(alphas A1={alloc.alpha_a1}, A2={alloc.alpha_a2}, "
+            f"B1={alloc.alpha_b1:.6g}, B2={alloc.alpha_b2:.6g})"
+        )
+    return alloc
+
+
+def reference_uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
+    """Evaluate every decoding inequality of the allocation's case."""
+    expected = classify_case(net.uplink, "uplink")
+    if expected != alloc.case:
+        raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
+    x1, x2, x3, x4 = _snrs(net.uplink, net.power)
+    G1 = alloc.alpha_a1[0] * x1
+    T = alloc.alpha_b1 * x2
+    G2 = alloc.alpha_a2[0] * x3
+    W = alloc.alpha_b2 * x4
+    rg1, rg2 = alloc.gaussian_rates
+    rl1, rl2 = alloc.lattice_rates
+    C = awgn_capacity
+
+    if alloc.case == "I":
+        checks = (
+            ConstraintCheck("decode x_A1 gaussian", rg1, C(G1 / (2 * T + G2 + 2 * W + 1.0))),
+            ConstraintCheck("decode pair-1 lattice sum", rl1, lattice_rate_cap(T / (G2 + 2 * W + 1.0))),
+            ConstraintCheck("decode x_A2 gaussian", rg2, C(G2 / (2 * W + 1.0))),
+            ConstraintCheck("decode pair-2 lattice sum", rl2, lattice_rate_cap(W)),
+        )
+    else:
+        den = 2 * T + 2 * W + 1.0
+        mac = (
+            ConstraintCheck("decode x_A1 gaussian (MAC)", rg1, C(G1 / den)),
+            ConstraintCheck("decode x_A2 gaussian (MAC)", rg2, C(G2 / den)),
+            ConstraintCheck("gaussian MAC sum", rg1 + rg2, C((G1 + G2) / den)),
+        )
+        if alloc.case == "II":
+            checks = mac + (
+                ConstraintCheck("decode pair-1 lattice sum", rl1, lattice_rate_cap(T / (2 * W + 1.0))),
+                ConstraintCheck("decode pair-2 lattice sum", rl2, lattice_rate_cap(W)),
+            )
+        else:
+            checks = mac + (
+                ConstraintCheck("decode pair-2 lattice sum", rl2, lattice_rate_cap(W / (2 * T + 1.0))),
+                ConstraintCheck("decode pair-1 lattice sum", rl1, lattice_rate_cap(T)),
+            )
+    return checks
+
+
+def reference_downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocation:
+    """Relay power split delivering the four streams at their rates.
+
+    The case analysis assumes the pair with the stronger shared-stream
+    receiver (the B side, after normalization) is pair 1; when the input
+    has them the other way round the pairs are relabeled internally, which
+    the pair-symmetric rate preconditions permit.
+    """
+    r, snr = _allocation_inputs("downlink", net, r)
+    swapped = net.h_rb[1] > net.h_rb[0]
+    r, mags, (b1, a1, b2, a2) = (_swap_pairs(q, swapped) for q in (r, net.downlink, snr))
+    case = classify_case(mags, "downlink")
+
+    u, s = 2.0 ** r[0], 2.0 ** r[1]
+    v, w = 2.0 ** r[2], 2.0 ** r[3]
+
+    # Minimal power for a stream of rate rho decoded at SNR g under
+    # interference power fraction q: alpha >= (2^rho - 1) (1 + g q) / g,
+    # maximized over every receiver that must decode the stream.
+    p1 = (u / s - 1.0) / b1
+    if case == "I":
+        p2 = (s - 1.0) * max((1.0 + b1 * p1) / b1, 1.0 / a1)
+        p3 = (v / w - 1.0) * (1.0 + b2 * (p1 + p2)) / b2
+        p4 = (w - 1.0) * max(
+            (1.0 + b2 * (p1 + p2 + p3)) / b2,
+            (1.0 + a2 * (p1 + p2)) / a2,
+        )
+    elif case == "II":
+        p3 = (v / w - 1.0) * (1.0 + b2 * p1) / b2
+        p2 = (s - 1.0) * max((1.0 + a1 * p3) / a1, (1.0 + b2 * (p1 + p3)) / b2)
+        p4 = (w - 1.0) * max(
+            (1.0 + b2 * (p1 + p2 + p3)) / b2,
+            (1.0 + a1 * (p2 + p3)) / a1,
+            (1.0 + a2 * (p1 + p2)) / a2,
+        )
+    else:
+        p3 = (v / w - 1.0) * (1.0 + b2 * p1) / b2
+        p4 = (w - 1.0) * max((1.0 + a2 * p1) / a2, (1.0 + b2 * (p1 + p3)) / b2)
+        p2 = (s - 1.0) * max(
+            (1.0 + b2 * (p1 + p3 + p4)) / b2,
+            (1.0 + a1 * (p3 + p4)) / a1,
+            (1.0 + a2 * (p1 + p4)) / a2,
+        )
+
+    alloc = DownlinkAllocation(
+        case=case,
+        alpha_r=(p1, p2, p3, p4),
+        stream_rates=(r[0] - r[1], r[1], r[2] - r[3], r[3]),
+        pairs_swapped=swapped,
+    )
+    excess = alloc.budget_excess()
+    if excess > TOL:
+        raise AllocationInvalidError(
+            f"downlink case {case} relay budget exceeded by {excess:.3g} (alphas {alloc.alpha_r})"
+        )
+    return alloc
+
+
+def reference_downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[ConstraintCheck, ...]:
+    """Evaluate every broadcast decoding inequality of the allocation's case.
+
+    Self-interference facts are baked into the interference sets: the
+    strong pair's A node already knows stream 1, and the other pair's A
+    node reconstructs its own solo stream 3.
+    """
+    mags, (b1, a1, b2, a2) = (
+        _swap_pairs(q, alloc.pairs_swapped) for q in (net.downlink, _snrs(net.downlink, net.power))
+    )
+    if classify_case(mags, "downlink") != alloc.case:
+        raise ValueError("allocation case does not match the network ordering")
+
+    p1, p2, p3, p4 = alloc.alpha_r
+    g1, shared1, g2, shared2 = alloc.stream_rates
+    C = awgn_capacity
+
+    if alloc.case == "I":
+        checks = (
+            ConstraintCheck(
+                "pair-1 shared stream", shared1,
+                min(C(b1 * p2 / (1 + b1 * p1)), C(a1 * p2)),
+            ),
+            ConstraintCheck(
+                "pair-2 shared stream", shared2,
+                min(
+                    C(b2 * p4 / (1 + b2 * (p1 + p2 + p3))),
+                    C(a2 * p4 / (1 + a2 * (p1 + p2))),
+                ),
+            ),
+            ConstraintCheck("pair-1 solo stream", g1, C(b1 * p1)),
+            ConstraintCheck("pair-2 solo stream", g2, C(b2 * p3 / (1 + b2 * (p1 + p2)))),
+        )
+    elif alloc.case == "II":
+        checks = (
+            ConstraintCheck(
+                "pair-1 shared stream", shared1,
+                min(C(a1 * p2 / (1 + a1 * p3)), C(b2 * p2 / (1 + b2 * (p1 + p3)))),
+            ),
+            ConstraintCheck(
+                "pair-2 shared stream", shared2,
+                min(
+                    C(b2 * p4 / (1 + b2 * (p1 + p2 + p3))),
+                    C(a1 * p4 / (1 + a1 * (p2 + p3))),
+                    C(a2 * p4 / (1 + a2 * (p1 + p2))),
+                ),
+            ),
+            ConstraintCheck("pair-1 solo stream", g1, C(b1 * p1)),
+            ConstraintCheck("pair-2 solo stream", g2, C(b2 * p3 / (1 + b2 * p1))),
+        )
+    else:
+        checks = (
+            ConstraintCheck(
+                "pair-1 shared stream", shared1,
+                min(
+                    C(b2 * p2 / (1 + b2 * (p1 + p3 + p4))),
+                    C(a1 * p2 / (1 + a1 * (p3 + p4))),
+                    C(a2 * p2 / (1 + a2 * (p1 + p4))),
+                ),
+            ),
+            ConstraintCheck(
+                "pair-2 shared stream", shared2,
+                min(C(a2 * p4 / (1 + a2 * p1)), C(b2 * p4 / (1 + b2 * (p1 + p3)))),
+            ),
+            ConstraintCheck("pair-1 solo stream", g1, C(b1 * p1)),
+            ConstraintCheck("pair-2 solo stream", g2, C(b2 * p3 / (1 + b2 * p1))),
+        )
+    return checks
+
+def _normalized_net(h, power):
+    """The network of eight magnitudes in hop-normalised order: within each
+    uplink pair the A side is stronger and pair 1 holds the stronger A
+    uplink; within each downlink pair |h_RB| >= |h_RA|, pairs left as drawn."""
+    up = sorted([sorted(h[0:2], reverse=True), sorted(h[2:4], reverse=True)], reverse=True)
+    down = [sorted(h[4:6]), sorted(h[6:8])]
+    return GaussNetwork(
+        (up[0][0], up[1][0]), (up[0][1], up[1][1]), (down[0][0], down[1][0]), (down[0][1], down[1][1]),
+        power,
+    )
+
+
+@st.composite
+def _hop_inputs(draw):
+    """A normalised network, pair-normalised rates inside both hops' single-
+    session preconditions and scaled onto (or inside) their pair-sum ones,
+    and one received power of each allocation to tamper with before its
+    rate check: (stream, factor)."""
+    net = _normalized_net(draw(st.lists(st.floats(0.5, 100.0), min_size=8, max_size=8)),
+                          draw(st.floats(1.0, 100.0)))
+    f = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    C = awgn_capacity
+    up, dn = gaussian._snrs(net.uplink, net.power), gaussian._snrs(net.downlink, net.power)
+    caps = [max(0.0, min(C(up[k]) - (1.0 if k % 2 else 2.0), C(dn[k]) - 2.0)) for k in range(4)]
+    r = [f[0] * caps[0], 0.0, f[2] * caps[2], 0.0]
+    r[1], r[3] = f[1] * min(caps[1], r[0]), f[3] * min(caps[3], r[2])
+    scale = 1.0
+    for i, j in ((0, 2), (0, 3), (1, 3), (1, 2)):
+        if r[i] + r[j] > 0:
+            rhs = min(C(up[i] + up[j]) - 4.0, C(max(dn[i], dn[j])) - 3.0)
+            scale = min(scale, max(0.0, rhs) / (r[i] + r[j]))
+    scale *= draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    tamper = (draw(st.integers(0, 3)), draw(st.one_of(st.just(1.0), st.floats(-1.0, 2.0))))
+    return net, tuple(x * scale for x in r), tamper
+
+
+def _outcome(call, *args):
+    """What a call gives: its value and repr, or its exception type and message."""
+    try:
+        value = call(*args)
+    except Exception as exc:  # noqa: BLE001 -- the exception itself is compared
+        return type(exc), str(exc)
+    return value, repr(value)
+
+
+def _tampered(alloc, stream, factor):
+    """``alloc`` with one received power (uplink G1, T, G2, W; downlink
+    alpha_r[stream]) scaled by ``factor``."""
+    if isinstance(alloc, DownlinkAllocation):
+        p = list(alloc.alpha_r)
+        p[stream] *= factor
+        return replace(alloc, alpha_r=tuple(p))
+    if stream in (0, 2):
+        field = "alpha_a1" if stream == 0 else "alpha_a2"
+        gauss, lattice = getattr(alloc, field)
+        return replace(alloc, **{field: (gauss * factor, lattice)})
+    field = "alpha_b1" if stream == 1 else "alpha_b2"
+    return replace(alloc, **{field: getattr(alloc, field) * factor})
+
+
+_CORNER_H = 1000.0 ** 0.5  # |h|^2 P = 1000 on every uplink
+
+
+@settings(max_examples=500, deadline=None)
+@given(_hop_inputs())
+# Uplink cases I, II and III; their downlinks are cases III, III and I.
+@example((_normalized_net([3.66, 2.69, 19.0, 40.75, 84.59, 2.0, 9.21, 61.58], 7.01),
+          (6.617076885160013, 0.5400246143493648, 2.9015082007705986, 2.7274177087243627), (0, 1.0)))
+@example((_normalized_net([1.33, 19.17, 50.73, 15.34, 3.31, 47.84, 10.45, 10.51], 32.07),
+          (3.5444610640181753, 3.0482365150556303, 5.7427046630047665, 3.148903732228089), (1, 0.5)))
+@example((_normalized_net([6.95, 21.38, 8.16, 14.89, 47.79, 28.38, 5.37, 7.88], 5.44),
+          (2.6913643161398033, 0.9688911538103292, 2.753832891707814, 1.2392248012685163), (3, 0.5)))
+# Downlink case II (uplink case II).
+@example((_normalized_net([41.74, 4.83, 12.23, 2.47, 98.24, 3.07, 3.26, 1.4], 3.28),
+          (5.694740011180409, 1.527461617640283, 0.6367827437387086, 0.29956033133152465), (2, 0.5)))
+# The downlink's internal pair swap, with an uplink MAC stage where the
+# sum-rate power binds.
+@example((_normalized_net([10.56, 79.6, 1.94, 78.94, 4.2, 7.03, 45.23, 6.58], 12.57),
+          (1.6018821744370337, 1.281505739549627, 7.969742567809114, 2.1133337105374883), (0, 0.5)))
+# An uplink MAC stage where the single-user power binds: r_A1 = r_B1 and
+# (u v) / (s w) - v / w rounds below u / s - 1 = 0.
+@example((_normalized_net([16.4, 27.65, 65.03, 22.25, 3.07, 4.29, 44.52, 78.02], 14.73),
+          (1.7046267876125263, 1.7046267876125263, 5.1566529509201855, 3.867489713190139), (0, 2.0)))
+# The power-budget corner of `test_uplink_power_budget_corner_detected`.
+@example((GaussNetwork((_CORNER_H, _CORNER_H), (_CORNER_H, _CORNER_H), (1000.0, 1000.0), (1000.0, 1000.0), 1.0),
+          (awgn_capacity(2 * 1000.0) - 4 - 0.011, 0.01, 0.011, 0.01), (0, 1.0)))
+# Interference summed in another order changes the last bit here: uplink
+# case I's top stage, and downlink case II's pair-2 shared stream at B2.
+@example((_normalized_net([9.89, 71.46, 3.9, 1.2, 52.1, 57.25, 0.65, 1.43], 18.73),
+          (10.985510956437869, 6.002404459109603, 0.6263337217555398, 0.07516004661066478), (0, 1.0)))
+@example((_normalized_net([8.61, 40.32, 1.84, 17.79, 76.61, 36.11, 20.56, 47.08], 4.72),
+          (3.6621964973984475, 0.036621964973984476, 5.500213758738611, 2.4753826570967807), (0, 1.0)))
+# Negative powers: the first capacity argument below zero raises, in
+# check order.
+@example((_normalized_net([3.66, 2.69, 19.0, 40.75, 84.59, 2.0, 9.21, 61.58], 7.01),
+          (6.617076885160013, 0.5400246143493648, 2.9015082007705986, 2.7274177087243627), (3, -1.0)))
+def test_chain_tables_match_reference(inputs):
+    net, rates, (stream, factor) = inputs
+    for allocate, rate_check, reference_allocate, reference_check in (
+        (uplink_allocate, uplink_rate_check, reference_uplink_allocate, reference_uplink_rate_check),
+        (downlink_allocate, downlink_rate_check, reference_downlink_allocate, reference_downlink_rate_check),
+    ):
+        got = _outcome(allocate, net, rates)
+        assert got == _outcome(reference_allocate, net, rates)
+        alloc = got[0]
+        if isinstance(alloc, (UplinkAllocation, DownlinkAllocation)):
+            for a in (alloc, _tampered(alloc, stream, factor)):
+                assert _outcome(rate_check, net, a) == _outcome(reference_check, net, a)
 
 
 # --- outer-vs-restricted gaps ----------------------------------------------------------------
