@@ -4,24 +4,27 @@ All arithmetic on this side of the package is exact: integer gains,
 integer or `Fraction` rates, `Fraction` listen fractions.  Floats are
 deliberately kept out so that boundary tuples classify deterministically.
 
-A cut picks a nonempty subset U of pairs and an orientation bit per
-member: orientation 1 puts A_i on the transmitting side of the cut
-(counting R_{A_i}), orientation 0 picks B_i.  The bound is
+Rates and gains are indexed by session in the order A1, B1, A2, B2, ...
+(`DetNetwork.uplink` and `.downlink`).  A cut picks a nonempty subset U of
+pairs and an orientation bit per member: orientation 1 puts A_i on the
+transmitting side of the cut (counting session A_i), orientation 0 picks
+B_i; `Cut.sessions` lists the sessions it counts.  The bound is
 
-    sum over U of the oriented rates
-      <= min( max over U of the oriented uplink gains,
-              max over U of the oriented downlink gains )
+    sum over the cut's sessions of their rates
+      <= min( max over those sessions of the uplink gains,
+              max over those sessions of the downlink gains )
 
 with the uplink term scaled by delta and the downlink term by (1 - delta)
 when the relay is half-duplex.
 
 Membership does not walk the 3^M - 1 cuts.  A cut's bound depends only on
-its largest oriented uplink gain a and downlink gain b, so the region is
-cut by one threshold test per (a, b): the largest rate sum of any cut whose
-gains stay <= (a, b) must not exceed the bound at (a, b).  `cutset_holds`
-runs that test in integers in O(M K^2) with K <= 2M distinct gains; see its
+its largest uplink gain a and downlink gain b, so the region is cut by one
+threshold test per (a, b): the largest rate sum of any cut whose gains stay
+<= (a, b) must not exceed the bound at (a, b).  `cutset_holds` runs that
+test in integers in O(M K^2) with K <= 2M distinct gains; see its
 docstring for why it is exact.  `enumerate_cuts` and `det_cut_bound` stay
-as the brute-force reference, and list the violated cuts of a non-member.
+as the brute-force reference; only a non-member walks `enumerate_cuts`, to
+list its violated cuts.
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ class Cut:
         if any(b not in (0, 1) for b in self.orientation):
             raise ValueError("orientation bits must be 0/1")
 
+    @property
+    def sessions(self) -> tuple[int, ...]:
+        """The sessions the cut counts: 2i for A_i, 2i + 1 for B_i."""
+        return tuple(2 * i + 1 - b for i, b in zip(self.members, self.orientation))
+
     def describe(self) -> str:
         parts = [f"{'A' if b else 'B'}{i + 1}" for i, b in zip(self.members, self.orientation)]
         return "{" + ",".join(parts) + "}->relay"
@@ -101,13 +109,9 @@ def enumerate_cuts(pairs: int) -> tuple[Cut, ...]:
 
 
 def _cut_gains(net: DetNetwork, cut: Cut) -> tuple[int, int]:
-    up = max(
-        net.n_ar[i] if b else net.n_br[i] for i, b in zip(cut.members, cut.orientation)
-    )
-    down = max(
-        net.n_rb[i] if b else net.n_ra[i] for i, b in zip(cut.members, cut.orientation)
-    )
-    return up, down
+    """The cut's largest uplink and downlink session gains."""
+    sessions = cut.sessions
+    return max(net.uplink[k] for k in sessions), max(net.downlink[k] for k in sessions)
 
 
 def det_cut_bound(net: DetNetwork, cut: Cut, mode: DuplexMode = FULL_DUPLEX) -> Fraction:
@@ -133,38 +137,51 @@ def _time_scales(mode: DuplexMode, denominators: Iterable[int]) -> tuple[int, in
 
 
 def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Rate, ...]:
-    """The rates with every non-int converted to a Fraction once."""
+    """The rates, one per session, with every non-int converted to a
+    Fraction once.  Refuses a wrong count and a bool, non-finite or negative
+    rate with ValueError."""
     if len(rates) != 2 * net.pairs:
         raise ValueError(f"expected {2 * net.pairs} rate components, got {len(rates)}")
-    out = tuple(r if isinstance(r, int) else Fraction(r) for r in rates)
-    if any(r.numerator < 0 for r in out):
-        raise ValueError(f"rates must be non-negative, got {rates}")
+    try:
+        out = tuple(r if isinstance(r, int) else Fraction(r) for r in rates)
+    except (OverflowError, TypeError, ValueError) as exc:  # e.g. inf, NaN, None
+        raise ValueError(f"rates must be finite numbers, got {rates}") from exc
+    if any(isinstance(r, bool) or r.numerator < 0 for r in out):
+        raise ValueError(f"rates must be non-negative numbers, got {rates}")
     return out
 
 
+def _scaled_rates(
+    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate]
+) -> tuple[int, int, int, list[int]]:
+    """(Q, listen, transmit, bits): the `_time_scales` of the checked rates,
+    and the bits each rate serves over Q uses."""
+    rs = _check_rates(net, rates)
+    q, listen, transmit = _time_scales(mode, [r.denominator for r in rs])
+    return q, listen, transmit, [r.numerator * (q // r.denominator) for r in rs]
+
+
 def cutset_holds(
-    n_ar: Sequence[int],
-    n_br: Sequence[int],
-    n_ra: Sequence[int],
-    n_rb: Sequence[int],
+    uplink: Sequence[int],
+    downlink: Sequence[int],
     rates: Sequence[int],
     up_scale: int = 1,
     down_scale: int = 1,
 ) -> bool:
     """Integer threshold test: True iff every cut satisfies
 
-        sum of its oriented rates <= min(up_scale * a, down_scale * b)
+        sum of its sessions' rates <= min(up_scale * a, down_scale * b)
 
-    where a and b are the cut's largest oriented uplink and downlink gain.
-    ``rates`` are non-negative ints in the usual (R_A1, R_B1, ...) order;
-    integral full-duplex rates use the unit scales.
+    where a and b are the cut's largest uplink and downlink session gain.
+    ``uplink``, ``downlink`` and ``rates`` are indexed by session (A1, B1,
+    A2, B2, ...); rates are non-negative ints, and integral full-duplex
+    rates use the unit scales.
 
-    Session (i, A) has oriented gains (n_ar[i], n_rb[i]), session (i, B) has
-    (n_br[i], n_ra[i]).  For every threshold pair (a, b) of those gains,
-    taken over the sessions with positive rate (b only from sessions whose
-    uplink gain is <= a), the test adds up, per pair, its largest rate whose
-    oriented gains are both <= (a, b) and compares the sum with the bound
-    at (a, b).  That is O(M K^2) with K <= 2M.
+    For every threshold pair (a, b) of the session gains, taken over the
+    sessions with positive rate (b only from sessions whose uplink gain is
+    <= a), the test adds up, per pair, its largest rate whose gains are both
+    <= (a, b) and compares the sum with the bound at (a, b).  That is
+    O(M K^2) with K <= 2M.
 
     Exactness.  If a cut is violated, drop its zero-rate members: its rate
     sum stays and its bound cannot grow, so it stays violated, and its gains
@@ -176,12 +193,7 @@ def cutset_holds(
     monotone in both gains, so the cut's bound is at most the bound at
     (a, b), which the sum exceeds.
     """
-    sessions = []
-    for i, (ra, rb) in enumerate(zip(rates[0::2], rates[1::2])):
-        if ra:
-            sessions.append((i, ra, n_ar[i], n_rb[i]))
-        if rb:
-            sessions.append((i, rb, n_br[i], n_ra[i]))
+    sessions = [(k // 2, r, uplink[k], downlink[k]) for k, r in enumerate(rates) if r]
     for a in {s[2] for s in sessions}:
         below = [s for s in sessions if s[2] <= a]
         for b in {s[3] for s in below}:
@@ -199,31 +211,28 @@ def in_det_cutset(
 ) -> Membership:
     """Membership test; on failure reports every violated cut.
 
-    The verdict comes from `cutset_holds` on the rates scaled to a common
-    denominator, together with delta in half duplex.  Only a non-member
-    walks `enumerate_cuts` to list its violated cuts, in that order."""
-    rs = _check_rates(net, rates)
-    q, listen, transmit = _time_scales(mode, [r.denominator for r in rs])
-    ints = [r.numerator * (q // r.denominator) for r in rs]
-    if cutset_holds(net.n_ar, net.n_br, net.n_ra, net.n_rb, ints, listen, transmit):
+    The verdict comes from `cutset_holds` on the bits the rates serve over
+    Q uses (`_scaled_rates`).  Only a non-member walks `enumerate_cuts` to
+    list its violated cuts, in that order, each bound being
+    min(listen * a, transmit * b) / Q."""
+    q, listen, transmit, bits = _scaled_rates(net, mode, rates)
+    if cutset_holds(net.uplink, net.downlink, bits, listen, transmit):
         return Membership(True, ())
     violations = []
     for cut in enumerate_cuts(net.pairs):
-        lhs = sum(rs[2 * i] if b else rs[2 * i + 1] for i, b in zip(cut.members, cut.orientation))
-        bound = det_cut_bound(net, cut, mode)
+        lhs = sum(bits[k] for k in cut.sessions)
+        up, down = _cut_gains(net, cut)
+        bound = min(listen * up, transmit * down)
         if lhs > bound:
-            violations.append(CutViolation(cut, Fraction(lhs), bound))
+            violations.append(CutViolation(cut, Fraction(lhs, q), Fraction(bound, q)))
     return Membership(False, tuple(violations))
 
 
 def directed_rate_caps(net: DetNetwork, mode: DuplexMode = FULL_DUPLEX) -> tuple[int, ...]:
-    """Largest integral value of each directed rate alone (the singleton cuts)."""
-    caps = []
-    for i in range(net.pairs):
-        for bit in (1, 0):
-            bound = det_cut_bound(net, Cut((i,), (bit,)), mode)
-            caps.append(int(bound))  # floor: Fraction.__int__ truncates non-negatives
-    return tuple(caps)
+    """Largest integral value of each session's rate alone (the singleton
+    cuts), in session order."""
+    q, listen, transmit = _time_scales(mode, ())
+    return tuple(min(listen * u, transmit * d) // q for u, d in zip(net.uplink, net.downlink))
 
 
 def enumerate_integral_region(
@@ -251,8 +260,7 @@ def enumerate_integral_region(
     q, listen, transmit = _time_scales(mode, ())
     mask = np.ones(points.shape[1], dtype=bool)
     for cut in enumerate_cuts(net.pairs):
-        idx = [2 * i if b else 2 * i + 1 for i, b in zip(cut.members, cut.orientation)]
-        lhs = points[idx].sum(axis=0)
+        lhs = points[list(cut.sessions)].sum(axis=0)
         up, down = _cut_gains(net, cut)
         mask &= q * lhs <= min(listen * up, transmit * down)
     region = points[:, mask].T

@@ -7,6 +7,12 @@ levels to the bottom n levels of the receiver's frame -- a right shift by
 q - n -- and simultaneous arrivals on a level add bit-wise mod 2 (XOR).
 Zero-gain links are legal and simply contribute nothing.
 
+A session is one directed message: session 2i is A_i to B_i (rate
+R_{A_i}), session 2i + 1 is B_i to A_i, the order of the rates and of the
+Gaussian side.  `DetNetwork.uplink` and `.downlink` give each session's
+source-to-relay and relay-to-destination gain; the cut-set bounds and the
+scheduler read only these, the channel primitives below read node gains.
+
 Level-index conventions, used consistently by the scheduler and the
 simulator:
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -82,33 +89,45 @@ class DetNetwork:
     n_rb: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = len(self.n_ar)
-        if m < 1:
-            raise ValueError("network needs at least one pair")
-        if any(len(getattr(self, name)) != m for name in ("n_br", "n_ra", "n_rb")):
-            raise ValueError("gain arrays must all have one entry per pair")
         for name in ("n_ar", "n_br", "n_ra", "n_rb"):
-            raw = tuple(getattr(self, name))
+            raw = getattr(self, name)
             try:
+                raw = tuple(raw)
                 vals = tuple(operator.index(v) for v in raw)
             except TypeError as exc:
-                raise InvalidGainError(f"{name} must be integers, got {raw}") from exc
+                raise InvalidGainError(f"{name} must be integers, got {raw!r}") from exc
             if any(isinstance(v, bool) for v in raw) or any(v < 0 for v in vals):
                 raise InvalidGainError(f"{name} must be non-negative integers, got {raw}")
             object.__setattr__(self, name, vals)
+        if not self.n_ar:
+            raise ValueError("network needs at least one pair")
+        if any(len(getattr(self, name)) != self.pairs for name in ("n_br", "n_ra", "n_rb")):
+            raise ValueError("gain arrays must all have one entry per pair")
 
     @property
     def pairs(self) -> int:
         return len(self.n_ar)
 
+    @cached_property
+    def uplink(self) -> tuple[int, ...]:
+        """Each session's uplink gain, n_ar[i] for A_i and n_br[i] for B_i,
+        in session order (A1, B1, A2, B2, ...)."""
+        return tuple(g for pair in zip(self.n_ar, self.n_br) for g in pair)
+
+    @cached_property
+    def downlink(self) -> tuple[int, ...]:
+        """The relay's gain to each session's destination, n_rb[i] for A_i
+        and n_ra[i] for B_i, in session order."""
+        return tuple(g for pair in zip(self.n_rb, self.n_ra) for g in pair)
+
     @property
     def q_up(self) -> int:
         """Uplink frame length: the largest uplink gain (0 when all are 0)."""
-        return max((*self.n_ar, *self.n_br), default=0)
+        return max(self.uplink)
 
     @property
     def q_down(self) -> int:
-        return max((*self.n_ra, *self.n_rb), default=0)
+        return max(self.downlink)
 
     def uplink_gain(self, pair: int, side: Side) -> int:
         self._check_node(pair, side)

@@ -108,7 +108,11 @@ class GaussNetwork:
 
     def __post_init__(self) -> None:
         for name in ("h_ar", "h_br", "h_ra", "h_rb"):
-            vals = tuple(_positive(v, name) for v in getattr(self, name))
+            raw = getattr(self, name)
+            try:
+                vals = tuple(_positive(v, name) for v in raw)
+            except TypeError as exc:  # a scalar or another non-iterable
+                raise ValueError(f"{name}: not a real number pair: {raw!r}") from exc
             if len(vals) != 2:
                 raise ValueError(f"{name} needs one magnitude per pair")
             object.__setattr__(self, name, vals)

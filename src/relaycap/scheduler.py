@@ -12,6 +12,9 @@ The inductive construction serves one bit (pair) per step:
   destination's lowest reachable downlink level (``l_d`` = the
   destination's downlink gain).
 
+Both rules are written once, in `_reach`, on session gains; chunked
+schedules and `validate_schedule` take their level caps from it too.
+
 After a step, every uplink gain >= l_u and every downlink gain >= l_d
 drops by one (the removed level disappears from the frame), and the
 reduced rate tuple provably stays inside the reduced network's cut-set
@@ -34,7 +37,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cutset import Membership, Rate, RegionSizeError, _time_scales, cutset_holds, in_det_cutset
+from .cutset import (
+    Membership, Rate, RegionSizeError, _check_rates, _scaled_rates, cutset_holds, in_det_cutset
+)
 from .detnet import (
     FULL_DUPLEX,
     SIDES,
@@ -97,6 +102,8 @@ class LevelAssignment:
             raise ValueError(f"unknown assignment kind {self.kind!r}")
         if (self.side is None) != (self.kind == XOR):
             raise ValueError("XOR assignments carry no side; SOLO assignments need one")
+        if self.kind == SOLO and self.side not in SIDES:
+            raise ValueError(f"SOLO side must be 'A' or 'B', got {self.side!r}")
 
 
 @dataclass(frozen=True)
@@ -118,55 +125,58 @@ class Schedule:
         return budgets
 
 
-Gains = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def _reduce(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[Gains, int, int]:
-    """One induction step on plain (n_ar, n_br, n_ra, n_rb) gain tuples:
-    pick the levels (l_u, l_d) that serve the bit, then remove them -- every
-    gain at or above a removed level drops by one."""
-    n_ar, n_br, n_ra, n_rb = gains
-    if kind == XOR:
-        if min(n_ar[pair], n_br[pair], n_ra[pair], n_rb[pair]) < 1:
-            raise ValueError(
-                f"pair {pair} has a zero gain {(n_ar[pair], n_br[pair], n_ra[pair], n_rb[pair])}; "
-                f"bidirectional step needs all four links"
-            )
-        l_u = min(n_ar[pair], n_br[pair])
-        l_d = min(n_ra[pair], n_rb[pair])
-    else:
-        l_u, l_d = (n_ar[pair], n_rb[pair]) if side == "A" else (n_br[pair], n_ra[pair])
-        if l_u < 1 or l_d < 1:
-            raise ValueError(
-                f"one-way step {side}{pair + 1} needs positive gains, have l_u={l_u}, l_d={l_d}"
-            )
-    reduced = (
-        tuple(n - (n >= l_u) for n in n_ar),
-        tuple(n - (n >= l_u) for n in n_br),
-        tuple(n - (n >= l_d) for n in n_ra),
-        tuple(n - (n >= l_d) for n in n_rb),
-    )
-    return reduced, l_u, l_d
+Gains = tuple[tuple[int, ...], tuple[int, ...]]  # (uplink, downlink) by session
 
 
 def _gains(net: DetNetwork) -> Gains:
-    return net.n_ar, net.n_br, net.n_ra, net.n_rb
+    return net.uplink, net.downlink
+
+
+def _network(gains: Gains) -> DetNetwork:
+    """The network with these session gains."""
+    up, down = gains
+    return DetNetwork(n_ar=up[0::2], n_br=up[1::2], n_ra=down[1::2], n_rb=down[0::2])
+
+
+def _reach(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[int, int]:
+    """(l_u, l_d): the largest uplink and downlink level a bit of ``kind``
+    on ``pair`` can use, and the levels the induction serves it on.  An XOR
+    bit takes the smaller of the pair's two session gains on each hop, a
+    SOLO bit the gains of the session from ``side``."""
+    up, down = gains
+    if kind == XOR:
+        return min(up[2 * pair], up[2 * pair + 1]), min(down[2 * pair], down[2 * pair + 1])
+    k = 2 * pair + SIDES.index(side)
+    return up[k], down[k]
+
+
+def _reduce(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[Gains, int, int]:
+    """One induction step on session gain tuples: take the levels (l_u, l_d)
+    that serve the bit, then remove them -- every gain at or above a removed
+    level drops by one."""
+    l_u, l_d = _reach(gains, pair, kind, side)
+    if l_u < 1 or l_d < 1:
+        step = f"pair {pair + 1} XOR" if kind == XOR else f"one-way {side}{pair + 1}"
+        raise ValueError(f"{step} step needs positive gains, have l_u={l_u}, l_d={l_d}")
+    up, down = gains
+    return (tuple(n - (n >= l_u) for n in up), tuple(n - (n >= l_d) for n in down)), l_u, l_d
 
 
 def reduce_pair_bidirectional(net: DetNetwork, pair: int) -> tuple[DetNetwork, int, int]:
     """Serve one XOR bit of ``pair``: returns the reduced network and the
     removed levels (l_u, l_d)."""
+    net._check_node(pair, "A")
     gains, l_u, l_d = _reduce(_gains(net), pair, XOR, None)
-    return DetNetwork(*gains), l_u, l_d
+    return _network(gains), l_u, l_d
 
 
 def reduce_pair_oneway(net: DetNetwork, pair: int, source: str) -> tuple[DetNetwork, int, int]:
     """Serve one bit from ``source`` of ``pair`` to the opposite side."""
-    if source not in ("A", "B"):
+    if source not in SIDES:
         raise ValueError(f"source side must be 'A' or 'B', got {source!r}")
     net._check_node(pair, source)
     gains, l_u, l_d = _reduce(_gains(net), pair, SOLO, source)
-    return DetNetwork(*gains), l_u, l_d
+    return _network(gains), l_u, l_d
 
 
 def expand_time(net: DetNetwork, q: int) -> DetNetwork:
@@ -174,22 +184,17 @@ def expand_time(net: DetNetwork, q: int) -> DetNetwork:
     gains multiplied by Q."""
     if q < 1:
         raise ValueError("expansion factor must be >= 1")
-    return DetNetwork(*(tuple(n * q for n in g) for g in _gains(net)))
+    return _network(tuple(tuple(n * q for n in g) for g in _gains(net)))
 
 
 def _next_step(rates: list[int]) -> tuple[int, str, str | None]:
     """Deterministic induction order: lowest-index pair with both rates
     nonzero first; otherwise lowest-index nonzero directed rate, A before B."""
-    m = len(rates) // 2
-    for i in range(m):
+    for i in range(len(rates) // 2):
         if rates[2 * i] > 0 and rates[2 * i + 1] > 0:
             return i, XOR, None
-    for i in range(m):
-        if rates[2 * i] > 0:
-            return i, SOLO, "A"
-        if rates[2 * i + 1] > 0:
-            return i, SOLO, "B"
-    raise AssertionError("no step requested from the zero tuple")
+    k = next(k for k, r in enumerate(rates) if r > 0)
+    return k // 2, SOLO, SIDES[k % 2]
 
 
 def _original_level(removed: list[int], level: int) -> int:
@@ -220,7 +225,7 @@ def _run_induction(
             remaining[2 * pair] -= 1
             remaining[2 * pair + 1] -= 1
         else:
-            remaining[2 * pair + (0 if side == "A" else 1)] -= 1
+            remaining[2 * pair + SIDES.index(side)] -= 1
         up = _original_level(removed_up, l_u)
         down = _original_level(removed_down, l_d)
         steps.append((pair, kind, side, up, down))
@@ -233,22 +238,19 @@ def _run_induction(
     return steps
 
 
-def _integral_rates(rates: Sequence[Rate]) -> list[int]:
-    """The rates as ints; an int is taken as it is, anything else is
-    converted to a Fraction once and must be whole."""
-    out = []
-    for r in rates:
-        f = r if isinstance(r, int) else Fraction(r)
-        if f.denominator != 1:
+def _integral_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Rate, ...]:
+    """The checked rates, each of which must be whole."""
+    out = _check_rates(net, rates)
+    for r in out:
+        if r.denominator != 1:
             raise ValueError(f"expected integral rates, got component {r}")
-        out.append(f.numerator)
     return out
 
 
 def divide_and_conquer(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     """Single-use schedule achieving an integral in-region rate tuple: time
     expansion with Q = 1."""
-    return _time_expanded(net, FULL_DUPLEX, _integral_rates(rates))
+    return _time_expanded(net, FULL_DUPLEX, _integral_rates(net, rates))
 
 
 def _interleaved(level: int, lanes: int) -> tuple[int, int]:
@@ -258,17 +260,15 @@ def _interleaved(level: int, lanes: int) -> tuple[int, int]:
 
 
 def _expanded_rates(
-    net: DetNetwork, mode: DuplexMode, rates: Sequence[int | Fraction]
+    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate]
 ) -> tuple[int, int, int, list[int]]:
-    """(Q, listen, transmit, bits) for a tuple of ints or Fractions: the bits
-    each rate serves over Q uses.  Raises `NotInRegionError` for a
-    non-member and `RegionSizeError` when the bits would take more than
-    `STEP_BUDGET` induction steps."""
+    """(Q, listen, transmit, bits) for an in-region tuple (`_scaled_rates`).
+    Raises `NotInRegionError` for a non-member and `RegionSizeError` when
+    the bits would take more than `STEP_BUDGET` induction steps."""
     membership = in_det_cutset(net, rates, mode)
     if not membership.member:
         raise NotInRegionError(membership)
-    q, listen, transmit = _time_scales(mode, [r.denominator for r in rates])
-    bits = [r.numerator * (q // r.denominator) for r in rates]
+    q, listen, transmit, bits = _scaled_rates(net, mode, rates)
     if sum(bits) > STEP_BUDGET:
         raise RegionSizeError(
             f"schedule over Q={q} uses serves {sum(bits)} bits, "
@@ -277,21 +277,14 @@ def _expanded_rates(
     return q, listen, transmit, bits
 
 
-def _time_expanded(
-    net: DetNetwork, mode: DuplexMode, rates: Sequence[int | Fraction]
-) -> Schedule:
-    """Schedule an in-region tuple of ints or Fractions over Q uses.  The
-    relay listens in the first ``listen`` of the Q slots and transmits in the
-    last ``transmit``; in full duplex both are Q.  The Q uses concatenate
-    into one full-duplex use with uplink gains scaled by ``listen`` and
-    downlink gains by ``transmit``."""
+def _time_expanded(net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate]) -> Schedule:
+    """Schedule an in-region tuple over Q uses.  The relay listens in the
+    first ``listen`` of the Q slots and transmits in the last ``transmit``;
+    in full duplex both are Q.  The Q uses concatenate into one full-duplex
+    use with uplink gains scaled by ``listen`` and downlink gains by
+    ``transmit``."""
     q, listen, transmit, bits = _expanded_rates(net, mode, rates)
-    gains = (
-        tuple(n * listen for n in net.n_ar),
-        tuple(n * listen for n in net.n_br),
-        tuple(n * transmit for n in net.n_ra),
-        tuple(n * transmit for n in net.n_rb),
-    )
+    gains = tuple(n * listen for n in net.uplink), tuple(n * transmit for n in net.downlink)
     assignments = []
     for pair, kind, side, l_u, l_d in _run_induction(gains, bits):
         up_slot, up_level = _interleaved(l_u, listen)
@@ -308,7 +301,7 @@ def _time_expanded(
 def schedule_fractional(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     """Schedule a rational in-region tuple over Q uses, Q = lcm of the rate
     denominators."""
-    return _time_expanded(net, FULL_DUPLEX, [Fraction(r) for r in rates])
+    return _time_expanded(net, FULL_DUPLEX, rates)
 
 
 def schedule_half_duplex(
@@ -316,7 +309,7 @@ def schedule_half_duplex(
 ) -> Schedule:
     """Schedule under a half-duplex relay listening a ``delta`` fraction of
     the time: the first Q*delta of Q slots listen, the rest transmit."""
-    return _time_expanded(net, HalfDuplex(delta), [Fraction(r) for r in rates])
+    return _time_expanded(net, HalfDuplex(delta), rates)
 
 
 # --- chunked variant -------------------------------------------------------
@@ -328,10 +321,8 @@ class _Chunk:
     kind: str
     side: str | None
     size: int
-    cap_up: int
-    cap_down: int
-    up_levels: list[int] = field(default_factory=list)
-    down_levels: list[int] = field(default_factory=list)
+    caps: tuple[int, int]  # largest uplink and downlink level, from `_reach`
+    levels: list[range] = field(default_factory=list)  # uplink run, then downlink run
 
 
 def chunk_schedule(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
@@ -343,58 +334,37 @@ def chunk_schedule(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     chunk contiguous, and the cut-set bounds imply the deadline condition,
     so the packing succeeds exactly on in-region tuples.
     """
-    _, _, _, ints = _expanded_rates(net, FULL_DUPLEX, _integral_rates(rates))
+    _, _, _, ints = _expanded_rates(net, FULL_DUPLEX, _integral_rates(net, rates))
 
+    gains = _gains(net)
     chunks: list[_Chunk] = []
     for i in range(net.pairs):
         ra, rb = ints[2 * i], ints[2 * i + 1]
-        both = min(ra, rb)
-        if both:
-            chunks.append(
-                _Chunk(
-                    i, XOR, None, both,
-                    min(net.n_ar[i], net.n_br[i]),
-                    min(net.n_ra[i], net.n_rb[i]),
-                )
-            )
+        if min(ra, rb):
+            chunks.append(_Chunk(i, XOR, None, min(ra, rb), _reach(gains, i, XOR, None)))
         if ra != rb:
             src = "A" if ra > rb else "B"
-            dst = "B" if src == "A" else "A"
-            chunks.append(
-                _Chunk(
-                    i, SOLO, src, abs(ra - rb),
-                    net.uplink_gain(i, src),
-                    net.downlink_gain(i, dst),
-                )
-            )
+            chunks.append(_Chunk(i, SOLO, src, abs(ra - rb), _reach(gains, i, SOLO, src)))
 
-    for direction in ("up", "down"):
-        key = (lambda c: (c.cap_up, c.pair, c.kind)) if direction == "up" else (
-            lambda c: (c.cap_down, c.pair, c.kind)
-        )
+    for hop, direction in enumerate(("up", "down")):
         next_free = 1
-        for chunk in sorted(chunks, key=key):
-            levels = list(range(next_free, next_free + chunk.size))
+        for chunk in sorted(chunks, key=lambda c: (c.caps[hop], c.pair, c.kind)):
+            levels = range(next_free, next_free + chunk.size)
             next_free += chunk.size
-            cap = chunk.cap_up if direction == "up" else chunk.cap_down
-            if levels and levels[-1] > cap:
+            if levels and levels[-1] > chunk.caps[hop]:
                 raise InductionInvariantError(
                     f"chunk packing ran past its reachability cap ({direction}link "
-                    f"pair {chunk.pair} {chunk.kind}: need level {levels[-1]}, cap {cap}); "
-                    f"in-region tuples cannot do this"
+                    f"pair {chunk.pair} {chunk.kind}: need level {levels[-1]}, "
+                    f"cap {chunk.caps[hop]}); in-region tuples cannot do this"
                 )
-            if direction == "up":
-                chunk.up_levels = levels
-            else:
-                chunk.down_levels = levels
+            chunk.levels.append(levels)
 
-    assignments = []
-    for chunk in chunks:
-        for l_u, l_d in zip(chunk.up_levels, chunk.down_levels):
-            assignments.append(
-                LevelAssignment(chunk.pair, chunk.kind, chunk.side, 0, l_u, 0, l_d)
-            )
-    return Schedule(net=net, slots=1, assignments=tuple(assignments))
+    assignments = tuple(
+        LevelAssignment(c.pair, c.kind, c.side, 0, l_u, 0, l_d)
+        for c in chunks
+        for l_u, l_d in zip(*c.levels)
+    )
+    return Schedule(net=net, slots=1, assignments=assignments)
 
 
 # --- simulation ------------------------------------------------------------
@@ -403,6 +373,7 @@ def chunk_schedule(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
 def validate_schedule(sched: Schedule) -> None:
     """Check level bounds per assignment and per-slot orthogonality."""
     net = sched.net
+    gains = _gains(net)
     used_up: set[tuple[int, int]] = set()
     used_down: set[tuple[int, int]] = set()
     for a in sched.assignments:
@@ -417,13 +388,7 @@ def validate_schedule(sched: Schedule) -> None:
                 raise ScheduleInvalidError("uplink use scheduled in a transmit slot")
             if a.downlink_slot < sched.listen_slots:
                 raise ScheduleInvalidError("downlink use scheduled in a listen slot")
-        if a.kind == XOR:
-            up_cap = min(net.n_ar[a.pair], net.n_br[a.pair])
-            down_cap = min(net.n_ra[a.pair], net.n_rb[a.pair])
-        else:
-            dst = "B" if a.side == "A" else "A"
-            up_cap = net.uplink_gain(a.pair, a.side)
-            down_cap = net.downlink_gain(a.pair, dst)
+        up_cap, down_cap = _reach(gains, a.pair, a.kind, a.side)
         if not 1 <= a.uplink_level <= up_cap:
             raise ScheduleInvalidError(
                 f"uplink level {a.uplink_level} unreachable for {a.kind} of pair "
@@ -491,7 +456,7 @@ def simulate_schedule(
     tx: dict[int, dict[NodeId, int]] = defaultdict(lambda: defaultdict(int))
     for a, bits in zip(order, sent):
         for side, bit in bits.items():
-            shift = q_up - 1 - net.uplink_gain(a.pair, side) + a.uplink_level
+            shift = q_up - 1 - net.uplink[2 * a.pair + SIDES.index(side)] + a.uplink_level
             tx[a.uplink_slot][(a.pair, side)] |= bit << shift
     received = {slot: relay_uplink_receive(net, frames) for slot, frames in tx.items()}
 
@@ -502,15 +467,16 @@ def simulate_schedule(
         bit = received[a.uplink_slot] >> (a.uplink_level - 1) & 1
         relay_frames[a.downlink_slot] |= bit << (q_down - a.downlink_level)
 
-    # Each destination decodes from what it hears: a node with downlink gain
-    # g finds level l at bit g - l.  Decoded bits are reassembled in the
-    # order they were consumed.
+    # Each destination decodes from what it hears: a destination with
+    # downlink gain g finds level l at bit g - l.  Decoded bits are
+    # reassembled in the order they were consumed.
     out: dict[NodeId, list[int]] = {node: [] for node in msgs}
     for a, bits in zip(order, sent):
         for side, bit in bits.items():
             dst = "B" if side == "A" else "A"
             heard = node_downlink_receive(net, relay_frames[a.downlink_slot], a.pair, dst)
-            got = heard >> (net.downlink_gain(a.pair, dst) - a.downlink_level) & 1
+            g = net.downlink[2 * a.pair + SIDES.index(side)]
+            got = heard >> (g - a.downlink_level) & 1
             if a.kind == XOR:
                 got ^= bits[dst]  # own bit cancels out of the XOR
             out[(a.pair, side)].append(got)

@@ -124,6 +124,10 @@ def test_gain_validation():
         DetNetwork((-1,), (0,), (0,), (0,))
     with pytest.raises(ValueError):
         DetNetwork((), (), (), ())
+    with pytest.raises(InvalidGainError, match="n_ar"):
+        DetNetwork(3, (1,), (1,), (1,))
+    with pytest.raises(InvalidGainError, match="n_rb"):
+        DetNetwork((1,), (1,), (1,), 2.0)
 
 
 frames3 = st.integers(0, 0b111)

@@ -226,6 +226,8 @@ def random_normalized_net(rng, h_lo=1.0, h_hi=100.0, p_hi=100.0, floor=4.0):
         ((2, 2), (2, 2), ("2", "2"), (2, 2), 1.0),
         ((2, 2), (2, 2), (2, 2), (2, np.bool_(True)), 1.0),
         ((2, 2), (2, 2), (2, 2), (2, 2), "1"),
+        (16.0, (2, 2), (2, 2), (2, 2), 1.0),
+        ((2, 2), (2, 2), (2, 2), 3, 1.0),
     ],
 )
 def test_network_rejects_strings_and_booleans(args):

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from collections import Counter, defaultdict
@@ -31,8 +32,11 @@ from relaycap import (
     simulate_schedule,
     validate_schedule,
 )
-from relaycap import scheduler
-from relaycap.scheduler import _gains, _original_level, _run_induction
+from relaycap import FullDuplex, enumerate_cuts, scheduler
+from relaycap.cutset import _cut_gains, _time_scales, cutset_holds
+from relaycap.scheduler import (
+    SOLO, XOR, _gains, _network, _original_level, _reach, _reduce, _run_induction
+)
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
 
@@ -112,6 +116,162 @@ def test_reduce_oneway_source_drop():
                 assert reduced.uplink_gain(pair, side) == net.uplink_gain(pair, side) - 1
 
 
+def test_reduce_refuses_a_pair_outside_the_network():
+    for pair in (-1, 2, 5):
+        with pytest.raises(LookupError):
+            reduce_pair_bidirectional(REF, pair)
+        with pytest.raises(LookupError):
+            reduce_pair_oneway(REF, pair, "A")
+
+
+def test_solo_assignment_refuses_an_unknown_side():
+    for side in ("C", "a", ""):
+        with pytest.raises(ValueError, match="SOLO side"):
+            LevelAssignment(0, "solo", side, 0, 1, 0, 1)
+    assert LevelAssignment(0, "solo", "B", 0, 1, 0, 1).side == "B"
+
+
+# --- reference: the node-indexed deterministic side ---------------------------
+# `_reduce`, the seven-argument `cutset_holds` and `_cut_gains` as written on
+# (n_ar, n_br, n_ra, n_rb) node gains before the session-ordered gains, and
+# the level-cap branches of `validate_schedule` and `chunk_schedule`, kept
+# verbatim; the differential test below requires the session-ordered code to
+# reproduce every verdict, level pair, reduced network and exception type.
+
+RefGains = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def reference_reduce(gains: RefGains, pair: int, kind: str, side: str | None) -> tuple[RefGains, int, int]:
+    """One induction step on plain (n_ar, n_br, n_ra, n_rb) gain tuples:
+    pick the levels (l_u, l_d) that serve the bit, then remove them -- every
+    gain at or above a removed level drops by one."""
+    n_ar, n_br, n_ra, n_rb = gains
+    if kind == XOR:
+        if min(n_ar[pair], n_br[pair], n_ra[pair], n_rb[pair]) < 1:
+            raise ValueError(
+                f"pair {pair} has a zero gain {(n_ar[pair], n_br[pair], n_ra[pair], n_rb[pair])}; "
+                f"bidirectional step needs all four links"
+            )
+        l_u = min(n_ar[pair], n_br[pair])
+        l_d = min(n_ra[pair], n_rb[pair])
+    else:
+        l_u, l_d = (n_ar[pair], n_rb[pair]) if side == "A" else (n_br[pair], n_ra[pair])
+        if l_u < 1 or l_d < 1:
+            raise ValueError(
+                f"one-way step {side}{pair + 1} needs positive gains, have l_u={l_u}, l_d={l_d}"
+            )
+    reduced = (
+        tuple(n - (n >= l_u) for n in n_ar),
+        tuple(n - (n >= l_u) for n in n_br),
+        tuple(n - (n >= l_d) for n in n_ra),
+        tuple(n - (n >= l_d) for n in n_rb),
+    )
+    return reduced, l_u, l_d
+
+
+def reference_cutset_holds(n_ar, n_br, n_ra, n_rb, rates, up_scale=1, down_scale=1):
+    sessions = []
+    for i, (ra, rb) in enumerate(zip(rates[0::2], rates[1::2])):
+        if ra:
+            sessions.append((i, ra, n_ar[i], n_rb[i]))
+        if rb:
+            sessions.append((i, rb, n_br[i], n_ra[i]))
+    for a in {s[2] for s in sessions}:
+        below = [s for s in sessions if s[2] <= a]
+        for b in {s[3] for s in below}:
+            best: dict[int, int] = {}
+            for i, r, _, d in below:
+                if d <= b and r > best.get(i, 0):
+                    best[i] = r
+            if sum(best.values()) > min(up_scale * a, down_scale * b):
+                return False
+    return True
+
+
+def reference_cut_gains(net, cut):
+    up = max(
+        net.n_ar[i] if b else net.n_br[i] for i, b in zip(cut.members, cut.orientation)
+    )
+    down = max(
+        net.n_rb[i] if b else net.n_ra[i] for i, b in zip(cut.members, cut.orientation)
+    )
+    return up, down
+
+
+def reference_validate_caps(net, a):
+    """The cap branch of `validate_schedule`."""
+    if a.kind == XOR:
+        up_cap = min(net.n_ar[a.pair], net.n_br[a.pair])
+        down_cap = min(net.n_ra[a.pair], net.n_rb[a.pair])
+    else:
+        dst = "B" if a.side == "A" else "A"
+        up_cap = net.uplink_gain(a.pair, a.side)
+        down_cap = net.downlink_gain(a.pair, dst)
+    return up_cap, down_cap
+
+
+def reference_chunk_caps(net, i, kind, src):
+    """The (cap_up, cap_down) of `chunk_schedule`'s XOR and SOLO chunks."""
+    if kind == XOR:
+        return min(net.n_ar[i], net.n_br[i]), min(net.n_ra[i], net.n_rb[i])
+    dst = "B" if src == "A" else "A"
+    return net.uplink_gain(i, src), net.downlink_gain(i, dst)
+
+
+def _step_outcome(reduce, gains, to_network, pair, kind, side):
+    try:
+        reduced, l_u, l_d = reduce(gains, pair, kind, side)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+    return to_network(reduced), l_u, l_d
+
+
+duplex_modes = st.one_of(
+    st.just(FullDuplex()),
+    st.builds(
+        lambda den, num: HalfDuplex(Fraction(num % (den - 1) + 1, den)),
+        st.integers(2, 7),
+        st.integers(0, 5),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), duplex_modes, st.data())
+def test_session_gains_match_node_reference(pairs, mode, data):
+    gain_lists = st.lists(st.integers(0, 9), min_size=pairs, max_size=pairs).map(tuple)
+    net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
+    node_gains = (net.n_ar, net.n_br, net.n_ra, net.n_rb)
+    assert _network(_gains(net)) == net
+
+    rates = data.draw(st.lists(st.integers(0, 9), min_size=2 * pairs, max_size=2 * pairs))
+    _, listen, transmit = _time_scales(mode, ())
+    assert cutset_holds(net.uplink, net.downlink, rates, listen, transmit) == (
+        reference_cutset_holds(*node_gains, rates, listen, transmit)
+    )
+    for cut in enumerate_cuts(pairs):
+        assert _cut_gains(net, cut) == reference_cut_gains(net, cut)
+
+    for pair in range(pairs):
+        for kind, side in ((XOR, None), (SOLO, "A"), (SOLO, "B")):
+            caps = _reach(_gains(net), pair, kind, side)
+            assignment = LevelAssignment(pair, kind, side, 0, 1, 0, 1)
+            assert caps == reference_validate_caps(net, assignment)
+            assert caps == reference_chunk_caps(net, pair, kind, side)
+            assert _step_outcome(_reduce, _gains(net), _network, pair, kind, side) == (
+                _step_outcome(reference_reduce, node_gains, lambda g: DetNetwork(*g), pair, kind, side)
+            )
+            for l_u, l_d in ((caps[0], caps[1]), (caps[0] + 1, caps[1]), (caps[0], caps[1] + 1)):
+                a = LevelAssignment(pair, kind, side, 0, l_u, 0, l_d)
+                up_cap, down_cap = reference_validate_caps(net, a)
+                sched = Schedule(net=net, slots=1, assignments=(a,))
+                if 1 <= l_u <= up_cap and 1 <= l_d <= down_cap:
+                    validate_schedule(sched)
+                else:
+                    with pytest.raises(ScheduleInvalidError, match="unreachable"):
+                        validate_schedule(sched)
+
+
 # --- divide and conquer ------------------------------------------------------
 
 
@@ -161,6 +321,22 @@ def test_induction_rechecks_region_after_each_step():
 def test_fractional_rates_rejected_by_integral_path():
     with pytest.raises(ValueError):
         divide_and_conquer(REF, (Fraction(1, 2), 0, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [True, False, math.inf, -math.inf, math.nan, np.float64(math.inf)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        in_det_cutset,
+        divide_and_conquer,
+        chunk_schedule,
+        schedule_fractional,
+        lambda net, rates: schedule_half_duplex(net, Fraction(1, 2), rates),
+    ],
+)
+def test_rates_refuse_bools_and_non_finite_values(call, bad):
+    with pytest.raises(ValueError, match="rates must be"):
+        call(REF, (0, bad, 0, 0))
 
 
 # --- time expansion ----------------------------------------------------------
