@@ -334,21 +334,14 @@ def cmd_sweep(args) -> int:
         p_max=args.pmax,
     )
     report = gaussian.monte_carlo_gap(cfg)
-    lines = [_GAUSS_CSV_HEADER]
+    lines, seed = [_GAUSS_CSV_HEADER], str(cfg.seed)
     for r in report.records:
         net = r.net
-        fields = [
-            str(r.trial),
-            str(cfg.seed),
-            "pass" if r.achievable else "fail",
-            r.stage,
-            repr(r.max_alpha_excess),
-            repr(r.bound_gap),
-            repr(net.h_ar[0]), repr(net.h_br[0]), repr(net.h_ar[1]), repr(net.h_br[1]),
-            repr(net.h_ra[0]), repr(net.h_rb[0]), repr(net.h_ra[1]), repr(net.h_rb[1]),
-            repr(net.power),
-        ]
-        lines.append(",".join(fields))
+        floats = (
+            r.max_alpha_excess, r.bound_gap, *net.uplink,
+            net.h_ra[0], net.h_rb[0], net.h_ra[1], net.h_rb[1], net.power,
+        )
+        lines.append(",".join((str(r.trial), seed, "pass" if r.achievable else "fail", r.stage, *map(repr, floats))))
     _write_lines(args.out, lines)
     summary = {
         "command": "sweep",

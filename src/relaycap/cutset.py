@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, HalfDuplex
+from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, HalfDuplex, _refuse_inexact
 
 Rate = Union[int, Fraction]
 RateTuple = tuple[Rate, ...]
@@ -90,6 +90,8 @@ class CutViolation:
 class Membership:
     member: bool
     violations: tuple[CutViolation, ...]
+    # (Q, listen, transmit, bits) the verdict was computed on (`_scaled_rates`)
+    scaled: tuple[int, int, int, list[int]] | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.member
@@ -138,8 +140,8 @@ def _time_scales(mode: DuplexMode, denominators: Iterable[int]) -> tuple[int, in
 
 def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Rate, ...]:
     """The rates, one per session, with every non-int converted to a
-    Fraction once.  Refuses a wrong count and a bool, non-finite or negative
-    rate with ValueError."""
+    Fraction once.  Refuses a wrong count and a bool, non-finite, negative
+    or inexact (a float that is not whole) rate with ValueError."""
     if len(rates) != 2 * net.pairs:
         raise ValueError(f"expected {2 * net.pairs} rate components, got {len(rates)}")
     try:
@@ -148,6 +150,9 @@ def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Rate, ...]:
         raise ValueError(f"rates must be finite numbers, got {rates}") from exc
     if any(isinstance(r, bool) or r.numerator < 0 for r in out):
         raise ValueError(f"rates must be non-negative numbers, got {rates}")
+    for r in rates:
+        if not isinstance(r, int):
+            _refuse_inexact(r, "rates")
     return out
 
 
@@ -215,9 +220,10 @@ def in_det_cutset(
     Q uses (`_scaled_rates`).  Only a non-member walks `enumerate_cuts` to
     list its violated cuts, in that order, each bound being
     min(listen * a, transmit * b) / Q."""
-    q, listen, transmit, bits = _scaled_rates(net, mode, rates)
+    scaled = _scaled_rates(net, mode, rates)
+    q, listen, transmit, bits = scaled
     if cutset_holds(net.uplink, net.downlink, bits, listen, transmit):
-        return Membership(True, ())
+        return Membership(True, (), scaled)
     violations = []
     for cut in enumerate_cuts(net.pairs):
         lhs = sum(bits[k] for k in cut.sessions)
@@ -225,7 +231,7 @@ def in_det_cutset(
         bound = min(listen * up, transmit * down)
         if lhs > bound:
             violations.append(CutViolation(cut, Fraction(lhs, q), Fraction(bound, q)))
-    return Membership(False, tuple(violations))
+    return Membership(False, tuple(violations), scaled)
 
 
 def directed_rate_caps(net: DetNetwork, mode: DuplexMode = FULL_DUPLEX) -> tuple[int, ...]:

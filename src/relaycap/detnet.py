@@ -31,6 +31,7 @@ All values here are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,6 +57,17 @@ class FullDuplex:
     """Relay listens and transmits in every channel use."""
 
 
+def _refuse_inexact(value, what: str) -> None:
+    """Refuse a float (or another inexact real) that is not a whole number:
+    its exact binary value is almost never the fraction the caller meant."""
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+        if not float(value).is_integer():
+            raise ValueError(
+                f"{what} must be exact: {value!r} is a float that is not a whole number; "
+                "pass a Fraction or an int"
+            )
+
+
 @dataclass(frozen=True)
 class HalfDuplex:
     """Relay listens a fixed rational fraction ``delta`` of the time."""
@@ -63,6 +75,7 @@ class HalfDuplex:
     delta: Fraction
 
     def __post_init__(self) -> None:
+        _refuse_inexact(self.delta, "listen fraction")
         delta = Fraction(self.delta)
         object.__setattr__(self, "delta", delta)
         if not 0 < delta < 1:

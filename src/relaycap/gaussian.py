@@ -23,6 +23,12 @@ Rates and magnitudes are indexed by session in the order (A1, B1, A2, B2)
 constraint families its sessions and its uplink and downlink back-off; the
 cut-set and restricted bounds, both hops' rate preconditions and the sweep
 sampler read it, and normalisation swaps and clamps session 4-tuples.
+
+Every computation runs on columns, one entry per trial (see "Columns"
+below): `monte_carlo_gap` samples, normalises, allocates and checks a block
+of trials at once, each trial leaving at its first failing stage, and the
+single-network functions (`verify_constant_gap`, the region checks, the
+allocators and rate checks) run the same code on a batch of one.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +54,12 @@ BOUNDARY_NUDGE = 1e-6
 # Draws per sampled network before a trial is refused; at the default ranges
 # no trial of 10^5 (seed 0) needed more than 10.
 MAX_SAMPLE_DRAWS = 1000
+# Trials per block of the sweep's batch pipeline, so that memory stays flat
+# over a long sweep; after its first draw, a block redraws at most
+# REDRAW_WINDOW of its rejected trials at a time, the lowest first, so that
+# a range that runs out of draws fails after at most that many trials' draws.
+SWEEP_BLOCK = 1024
+REDRAW_WINDOW = 64
 
 
 class InfeasibleRatesError(ValueError):
@@ -146,20 +158,24 @@ class GaussNetwork:
         (|h_RB1|, |h_RA1|, |h_RB2|, |h_RA2|)."""
         return (self.h_rb[0], self.h_ra[0], self.h_rb[1], self.h_ra[1])
 
-    # Family RHS in `_FAMILIES` order, once per network: the sampler, the
-    # boundary walk, normalisation and the gap report share them.
-    @cached_property
-    def _cutset_terms(self) -> tuple[float, ...]:
-        return _family_terms(self, restricted=False)
+    @classmethod
+    def _drawn(cls, h_ar, h_br, h_ra, h_rb, power) -> GaussNetwork:
+        """The network of one sweep draw, whose float pairs and power the
+        sweep has already checked as columns."""
+        net = object.__new__(cls)
+        vars(net).update(h_ar=h_ar, h_br=h_br, h_ra=h_ra, h_rb=h_rb, power=power)
+        return net
 
-    @cached_property
-    def _restricted_terms(self) -> tuple[float, ...]:
-        return _family_terms(self, restricted=True)
+    def _columns(self) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        """The network as a batch of one: uplink and downlink session
+        columns and the power column."""
+        return _one(self.uplink), _one(self.downlink), np.array([self.power])
 
 
 RateQuad = tuple[float, float, float, float]  # (R_A1, R_B1, R_A2, R_B2)
 
 _SESSIONS = ("A1", "B1", "A2", "B2")
+_CASES = ("I", "II", "III")
 
 # The constraint families: name, the sessions whose rates it sums, and the
 # bits its uplink and downlink rate preconditions subtract from the
@@ -176,7 +192,106 @@ _FAMILIES = (
 )
 
 
-def _family_terms(net: GaussNetwork, restricted: bool) -> tuple[float, ...]:
+# --- Columns -------------------------------------------------------------------
+# The pipeline keeps one float64 array per quantity, one entry per trial,
+# and a session 4-tuple as a list of four such columns; a single network is
+# a batch of one.  Each entry is the float the one-network formula gives,
+# bit for bit: +, -, *, / and comparisons run in numpy, which rounds them
+# as Python does, in each formula's own association order; Python's
+# max(a, b) and min(a, b) are `_max` and `_min`, which keep its pick on
+# ties; and every log and every `**` is Python's own call, entry by entry
+# (`_capacity`, `_lattice_cap`, `_pow`), since numpy's differ from libm's
+# in the last bit.
+
+# Python's float arithmetic overflows to inf without a warning.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+def _one(values) -> list[np.ndarray]:
+    """A batch of one: a one-entry column per value."""
+    return [np.array([v], dtype=float) for v in values]
+
+
+def _max(a, b):
+    """Python's max(a, b) per entry: ``b`` only where it is larger."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Python's min(a, b) per entry: ``b`` only where it is smaller."""
+    return np.where(b < a, b, a)
+
+
+def _fold(pick, columns):
+    """Python's max() or min() of several columns, per entry, in order."""
+    out = columns[0]
+    for c in columns[1:]:
+        out = pick(out, c)
+    return out
+
+
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """The Python call ``fn`` on each entry."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _pow(base, exponent):
+    """``base ** exponent`` through Python's float pow, per entry of a column."""
+    if isinstance(base, np.ndarray):
+        return np.fromiter(map(pow, base.tolist(), repeat(exponent)), float, len(base))
+    if isinstance(exponent, np.ndarray):
+        return np.fromiter(map(pow, repeat(base), exponent.tolist()), float, len(exponent))
+    return base ** exponent
+
+
+def _capacity(x: np.ndarray) -> np.ndarray:
+    """`awgn_capacity` per entry; raises as it does at the first negative one."""
+    if (x < 0).any():
+        awgn_capacity(x[x < 0][0].item())
+    return _each(math.log1p, x) / _LN2
+
+
+def _lattice_cap(x: np.ndarray) -> np.ndarray:
+    """`lattice_rate_cap` per entry."""
+    out = np.zeros(len(x))
+    above = ~(x <= 1.0)  # NaN too, as in lattice_rate_cap
+    out[above] = _each(math.log2, x[above])
+    return out
+
+
+def _divide(a, b):
+    """``a / b``, raising as Python's float division does where ``b`` is 0."""
+    if np.any(b == 0):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+def _take(columns, rows) -> list[np.ndarray]:
+    return [c[rows] for c in columns]
+
+
+def _row(columns, i: int) -> tuple:
+    """One trial's entries as Python floats."""
+    return tuple(c[i].item() for c in columns)
+
+
+def _raise_first(errors: list) -> None:
+    """Raise the error of a batch of one, if it has one."""
+    if errors[0] is not None:
+        raise errors[0]
+
+
+def _snrs(magnitudes, power) -> tuple:
+    """|h|^2 P of each magnitude of a session 4-tuple (numbers or columns)."""
+    return tuple(_pow(h, 2) * power for h in magnitudes)
+
+
+def _session_sums(rates) -> list:
+    """Each family's rate sum, as Python's sum() adds it (from 0)."""
+    return [sum(map(rates.__getitem__, sessions)) for _, sessions, _, _ in _FAMILIES]
+
+
+def _family_terms(up, down, p, restricted: bool) -> list[np.ndarray]:
     """RHS of each constraint family: min(uplink term, downlink term).
 
     A single session's terms are C(|h|^2 P) on both hops.  A pair adds
@@ -184,19 +299,18 @@ def _family_terms(net: GaussNetwork, restricted: bool) -> tuple[float, ...]:
     bound; the restricted bound adds powers on the uplink and takes the
     larger power on the downlink.
     """
-    up, down, p = net.uplink, net.downlink, net.power
     up2, down2 = [h * h for h in up], [h * h for h in down]
-    terms = []
+    snrs = []
     for _, sessions, _, _ in _FAMILIES:
         s, t = sessions[0], sessions[-1]  # s == t for a single session
         if s == t:
-            snrs = (up2[s] * p, down2[s] * p)
+            snrs += (up2[s] * p, down2[s] * p)
         elif restricted:
-            snrs = ((up2[s] + up2[t]) * p, max(down2[s], down2[t]) * p)
+            snrs += ((up2[s] + up2[t]) * p, _max(down2[s], down2[t]) * p)
         else:
-            snrs = ((up[s] + up[t]) ** 2 * p, (down2[s] + down2[t]) * p)
-        terms.append(min(awgn_capacity(snrs[0]), awgn_capacity(snrs[1])))
-    return tuple(terms)
+            snrs += (_pow(up[s] + up[t], 2) * p, (down2[s] + down2[t]) * p)
+    caps = _capacity(np.array(snrs))
+    return list(_min(caps[0::2], caps[1::2]))
 
 
 def _rate_quad(rates: Sequence[float]) -> RateQuad:
@@ -235,12 +349,25 @@ class RegionVerdict:
         return tuple(c for c in self.checks if abs(c.slack) <= tol)
 
 
+def _outside(terms: list, rates: list) -> tuple[np.ndarray, list]:
+    """Which trials' rates leave the region of ``terms``, and each family's
+    slack."""
+    slacks = [rhs - lhs for rhs, lhs in zip(terms, _session_sums(rates))]
+    return ~np.all([s >= -TOL for s in slacks], axis=0), slacks
+
+
+def _violated_names(slacks: list, i: int) -> list[str]:
+    return [name for (name, _, _, _), s in zip(_FAMILIES, slacks) if s[i] < -TOL]
+
+
+@_quiet
 def _region_verdict(net: GaussNetwork, rates: Sequence[float], restricted: bool) -> RegionVerdict:
     r = _rate_quad(rates)
-    terms = net._restricted_terms if restricted else net._cutset_terms
+    up, down, p = net._columns()
+    terms, sums = _family_terms(up, down, p, restricted), _session_sums(_one(r))
     checks = tuple(
-        ConstraintCheck(name, sum(map(r.__getitem__, sessions)), rhs)
-        for (name, sessions, _, _), rhs in zip(_FAMILIES, terms)
+        ConstraintCheck(name, lhs.item(), rhs.item())
+        for (name, _, _, _), lhs, rhs in zip(_FAMILIES, sums, terms)
     )
     return RegionVerdict(all(c.slack >= -TOL for c in checks), checks)
 
@@ -256,6 +383,21 @@ def gauss_restricted_cutset(net: GaussNetwork, rates: Sequence[float]) -> Region
     return _region_verdict(net, rates, restricted=True)
 
 
+def _bound_gaps(general: list, restricted: list) -> list[np.ndarray]:
+    """Per-family difference (general RHS - restricted RHS); raises on the
+    first trial with a difference outside [0, 1]."""
+    gaps = [g - r for g, r in zip(general, restricted)]
+    bad = np.any([(g < -TOL) | (g > 1.0 + TOL) for g in gaps], axis=0)
+    if bad.any():
+        i = bad.argmax()
+        found = {
+            name: g[i].item() for (name, _, _, _), g in zip(_FAMILIES, gaps) if g[i] < -TOL or g[i] > 1.0 + TOL
+        }
+        raise AssertionError(f"gap outside [0, 1]: {found}")
+    return gaps
+
+
+@_quiet
 def restricted_bound_gaps(net: GaussNetwork) -> dict[str, float]:
     """Per-family difference (general RHS - restricted RHS).
 
@@ -263,14 +405,9 @@ def restricted_bound_gaps(net: GaussNetwork) -> dict[str, float]:
     identical, and each sum term loses at most the one bit of
     C(2x) <= C(x) + 1.
     """
-    gaps = {
-        name: gen - res
-        for (name, _, _, _), gen, res in zip(_FAMILIES, net._cutset_terms, net._restricted_terms)
-    }
-    bad = {n: g for n, g in gaps.items() if g < -TOL or g > 1.0 + TOL}
-    if bad:
-        raise AssertionError(f"gap outside [0, 1]: {bad}")
-    return gaps
+    up, down, p = net._columns()
+    gaps = _bound_gaps(_family_terms(up, down, p, False), _family_terms(up, down, p, True))
+    return {name: g.item() for (name, _, _, _), g in zip(_FAMILIES, gaps)}
 
 
 # --- Ordering normalization -------------------------------------------------
@@ -294,75 +431,171 @@ class NormalizedProblem:
     clamped: tuple[str, ...]
 
 
-def reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedProblem:
-    verdict = gauss_restricted_cutset(net, rates)
-    if not verdict:
-        names = ", ".join(c.name for c in verdict.violated())
+def _normalize(up, down, p, rates, terms=None):
+    """`reduce_orderings` on columns: the normalised session columns and
+    rates, each pair's side swap, the clamps (name and where applied) and
+    the pair swap.  ``terms`` are the input's restricted family terms when
+    already at hand."""
+    if terms is None:
+        terms = _family_terms(up, down, p, True)
+    outside, slacks = _outside(terms, rates)
+    if outside.any():
+        names = ", ".join(_violated_names(slacks, outside.argmax()))
         raise InfeasibleRatesError(f"rates outside the restricted cut-set region ({names})")
 
     # Session 4-tuples: a side swap exchanges a pair's two sessions, a clamp
     # lowers the B session's uplink or downlink (|h_BiR|, |h_RAi|) to the A
     # session's, and a pair swap exchanges the two pairs.
-    up, down = list(net.uplink), list(net.downlink)
-    r = list(float(x) for x in rates)
-
+    up, down, r = list(up), list(down), list(rates)
     side_swapped = []
     for a in (0, 2):
         swap = r[a + 1] > r[a]
         side_swapped.append(swap)
-        if swap:
-            for q in (up, down, r):
-                q[a], q[a + 1] = q[a + 1], q[a]
+        for q in (up, down, r):
+            q[a], q[a + 1] = np.where(swap, q[a + 1], q[a]), np.where(swap, q[a], q[a + 1])
 
-    clamped = []
+    clamps = []
     for i, a in enumerate((0, 2)):
-        if up[a + 1] > up[a]:
-            up[a + 1] = up[a]
-            clamped.append(f"h_br[{i}]")
-        if down[a + 1] > down[a]:
-            down[a + 1] = down[a]
-            clamped.append(f"h_ra[{i}]")
+        for q, name in ((up, f"h_br[{i}]"), (down, f"h_ra[{i}]")):
+            clamp = q[a + 1] > q[a]
+            clamps.append((name, clamp))
+            q[a + 1] = np.where(clamp, q[a], q[a + 1])
 
     pairs_swapped = up[2] > up[0]
-    up, down, quad = (_swap_pairs(q, pairs_swapped) for q in (up, down, r))
+    up, down, r = (_swap_pairs(q, pairs_swapped) for q in (up, down, r))
 
+    outside, slacks = _outside(_family_terms(up, down, p, True), r)
+    if outside.any():
+        raise AssertionError(
+            "channel weakening pushed the rates out of the region; the reduction "
+            f"argument excludes this ({_violated_names(slacks, outside.argmax())})"
+        )
+    return up, down, r, side_swapped, clamps, pairs_swapped
+
+
+@_quiet
+def reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedProblem:
+    up, down, p = net._columns()
+    up, down, r, side, clamps, pairs = _normalize(up, down, p, _one(_rate_quad(rates)))
+    up, down = _row(up, 0), _row(down, 0)
     out = GaussNetwork(
         (up[0], up[2]), (up[1], up[3]), (down[1], down[3]), (down[0], down[2]), net.power
     )
-    post = gauss_restricted_cutset(out, quad)
-    if not post:
-        raise AssertionError(
-            "channel weakening pushed the rates out of the region; the reduction "
-            f"argument excludes this ({[c.name for c in post.violated()]})"
-        )
-    return NormalizedProblem(out, quad, tuple(side_swapped), pairs_swapped, tuple(clamped))
+    return NormalizedProblem(
+        out,
+        _row(r, 0),
+        tuple(bool(s[0]) for s in side),
+        bool(pairs[0]),
+        tuple(name for name, clamp in clamps if clamp[0]),
+    )
 
 
-def _swap_pairs(q: Sequence, swapped: bool) -> tuple:
-    """A session 4-tuple with pair 1 and pair 2 exchanged when ``swapped``."""
-    return (q[2], q[3], q[0], q[1]) if swapped else tuple(q)
+def _swap_pairs(q: Sequence, swapped) -> list:
+    """A session 4-tuple of columns with pair 1 and pair 2 exchanged where
+    ``swapped``."""
+    return [np.where(swapped, q[k ^ 2], q[k]) for k in range(4)]
 
 
-def classify_case(magnitudes: Sequence[float], direction: str) -> str:
+def classify_case(magnitudes: Sequence, direction: str):
     """Configuration tag for one hop.
 
     ``magnitudes`` is the role-ordered quadruple (strong1, weak1, strong2,
-    weak2), a hop's session 4-tuple: `GaussNetwork.uplink` or `.downlink`.
-    Requires the normalized ordering strong_i >= weak_i and strong1 >=
-    strong2.  Ties resolve to the lowest-numbered case.
+    weak2), a hop's session 4-tuple: `GaussNetwork.uplink` or `.downlink`,
+    as numbers or as columns (then one tag per entry).  Requires the
+    normalized ordering strong_i >= weak_i and strong1 >= strong2.  Ties
+    resolve to the lowest-numbered case.
     """
     if direction not in ("uplink", "downlink"):
         raise ValueError(f"direction must be 'uplink' or 'downlink', got {direction!r}")
     s1, w1, s2, w2 = magnitudes
-    if w1 > s1 + TOL or w2 > s2 + TOL or s2 > s1 + TOL:
-        raise ValueError(
-            f"{direction} magnitudes {tuple(magnitudes)} are not in normalized order"
-        )
-    if w1 >= s2:
-        return "I"
-    if w1 >= w2:
-        return "II"
-    return "III"
+    unordered = (w1 > s1 + TOL) | (w2 > s2 + TOL) | (s2 > s1 + TOL)
+    if np.any(unordered):
+        shown = tuple(magnitudes) if np.ndim(s1) == 0 else _row(magnitudes, unordered.argmax())
+        raise ValueError(f"{direction} magnitudes {shown} are not in normalized order")
+    case = np.where(w1 >= s2, "I", np.where(w1 >= w2, "II", "III"))
+    return case if case.ndim else str(case)
+
+
+# --- Both hops ---------------------------------------------------------------
+
+
+@dataclass
+class _Splits:
+    """One hop's power splits for a batch, as columns: each trial's case,
+    the alpha columns and rate columns of `UplinkAllocation` or
+    `DownlinkAllocation` in field order, and the downlink's pair swap."""
+
+    case: np.ndarray
+    alpha: list
+    rates: list
+    swapped: np.ndarray | None = None
+
+    def take(self, rows) -> "_Splits":
+        swapped = None if self.swapped is None else self.swapped[rows]
+        return _Splits(self.case[rows], _take(self.alpha, rows), _take(self.rates, rows), swapped)
+
+
+def _precondition_errors(direction: str, snr, r) -> list:
+    """Each trial's first failed rate precondition of the hop, as the
+    `InfeasibleRatesError` naming it, or None.  A pair's uplink term adds
+    the two sessions' SNRs, its downlink term takes the larger one."""
+    rows = _PRECONDITIONS[direction]
+    combine = sum if direction == "uplink" else lambda powers: _fold(_max, powers)
+    lhs = np.array([sum(map(r.__getitem__, sessions)) for _, sessions, _ in rows])
+    rhs = _capacity(np.array([combine([snr[s] for s in sessions]) for _, sessions, _ in rows]))
+    rhs -= np.array([backoff for _, _, backoff in rows])[:, None]
+    failed = lhs > rhs + TOL
+    errors = [None] * len(r[0])
+    for i in np.flatnonzero(failed.any(axis=0)).tolist():
+        k = failed[:, i].argmax()
+        errors[i] = InfeasibleRatesError(rows[k][0], f"lhs={lhs[k, i].item():.6g}, rhs={rhs[k, i].item():.6g}")
+    return errors
+
+
+@_quiet
+def _check_preconditions(direction: str, snr: Sequence[float], r: RateQuad) -> None:
+    """Raise `InfeasibleRatesError` naming the hop's first failed rate
+    precondition."""
+    _raise_first(_precondition_errors(direction, _one(snr), _one(r)))
+
+
+def _allocation_inputs(direction: str, mags, p, r):
+    """The hop's session SNRs, and each trial's refusal before any split:
+    the SNR floor, then the hop's first failed rate precondition."""
+    unsorted = (r[1] > r[0] + TOL) | (r[3] > r[2] + TOL)
+    if unsorted.any():
+        raise ValueError(f"rates {_row(r, unsorted.argmax())} not normalized: each pair needs r_A >= r_B")
+    snr = _snrs(mags, p)
+    floor = _fold(_min, snr)
+    errors = _precondition_errors(direction, snr, r)
+    for i in np.flatnonzero(floor < MIN_PROVEN_SNR - TOL).tolist():
+        errors[i] = LowPowerError(f"{direction} |h|^2 P floor {floor[i].item():.4g} below {MIN_PROVEN_SNR}")
+    return snr, errors
+
+
+def _allocate(direction: str, mags, p, r):
+    """Walk each trial's cancellation chain for the hop.  Returns the splits
+    of the trials that get one, their positions in the batch and budget
+    excess, and each trial's refusal: None, or the error the allocator
+    raises for it."""
+    snr, errors = _allocation_inputs(direction, mags, p, r)
+    rows = np.flatnonzero([e is None for e in errors])
+    hop = _HOPS[direction]
+    splits = hop.walk(_take(mags, rows), _take(snr, rows), _take(r, rows))
+    excess = hop.excess(splits.alpha)
+    over = excess > TOL
+    for i in np.flatnonzero(over).tolist():
+        errors[rows[i]] = AllocationInvalidError(hop.overspend(splits, i, excess[i].item()))
+    kept = np.flatnonzero(~over)
+    return splits.take(kept), rows[kept], excess[kept], errors
+
+
+def _by_case(case: np.ndarray):
+    """Each case present, with the positions of its trials."""
+    for c in _CASES:
+        mask = case == c
+        if mask.any():
+            yield c, np.flatnonzero(mask)
 
 
 # --- Uplink ------------------------------------------------------------------
@@ -380,14 +613,13 @@ class UplinkAllocation:
 
     def budget_excess(self) -> float:
         """How far any power budget is exceeded (<= 0 when valid)."""
-        worst = max(
-            self.alpha_a1[0] + self.alpha_a1[1] - 1.0,
-            self.alpha_a2[0] + self.alpha_a2[1] - 1.0,
-            self.alpha_b1 - 1.0,
-            self.alpha_b2 - 1.0,
-        )
-        lowest = min(*self.alpha_a1, *self.alpha_a2, self.alpha_b1, self.alpha_b2)
-        return max(worst, -lowest)
+        return float(_uplink_excess(_one((*self.alpha_a1, *self.alpha_a2, self.alpha_b1, self.alpha_b2)))[0])
+
+
+def _uplink_excess(alpha) -> np.ndarray:
+    a1g, a1l, a2g, a2l, b1, b2 = alpha
+    worst = _fold(_max, [a1g + a1l - 1.0, a2g + a2l - 1.0, b1 - 1.0, b2 - 1.0])
+    return _max(worst, -_fold(_min, alpha))
 
 
 def _precondition_rows(direction: str) -> tuple[tuple[str, tuple[int, ...], float], ...]:
@@ -414,36 +646,6 @@ def _precondition_rows(direction: str) -> tuple[tuple[str, tuple[int, ...], floa
 
 
 _PRECONDITIONS = {direction: _precondition_rows(direction) for direction in ("uplink", "downlink")}
-
-
-def _snrs(magnitudes: Sequence[float], power: float) -> tuple[float, ...]:
-    """|h|^2 P of each magnitude of a session 4-tuple."""
-    return tuple(h ** 2 * power for h in magnitudes)
-
-
-def _check_preconditions(direction: str, snr: Sequence[float], r: RateQuad) -> None:
-    """Raise `InfeasibleRatesError` naming the hop's first failed rate
-    precondition.  A pair's uplink term adds the two sessions' SNRs, its
-    downlink term takes the larger one."""
-    combine = sum if direction == "uplink" else max
-    for name, sessions, backoff in _PRECONDITIONS[direction]:
-        lhs = sum(map(r.__getitem__, sessions))
-        rhs = awgn_capacity(combine(map(snr.__getitem__, sessions))) - backoff
-        if lhs > rhs + TOL:
-            raise InfeasibleRatesError(name, f"lhs={lhs:.6g}, rhs={rhs:.6g}")
-
-
-def _allocation_inputs(direction: str, net: GaussNetwork, rates: Sequence[float]):
-    """Validated, pair-normalised rates and the hop's session SNRs, once the
-    SNR floor and every rate precondition of the hop hold."""
-    r = _rate_quad(rates)
-    if r[1] > r[0] + TOL or r[3] > r[2] + TOL:
-        raise ValueError(f"rates {r} not normalized: each pair needs r_A >= r_B")
-    snr = _snrs(net.uplink if direction == "uplink" else net.downlink, net.power)
-    if min(snr) < MIN_PROVEN_SNR - TOL:
-        raise LowPowerError(f"{direction} |h|^2 P floor {min(snr):.4g} below {MIN_PROVEN_SNR}")
-    _check_preconditions(direction, snr, r)
-    return r, snr
 
 
 # The uplink cancellation chains, bottom stage first; the relay decodes
@@ -473,13 +675,57 @@ _UPLINK_CHAINS = {
 }
 # Each uplink stream's decoding check and its rate limit.
 _UPLINK_STREAMS = (
-    ("decode x_A1 gaussian", awgn_capacity),
-    ("decode pair-1 lattice sum", lattice_rate_cap),
-    ("decode x_A2 gaussian", awgn_capacity),
-    ("decode pair-2 lattice sum", lattice_rate_cap),
+    ("decode x_A1 gaussian", _capacity),
+    ("decode pair-1 lattice sum", _lattice_cap),
+    ("decode x_A2 gaussian", _capacity),
+    ("decode pair-2 lattice sum", _lattice_cap),
 )
 
 
+def _walk_uplink(mags, snr, r) -> _Splits:
+    """The uplink power splits of each trial's case, walking its chain in
+    `_UPLINK_CHAINS` from the bottom."""
+    x1, x2, x3, x4 = snr
+    case = classify_case(mags, "uplink")
+    u, s, v, w = [_pow(2.0, x) for x in r]
+
+    # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.
+    need = (u / s - 1.0, s, v / w - 1.0, w)
+    q = [np.zeros(len(case)) for _ in range(4)]
+    for c, rows in _by_case(case):
+        n, qc = _take(need, rows), [np.zeros(len(rows))] * 4
+        for stream, noise in _UPLINK_CHAINS[c]:
+            den = noise(*qc)
+            if stream == "MAC":
+                # x_A1's single-user and sum-rate constraints each demand a power; the larger binds.
+                qc[_G2] = n[_G2] * den
+                sum_rate = (u[rows] * v[rows]) / (s[rows] * w[rows]) - v[rows] / w[rows]
+                qc[_G1] = _max(n[_G1], sum_rate) * den
+            else:
+                qc[stream] = n[stream] * den
+        for k in range(4):
+            q[k][rows] = qc[k]
+    G1, T, G2, W = q
+    alpha = [G1 / x1, T / x1, G2 / x3, W / x3, T / x2, W / x4]
+    return _Splits(case, alpha, [r[0] - r[1], r[2] - r[3], r[1], r[3]])
+
+
+def _uplink_allocation(splits: _Splits, i: int) -> UplinkAllocation:
+    a1g, a1l, a2g, a2l, b1, b2 = _row(splits.alpha, i)
+    rg1, rg2, rl1, rl2 = _row(splits.rates, i)
+    return UplinkAllocation(str(splits.case[i]), (a1g, a1l), (a2g, a2l), b1, b2, (rg1, rg2), (rl1, rl2))
+
+
+def _uplink_overspend(splits: _Splits, i: int, excess: float) -> str:
+    alloc = _uplink_allocation(splits, i)
+    return (
+        f"uplink case {alloc.case} power budget exceeded by {excess:.3g} "
+        f"(alphas A1={alloc.alpha_a1}, A2={alloc.alpha_a2}, "
+        f"B1={alloc.alpha_b1:.6g}, B2={alloc.alpha_b2:.6g})"
+    )
+
+
+@_quiet
 def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     """Power splits letting the relay decode both Gaussian codewords and
     both lattice sums at the component rates implied by ``r``.
@@ -490,66 +736,60 @@ def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     then mirror powers through the alignment rule so each pair's lattice
     codewords arrive level.
     """
-    r, (x1, x2, x3, x4) = _allocation_inputs("uplink", net, r)
-    case = classify_case(net.uplink, "uplink")
-    u, s, v, w = [2.0 ** x for x in r]
-
-    # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.
-    need = (u / s - 1.0, s, v / w - 1.0, w)
-    q = [0.0, 0.0, 0.0, 0.0]
-    for stream, noise in _UPLINK_CHAINS[case]:
-        den = noise(*q)
-        if stream == "MAC":
-            # x_A1's single-user and sum-rate constraints each demand a power; the larger binds.
-            q[_G2] = need[_G2] * den
-            q[_G1] = max(need[_G1], (u * v) / (s * w) - v / w) * den
-        else:
-            q[stream] = need[stream] * den
-    G1, T, G2, W = q
-
-    alloc = UplinkAllocation(
-        case=case,
-        alpha_a1=(G1 / x1, T / x1),
-        alpha_a2=(G2 / x3, W / x3),
-        alpha_b1=T / x2,
-        alpha_b2=W / x4,
-        gaussian_rates=(r[0] - r[1], r[2] - r[3]),
-        lattice_rates=(r[1], r[3]),
-    )
-    excess = alloc.budget_excess()
-    if excess > TOL:
-        raise AllocationInvalidError(
-            f"uplink case {case} power budget exceeded by {excess:.3g} "
-            f"(alphas A1={alloc.alpha_a1}, A2={alloc.alpha_a2}, "
-            f"B1={alloc.alpha_b1:.6g}, B2={alloc.alpha_b2:.6g})"
-        )
-    return alloc
+    up, _, p = net._columns()
+    splits, _, _, errors = _allocate("uplink", up, p, _one(_rate_quad(r)))
+    _raise_first(errors)
+    return _uplink_allocation(splits, 0)
 
 
+def _uplink_checks(mags, p, splits: _Splits):
+    """Every decoding inequality of each trial's case, in decoding order
+    (the case's chain from the top): per case present, its trials'
+    positions and (name, lhs, rhs) columns."""
+    expected = classify_case(mags, "uplink")
+    wrong = expected != splits.case
+    if wrong.any():
+        i = wrong.argmax()
+        raise ValueError(f"allocation is for case {splits.case[i]}, network classifies as {expected[i]}")
+    x1, x2, x3, x4 = _snrs(mags, p)
+    a1g, _, a2g, _, b1, b2 = splits.alpha
+    q = (a1g * x1, b1 * x2, a2g * x3, b2 * x4)
+    rg1, rg2, rl1, rl2 = splits.rates
+
+    for c, rows in _by_case(splits.case):
+        qc, rates = _take(q, rows), _take((rg1, rl1, rg2, rl2), rows)
+        checks = []
+        for stream, noise in reversed(_UPLINK_CHAINS[c]):
+            den = noise(*qc)
+            if stream == "MAC":
+                checks += (
+                    ("decode x_A1 gaussian (MAC)", rates[_G1], _capacity(_divide(qc[_G1], den))),
+                    ("decode x_A2 gaussian (MAC)", rates[_G2], _capacity(_divide(qc[_G2], den))),
+                    ("gaussian MAC sum", rates[_G1] + rates[_G2], _capacity(_divide(qc[_G1] + qc[_G2], den))),
+                )
+            else:
+                name, cap = _UPLINK_STREAMS[stream]
+                checks.append((name, rates[stream], cap(_divide(qc[stream], den))))
+        yield rows, checks
+
+
+def _single_checks(groups) -> tuple[ConstraintCheck, ...]:
+    """The checks of a batch of one."""
+    ((_, checks),) = groups
+    return tuple(ConstraintCheck(name, lhs.item(), rhs.item()) for name, lhs, rhs in checks)
+
+
+@_quiet
 def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
     """Evaluate every decoding inequality of the allocation's case, in
     decoding order: the case's chain from the top."""
-    expected = classify_case(net.uplink, "uplink")
-    if expected != alloc.case:
-        raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
-    x1, x2, x3, x4 = _snrs(net.uplink, net.power)
-    q = (alloc.alpha_a1[0] * x1, alloc.alpha_b1 * x2, alloc.alpha_a2[0] * x3, alloc.alpha_b2 * x4)
-    (rg1, rg2), (rl1, rl2) = alloc.gaussian_rates, alloc.lattice_rates
-    rates, C = (rg1, rl1, rg2, rl2), awgn_capacity
-
-    checks = []
-    for stream, noise in reversed(_UPLINK_CHAINS[alloc.case]):
-        den = noise(*q)
-        if stream == "MAC":
-            checks += (
-                ConstraintCheck("decode x_A1 gaussian (MAC)", rg1, C(q[_G1] / den)),
-                ConstraintCheck("decode x_A2 gaussian (MAC)", rg2, C(q[_G2] / den)),
-                ConstraintCheck("gaussian MAC sum", rg1 + rg2, C((q[_G1] + q[_G2]) / den)),
-            )
-        else:
-            name, cap = _UPLINK_STREAMS[stream]
-            checks.append(ConstraintCheck(name, rates[stream], cap(q[stream] / den)))
-    return tuple(checks)
+    up, _, p = net._columns()
+    splits = _Splits(
+        np.array([alloc.case]),
+        _one((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2)),
+        _one((*alloc.gaussian_rates, *alloc.lattice_rates)),
+    )
+    return _single_checks(_uplink_checks(up, p, splits))
 
 
 # --- Downlink ----------------------------------------------------------------
@@ -570,7 +810,11 @@ class DownlinkAllocation:
     pairs_swapped: bool
 
     def budget_excess(self) -> float:
-        return max(sum(self.alpha_r) - 1.0, -min(self.alpha_r))
+        return float(_downlink_excess(_one(self.alpha_r))[0])
+
+
+def _downlink_excess(alpha) -> np.ndarray:
+    return _max(sum(alpha) - 1.0, -_fold(_min, alpha))
 
 
 # The downlink cancellation chains, bottom stage first, over the relay
@@ -608,6 +852,42 @@ _DOWNLINK_STREAMS = ("pair-1 solo stream", "pair-1 shared stream", "pair-2 solo 
 _DOWNLINK_CHECK_ORDER = (_SHARED1, _SHARED2, _SOLO1, _SOLO2)
 
 
+def _walk_downlink(mags, snr, r) -> _Splits:
+    """The relay's power split of each trial's case, walking its chain in
+    `_DOWNLINK_CHAINS` from the bottom.  The chains take pair 1 to be the
+    pair with the stronger shared-stream receiver."""
+    swapped = mags[2] > mags[0]
+    r, mags, snr = (_swap_pairs(q, swapped) for q in (r, mags, snr))
+    case = classify_case(mags, "downlink")
+
+    u, s, v, w = [_pow(2.0, x) for x in r]
+    need = (u / s - 1.0, s - 1.0, v / w - 1.0, w - 1.0)
+    alpha = [np.zeros(len(case)) for _ in range(4)]
+    for c, rows in _by_case(case):
+        n, g, pc = _take(need, rows), _take(snr, rows), [np.zeros(len(rows))] * 4
+        for stream, receivers in _DOWNLINK_CHAINS[c]:
+            if len(receivers) == 1:  # the closed form's association, bit for bit
+                ((k, under),) = receivers
+                pc[stream] = n[stream] * (1.0 + g[k] * under(pc)) / g[k]
+            else:
+                pc[stream] = n[stream] * _fold(_max, [(1.0 + g[k] * under(pc)) / g[k] for k, under in receivers])
+        for k in range(4):
+            alpha[k][rows] = pc[k]
+    return _Splits(case, alpha, [r[0] - r[1], r[1], r[2] - r[3], r[3]], swapped)
+
+
+def _downlink_allocation(splits: _Splits, i: int) -> DownlinkAllocation:
+    return DownlinkAllocation(
+        str(splits.case[i]), _row(splits.alpha, i), _row(splits.rates, i), bool(splits.swapped[i])
+    )
+
+
+def _downlink_overspend(splits: _Splits, i: int, excess: float) -> str:
+    alloc = _downlink_allocation(splits, i)
+    return f"downlink case {alloc.case} relay budget exceeded by {excess:.3g} (alphas {alloc.alpha_r})"
+
+
+@_quiet
 def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocation:
     """Relay power split delivering the four streams at their rates.
 
@@ -619,54 +899,55 @@ def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocati
     are relabeled internally, which the pair-symmetric rate preconditions
     permit.
     """
-    r, snr = _allocation_inputs("downlink", net, r)
-    swapped = net.h_rb[1] > net.h_rb[0]
-    r, mags, snr = (_swap_pairs(q, swapped) for q in (r, net.downlink, snr))
-    case = classify_case(mags, "downlink")
-
-    u, s, v, w = [2.0 ** x for x in r]
-    need = (u / s - 1.0, s - 1.0, v / w - 1.0, w - 1.0)
-    p = [0.0, 0.0, 0.0, 0.0]
-    for stream, receivers in _DOWNLINK_CHAINS[case]:
-        if len(receivers) == 1:  # the closed form's association, bit for bit
-            ((k, under),) = receivers
-            p[stream] = need[stream] * (1.0 + snr[k] * under(p)) / snr[k]
-        else:
-            p[stream] = need[stream] * max([(1.0 + snr[k] * under(p)) / snr[k] for k, under in receivers])
-
-    alloc = DownlinkAllocation(
-        case=case,
-        alpha_r=tuple(p),
-        stream_rates=(r[0] - r[1], r[1], r[2] - r[3], r[3]),
-        pairs_swapped=swapped,
-    )
-    excess = alloc.budget_excess()
-    if excess > TOL:
-        raise AllocationInvalidError(
-            f"downlink case {case} relay budget exceeded by {excess:.3g} (alphas {alloc.alpha_r})"
-        )
-    return alloc
+    _, down, p = net._columns()
+    splits, _, _, errors = _allocate("downlink", down, p, _one(_rate_quad(r)))
+    _raise_first(errors)
+    return _downlink_allocation(splits, 0)
 
 
+def _downlink_checks(mags, p, splits: _Splits):
+    """Every broadcast decoding inequality of each trial's case: each
+    stream's rate against its worst receiver in the case's chain.  Per case
+    present, its trials' positions and (name, lhs, rhs) columns."""
+    mags, snr = (_swap_pairs(q, splits.swapped) for q in (mags, _snrs(mags, p)))
+    if np.any(classify_case(mags, "downlink") != splits.case):
+        raise ValueError("allocation case does not match the network ordering")
+
+    for c, rows in _by_case(splits.case):
+        pc, g, rates = _take(splits.alpha, rows), _take(snr, rows), _take(splits.rates, rows)
+        receivers = dict(_DOWNLINK_CHAINS[c])
+        checks = []
+        for stream in _DOWNLINK_CHECK_ORDER:
+            rhs = None  # the smallest capacity over the receivers, as min() picks it
+            for k, under in receivers[stream]:
+                cap = _capacity(_divide(g[k] * pc[stream], 1.0 + g[k] * under(pc)))
+                rhs = cap if rhs is None else _min(rhs, cap)
+            checks.append((_DOWNLINK_STREAMS[stream], rates[stream], rhs))
+        yield rows, checks
+
+
+@_quiet
 def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[ConstraintCheck, ...]:
     """Evaluate every broadcast decoding inequality of the allocation's
     case: each stream's rate against its worst receiver in the case's chain."""
-    mags, snr = (
-        _swap_pairs(q, alloc.pairs_swapped) for q in (net.downlink, _snrs(net.downlink, net.power))
+    _, down, p = net._columns()
+    splits = _Splits(
+        np.array([alloc.case]), _one(alloc.alpha_r), _one(alloc.stream_rates), np.array([alloc.pairs_swapped])
     )
-    if classify_case(mags, "downlink") != alloc.case:
-        raise ValueError("allocation case does not match the network ordering")
+    return _single_checks(_downlink_checks(down, p, splits))
 
-    p, receivers = alloc.alpha_r, dict(_DOWNLINK_CHAINS[alloc.case])
-    checks = []
-    for stream in _DOWNLINK_CHECK_ORDER:
-        rhs = None  # the smallest capacity over the receivers, as min() picks it
-        for k, under in receivers[stream]:
-            cap = awgn_capacity(snr[k] * p[stream] / (1.0 + snr[k] * under(p)))
-            if rhs is None or cap < rhs:
-                rhs = cap
-        checks.append(ConstraintCheck(_DOWNLINK_STREAMS[stream], alloc.stream_rates[stream], rhs))
-    return tuple(checks)
+
+class _Hop(NamedTuple):
+    walk: Callable  # (magnitudes, SNRs, rates) -> _Splits
+    excess: Callable  # alpha columns -> budget excess
+    overspend: Callable  # (splits, trial, excess) -> AllocationInvalidError text
+    checks: Callable  # (magnitudes, power, splits) -> per case: trials, (name, lhs, rhs)
+
+
+_HOPS = {
+    "uplink": _Hop(_walk_uplink, _uplink_excess, _uplink_overspend, _uplink_checks),
+    "downlink": _Hop(_walk_downlink, _downlink_excess, _downlink_overspend, _downlink_checks),
+}
 
 
 # --- End-to-end verification -------------------------------------------------
@@ -700,6 +981,28 @@ class AchievabilityReport:
         return min(slacks) if slacks else math.inf
 
 
+def _require_hypothesis(target, up, down, p) -> None:
+    """Raise for the first trial outside the constant-gap hypothesis:
+    a component below 2, or a link SNR below the proven threshold."""
+    below = np.any([x < 2.0 - TOL for x in target], axis=0)
+    if below.any():
+        raise InfeasibleRatesError(
+            "constant-gap hypothesis: every component must be >= 2", f"got {_row(target, below.argmax())}"
+        )
+    floor = _fold(_min, [h * h * p for h in (*up, *down)])
+    weak = floor < MIN_PROVEN_SNR - TOL
+    if weak.any():
+        raise LowPowerError(
+            f"|h|^2 P floor {floor[weak.argmax()].item():.4g} below the proven threshold {MIN_PROVEN_SNR}"
+        )
+
+
+def _back_off(rates) -> list[np.ndarray]:
+    """Each rate less 2 bits, floored at 0."""
+    return [_max(0.0, x - 2.0) for x in rates]
+
+
+@_quiet
 def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> AchievabilityReport:
     """Check that R minus 2 bits per user is achievable by the lattice +
     superposition scheme whenever R sits in the restricted cut-set region
@@ -710,18 +1013,10 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
     report whose ``stage`` pinpoints any internal failure otherwise.
     """
     target = _rate_quad(rates)
-    if any(x < 2.0 - TOL for x in target):
-        raise InfeasibleRatesError(
-            "constant-gap hypothesis: every component must be >= 2", f"got {target}"
-        )
-    snrs = net.snrs()
-    if min(snrs) < MIN_PROVEN_SNR - TOL:
-        raise LowPowerError(
-            f"|h|^2 P floor {min(snrs):.4g} below the proven threshold {MIN_PROVEN_SNR}"
-        )
+    _require_hypothesis(_one(target), *net._columns())
     normalized = reduce_orderings(net, target)  # raises InfeasibleRatesError when outside
 
-    r = tuple(max(0.0, x - 2.0) for x in normalized.rates)
+    r = _row(_back_off(_one(normalized.rates)), 0)
     hops = {"uplink": (None, ()), "downlink": (None, ())}
     stage, detail = "ok", ""
     for hop in hops:
@@ -744,7 +1039,7 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
     return AchievabilityReport(
         net=net,
         target=target,
-        backed_off=tuple(max(0.0, x - 2.0) for x in target),
+        backed_off=_row(_back_off(_one(target)), 0),
         normalized=normalized,
         uplink=uplink,
         uplink_checks=uplink_checks,
@@ -753,6 +1048,42 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
         stage=stage,
         detail=detail,
     )
+
+
+def _verify_columns(up, down, p, target, terms=None):
+    """`verify_constant_gap` on columns: each trial's stage, largest budget
+    excess and smallest check slack, as its report gives them.  The hops
+    run as a masked cascade: a trial leaves at its first failing stage.
+    ``terms`` are the restricted family terms when already at hand.
+    Raises where `verify_constant_gap` raises, for some trial."""
+    n = len(p)
+    _require_hypothesis(target, up, down, p)
+    up, down, quad, *_ = _normalize(up, down, p, target, terms)
+    r = _back_off(quad)
+
+    stage = np.full(n, "ok", dtype=object)
+    excess, slack, seen = np.zeros(n), np.full(n, math.inf), np.zeros(n, dtype=bool)
+    rows = np.arange(n)  # the trials still at stage "ok"
+    for hop, mags in (("uplink", up), ("downlink", down)):
+        mags = _take(mags, rows)
+        splits, kept, spent, errors = _allocate(hop, mags, p[rows], _take(r, rows))
+        stage[[rows[i] for i, e in enumerate(errors) if e is not None]] = f"{hop}-allocation"
+        rows, mags = rows[kept], _take(mags, kept)
+        excess[rows] = _max(excess[rows], spent)
+
+        bad = np.zeros(len(rows), dtype=bool)
+        for at, checks in _HOPS[hop].checks(mags, p[rows], splits):
+            trials = rows[at]
+            for _, lhs, rhs in checks:  # min() over the checks, in order
+                s = rhs - lhs
+                first = ~seen[trials]
+                slack[trials] = np.where(first | (s < slack[trials]), s, slack[trials])
+                seen[trials] = True
+                bad[at] |= s < -TOL
+        stage[rows[bad]] = f"{hop}-rate-check"
+        rows = rows[~bad]
+    return stage, excess, slack
+
 
 
 # --- Monte Carlo sweep ---------------------------------------------------------
@@ -815,72 +1146,136 @@ class GapReport:
         return max((r.bound_gap for r in self.records), default=0.0)
 
 
+def _accepts(up, down, p) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Which networks the sampler keeps: every link clears the SNR floor
+    and the 2-bit base point (2, 2, 2, 2) lies in the restricted region,
+    compared exactly.  Also gives the restricted family terms."""
+    floor = _fold(_min, [h * h * p for h in (*up, *down)])
+    terms = _family_terms(up, down, p, True)
+    base = [rhs >= 2.0 * len(sessions) for (_, sessions, _, _), rhs in zip(_FAMILIES, terms)]
+    return (floor >= MIN_LINK_SNR) & np.all(base, axis=0), terms
+
+
+@_quiet
 def _sampler_accepts(net: GaussNetwork) -> bool:
-    """Every link clears the SNR floor and the 2-bit base point (2, 2, 2, 2)
-    lies in the restricted region, compared exactly."""
-    return min(net.snrs()) >= MIN_LINK_SNR and all(
-        rhs >= 2.0 * len(sessions)
-        for (_, sessions, _, _), rhs in zip(_FAMILIES, net._restricted_terms)
-    )
+    return bool(_accepts(*net._columns())[0][0])
 
 
-def _sample_network(rng: np.random.Generator, cfg: SweepConfig, trial: int) -> GaussNetwork:
-    """Log-uniform magnitudes and power, redrawn until `_sampler_accepts`
-    the network, at most `MAX_SAMPLE_DRAWS` times."""
+def _sessions(h: np.ndarray) -> tuple[list, list]:
+    """Uplink and downlink session columns of drawn magnitudes, whose rows
+    are h_ar, h_br, h_ra, h_rb, pair by pair."""
+    return [h[0], h[2], h[1], h[3]], [h[6], h[4], h[7], h[5]]
+
+
+def _sample_networks(cfg: SweepConfig, rngs: list, indices: Sequence[int]):
+    """Log-uniform magnitudes and power, each trial redrawn from its own
+    generator until `_accepts` keeps its network, at most
+    `MAX_SAMPLE_DRAWS` times.  A round draws once for every trial in it and
+    tests the round at once: all trials, then up to `REDRAW_WINDOW` of the
+    lowest pending.  Returns the magnitudes (one row per link, one column
+    per trial), the powers and the restricted family terms of the kept
+    networks."""
     lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
     lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
-    for _ in range(MAX_SAMPLE_DRAWS):
-        h = np.exp(rng.uniform(lo_h, hi_h, size=8)).tolist()
-        p = float(np.exp(rng.uniform(lo_p, hi_p)))
-        net = GaussNetwork(h[0:2], h[2:4], h[4:6], h[6:8], p)
-        if _sampler_accepts(net):
-            return net
-    raise ValueError(
-        f"trial {trial}: none of {MAX_SAMPLE_DRAWS} sampled networks met the SNR "
-        "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"
-    )
+    n = len(rngs)
+    h, p, terms = np.empty((8, n)), np.empty(n), np.empty((8, n))
+    drawn = np.zeros(n, dtype=int)
+    pending, window = np.arange(n), n
+    while pending.size:
+        rows, pending = pending[:window], pending[window:]
+        drawing = [rngs[j] for j in rows.tolist()]
+        hp = np.array([np.exp(rng.uniform(lo_h, hi_h, size=8)) for rng in drawing]).T
+        pp = np.array([np.exp(rng.uniform(lo_p, hi_p)) for rng in drawing])
+        h[:, rows], p[rows] = hp, pp
+        drawn[rows] += 1
+        # A draw GaussNetwork might refuse (a square near overflow, or an
+        # exp that underflowed) is built as one, so it raises as it would.
+        top = 2.0 * hp.max(axis=0)
+        for j in np.flatnonzero(~((hp > 0).all(axis=0) & (pp > 0) & (top * top * pp < 1e300))).tolist():
+            h_j = hp[:, j].tolist()
+            GaussNetwork(h_j[0:2], h_j[2:4], h_j[4:6], h_j[6:8], pp[j].item())
+        ok, t = _accepts(*_sessions(hp), pp)
+        terms[:, rows] = t
+        rejected = rows[~ok]
+        spent = rejected[drawn[rejected] == MAX_SAMPLE_DRAWS]
+        if spent.size:
+            raise ValueError(
+                f"trial {indices[spent[0]]}: none of {MAX_SAMPLE_DRAWS} sampled networks met the SNR "
+                "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"
+            )
+        pending, window = np.concatenate([rejected, pending]), REDRAW_WINDOW
+    return h, p, list(terms)
 
 
-def _sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork) -> RateQuad:
-    """A point of the restricted-region boundary at least 2 in every
-    component: walk from (2,2,2,2) along a random non-negative direction to
-    the nearest constraint, then retreat `BOUNDARY_NUDGE` bits."""
-    while True:
-        d = rng.random(4)
-        if d.max() > 1e-9:
-            break
-    t_star = math.inf
-    for (_, sessions, _, _), rhs in zip(_FAMILIES, net._restricted_terms):
+def _boundary_rates(rngs: list, terms: list) -> tuple[list, np.ndarray]:
+    """Per trial, a point of the restricted-region boundary at least 2 in
+    every component: walk from (2,2,2,2) along a random non-negative
+    direction from the trial's generator to the nearest constraint, then
+    retreat `BOUNDARY_NUDGE` bits.  Also tells which trials' walks left the
+    base point: their `TrialRecord.rates` hold numpy floats, the others'
+    plain floats."""
+    directions = []
+    for rng in rngs:
+        while True:
+            d = rng.random(4)
+            if max(d.tolist()) > 1e-9:
+                break
+        directions.append(d)
+    d = np.array(directions).T
+    t_star = np.full(len(rngs), math.inf)
+    for (_, sessions, _, _), rhs in zip(_FAMILIES, terms):
         step = sum(map(d.__getitem__, sessions))
-        if step > 0:
-            room = rhs - 2.0 * len(sessions)
-            t_star = min(t_star, room / step)
-    t = max(0.0, t_star - BOUNDARY_NUDGE / float(d.max()))
-    return tuple(2.0 + t * float(x) for x in d)
+        room = (rhs - 2.0 * len(sessions)) / np.where(step > 0, step, 1.0)
+        t_star = np.where((step > 0) & (room < t_star), room, t_star)
+    t = t_star - BOUNDARY_NUDGE / d.max(axis=0)
+    walked = t > 0.0
+    return [2.0 + np.where(walked, t, 0.0) * x for x in d], walked
+
+
+@_quiet
+def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
+    """The trials ``indices`` of the sweep, as one batch."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))) for i in indices]
+    h, p, terms = _sample_networks(cfg, rngs, indices)
+    rates, walked = _boundary_rates(rngs, terms)
+    up, down = _sessions(h)
+    stage, excess, slack = _verify_columns(up, down, p, rates, terms)
+    gap = _fold(_max, _bound_gaps(_family_terms(up, down, p, False), terms))
+
+    h = h.tolist()
+    nets = map(GaussNetwork._drawn, *(zip(h[k], h[k + 1]) for k in range(0, 8, 2)), p.tolist())
+    return [
+        TrialRecord(i, net, q if w else tuple(map(float, q)), s == "ok", s, e, m, g)
+        for i, net, q, w, s, e, m, g in zip(
+            indices, nets, zip(*rates), walked.tolist(), stage.tolist(), excess.tolist(), slack.tolist(), gap.tolist()
+        )
+    ]
+
+
+def _sweep_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
+    """`_trial_block`, raising what the lowest-index trial that raises
+    raises alone: a failing block is rerun as batches of one, in order."""
+    try:
+        return _trial_block(cfg, indices)
+    except Exception as exc:  # noqa: BLE001 -- re-raised below unless a single trial raises first
+        error = exc
+    for i in indices:
+        _trial_block(cfg, (i,))
+    raise error
 
 
 def run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
-    """One deterministic trial; the sub-seed depends only on (seed, index),
-    so trials run in any order or split yield identical records."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
-    net = _sample_network(rng, cfg, index)
-    rates = _sample_boundary_rates(rng, net)
-    report = verify_constant_gap(net, rates)
-    gaps = restricted_bound_gaps(net)
-    return TrialRecord(
-        trial=index,
-        net=net,
-        rates=rates,
-        achievable=report.achievable,
-        stage=report.stage,
-        max_alpha_excess=report.max_alpha_excess(),
-        min_check_slack=report.min_check_slack(),
-        bound_gap=max(gaps.values()),
-    )
+    """One deterministic trial, a batch of one; the sub-seed depends only on
+    (seed, index), so trials run in any order or split yield identical
+    records."""
+    return _trial_block(cfg, (index,))[0]
 
 
 def monte_carlo_gap(cfg: SweepConfig) -> GapReport:
     """Sample (network, boundary rate tuple) pairs and verify the 2-bit
-    back-off end to end; deterministic for a fixed seed."""
-    records = tuple(run_trial(cfg, i) for i in range(cfg.trials))
-    return GapReport(config=cfg, records=records)
+    back-off end to end, in blocks of `SWEEP_BLOCK` trials; deterministic
+    for a fixed seed."""
+    records = []
+    for start in range(0, cfg.trials, SWEEP_BLOCK):
+        records += _sweep_block(cfg, range(start, min(start + SWEEP_BLOCK, cfg.trials)))
+    return GapReport(config=cfg, records=tuple(records))

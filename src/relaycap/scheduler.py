@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cutset import (
-    Membership, Rate, RegionSizeError, _check_rates, _scaled_rates, cutset_holds, in_det_cutset
+    Membership, Rate, RegionSizeError, _check_rates, cutset_holds, in_det_cutset
 )
 from .detnet import (
     FULL_DUPLEX,
@@ -262,13 +262,14 @@ def _interleaved(level: int, lanes: int) -> tuple[int, int]:
 def _expanded_rates(
     net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate]
 ) -> tuple[int, int, int, list[int]]:
-    """(Q, listen, transmit, bits) for an in-region tuple (`_scaled_rates`).
-    Raises `NotInRegionError` for a non-member and `RegionSizeError` when
-    the bits would take more than `STEP_BUDGET` induction steps."""
+    """(Q, listen, transmit, bits) for an in-region tuple, as the membership
+    verdict scaled them.  Raises `NotInRegionError` for a non-member and
+    `RegionSizeError` when the bits would take more than `STEP_BUDGET`
+    induction steps."""
     membership = in_det_cutset(net, rates, mode)
     if not membership.member:
         raise NotInRegionError(membership)
-    q, listen, transmit, bits = _scaled_rates(net, mode, rates)
+    q, listen, transmit, bits = membership.scaled
     if sum(bits) > STEP_BUDGET:
         raise RegionSizeError(
             f"schedule over Q={q} uses serves {sum(bits)} bits, "
@@ -434,8 +435,12 @@ def simulate_schedule(
     """
     validate_schedule(sched)
     net = sched.net
+    budgets = sched.bit_budgets()
+    unknown = [node for node in messages if node not in budgets]
+    if unknown:
+        raise ValueError(f"messages for nodes outside the network: {unknown}")
     msgs: dict[NodeId, tuple[int, ...]] = {}
-    for node, need in sched.bit_budgets().items():
+    for node, need in budgets.items():
         got = tuple(int(b) for b in messages.get(node, ()))
         if any(b not in (0, 1) for b in got):
             raise ValueError(f"message for {node} must be bits")

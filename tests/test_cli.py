@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -453,3 +454,19 @@ def test_sweep_csv_pinned(tmp_path, capsys):
     assert main(["sweep", "--trials", "300", "--seed", "5", "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
     assert out.read_bytes() == (Path(__file__).parent / "data" / "sweep_seed5.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "seed,digest",
+    [
+        (0, "22c2daed04eaab0c9af3d8b37628eb647b5931f7858a617e6ef68ad6149118e3"),
+        (99, "7a883b8d93340708c916d01d335decf10e8e46276de9929fa6c9f7d100ad0c08"),
+    ],
+)
+def test_sweep_csv_pinned_at_full_size(tmp_path, capsys, seed, digest):
+    # sha256 of `sweep --trials 100000 --seed N` as the one-trial-at-a-time
+    # sweep wrote it, before the sweep ran as one batch pipeline.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--trials", "100000", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,4 +1,6 @@
 import itertools
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from relaycap import (
     DetNetwork,
+    HalfDuplex,
     InvalidGainError,
     ShapeError,
     node_downlink_receive,
@@ -128,6 +131,21 @@ def test_gain_validation():
         DetNetwork(3, (1,), (1,), (1,))
     with pytest.raises(InvalidGainError, match="n_rb"):
         DetNetwork((1,), (1,), (1,), 2.0)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5, np.float64(0.25), np.float32(0.75)])
+def test_half_duplex_refuses_inexact_listen_fractions(delta):
+    # Fraction(0.1) is 3602879701896397/36028797018963968: once taken as is,
+    # it made schedules over Q = 180143985094819840 uses.
+    with pytest.raises(ValueError, match=re.escape(f"{delta!r} is a float that is not a whole number; pass a Fraction")):
+        HalfDuplex(delta)
+
+
+def test_half_duplex_takes_exact_listen_fractions():
+    assert HalfDuplex(Fraction(1, 10)).delta == HalfDuplex("1/10").delta == Fraction(1, 10)
+    for whole in (1.0, 0, 1):
+        with pytest.raises(ValueError, match="strictly in"):
+            HalfDuplex(whole)
 
 
 frames3 = st.integers(0, 0b111)

@@ -4,7 +4,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relaycap import (
     AllocationInvalidError,
@@ -30,13 +30,14 @@ from relaycap import gaussian
 from relaycap.gaussian import (
     MIN_LINK_SNR,
     TOL,
+    AchievabilityReport,
     ConstraintCheck,
     DownlinkAllocation,
+    NormalizedProblem,
     RateQuad,
+    RegionVerdict,
+    TrialRecord,
     UplinkAllocation,
-    _allocation_inputs,
-    _snrs,
-    _swap_pairs,
     run_trial,
 )
 
@@ -437,8 +438,8 @@ def reference_uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAl
     beneath it.  Lattice partners then mirror powers through the alignment
     rule so each pair's lattice codewords arrive level.
     """
-    r, (x1, x2, x3, x4) = _allocation_inputs("uplink", net, r)
-    case = classify_case(net.uplink, "uplink")
+    r, (x1, x2, x3, x4) = reference_allocation_inputs("uplink", net, r)
+    case = reference_classify_case(net.uplink, "uplink")
     u, s = 2.0 ** r[0], 2.0 ** r[1]
     v, w = 2.0 ** r[2], 2.0 ** r[3]
 
@@ -483,10 +484,10 @@ def reference_uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAl
 
 def reference_uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
     """Evaluate every decoding inequality of the allocation's case."""
-    expected = classify_case(net.uplink, "uplink")
+    expected = reference_classify_case(net.uplink, "uplink")
     if expected != alloc.case:
         raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
-    x1, x2, x3, x4 = _snrs(net.uplink, net.power)
+    x1, x2, x3, x4 = reference_snrs(net.uplink, net.power)
     G1 = alloc.alpha_a1[0] * x1
     T = alloc.alpha_b1 * x2
     G2 = alloc.alpha_a2[0] * x3
@@ -530,10 +531,10 @@ def reference_downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> Downli
     has them the other way round the pairs are relabeled internally, which
     the pair-symmetric rate preconditions permit.
     """
-    r, snr = _allocation_inputs("downlink", net, r)
+    r, snr = reference_allocation_inputs("downlink", net, r)
     swapped = net.h_rb[1] > net.h_rb[0]
-    r, mags, (b1, a1, b2, a2) = (_swap_pairs(q, swapped) for q in (r, net.downlink, snr))
-    case = classify_case(mags, "downlink")
+    r, mags, (b1, a1, b2, a2) = (reference_swap_pairs(q, swapped) for q in (r, net.downlink, snr))
+    case = reference_classify_case(mags, "downlink")
 
     u, s = 2.0 ** r[0], 2.0 ** r[1]
     v, w = 2.0 ** r[2], 2.0 ** r[3]
@@ -588,9 +589,9 @@ def reference_downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) 
     node reconstructs its own solo stream 3.
     """
     mags, (b1, a1, b2, a2) = (
-        _swap_pairs(q, alloc.pairs_swapped) for q in (net.downlink, _snrs(net.downlink, net.power))
+        reference_swap_pairs(q, alloc.pairs_swapped) for q in (net.downlink, reference_snrs(net.downlink, net.power))
     )
-    if classify_case(mags, "downlink") != alloc.case:
+    if reference_classify_case(mags, "downlink") != alloc.case:
         raise ValueError("allocation case does not match the network ordering")
 
     p1, p2, p3, p4 = alloc.alpha_r
@@ -1068,3 +1069,531 @@ def test_sweep_config_validation():
         SweepConfig(trials=-1, seed=0)
     with pytest.raises(ValueError):
         SweepConfig(trials=1, seed=0, h_min=1.0, h_max=1.0, p_min=1.0, p_max=1.0)
+
+
+# --- reference: the scalar sweep path before the batch pipeline -------------------------------
+# Kept verbatim from before the sweep ran as one batch pipeline, one trial
+# at a time, with only the names prefixed and the calls pointed at these
+# copies.  The family and chain tables are data and are read from the
+# module; `test_chain_tables_match_reference` checks the chain tables.
+
+
+def reference_family_terms(net: GaussNetwork, restricted: bool) -> tuple[float, ...]:
+    """RHS of each constraint family: min(uplink term, downlink term).
+
+    A single session's terms are C(|h|^2 P) on both hops.  A pair adds
+    amplitudes on the uplink and powers on the downlink in the cut-set
+    bound; the restricted bound adds powers on the uplink and takes the
+    larger power on the downlink.
+    """
+    up, down, p = net.uplink, net.downlink, net.power
+    up2, down2 = [h * h for h in up], [h * h for h in down]
+    terms = []
+    for _, sessions, _, _ in gaussian._FAMILIES:
+        s, t = sessions[0], sessions[-1]  # s == t for a single session
+        if s == t:
+            snrs = (up2[s] * p, down2[s] * p)
+        elif restricted:
+            snrs = ((up2[s] + up2[t]) * p, max(down2[s], down2[t]) * p)
+        else:
+            snrs = ((up[s] + up[t]) ** 2 * p, (down2[s] + down2[t]) * p)
+        terms.append(min(awgn_capacity(snrs[0]), awgn_capacity(snrs[1])))
+    return tuple(terms)
+
+
+def reference_rate_quad(rates: Sequence[float]) -> RateQuad:
+    """The four session rates as floats: finite, and none below -TOL."""
+    r = tuple(float(x) for x in rates)
+    if len(r) != 4:
+        raise ValueError(f"expected 4 rate components, got {len(r)}")
+    if not all(-TOL <= x < math.inf for x in r):
+        raise ValueError(f"rates must be finite and non-negative, got {r}")
+    return r
+
+
+def reference_region_verdict(net: GaussNetwork, rates: Sequence[float], restricted: bool) -> RegionVerdict:
+    r = reference_rate_quad(rates)
+    terms = reference_family_terms(net, restricted)
+    checks = tuple(
+        ConstraintCheck(name, sum(map(r.__getitem__, sessions)), rhs)
+        for (name, sessions, _, _), rhs in zip(gaussian._FAMILIES, terms)
+    )
+    return RegionVerdict(all(c.slack >= -TOL for c in checks), checks)
+
+
+def reference_gauss_restricted_cutset(net: GaussNetwork, rates: Sequence[float]) -> RegionVerdict:
+    return reference_region_verdict(net, rates, restricted=True)
+
+
+def reference_restricted_bound_gaps(net: GaussNetwork) -> dict[str, float]:
+    gaps = {
+        name: gen - res
+        for (name, _, _, _), gen, res in zip(
+            gaussian._FAMILIES, reference_family_terms(net, False), reference_family_terms(net, True)
+        )
+    }
+    bad = {n: g for n, g in gaps.items() if g < -TOL or g > 1.0 + TOL}
+    if bad:
+        raise AssertionError(f"gap outside [0, 1]: {bad}")
+    return gaps
+
+
+def reference_reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedProblem:
+    verdict = reference_gauss_restricted_cutset(net, rates)
+    if not verdict:
+        names = ", ".join(c.name for c in verdict.violated())
+        raise InfeasibleRatesError(f"rates outside the restricted cut-set region ({names})")
+
+    # Session 4-tuples: a side swap exchanges a pair's two sessions, a clamp
+    # lowers the B session's uplink or downlink (|h_BiR|, |h_RAi|) to the A
+    # session's, and a pair swap exchanges the two pairs.
+    up, down = list(net.uplink), list(net.downlink)
+    r = list(float(x) for x in rates)
+
+    side_swapped = []
+    for a in (0, 2):
+        swap = r[a + 1] > r[a]
+        side_swapped.append(swap)
+        if swap:
+            for q in (up, down, r):
+                q[a], q[a + 1] = q[a + 1], q[a]
+
+    clamped = []
+    for i, a in enumerate((0, 2)):
+        if up[a + 1] > up[a]:
+            up[a + 1] = up[a]
+            clamped.append(f"h_br[{i}]")
+        if down[a + 1] > down[a]:
+            down[a + 1] = down[a]
+            clamped.append(f"h_ra[{i}]")
+
+    pairs_swapped = up[2] > up[0]
+    up, down, quad = (reference_swap_pairs(q, pairs_swapped) for q in (up, down, r))
+
+    out = GaussNetwork(
+        (up[0], up[2]), (up[1], up[3]), (down[1], down[3]), (down[0], down[2]), net.power
+    )
+    post = reference_gauss_restricted_cutset(out, quad)
+    if not post:
+        raise AssertionError(
+            "channel weakening pushed the rates out of the region; the reduction "
+            f"argument excludes this ({[c.name for c in post.violated()]})"
+        )
+    return NormalizedProblem(out, quad, tuple(side_swapped), pairs_swapped, tuple(clamped))
+
+
+def reference_swap_pairs(q: Sequence, swapped: bool) -> tuple:
+    """A session 4-tuple with pair 1 and pair 2 exchanged when ``swapped``."""
+    return (q[2], q[3], q[0], q[1]) if swapped else tuple(q)
+
+
+def reference_classify_case(magnitudes: Sequence[float], direction: str) -> str:
+    if direction not in ("uplink", "downlink"):
+        raise ValueError(f"direction must be 'uplink' or 'downlink', got {direction!r}")
+    s1, w1, s2, w2 = magnitudes
+    if w1 > s1 + TOL or w2 > s2 + TOL or s2 > s1 + TOL:
+        raise ValueError(
+            f"{direction} magnitudes {tuple(magnitudes)} are not in normalized order"
+        )
+    if w1 >= s2:
+        return "I"
+    if w1 >= w2:
+        return "II"
+    return "III"
+
+
+def reference_snrs(magnitudes: Sequence[float], power: float) -> tuple[float, ...]:
+    """|h|^2 P of each magnitude of a session 4-tuple."""
+    return tuple(h ** 2 * power for h in magnitudes)
+
+
+def reference_check_preconditions(direction: str, snr: Sequence[float], r: RateQuad) -> None:
+    combine = sum if direction == "uplink" else max
+    for name, sessions, backoff in gaussian._PRECONDITIONS[direction]:
+        lhs = sum(map(r.__getitem__, sessions))
+        rhs = awgn_capacity(combine(map(snr.__getitem__, sessions))) - backoff
+        if lhs > rhs + TOL:
+            raise InfeasibleRatesError(name, f"lhs={lhs:.6g}, rhs={rhs:.6g}")
+
+
+def reference_allocation_inputs(direction: str, net: GaussNetwork, rates: Sequence[float]):
+    r = reference_rate_quad(rates)
+    if r[1] > r[0] + TOL or r[3] > r[2] + TOL:
+        raise ValueError(f"rates {r} not normalized: each pair needs r_A >= r_B")
+    snr = reference_snrs(net.uplink if direction == "uplink" else net.downlink, net.power)
+    if min(snr) < gaussian.MIN_PROVEN_SNR - TOL:
+        raise LowPowerError(f"{direction} |h|^2 P floor {min(snr):.4g} below {gaussian.MIN_PROVEN_SNR}")
+    reference_check_preconditions(direction, snr, r)
+    return r, snr
+
+
+_G1, _T, _G2, _W = range(4)
+_REFERENCE_UPLINK_STREAMS = (
+    ("decode x_A1 gaussian", awgn_capacity),
+    ("decode pair-1 lattice sum", lattice_rate_cap),
+    ("decode x_A2 gaussian", awgn_capacity),
+    ("decode pair-2 lattice sum", lattice_rate_cap),
+)
+
+
+def reference_chain_uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
+    r, (x1, x2, x3, x4) = reference_allocation_inputs("uplink", net, r)
+    case = reference_classify_case(net.uplink, "uplink")
+    u, s, v, w = [2.0 ** x for x in r]
+
+    # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.
+    need = (u / s - 1.0, s, v / w - 1.0, w)
+    q = [0.0, 0.0, 0.0, 0.0]
+    for stream, noise in gaussian._UPLINK_CHAINS[case]:
+        den = noise(*q)
+        if stream == "MAC":
+            # x_A1's single-user and sum-rate constraints each demand a power; the larger binds.
+            q[_G2] = need[_G2] * den
+            q[_G1] = max(need[_G1], (u * v) / (s * w) - v / w) * den
+        else:
+            q[stream] = need[stream] * den
+    G1, T, G2, W = q
+
+    alloc = UplinkAllocation(
+        case=case,
+        alpha_a1=(G1 / x1, T / x1),
+        alpha_a2=(G2 / x3, W / x3),
+        alpha_b1=T / x2,
+        alpha_b2=W / x4,
+        gaussian_rates=(r[0] - r[1], r[2] - r[3]),
+        lattice_rates=(r[1], r[3]),
+    )
+    excess = alloc.budget_excess()
+    if excess > TOL:
+        raise AllocationInvalidError(
+            f"uplink case {case} power budget exceeded by {excess:.3g} "
+            f"(alphas A1={alloc.alpha_a1}, A2={alloc.alpha_a2}, "
+            f"B1={alloc.alpha_b1:.6g}, B2={alloc.alpha_b2:.6g})"
+        )
+    return alloc
+
+
+def reference_chain_uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
+    expected = reference_classify_case(net.uplink, "uplink")
+    if expected != alloc.case:
+        raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
+    x1, x2, x3, x4 = reference_snrs(net.uplink, net.power)
+    q = (alloc.alpha_a1[0] * x1, alloc.alpha_b1 * x2, alloc.alpha_a2[0] * x3, alloc.alpha_b2 * x4)
+    (rg1, rg2), (rl1, rl2) = alloc.gaussian_rates, alloc.lattice_rates
+    rates, C = (rg1, rl1, rg2, rl2), awgn_capacity
+
+    checks = []
+    for stream, noise in reversed(gaussian._UPLINK_CHAINS[alloc.case]):
+        den = noise(*q)
+        if stream == "MAC":
+            checks += (
+                ConstraintCheck("decode x_A1 gaussian (MAC)", rg1, C(q[_G1] / den)),
+                ConstraintCheck("decode x_A2 gaussian (MAC)", rg2, C(q[_G2] / den)),
+                ConstraintCheck("gaussian MAC sum", rg1 + rg2, C((q[_G1] + q[_G2]) / den)),
+            )
+        else:
+            name, cap = _REFERENCE_UPLINK_STREAMS[stream]
+            checks.append(ConstraintCheck(name, rates[stream], cap(q[stream] / den)))
+    return tuple(checks)
+
+
+_REFERENCE_DOWNLINK_STREAMS = (
+    "pair-1 solo stream", "pair-1 shared stream", "pair-2 solo stream", "pair-2 shared stream"
+)
+_REFERENCE_DOWNLINK_CHECK_ORDER = (1, 3, 0, 2)
+
+
+def reference_chain_downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocation:
+    r, snr = reference_allocation_inputs("downlink", net, r)
+    swapped = net.h_rb[1] > net.h_rb[0]
+    r, mags, snr = (reference_swap_pairs(q, swapped) for q in (r, net.downlink, snr))
+    case = reference_classify_case(mags, "downlink")
+
+    u, s, v, w = [2.0 ** x for x in r]
+    need = (u / s - 1.0, s - 1.0, v / w - 1.0, w - 1.0)
+    p = [0.0, 0.0, 0.0, 0.0]
+    for stream, receivers in gaussian._DOWNLINK_CHAINS[case]:
+        if len(receivers) == 1:  # the closed form's association, bit for bit
+            ((k, under),) = receivers
+            p[stream] = need[stream] * (1.0 + snr[k] * under(p)) / snr[k]
+        else:
+            p[stream] = need[stream] * max([(1.0 + snr[k] * under(p)) / snr[k] for k, under in receivers])
+
+    alloc = DownlinkAllocation(
+        case=case,
+        alpha_r=tuple(p),
+        stream_rates=(r[0] - r[1], r[1], r[2] - r[3], r[3]),
+        pairs_swapped=swapped,
+    )
+    excess = alloc.budget_excess()
+    if excess > TOL:
+        raise AllocationInvalidError(
+            f"downlink case {case} relay budget exceeded by {excess:.3g} (alphas {alloc.alpha_r})"
+        )
+    return alloc
+
+
+def reference_chain_downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[ConstraintCheck, ...]:
+    mags, snr = (
+        reference_swap_pairs(q, alloc.pairs_swapped)
+        for q in (net.downlink, reference_snrs(net.downlink, net.power))
+    )
+    if reference_classify_case(mags, "downlink") != alloc.case:
+        raise ValueError("allocation case does not match the network ordering")
+
+    p, receivers = alloc.alpha_r, dict(gaussian._DOWNLINK_CHAINS[alloc.case])
+    checks = []
+    for stream in _REFERENCE_DOWNLINK_CHECK_ORDER:
+        rhs = None  # the smallest capacity over the receivers, as min() picks it
+        for k, under in receivers[stream]:
+            cap = awgn_capacity(snr[k] * p[stream] / (1.0 + snr[k] * under(p)))
+            if rhs is None or cap < rhs:
+                rhs = cap
+        checks.append(ConstraintCheck(_REFERENCE_DOWNLINK_STREAMS[stream], alloc.stream_rates[stream], rhs))
+    return tuple(checks)
+
+
+_REFERENCE_HOPS = {
+    "uplink": (reference_chain_uplink_allocate, reference_chain_uplink_rate_check),
+    "downlink": (reference_chain_downlink_allocate, reference_chain_downlink_rate_check),
+}
+
+
+def reference_verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> AchievabilityReport:
+    target = reference_rate_quad(rates)
+    if any(x < 2.0 - TOL for x in target):
+        raise InfeasibleRatesError(
+            "constant-gap hypothesis: every component must be >= 2", f"got {target}"
+        )
+    snrs = net.snrs()
+    if min(snrs) < gaussian.MIN_PROVEN_SNR - TOL:
+        raise LowPowerError(
+            f"|h|^2 P floor {min(snrs):.4g} below the proven threshold {gaussian.MIN_PROVEN_SNR}"
+        )
+    normalized = reference_reduce_orderings(net, target)  # raises InfeasibleRatesError when outside
+
+    r = tuple(max(0.0, x - 2.0) for x in normalized.rates)
+    hops = {"uplink": (None, ()), "downlink": (None, ())}
+    stage, detail = "ok", ""
+    for hop in hops:
+        allocate, rate_check = _REFERENCE_HOPS[hop]
+        try:
+            alloc = allocate(normalized.net, r)
+            checks = rate_check(normalized.net, alloc)
+        except (InfeasibleRatesError, LowPowerError, AllocationInvalidError) as exc:
+            stage, detail = f"{hop}-allocation", str(exc)
+            break
+        hops[hop] = (alloc, checks)
+        bad = [c.name for c in checks if c.slack < -TOL]
+        if bad:
+            stage, detail = f"{hop}-rate-check", ", ".join(bad)
+            break
+
+    (uplink, uplink_checks), (downlink, downlink_checks) = hops.values()
+    return AchievabilityReport(
+        net=net,
+        target=target,
+        backed_off=tuple(max(0.0, x - 2.0) for x in target),
+        normalized=normalized,
+        uplink=uplink,
+        uplink_checks=uplink_checks,
+        downlink=downlink,
+        downlink_checks=downlink_checks,
+        stage=stage,
+        detail=detail,
+    )
+
+
+def reference_sampler_accepts(net: GaussNetwork) -> bool:
+    return min(net.snrs()) >= MIN_LINK_SNR and all(
+        rhs >= 2.0 * len(sessions)
+        for (_, sessions, _, _), rhs in zip(gaussian._FAMILIES, reference_family_terms(net, True))
+    )
+
+
+def reference_sample_network(rng: np.random.Generator, cfg: SweepConfig, trial: int) -> GaussNetwork:
+    lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
+    lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
+    for _ in range(gaussian.MAX_SAMPLE_DRAWS):
+        h = np.exp(rng.uniform(lo_h, hi_h, size=8)).tolist()
+        p = float(np.exp(rng.uniform(lo_p, hi_p)))
+        net = GaussNetwork(h[0:2], h[2:4], h[4:6], h[6:8], p)
+        if reference_sampler_accepts(net):
+            return net
+    raise ValueError(
+        f"trial {trial}: none of {gaussian.MAX_SAMPLE_DRAWS} sampled networks met the SNR "
+        "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"
+    )
+
+
+def reference_sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork) -> RateQuad:
+    while True:
+        d = rng.random(4)
+        if d.max() > 1e-9:
+            break
+    t_star = math.inf
+    for (_, sessions, _, _), rhs in zip(gaussian._FAMILIES, reference_family_terms(net, True)):
+        step = sum(map(d.__getitem__, sessions))
+        if step > 0:
+            room = rhs - 2.0 * len(sessions)
+            t_star = min(t_star, room / step)
+    t = max(0.0, t_star - gaussian.BOUNDARY_NUDGE / float(d.max()))
+    return tuple(2.0 + t * float(x) for x in d)
+
+
+def reference_run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
+    net = reference_sample_network(rng, cfg, index)
+    rates = reference_sample_boundary_rates(rng, net)
+    report = reference_verify_constant_gap(net, rates)
+    gaps = reference_restricted_bound_gaps(net)
+    return TrialRecord(
+        trial=index,
+        net=net,
+        rates=rates,
+        achievable=report.achievable,
+        stage=report.stage,
+        max_alpha_excess=report.max_alpha_excess(),
+        min_check_slack=report.min_check_slack(),
+        bound_gap=max(gaps.values()),
+    )
+
+
+# --- the batch pipeline against the reference ----------------------------------------------
+
+
+def _sweep_outcome(records_of, cfg):
+    """A sweep's records and their repr, or its exception type and message."""
+    try:
+        records = records_of(cfg)
+    except Exception as exc:  # noqa: BLE001 -- the exception itself is compared
+        return type(exc), str(exc)
+    return records, repr(records)
+
+
+def _reference_records(cfg):
+    return tuple(reference_run_trial(cfg, i) for i in range(cfg.trials))
+
+
+@st.composite
+def _sweep_configs(draw):
+    """A seed, up to 64 trials, and the default ranges or narrow ones where
+    networks are redrawn many times, up to running out of draws."""
+    trials, seed = draw(st.integers(0, 64)), draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return SweepConfig(trials, seed)
+    h_min, p_min = draw(st.floats(1.0, 3.0)), draw(st.floats(1.0, 3.0))
+    h_max, p_max = h_min * draw(st.floats(1.5, 8.0)), p_min * draw(st.floats(1.0, 10.0))
+    try:
+        return SweepConfig(trials, seed, h_min, h_max, p_min, p_max)
+    except ValueError:  # the strongest network in range cannot hold (2, 2, 2, 2)
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweep_configs())
+@example(SweepConfig(64, 13))
+@example(SweepConfig(64, 99))
+# Up to 447 draws for one network.
+@example(SweepConfig(40, 7, 1.0, 8.0, 1.0, 1.0))
+# Trial 0 runs out of draws; then trial 23 does, after 0 to 22 were sampled.
+@example(SweepConfig(20, 0, 1.0, 4.0, 1.0, 1.0))
+@example(SweepConfig(40, 7, 1.0, 4.0, 1.0, 2.0))
+def test_sweep_matches_reference(cfg):
+    # Records equal and print the same (a rate is a numpy float unless the
+    # boundary walk stopped at the base point), or the same exception.
+    assert _sweep_outcome(lambda c: monte_carlo_gap(c).records, cfg) == _sweep_outcome(_reference_records, cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SweepConfig(23, 3), SweepConfig(40, 7, 1.0, 8.0, 1.0, 1.0), SweepConfig(40, 7, 1.0, 4.0, 1.0, 2.0)],
+    ids=["default", "many-redraws", "trial-23-out-of-draws"],
+)
+def test_sweep_blocks_match_reference(monkeypatch, cfg):
+    # Blocks of 5 trials redrawing 2 at a time: block edges, redraw rounds
+    # and a failing block rerun trial by trial give the same records, or the
+    # same exception for the same trial.
+    monkeypatch.setattr(gaussian, "SWEEP_BLOCK", 5)
+    monkeypatch.setattr(gaussian, "REDRAW_WINDOW", 2)
+    assert _sweep_outcome(lambda c: monte_carlo_gap(c).records, cfg) == _sweep_outcome(_reference_records, cfg)
+
+
+def _trial_columns(trials):
+    """Session columns, power column and rate columns of explicit trials."""
+    nets, rates = zip(*trials)
+    up = [np.array([net.uplink[k] for net in nets]) for k in range(4)]
+    down = [np.array([net.downlink[k] for net in nets]) for k in range(4)]
+    return up, down, np.array([net.power for net in nets]), [np.array([r[k] for r in rates]) for k in range(4)]
+
+
+def _pipeline_verdicts(trials):
+    """Each trial's (stage, max_alpha_excess, min_check_slack) from the batch pipeline."""
+    stage, excess, slack = gaussian._verify_columns(*_trial_columns(trials))
+    return list(zip(stage.tolist(), excess.tolist(), slack.tolist()))
+
+
+def _reference_verdict(net, rates):
+    report = reference_verify_constant_gap(net, rates)
+    return report.stage, report.max_alpha_excess(), report.min_check_slack()
+
+
+_CORNER_TRIAL = (
+    GaussNetwork((_CORNER_H, _CORNER_H), (_CORNER_H, _CORNER_H), (1000.0, 1000.0), (1000.0, 1000.0), 1.0),
+    tuple(x + 2 for x in (awgn_capacity(2 * 1000.0) - 4 - 0.011, 0.01, 0.011, 0.01)),
+)
+
+
+@st.composite
+def _explicit_trials(draw):
+    """Networks with rates walked from (2, 2, 2, 2) towards the restricted
+    boundary, and at times past it."""
+    trials = []
+    for _ in range(draw(st.integers(1, 12))):
+        h = draw(st.lists(st.floats(1.0, 100.0), min_size=8, max_size=8))
+        net = GaussNetwork(tuple(h[:2]), tuple(h[2:4]), tuple(h[4:6]), tuple(h[6:]), draw(st.floats(1.0, 100.0)))
+        d = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=4, max_size=4))
+        room = [
+            (rhs - 2.0 * len(sessions)) / sum(d[s] for s in sessions)
+            for (_, sessions, _, _), rhs in zip(gaussian._FAMILIES, reference_family_terms(net, True))
+            if sum(d[s] for s in sessions) > 0
+        ]
+        t = max(0.0, min(room, default=0.0)) * draw(st.one_of(st.just(1.0 - 1e-7), st.floats(0.0, 1.1)))
+        trials.append((net, tuple(2.0 + t * x for x in d)))
+    return trials
+
+
+@settings(max_examples=200, deadline=None)
+@given(_explicit_trials())
+@example([_CORNER_TRIAL])
+@example([(snr_net(255.0), (4.0, 4.0, 4.0, 4.0)), _CORNER_TRIAL, (snr_net(255.0), (4.0, 4.0, 4.0, 4.0))])
+# A trial outside the hypothesis after one inside it.
+@example([(snr_net(255.0), (4.0, 4.0, 4.0, 4.0)), (snr_net(2.0), (2.0, 2.0, 2.0, 2.0))])
+def test_verify_columns_match_reference(trials):
+    # The masked cascade gives each trial the stage, budget excess and check
+    # slack its reference report gives, bit for bit; where a reference trial
+    # raises, the batch raises, and the first such trial alone raises the
+    # same exception.
+    expected = [_outcome(_reference_verdict, net, rates) for net, rates in trials]
+    raised = [i for i, (kind, _) in enumerate(expected) if isinstance(kind, type)]
+    if not raised:
+        got = _pipeline_verdicts(trials)
+        assert (got, repr(got)) == ([value for value, _ in expected], repr([value for value, _ in expected]))
+    else:
+        with pytest.raises(Exception):
+            _pipeline_verdicts(trials)
+        first = trials[raised[0]]
+        assert _outcome(lambda *trial: _pipeline_verdicts([trial])[0], *first) == expected[raised[0]]
+
+
+def test_verify_columns_cover_every_case():
+    # One block of sweep trials plus the 2-bit corner: every uplink and
+    # downlink case and the uplink-allocation stage, all matching the reference.
+    cfg = SweepConfig(trials=300, seed=5)
+    trials = [(rec.net, rec.rates) for rec in map(lambda i: reference_run_trial(cfg, i), range(cfg.trials))]
+    trials.insert(150, _CORNER_TRIAL)
+    reports = [reference_verify_constant_gap(net, rates) for net, rates in trials]
+    assert _pipeline_verdicts(trials) == [(r.stage, r.max_alpha_excess(), r.min_check_slack()) for r in reports]
+    cases = {(hop, getattr(r, hop).case) for r in reports for hop in ("uplink", "downlink") if getattr(r, hop)}
+    assert cases == {(hop, case) for hop in ("uplink", "downlink") for case in ("I", "II", "III")}
+    assert {r.stage for r in reports} == {"ok", "uplink-allocation"}

@@ -323,7 +323,9 @@ def test_fractional_rates_rejected_by_integral_path():
         divide_and_conquer(REF, (Fraction(1, 2), 0, 0, 0))
 
 
-@pytest.mark.parametrize("bad", [True, False, math.inf, -math.inf, math.nan, np.float64(math.inf)])
+@pytest.mark.parametrize(
+    "bad", [True, False, math.inf, -math.inf, math.nan, np.float64(math.inf), 0.1, np.float64(1.5)]
+)
 @pytest.mark.parametrize(
     "call",
     [
@@ -337,6 +339,16 @@ def test_fractional_rates_rejected_by_integral_path():
 def test_rates_refuse_bools_and_non_finite_values(call, bad):
     with pytest.raises(ValueError, match="rates must be"):
         call(REF, (0, bad, 0, 0))
+
+
+def test_inexact_float_rates_and_fractions_named():
+    # Both once ran on at the float's binary value: Q = 180143985094819840.
+    with pytest.raises(ValueError, match="0.1 is a float that is not a whole number; pass a Fraction or an int"):
+        schedule_fractional(REF, (0.1, 0, 0, 0))
+    with pytest.raises(ValueError, match="listen fraction must be exact: 0.1 is a float"):
+        schedule_half_duplex(REF, 0.1, (Fraction(1, 10), 0, 0, 0))
+    # A whole float is exact and still taken.
+    assert divide_and_conquer(REF, (1.0, 0, 0, 0)) == divide_and_conquer(REF, (1, 0, 0, 0))
 
 
 # --- time expansion ----------------------------------------------------------
@@ -611,6 +623,12 @@ def test_simulation_rejects_unreachable_level():
     sched = Schedule(net=REF, slots=1, assignments=(a,))
     with pytest.raises(ScheduleInvalidError):
         validate_schedule(sched)
+
+
+def test_simulation_rejects_unknown_message_keys():
+    sched = divide_and_conquer(REF, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"outside the network: \[\(7, 'Z'\), \(2, 'A'\)\]"):
+        simulate_schedule(sched, {(0, "A"): (1,), (7, "Z"): (1, 0, 1), (2, "A"): ()})
 
 
 def test_simulation_rejects_wrong_payload_length():
