@@ -25,10 +25,12 @@ cut-set and restricted bounds, both hops' rate preconditions and the sweep
 sampler read it, and normalisation swaps and clamps session 4-tuples.
 
 Every computation runs on columns, one entry per trial (see "Columns"
-below): `monte_carlo_gap` samples, normalises, allocates and checks a block
-of trials at once, each trial leaving at its first failing stage, and the
-single-network functions (`verify_constant_gap`, the region checks, the
-allocators and rate checks) run the same code on a batch of one.
+below).  One masked cascade, `_verify_columns`, normalises, then allocates
+and checks each hop, each trial leaving at its first failing stage:
+`monte_carlo_gap` runs it on a block of sampled trials and
+`verify_constant_gap` on a batch of one, whose report it builds from the
+cascade's columns.  The region checks, allocators and rate checks also
+run the batch code on a batch of one.
 """
 
 from __future__ import annotations
@@ -96,12 +98,17 @@ def lattice_rate_cap(x: float) -> float:
     return math.log2(x)
 
 
-def _positive(v, name: str) -> float:
-    """``v`` as a float, refusing a bool, a string or any other non-real,
-    and anything not positive and finite."""
+def _real(v, name: str) -> float:
+    """``v`` as a float, refusing a bool, a string or any other non-real."""
     if not (isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool))):
         raise ValueError(f"{name}: not a real number: {v!r}")
-    x = float(v)
+    return float(v)
+
+
+def _positive(v, name: str) -> float:
+    """``v`` as a float, refusing a non-real and anything not positive and
+    finite."""
+    x = _real(v, name)
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {v!r}")
     return x
@@ -253,10 +260,7 @@ def _capacity(x: np.ndarray) -> np.ndarray:
 
 def _lattice_cap(x: np.ndarray) -> np.ndarray:
     """`lattice_rate_cap` per entry."""
-    out = np.zeros(len(x))
-    above = ~(x <= 1.0)  # NaN too, as in lattice_rate_cap
-    out[above] = _each(math.log2, x[above])
-    return out
+    return _each(lattice_rate_cap, x)
 
 
 def _divide(a, b):
@@ -314,8 +318,9 @@ def _family_terms(up, down, p, restricted: bool) -> list[np.ndarray]:
 
 
 def _rate_quad(rates: Sequence[float]) -> RateQuad:
-    """The four session rates as floats: finite, and none below -TOL."""
-    r = tuple(float(x) for x in rates)
+    """The four session rates as floats: real numbers, finite, and none
+    below -TOL."""
+    r = tuple(_real(x, "rates") for x in rates)
     if len(r) != 4:
         raise ValueError(f"expected 4 rate components, got {len(r)}")
     if not all(-TOL <= x < math.inf for x in r):
@@ -473,21 +478,23 @@ def _normalize(up, down, p, rates, terms=None):
     return up, down, r, side_swapped, clamps, pairs_swapped
 
 
-@_quiet
-def reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedProblem:
-    up, down, p = net._columns()
-    up, down, r, side, clamps, pairs = _normalize(up, down, p, _one(_rate_quad(rates)))
+def _normalized_problem(net: GaussNetwork, normalized) -> NormalizedProblem:
+    """The `NormalizedProblem` of ``net`` from `_normalize`'s columns for
+    it as a batch of one."""
+    up, down, r, side, clamps, pairs = normalized
     up, down = _row(up, 0), _row(down, 0)
-    out = GaussNetwork(
-        (up[0], up[2]), (up[1], up[3]), (down[1], down[3]), (down[0], down[2]), net.power
-    )
     return NormalizedProblem(
-        out,
+        GaussNetwork((up[0], up[2]), (up[1], up[3]), (down[1], down[3]), (down[0], down[2]), net.power),
         _row(r, 0),
         tuple(bool(s[0]) for s in side),
         bool(pairs[0]),
         tuple(name for name, clamp in clamps if clamp[0]),
     )
+
+
+@_quiet
+def reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedProblem:
+    return _normalized_problem(net, _normalize(*net._columns(), _one(_rate_quad(rates))))
 
 
 def _swap_pairs(q: Sequence, swapped) -> list:
@@ -550,13 +557,6 @@ def _precondition_errors(direction: str, snr, r) -> list:
         k = failed[:, i].argmax()
         errors[i] = InfeasibleRatesError(rows[k][0], f"lhs={lhs[k, i].item():.6g}, rhs={rhs[k, i].item():.6g}")
     return errors
-
-
-@_quiet
-def _check_preconditions(direction: str, snr: Sequence[float], r: RateQuad) -> None:
-    """Raise `InfeasibleRatesError` naming the hop's first failed rate
-    precondition."""
-    _raise_first(_precondition_errors(direction, _one(snr), _one(r)))
 
 
 def _allocation_inputs(direction: str, mags, p, r):
@@ -942,11 +942,12 @@ class _Hop(NamedTuple):
     excess: Callable  # alpha columns -> budget excess
     overspend: Callable  # (splits, trial, excess) -> AllocationInvalidError text
     checks: Callable  # (magnitudes, power, splits) -> per case: trials, (name, lhs, rhs)
+    allocation: Callable  # (splits, trial) -> UplinkAllocation or DownlinkAllocation
 
 
 _HOPS = {
-    "uplink": _Hop(_walk_uplink, _uplink_excess, _uplink_overspend, _uplink_checks),
-    "downlink": _Hop(_walk_downlink, _downlink_excess, _downlink_overspend, _downlink_checks),
+    "uplink": _Hop(_walk_uplink, _uplink_excess, _uplink_overspend, _uplink_checks, _uplink_allocation),
+    "downlink": _Hop(_walk_downlink, _downlink_excess, _downlink_overspend, _downlink_checks, _downlink_allocation),
 }
 
 
@@ -1010,80 +1011,78 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
 
     Raises on inputs outside the hypothesis (components below 2, rates
     outside the region, SNRs below the proven side conditions); returns a
-    report whose ``stage`` pinpoints any internal failure otherwise.
+    report whose ``stage`` pinpoints any internal failure otherwise.  The
+    report is `_verify_columns` on a batch of one.
     """
     target = _rate_quad(rates)
-    _require_hypothesis(_one(target), *net._columns())
-    normalized = reduce_orderings(net, target)  # raises InfeasibleRatesError when outside
-
-    r = _row(_back_off(_one(normalized.rates)), 0)
-    hops = {"uplink": (None, ()), "downlink": (None, ())}
-    stage, detail = "ok", ""
-    for hop in hops:
-        # Looked up at call time, so wrappers installed on the module see
-        # every call.
-        allocate, rate_check = globals()[f"{hop}_allocate"], globals()[f"{hop}_rate_check"]
-        try:
-            alloc = allocate(normalized.net, r)
-            checks = rate_check(normalized.net, alloc)
-        except (InfeasibleRatesError, LowPowerError, AllocationInvalidError) as exc:
-            stage, detail = f"{hop}-allocation", str(exc)
-            break
-        hops[hop] = (alloc, checks)
-        bad = [c.name for c in checks if c.slack < -TOL]
-        if bad:
-            stage, detail = f"{hop}-rate-check", ", ".join(bad)
-            break
-
-    (uplink, uplink_checks), (downlink, downlink_checks) = hops.values()
+    stage, _, _, detail, normalized, hops = _verify_columns(*net._columns(), _one(target))
+    reached = {
+        hop: (_HOPS[hop].allocation(splits, 0), _single_checks(groups))
+        for hop, (rows, splits, groups) in hops.items()
+        if rows.size
+    }
+    (uplink, uplink_checks), (downlink, downlink_checks) = (reached.get(hop, (None, ())) for hop in _HOPS)
     return AchievabilityReport(
         net=net,
         target=target,
         backed_off=_row(_back_off(_one(target)), 0),
-        normalized=normalized,
+        normalized=_normalized_problem(net, normalized),
         uplink=uplink,
         uplink_checks=uplink_checks,
         downlink=downlink,
         downlink_checks=downlink_checks,
-        stage=stage,
-        detail=detail,
+        stage=stage[0],
+        detail=detail[0],
     )
 
 
 def _verify_columns(up, down, p, target, terms=None):
-    """`verify_constant_gap` on columns: each trial's stage, largest budget
-    excess and smallest check slack, as its report gives them.  The hops
-    run as a masked cascade: a trial leaves at its first failing stage.
-    ``terms`` are the restricted family terms when already at hand.
-    Raises where `verify_constant_gap` raises, for some trial."""
+    """`verify_constant_gap` on columns, the one constant-gap cascade: the
+    hops run masked, and a trial leaves at its first failing stage, so a hop
+    no trial reaches is skipped.  Returns each trial's stage, largest budget
+    excess, smallest check slack and detail, as its report gives them;
+    `_normalize`'s columns; and per hop reached, the trials that got a
+    split, their `_Splits` and their check groups.  ``terms`` are the
+    restricted family terms when already at hand.  Raises where
+    `verify_constant_gap` raises, for some trial."""
     n = len(p)
     _require_hypothesis(target, up, down, p)
-    up, down, quad, *_ = _normalize(up, down, p, target, terms)
+    normalized = _normalize(up, down, p, target, terms)
+    up, down, quad = normalized[:3]
     r = _back_off(quad)
 
-    stage = np.full(n, "ok", dtype=object)
+    stage, detail = np.full(n, "ok", dtype=object), [""] * n
     excess, slack, seen = np.zeros(n), np.full(n, math.inf), np.zeros(n, dtype=bool)
+    hops = {}
     rows = np.arange(n)  # the trials still at stage "ok"
     for hop, mags in (("uplink", up), ("downlink", down)):
+        if not rows.size:
+            break
         mags = _take(mags, rows)
         splits, kept, spent, errors = _allocate(hop, mags, p[rows], _take(r, rows))
-        stage[[rows[i] for i, e in enumerate(errors) if e is not None]] = f"{hop}-allocation"
+        for i, e in enumerate(errors):
+            if e is not None:
+                stage[rows[i]], detail[rows[i]] = f"{hop}-allocation", str(e)
         rows, mags = rows[kept], _take(mags, kept)
         excess[rows] = _max(excess[rows], spent)
 
         bad = np.zeros(len(rows), dtype=bool)
-        for at, checks in _HOPS[hop].checks(mags, p[rows], splits):
-            trials = rows[at]
+        groups = list(_HOPS[hop].checks(mags, p[rows], splits))
+        for at, checks in groups:
+            trials, failed = rows[at], []
             for _, lhs, rhs in checks:  # min() over the checks, in order
                 s = rhs - lhs
                 first = ~seen[trials]
                 slack[trials] = np.where(first | (s < slack[trials]), s, slack[trials])
                 seen[trials] = True
-                bad[at] |= s < -TOL
+                failed.append(s < -TOL)
+            bad[at] = np.any(failed, axis=0)
+            for j in np.flatnonzero(bad[at]).tolist():
+                detail[trials[j]] = ", ".join(name for (name, _, _), f in zip(checks, failed) if f[j])
         stage[rows[bad]] = f"{hop}-rate-check"
+        hops[hop] = (rows, splits, groups)
         rows = rows[~bad]
-    return stage, excess, slack
-
+    return stage, excess, slack, detail, normalized, hops
 
 
 # --- Monte Carlo sweep ---------------------------------------------------------
@@ -1239,7 +1238,7 @@ def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
     h, p, terms = _sample_networks(cfg, rngs, indices)
     rates, walked = _boundary_rates(rngs, terms)
     up, down = _sessions(h)
-    stage, excess, slack = _verify_columns(up, down, p, rates, terms)
+    stage, excess, slack, *_ = _verify_columns(up, down, p, rates, terms)
     gap = _fold(_max, _bound_gaps(_family_terms(up, down, p, False), terms))
 
     h = h.tolist()

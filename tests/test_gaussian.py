@@ -374,7 +374,8 @@ def test_family_table_matches_reference(h, power, rates):
     ):
         snr = gaussian._snrs(magnitudes, net.power)
         assert snr == tuple(reference_snr[k] for k in keys)  # session order, h ** 2 * P
-        got = _first_failure(gaussian._check_preconditions, direction, snr, r)
+        error = gaussian._precondition_errors(direction, gaussian._one(snr), gaussian._one(r))[0]
+        got = None if error is None else str(error)
         assert got == _first_failure(reference, net, r)
     # The sweep sampler's acceptance: SNR floor, then the exact 2-bit base check.
     base_ok = all(
@@ -385,13 +386,23 @@ def test_family_table_matches_reference(h, power, rates):
 
 
 def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
-    # The hop functions are looked up on the module at call time, so a
-    # wrapper installed there (as the benchmark's tracer does) sees every
-    # call; a failing uplink check ends the run before the downlink.
+    # The cascade reads each hop's functions from its `_HOPS` row: a forced
+    # uplink check failure ends the run before the downlink is walked, and
+    # a batch with no trial left skips the hop altogether.
     calls = []
     failing = ConstraintCheck("forced", 1.0, 0.0)
-    monkeypatch.setattr(gaussian, "uplink_rate_check", lambda net, alloc: calls.append("up") or (failing,))
-    monkeypatch.setattr(gaussian, "downlink_allocate", lambda net, r: calls.append("down"))
+
+    def forced_checks(mags, p, splits):
+        calls.append("up")
+        return [(np.arange(len(p)), [("forced", np.ones(len(p)), np.zeros(len(p)))])]
+
+    def recording_walk(mags, snr, r):
+        calls.append("down")
+        return downlink.walk(mags, snr, r)
+
+    uplink, downlink = gaussian._HOPS["uplink"], gaussian._HOPS["downlink"]
+    monkeypatch.setitem(gaussian._HOPS, "uplink", uplink._replace(checks=forced_checks))
+    monkeypatch.setitem(gaussian._HOPS, "downlink", downlink._replace(walk=recording_walk))
     report = verify_constant_gap(snr_net(255.0), (4.0, 4.0, 4.0, 4.0))
     assert calls == ["up"]
     assert report.stage == "uplink-rate-check" and report.detail == "forced"
@@ -420,6 +431,21 @@ def test_non_finite_rates_rejected(call, bad):
     with pytest.raises(ValueError, match="finite") as err:
         call(snr_net(255.0), (bad, rest, rest, rest))
     assert err.type is ValueError  # not a verdict such as InfeasibleRatesError
+
+
+@pytest.mark.parametrize("bad", [True, "1.5", b"1", None, 1j, np.bool_(True)], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [gauss_cutset, gauss_restricted_cutset, uplink_allocate, downlink_allocate, verify_constant_gap],
+    ids=lambda f: f.__name__,
+)
+def test_non_real_rates_rejected(call, bad):
+    # float() once read True as 1.0 and "1.5" or b"1" as numbers, as the
+    # network's magnitudes and the deterministic rates never do.
+    rest = 2.0 if call is verify_constant_gap else 0.0
+    with pytest.raises(ValueError, match="not a real number") as err:
+        call(snr_net(255.0), (bad, rest, rest, rest))
+    assert err.type is ValueError
 
 
 # --- the cancellation-chain tables against the reference ------------------------------
@@ -1528,14 +1554,14 @@ def _trial_columns(trials):
 
 
 def _pipeline_verdicts(trials):
-    """Each trial's (stage, max_alpha_excess, min_check_slack) from the batch pipeline."""
-    stage, excess, slack = gaussian._verify_columns(*_trial_columns(trials))
-    return list(zip(stage.tolist(), excess.tolist(), slack.tolist()))
+    """Each trial's (stage, max_alpha_excess, min_check_slack, detail) from the batch pipeline."""
+    stage, excess, slack, detail, *_ = gaussian._verify_columns(*_trial_columns(trials))
+    return list(zip(stage.tolist(), excess.tolist(), slack.tolist(), detail))
 
 
 def _reference_verdict(net, rates):
     report = reference_verify_constant_gap(net, rates)
-    return report.stage, report.max_alpha_excess(), report.min_check_slack()
+    return report.stage, report.max_alpha_excess(), report.min_check_slack(), report.detail
 
 
 _CORNER_TRIAL = (
@@ -1570,10 +1596,10 @@ def _explicit_trials(draw):
 # A trial outside the hypothesis after one inside it.
 @example([(snr_net(255.0), (4.0, 4.0, 4.0, 4.0)), (snr_net(2.0), (2.0, 2.0, 2.0, 2.0))])
 def test_verify_columns_match_reference(trials):
-    # The masked cascade gives each trial the stage, budget excess and check
-    # slack its reference report gives, bit for bit; where a reference trial
-    # raises, the batch raises, and the first such trial alone raises the
-    # same exception.
+    # The masked cascade gives each trial the stage, budget excess, check
+    # slack and detail its reference report gives, bit for bit; where a
+    # reference trial raises, the batch raises, and the first such trial
+    # alone raises the same exception.
     expected = [_outcome(_reference_verdict, net, rates) for net, rates in trials]
     raised = [i for i, (kind, _) in enumerate(expected) if isinstance(kind, type)]
     if not raised:
@@ -1588,12 +1614,15 @@ def test_verify_columns_match_reference(trials):
 
 def test_verify_columns_cover_every_case():
     # One block of sweep trials plus the 2-bit corner: every uplink and
-    # downlink case and the uplink-allocation stage, all matching the reference.
+    # downlink case and the uplink-allocation stage, with its failure text,
+    # all matching the reference.
     cfg = SweepConfig(trials=300, seed=5)
     trials = [(rec.net, rec.rates) for rec in map(lambda i: reference_run_trial(cfg, i), range(cfg.trials))]
     trials.insert(150, _CORNER_TRIAL)
     reports = [reference_verify_constant_gap(net, rates) for net, rates in trials]
-    assert _pipeline_verdicts(trials) == [(r.stage, r.max_alpha_excess(), r.min_check_slack()) for r in reports]
+    assert _pipeline_verdicts(trials) == [
+        (r.stage, r.max_alpha_excess(), r.min_check_slack(), r.detail) for r in reports
+    ]
     cases = {(hop, getattr(r, hop).case) for r in reports for hop in ("uplink", "downlink") if getattr(r, hop)}
     assert cases == {(hop, case) for hop in ("uplink", "downlink") for case in ("I", "II", "III")}
     assert {r.stage for r in reports} == {"ok", "uplink-allocation"}
