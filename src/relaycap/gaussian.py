@@ -31,6 +31,13 @@ and checks each hop, each trial leaving at its first failing stage:
 `verify_constant_gap` on a batch of one, whose report it builds from the
 cascade's columns.  The region checks, allocators and rate checks also
 run the batch code on a batch of one.
+
+The sweep's randomness is columns too (see "Sweep streams" below): trial
+i's k-th double is a pure function of (seed, i, k), numpy's k-th draw of
+default_rng(SeedSequence(entropy=seed, spawn_key=(i,))) computed without
+building that generator.  A sampling round takes 9 doubles per pending
+trial, a boundary direction 4, and redraws advance only the rejected
+trials' streams.
 """
 
 from __future__ import annotations
@@ -57,11 +64,8 @@ BOUNDARY_NUDGE = 1e-6
 # no trial of 10^5 (seed 0) needed more than 10.
 MAX_SAMPLE_DRAWS = 1000
 # Trials per block of the sweep's batch pipeline, so that memory stays flat
-# over a long sweep; after its first draw, a block redraws at most
-# REDRAW_WINDOW of its rejected trials at a time, the lowest first, so that
-# a range that runs out of draws fails after at most that many trials' draws.
+# over a long sweep.
 SWEEP_BLOCK = 1024
-REDRAW_WINDOW = 64
 
 
 class InfeasibleRatesError(ValueError):
@@ -1085,11 +1089,157 @@ def _verify_columns(up, down, p, target, terms=None):
     return stage, excess, slack, detail, normalized, hops
 
 
+# --- Sweep streams -------------------------------------------------------------
+# Trial i of a sweep with seed s reads, in order, the doubles that numpy's
+# default_rng(SeedSequence(entropy=s, spawn_key=(i,))).random() returns.
+# `_Streams` computes them for a column of trials at once from numpy's
+# documented algorithms: the SeedSequence pool mix and generate_state(4,
+# uint64); PCG64, a 128-bit LCG x -> M x + inc with XSL-RR output (O'Neill
+# 2014), its state kept as (high, low) uint64 columns; and next_double,
+# (u >> 11) 2^-53.  numpy's own generators serve only as the tests' oracle.
+
+_M32 = 0xFFFF_FFFF
+_POOL = 4  # SeedSequence's pool size, in 32-bit words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_ROUND = 9  # the draw layout: a sampling round's 8 magnitudes, then its power
+
+
+def _u128(x: int) -> tuple[np.uint64, np.uint64]:
+    """``x`` < 2^128 as (high, low) uint64 words."""
+    return np.uint64(x >> 64), np.uint64(x & (1 << 64) - 1)
+
+
+def _jump_table(steps: int):
+    """(M^k, M^(k-1) + ... + M + 1) mod 2^128 for k = 1 .. ``steps``, as
+    (high, low) uint64 arrays: k LCG steps take x to M^k x + (sum) inc."""
+    a, s, rows = 1, 0, []
+    for _ in range(steps):
+        a, s = a * _PCG_MULT % 2**128, (s * _PCG_MULT + 1) % 2**128
+        rows.append((*_u128(a), *_u128(s)))
+    a_hi, a_lo, s_hi, s_lo = (np.array(c, dtype=np.uint64) for c in zip(*rows))
+    return (a_hi, a_lo), (s_hi, s_lo)
+
+
+_JUMPS = _jump_table(_ROUND)
+
+
+class _HashMix:
+    """SeedSequence's hashmix with its running hash constant.  It works on
+    plain ints and on uint64 columns alike, keeping the low 32 bits."""
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = self.const * self.mult & _M32
+        value = value * self.const & _M32
+        return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words, plain ints or uint64 columns."""
+    out = (_MIX_L * x - _MIX_R * y) & _M32
+    return out ^ out >> 16
+
+
+def _seed_prefix(seed: int) -> tuple[list[int], _HashMix]:
+    """The pool of SeedSequence(entropy=seed, spawn_key=(i,)) before it mixes
+    in its last entropy word, i, and its hashmix at that point: both depend
+    on the seed alone.  The seed's 32-bit words, least significant first, are
+    padded with zeros to the pool size; a seed of 2^128 or more has more
+    words than the pool, and mixes the rest in after the pool's own words."""
+    words = []
+    while seed:
+        words.append(seed & _M32)
+        seed >>= 32
+    words += [0] * (_POOL - len(words))
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        pool = [_mix(x, hashmix(w)) for x in pool]
+    return pool, hashmix
+
+
+def _mul_hi(a, b):
+    """The high 64 bits of each 64 x 64-bit product a b, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    low, cross1, cross2 = a0 * b0, a1 * b0, a0 * b1
+    carry = (low >> 32) + (cross1 & _M32) + (cross2 & _M32)
+    return a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (carry >> 32)
+
+
+def _mul128(x, c):
+    """x c mod 2^128, for (high, low) uint64 pairs."""
+    return _mul_hi(x[1], c[1]) + x[0] * c[1] + x[1] * c[0], x[1] * c[1]
+
+
+def _add128(x, y):
+    """x + y mod 2^128, for (high, low) uint64 pairs."""
+    low = x[1] + y[1]
+    return x[0] + y[0] + (low < x[1]), low
+
+
+def _next_double(hi, lo) -> np.ndarray:
+    """PCG64's XSL-RR output of each state, as numpy's next_double."""
+    x, rot = hi ^ lo, hi >> 58
+    out = x >> rot | x << ((64 - rot) & 63)
+    return (out >> 11) * 2.0**-53
+
+
+def _uniform(lo: float, hi: float, d):
+    """numpy's Generator.uniform(lo, hi) of the double ``d``."""
+    return lo + (hi - lo) * d
+
+
+class _Streams:
+    """The streams of trials ``indices`` of a sweep with seed ``seed``, one
+    PCG64 state column entry per trial.  A trial's k-th double is a pure
+    function of (seed, index, k): `draw` advances only the trials it draws
+    for, so redraw rounds run the pending trials in lockstep."""
+
+    def __init__(self, seed: int, indices: Sequence[int]):
+        pool, hashmix = _seed_prefix(seed)
+        i = np.fromiter(indices, np.uint64, len(indices))
+        pool = [_mix(x, hashmix(i)) for x in pool]
+        hashmix = _HashMix(_INIT_B, _MULT_B)
+        half = [hashmix(pool[k % _POOL]) for k in range(2 * _POOL)]
+        w0, w1, w2, w3 = (half[k] | half[k + 1] << 32 for k in range(0, 2 * _POOL, 2))
+        # PCG64's set-seq seeding: inc = 2 (w2, w3) + 1, then two steps around
+        # adding the initial state (w0, w1).
+        self.inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+        self.state = _add128(_mul128(_add128(self.inc, (w0, w1)), _u128(_PCG_MULT)), self.inc)
+
+    def draw(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """The next ``k`` <= `_ROUND` doubles of the trials at positions
+        ``rows``, one row each, computed as one jump per double."""
+        (a_hi, a_lo), (s_hi, s_lo) = _JUMPS
+        state = (self.state[0][rows, None], self.state[1][rows, None])
+        inc = (self.inc[0][rows, None], self.inc[1][rows, None])
+        hi, lo = _add128(_mul128(state, (a_hi[:k], a_lo[:k])), _mul128(inc, (s_hi[:k], s_lo[:k])))
+        self.state[0][rows], self.state[1][rows] = hi[:, -1], lo[:, -1]
+        return _next_double(hi, lo)
+
+
 # --- Monte Carlo sweep ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep: ``trials`` trials drawn from seed ``seed``, with magnitudes
+    log-uniform on [h_min, h_max] and power log-uniform on [p_min, p_max].
+
+    ``trials`` and ``seed`` are non-negative integers (bools refused); any
+    seed `numpy.random.SeedSequence` takes is taken, but at most 2^32 trials,
+    since a trial's index is one 32-bit spawn-key word.  The range bounds
+    are positive finite reals."""
+
     trials: int
     seed: int = 0
     h_min: float = 1.0
@@ -1098,10 +1248,17 @@ class SweepConfig:
     p_max: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.trials < 0:
-            raise ValueError("trials must be non-negative")
-        if not (0 < self.h_min <= self.h_max and 0 < self.p_min <= self.p_max):
-            raise ValueError("magnitude and power ranges must be non-empty and positive")
+        for name in ("trials", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        if self.trials > 2**32:
+            raise ValueError(f"trials must be at most 2**32 (one spawn-key word per trial), got {self.trials}")
+        for name in ("h_min", "h_max", "p_min", "p_max"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        if not (self.h_min <= self.h_max and self.p_min <= self.p_max):
+            raise ValueError("magnitude and power ranges must be non-empty")
         # Every family term grows with each magnitude and the power, so when
         # the strongest network in range fails the sampler, every draw does.
         h = (self.h_max, self.h_max)
@@ -1166,27 +1323,24 @@ def _sessions(h: np.ndarray) -> tuple[list, list]:
     return [h[0], h[2], h[1], h[3]], [h[6], h[4], h[7], h[5]]
 
 
-def _sample_networks(cfg: SweepConfig, rngs: list, indices: Sequence[int]):
-    """Log-uniform magnitudes and power, each trial redrawn from its own
-    generator until `_accepts` keeps its network, at most
-    `MAX_SAMPLE_DRAWS` times.  A round draws once for every trial in it and
-    tests the round at once: all trials, then up to `REDRAW_WINDOW` of the
-    lowest pending.  Returns the magnitudes (one row per link, one column
-    per trial), the powers and the restricted family terms of the kept
-    networks."""
+def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]):
+    """Log-uniform magnitudes and power, each trial redrawn until `_accepts`
+    keeps its network, at most `MAX_SAMPLE_DRAWS` times.  A round takes
+    `_ROUND` doubles from each pending trial's stream (`np.exp` of 8
+    magnitude uniforms, then of a power uniform) and tests the round at once;
+    the next round redraws the rejected trials.  Returns the magnitudes (one
+    row per link, one column per trial), the powers and the restricted
+    family terms of the kept networks."""
     lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
     lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
-    n = len(rngs)
+    n = len(indices)
     h, p, terms = np.empty((8, n)), np.empty(n), np.empty((8, n))
-    drawn = np.zeros(n, dtype=int)
-    pending, window = np.arange(n), n
-    while pending.size:
-        rows, pending = pending[:window], pending[window:]
-        drawing = [rngs[j] for j in rows.tolist()]
-        hp = np.array([np.exp(rng.uniform(lo_h, hi_h, size=8)) for rng in drawing]).T
-        pp = np.array([np.exp(rng.uniform(lo_p, hi_p)) for rng in drawing])
+    rows = np.arange(n)
+    for _ in range(MAX_SAMPLE_DRAWS):
+        d = streams.draw(rows, _ROUND)
+        hp = np.exp(_uniform(lo_h, hi_h, d[:, :8])).T
+        pp = np.exp(_uniform(lo_p, hi_p, d[:, 8]))
         h[:, rows], p[rows] = hp, pp
-        drawn[rows] += 1
         # A draw GaussNetwork might refuse (a square near overflow, or an
         # exp that underflowed) is built as one, so it raises as it would.
         top = 2.0 * hp.max(axis=0)
@@ -1195,48 +1349,41 @@ def _sample_networks(cfg: SweepConfig, rngs: list, indices: Sequence[int]):
             GaussNetwork(h_j[0:2], h_j[2:4], h_j[4:6], h_j[6:8], pp[j].item())
         ok, t = _accepts(*_sessions(hp), pp)
         terms[:, rows] = t
-        rejected = rows[~ok]
-        spent = rejected[drawn[rejected] == MAX_SAMPLE_DRAWS]
-        if spent.size:
-            raise ValueError(
-                f"trial {indices[spent[0]]}: none of {MAX_SAMPLE_DRAWS} sampled networks met the SNR "
-                "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"
-            )
-        pending, window = np.concatenate([rejected, pending]), REDRAW_WINDOW
-    return h, p, list(terms)
+        rows = rows[~ok]
+        if not rows.size:
+            return h, p, list(terms)
+    raise ValueError(
+        f"trial {indices[rows[0]]}: none of {MAX_SAMPLE_DRAWS} sampled networks met the SNR "
+        "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"
+    )
 
 
-def _boundary_rates(rngs: list, terms: list) -> tuple[list, np.ndarray]:
+def _boundary_rates(streams: _Streams, terms: list) -> list[np.ndarray]:
     """Per trial, a point of the restricted-region boundary at least 2 in
     every component: walk from (2,2,2,2) along a random non-negative
-    direction from the trial's generator to the nearest constraint, then
-    retreat `BOUNDARY_NUDGE` bits.  Also tells which trials' walks left the
-    base point: their `TrialRecord.rates` hold numpy floats, the others'
-    plain floats."""
-    directions = []
-    for rng in rngs:
-        while True:
-            d = rng.random(4)
-            if max(d.tolist()) > 1e-9:
-                break
-        directions.append(d)
-    d = np.array(directions).T
-    t_star = np.full(len(rngs), math.inf)
+    direction, 4 doubles of the trial's stream redrawn while none exceeds
+    1e-9, to the nearest constraint, then retreat `BOUNDARY_NUDGE` bits."""
+    n = len(terms[0])
+    d, rows = np.empty((n, 4)), np.arange(n)
+    while rows.size:
+        d[rows] = streams.draw(rows, 4)
+        rows = rows[d[rows].max(axis=1) <= 1e-9]
+    d = d.T
+    t_star = np.full(n, math.inf)
     for (_, sessions, _, _), rhs in zip(_FAMILIES, terms):
         step = sum(map(d.__getitem__, sessions))
         room = (rhs - 2.0 * len(sessions)) / np.where(step > 0, step, 1.0)
         t_star = np.where((step > 0) & (room < t_star), room, t_star)
-    t = t_star - BOUNDARY_NUDGE / d.max(axis=0)
-    walked = t > 0.0
-    return [2.0 + np.where(walked, t, 0.0) * x for x in d], walked
+    t = _max(0.0, t_star - BOUNDARY_NUDGE / d.max(axis=0))
+    return [2.0 + t * x for x in d]
 
 
 @_quiet
 def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
     """The trials ``indices`` of the sweep, as one batch."""
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))) for i in indices]
-    h, p, terms = _sample_networks(cfg, rngs, indices)
-    rates, walked = _boundary_rates(rngs, terms)
+    streams = _Streams(cfg.seed, indices)
+    h, p, terms = _sample_networks(cfg, streams, indices)
+    rates = _boundary_rates(streams, terms)
     up, down = _sessions(h)
     stage, excess, slack, *_ = _verify_columns(up, down, p, rates, terms)
     gap = _fold(_max, _bound_gaps(_family_terms(up, down, p, False), terms))
@@ -1244,9 +1391,10 @@ def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
     h = h.tolist()
     nets = map(GaussNetwork._drawn, *(zip(h[k], h[k + 1]) for k in range(0, 8, 2)), p.tolist())
     return [
-        TrialRecord(i, net, q if w else tuple(map(float, q)), s == "ok", s, e, m, g)
-        for i, net, q, w, s, e, m, g in zip(
-            indices, nets, zip(*rates), walked.tolist(), stage.tolist(), excess.tolist(), slack.tolist(), gap.tolist()
+        TrialRecord(i, net, q, s == "ok", s, e, m, g)
+        for i, net, q, s, e, m, g in zip(
+            indices, nets, zip(*(r.tolist() for r in rates)), stage.tolist(), excess.tolist(), slack.tolist(),
+            gap.tolist(),
         )
     ]
 
@@ -1264,10 +1412,12 @@ def _sweep_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
 
 
 def run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
-    """One deterministic trial, a batch of one; the sub-seed depends only on
+    """One deterministic trial, a batch of one; its stream depends only on
     (seed, index), so trials run in any order or split yield identical
-    records."""
-    return _trial_block(cfg, (index,))[0]
+    records.  ``index`` is one spawn-key word: an integer in [0, 2^32)."""
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index <= _M32:
+        raise ValueError(f"trial index must be an integer in [0, 2**32), got {index!r}")
+    return _trial_block(cfg, (int(index),))[0]
 
 
 def monte_carlo_gap(cfg: SweepConfig) -> GapReport:

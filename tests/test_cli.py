@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from relaycap import cli
 from relaycap.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -238,6 +239,23 @@ def test_sweep_det_mode(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "trial,seed,verdict,pairs,n_ar,n_br,n_ra,n_rb,tuples_checked,failures"
 
 
+def test_main_leaves_no_parsed_state_between_calls(tmp_path, capsys):
+    # The parser is built once per process; a Gaussian sweep run after a
+    # --det sweep is Gaussian and writes the bytes of a run on a fresh parser.
+    fresh, det, reused = (tmp_path / name for name in ("fresh.csv", "det.csv", "reused.csv"))
+    cli._parser.cache_clear()
+    assert main(["sweep", "--trials", "30", "--seed", "4", "--out", str(fresh)]) == EXIT_OK
+    fresh_summary = capsys.readouterr().out
+    assert main(["sweep", "--det", "--trials", "3", "--seed", "4", "--out", str(det)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["mode"] == "deterministic"
+    assert main(["sweep", "--trials", "30", "--seed", "4", "--out", str(reused)]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["mode"] == "gaussian"
+    assert {**summary, "out": None} == {**json.loads(fresh_summary), "out": None}
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert reused.read_text().startswith("trial,seed,verdict,stage,max_alpha_slack,bound_gap,")
+
+
 def test_region_non_member_report_pinned(tmp_path, capsys):
     # Captured from the brute-force oracle before membership moved to the
     # integer threshold test: same cuts, order, sums and bounds.
@@ -329,6 +347,11 @@ def test_schedule_integral_over_budget(tmp_path, capsys):
         (["sweep", "--det", "--max-gain", "-1"], "--max-gain"),
         (["sweep", "--det", "--trials", "0", "--max-pairs", "0"], "--max-pairs"),
         (["sweep", "--det", "--trials", "0", "--max-gain", "-1"], "--max-gain"),
+        # Once numpy's "expected non-negative integer".
+        (["sweep", "--trials", "2", "--seed", "-1"], "seed must be a non-negative integer"),
+        # A trial index is one 32-bit spawn-key word.
+        (["sweep", "--trials", str(2**32 + 1)], "trials must be at most 2**32"),
+        (["sweep", "--trials", "2", "--hmin", "0"], "h_min must be positive"),
     ],
 )
 def test_cli_rejects_invalid_options(det_file, capsys, argv, message):

@@ -1097,6 +1097,92 @@ def test_sweep_config_validation():
         SweepConfig(trials=1, seed=0, h_min=1.0, h_max=1.0, p_min=1.0, p_max=1.0)
 
 
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        (dict(trials=True), "trials"),
+        (dict(trials=1, seed=True), "seed"),
+        (dict(trials=2.0), "trials"),
+        (dict(trials=1, seed=1.5), "seed"),
+        (dict(trials=1, seed="3"), "seed"),
+        (dict(trials=1, seed=-1), "seed"),
+        (dict(trials=2**32 + 1), "trials"),
+        (dict(trials=1, h_min=0.0), "h_min"),
+        (dict(trials=1, h_max=math.inf), "h_max"),
+        (dict(trials=1, p_min=math.nan), "p_min"),
+        (dict(trials=1, p_max="100"), "p_max"),
+        (dict(trials=1, h_min=True), "h_min"),
+    ],
+)
+def test_sweep_config_refuses_bad_fields(fields, name):
+    with pytest.raises(ValueError, match=name):
+        SweepConfig(**fields)
+
+
+def test_sweep_config_takes_every_seed_numpy_takes():
+    assert SweepConfig(trials=2**32, seed=2**200 + 1).trials == 2**32
+    cfg = SweepConfig(trials=np.int64(3), seed=np.uint64(2**64 - 1))
+    assert (type(cfg.trials), type(cfg.seed), cfg.seed) == (int, int, 2**64 - 1)
+    with pytest.raises(ValueError, match="trial index"):
+        run_trial(cfg, 2**32)
+
+
+# --- the sweep streams against numpy's generators ---------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**128, 2**200 + 7]), st.integers(0, 2**256)),
+    indices=st.lists(st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)), min_size=1, max_size=5),
+    rounds=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 31)), min_size=1, max_size=8),
+    lo=st.floats(-50.0, 50.0).filter(bool),
+    hi=st.floats(-50.0, 150.0),
+)
+@example(seed=0, indices=[0, 2**32 - 1], rounds=[(9, 31), (4, 1), (9, 2)], lo=math.log(2), hi=math.log(3))
+@example(seed=2**32 - 1, indices=[2**32 - 1, 0, 5], rounds=[(1, 31)] * 40, lo=math.log(2), hi=math.log(3))
+@example(seed=2**32, indices=[7], rounds=[(9, 1)] * 4 + [(4, 1)], lo=-3.0, hi=3.0)
+@example(seed=2**64 + 1, indices=[0, 1], rounds=[(9, 3), (9, 2), (9, 1)], lo=1e-3, hi=math.log(100))
+@example(seed=2**128 + 3, indices=[2**32 - 1, 0], rounds=[(5, 3), (9, 1)], lo=math.log(2), hi=math.log(3))
+def test_sweep_streams_match_numpy(seed, indices, rounds, lo, hi):
+    # Each trial's column draws are the doubles of its numpy generator, bit
+    # for bit, and lo + (hi - lo) d its uniform(lo, hi) draws: in rounds of 1
+    # to 9 draws, the first for every trial and each later one for a subset
+    # (a mask over the trials), at most 40 draws in all.
+    assume(hi >= lo)
+    streams = gaussian._Streams(seed, indices)
+    oracles = [
+        [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for _ in range(2)]
+        for i in indices
+    ]
+    total = 0
+    for n, (k, mask) in enumerate(rounds):
+        total += k
+        if total > 40:
+            break
+        rows = [j for j in range(len(indices)) if n == 0 or mask >> j & 1] or list(range(len(indices)))
+        got = streams.draw(np.array(rows), k)
+        for row, j in zip(got, rows):
+            doubles, uniform = oracles[j]
+            assert np.array_equal(row.view(np.uint64), doubles.random(k).view(np.uint64))
+            assert np.array_equal(gaussian._uniform(lo, hi, row).view(np.uint64), uniform.uniform(lo, hi, k).view(np.uint64))
+
+
+def test_exp_of_stacked_draws_matches_per_trial_calls():
+    # The sampler calls np.exp once on a (rows x 8) block of magnitude
+    # uniforms and once on a column of power uniforms, where the one-trial
+    # sweep called it on each trial's 8 and on each power alone: no row count
+    # from 1 to 2048 may change a bit (say, through a SIMD tail).
+    rng = np.random.default_rng(17)
+    for lo, hi in ((0.0, math.log(100.0)), (-700.0, 700.0)):
+        draws = rng.uniform(lo, hi, size=(2048, 9))
+        mags, powers = draws[:, :8].copy(), draws[:, 8].copy()
+        per_row = np.array([np.exp(r) for r in mags]).view(np.uint64)
+        per_power = np.array([np.exp(x) for x in powers]).view(np.uint64)
+        for n in range(1, 2049):
+            assert np.array_equal(np.exp(mags[:n]).view(np.uint64), per_row[:n])
+            assert np.array_equal(np.exp(powers[:n]).view(np.uint64), per_power[:n])
+
+
 # --- reference: the scalar sweep path before the batch pipeline -------------------------------
 # Kept verbatim from before the sweep ran as one batch pipeline, one trial
 # at a time, with only the names prefixed and the calls pointed at these
@@ -1501,6 +1587,12 @@ def _reference_records(cfg):
     return tuple(reference_run_trial(cfg, i) for i in range(cfg.trials))
 
 
+def _reference_float_records(cfg):
+    """The reference records with each rate passed through float(): the
+    reference keeps numpy floats where the boundary walk left the base point."""
+    return tuple(replace(rec, rates=tuple(map(float, rec.rates))) for rec in _reference_records(cfg))
+
+
 @st.composite
 def _sweep_configs(draw):
     """A seed, up to 64 trials, and the default ranges or narrow ones where
@@ -1525,10 +1617,13 @@ def _sweep_configs(draw):
 # Trial 0 runs out of draws; then trial 23 does, after 0 to 22 were sampled.
 @example(SweepConfig(20, 0, 1.0, 4.0, 1.0, 1.0))
 @example(SweepConfig(40, 7, 1.0, 4.0, 1.0, 2.0))
+# Seeds past one 32-bit word, and past the four-word pool.
+@example(SweepConfig(8, 2**64 + 1))
+@example(SweepConfig(8, 2**130 + 5))
 def test_sweep_matches_reference(cfg):
-    # Records equal and print the same (a rate is a numpy float unless the
-    # boundary walk stopped at the base point), or the same exception.
-    assert _sweep_outcome(lambda c: monte_carlo_gap(c).records, cfg) == _sweep_outcome(_reference_records, cfg)
+    # Records equal and print the same (every rate a plain float, bit for bit
+    # the reference's), or the same exception.
+    assert _sweep_outcome(lambda c: monte_carlo_gap(c).records, cfg) == _sweep_outcome(_reference_float_records, cfg)
 
 
 @pytest.mark.parametrize(
@@ -1537,12 +1632,11 @@ def test_sweep_matches_reference(cfg):
     ids=["default", "many-redraws", "trial-23-out-of-draws"],
 )
 def test_sweep_blocks_match_reference(monkeypatch, cfg):
-    # Blocks of 5 trials redrawing 2 at a time: block edges, redraw rounds
-    # and a failing block rerun trial by trial give the same records, or the
-    # same exception for the same trial.
+    # Blocks of 5 trials: block edges, redraw rounds and a failing block
+    # rerun trial by trial give the same records, or the same exception for
+    # the same trial.
     monkeypatch.setattr(gaussian, "SWEEP_BLOCK", 5)
-    monkeypatch.setattr(gaussian, "REDRAW_WINDOW", 2)
-    assert _sweep_outcome(lambda c: monte_carlo_gap(c).records, cfg) == _sweep_outcome(_reference_records, cfg)
+    assert _sweep_outcome(lambda c: monte_carlo_gap(c).records, cfg) == _sweep_outcome(_reference_float_records, cfg)
 
 
 def _trial_columns(trials):
