@@ -17,14 +17,15 @@ B_i; `Cut.sessions` lists the sessions it counts.  The bound is
 with the uplink term scaled by delta and the downlink term by (1 - delta)
 when the relay is half-duplex.
 
-Membership does not walk the 3^M - 1 cuts.  A cut's bound depends only on
-its largest uplink gain a and downlink gain b, so the region is cut by one
-threshold test per (a, b): the largest rate sum of any cut whose gains stay
-<= (a, b) must not exceed the bound at (a, b).  `cutset_holds` runs that
-test in integers in O(M K^2) with K <= 2M distinct gains; see its
-docstring for why it is exact.  `enumerate_cuts` and `det_cut_bound` stay
-as the brute-force reference; only a non-member walks `enumerate_cuts`, to
-list its violated cuts.
+Membership does not walk the 3^M - 1 cuts.  A cut's bound is
+min(up_scale * a, down_scale * b) for its largest uplink gain a and downlink
+gain b, so a cut is violated iff its rate sum exceeds up_scale * a or
+down_scale * b: the region is the intersection of two one-sided regions,
+one per hop.  `cutset_holds` tests each with one pass over the positive-rate
+sessions sorted by that hop's gain, in integers, in O(M + K log K) with
+K <= 2M sessions; see its docstring for why it is exact.  `enumerate_cuts`
+and `det_cut_bound` stay as the brute-force reference; only a non-member
+walks `enumerate_cuts`, to list its violated cuts.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def cutset_holds(
     up_scale: int = 1,
     down_scale: int = 1,
 ) -> bool:
-    """Integer threshold test: True iff every cut satisfies
+    """Integer test: True iff every cut satisfies
 
         sum of its sessions' rates <= min(up_scale * a, down_scale * b)
 
@@ -182,32 +183,36 @@ def cutset_holds(
     A2, B2, ...); rates are non-negative ints, and integral full-duplex
     rates use the unit scales.
 
-    For every threshold pair (a, b) of the session gains, taken over the
-    sessions with positive rate (b only from sessions whose uplink gain is
-    <= a), the test adds up, per pair, its largest rate whose gains are both
-    <= (a, b) and compares the sum with the bound at (a, b).  That is
-    O(M K^2) with K <= 2M.
+    Separability.  The sum exceeds the min iff it exceeds up_scale * a or
+    down_scale * b, so the test is two one-sided tests, one per hop: no
+    cut's sum may exceed scale * (its largest gain on that hop).  Each is
+    one pass over the sessions with positive rate, in ascending order of
+    that hop's gain.  The pass keeps each pair's largest rate seen so far
+    and their sum, and fails as soon as the sum exceeds scale * g for the
+    gain g just reached; the sum is checked when it grows, since g only
+    rises.  That is O(M + K log K) per hop with K <= 2M.
 
-    Exactness.  If a cut is violated, drop its zero-rate members: its rate
-    sum stays and its bound cannot grow, so it stays violated, and its gains
-    (a, b) are among the thresholds tried.  The cut is one selection of at
-    most one session per pair with gains <= (a, b), so the maximised sum is
-    at least its rate sum and the test fails.  Conversely, if the test fails
-    at (a, b), the maximising selection is itself a cut, nonempty because its
-    sum is positive, with largest gains a' <= a and b' <= b; the bound is
-    monotone in both gains, so the cut's bound is at most the bound at
-    (a, b), which the sum exceeds.
+    Exactness of one pass.  If it fails at gain g, the kept rates select
+    at most one session per pair, all with gains <= g: a cut, nonempty
+    because its sum is positive, whose largest gain g' <= g gives a bound
+    scale * g' <= scale * g below its sum, so the cut is violated.
+    Conversely, let a cut be violated on this hop.  Drop its zero-rate
+    members: the sum stays and the largest gain g cannot grow, so it stays
+    violated.  Once the pass has seen every positive-rate session of gain
+    <= g, the cut's members among them, the kept sum is at least the cut's
+    sum > scale * g; it last grew at a gain <= g, and the pass failed there.
     """
-    sessions = [(k // 2, r, uplink[k], downlink[k]) for k, r in enumerate(rates) if r]
-    for a in {s[2] for s in sessions}:
-        below = [s for s in sessions if s[2] <= a]
-        for b in {s[3] for s in below}:
-            best: dict[int, int] = {}
-            for i, r, _, d in below:
-                if d <= b and r > best.get(i, 0):
-                    best[i] = r
-            if sum(best.values()) > min(up_scale * a, down_scale * b):
-                return False
+    live = [k for k, r in enumerate(rates) if r]
+    for gains, scale in ((uplink, up_scale), (downlink, down_scale)):
+        best = [0] * (len(rates) // 2)  # largest rate seen so far, per pair
+        total = 0
+        for k in sorted(live, key=gains.__getitem__):
+            r, i = rates[k], k // 2
+            if r > best[i]:
+                total += r - best[i]
+                best[i] = r
+                if total > scale * gains[k]:
+                    return False
     return True
 
 

@@ -117,7 +117,7 @@ class DetNetwork:
         if any(len(getattr(self, name)) != self.pairs for name in ("n_br", "n_ra", "n_rb")):
             raise ValueError("gain arrays must all have one entry per pair")
 
-    @property
+    @cached_property
     def pairs(self) -> int:
         return len(self.n_ar)
 
@@ -133,13 +133,14 @@ class DetNetwork:
         and n_ra[i] for B_i, in session order."""
         return tuple(g for pair in zip(self.n_rb, self.n_ra) for g in pair)
 
-    @property
+    @cached_property
     def q_up(self) -> int:
         """Uplink frame length: the largest uplink gain (0 when all are 0)."""
         return max(self.uplink)
 
-    @property
+    @cached_property
     def q_down(self) -> int:
+        """Downlink frame length: the largest downlink gain (0 when all are 0)."""
         return max(self.downlink)
 
     def uplink_gain(self, pair: int, side: Side) -> int:

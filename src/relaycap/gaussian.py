@@ -1352,10 +1352,12 @@ def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]
         rows = rows[~ok]
         if not rows.size:
             return h, p, list(terms)
-    raise ValueError(
+    error = ValueError(
         f"trial {indices[rows[0]]}: none of {MAX_SAMPLE_DRAWS} sampled networks met the SNR "
         "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"
     )
+    error.trial = indices[rows[0]]  # the lowest trial still drawing, for `_sweep_block`
+    raise error
 
 
 def _boundary_rates(streams: _Streams, terms: list) -> list[np.ndarray]:
@@ -1401,13 +1403,21 @@ def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
 
 def _sweep_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
     """`_trial_block`, raising what the lowest-index trial that raises
-    raises alone: a failing block is rerun as batches of one, in order."""
+    raises alone.  A trial's draws do not depend on its block, so when the
+    sampler runs out of draws, its error names the lowest trial still
+    drawing and is what that trial raises alone: only the trials below it
+    are rerun, as one block, and recursively if that block raises.  Any
+    other error reruns the block as batches of one, in order."""
     try:
         return _trial_block(cfg, indices)
-    except Exception as exc:  # noqa: BLE001 -- re-raised below unless a single trial raises first
+    except Exception as exc:  # noqa: BLE001 -- re-raised below unless a lower trial raises first
         error = exc
-    for i in indices:
-        _trial_block(cfg, (i,))
+    trial = getattr(error, "trial", None)
+    if trial is None:
+        for i in indices:
+            _trial_block(cfg, (i,))
+    elif below := [i for i in indices if i < trial]:
+        _sweep_block(cfg, below)
     raise error
 
 

@@ -31,14 +31,15 @@ full-duplex tuple is the case Q = 1.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+import numbers
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cutset import (
-    Membership, Rate, RegionSizeError, _check_rates, cutset_holds, in_det_cutset
+    Membership, Rate, RegionSizeError, cutset_holds, in_det_cutset
 )
 from .detnet import (
     FULL_DUPLEX,
@@ -83,6 +84,9 @@ class ScheduleInvalidError(ValueError):
     """A schedule violates a level bound or reuses a level within a slot."""
 
 
+_INT_FIELDS = ("pair", "uplink_slot", "uplink_level", "downlink_slot", "downlink_level")
+
+
 @dataclass(frozen=True)
 class LevelAssignment:
     """One relay level pair serving one session in one (listen, transmit)
@@ -104,6 +108,12 @@ class LevelAssignment:
             raise ValueError("XOR assignments carry no side; SOLO assignments need one")
         if self.kind == SOLO and self.side not in SIDES:
             raise ValueError(f"SOLO side must be 'A' or 'B', got {self.side!r}")
+        ints = self.pair, self.uplink_slot, self.uplink_level, self.downlink_slot, self.downlink_level
+        if set(map(type, ints)) != {int}:  # the slow path also stores numpy integers as int
+            for name, value in zip(_INT_FIELDS, ints):
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"assignment {name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -159,7 +169,7 @@ def _reduce(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[Gains
         step = f"pair {pair + 1} XOR" if kind == XOR else f"one-way {side}{pair + 1}"
         raise ValueError(f"{step} step needs positive gains, have l_u={l_u}, l_d={l_d}")
     up, down = gains
-    return (tuple(n - (n >= l_u) for n in up), tuple(n - (n >= l_d) for n in down)), l_u, l_d
+    return (tuple([n - (n >= l_u) for n in up]), tuple([n - (n >= l_d) for n in down])), l_u, l_d
 
 
 def reduce_pair_bidirectional(net: DetNetwork, pair: int) -> tuple[DetNetwork, int, int]:
@@ -201,9 +211,10 @@ def _original_level(removed: list[int], level: int) -> int:
     """Original level of ``level`` in coordinates with the sorted original
     levels ``removed`` taken out, and record it as removed.  Original level
     x sits at x - #{r < x}, so ``level`` is ``level + k`` for the number k
-    of removed[i] with removed[i] - i <= level (non-decreasing in i)."""
+    of removed[i] with removed[i] - i <= level (non-decreasing in i); those
+    are the k removed levels below it, so it is inserted at index k."""
     k = bisect_right(range(len(removed)), level, key=lambda i: removed[i] - i)
-    insort(removed, level + k)
+    removed.insert(k, level + k)
     return level + k
 
 
@@ -238,19 +249,10 @@ def _run_induction(
     return steps
 
 
-def _integral_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Rate, ...]:
-    """The checked rates, each of which must be whole."""
-    out = _check_rates(net, rates)
-    for r in out:
-        if r.denominator != 1:
-            raise ValueError(f"expected integral rates, got component {r}")
-    return out
-
-
 def divide_and_conquer(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     """Single-use schedule achieving an integral in-region rate tuple: time
     expansion with Q = 1."""
-    return _time_expanded(net, FULL_DUPLEX, _integral_rates(net, rates))
+    return _time_expanded(net, FULL_DUPLEX, rates, integral=True)
 
 
 def _interleaved(level: int, lanes: int) -> tuple[int, int]:
@@ -260,16 +262,20 @@ def _interleaved(level: int, lanes: int) -> tuple[int, int]:
 
 
 def _expanded_rates(
-    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate]
+    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate], integral: bool = False
 ) -> tuple[int, int, int, list[int]]:
     """(Q, listen, transmit, bits) for an in-region tuple, as the membership
-    verdict scaled them.  Raises `NotInRegionError` for a non-member and
-    `RegionSizeError` when the bits would take more than `STEP_BUDGET`
-    induction steps."""
+    verdict scaled them.  With ``integral``, first refuses a rate that is
+    not whole: in full duplex the verdict's Q is 1 exactly when every rate
+    is.  Raises `NotInRegionError` for a non-member and `RegionSizeError`
+    when the bits would take more than `STEP_BUDGET` induction steps."""
     membership = in_det_cutset(net, rates, mode)
+    q, listen, transmit, bits = membership.scaled
+    if integral and q != 1:
+        r = next(Fraction(b, q) for b in bits if b % q)
+        raise ValueError(f"expected integral rates, got component {r}")
     if not membership.member:
         raise NotInRegionError(membership)
-    q, listen, transmit, bits = membership.scaled
     if sum(bits) > STEP_BUDGET:
         raise RegionSizeError(
             f"schedule over Q={q} uses serves {sum(bits)} bits, "
@@ -278,14 +284,16 @@ def _expanded_rates(
     return q, listen, transmit, bits
 
 
-def _time_expanded(net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate]) -> Schedule:
+def _time_expanded(
+    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate], integral: bool = False
+) -> Schedule:
     """Schedule an in-region tuple over Q uses.  The relay listens in the
     first ``listen`` of the Q slots and transmits in the last ``transmit``;
     in full duplex both are Q.  The Q uses concatenate into one full-duplex
     use with uplink gains scaled by ``listen`` and downlink gains by
-    ``transmit``."""
-    q, listen, transmit, bits = _expanded_rates(net, mode, rates)
-    gains = tuple(n * listen for n in net.uplink), tuple(n * transmit for n in net.downlink)
+    ``transmit``.  ``integral`` refuses rates that are not whole."""
+    q, listen, transmit, bits = _expanded_rates(net, mode, rates, integral)
+    gains = tuple([n * listen for n in net.uplink]), tuple([n * transmit for n in net.downlink])
     assignments = []
     for pair, kind, side, l_u, l_d in _run_induction(gains, bits):
         up_slot, up_level = _interleaved(l_u, listen)
@@ -335,7 +343,7 @@ def chunk_schedule(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     chunk contiguous, and the cut-set bounds imply the deadline condition,
     so the packing succeeds exactly on in-region tuples.
     """
-    _, _, _, ints = _expanded_rates(net, FULL_DUPLEX, _integral_rates(net, rates))
+    _, _, _, ints = _expanded_rates(net, FULL_DUPLEX, rates, integral=True)
 
     gains = _gains(net)
     chunks: list[_Chunk] = []
@@ -441,28 +449,31 @@ def simulate_schedule(
         raise ValueError(f"messages for nodes outside the network: {unknown}")
     msgs: dict[NodeId, tuple[int, ...]] = {}
     for node, need in budgets.items():
-        got = tuple(int(b) for b in messages.get(node, ()))
-        if any(b not in (0, 1) for b in got):
+        got = tuple(map(int, messages.get(node, ())))
+        if not set(got) <= {0, 1}:
             raise ValueError(f"message for {node} must be bits")
         if len(got) != need:
             raise ShapeError(f"message for {node} has {len(got)} bits, schedule carries {need}")
         msgs[node] = got
 
+    # Uplink: each assignment draws its message bits in consumption order; a
+    # node's bit for relay level l (bottom-up) sits at its own top-down frame
+    # index gain - l, and arrives as bit l - 1 at the relay.
     order = _ordered(sched.assignments)
     feeds = {node: iter(bits) for node, bits in msgs.items()}
-    sent = [
-        {side: next(feeds[(a.pair, side)]) for side in (SIDES if a.kind == XOR else (a.side,))}
-        for a in order
-    ]
-
-    # Uplink: a node's bit for relay level l (bottom-up) sits at its own
-    # top-down frame index gain - l, and arrives as bit l - 1 at the relay.
     q_up, q_down = net.q_up, net.q_down
-    tx: dict[int, dict[NodeId, int]] = defaultdict(lambda: defaultdict(int))
-    for a, bits in zip(order, sent):
-        for side, bit in bits.items():
-            shift = q_up - 1 - net.uplink[2 * a.pair + SIDES.index(side)] + a.uplink_level
-            tx[a.uplink_slot][(a.pair, side)] |= bit << shift
+    up, down = net.uplink, net.downlink
+    sent: list[dict[str, int]] = []
+    tx: dict[int, dict[NodeId, int]] = defaultdict(dict)
+    for a in order:
+        bits = {}
+        frames = tx[a.uplink_slot]
+        for side in SIDES if a.kind == XOR else (a.side,):
+            node = (a.pair, side)
+            bits[side] = bit = next(feeds[node])
+            shift = q_up - 1 - up[2 * a.pair + SIDES.index(side)] + a.uplink_level
+            frames[node] = frames.get(node, 0) | bit << shift
+        sent.append(bits)
     received = {slot: relay_uplink_receive(net, frames) for slot, frames in tx.items()}
 
     # Relay permute-and-forward: downlink level l (top-down) is bit
@@ -472,16 +483,19 @@ def simulate_schedule(
         bit = received[a.uplink_slot] >> (a.uplink_level - 1) & 1
         relay_frames[a.downlink_slot] |= bit << (q_down - a.downlink_level)
 
-    # Each destination decodes from what it hears: a destination with
-    # downlink gain g finds level l at bit g - l.  Decoded bits are
-    # reassembled in the order they were consumed.
+    # Each destination decodes from what it hears, one frame per (downlink
+    # slot, node): a destination with downlink gain g finds level l at bit
+    # g - l.  Decoded bits are reassembled in the order they were consumed.
+    heard: dict[tuple[int, int, str], int] = {}
     out: dict[NodeId, list[int]] = {node: [] for node in msgs}
     for a, bits in zip(order, sent):
-        for side, bit in bits.items():
+        for side in bits:
             dst = "B" if side == "A" else "A"
-            heard = node_downlink_receive(net, relay_frames[a.downlink_slot], a.pair, dst)
-            g = net.downlink[2 * a.pair + SIDES.index(side)]
-            got = heard >> (g - a.downlink_level) & 1
+            key = (a.downlink_slot, a.pair, dst)
+            frame = heard.get(key)
+            if frame is None:
+                frame = heard[key] = node_downlink_receive(net, relay_frames[a.downlink_slot], a.pair, dst)
+            got = frame >> (down[2 * a.pair + SIDES.index(side)] - a.downlink_level) & 1
             if a.kind == XOR:
                 got ^= bits[dst]  # own bit cancels out of the XOR
             out[(a.pair, side)].append(got)

@@ -17,6 +17,7 @@ from relaycap import (
     enumerate_integral_region,
     in_det_cutset,
 )
+from relaycap.cutset import cutset_holds
 from relaycap.scheduler import expand_time
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
@@ -257,3 +258,39 @@ def test_threshold_oracle_matches_brute_force(pairs, mode, where, data):
     got = in_det_cutset(net, rates, mode)
     assert got.member == (not expected)
     assert got.violations == expected
+
+
+# --- direct test: the two one-sided passes against brute-force cuts ----------
+
+
+def brute_holds(uplink, downlink, rates, up_scale, down_scale):
+    """Every cut of `enumerate_cuts` within min(up_scale * a, down_scale * b)."""
+    return all(
+        sum(rates[k] for k in cut.sessions)
+        <= min(up_scale * max(uplink[k] for k in cut.sessions), down_scale * max(downlink[k] for k in cut.sessions))
+        for cut in enumerate_cuts(len(rates) // 2)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_cutset_holds_matches_brute_force_cuts(pairs, up_scale, down_scale, data):
+    # Session gains and rates drawn directly, zeros included, then one
+    # session's rate set to the largest value its cuts allow and one above.
+    sessions = st.lists(st.integers(0, 6), min_size=2 * pairs, max_size=2 * pairs)
+    uplink, downlink = data.draw(sessions), data.draw(sessions)
+    rates = data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 8]), min_size=2 * pairs, max_size=2 * pairs))
+    k = data.draw(st.integers(0, 2 * pairs - 1))
+    room = min(
+        min(up_scale * max(uplink[j] for j in cut.sessions), down_scale * max(downlink[j] for j in cut.sessions))
+        - sum(rates[j] for j in cut.sessions if j != k)
+        for cut in enumerate_cuts(pairs)
+        if k in cut.sessions
+    )
+    for value in (rates[k], room, room + 1):
+        if value >= 0:
+            rates[k] = value
+            assert cutset_holds(uplink, downlink, rates, up_scale, down_scale) == (
+                brute_holds(uplink, downlink, rates, up_scale, down_scale)
+            ), (uplink, downlink, rates)
+

@@ -1639,6 +1639,43 @@ def test_sweep_blocks_match_reference(monkeypatch, cfg):
     assert _sweep_outcome(lambda c: monte_carlo_gap(c).records, cfg) == _sweep_outcome(_reference_float_records, cfg)
 
 
+# Trial 23 runs out of draws; trials 0 to 22 are all sampled before it does.
+_OUT_OF_DRAWS = SweepConfig(40, 7, 1.0, 4.0, 1.0, 2.0)
+
+
+def test_sweep_out_of_draws_reruns_only_the_trials_below(monkeypatch):
+    # The sampler's error names the lowest trial still drawing, which is what
+    # that trial raises alone, so only trials 0 to 22 are rerun, as one block.
+    blocks = []
+    trial_block = gaussian._trial_block
+
+    def recorded(cfg, indices):
+        blocks.append(list(indices))
+        return trial_block(cfg, indices)
+
+    monkeypatch.setattr(gaussian, "_trial_block", recorded)
+    with pytest.raises(ValueError, match="^trial 23: none of 1000 sampled networks"):
+        monte_carlo_gap(_OUT_OF_DRAWS)
+    assert blocks == [list(range(40)), list(range(23))]
+
+
+def test_sweep_lower_trial_failing_later_wins_over_out_of_draws(monkeypatch):
+    # Trial 5 is sampled and then fails at a later stage, while trial 23 runs
+    # out of draws: trial 5 is the lowest trial that raises alone, so its
+    # error is the sweep's.
+    sample_networks = gaussian._sample_networks
+
+    def failing_after_sampling(cfg, streams, indices):
+        sampled = sample_networks(cfg, streams, indices)
+        if 5 in indices:
+            raise ValueError("trial 5: failed after sampling")
+        return sampled
+
+    monkeypatch.setattr(gaussian, "_sample_networks", failing_after_sampling)
+    with pytest.raises(ValueError, match="^trial 5: failed after sampling$"):
+        monte_carlo_gap(_OUT_OF_DRAWS)
+
+
 def _trial_columns(trials):
     """Session columns, power column and rate columns of explicit trials."""
     nets, rates = zip(*trials)

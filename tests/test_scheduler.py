@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -33,9 +34,11 @@ from relaycap import (
     validate_schedule,
 )
 from relaycap import FullDuplex, enumerate_cuts, scheduler
-from relaycap.cutset import _cut_gains, _time_scales, cutset_holds
+from relaycap.cutset import _cut_gains, _time_scales, cutset_holds, directed_rate_caps
+from relaycap.detnet import SIDES, NodeId, node_downlink_receive, relay_uplink_receive
 from relaycap.scheduler import (
-    SOLO, XOR, _gains, _network, _original_level, _reach, _reduce, _run_induction
+    SOLO, XOR, SimulationResult, _gains, _network, _ordered, _original_level, _reach, _reduce,
+    _run_induction,
 )
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
@@ -129,6 +132,26 @@ def test_solo_assignment_refuses_an_unknown_side():
         with pytest.raises(ValueError, match="SOLO side"):
             LevelAssignment(0, "solo", side, 0, 1, 0, 1)
     assert LevelAssignment(0, "solo", "B", 0, 1, 0, 1).side == "B"
+
+
+ASSIGNMENT_INT_FIELDS = ("pair", "uplink_slot", "uplink_level", "downlink_slot", "downlink_level")
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, 0.0, True, False, "1", None, Fraction(1), np.float64(1.0)])
+@pytest.mark.parametrize("field", ASSIGNMENT_INT_FIELDS)
+def test_assignment_refuses_non_integer_fields(field, bad):
+    values = dict(pair=0, uplink_slot=0, uplink_level=1, downlink_slot=0, downlink_level=1)
+    values[field] = bad
+    with pytest.raises(ValueError, match=f"assignment {field} must be an integer"):
+        LevelAssignment(kind="xor", side=None, **values)
+
+
+def test_assignment_stores_numpy_integers_as_int():
+    a = LevelAssignment(np.int64(0), "solo", "A", np.int32(0), np.int64(3), np.uint8(0), np.int16(2))
+    assert [type(getattr(a, name)) for name in ASSIGNMENT_INT_FIELDS] == [int] * 5
+    assert a == LevelAssignment(0, "solo", "A", 0, 3, 0, 2)
+    sched = Schedule(net=REF, slots=1, assignments=(a,))
+    assert simulate_schedule(sched, {(0, "A"): (1,), (0, "B"): (), (1, "A"): (), (1, "B"): ()}).ok
 
 
 # --- reference: the node-indexed deterministic side ---------------------------
@@ -642,6 +665,131 @@ def test_decoded_messages_round_trip_specific_payload():
     msgs = {(0, "A"): (1, 0), (0, "B"): (1,), (1, "A"): (1,), (1, "B"): (0,)}
     res = simulate_schedule(sched, msgs)
     assert res.ok and res.decoded == msgs
+
+
+# --- simulator against its previous form -----------------------------------------
+# `simulate_schedule` as it was before each node's heard frame was derived once
+# per downlink slot, kept verbatim; the differential test below requires the
+# same `SimulationResult`, or the same exception type and message.
+
+
+def reference_simulate_schedule(
+    sched: Schedule, messages: Mapping[NodeId, Sequence[int]]
+) -> SimulationResult:
+    """Push message bits through the deterministic channel end to end.
+
+    Transmit frames are built from the schedule, the relay receive/permute/
+    forward chain runs through the channel-model primitives, every node
+    decodes from what it actually hears (XOR entries combined with the
+    node's own transmitted bit, SOLO entries read directly), and the
+    verdict compares decoded messages with the inputs.
+    """
+    validate_schedule(sched)
+    net = sched.net
+    budgets = sched.bit_budgets()
+    unknown = [node for node in messages if node not in budgets]
+    if unknown:
+        raise ValueError(f"messages for nodes outside the network: {unknown}")
+    msgs: dict[NodeId, tuple[int, ...]] = {}
+    for node, need in budgets.items():
+        got = tuple(int(b) for b in messages.get(node, ()))
+        if any(b not in (0, 1) for b in got):
+            raise ValueError(f"message for {node} must be bits")
+        if len(got) != need:
+            raise ShapeError(f"message for {node} has {len(got)} bits, schedule carries {need}")
+        msgs[node] = got
+
+    order = _ordered(sched.assignments)
+    feeds = {node: iter(bits) for node, bits in msgs.items()}
+    sent = [
+        {side: next(feeds[(a.pair, side)]) for side in (SIDES if a.kind == XOR else (a.side,))}
+        for a in order
+    ]
+
+    # Uplink: a node's bit for relay level l (bottom-up) sits at its own
+    # top-down frame index gain - l, and arrives as bit l - 1 at the relay.
+    q_up, q_down = net.q_up, net.q_down
+    tx: dict[int, dict[NodeId, int]] = defaultdict(lambda: defaultdict(int))
+    for a, bits in zip(order, sent):
+        for side, bit in bits.items():
+            shift = q_up - 1 - net.uplink[2 * a.pair + SIDES.index(side)] + a.uplink_level
+            tx[a.uplink_slot][(a.pair, side)] |= bit << shift
+    received = {slot: relay_uplink_receive(net, frames) for slot, frames in tx.items()}
+
+    # Relay permute-and-forward: downlink level l (top-down) is bit
+    # q_down - l of the relay frame.
+    relay_frames: dict[int, int] = defaultdict(int)
+    for a in order:
+        bit = received[a.uplink_slot] >> (a.uplink_level - 1) & 1
+        relay_frames[a.downlink_slot] |= bit << (q_down - a.downlink_level)
+
+    # Each destination decodes from what it hears: a destination with
+    # downlink gain g finds level l at bit g - l.  Decoded bits are
+    # reassembled in the order they were consumed.
+    out: dict[NodeId, list[int]] = {node: [] for node in msgs}
+    for a, bits in zip(order, sent):
+        for side, bit in bits.items():
+            dst = "B" if side == "A" else "A"
+            heard = node_downlink_receive(net, relay_frames[a.downlink_slot], a.pair, dst)
+            g = net.downlink[2 * a.pair + SIDES.index(side)]
+            got = heard >> (g - a.downlink_level) & 1
+            if a.kind == XOR:
+                got ^= bits[dst]  # own bit cancels out of the XOR
+            out[(a.pair, side)].append(got)
+
+    decoded = {node: tuple(bits) for node, bits in out.items()}
+    return SimulationResult(ok=decoded == msgs, decoded=decoded)
+
+
+def _sim_outcome(simulate, sched, msgs):
+    try:
+        return simulate(sched, msgs)
+    except Exception as exc:  # the exception type and message are the outcome
+        return type(exc), str(exc)
+
+
+def _in_region_tuple(data, net, q, mode):
+    """A rate tuple over ``q`` uses: drawn per session up to q times its
+    singleton cap, then lowered one unit at a time until it is a member."""
+    caps = directed_rate_caps(net, mode)
+    bits = [data.draw(st.integers(0, q * c)) for c in caps]
+    while not in_det_cutset(net, [Fraction(b, q) for b in bits], mode).member:
+        bits[bits.index(max(bits))] -= 1
+    return [Fraction(b, q) for b in bits]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(["integral", "chunked", "fractional", "half"]), st.data())
+def test_simulation_matches_previous_simulator(pairs, kind, data):
+    gain_lists = st.lists(st.integers(0, 6), min_size=pairs, max_size=pairs).map(tuple)
+    net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
+    if kind in ("integral", "chunked"):
+        rates = [int(r) for r in _in_region_tuple(data, net, 1, FullDuplex())]
+        sched = (divide_and_conquer if kind == "integral" else chunk_schedule)(net, rates)
+    elif kind == "fractional":
+        sched = schedule_fractional(net, _in_region_tuple(data, net, data.draw(st.integers(2, 4)), FullDuplex()))
+    else:
+        delta = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]))
+        mode = HalfDuplex(delta)
+        sched = schedule_half_duplex(net, delta, _in_region_tuple(data, net, delta.denominator * 2, mode))
+
+    msgs = {
+        node: tuple(data.draw(st.lists(st.integers(0, 1), min_size=need, max_size=need)))
+        for node, need in sched.bit_budgets().items()
+    }
+    node = data.draw(st.sampled_from(sorted(msgs)))
+    corruption = data.draw(st.sampled_from(["none", "long", "short", "two", "unknown"]))
+    if corruption == "long":
+        msgs[node] += (1,)
+    elif corruption == "short":
+        msgs[node] = msgs[node][1:]
+    elif corruption == "two":
+        msgs[node] = (2,) + msgs[node][1:]
+    elif corruption == "unknown":
+        msgs[data.draw(st.sampled_from([(pairs, "A"), (0, "C"), (-1, "B")]))] = (1,)
+    assert _sim_outcome(simulate_schedule, sched, msgs) == _sim_outcome(
+        reference_simulate_schedule, sched, msgs
+    )
 
 
 # --- completeness over small networks -------------------------------------------
