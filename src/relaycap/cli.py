@@ -309,22 +309,31 @@ _GAUSS_CSV_HEADER = (
 _DET_CSV_HEADER = "trial,seed,verdict,pairs,n_ar,n_br,n_ra,n_rb,tuples_checked,failures"
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
+def _write_out(path: str | None, text: str, mode: str = "w") -> None:
+    """Write ``text`` to the --out file, or to stdout when there is none.
+    Mode "a" with no text checks the file before any sweep work: it creates
+    a missing file and truncates none."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, mode) as out:
+            out.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_sweep(args) -> int:
     if args.trials < 0:
         raise InputError(f"--trials must be non-negative, got {args.trials}")
+    if args.seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {args.seed}")
     if args.max_pairs < 1:
         raise InputError(f"--max-pairs must be at least 1, got {args.max_pairs}")
     if args.max_gain < 0:
         raise InputError(f"--max-gain must be non-negative, got {args.max_gain}")
     if args.det:
+        _write_out(args.out, "", "a")
         return _det_sweep(args)
     cfg = SweepConfig(
         trials=args.trials,
@@ -334,6 +343,7 @@ def cmd_sweep(args) -> int:
         p_min=args.pmin,
         p_max=args.pmax,
     )
+    _write_out(args.out, "", "a")
     report = gaussian.monte_carlo_gap(cfg)
     lines, seed = [_GAUSS_CSV_HEADER], str(cfg.seed)
     for r in report.records:
@@ -343,7 +353,7 @@ def cmd_sweep(args) -> int:
             net.h_ra[0], net.h_rb[0], net.h_ra[1], net.h_rb[1], net.power,
         )
         lines.append(",".join((str(r.trial), seed, "pass" if r.achievable else "fail", r.stage, *map(repr, floats))))
-    _write_lines(args.out, lines)
+    _write_out(args.out, "\n".join(lines) + "\n")
     summary = {
         "command": "sweep",
         "mode": "gaussian",
@@ -397,7 +407,7 @@ def _det_sweep(args) -> int:
                 ]
             )
         )
-    _write_lines(args.out, lines)
+    _write_out(args.out, "\n".join(lines) + "\n")
     _emit(
         {
             "command": "sweep",

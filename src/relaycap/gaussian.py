@@ -177,9 +177,9 @@ class GaussNetwork:
         vars(net).update(h_ar=h_ar, h_br=h_br, h_ra=h_ra, h_rb=h_rb, power=power)
         return net
 
-    def _columns(self) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The network as a batch of one: uplink and downlink session
-        columns and the power column."""
+        arrays, (4, 1), and the power column."""
         return _one(self.uplink), _one(self.downlink), np.array([self.power])
 
 
@@ -204,23 +204,34 @@ _FAMILIES = (
 
 
 # --- Columns -------------------------------------------------------------------
-# The pipeline keeps one float64 array per quantity, one entry per trial,
-# and a session 4-tuple as a list of four such columns; a single network is
-# a batch of one.  Each entry is the float the one-network formula gives,
-# bit for bit: +, -, *, / and comparisons run in numpy, which rounds them
-# as Python does, in each formula's own association order; Python's
-# max(a, b) and min(a, b) are `_max` and `_min`, which keep its pick on
-# ties; and every log and every `**` is Python's own call, entry by entry
-# (`_capacity`, `_lattice_cap`, `_pow`), since numpy's differ from libm's
-# in the last bit.
+# The pipeline keeps one float64 array per quantity with one column per
+# trial: a session 4-tuple is a (4, n) array, the eight family terms an
+# (8, n) array, a power a length-n column, and a single network a batch of
+# one, (k, 1).  Each entry is the float the one-network formula gives, bit
+# for bit: +, -, *, / and comparisons run in numpy, which rounds them as
+# Python does, in each formula's own association order; Python's max(a, b)
+# and min(a, b) are `_max` and `_min`, which keep its pick on ties, NaN and
+# signed zero (a plain np.min or np.max only where every input is finite and
+# never -0.0 by validation); and every log and every `**` is Python's own
+# call, entry by entry (`_capacity`, `_lattice_cap`, `_pow`), since numpy's
+# differ from libm's in the last bit.  A value two formulas share exactly is
+# computed once: C(max(a, b) P) is whichever of C(a P) and C(b P) max picks,
+# and the single-family terms of both bounds are one formula.
 
 # Python's float arithmetic overflows to inf without a warning.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
+# The pair families' two sessions, in `_FAMILIES` order: the single
+# families come first, one per session in session order.
+_PAIR_S, _PAIR_T = map(np.array, zip(*(sessions for _, sessions, _, _ in _FAMILIES[4:])))
+_PAIR_SWAP = [2, 3, 0, 1]  # a session 4-tuple with pair 1 and pair 2 exchanged
+# Each family's sum at the 2-bit base point (2, 2, 2, 2).
+_BASE_SUMS = np.array([[2.0 * len(sessions)] for _, sessions, _, _ in _FAMILIES])
 
-def _one(values) -> list[np.ndarray]:
-    """A batch of one: a one-entry column per value."""
-    return [np.array([v], dtype=float) for v in values]
+
+def _one(values) -> np.ndarray:
+    """A batch of one: one row per value, one column."""
+    return np.array(values, dtype=float)[:, None]
 
 
 def _max(a, b):
@@ -247,12 +258,10 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _pow(base, exponent):
-    """``base ** exponent`` through Python's float pow, per entry of a column."""
+    """``base ** exponent`` through Python's float pow, per entry of an array."""
     if isinstance(base, np.ndarray):
-        return np.fromiter(map(pow, base.tolist(), repeat(exponent)), float, len(base))
-    if isinstance(exponent, np.ndarray):
-        return np.fromiter(map(pow, repeat(base), exponent.tolist()), float, len(exponent))
-    return base ** exponent
+        return np.fromiter(map(pow, base.ravel().tolist(), repeat(exponent)), float, base.size).reshape(base.shape)
+    return np.fromiter(map(pow, repeat(base), exponent.ravel().tolist()), float, exponent.size).reshape(exponent.shape)
 
 
 def _capacity(x: np.ndarray) -> np.ndarray:
@@ -274,51 +283,45 @@ def _divide(a, b):
     return a / b
 
 
-def _take(columns, rows) -> list[np.ndarray]:
-    return [c[rows] for c in columns]
-
-
 def _row(columns, i: int) -> tuple:
     """One trial's entries as Python floats."""
     return tuple(c[i].item() for c in columns)
 
 
-def _raise_first(errors: list) -> None:
-    """Raise the error of a batch of one, if it has one."""
-    if errors[0] is not None:
-        raise errors[0]
+def _snrs(magnitudes, power):
+    """|h|^2 P of each magnitude: of a (4, n) session array, as one, or of a
+    session 4-tuple of numbers, as a tuple of floats."""
+    snr = _pow(np.asarray(magnitudes, dtype=float), 2) * power
+    return snr if isinstance(magnitudes, np.ndarray) else tuple(snr.tolist())
 
 
-def _snrs(magnitudes, power) -> tuple:
-    """|h|^2 P of each magnitude of a session 4-tuple (numbers or columns)."""
-    return tuple(_pow(h, 2) * power for h in magnitudes)
+def _session_sums(rates: np.ndarray) -> np.ndarray:
+    """Each family's rate sum, as Python's sum() adds it (from 0, so that a
+    rate of -0.0 sums to 0.0)."""
+    single = 0.0 + rates
+    return np.concatenate([single, single[_PAIR_S] + rates[_PAIR_T]])
 
 
-def _session_sums(rates) -> list:
-    """Each family's rate sum, as Python's sum() adds it (from 0)."""
-    return [sum(map(rates.__getitem__, sessions)) for _, sessions, _, _ in _FAMILIES]
-
-
-def _family_terms(up, down, p, restricted: bool) -> list[np.ndarray]:
+def _family_terms(up, down, p, restricted: bool, terms=None) -> np.ndarray:
     """RHS of each constraint family: min(uplink term, downlink term).
 
     A single session's terms are C(|h|^2 P) on both hops.  A pair adds
     amplitudes on the uplink and powers on the downlink in the cut-set
     bound; the restricted bound adds powers on the uplink and takes the
-    larger power on the downlink.
+    larger power on the downlink.  The cut-set bound takes its single-family
+    terms from the restricted bound's, ``terms`` when already at hand.
     """
-    up2, down2 = [h * h for h in up], [h * h for h in down]
-    snrs = []
-    for _, sessions, _, _ in _FAMILIES:
-        s, t = sessions[0], sessions[-1]  # s == t for a single session
-        if s == t:
-            snrs += (up2[s] * p, down2[s] * p)
-        elif restricted:
-            snrs += ((up2[s] + up2[t]) * p, _max(down2[s], down2[t]) * p)
-        else:
-            snrs += (_pow(up[s] + up[t], 2) * p, (down2[s] + down2[t]) * p)
-    caps = _capacity(np.array(snrs))
-    return list(_min(caps[0::2], caps[1::2]))
+    up2, down2 = up * up, down * down
+    if terms is None:
+        caps = _capacity(np.concatenate([up2 * p, down2 * p, (up2[_PAIR_S] + up2[_PAIR_T]) * p]))
+        single_down = caps[4:8]
+        # C(max(a, b) P) is C(a P) or C(b P), whichever max picks.
+        pair_down = np.where(down2[_PAIR_T] > down2[_PAIR_S], single_down[_PAIR_T], single_down[_PAIR_S])
+        terms = _min(np.concatenate([caps[:4], caps[8:]]), np.concatenate([single_down, pair_down]))
+    if restricted:
+        return terms
+    caps = _capacity(np.concatenate([_pow(up[_PAIR_S] + up[_PAIR_T], 2) * p, (down2[_PAIR_S] + down2[_PAIR_T]) * p]))
+    return np.concatenate([terms[:4], _min(caps[:4], caps[4:])])
 
 
 def _rate_quad(rates: Sequence[float]) -> RateQuad:
@@ -358,11 +361,11 @@ class RegionVerdict:
         return tuple(c for c in self.checks if abs(c.slack) <= tol)
 
 
-def _outside(terms: list, rates: list) -> tuple[np.ndarray, list]:
+def _outside(terms: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which trials' rates leave the region of ``terms``, and each family's
     slack."""
-    slacks = [rhs - lhs for rhs, lhs in zip(terms, _session_sums(rates))]
-    return ~np.all([s >= -TOL for s in slacks], axis=0), slacks
+    slacks = terms - _session_sums(rates)
+    return ~(slacks >= -TOL).all(axis=0), slacks
 
 
 def _violated_names(slacks: list, i: int) -> list[str]:
@@ -392,16 +395,15 @@ def gauss_restricted_cutset(net: GaussNetwork, rates: Sequence[float]) -> Region
     return _region_verdict(net, rates, restricted=True)
 
 
-def _bound_gaps(general: list, restricted: list) -> list[np.ndarray]:
-    """Per-family difference (general RHS - restricted RHS); raises on the
-    first trial with a difference outside [0, 1]."""
-    gaps = [g - r for g, r in zip(general, restricted)]
-    bad = np.any([(g < -TOL) | (g > 1.0 + TOL) for g in gaps], axis=0)
+def _bound_gaps(general: np.ndarray, restricted: np.ndarray, families=_FAMILIES) -> np.ndarray:
+    """Per-family difference (general RHS - restricted RHS) of ``families``;
+    raises on the first trial with a difference outside [0, 1]."""
+    gaps = general - restricted
+    outside = (gaps < -TOL) | (gaps > 1.0 + TOL)
+    bad = outside.any(axis=0)
     if bad.any():
         i = bad.argmax()
-        found = {
-            name: g[i].item() for (name, _, _, _), g in zip(_FAMILIES, gaps) if g[i] < -TOL or g[i] > 1.0 + TOL
-        }
+        found = {name: g[i].item() for (name, _, _, _), g, o in zip(families, gaps, outside) if o[i]}
         raise AssertionError(f"gap outside [0, 1]: {found}")
     return gaps
 
@@ -415,7 +417,8 @@ def restricted_bound_gaps(net: GaussNetwork) -> dict[str, float]:
     C(2x) <= C(x) + 1.
     """
     up, down, p = net._columns()
-    gaps = _bound_gaps(_family_terms(up, down, p, False), _family_terms(up, down, p, True))
+    terms = _family_terms(up, down, p, True)
+    gaps = _bound_gaps(_family_terms(up, down, p, False, terms), terms)
     return {name: g.item() for (name, _, _, _), g in zip(_FAMILIES, gaps)}
 
 
@@ -441,7 +444,7 @@ class NormalizedProblem:
 
 
 def _normalize(up, down, p, rates, terms=None):
-    """`reduce_orderings` on columns: the normalised session columns and
+    """`reduce_orderings` on columns: the normalised session arrays and
     rates, each pair's side swap, the clamps (name and where applied) and
     the pair swap.  ``terms`` are the input's restricted family terms when
     already at hand."""
@@ -452,26 +455,17 @@ def _normalize(up, down, p, rates, terms=None):
         names = ", ".join(_violated_names(slacks, outside.argmax()))
         raise InfeasibleRatesError(f"rates outside the restricted cut-set region ({names})")
 
-    # Session 4-tuples: a side swap exchanges a pair's two sessions, a clamp
-    # lowers the B session's uplink or downlink (|h_BiR|, |h_RAi|) to the A
-    # session's, and a pair swap exchanges the two pairs.
-    up, down, r = list(up), list(down), list(rates)
-    side_swapped = []
-    for a in (0, 2):
-        swap = r[a + 1] > r[a]
-        side_swapped.append(swap)
-        for q in (up, down, r):
-            q[a], q[a + 1] = np.where(swap, q[a + 1], q[a]), np.where(swap, q[a], q[a + 1])
-
-    clamps = []
-    for i, a in enumerate((0, 2)):
-        for q, name in ((up, f"h_br[{i}]"), (down, f"h_ra[{i}]")):
-            clamp = q[a + 1] > q[a]
-            clamps.append((name, clamp))
-            q[a + 1] = np.where(clamp, q[a], q[a + 1])
-
-    pairs_swapped = up[2] > up[0]
-    up, down, r = (_swap_pairs(q, pairs_swapped) for q in (up, down, r))
+    # The session arrays stacked as (uplink, downlink, rates): a side swap
+    # exchanges a pair's two sessions, a clamp lowers the B session's uplink
+    # or downlink (|h_BiR|, |h_RAi|) to the A session's, and a pair swap
+    # exchanges the two pairs.
+    q = np.stack([up, down, rates])
+    side_swapped = rates[1::2] > rates[0::2]  # one row per pair
+    q = np.where(np.repeat(side_swapped, 2, axis=0), q[:, [1, 0, 3, 2]], q)
+    clamp = q[:2, 1::2] > q[:2, 0::2]  # (hop, pair, trial)
+    q[:2, 1::2] = np.where(clamp, q[:2, 0::2], q[:2, 1::2])
+    pairs_swapped = q[0, 2] > q[0, 0]
+    up, down, r = _swap_pairs(q, pairs_swapped)
 
     outside, slacks = _outside(_family_terms(up, down, p, True), r)
     if outside.any():
@@ -479,6 +473,7 @@ def _normalize(up, down, p, rates, terms=None):
             "channel weakening pushed the rates out of the region; the reduction "
             f"argument excludes this ({_violated_names(slacks, outside.argmax())})"
         )
+    clamps = list(zip(("h_br[0]", "h_ra[0]", "h_br[1]", "h_ra[1]"), clamp.swapaxes(0, 1).reshape(4, -1)))
     return up, down, r, side_swapped, clamps, pairs_swapped
 
 
@@ -501,10 +496,10 @@ def reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedPro
     return _normalized_problem(net, _normalize(*net._columns(), _one(_rate_quad(rates))))
 
 
-def _swap_pairs(q: Sequence, swapped) -> list:
-    """A session 4-tuple of columns with pair 1 and pair 2 exchanged where
-    ``swapped``."""
-    return [np.where(swapped, q[k ^ 2], q[k]) for k in range(4)]
+def _swap_pairs(q: np.ndarray, swapped) -> np.ndarray:
+    """Session arrays (session axis second to last) with pair 1 and pair 2
+    exchanged where ``swapped``."""
+    return np.where(swapped, q[..., _PAIR_SWAP, :], q)
 
 
 def classify_case(magnitudes: Sequence, direction: str):
@@ -512,7 +507,7 @@ def classify_case(magnitudes: Sequence, direction: str):
 
     ``magnitudes`` is the role-ordered quadruple (strong1, weak1, strong2,
     weak2), a hop's session 4-tuple: `GaussNetwork.uplink` or `.downlink`,
-    as numbers or as columns (then one tag per entry).  Requires the
+    as numbers or as a (4, n) array (then one tag per column).  Requires the
     normalized ordering strong_i >= weak_i and strong1 >= strong2.  Ties
     resolve to the lowest-numbered case.
     """
@@ -532,66 +527,71 @@ def classify_case(magnitudes: Sequence, direction: str):
 
 @dataclass
 class _Splits:
-    """One hop's power splits for a batch, as columns: each trial's case,
-    the alpha columns and rate columns of `UplinkAllocation` or
-    `DownlinkAllocation` in field order, and the downlink's pair swap."""
+    """One hop's power splits for a batch: each trial's case, the alpha
+    rows and rate rows of `UplinkAllocation` or `DownlinkAllocation` in
+    field order, and the downlink's pair swap."""
 
     case: np.ndarray
-    alpha: list
-    rates: list
+    alpha: np.ndarray
+    rates: np.ndarray
     swapped: np.ndarray | None = None
 
     def take(self, rows) -> "_Splits":
         swapped = None if self.swapped is None else self.swapped[rows]
-        return _Splits(self.case[rows], _take(self.alpha, rows), _take(self.rates, rows), swapped)
+        return _Splits(self.case[rows], self.alpha[:, rows], self.rates[:, rows], swapped)
 
 
-def _precondition_errors(direction: str, snr, r) -> list:
+class _Refusals(dict):
+    """Each refused trial's error, by its position in the batch; None for a
+    trial not refused."""
+
+    def __missing__(self, i):
+        return None
+
+
+def _precondition_errors(direction: str, snr, r) -> _Refusals:
     """Each trial's first failed rate precondition of the hop, as the
-    `InfeasibleRatesError` naming it, or None.  A pair's uplink term adds
-    the two sessions' SNRs, its downlink term takes the larger one."""
+    `InfeasibleRatesError` naming it.  A pair's uplink term adds the two
+    sessions' SNRs, its downlink term takes the larger one."""
     rows = _PRECONDITIONS[direction]
-    combine = sum if direction == "uplink" else lambda powers: _fold(_max, powers)
-    lhs = np.array([sum(map(r.__getitem__, sessions)) for _, sessions, _ in rows])
-    rhs = _capacity(np.array([combine([snr[s] for s in sessions]) for _, sessions, _ in rows]))
-    rhs -= np.array([backoff for _, _, backoff in rows])[:, None]
+    if direction == "uplink":
+        caps = _capacity(np.concatenate([snr, snr[_PAIR_S] + snr[_PAIR_T]]))
+    else:  # C(max(a, b)) is C(a) or C(b), whichever max picks
+        caps = _capacity(snr)
+        caps = np.concatenate([caps, np.where(snr[_PAIR_T] > snr[_PAIR_S], caps[_PAIR_T], caps[_PAIR_S])])
+    lhs, rhs = _session_sums(r)[_PRE_ORDER], caps[_PRE_ORDER] - _BACKOFFS[direction]
     failed = lhs > rhs + TOL
-    errors = [None] * len(r[0])
+    errors = _Refusals()
     for i in np.flatnonzero(failed.any(axis=0)).tolist():
         k = failed[:, i].argmax()
         errors[i] = InfeasibleRatesError(rows[k][0], f"lhs={lhs[k, i].item():.6g}, rhs={rhs[k, i].item():.6g}")
     return errors
 
 
-def _allocation_inputs(direction: str, mags, p, r):
-    """The hop's session SNRs, and each trial's refusal before any split:
-    the SNR floor, then the hop's first failed rate precondition."""
-    unsorted = (r[1] > r[0] + TOL) | (r[3] > r[2] + TOL)
+def _allocate(direction: str, mags, p, r):
+    """Walk each trial's cancellation chain for the hop.  A trial is refused
+    before any split at the SNR floor, then at the hop's first failed rate
+    precondition, and after it where the split overspends.  Returns the
+    splits of the trials that get one, their positions in the batch, SNRs
+    and budget excess, and the refused trials' errors."""
+    unsorted = (r[1::2] > r[0::2] + TOL).any(axis=0)
     if unsorted.any():
         raise ValueError(f"rates {_row(r, unsorted.argmax())} not normalized: each pair needs r_A >= r_B")
     snr = _snrs(mags, p)
-    floor = _fold(_min, snr)
+    floor = snr.min(axis=0)  # finite and positive, as the network is
     errors = _precondition_errors(direction, snr, r)
     for i in np.flatnonzero(floor < MIN_PROVEN_SNR - TOL).tolist():
         errors[i] = LowPowerError(f"{direction} |h|^2 P floor {floor[i].item():.4g} below {MIN_PROVEN_SNR}")
-    return snr, errors
-
-
-def _allocate(direction: str, mags, p, r):
-    """Walk each trial's cancellation chain for the hop.  Returns the splits
-    of the trials that get one, their positions in the batch and budget
-    excess, and each trial's refusal: None, or the error the allocator
-    raises for it."""
-    snr, errors = _allocation_inputs(direction, mags, p, r)
-    rows = np.flatnonzero([e is None for e in errors])
+    rows = np.delete(np.arange(len(p)), list(errors))
     hop = _HOPS[direction]
-    splits = hop.walk(_take(mags, rows), _take(snr, rows), _take(r, rows))
+    splits = hop.walk(mags[:, rows], snr[:, rows], r[:, rows])
     excess = hop.excess(splits.alpha)
     over = excess > TOL
     for i in np.flatnonzero(over).tolist():
-        errors[rows[i]] = AllocationInvalidError(hop.overspend(splits, i, excess[i].item()))
+        errors[rows[i].item()] = AllocationInvalidError(hop.overspend(splits, i, excess[i].item()))
     kept = np.flatnonzero(~over)
-    return splits.take(kept), rows[kept], excess[kept], errors
+    rows = rows[kept]
+    return splits.take(kept), rows, snr[:, rows], excess[kept], errors
 
 
 def _by_case(case: np.ndarray):
@@ -626,6 +626,9 @@ def _uplink_excess(alpha) -> np.ndarray:
     return _max(worst, -_fold(_min, alpha))
 
 
+_PRE_ORDER = [0, 1, 2, 3, 4, 6, 5, 7]  # the families in precondition checking order
+
+
 def _precondition_rows(direction: str) -> tuple[tuple[str, tuple[int, ...], float], ...]:
     """(name, sessions, back-off) of each rate precondition of one hop, in
     checking order: the paper's, which puts A1+B2 before B1+B2.
@@ -634,7 +637,7 @@ def _precondition_rows(direction: str) -> tuple[tuple[str, tuple[int, ...], floa
     relay's link to its destination, the partner `s ^ 1`: |h_RB1|.
     """
     rows = []
-    for k in (0, 1, 2, 3, 4, 6, 5, 7):
+    for k in _PRE_ORDER:
         _, sessions, up_backoff, down_backoff = _FAMILIES[k]
         if direction == "uplink":
             powers = [f"|h_{_SESSIONS[s]}R|^2" for s in sessions]
@@ -650,6 +653,7 @@ def _precondition_rows(direction: str) -> tuple[tuple[str, tuple[int, ...], floa
 
 
 _PRECONDITIONS = {direction: _precondition_rows(direction) for direction in ("uplink", "downlink")}
+_BACKOFFS = {direction: np.array([[backoff] for _, _, backoff in rows]) for direction, rows in _PRECONDITIONS.items()}
 
 
 # The uplink cancellation chains, bottom stage first; the relay decodes
@@ -689,15 +693,16 @@ _UPLINK_STREAMS = (
 def _walk_uplink(mags, snr, r) -> _Splits:
     """The uplink power splits of each trial's case, walking its chain in
     `_UPLINK_CHAINS` from the bottom."""
-    x1, x2, x3, x4 = snr
     case = classify_case(mags, "uplink")
-    u, s, v, w = [_pow(2.0, x) for x in r]
+    powers = _pow(2.0, r)
+    u, s, v, w = powers
 
     # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.
-    need = (u / s - 1.0, s, v / w - 1.0, w)
-    q = [np.zeros(len(case)) for _ in range(4)]
+    need = powers.copy()
+    need[0::2] = powers[0::2] / powers[1::2] - 1.0
+    q = np.zeros((4, len(case)))
     for c, rows in _by_case(case):
-        n, qc = _take(need, rows), [np.zeros(len(rows))] * 4
+        n, qc = need[:, rows], [np.zeros(len(rows))] * 4
         for stream, noise in _UPLINK_CHAINS[c]:
             den = noise(*qc)
             if stream == "MAC":
@@ -707,11 +712,10 @@ def _walk_uplink(mags, snr, r) -> _Splits:
                 qc[_G1] = _max(n[_G1], sum_rate) * den
             else:
                 qc[stream] = n[stream] * den
-        for k in range(4):
-            q[k][rows] = qc[k]
-    G1, T, G2, W = q
-    alpha = [G1 / x1, T / x1, G2 / x3, W / x3, T / x2, W / x4]
-    return _Splits(case, alpha, [r[0] - r[1], r[2] - r[3], r[1], r[3]])
+        q[:, rows] = qc
+    # G1 / x1, T / x1, G2 / x3, W / x3, T / x2, W / x4
+    alpha = q[[_G1, _T, _G2, _W, _T, _W]] / snr[[0, 0, 2, 2, 1, 3]]
+    return _Splits(case, alpha, np.concatenate([r[0::2] - r[1::2], r[1::2]]))
 
 
 def _uplink_allocation(splits: _Splits, i: int) -> UplinkAllocation:
@@ -741,39 +745,38 @@ def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     codewords arrive level.
     """
     up, _, p = net._columns()
-    splits, _, _, errors = _allocate("uplink", up, p, _one(_rate_quad(r)))
-    _raise_first(errors)
+    splits, *_, errors = _allocate("uplink", up, p, _one(_rate_quad(r)))
+    if errors:  # a batch of one's refusal
+        raise errors[0]
     return _uplink_allocation(splits, 0)
 
 
-def _uplink_checks(mags, p, splits: _Splits):
+def _uplink_checks(mags, snr, splits: _Splits):
     """Every decoding inequality of each trial's case, in decoding order
     (the case's chain from the top): per case present, its trials'
-    positions and (name, lhs, rhs) columns."""
+    positions and (name, lhs, rhs) columns.  ``snr`` are the hop's |h|^2 P."""
     expected = classify_case(mags, "uplink")
     wrong = expected != splits.case
     if wrong.any():
         i = wrong.argmax()
         raise ValueError(f"allocation is for case {splits.case[i]}, network classifies as {expected[i]}")
-    x1, x2, x3, x4 = _snrs(mags, p)
-    a1g, _, a2g, _, b1, b2 = splits.alpha
-    q = (a1g * x1, b1 * x2, a2g * x3, b2 * x4)
-    rg1, rg2, rl1, rl2 = splits.rates
+    q = splits.alpha[[0, 4, 2, 5]] * snr  # received powers of G1, T, G2, W
+    rates = splits.rates[[0, 2, 1, 3]]
 
     for c, rows in _by_case(splits.case):
-        qc, rates = _take(q, rows), _take((rg1, rl1, rg2, rl2), rows)
+        qc, rc = q[:, rows], rates[:, rows]
         checks = []
         for stream, noise in reversed(_UPLINK_CHAINS[c]):
             den = noise(*qc)
             if stream == "MAC":
                 checks += (
-                    ("decode x_A1 gaussian (MAC)", rates[_G1], _capacity(_divide(qc[_G1], den))),
-                    ("decode x_A2 gaussian (MAC)", rates[_G2], _capacity(_divide(qc[_G2], den))),
-                    ("gaussian MAC sum", rates[_G1] + rates[_G2], _capacity(_divide(qc[_G1] + qc[_G2], den))),
+                    ("decode x_A1 gaussian (MAC)", rc[_G1], _capacity(_divide(qc[_G1], den))),
+                    ("decode x_A2 gaussian (MAC)", rc[_G2], _capacity(_divide(qc[_G2], den))),
+                    ("gaussian MAC sum", rc[_G1] + rc[_G2], _capacity(_divide(qc[_G1] + qc[_G2], den))),
                 )
             else:
                 name, cap = _UPLINK_STREAMS[stream]
-                checks.append((name, rates[stream], cap(_divide(qc[stream], den))))
+                checks.append((name, rc[stream], cap(_divide(qc[stream], den))))
         yield rows, checks
 
 
@@ -793,7 +796,7 @@ def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[Const
         _one((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2)),
         _one((*alloc.gaussian_rates, *alloc.lattice_rates)),
     )
-    return _single_checks(_uplink_checks(up, p, splits))
+    return _single_checks(_uplink_checks(up, _snrs(up, p), splits))
 
 
 # --- Downlink ----------------------------------------------------------------
@@ -861,23 +864,25 @@ def _walk_downlink(mags, snr, r) -> _Splits:
     `_DOWNLINK_CHAINS` from the bottom.  The chains take pair 1 to be the
     pair with the stronger shared-stream receiver."""
     swapped = mags[2] > mags[0]
-    r, mags, snr = (_swap_pairs(q, swapped) for q in (r, mags, snr))
+    r, mags, snr = _swap_pairs(np.stack([r, mags, snr]), swapped)
     case = classify_case(mags, "downlink")
 
-    u, s, v, w = [_pow(2.0, x) for x in r]
-    need = (u / s - 1.0, s - 1.0, v / w - 1.0, w - 1.0)
-    alpha = [np.zeros(len(case)) for _ in range(4)]
+    powers = _pow(2.0, r)
+    need = powers - 1.0
+    need[0::2] = powers[0::2] / powers[1::2] - 1.0
+    alpha = np.zeros((4, len(case)))
     for c, rows in _by_case(case):
-        n, g, pc = _take(need, rows), _take(snr, rows), [np.zeros(len(rows))] * 4
+        n, g, pc = need[:, rows], snr[:, rows], [np.zeros(len(rows))] * 4
         for stream, receivers in _DOWNLINK_CHAINS[c]:
             if len(receivers) == 1:  # the closed form's association, bit for bit
                 ((k, under),) = receivers
                 pc[stream] = n[stream] * (1.0 + g[k] * under(pc)) / g[k]
             else:
                 pc[stream] = n[stream] * _fold(_max, [(1.0 + g[k] * under(pc)) / g[k] for k, under in receivers])
-        for k in range(4):
-            alpha[k][rows] = pc[k]
-    return _Splits(case, alpha, [r[0] - r[1], r[1], r[2] - r[3], r[3]], swapped)
+        alpha[:, rows] = pc
+    rates = r.copy()
+    rates[0::2] = r[0::2] - r[1::2]
+    return _Splits(case, alpha, rates, swapped)
 
 
 def _downlink_allocation(splits: _Splits, i: int) -> DownlinkAllocation:
@@ -904,21 +909,23 @@ def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocati
     permit.
     """
     _, down, p = net._columns()
-    splits, _, _, errors = _allocate("downlink", down, p, _one(_rate_quad(r)))
-    _raise_first(errors)
+    splits, *_, errors = _allocate("downlink", down, p, _one(_rate_quad(r)))
+    if errors:  # a batch of one's refusal
+        raise errors[0]
     return _downlink_allocation(splits, 0)
 
 
-def _downlink_checks(mags, p, splits: _Splits):
+def _downlink_checks(mags, snr, splits: _Splits):
     """Every broadcast decoding inequality of each trial's case: each
     stream's rate against its worst receiver in the case's chain.  Per case
-    present, its trials' positions and (name, lhs, rhs) columns."""
-    mags, snr = (_swap_pairs(q, splits.swapped) for q in (mags, _snrs(mags, p)))
+    present, its trials' positions and (name, lhs, rhs) columns.  ``snr``
+    are the hop's |h|^2 P."""
+    mags, snr = _swap_pairs(np.stack([mags, snr]), splits.swapped)
     if np.any(classify_case(mags, "downlink") != splits.case):
         raise ValueError("allocation case does not match the network ordering")
 
     for c, rows in _by_case(splits.case):
-        pc, g, rates = _take(splits.alpha, rows), _take(snr, rows), _take(splits.rates, rows)
+        pc, g, rates = splits.alpha[:, rows], snr[:, rows], splits.rates[:, rows]
         receivers = dict(_DOWNLINK_CHAINS[c])
         checks = []
         for stream in _DOWNLINK_CHECK_ORDER:
@@ -938,14 +945,14 @@ def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[C
     splits = _Splits(
         np.array([alloc.case]), _one(alloc.alpha_r), _one(alloc.stream_rates), np.array([alloc.pairs_swapped])
     )
-    return _single_checks(_downlink_checks(down, p, splits))
+    return _single_checks(_downlink_checks(down, _snrs(down, p), splits))
 
 
 class _Hop(NamedTuple):
     walk: Callable  # (magnitudes, SNRs, rates) -> _Splits
-    excess: Callable  # alpha columns -> budget excess
+    excess: Callable  # alpha rows -> budget excess
     overspend: Callable  # (splits, trial, excess) -> AllocationInvalidError text
-    checks: Callable  # (magnitudes, power, splits) -> per case: trials, (name, lhs, rhs)
+    checks: Callable  # (magnitudes, SNRs, splits) -> per case: trials, (name, lhs, rhs)
     allocation: Callable  # (splits, trial) -> UplinkAllocation or DownlinkAllocation
 
 
@@ -989,12 +996,13 @@ class AchievabilityReport:
 def _require_hypothesis(target, up, down, p) -> None:
     """Raise for the first trial outside the constant-gap hypothesis:
     a component below 2, or a link SNR below the proven threshold."""
-    below = np.any([x < 2.0 - TOL for x in target], axis=0)
+    below = (target < 2.0 - TOL).any(axis=0)
     if below.any():
         raise InfeasibleRatesError(
             "constant-gap hypothesis: every component must be >= 2", f"got {_row(target, below.argmax())}"
         )
-    floor = _fold(_min, [h * h * p for h in (*up, *down)])
+    h = np.concatenate([up, down])
+    floor = (h * h * p).min(axis=0)  # finite and positive, as the network is
     weak = floor < MIN_PROVEN_SNR - TOL
     if weak.any():
         raise LowPowerError(
@@ -1002,9 +1010,9 @@ def _require_hypothesis(target, up, down, p) -> None:
         )
 
 
-def _back_off(rates) -> list[np.ndarray]:
+def _back_off(rates: np.ndarray) -> np.ndarray:
     """Each rate less 2 bits, floored at 0."""
-    return [_max(0.0, x - 2.0) for x in rates]
+    return _max(0.0, rates - 2.0)
 
 
 @_quiet
@@ -1041,7 +1049,8 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
 
 
 def _verify_columns(up, down, p, target, terms=None):
-    """`verify_constant_gap` on columns, the one constant-gap cascade: the
+    """`verify_constant_gap` on session arrays (or sequences of four
+    columns), the one constant-gap cascade: the
     hops run masked, and a trial leaves at its first failing stage, so a hop
     no trial reaches is skipped.  Returns each trial's stage, largest budget
     excess, smallest check slack and detail, as its report gives them;
@@ -1049,6 +1058,7 @@ def _verify_columns(up, down, p, target, terms=None):
     split, their `_Splits` and their check groups.  ``terms`` are the
     restricted family terms when already at hand.  Raises where
     `verify_constant_gap` raises, for some trial."""
+    up, down, target = (np.asarray(q, dtype=float) for q in (up, down, target))
     n = len(p)
     _require_hypothesis(target, up, down, p)
     normalized = _normalize(up, down, p, target, terms)
@@ -1056,31 +1066,30 @@ def _verify_columns(up, down, p, target, terms=None):
     r = _back_off(quad)
 
     stage, detail = np.full(n, "ok", dtype=object), [""] * n
-    excess, slack, seen = np.zeros(n), np.full(n, math.inf), np.zeros(n, dtype=bool)
+    excess, slack = np.zeros(n), np.full(n, math.inf)
     hops = {}
     rows = np.arange(n)  # the trials still at stage "ok"
     for hop, mags in (("uplink", up), ("downlink", down)):
         if not rows.size:
             break
-        mags = _take(mags, rows)
-        splits, kept, spent, errors = _allocate(hop, mags, p[rows], _take(r, rows))
-        for i, e in enumerate(errors):
-            if e is not None:
-                stage[rows[i]], detail[rows[i]] = f"{hop}-allocation", str(e)
-        rows, mags = rows[kept], _take(mags, kept)
+        mags = mags[:, rows]
+        splits, kept, snr, spent, errors = _allocate(hop, mags, p[rows], r[:, rows])
+        for i, e in errors.items():
+            stage[rows[i]], detail[rows[i]] = f"{hop}-allocation", str(e)
+        rows, mags = rows[kept], mags[:, kept]
         excess[rows] = _max(excess[rows], spent)
 
         bad = np.zeros(len(rows), dtype=bool)
-        groups = list(_HOPS[hop].checks(mags, p[rows], splits))
+        groups = list(_HOPS[hop].checks(mags, snr, splits))
         for at, checks in groups:
-            trials, failed = rows[at], []
-            for _, lhs, rhs in checks:  # min() over the checks, in order
-                s = rhs - lhs
-                first = ~seen[trials]
-                slack[trials] = np.where(first | (s < slack[trials]), s, slack[trials])
-                seen[trials] = True
-                failed.append(s < -TOL)
-            bad[at] = np.any(failed, axis=0)
+            trials = rows[at]
+            slacks = np.array([rhs - lhs for _, lhs, rhs in checks])
+            # min() over both hops' checks, in order: every trial that
+            # reaches the downlink checks holds its uplink checks' minimum.
+            held = [slack[trials]] if hops else []
+            slack[trials] = _fold(_min, [*held, *slacks])
+            failed = slacks < -TOL
+            bad[at] = failed.any(axis=0)
             for j in np.flatnonzero(bad[at]).tolist():
                 detail[trials[j]] = ", ".join(name for (name, _, _), f in zip(checks, failed) if f[j])
         stage[rows[bad]] = f"{hop}-rate-check"
@@ -1127,9 +1136,9 @@ _JUMPS = _jump_table(_ROUND)
 
 class _HashMix:
     """SeedSequence's hashmix with its running hash constant.  It works on
-    plain ints and on uint64 columns alike, keeping the low 32 bits."""
+    plain ints and on uint64 arrays alike, keeping the low 32 bits."""
 
-    def __init__(self, const: int, mult: int):
+    def __init__(self, const, mult: int):
         self.const, self.mult = const, mult
 
     def __call__(self, value):
@@ -1137,6 +1146,22 @@ class _HashMix:
         self.const = self.const * self.mult & _M32
         value = value * self.const & _M32
         return value ^ value >> 16
+
+    def stacked(self, k: int) -> _HashMix:
+        """A hashmix of k stacked rows, whose constant is a column: row j
+        is hashed as this one's j-th next call would hash it.  This one
+        passes those k calls."""
+        consts = [self.const]
+        for _ in range(k):
+            consts.append(consts[-1] * self.mult & _M32)
+        self.const = consts.pop()
+        return _HashMix(np.array(consts, np.uint64)[:, None], self.mult)
+
+
+# generate_state(4, uint64) hashes the pool's words in turn, twice over, with
+# a hashmix of its own whose constants are the same for every stream.
+_STATE_ROWS = [k % _POOL for k in range(2 * _POOL)]
+_STATE_CONSTS = _HashMix(_INIT_B, _MULT_B).stacked(2 * _POOL).const
 
 
 def _mix(x, y):
@@ -1207,22 +1232,23 @@ class _Streams:
     def __init__(self, seed: int, indices: Sequence[int]):
         pool, hashmix = _seed_prefix(seed)
         i = np.fromiter(indices, np.uint64, len(indices))
-        pool = [_mix(x, hashmix(i)) for x in pool]
-        hashmix = _HashMix(_INIT_B, _MULT_B)
-        half = [hashmix(pool[k % _POOL]) for k in range(2 * _POOL)]
-        w0, w1, w2, w3 = (half[k] | half[k + 1] << 32 for k in range(0, 2 * _POOL, 2))
+        pool = _mix(np.array(pool, np.uint64)[:, None], hashmix.stacked(_POOL)(i))
+        half = _HashMix(_STATE_CONSTS, _MULT_B)(pool[_STATE_ROWS])
+        w0, w1, w2, w3 = half[0::2] | half[1::2] << 32
         # PCG64's set-seq seeding: inc = 2 (w2, w3) + 1, then two steps around
         # adding the initial state (w0, w1).
-        self.inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
-        self.state = _add128(_mul128(_add128(self.inc, (w0, w1)), _u128(_PCG_MULT)), self.inc)
+        inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+        self.state = _add128(_mul128(_add128(inc, (w0, w1)), _u128(_PCG_MULT)), inc)
+        # inc (M^(k-1) + ... + M + 1) for k = 1 .. _ROUND, one row per trial:
+        # a jump of k steps is then one product and this sum.
+        self.offsets = _mul128((inc[0][:, None], inc[1][:, None]), _JUMPS[1])
 
     def draw(self, rows: np.ndarray, k: int) -> np.ndarray:
         """The next ``k`` <= `_ROUND` doubles of the trials at positions
         ``rows``, one row each, computed as one jump per double."""
-        (a_hi, a_lo), (s_hi, s_lo) = _JUMPS
+        a_hi, a_lo = _JUMPS[0]
         state = (self.state[0][rows, None], self.state[1][rows, None])
-        inc = (self.inc[0][rows, None], self.inc[1][rows, None])
-        hi, lo = _add128(_mul128(state, (a_hi[:k], a_lo[:k])), _mul128(inc, (s_hi[:k], s_lo[:k])))
+        hi, lo = _add128(_mul128(state, (a_hi[:k], a_lo[:k])), (self.offsets[0][rows, :k], self.offsets[1][rows, :k]))
         self.state[0][rows], self.state[1][rows] = hi[:, -1], lo[:, -1]
         return _next_double(hi, lo)
 
@@ -1302,14 +1328,13 @@ class GapReport:
         return max((r.bound_gap for r in self.records), default=0.0)
 
 
-def _accepts(up, down, p) -> tuple[np.ndarray, list[np.ndarray]]:
+def _accepts(up, down, p) -> tuple[np.ndarray, np.ndarray]:
     """Which networks the sampler keeps: every link clears the SNR floor
     and the 2-bit base point (2, 2, 2, 2) lies in the restricted region,
     compared exactly.  Also gives the restricted family terms."""
-    floor = _fold(_min, [h * h * p for h in (*up, *down)])
-    terms = _family_terms(up, down, p, True)
-    base = [rhs >= 2.0 * len(sessions) for (_, sessions, _, _), rhs in zip(_FAMILIES, terms)]
-    return (floor >= MIN_LINK_SNR) & np.all(base, axis=0), terms
+    h, terms = np.concatenate([up, down]), _family_terms(up, down, p, True)
+    floor = (h * h * p).min(axis=0)  # finite and positive: every draw passed the network's checks
+    return (floor >= MIN_LINK_SNR) & (terms >= _BASE_SUMS).all(axis=0), terms
 
 
 @_quiet
@@ -1317,10 +1342,10 @@ def _sampler_accepts(net: GaussNetwork) -> bool:
     return bool(_accepts(*net._columns())[0][0])
 
 
-def _sessions(h: np.ndarray) -> tuple[list, list]:
-    """Uplink and downlink session columns of drawn magnitudes, whose rows
+def _sessions(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uplink and downlink session arrays of drawn magnitudes, whose rows
     are h_ar, h_br, h_ra, h_rb, pair by pair."""
-    return [h[0], h[2], h[1], h[3]], [h[6], h[4], h[7], h[5]]
+    return h[[0, 2, 1, 3]], h[[6, 4, 7, 5]]
 
 
 def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]):
@@ -1351,7 +1376,7 @@ def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]
         terms[:, rows] = t
         rows = rows[~ok]
         if not rows.size:
-            return h, p, list(terms)
+            return h, p, terms
     error = ValueError(
         f"trial {indices[rows[0]]}: none of {MAX_SAMPLE_DRAWS} sampled networks met the SNR "
         "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"
@@ -1360,24 +1385,24 @@ def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]
     raise error
 
 
-def _boundary_rates(streams: _Streams, terms: list) -> list[np.ndarray]:
+def _boundary_rates(streams: _Streams, terms: np.ndarray) -> np.ndarray:
     """Per trial, a point of the restricted-region boundary at least 2 in
     every component: walk from (2,2,2,2) along a random non-negative
     direction, 4 doubles of the trial's stream redrawn while none exceeds
     1e-9, to the nearest constraint, then retreat `BOUNDARY_NUDGE` bits."""
-    n = len(terms[0])
+    n = terms.shape[1]
     d, rows = np.empty((n, 4)), np.arange(n)
     while rows.size:
         d[rows] = streams.draw(rows, 4)
         rows = rows[d[rows].max(axis=1) <= 1e-9]
+    # No room is NaN or -0.0: every term holds the base point, so the
+    # smallest room is np.min's.
     d = d.T
-    t_star = np.full(n, math.inf)
-    for (_, sessions, _, _), rhs in zip(_FAMILIES, terms):
-        step = sum(map(d.__getitem__, sessions))
-        room = (rhs - 2.0 * len(sessions)) / np.where(step > 0, step, 1.0)
-        t_star = np.where((step > 0) & (room < t_star), room, t_star)
+    steps = _session_sums(d)
+    rooms = (terms - _BASE_SUMS) / np.where(steps > 0, steps, 1.0)
+    t_star = np.where(steps > 0, rooms, math.inf).min(axis=0)
     t = _max(0.0, t_star - BOUNDARY_NUDGE / d.max(axis=0))
-    return [2.0 + t * x for x in d]
+    return 2.0 + t * d
 
 
 @_quiet
@@ -1388,15 +1413,16 @@ def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
     rates = _boundary_rates(streams, terms)
     up, down = _sessions(h)
     stage, excess, slack, *_ = _verify_columns(up, down, p, rates, terms)
-    gap = _fold(_max, _bound_gaps(_family_terms(up, down, p, False), terms))
+    # Both bounds share the single-family terms, whose gaps are 0.0.
+    gaps = _bound_gaps(_family_terms(up, down, p, False, terms)[4:], terms[4:], _FAMILIES[4:])
+    gap = _fold(_max, [0.0, *gaps])
 
     h = h.tolist()
     nets = map(GaussNetwork._drawn, *(zip(h[k], h[k + 1]) for k in range(0, 8, 2)), p.tolist())
     return [
         TrialRecord(i, net, q, s == "ok", s, e, m, g)
         for i, net, q, s, e, m, g in zip(
-            indices, nets, zip(*(r.tolist() for r in rates)), stage.tolist(), excess.tolist(), slack.tolist(),
-            gap.tolist(),
+            indices, nets, zip(*rates.tolist()), stage.tolist(), excess.tolist(), slack.tolist(), gap.tolist()
         )
     ]
 

@@ -239,6 +239,34 @@ def test_sweep_det_mode(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "trial,seed,verdict,pairs,n_ar,n_br,n_ra,n_rb,tuples_checked,failures"
 
 
+@pytest.mark.parametrize("mode", [[], ["--det"]], ids=["gaussian", "det"])
+def test_sweep_refuses_unwritable_out_before_sweeping(tmp_path, capsys, monkeypatch, mode):
+    # Once the whole sweep ran, then a FileNotFoundError traceback.
+    path = tmp_path / "missing" / "x.csv"
+    monkeypatch.setattr(cli.gaussian, "monte_carlo_gap", None)  # any sweep work fails
+    monkeypatch.setattr(cli, "enumerate_integral_region", None)
+    code, doc, err = run(capsys, "sweep", *mode, "--trials", "1", "--out", str(path))
+    assert code == EXIT_INPUT and doc is None
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--det"]], ids=["gaussian", "det"])
+def test_sweep_write_error_is_an_input_error(tmp_path, capsys, monkeypatch, mode):
+    # The directory goes away while the sweep runs.
+    path = tmp_path / "gone" / "x.csv"
+    path.parent.mkdir()
+    for owner, name in ((cli.gaussian, "monte_carlo_gap"), (cli, "enumerate_integral_region")):
+        def removing(*args, sweep=getattr(owner, name)):
+            path.unlink(missing_ok=True)
+            path.parent.rmdir()
+            return sweep(*args)
+
+        monkeypatch.setattr(owner, name, removing)
+    code, doc, err = run(capsys, "sweep", *mode, "--trials", "1", "--out", str(path))
+    assert code == EXIT_INPUT and doc is None
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_main_leaves_no_parsed_state_between_calls(tmp_path, capsys):
     # The parser is built once per process; a Gaussian sweep run after a
     # --det sweep is Gaussian and writes the bytes of a run on a fresh parser.
@@ -352,6 +380,8 @@ def test_schedule_integral_over_budget(tmp_path, capsys):
         # A trial index is one 32-bit spawn-key word.
         (["sweep", "--trials", str(2**32 + 1)], "trials must be at most 2**32"),
         (["sweep", "--trials", "2", "--hmin", "0"], "h_min must be positive"),
+        # Once numpy's bare "expected non-negative integer".
+        (["sweep", "--det", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_cli_rejects_invalid_options(det_file, capsys, argv, message):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -392,9 +393,10 @@ def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
     calls = []
     failing = ConstraintCheck("forced", 1.0, 0.0)
 
-    def forced_checks(mags, p, splits):
+    def forced_checks(mags, snr, splits):
         calls.append("up")
-        return [(np.arange(len(p)), [("forced", np.ones(len(p)), np.zeros(len(p)))])]
+        n = snr.shape[1]
+        return [(np.arange(n), [("forced", np.ones(n), np.zeros(n))])]
 
     def recording_walk(mags, snr, r):
         calls.append("down")
@@ -905,19 +907,36 @@ def test_uplink_low_power_guard():
         uplink_allocate(snr_net(2.0), (0.0, 0.0, 0.0, 0.0))
 
 
-def test_uplink_allocation_montecarlo():
-    rng = np.random.default_rng(100)
-    checked = 0
-    while checked < 10_000:
+def _allocation_montecarlo(seed, direction, allocate, rate_check):
+    """10^4 random normalised networks with feasible rates: each split keeps
+    its budget and passes every decoding check of its case, to 1e-9.  The
+    first 200 run through the public allocator and rate check, and all of
+    them as one batch through the column functions."""
+    rng = np.random.default_rng(seed)
+    trials = []
+    while len(trials) < 10_000:
         net = random_normalized_net(rng)
         r = random_feasible_rates(rng, net)
-        if r is None:
-            continue
-        alloc = uplink_allocate(net, r)
+        if r is not None:
+            trials.append((net, r))
+    for net, r in trials[:200]:
+        alloc = allocate(net, r)
         assert alloc.budget_excess() <= 1e-9
-        checks = uplink_rate_check(net, alloc)
+        checks = rate_check(net, alloc)
         assert all(c.slack >= -1e-9 for c in checks), [c for c in checks if c.slack < -1e-9]
-        checked += 1
+
+    up, down, p, r = (np.asarray(q) for q in _trial_columns(trials))
+    mags = up if direction == "uplink" else down
+    splits, kept, snr, excess, errors = gaussian._allocate(direction, mags, p, r)
+    assert not errors and kept.tolist() == list(range(len(trials)))
+    assert (excess <= 1e-9).all(), np.flatnonzero(excess > 1e-9)
+    for rows, checks in gaussian._HOPS[direction].checks(mags, snr, splits):
+        for name, lhs, rhs in checks:
+            assert (rhs - lhs >= -1e-9).all(), (name, rows[rhs - lhs < -1e-9])
+
+
+def test_uplink_allocation_montecarlo():
+    _allocation_montecarlo(100, "uplink", uplink_allocate, uplink_rate_check)
 
 
 def test_uplink_tampered_alpha_fails_check():
@@ -969,18 +988,7 @@ def test_downlink_no_solo_streams_when_rates_match():
 
 
 def test_downlink_allocation_montecarlo():
-    rng = np.random.default_rng(200)
-    checked = 0
-    while checked < 10_000:
-        net = random_normalized_net(rng)
-        r = random_feasible_rates(rng, net)
-        if r is None:
-            continue
-        alloc = downlink_allocate(net, r)
-        assert alloc.budget_excess() <= 1e-9
-        checks = downlink_rate_check(net, alloc)
-        assert all(c.slack >= -1e-9 for c in checks), [c for c in checks if c.slack < -1e-9]
-        checked += 1
+    _allocation_montecarlo(200, "downlink", downlink_allocate, downlink_rate_check)
 
 
 def test_downlink_tampered_alpha_fails_check():
@@ -1757,3 +1765,108 @@ def test_verify_columns_cover_every_case():
     cases = {(hop, getattr(r, hop).case) for r in reports for hop in ("uplink", "downlink") if getattr(r, hop)}
     assert cases == {(hop, case) for hop in ("uplink", "downlink") for case in ("I", "II", "III")}
     assert {r.stage for r in reports} == {"ok", "uplink-allocation"}
+
+
+# --- the stacked arrays against entry-by-entry scalar references ------------------------------
+
+_NEAR_GUARD = 6e153  # (2h)^2 P = 1.44e308 at P = 1, just under the network's overflow guard
+
+
+def reference_precondition_rhs(net: GaussNetwork, direction: str) -> list[tuple[tuple[int, ...], float]]:
+    """Each precondition row's sessions and rhs, as `_check_uplink_preconditions`
+    and `_check_downlink_preconditions` compute them."""
+    if direction == "uplink":
+        snr, rows, combine = _uplink_snrs(net), _UPLINK_RATE_PRECONDITIONS, sum
+    else:
+        snr, rows, combine = _downlink_snrs(net), _DOWNLINK_RATE_PRECONDITIONS, max
+    return [(idx, awgn_capacity(combine(snr[k] for k in keys)) - slack) for _, idx, keys, slack in rows]
+
+
+def reference_boundary_walk(d: list[float], terms: Sequence[float]) -> RateQuad:
+    """`reference_sample_boundary_rates` past its draw of ``d``, on Python floats."""
+    t_star = math.inf
+    for (_, sessions, _, _), rhs in zip(gaussian._FAMILIES, terms):
+        step = sum(map(d.__getitem__, sessions))
+        if step > 0:
+            room = rhs - 2.0 * len(sessions)
+            t_star = min(t_star, room / step)
+    t = max(0.0, t_star - gaussian.BOUNDARY_NUDGE / max(d))
+    return tuple(2.0 + t * x for x in d)
+
+
+_rate_entries = st.one_of(
+    st.just(-0.0), st.just(0.0), st.floats(-TOL, 0.0, exclude_max=True), st.floats(0.0, 12.0)
+)
+# Doubles as the streams give them: multiples of 2^-53 in [0, 1).
+_directions = st.lists(st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53), min_size=4, max_size=4)
+
+
+@st.composite
+def _stacked_trials(draw):
+    """Networks, each with a rate quad and a boundary direction: downlink
+    magnitudes that tie, magnitudes just under the overflow guard, rates of
+    -0.0 or in [-TOL, 0), and rates within an ulp of a precondition's
+    boundary."""
+    trials = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            h, power = [_NEAR_GUARD * draw(st.floats(0.5, 1.0)) for _ in range(8)], 1.0
+        else:
+            h, power = draw(st.lists(_magnitudes, min_size=8, max_size=8)), draw(st.floats(0.05, 200.0))
+        h[4:] = [h[k] for k in draw(st.lists(st.integers(4, 7), min_size=4, max_size=4))]
+        net = GaussNetwork(tuple(h[:2]), tuple(h[2:4]), tuple(h[4:6]), tuple(h[6:]), power)
+        rates = draw(st.lists(_rate_entries, min_size=4, max_size=4))
+        edge = draw(st.none() | st.tuples(st.sampled_from(["uplink", "downlink"]), st.integers(0, 7)))
+        if edge:
+            sessions, rhs = reference_precondition_rhs(net, edge[0])[edge[1]]
+            last = rhs + TOL - sum(rates[s] for s in sessions[:-1])
+            rates[sessions[-1]] = math.nextafter(last, draw(st.sampled_from([-math.inf, last, math.inf])))
+        d = draw(_directions.filter(lambda d: max(d) > 1e-9))
+        trials.append((net, rates, d))
+    return trials
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacked_trials())
+@example([
+    (GaussNetwork((3.0, 5.0), (2.0, 4.0), (7.0, 7.0), (7.0, 7.0), 2.0), [-0.0, 0.0, -5e-10, 3.0], [0.0, 0.5, 0.25, 1e-3]),
+    (GaussNetwork(*[(_NEAR_GUARD, _NEAR_GUARD)] * 4, 1.0), [-0.0, -0.0, 2.0, 1.0], [0.3, 0.0, 0.0, 0.7]),
+])
+def test_stacked_arrays_match_scalar_reference(trials):
+    # The family terms of both bounds, the session sums, both hops'
+    # preconditions, the boundary walk and the cascade's slack fold, each
+    # on one stacked batch, give every trial's scalar values bit for bit.
+    def same(got, want):
+        assert (got, repr(got)) == (want, repr(want))
+
+    nets = [net for net, _, _ in trials]
+    up, down, p, r = (np.asarray(q) for q in _trial_columns([(net, rates) for net, rates, _ in trials]))
+    for restricted in (False, True):
+        terms = gaussian._family_terms(up, down, p, restricted)
+        for i, net in enumerate(nets):
+            same(tuple(terms[:, i].tolist()), reference_family_terms(net, restricted))
+    sums = gaussian._session_sums(r)
+    for i, (_, rates, _) in enumerate(trials):
+        same(tuple(sums[:, i].tolist()), tuple(sum(map(rates.__getitem__, s)) for _, s, _, _ in gaussian._FAMILIES))
+    for direction, mags, check in (
+        ("uplink", up, _check_uplink_preconditions), ("downlink", down, _check_downlink_preconditions)
+    ):
+        errors = gaussian._precondition_errors(direction, gaussian._snrs(mags, p), r)
+        for i, (net, rates, _) in enumerate(trials):
+            assert (errors[i] and str(errors[i])) == _first_failure(check, net, tuple(rates))
+
+    accepted = [i for i, net in enumerate(nets) if reference_sampler_accepts(net)]
+    if not accepted:
+        return
+    d = np.array([trials[i][2] for i in accepted])
+    terms = gaussian._family_terms(up[:, accepted], down[:, accepted], p[accepted], True)
+    with np.errstate(over="ignore"):  # as in the sweep: a tiny step's room is inf
+        walked = gaussian._boundary_rates(SimpleNamespace(draw=lambda rows, k: d[rows]), terms)
+    walks = [(nets[i], tuple(walked[:, j].tolist())) for j, i in enumerate(accepted)]
+    for (net, got), i in zip(walks, accepted):
+        same(got, reference_boundary_walk(trials[i][2], reference_family_terms(net, True)))
+    # Each trial's smallest check slack over both hops, as min() picks it.
+    expected = [_outcome(_reference_verdict, *walk) for walk in walks]
+    if not any(isinstance(kind, type) for kind, _ in expected):
+        with np.errstate(over="ignore", invalid="ignore"):  # as verify_constant_gap runs it
+            same(_pipeline_verdicts(walks), [value for value, _ in expected])
