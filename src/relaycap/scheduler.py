@@ -439,7 +439,9 @@ def simulate_schedule(
     forward chain runs through the channel-model primitives, every node
     decodes from what it actually hears (XOR entries combined with the
     node's own transmitted bit, SOLO entries read directly), and the
-    verdict compares decoded messages with the inputs.
+    verdict compares decoded messages with the inputs.  Every message
+    entry must be an integer 0 or 1 (numpy integers included, bools not):
+    nothing else is read as a bit.
     """
     validate_schedule(sched)
     net = sched.net
@@ -449,7 +451,11 @@ def simulate_schedule(
         raise ValueError(f"messages for nodes outside the network: {unknown}")
     msgs: dict[NodeId, tuple[int, ...]] = {}
     for node, need in budgets.items():
-        got = tuple(map(int, messages.get(node, ())))
+        got = tuple(messages.get(node, ()))
+        if set(map(type, got)) - {int}:  # the slow path stores numpy integers as int, and refuses the rest
+            got = tuple(
+                None if isinstance(b, bool) or not isinstance(b, numbers.Integral) else int(b) for b in got
+            )
         if not set(got) <= {0, 1}:
             raise ValueError(f"message for {node} must be bits")
         if len(got) != need:

@@ -1,12 +1,32 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
-from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import gauss_reference
+from gauss_reference import (
+    BASE_POINT,
+    FAMILY_COEFS,
+    PRECONDITIONS,
+    family_rhs,
+    family_sum,
+    reference_downlink_allocate,
+    reference_downlink_rate_check,
+    reference_precondition_rhs,
+    reference_require_preconditions,
+    reference_run_trial,
+    reference_sample_boundary_rates,
+    reference_sampler_accepts,
+    reference_snrs,
+    reference_uplink_allocate,
+    reference_uplink_rate_check,
+    reference_verify_constant_gap,
+)
 from relaycap import (
     AllocationInvalidError,
     GaussNetwork,
@@ -31,130 +51,11 @@ from relaycap import gaussian
 from relaycap.gaussian import (
     MIN_LINK_SNR,
     TOL,
-    AchievabilityReport,
     ConstraintCheck,
     DownlinkAllocation,
-    NormalizedProblem,
-    RateQuad,
-    RegionVerdict,
-    TrialRecord,
     UplinkAllocation,
     run_trial,
 )
-
-
-# --- reference: the constraint families as written out family by family ------
-# Kept verbatim from before the session-ordered family table; the
-# differential test below requires the table to reproduce every verdict,
-# check, precondition and first failing name exactly.
-
-_FAMILY_COEFS = {
-    "R_A1": (1, 0, 0, 0),
-    "R_B1": (0, 1, 0, 0),
-    "R_A2": (0, 0, 1, 0),
-    "R_B2": (0, 0, 0, 1),
-    "R_A1+R_A2": (1, 0, 1, 0),
-    "R_B1+R_B2": (0, 1, 0, 1),
-    "R_A1+R_B2": (1, 0, 0, 1),
-    "R_B1+R_A2": (0, 1, 1, 0),
-}
-
-
-def _family_rhs(net: GaussNetwork, restricted: bool) -> dict[str, float]:
-    """RHS of each constraint family: min(uplink term, downlink term).
-
-    The general sum families use amplitude sums on the uplink and power
-    sums on the downlink; the restricted families replace those with power
-    sums and maxima respectively.
-    """
-    (a1, a2), (b1, b2) = net.h_ar, net.h_br
-    (ra1, ra2), (rb1, rb2) = net.h_ra, net.h_rb
-    p = net.power
-    C = awgn_capacity
-
-    def up(x: float, y: float) -> float:
-        if restricted:
-            return C((x * x + y * y) * p)
-        return C((x + y) ** 2 * p)
-
-    def down(x: float, y: float) -> float:
-        if restricted:
-            return C(max(x * x, y * y) * p)
-        return C((x * x + y * y) * p)
-
-    return {
-        "R_A1": min(C(a1 * a1 * p), C(rb1 * rb1 * p)),
-        "R_B1": min(C(b1 * b1 * p), C(ra1 * ra1 * p)),
-        "R_A2": min(C(a2 * a2 * p), C(rb2 * rb2 * p)),
-        "R_B2": min(C(b2 * b2 * p), C(ra2 * ra2 * p)),
-        "R_A1+R_A2": min(up(a1, a2), down(rb1, rb2)),
-        "R_B1+R_B2": min(up(b1, b2), down(ra1, ra2)),
-        "R_A1+R_B2": min(up(a1, b2), down(rb1, ra2)),
-        "R_B1+R_A2": min(up(b1, a2), down(ra1, rb2)),
-    }
-
-
-_UPLINK_RATE_PRECONDITIONS = (
-    ("r_A1 <= C(|h_A1R|^2 P) - 2", (0,), ("x1",), 2.0),
-    ("r_B1 <= C(|h_B1R|^2 P) - 1", (1,), ("x2",), 1.0),
-    ("r_A2 <= C(|h_A2R|^2 P) - 2", (2,), ("x3",), 2.0),
-    ("r_B2 <= C(|h_B2R|^2 P) - 1", (3,), ("x4",), 1.0),
-    ("r_A1 + r_A2 <= C((|h_A1R|^2+|h_A2R|^2) P) - 4", (0, 2), ("x1", "x3"), 4.0),
-    ("r_A1 + r_B2 <= C((|h_A1R|^2+|h_B2R|^2) P) - 4", (0, 3), ("x1", "x4"), 4.0),
-    ("r_B1 + r_B2 <= C((|h_B1R|^2+|h_B2R|^2) P) - 4", (1, 3), ("x2", "x4"), 4.0),
-    ("r_B1 + r_A2 <= C((|h_B1R|^2+|h_A2R|^2) P) - 4", (1, 2), ("x2", "x3"), 4.0),
-)
-
-
-def _uplink_snrs(net: GaussNetwork) -> dict[str, float]:
-    p = net.power
-    return {
-        "x1": net.h_ar[0] ** 2 * p,
-        "x2": net.h_br[0] ** 2 * p,
-        "x3": net.h_ar[1] ** 2 * p,
-        "x4": net.h_br[1] ** 2 * p,
-    }
-
-
-def _check_uplink_preconditions(net: GaussNetwork, r: RateQuad) -> None:
-    snr = _uplink_snrs(net)
-    for name, idx, keys, slack in _UPLINK_RATE_PRECONDITIONS:
-        lhs = sum(r[i] for i in idx)
-        rhs = awgn_capacity(sum(snr[k] for k in keys)) - slack
-        if lhs > rhs + TOL:
-            raise InfeasibleRatesError(name, f"lhs={lhs:.6g}, rhs={rhs:.6g}")
-
-
-_DOWNLINK_RATE_PRECONDITIONS = (
-    ("r_A1 <= C(|h_RB1|^2 P) - 2", (0,), ("rb1",), 2.0),
-    ("r_B1 <= C(|h_RA1|^2 P) - 2", (1,), ("ra1",), 2.0),
-    ("r_A2 <= C(|h_RB2|^2 P) - 2", (2,), ("rb2",), 2.0),
-    ("r_B2 <= C(|h_RA2|^2 P) - 2", (3,), ("ra2",), 2.0),
-    ("r_A1 + r_A2 <= C(max(|h_RB1|^2,|h_RB2|^2) P) - 3", (0, 2), ("rb1", "rb2"), 3.0),
-    ("r_A1 + r_B2 <= C(max(|h_RB1|^2,|h_RA2|^2) P) - 3", (0, 3), ("rb1", "ra2"), 3.0),
-    ("r_B1 + r_B2 <= C(max(|h_RA1|^2,|h_RA2|^2) P) - 3", (1, 3), ("ra1", "ra2"), 3.0),
-    ("r_B1 + r_A2 <= C(max(|h_RA1|^2,|h_RB2|^2) P) - 3", (1, 2), ("ra1", "rb2"), 3.0),
-)
-
-
-def _downlink_snrs(net: GaussNetwork) -> dict[str, float]:
-    p = net.power
-    return {
-        "ra1": net.h_ra[0] ** 2 * p,
-        "rb1": net.h_rb[0] ** 2 * p,
-        "ra2": net.h_ra[1] ** 2 * p,
-        "rb2": net.h_rb[1] ** 2 * p,
-    }
-
-
-def _check_downlink_preconditions(net: GaussNetwork, r: RateQuad) -> None:
-    snr = _downlink_snrs(net)
-    for name, idx, keys, slack in _DOWNLINK_RATE_PRECONDITIONS:
-        lhs = sum(r[i] for i in idx)
-        rhs = awgn_capacity(max(snr[k] for k in keys)) - slack
-        if lhs > rhs + TOL:
-            raise InfeasibleRatesError(name, f"lhs={lhs:.6g}, rhs={rhs:.6g}")
-
 
 
 def snr_net(x: float) -> GaussNetwork:
@@ -164,34 +65,21 @@ def snr_net(x: float) -> GaussNetwork:
 
 
 def random_feasible_rates(rng, net):
-    """A rate quad inside both hop polytopes, pair-normalized (r_A >= r_B)."""
-    C = awgn_capacity
-    up, dn = _uplink_snrs(net), _downlink_snrs(net)
-    caps = [
-        min(C(up["x1"]) - 2, C(dn["rb1"]) - 2),
-        min(C(up["x2"]) - 1, C(dn["ra1"]) - 2),
-        min(C(up["x3"]) - 2, C(dn["rb2"]) - 2),
-        min(C(up["x4"]) - 1, C(dn["ra2"]) - 2),
-    ]
+    """A rate quad inside both hop polytopes, pair-normalized (r_A >= r_B):
+    each rate under both hops' single-session preconditions, and every
+    pair-sum precondition held exactly."""
+    up, down = (reference_precondition_rhs(net, direction) for direction in ("uplink", "downlink"))
+    caps = [min(u[2], d[2]) for u, d in zip(up[:4], down[:4])]
     if min(caps) < 0:
         return None
+    pairs = [(sessions, rhs) for _, sessions, rhs in up[4:] + down[4:]]
     for _ in range(60):
         r_a1 = rng.uniform(0, caps[0])
         r_b1 = rng.uniform(0, min(caps[1], r_a1))
         r_a2 = rng.uniform(0, caps[2])
         r_b2 = rng.uniform(0, min(caps[3], r_a2))
         r = (r_a1, r_b1, r_a2, r_b2)
-        ok = (
-            r[0] + r[2] <= C(up["x1"] + up["x3"]) - 4
-            and r[0] + r[3] <= C(up["x1"] + up["x4"]) - 4
-            and r[1] + r[3] <= C(up["x2"] + up["x4"]) - 4
-            and r[1] + r[2] <= C(up["x2"] + up["x3"]) - 4
-            and r[0] + r[2] <= C(max(dn["rb1"], dn["rb2"])) - 3
-            and r[0] + r[3] <= C(max(dn["rb1"], dn["ra2"])) - 3
-            and r[1] + r[3] <= C(max(dn["ra1"], dn["ra2"])) - 3
-            and r[1] + r[2] <= C(max(dn["ra1"], dn["rb2"])) - 3
-        )
-        if ok:
+        if all(sum(r[i] for i in sessions) <= rhs for sessions, rhs in pairs):
             return r
     return None
 
@@ -355,34 +243,26 @@ _magnitudes = st.floats(0.3, 300.0, allow_nan=False, allow_infinity=False)
 def test_family_table_matches_reference(h, power, rates):
     net = GaussNetwork(tuple(h[:2]), tuple(h[2:4]), tuple(h[4:6]), tuple(h[6:]), power)
     for restricted, verdict in ((False, gauss_cutset), (True, gauss_restricted_cutset)):
-        rhs = _family_rhs(net, restricted)
+        rhs = family_rhs(net, restricted)
         expected = tuple(
-            ConstraintCheck(name, sum(c * r for c, r in zip(coefs, rates)), rhs[name])
-            for name, coefs in _FAMILY_COEFS.items()
+            ConstraintCheck(name, family_sum(coefs, rates), rhs[name]) for name, coefs in FAMILY_COEFS.items()
         )
         got = verdict(net, rates)
         assert got.checks == expected
         assert got.inside == all(c.slack >= -TOL for c in expected)
-    gen, res = _family_rhs(net, False), _family_rhs(net, True)
-    assert restricted_bound_gaps(net) == {n: gen[n] - res[n] for n in _FAMILY_COEFS}
+    gen, res = family_rhs(net, False), family_rhs(net, True)
+    assert restricted_bound_gaps(net) == {n: gen[n] - res[n] for n in FAMILY_COEFS}
     # Rate preconditions of both hops: same pass/fail, same first failing
     # inequality, same lhs and rhs in its message.
     r = tuple(rates)
-    for direction, magnitudes, reference_snr, keys, reference in (
-        ("uplink", net.uplink, _uplink_snrs(net), ("x1", "x2", "x3", "x4"), _check_uplink_preconditions),
-        ("downlink", net.downlink, _downlink_snrs(net), ("rb1", "ra1", "rb2", "ra2"),
-         _check_downlink_preconditions),
-    ):
+    for direction, magnitudes in (("uplink", net.uplink), ("downlink", net.downlink)):
         snr = gaussian._snrs(magnitudes, net.power)
-        assert snr == tuple(reference_snr[k] for k in keys)  # session order, h ** 2 * P
+        assert snr == reference_snrs(magnitudes, net.power)  # session order, h ** 2 * P
         error = gaussian._precondition_errors(direction, gaussian._one(snr), gaussian._one(r))[0]
         got = None if error is None else str(error)
-        assert got == _first_failure(reference, net, r)
+        assert got == _first_failure(reference_require_preconditions, direction, net, r)
     # The sweep sampler's acceptance: SNR floor, then the exact 2-bit base check.
-    base_ok = all(
-        res[name] >= sum(c * b for c, b in zip(coefs, (2.0, 2.0, 2.0, 2.0)))
-        for name, coefs in _FAMILY_COEFS.items()
-    )
+    base_ok = all(res[name] >= family_sum(coefs, BASE_POINT) for name, coefs in FAMILY_COEFS.items())
     assert gaussian._sampler_accepts(net) == (min(net.snrs()) >= MIN_LINK_SNR and base_ok)
 
 
@@ -413,10 +293,7 @@ def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
 
 
 def test_precondition_names_match_reference():
-    for direction, reference in (
-        ("uplink", _UPLINK_RATE_PRECONDITIONS),
-        ("downlink", _DOWNLINK_RATE_PRECONDITIONS),
-    ):
+    for direction, reference in PRECONDITIONS.items():
         assert [row[0] for row in gaussian._PRECONDITIONS[direction]] == [row[0] for row in reference]
 
 
@@ -451,232 +328,10 @@ def test_non_real_rates_rejected(call, bad):
 
 
 # --- the cancellation-chain tables against the reference ------------------------------
-# The four hop functions as written out case by case before the chain
-# tables, kept verbatim; the differential test below requires the tables to
-# reproduce every allocation, check and error message bit for bit.
+# The reference writes each hop's allocation and rate check out case by case;
+# the differential test below requires the chain tables to reproduce every
+# allocation, check and error message bit for bit.
 
-
-def reference_uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
-    """Power splits letting the relay decode both Gaussian codewords and
-    both lattice sums at the component rates implied by ``r``.
-
-    Walks the successive-cancellation chain of the classified case from the
-    bottom: each stream gets exactly the receive power that makes its
-    decoding inequality an equality given the streams still undecoded
-    beneath it.  Lattice partners then mirror powers through the alignment
-    rule so each pair's lattice codewords arrive level.
-    """
-    r, (x1, x2, x3, x4) = reference_allocation_inputs("uplink", net, r)
-    case = reference_classify_case(net.uplink, "uplink")
-    u, s = 2.0 ** r[0], 2.0 ** r[1]
-    v, w = 2.0 ** r[2], 2.0 ** r[3]
-
-    # Received power products alpha * |h|^2 P: W and T are the per-codeword
-    # lattice powers of pairs 2 and 1, G2 and G1 the Gaussian powers.
-    if case == "I":
-        W = w
-        G2 = (v / w - 1.0) * (2.0 * W + 1.0)
-        T = s * (G2 + 2.0 * W + 1.0)
-        G1 = (u / s - 1.0) * (2.0 * T + G2 + 2.0 * W + 1.0)
-    else:
-        if case == "II":
-            W = w
-            T = s * (2.0 * W + 1.0)
-        else:  # III: lattice sum of pair 2 is decoded before pair 1's
-            T = s
-            W = w * (2.0 * T + 1.0)
-        den = 2.0 * T + 2.0 * W + 1.0
-        G2 = (v / w - 1.0) * den
-        # Both users' Gaussians are decoded as a MAC: the single-user and the
-        # sum-rate constraints each demand a power; take the binding one.
-        G1 = max(u / s - 1.0, (u * v) / (s * w) - v / w) * den
-
-    alloc = UplinkAllocation(
-        case=case,
-        alpha_a1=(G1 / x1, T / x1),
-        alpha_a2=(G2 / x3, W / x3),
-        alpha_b1=T / x2,
-        alpha_b2=W / x4,
-        gaussian_rates=(r[0] - r[1], r[2] - r[3]),
-        lattice_rates=(r[1], r[3]),
-    )
-    excess = alloc.budget_excess()
-    if excess > TOL:
-        raise AllocationInvalidError(
-            f"uplink case {case} power budget exceeded by {excess:.3g} "
-            f"(alphas A1={alloc.alpha_a1}, A2={alloc.alpha_a2}, "
-            f"B1={alloc.alpha_b1:.6g}, B2={alloc.alpha_b2:.6g})"
-        )
-    return alloc
-
-
-def reference_uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
-    """Evaluate every decoding inequality of the allocation's case."""
-    expected = reference_classify_case(net.uplink, "uplink")
-    if expected != alloc.case:
-        raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
-    x1, x2, x3, x4 = reference_snrs(net.uplink, net.power)
-    G1 = alloc.alpha_a1[0] * x1
-    T = alloc.alpha_b1 * x2
-    G2 = alloc.alpha_a2[0] * x3
-    W = alloc.alpha_b2 * x4
-    rg1, rg2 = alloc.gaussian_rates
-    rl1, rl2 = alloc.lattice_rates
-    C = awgn_capacity
-
-    if alloc.case == "I":
-        checks = (
-            ConstraintCheck("decode x_A1 gaussian", rg1, C(G1 / (2 * T + G2 + 2 * W + 1.0))),
-            ConstraintCheck("decode pair-1 lattice sum", rl1, lattice_rate_cap(T / (G2 + 2 * W + 1.0))),
-            ConstraintCheck("decode x_A2 gaussian", rg2, C(G2 / (2 * W + 1.0))),
-            ConstraintCheck("decode pair-2 lattice sum", rl2, lattice_rate_cap(W)),
-        )
-    else:
-        den = 2 * T + 2 * W + 1.0
-        mac = (
-            ConstraintCheck("decode x_A1 gaussian (MAC)", rg1, C(G1 / den)),
-            ConstraintCheck("decode x_A2 gaussian (MAC)", rg2, C(G2 / den)),
-            ConstraintCheck("gaussian MAC sum", rg1 + rg2, C((G1 + G2) / den)),
-        )
-        if alloc.case == "II":
-            checks = mac + (
-                ConstraintCheck("decode pair-1 lattice sum", rl1, lattice_rate_cap(T / (2 * W + 1.0))),
-                ConstraintCheck("decode pair-2 lattice sum", rl2, lattice_rate_cap(W)),
-            )
-        else:
-            checks = mac + (
-                ConstraintCheck("decode pair-2 lattice sum", rl2, lattice_rate_cap(W / (2 * T + 1.0))),
-                ConstraintCheck("decode pair-1 lattice sum", rl1, lattice_rate_cap(T)),
-            )
-    return checks
-
-
-def reference_downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocation:
-    """Relay power split delivering the four streams at their rates.
-
-    The case analysis assumes the pair with the stronger shared-stream
-    receiver (the B side, after normalization) is pair 1; when the input
-    has them the other way round the pairs are relabeled internally, which
-    the pair-symmetric rate preconditions permit.
-    """
-    r, snr = reference_allocation_inputs("downlink", net, r)
-    swapped = net.h_rb[1] > net.h_rb[0]
-    r, mags, (b1, a1, b2, a2) = (reference_swap_pairs(q, swapped) for q in (r, net.downlink, snr))
-    case = reference_classify_case(mags, "downlink")
-
-    u, s = 2.0 ** r[0], 2.0 ** r[1]
-    v, w = 2.0 ** r[2], 2.0 ** r[3]
-
-    # Minimal power for a stream of rate rho decoded at SNR g under
-    # interference power fraction q: alpha >= (2^rho - 1) (1 + g q) / g,
-    # maximized over every receiver that must decode the stream.
-    p1 = (u / s - 1.0) / b1
-    if case == "I":
-        p2 = (s - 1.0) * max((1.0 + b1 * p1) / b1, 1.0 / a1)
-        p3 = (v / w - 1.0) * (1.0 + b2 * (p1 + p2)) / b2
-        p4 = (w - 1.0) * max(
-            (1.0 + b2 * (p1 + p2 + p3)) / b2,
-            (1.0 + a2 * (p1 + p2)) / a2,
-        )
-    elif case == "II":
-        p3 = (v / w - 1.0) * (1.0 + b2 * p1) / b2
-        p2 = (s - 1.0) * max((1.0 + a1 * p3) / a1, (1.0 + b2 * (p1 + p3)) / b2)
-        p4 = (w - 1.0) * max(
-            (1.0 + b2 * (p1 + p2 + p3)) / b2,
-            (1.0 + a1 * (p2 + p3)) / a1,
-            (1.0 + a2 * (p1 + p2)) / a2,
-        )
-    else:
-        p3 = (v / w - 1.0) * (1.0 + b2 * p1) / b2
-        p4 = (w - 1.0) * max((1.0 + a2 * p1) / a2, (1.0 + b2 * (p1 + p3)) / b2)
-        p2 = (s - 1.0) * max(
-            (1.0 + b2 * (p1 + p3 + p4)) / b2,
-            (1.0 + a1 * (p3 + p4)) / a1,
-            (1.0 + a2 * (p1 + p4)) / a2,
-        )
-
-    alloc = DownlinkAllocation(
-        case=case,
-        alpha_r=(p1, p2, p3, p4),
-        stream_rates=(r[0] - r[1], r[1], r[2] - r[3], r[3]),
-        pairs_swapped=swapped,
-    )
-    excess = alloc.budget_excess()
-    if excess > TOL:
-        raise AllocationInvalidError(
-            f"downlink case {case} relay budget exceeded by {excess:.3g} (alphas {alloc.alpha_r})"
-        )
-    return alloc
-
-
-def reference_downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[ConstraintCheck, ...]:
-    """Evaluate every broadcast decoding inequality of the allocation's case.
-
-    Self-interference facts are baked into the interference sets: the
-    strong pair's A node already knows stream 1, and the other pair's A
-    node reconstructs its own solo stream 3.
-    """
-    mags, (b1, a1, b2, a2) = (
-        reference_swap_pairs(q, alloc.pairs_swapped) for q in (net.downlink, reference_snrs(net.downlink, net.power))
-    )
-    if reference_classify_case(mags, "downlink") != alloc.case:
-        raise ValueError("allocation case does not match the network ordering")
-
-    p1, p2, p3, p4 = alloc.alpha_r
-    g1, shared1, g2, shared2 = alloc.stream_rates
-    C = awgn_capacity
-
-    if alloc.case == "I":
-        checks = (
-            ConstraintCheck(
-                "pair-1 shared stream", shared1,
-                min(C(b1 * p2 / (1 + b1 * p1)), C(a1 * p2)),
-            ),
-            ConstraintCheck(
-                "pair-2 shared stream", shared2,
-                min(
-                    C(b2 * p4 / (1 + b2 * (p1 + p2 + p3))),
-                    C(a2 * p4 / (1 + a2 * (p1 + p2))),
-                ),
-            ),
-            ConstraintCheck("pair-1 solo stream", g1, C(b1 * p1)),
-            ConstraintCheck("pair-2 solo stream", g2, C(b2 * p3 / (1 + b2 * (p1 + p2)))),
-        )
-    elif alloc.case == "II":
-        checks = (
-            ConstraintCheck(
-                "pair-1 shared stream", shared1,
-                min(C(a1 * p2 / (1 + a1 * p3)), C(b2 * p2 / (1 + b2 * (p1 + p3)))),
-            ),
-            ConstraintCheck(
-                "pair-2 shared stream", shared2,
-                min(
-                    C(b2 * p4 / (1 + b2 * (p1 + p2 + p3))),
-                    C(a1 * p4 / (1 + a1 * (p2 + p3))),
-                    C(a2 * p4 / (1 + a2 * (p1 + p2))),
-                ),
-            ),
-            ConstraintCheck("pair-1 solo stream", g1, C(b1 * p1)),
-            ConstraintCheck("pair-2 solo stream", g2, C(b2 * p3 / (1 + b2 * p1))),
-        )
-    else:
-        checks = (
-            ConstraintCheck(
-                "pair-1 shared stream", shared1,
-                min(
-                    C(b2 * p2 / (1 + b2 * (p1 + p3 + p4))),
-                    C(a1 * p2 / (1 + a1 * (p3 + p4))),
-                    C(a2 * p2 / (1 + a2 * (p1 + p4))),
-                ),
-            ),
-            ConstraintCheck(
-                "pair-2 shared stream", shared2,
-                min(C(a2 * p4 / (1 + a2 * p1)), C(b2 * p4 / (1 + b2 * (p1 + p3)))),
-            ),
-            ConstraintCheck("pair-1 solo stream", g1, C(b1 * p1)),
-            ConstraintCheck("pair-2 solo stream", g2, C(b2 * p3 / (1 + b2 * p1))),
-        )
-    return checks
 
 def _normalized_net(h, power):
     """The network of eight magnitudes in hop-normalised order: within each
@@ -700,7 +355,7 @@ def _hop_inputs(draw):
                           draw(st.floats(1.0, 100.0)))
     f = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
     C = awgn_capacity
-    up, dn = gaussian._snrs(net.uplink, net.power), gaussian._snrs(net.downlink, net.power)
+    up, dn = reference_snrs(net.uplink, net.power), reference_snrs(net.downlink, net.power)
     caps = [max(0.0, min(C(up[k]) - (1.0 if k % 2 else 2.0), C(dn[k]) - 2.0)) for k in range(4)]
     r = [f[0] * caps[0], 0.0, f[2] * caps[2], 0.0]
     r[1], r[3] = f[1] * min(caps[1], r[0]), f[3] * min(caps[3], r[2])
@@ -739,6 +394,11 @@ def _tampered(alloc, stream, factor):
 
 
 _CORNER_H = 1000.0 ** 0.5  # |h|^2 P = 1000 on every uplink
+# The network and target rates of `test_uplink_power_budget_corner_detected`.
+_CORNER_TRIAL = (
+    GaussNetwork((_CORNER_H, _CORNER_H), (_CORNER_H, _CORNER_H), (1000.0, 1000.0), (1000.0, 1000.0), 1.0),
+    tuple(x + 2 for x in (awgn_capacity(2 * 1000.0) - 4 - 0.011, 0.01, 0.011, 0.01)),
+)
 
 
 @settings(max_examples=500, deadline=None)
@@ -967,6 +627,27 @@ def test_uplink_power_budget_corner_detected():
     assert not report.achievable
     assert report.stage == "uplink-allocation"
 
+    # The same corner in all three uplink cases, wherever a backed-off B
+    # rate sits at or near 0 and R_A1 + R_A2 binds: the instance above, a
+    # case-I network with unequal gains, and two trials of the default
+    # sampler (gauss-sweep seeds 72 and 80).  Each fails at the split the
+    # pipeline computes for the normalised, backed-off rates.
+    unequal = GaussNetwork(
+        (87.4819037860923, 92.50096010997423), (167.85080142877254, 378.03280596786306),
+        (190.54601133459386, 74.65578649469327), (173.3412390723331, 259.136978527644), 1.0,
+    )
+    corners = [(*_CORNER_TRIAL, "I"), (unequal, (7.413382952223102, 2.0, 6.571257162093544, 2.0), "I")]
+    for cfg, index, case in ((SweepConfig(150, 2162487093), 146, "II"), (SweepConfig(150, 1552185256), 138, "III")):
+        rec = run_trial(cfg, index)
+        corners.append((rec.net, rec.rates, case))
+    for net, target, case in corners:
+        report = verify_constant_gap(net, target)
+        assert report.stage == "uplink-allocation", (net, target, report.stage)
+        assert f"uplink case {case} power budget exceeded" in report.detail, (net, target, report.detail)
+        backed_off = tuple(max(0.0, x - 2.0) for x in report.normalized.rates)
+        with pytest.raises(AllocationInvalidError, match=f"^uplink case {case} power budget exceeded"):
+            uplink_allocate(report.normalized.net, backed_off)
+
 
 # --- downlink allocation -------------------------------------------------------------------
 
@@ -1191,394 +872,6 @@ def test_exp_of_stacked_draws_matches_per_trial_calls():
             assert np.array_equal(np.exp(powers[:n]).view(np.uint64), per_power[:n])
 
 
-# --- reference: the scalar sweep path before the batch pipeline -------------------------------
-# Kept verbatim from before the sweep ran as one batch pipeline, one trial
-# at a time, with only the names prefixed and the calls pointed at these
-# copies.  The family and chain tables are data and are read from the
-# module; `test_chain_tables_match_reference` checks the chain tables.
-
-
-def reference_family_terms(net: GaussNetwork, restricted: bool) -> tuple[float, ...]:
-    """RHS of each constraint family: min(uplink term, downlink term).
-
-    A single session's terms are C(|h|^2 P) on both hops.  A pair adds
-    amplitudes on the uplink and powers on the downlink in the cut-set
-    bound; the restricted bound adds powers on the uplink and takes the
-    larger power on the downlink.
-    """
-    up, down, p = net.uplink, net.downlink, net.power
-    up2, down2 = [h * h for h in up], [h * h for h in down]
-    terms = []
-    for _, sessions, _, _ in gaussian._FAMILIES:
-        s, t = sessions[0], sessions[-1]  # s == t for a single session
-        if s == t:
-            snrs = (up2[s] * p, down2[s] * p)
-        elif restricted:
-            snrs = ((up2[s] + up2[t]) * p, max(down2[s], down2[t]) * p)
-        else:
-            snrs = ((up[s] + up[t]) ** 2 * p, (down2[s] + down2[t]) * p)
-        terms.append(min(awgn_capacity(snrs[0]), awgn_capacity(snrs[1])))
-    return tuple(terms)
-
-
-def reference_rate_quad(rates: Sequence[float]) -> RateQuad:
-    """The four session rates as floats: finite, and none below -TOL."""
-    r = tuple(float(x) for x in rates)
-    if len(r) != 4:
-        raise ValueError(f"expected 4 rate components, got {len(r)}")
-    if not all(-TOL <= x < math.inf for x in r):
-        raise ValueError(f"rates must be finite and non-negative, got {r}")
-    return r
-
-
-def reference_region_verdict(net: GaussNetwork, rates: Sequence[float], restricted: bool) -> RegionVerdict:
-    r = reference_rate_quad(rates)
-    terms = reference_family_terms(net, restricted)
-    checks = tuple(
-        ConstraintCheck(name, sum(map(r.__getitem__, sessions)), rhs)
-        for (name, sessions, _, _), rhs in zip(gaussian._FAMILIES, terms)
-    )
-    return RegionVerdict(all(c.slack >= -TOL for c in checks), checks)
-
-
-def reference_gauss_restricted_cutset(net: GaussNetwork, rates: Sequence[float]) -> RegionVerdict:
-    return reference_region_verdict(net, rates, restricted=True)
-
-
-def reference_restricted_bound_gaps(net: GaussNetwork) -> dict[str, float]:
-    gaps = {
-        name: gen - res
-        for (name, _, _, _), gen, res in zip(
-            gaussian._FAMILIES, reference_family_terms(net, False), reference_family_terms(net, True)
-        )
-    }
-    bad = {n: g for n, g in gaps.items() if g < -TOL or g > 1.0 + TOL}
-    if bad:
-        raise AssertionError(f"gap outside [0, 1]: {bad}")
-    return gaps
-
-
-def reference_reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedProblem:
-    verdict = reference_gauss_restricted_cutset(net, rates)
-    if not verdict:
-        names = ", ".join(c.name for c in verdict.violated())
-        raise InfeasibleRatesError(f"rates outside the restricted cut-set region ({names})")
-
-    # Session 4-tuples: a side swap exchanges a pair's two sessions, a clamp
-    # lowers the B session's uplink or downlink (|h_BiR|, |h_RAi|) to the A
-    # session's, and a pair swap exchanges the two pairs.
-    up, down = list(net.uplink), list(net.downlink)
-    r = list(float(x) for x in rates)
-
-    side_swapped = []
-    for a in (0, 2):
-        swap = r[a + 1] > r[a]
-        side_swapped.append(swap)
-        if swap:
-            for q in (up, down, r):
-                q[a], q[a + 1] = q[a + 1], q[a]
-
-    clamped = []
-    for i, a in enumerate((0, 2)):
-        if up[a + 1] > up[a]:
-            up[a + 1] = up[a]
-            clamped.append(f"h_br[{i}]")
-        if down[a + 1] > down[a]:
-            down[a + 1] = down[a]
-            clamped.append(f"h_ra[{i}]")
-
-    pairs_swapped = up[2] > up[0]
-    up, down, quad = (reference_swap_pairs(q, pairs_swapped) for q in (up, down, r))
-
-    out = GaussNetwork(
-        (up[0], up[2]), (up[1], up[3]), (down[1], down[3]), (down[0], down[2]), net.power
-    )
-    post = reference_gauss_restricted_cutset(out, quad)
-    if not post:
-        raise AssertionError(
-            "channel weakening pushed the rates out of the region; the reduction "
-            f"argument excludes this ({[c.name for c in post.violated()]})"
-        )
-    return NormalizedProblem(out, quad, tuple(side_swapped), pairs_swapped, tuple(clamped))
-
-
-def reference_swap_pairs(q: Sequence, swapped: bool) -> tuple:
-    """A session 4-tuple with pair 1 and pair 2 exchanged when ``swapped``."""
-    return (q[2], q[3], q[0], q[1]) if swapped else tuple(q)
-
-
-def reference_classify_case(magnitudes: Sequence[float], direction: str) -> str:
-    if direction not in ("uplink", "downlink"):
-        raise ValueError(f"direction must be 'uplink' or 'downlink', got {direction!r}")
-    s1, w1, s2, w2 = magnitudes
-    if w1 > s1 + TOL or w2 > s2 + TOL or s2 > s1 + TOL:
-        raise ValueError(
-            f"{direction} magnitudes {tuple(magnitudes)} are not in normalized order"
-        )
-    if w1 >= s2:
-        return "I"
-    if w1 >= w2:
-        return "II"
-    return "III"
-
-
-def reference_snrs(magnitudes: Sequence[float], power: float) -> tuple[float, ...]:
-    """|h|^2 P of each magnitude of a session 4-tuple."""
-    return tuple(h ** 2 * power for h in magnitudes)
-
-
-def reference_check_preconditions(direction: str, snr: Sequence[float], r: RateQuad) -> None:
-    combine = sum if direction == "uplink" else max
-    for name, sessions, backoff in gaussian._PRECONDITIONS[direction]:
-        lhs = sum(map(r.__getitem__, sessions))
-        rhs = awgn_capacity(combine(map(snr.__getitem__, sessions))) - backoff
-        if lhs > rhs + TOL:
-            raise InfeasibleRatesError(name, f"lhs={lhs:.6g}, rhs={rhs:.6g}")
-
-
-def reference_allocation_inputs(direction: str, net: GaussNetwork, rates: Sequence[float]):
-    r = reference_rate_quad(rates)
-    if r[1] > r[0] + TOL or r[3] > r[2] + TOL:
-        raise ValueError(f"rates {r} not normalized: each pair needs r_A >= r_B")
-    snr = reference_snrs(net.uplink if direction == "uplink" else net.downlink, net.power)
-    if min(snr) < gaussian.MIN_PROVEN_SNR - TOL:
-        raise LowPowerError(f"{direction} |h|^2 P floor {min(snr):.4g} below {gaussian.MIN_PROVEN_SNR}")
-    reference_check_preconditions(direction, snr, r)
-    return r, snr
-
-
-_G1, _T, _G2, _W = range(4)
-_REFERENCE_UPLINK_STREAMS = (
-    ("decode x_A1 gaussian", awgn_capacity),
-    ("decode pair-1 lattice sum", lattice_rate_cap),
-    ("decode x_A2 gaussian", awgn_capacity),
-    ("decode pair-2 lattice sum", lattice_rate_cap),
-)
-
-
-def reference_chain_uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
-    r, (x1, x2, x3, x4) = reference_allocation_inputs("uplink", net, r)
-    case = reference_classify_case(net.uplink, "uplink")
-    u, s, v, w = [2.0 ** x for x in r]
-
-    # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.
-    need = (u / s - 1.0, s, v / w - 1.0, w)
-    q = [0.0, 0.0, 0.0, 0.0]
-    for stream, noise in gaussian._UPLINK_CHAINS[case]:
-        den = noise(*q)
-        if stream == "MAC":
-            # x_A1's single-user and sum-rate constraints each demand a power; the larger binds.
-            q[_G2] = need[_G2] * den
-            q[_G1] = max(need[_G1], (u * v) / (s * w) - v / w) * den
-        else:
-            q[stream] = need[stream] * den
-    G1, T, G2, W = q
-
-    alloc = UplinkAllocation(
-        case=case,
-        alpha_a1=(G1 / x1, T / x1),
-        alpha_a2=(G2 / x3, W / x3),
-        alpha_b1=T / x2,
-        alpha_b2=W / x4,
-        gaussian_rates=(r[0] - r[1], r[2] - r[3]),
-        lattice_rates=(r[1], r[3]),
-    )
-    excess = alloc.budget_excess()
-    if excess > TOL:
-        raise AllocationInvalidError(
-            f"uplink case {case} power budget exceeded by {excess:.3g} "
-            f"(alphas A1={alloc.alpha_a1}, A2={alloc.alpha_a2}, "
-            f"B1={alloc.alpha_b1:.6g}, B2={alloc.alpha_b2:.6g})"
-        )
-    return alloc
-
-
-def reference_chain_uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
-    expected = reference_classify_case(net.uplink, "uplink")
-    if expected != alloc.case:
-        raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
-    x1, x2, x3, x4 = reference_snrs(net.uplink, net.power)
-    q = (alloc.alpha_a1[0] * x1, alloc.alpha_b1 * x2, alloc.alpha_a2[0] * x3, alloc.alpha_b2 * x4)
-    (rg1, rg2), (rl1, rl2) = alloc.gaussian_rates, alloc.lattice_rates
-    rates, C = (rg1, rl1, rg2, rl2), awgn_capacity
-
-    checks = []
-    for stream, noise in reversed(gaussian._UPLINK_CHAINS[alloc.case]):
-        den = noise(*q)
-        if stream == "MAC":
-            checks += (
-                ConstraintCheck("decode x_A1 gaussian (MAC)", rg1, C(q[_G1] / den)),
-                ConstraintCheck("decode x_A2 gaussian (MAC)", rg2, C(q[_G2] / den)),
-                ConstraintCheck("gaussian MAC sum", rg1 + rg2, C((q[_G1] + q[_G2]) / den)),
-            )
-        else:
-            name, cap = _REFERENCE_UPLINK_STREAMS[stream]
-            checks.append(ConstraintCheck(name, rates[stream], cap(q[stream] / den)))
-    return tuple(checks)
-
-
-_REFERENCE_DOWNLINK_STREAMS = (
-    "pair-1 solo stream", "pair-1 shared stream", "pair-2 solo stream", "pair-2 shared stream"
-)
-_REFERENCE_DOWNLINK_CHECK_ORDER = (1, 3, 0, 2)
-
-
-def reference_chain_downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocation:
-    r, snr = reference_allocation_inputs("downlink", net, r)
-    swapped = net.h_rb[1] > net.h_rb[0]
-    r, mags, snr = (reference_swap_pairs(q, swapped) for q in (r, net.downlink, snr))
-    case = reference_classify_case(mags, "downlink")
-
-    u, s, v, w = [2.0 ** x for x in r]
-    need = (u / s - 1.0, s - 1.0, v / w - 1.0, w - 1.0)
-    p = [0.0, 0.0, 0.0, 0.0]
-    for stream, receivers in gaussian._DOWNLINK_CHAINS[case]:
-        if len(receivers) == 1:  # the closed form's association, bit for bit
-            ((k, under),) = receivers
-            p[stream] = need[stream] * (1.0 + snr[k] * under(p)) / snr[k]
-        else:
-            p[stream] = need[stream] * max([(1.0 + snr[k] * under(p)) / snr[k] for k, under in receivers])
-
-    alloc = DownlinkAllocation(
-        case=case,
-        alpha_r=tuple(p),
-        stream_rates=(r[0] - r[1], r[1], r[2] - r[3], r[3]),
-        pairs_swapped=swapped,
-    )
-    excess = alloc.budget_excess()
-    if excess > TOL:
-        raise AllocationInvalidError(
-            f"downlink case {case} relay budget exceeded by {excess:.3g} (alphas {alloc.alpha_r})"
-        )
-    return alloc
-
-
-def reference_chain_downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[ConstraintCheck, ...]:
-    mags, snr = (
-        reference_swap_pairs(q, alloc.pairs_swapped)
-        for q in (net.downlink, reference_snrs(net.downlink, net.power))
-    )
-    if reference_classify_case(mags, "downlink") != alloc.case:
-        raise ValueError("allocation case does not match the network ordering")
-
-    p, receivers = alloc.alpha_r, dict(gaussian._DOWNLINK_CHAINS[alloc.case])
-    checks = []
-    for stream in _REFERENCE_DOWNLINK_CHECK_ORDER:
-        rhs = None  # the smallest capacity over the receivers, as min() picks it
-        for k, under in receivers[stream]:
-            cap = awgn_capacity(snr[k] * p[stream] / (1.0 + snr[k] * under(p)))
-            if rhs is None or cap < rhs:
-                rhs = cap
-        checks.append(ConstraintCheck(_REFERENCE_DOWNLINK_STREAMS[stream], alloc.stream_rates[stream], rhs))
-    return tuple(checks)
-
-
-_REFERENCE_HOPS = {
-    "uplink": (reference_chain_uplink_allocate, reference_chain_uplink_rate_check),
-    "downlink": (reference_chain_downlink_allocate, reference_chain_downlink_rate_check),
-}
-
-
-def reference_verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> AchievabilityReport:
-    target = reference_rate_quad(rates)
-    if any(x < 2.0 - TOL for x in target):
-        raise InfeasibleRatesError(
-            "constant-gap hypothesis: every component must be >= 2", f"got {target}"
-        )
-    snrs = net.snrs()
-    if min(snrs) < gaussian.MIN_PROVEN_SNR - TOL:
-        raise LowPowerError(
-            f"|h|^2 P floor {min(snrs):.4g} below the proven threshold {gaussian.MIN_PROVEN_SNR}"
-        )
-    normalized = reference_reduce_orderings(net, target)  # raises InfeasibleRatesError when outside
-
-    r = tuple(max(0.0, x - 2.0) for x in normalized.rates)
-    hops = {"uplink": (None, ()), "downlink": (None, ())}
-    stage, detail = "ok", ""
-    for hop in hops:
-        allocate, rate_check = _REFERENCE_HOPS[hop]
-        try:
-            alloc = allocate(normalized.net, r)
-            checks = rate_check(normalized.net, alloc)
-        except (InfeasibleRatesError, LowPowerError, AllocationInvalidError) as exc:
-            stage, detail = f"{hop}-allocation", str(exc)
-            break
-        hops[hop] = (alloc, checks)
-        bad = [c.name for c in checks if c.slack < -TOL]
-        if bad:
-            stage, detail = f"{hop}-rate-check", ", ".join(bad)
-            break
-
-    (uplink, uplink_checks), (downlink, downlink_checks) = hops.values()
-    return AchievabilityReport(
-        net=net,
-        target=target,
-        backed_off=tuple(max(0.0, x - 2.0) for x in target),
-        normalized=normalized,
-        uplink=uplink,
-        uplink_checks=uplink_checks,
-        downlink=downlink,
-        downlink_checks=downlink_checks,
-        stage=stage,
-        detail=detail,
-    )
-
-
-def reference_sampler_accepts(net: GaussNetwork) -> bool:
-    return min(net.snrs()) >= MIN_LINK_SNR and all(
-        rhs >= 2.0 * len(sessions)
-        for (_, sessions, _, _), rhs in zip(gaussian._FAMILIES, reference_family_terms(net, True))
-    )
-
-
-def reference_sample_network(rng: np.random.Generator, cfg: SweepConfig, trial: int) -> GaussNetwork:
-    lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
-    lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
-    for _ in range(gaussian.MAX_SAMPLE_DRAWS):
-        h = np.exp(rng.uniform(lo_h, hi_h, size=8)).tolist()
-        p = float(np.exp(rng.uniform(lo_p, hi_p)))
-        net = GaussNetwork(h[0:2], h[2:4], h[4:6], h[6:8], p)
-        if reference_sampler_accepts(net):
-            return net
-    raise ValueError(
-        f"trial {trial}: none of {gaussian.MAX_SAMPLE_DRAWS} sampled networks met the SNR "
-        "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"
-    )
-
-
-def reference_sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork) -> RateQuad:
-    while True:
-        d = rng.random(4)
-        if d.max() > 1e-9:
-            break
-    t_star = math.inf
-    for (_, sessions, _, _), rhs in zip(gaussian._FAMILIES, reference_family_terms(net, True)):
-        step = sum(map(d.__getitem__, sessions))
-        if step > 0:
-            room = rhs - 2.0 * len(sessions)
-            t_star = min(t_star, room / step)
-    t = max(0.0, t_star - gaussian.BOUNDARY_NUDGE / float(d.max()))
-    return tuple(2.0 + t * float(x) for x in d)
-
-
-def reference_run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
-    net = reference_sample_network(rng, cfg, index)
-    rates = reference_sample_boundary_rates(rng, net)
-    report = reference_verify_constant_gap(net, rates)
-    gaps = reference_restricted_bound_gaps(net)
-    return TrialRecord(
-        trial=index,
-        net=net,
-        rates=rates,
-        achievable=report.achievable,
-        stage=report.stage,
-        max_alpha_excess=report.max_alpha_excess(),
-        min_check_slack=report.min_check_slack(),
-        bound_gap=max(gaps.values()),
-    )
-
-
 # --- the batch pipeline against the reference ----------------------------------------------
 
 
@@ -1693,20 +986,25 @@ def _trial_columns(trials):
 
 
 def _pipeline_verdicts(trials):
-    """Each trial's (stage, max_alpha_excess, min_check_slack, detail) from the batch pipeline."""
-    stage, excess, slack, detail, *_ = gaussian._verify_columns(*_trial_columns(trials))
-    return list(zip(stage.tolist(), excess.tolist(), slack.tolist(), detail))
+    """Each trial's (stage, max_alpha_excess, min_check_slack, detail,
+    uplink allocation, downlink allocation) from the batch pipeline; a hop
+    the trial got no split from gives None."""
+    stage, excess, slack, detail, _, hops = gaussian._verify_columns(*_trial_columns(trials))
+    allocations = {hop: [None] * len(trials) for hop in ("uplink", "downlink")}
+    for hop, (rows, splits, _) in hops.items():
+        for j, i in enumerate(rows.tolist()):
+            allocations[hop][i] = gaussian._HOPS[hop].allocation(splits, j)
+    return list(zip(stage.tolist(), excess.tolist(), slack.tolist(), detail, *allocations.values()))
+
+
+def _report_verdict(report):
+    return (
+        report.stage, report.max_alpha_excess(), report.min_check_slack(), report.detail, report.uplink, report.downlink
+    )
 
 
 def _reference_verdict(net, rates):
-    report = reference_verify_constant_gap(net, rates)
-    return report.stage, report.max_alpha_excess(), report.min_check_slack(), report.detail
-
-
-_CORNER_TRIAL = (
-    GaussNetwork((_CORNER_H, _CORNER_H), (_CORNER_H, _CORNER_H), (1000.0, 1000.0), (1000.0, 1000.0), 1.0),
-    tuple(x + 2 for x in (awgn_capacity(2 * 1000.0) - 4 - 0.011, 0.01, 0.011, 0.01)),
-)
+    return _report_verdict(reference_verify_constant_gap(net, rates))
 
 
 @st.composite
@@ -1718,10 +1016,11 @@ def _explicit_trials(draw):
         h = draw(st.lists(st.floats(1.0, 100.0), min_size=8, max_size=8))
         net = GaussNetwork(tuple(h[:2]), tuple(h[2:4]), tuple(h[4:6]), tuple(h[6:]), draw(st.floats(1.0, 100.0)))
         d = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=4, max_size=4))
+        rhs = family_rhs(net, True)
         room = [
-            (rhs - 2.0 * len(sessions)) / sum(d[s] for s in sessions)
-            for (_, sessions, _, _), rhs in zip(gaussian._FAMILIES, reference_family_terms(net, True))
-            if sum(d[s] for s in sessions) > 0
+            (rhs[name] - family_sum(coefs, BASE_POINT)) / family_sum(coefs, d)
+            for name, coefs in FAMILY_COEFS.items()
+            if family_sum(coefs, d) > 0
         ]
         t = max(0.0, min(room, default=0.0)) * draw(st.one_of(st.just(1.0 - 1e-7), st.floats(0.0, 1.1)))
         trials.append((net, tuple(2.0 + t * x for x in d)))
@@ -1736,9 +1035,9 @@ def _explicit_trials(draw):
 @example([(snr_net(255.0), (4.0, 4.0, 4.0, 4.0)), (snr_net(2.0), (2.0, 2.0, 2.0, 2.0))])
 def test_verify_columns_match_reference(trials):
     # The masked cascade gives each trial the stage, budget excess, check
-    # slack and detail its reference report gives, bit for bit; where a
-    # reference trial raises, the batch raises, and the first such trial
-    # alone raises the same exception.
+    # slack, detail and both hops' splits its reference report gives, bit
+    # for bit; where a reference trial raises, the batch raises, and the
+    # first such trial alone raises the same exception.
     expected = [_outcome(_reference_verdict, net, rates) for net, rates in trials]
     raised = [i for i, (kind, _) in enumerate(expected) if isinstance(kind, type)]
     if not raised:
@@ -1759,9 +1058,7 @@ def test_verify_columns_cover_every_case():
     trials = [(rec.net, rec.rates) for rec in map(lambda i: reference_run_trial(cfg, i), range(cfg.trials))]
     trials.insert(150, _CORNER_TRIAL)
     reports = [reference_verify_constant_gap(net, rates) for net, rates in trials]
-    assert _pipeline_verdicts(trials) == [
-        (r.stage, r.max_alpha_excess(), r.min_check_slack(), r.detail) for r in reports
-    ]
+    assert _pipeline_verdicts(trials) == [_report_verdict(r) for r in reports]
     cases = {(hop, getattr(r, hop).case) for r in reports for hop in ("uplink", "downlink") if getattr(r, hop)}
     assert cases == {(hop, case) for hop in ("uplink", "downlink") for case in ("I", "II", "III")}
     assert {r.stage for r in reports} == {"ok", "uplink-allocation"}
@@ -1770,28 +1067,6 @@ def test_verify_columns_cover_every_case():
 # --- the stacked arrays against entry-by-entry scalar references ------------------------------
 
 _NEAR_GUARD = 6e153  # (2h)^2 P = 1.44e308 at P = 1, just under the network's overflow guard
-
-
-def reference_precondition_rhs(net: GaussNetwork, direction: str) -> list[tuple[tuple[int, ...], float]]:
-    """Each precondition row's sessions and rhs, as `_check_uplink_preconditions`
-    and `_check_downlink_preconditions` compute them."""
-    if direction == "uplink":
-        snr, rows, combine = _uplink_snrs(net), _UPLINK_RATE_PRECONDITIONS, sum
-    else:
-        snr, rows, combine = _downlink_snrs(net), _DOWNLINK_RATE_PRECONDITIONS, max
-    return [(idx, awgn_capacity(combine(snr[k] for k in keys)) - slack) for _, idx, keys, slack in rows]
-
-
-def reference_boundary_walk(d: list[float], terms: Sequence[float]) -> RateQuad:
-    """`reference_sample_boundary_rates` past its draw of ``d``, on Python floats."""
-    t_star = math.inf
-    for (_, sessions, _, _), rhs in zip(gaussian._FAMILIES, terms):
-        step = sum(map(d.__getitem__, sessions))
-        if step > 0:
-            room = rhs - 2.0 * len(sessions)
-            t_star = min(t_star, room / step)
-    t = max(0.0, t_star - gaussian.BOUNDARY_NUDGE / max(d))
-    return tuple(2.0 + t * x for x in d)
 
 
 _rate_entries = st.one_of(
@@ -1818,7 +1093,7 @@ def _stacked_trials(draw):
         rates = draw(st.lists(_rate_entries, min_size=4, max_size=4))
         edge = draw(st.none() | st.tuples(st.sampled_from(["uplink", "downlink"]), st.integers(0, 7)))
         if edge:
-            sessions, rhs = reference_precondition_rhs(net, edge[0])[edge[1]]
+            _, sessions, rhs = reference_precondition_rhs(net, edge[0])[edge[1]]
             last = rhs + TOL - sum(rates[s] for s in sessions[:-1])
             rates[sessions[-1]] = math.nextafter(last, draw(st.sampled_from([-math.inf, last, math.inf])))
         d = draw(_directions.filter(lambda d: max(d) > 1e-9))
@@ -1834,8 +1109,9 @@ def _stacked_trials(draw):
 ])
 def test_stacked_arrays_match_scalar_reference(trials):
     # The family terms of both bounds, the session sums, both hops'
-    # preconditions, the boundary walk and the cascade's slack fold, each
-    # on one stacked batch, give every trial's scalar values bit for bit.
+    # preconditions, the boundary walk, and the cascade's slack fold and
+    # splits, each on one stacked batch, give every trial's scalar values
+    # bit for bit.
     def same(got, want):
         assert (got, repr(got)) == (want, repr(want))
 
@@ -1844,16 +1120,16 @@ def test_stacked_arrays_match_scalar_reference(trials):
     for restricted in (False, True):
         terms = gaussian._family_terms(up, down, p, restricted)
         for i, net in enumerate(nets):
-            same(tuple(terms[:, i].tolist()), reference_family_terms(net, restricted))
+            same(tuple(terms[:, i].tolist()), tuple(family_rhs(net, restricted).values()))
     sums = gaussian._session_sums(r)
     for i, (_, rates, _) in enumerate(trials):
-        same(tuple(sums[:, i].tolist()), tuple(sum(map(rates.__getitem__, s)) for _, s, _, _ in gaussian._FAMILIES))
-    for direction, mags, check in (
-        ("uplink", up, _check_uplink_preconditions), ("downlink", down, _check_downlink_preconditions)
-    ):
+        same(tuple(sums[:, i].tolist()), tuple(family_sum(coefs, rates) for coefs in FAMILY_COEFS.values()))
+    for direction, mags in (("uplink", up), ("downlink", down)):
         errors = gaussian._precondition_errors(direction, gaussian._snrs(mags, p), r)
         for i, (net, rates, _) in enumerate(trials):
-            assert (errors[i] and str(errors[i])) == _first_failure(check, net, tuple(rates))
+            assert (errors[i] and str(errors[i])) == _first_failure(
+                reference_require_preconditions, direction, net, tuple(rates)
+            )
 
     accepted = [i for i, net in enumerate(nets) if reference_sampler_accepts(net)]
     if not accepted:
@@ -1864,9 +1140,61 @@ def test_stacked_arrays_match_scalar_reference(trials):
         walked = gaussian._boundary_rates(SimpleNamespace(draw=lambda rows, k: d[rows]), terms)
     walks = [(nets[i], tuple(walked[:, j].tolist())) for j, i in enumerate(accepted)]
     for (net, got), i in zip(walks, accepted):
-        same(got, reference_boundary_walk(trials[i][2], reference_family_terms(net, True)))
-    # Each trial's smallest check slack over both hops, as min() picks it.
+        # The reference sampler's walk, after a draw that gives this direction.
+        drawn = SimpleNamespace(random=lambda size, d=trials[i][2]: np.array(d))
+        same(got, tuple(map(float, reference_sample_boundary_rates(drawn, net))))
+    # Each trial's smallest check slack over both hops, as min() picks it,
+    # and its splits.
     expected = [_outcome(_reference_verdict, *walk) for walk in walks]
     if not any(isinstance(kind, type) for kind, _ in expected):
         with np.errstate(over="ignore", invalid="ignore"):  # as verify_constant_gap runs it
             same(_pipeline_verdicts(walks), [value for value, _ in expected])
+
+
+# --- the reference stands alone -----------------------------------------------------------------
+
+
+def _private_relaycap_reads(source: str) -> list[str]:
+    """Every underscore name of a relaycap module that ``source`` imports or
+    reads as an attribute of a name bound by a relaycap import."""
+    tree = ast.parse(source)
+    bound, found = set(), []
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "relaycap":
+                    found += [part for part in alias.name.split(".") if private(part)]
+                    bound.add(alias.asname or "relaycap")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "relaycap":
+            found += [part for part in node.module.split(".") if private(part)]
+            for alias in node.names:
+                if private(alias.name):
+                    found.append(alias.name)
+                bound.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(node.attr)
+    return found
+
+
+def test_reference_reads_no_private_names():
+    # The reference must not drift back onto the module's own tables, where
+    # a wrong entry would agree with itself.
+    assert _private_relaycap_reads(Path(gauss_reference.__file__).read_text()) == []
+    for planted, name in (
+        ("from relaycap import gaussian\nx = gaussian._FAMILIES[0]", "_FAMILIES"),
+        ("import relaycap.gaussian as g\nx = g._UPLINK_CHAINS", "_UPLINK_CHAINS"),
+        ("from relaycap.gaussian import _DOWNLINK_CHAINS", "_DOWNLINK_CHAINS"),
+        ("from relaycap.gaussian import GaussNetwork\nGaussNetwork._drawn", "_drawn"),
+        ("import relaycap\nrelaycap.gaussian._PRECONDITIONS", "_PRECONDITIONS"),
+    ):
+        assert _private_relaycap_reads(planted) == [name], planted
+    assert _private_relaycap_reads("import numpy as np\nx = np._core\ny = [].__len__") == []

@@ -155,11 +155,12 @@ def test_assignment_stores_numpy_integers_as_int():
 
 
 # --- reference: the node-indexed deterministic side ---------------------------
-# `_reduce`, the seven-argument `cutset_holds` and `_cut_gains` as written on
-# (n_ar, n_br, n_ra, n_rb) node gains before the session-ordered gains, and
-# the level-cap branches of `validate_schedule` and `chunk_schedule`, kept
-# verbatim; the differential test below requires the session-ordered code to
-# reproduce every verdict, level pair, reduced network and exception type.
+# `_reduce` and `_cut_gains` as written on (n_ar, n_br, n_ra, n_rb) node gains
+# before the session-ordered gains, the level caps of `validate_schedule` and
+# `chunk_schedule`, and membership as a brute-force walk over every cut with
+# those node-indexed cut gains; the differential test below requires the
+# session-ordered code to reproduce every verdict, level pair, reduced
+# network and exception type.
 
 RefGains = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -192,25 +193,6 @@ def reference_reduce(gains: RefGains, pair: int, kind: str, side: str | None) ->
     return reduced, l_u, l_d
 
 
-def reference_cutset_holds(n_ar, n_br, n_ra, n_rb, rates, up_scale=1, down_scale=1):
-    sessions = []
-    for i, (ra, rb) in enumerate(zip(rates[0::2], rates[1::2])):
-        if ra:
-            sessions.append((i, ra, n_ar[i], n_rb[i]))
-        if rb:
-            sessions.append((i, rb, n_br[i], n_ra[i]))
-    for a in {s[2] for s in sessions}:
-        below = [s for s in sessions if s[2] <= a]
-        for b in {s[3] for s in below}:
-            best: dict[int, int] = {}
-            for i, r, _, d in below:
-                if d <= b and r > best.get(i, 0):
-                    best[i] = r
-            if sum(best.values()) > min(up_scale * a, down_scale * b):
-                return False
-    return True
-
-
 def reference_cut_gains(net, cut):
     up = max(
         net.n_ar[i] if b else net.n_br[i] for i, b in zip(cut.members, cut.orientation)
@@ -221,24 +203,23 @@ def reference_cut_gains(net, cut):
     return up, down
 
 
-def reference_validate_caps(net, a):
-    """The cap branch of `validate_schedule`."""
-    if a.kind == XOR:
-        up_cap = min(net.n_ar[a.pair], net.n_br[a.pair])
-        down_cap = min(net.n_ra[a.pair], net.n_rb[a.pair])
-    else:
-        dst = "B" if a.side == "A" else "A"
-        up_cap = net.uplink_gain(a.pair, a.side)
-        down_cap = net.downlink_gain(a.pair, dst)
-    return up_cap, down_cap
+def reference_cutset_holds(net, rates, up_scale, down_scale):
+    """Every cut of `enumerate_cuts` holds: its sessions' rate sum is at
+    most min(up_scale * a, down_scale * b) for its node-indexed gains."""
+    for cut in enumerate_cuts(net.pairs):
+        up, down = reference_cut_gains(net, cut)
+        if sum(rates[k] for k in cut.sessions) > min(up_scale * up, down_scale * down):
+            return False
+    return True
 
 
-def reference_chunk_caps(net, i, kind, src):
-    """The (cap_up, cap_down) of `chunk_schedule`'s XOR and SOLO chunks."""
+def reference_caps(net, pair, kind, side):
+    """The (cap_up, cap_down) of a level assignment: the level-cap branch
+    of `validate_schedule`, and of `chunk_schedule`'s XOR and SOLO chunks."""
     if kind == XOR:
-        return min(net.n_ar[i], net.n_br[i]), min(net.n_ra[i], net.n_rb[i])
-    dst = "B" if src == "A" else "A"
-    return net.uplink_gain(i, src), net.downlink_gain(i, dst)
+        return min(net.n_ar[pair], net.n_br[pair]), min(net.n_ra[pair], net.n_rb[pair])
+    dst = "B" if side == "A" else "A"
+    return net.uplink_gain(pair, side), net.downlink_gain(pair, dst)
 
 
 def _step_outcome(reduce, gains, to_network, pair, kind, side):
@@ -270,7 +251,7 @@ def test_session_gains_match_node_reference(pairs, mode, data):
     rates = data.draw(st.lists(st.integers(0, 9), min_size=2 * pairs, max_size=2 * pairs))
     _, listen, transmit = _time_scales(mode, ())
     assert cutset_holds(net.uplink, net.downlink, rates, listen, transmit) == (
-        reference_cutset_holds(*node_gains, rates, listen, transmit)
+        reference_cutset_holds(net, rates, listen, transmit)
     )
     for cut in enumerate_cuts(pairs):
         assert _cut_gains(net, cut) == reference_cut_gains(net, cut)
@@ -278,15 +259,13 @@ def test_session_gains_match_node_reference(pairs, mode, data):
     for pair in range(pairs):
         for kind, side in ((XOR, None), (SOLO, "A"), (SOLO, "B")):
             caps = _reach(_gains(net), pair, kind, side)
-            assignment = LevelAssignment(pair, kind, side, 0, 1, 0, 1)
-            assert caps == reference_validate_caps(net, assignment)
-            assert caps == reference_chunk_caps(net, pair, kind, side)
+            up_cap, down_cap = reference_caps(net, pair, kind, side)
+            assert caps == (up_cap, down_cap)
             assert _step_outcome(_reduce, _gains(net), _network, pair, kind, side) == (
                 _step_outcome(reference_reduce, node_gains, lambda g: DetNetwork(*g), pair, kind, side)
             )
             for l_u, l_d in ((caps[0], caps[1]), (caps[0] + 1, caps[1]), (caps[0], caps[1] + 1)):
                 a = LevelAssignment(pair, kind, side, 0, l_u, 0, l_d)
-                up_cap, down_cap = reference_validate_caps(net, a)
                 sched = Schedule(net=net, slots=1, assignments=(a,))
                 if 1 <= l_u <= up_cap and 1 <= l_d <= down_cap:
                     validate_schedule(sched)
@@ -652,6 +631,21 @@ def test_simulation_rejects_unknown_message_keys():
     sched = divide_and_conquer(REF, (1, 0, 0, 0))
     with pytest.raises(ValueError, match=r"outside the network: \[\(7, 'Z'\), \(2, 'A'\)\]"):
         simulate_schedule(sched, {(0, "A"): (1,), (7, "Z"): (1, 0, 1), (2, "A"): ()})
+
+
+@pytest.mark.parametrize("bad", [1.9, 0.2, "0", True, 2, -1], ids=repr)
+def test_simulation_refuses_entries_that_are_not_bits(bad):
+    # Only an integer 0 or 1 is a bit: int() would read 1.9 as 1, "0" as 0 and
+    # True as 1, and the simulation would report ok.
+    sched = divide_and_conquer(REF, (1, 1, 0, 0))
+    for node in ((0, "A"), (0, "B")):
+        msgs = {(0, "A"): (1,), (0, "B"): (0,), (1, "A"): (), (1, "B"): ()}
+        msgs[node] = (bad,)
+        with pytest.raises(ValueError, match=rf"message for \({node[0]}, '{node[1]}'\) must be bits"):
+            simulate_schedule(sched, msgs)
+    # numpy integers are bits like ints.
+    res = simulate_schedule(sched, {(0, "A"): (np.int64(1),), (0, "B"): (np.uint8(0),), (1, "A"): (), (1, "B"): ()})
+    assert res.ok and res.decoded == {(0, "A"): (1,), (0, "B"): (0,), (1, "A"): (), (1, "B"): ()}
 
 
 def test_simulation_rejects_wrong_payload_length():
