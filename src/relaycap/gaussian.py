@@ -42,8 +42,10 @@ trials' streams.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
@@ -168,14 +170,6 @@ class GaussNetwork:
         """The relay's magnitude to each session's destination:
         (|h_RB1|, |h_RA1|, |h_RB2|, |h_RA2|)."""
         return (self.h_rb[0], self.h_ra[0], self.h_rb[1], self.h_ra[1])
-
-    @classmethod
-    def _drawn(cls, h_ar, h_br, h_ra, h_rb, power) -> GaussNetwork:
-        """The network of one sweep draw, whose float pairs and power the
-        sweep has already checked as columns."""
-        net = object.__new__(cls)
-        vars(net).update(h_ar=h_ar, h_br=h_br, h_ra=h_ra, h_rb=h_rb, power=power)
-        return net
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The network as a batch of one: uplink and downlink session
@@ -541,18 +535,11 @@ class _Splits:
         return _Splits(self.case[rows], self.alpha[:, rows], self.rates[:, rows], swapped)
 
 
-class _Refusals(dict):
-    """Each refused trial's error, by its position in the batch; None for a
-    trial not refused."""
-
-    def __missing__(self, i):
-        return None
-
-
-def _precondition_errors(direction: str, snr, r) -> _Refusals:
-    """Each trial's first failed rate precondition of the hop, as the
-    `InfeasibleRatesError` naming it.  A pair's uplink term adds the two
-    sessions' SNRs, its downlink term takes the larger one."""
+def _precondition_errors(direction: str, snr, r) -> dict[int, InfeasibleRatesError]:
+    """Each refused trial's first failed rate precondition of the hop, as the
+    `InfeasibleRatesError` naming it, by the trial's position in the batch.
+    A pair's uplink term adds the two sessions' SNRs, its downlink term
+    takes the larger one."""
     rows = _PRECONDITIONS[direction]
     if direction == "uplink":
         caps = _capacity(np.concatenate([snr, snr[_PAIR_S] + snr[_PAIR_T]]))
@@ -561,7 +548,7 @@ def _precondition_errors(direction: str, snr, r) -> _Refusals:
         caps = np.concatenate([caps, np.where(snr[_PAIR_T] > snr[_PAIR_S], caps[_PAIR_T], caps[_PAIR_S])])
     lhs, rhs = _session_sums(r)[_PRE_ORDER], caps[_PRE_ORDER] - _BACKOFFS[direction]
     failed = lhs > rhs + TOL
-    errors = _Refusals()
+    errors = {}
     for i in np.flatnonzero(failed.any(axis=0)).tolist():
         k = failed[:, i].argmax()
         errors[i] = InfeasibleRatesError(rows[k][0], f"lhs={lhs[k, i].item():.6g}, rhs={rhs[k, i].item():.6g}")
@@ -1308,24 +1295,42 @@ class TrialRecord:
     bound_gap: float
 
 
+# A sweep's trials as columns, one tuple per quantity in trial order: each
+# drawn network's eight magnitudes and power (named as the sweep CSV's
+# columns), its boundary rates, and the `TrialRecord` fields.
+SweepColumns = namedtuple(
+    "SweepColumns",
+    "trial h_a1r h_b1r h_a2r h_b2r h_ra1 h_rb1 h_ra2 h_rb2 power r_a1 r_b1 r_a2 r_b2 "
+    "stage max_alpha_excess min_check_slack bound_gap",
+)
+
+
 @dataclass(frozen=True)
 class GapReport:
     config: SweepConfig
-    records: tuple[TrialRecord, ...]
+    columns: SweepColumns
+
+    @functools.cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        """One `TrialRecord` per trial, with a validated `GaussNetwork`;
+        built on first access."""
+        return tuple(
+            TrialRecord(i, GaussNetwork((a1, a2), (b1, b2), (ra1, ra2), (rb1, rb2), p), tuple(q), s == "ok", s, e, m, g)
+            for i, a1, b1, a2, b2, ra1, rb1, ra2, rb2, p, *q, s, e, m, g in zip(*self.columns)
+        )
 
     @property
     def pass_rate(self) -> float:
-        if not self.records:
-            return 1.0
-        return sum(r.achievable for r in self.records) / len(self.records)
+        stage = self.columns.stage
+        return stage.count("ok") / len(stage) if stage else 1.0
 
     @property
     def max_alpha_excess(self) -> float:
-        return max((r.max_alpha_excess for r in self.records), default=0.0)
+        return max(self.columns.max_alpha_excess, default=0.0)
 
     @property
     def max_bound_gap(self) -> float:
-        return max((r.bound_gap for r in self.records), default=0.0)
+        return max(self.columns.bound_gap, default=0.0)
 
 
 def _accepts(up, down, p) -> tuple[np.ndarray, np.ndarray]:
@@ -1406,7 +1411,7 @@ def _boundary_rates(streams: _Streams, terms: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
+def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> SweepColumns:
     """The trials ``indices`` of the sweep, as one batch."""
     streams = _Streams(cfg.seed, indices)
     h, p, terms = _sample_networks(cfg, streams, indices)
@@ -1416,18 +1421,12 @@ def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
     # Both bounds share the single-family terms, whose gaps are 0.0.
     gaps = _bound_gaps(_family_terms(up, down, p, False, terms)[4:], terms[4:], _FAMILIES[4:])
     gap = _fold(_max, [0.0, *gaps])
-
-    h = h.tolist()
-    nets = map(GaussNetwork._drawn, *(zip(h[k], h[k + 1]) for k in range(0, 8, 2)), p.tolist())
-    return [
-        TrialRecord(i, net, q, s == "ok", s, e, m, g)
-        for i, net, q, s, e, m, g in zip(
-            indices, nets, zip(*rates.tolist()), stage.tolist(), excess.tolist(), slack.tolist(), gap.tolist()
-        )
-    ]
+    # h's rows are h_ar, h_br, h_ra, h_rb pair by pair; the columns take the CSV's order.
+    columns = (*h[[0, 2, 1, 3, 4, 6, 5, 7]], p, *rates, stage, excess, slack, gap)
+    return SweepColumns(tuple(indices), *(tuple(c.tolist()) for c in columns))
 
 
-def _sweep_block(cfg: SweepConfig, indices: Sequence[int]) -> list[TrialRecord]:
+def _sweep_block(cfg: SweepConfig, indices: Sequence[int]) -> SweepColumns:
     """`_trial_block`, raising what the lowest-index trial that raises
     raises alone.  A trial's draws do not depend on its block, so when the
     sampler runs out of draws, its error names the lowest trial still
@@ -1453,14 +1452,15 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
     records.  ``index`` is one spawn-key word: an integer in [0, 2^32)."""
     if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index <= _M32:
         raise ValueError(f"trial index must be an integer in [0, 2**32), got {index!r}")
-    return _trial_block(cfg, (int(index),))[0]
+    return GapReport(cfg, _trial_block(cfg, (int(index),))).records[0]
 
 
 def monte_carlo_gap(cfg: SweepConfig) -> GapReport:
     """Sample (network, boundary rate tuple) pairs and verify the 2-bit
     back-off end to end, in blocks of `SWEEP_BLOCK` trials; deterministic
     for a fixed seed."""
-    records = []
+    columns = [[] for _ in SweepColumns._fields]
     for start in range(0, cfg.trials, SWEEP_BLOCK):
-        records += _sweep_block(cfg, range(start, min(start + SWEEP_BLOCK, cfg.trials)))
-    return GapReport(config=cfg, records=tuple(records))
+        for column, block in zip(columns, _sweep_block(cfg, range(start, min(start + SWEEP_BLOCK, cfg.trials)))):
+            column += block
+    return GapReport(cfg, SweepColumns._make(map(tuple, columns)))

@@ -509,6 +509,29 @@ def test_sweep_csv_pinned(tmp_path, capsys):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "sweep_seed5.csv").read_bytes()
 
 
+def test_sweep_csv_builds_no_record_or_network_per_trial(tmp_path, capsys, monkeypatch):
+    # The CLI formats the sweep's columns: no TrialRecord, and no network
+    # beyond SweepConfig's range check.  Trials are independent, so 40
+    # trials give the pinned 300-trial CSV's header and first 40 rows.
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep CLI built a TrialRecord")
+
+    built, check = [], GaussNetwork.__post_init__
+
+    def counted(net):
+        built.append(net)
+        check(net)
+
+    monkeypatch.setattr(cli.gaussian, "TrialRecord", refused)
+    monkeypatch.setattr(GaussNetwork, "__post_init__", counted)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--trials", "40", "--seed", "5", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    pinned = (Path(__file__).parent / "data" / "sweep_seed5.csv").read_text().splitlines(keepends=True)
+    assert out.read_text() == "".join(pinned[:41])
+    assert len(built) <= 1
+
+
 @pytest.mark.parametrize(
     "seed,digest",
     [

@@ -1,5 +1,6 @@
 import ast
 import math
+import pickle
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -258,7 +259,7 @@ def test_family_table_matches_reference(h, power, rates):
     for direction, magnitudes in (("uplink", net.uplink), ("downlink", net.downlink)):
         snr = gaussian._snrs(magnitudes, net.power)
         assert snr == reference_snrs(magnitudes, net.power)  # session order, h ** 2 * P
-        error = gaussian._precondition_errors(direction, gaussian._one(snr), gaussian._one(r))[0]
+        error = gaussian._precondition_errors(direction, gaussian._one(snr), gaussian._one(r)).get(0)
         got = None if error is None else str(error)
         assert got == _first_failure(reference_require_preconditions, direction, net, r)
     # The sweep sampler's acceptance: SNR floor, then the exact 2-bit base check.
@@ -766,6 +767,11 @@ def test_sweep_deterministic_and_worker_invariant():
     # here one by one from the last, gives the same records.
     backwards = [run_trial(cfg, i) for i in reversed(range(cfg.trials))]
     assert a.records == tuple(reversed(backwards))
+    # A report of columns stays a value: hashable, picklable, and its
+    # records are built once.
+    assert hash(a) == hash(b)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert a.records is a.records
 
 
 def test_sweep_rates_sit_on_boundary():
@@ -1127,7 +1133,7 @@ def test_stacked_arrays_match_scalar_reference(trials):
     for direction, mags in (("uplink", up), ("downlink", down)):
         errors = gaussian._precondition_errors(direction, gaussian._snrs(mags, p), r)
         for i, (net, rates, _) in enumerate(trials):
-            assert (errors[i] and str(errors[i])) == _first_failure(
+            assert (errors.get(i) and str(errors[i])) == _first_failure(
                 reference_require_preconditions, direction, net, tuple(rates)
             )
 
