@@ -39,10 +39,9 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, HalfDuplex, _refuse_inexact
+from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex, _refuse_inexact
 
 Rate = Union[int, Fraction]
-RateTuple = tuple[Rate, ...]
 
 # Cap on the work of `enumerate_integral_region`: one numpy pass over the
 # box of candidate tuples per cut, for all 3^M - 1 cuts.  A pass costs about
@@ -118,11 +117,14 @@ def _cut_gains(net: DetNetwork, cut: Cut) -> tuple[int, int]:
 
 
 def det_cut_bound(net: DetNetwork, cut: Cut, mode: DuplexMode = FULL_DUPLEX) -> Fraction:
-    """Exact value of one cut's rate-sum bound."""
+    """Exact value of one cut's rate-sum bound.  The brute-force reference:
+    it reads the mode itself rather than through `_time_scales`."""
     up, down = _cut_gains(net, cut)
+    if isinstance(mode, FullDuplex):
+        return Fraction(min(up, down))
     if isinstance(mode, HalfDuplex):
         return min(mode.delta * up, (1 - mode.delta) * down)
-    return Fraction(min(up, down))
+    raise ValueError(f"duplex mode must be FullDuplex or HalfDuplex, got {mode!r}")
 
 
 def _time_scales(mode: DuplexMode, denominators: Iterable[int]) -> tuple[int, int, int]:
@@ -130,13 +132,16 @@ def _time_scales(mode: DuplexMode, denominators: Iterable[int]) -> tuple[int, in
     half duplex) and every rate with these denominators integral, and how
     many of them the relay listens and transmits in.  Full duplex listens
     and transmits in all Q; half duplex listens in delta * Q and transmits
-    in the rest."""
+    in the rest, always fewer than Q.  The one reading of a `DuplexMode`
+    on the scheduling path: anything else is refused with ValueError."""
+    if isinstance(mode, FullDuplex):
+        q = math.lcm(*denominators)
+        return q, q, q
     if isinstance(mode, HalfDuplex):
         q = math.lcm(mode.delta.denominator, *denominators)
         listen = mode.delta.numerator * (q // mode.delta.denominator)
         return q, listen, q - listen
-    q = math.lcm(*denominators)
-    return q, q, q
+    raise ValueError(f"duplex mode must be FullDuplex or HalfDuplex, got {mode!r}")
 
 
 def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Rate, ...]:

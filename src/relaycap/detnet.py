@@ -158,7 +158,9 @@ class DetNetwork:
                 yield (i, side)
 
     def _check_node(self, pair: int, side: Side) -> None:
-        if not 0 <= pair < self.pairs or side not in SIDES:
+        # a bool or a float is no pair index; the exact-int test comes first, as the cheap one
+        integral = type(pair) is int or isinstance(pair, numbers.Integral) and not isinstance(pair, bool)
+        if not integral or not 0 <= pair < self.pairs or side not in SIDES:
             raise LookupError(f"no node ({pair}, {side!r}) in an {self.pairs}-pair network")
 
 

@@ -192,19 +192,11 @@ def reduce_pair_oneway(net: DetNetwork, pair: int, source: str) -> tuple[DetNetw
 def expand_time(net: DetNetwork, q: int) -> DetNetwork:
     """Q channel uses of a network are one use of the network with all
     gains multiplied by Q."""
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+        raise ValueError(f"expansion factor must be an integer, got {q!r}")
     if q < 1:
         raise ValueError("expansion factor must be >= 1")
     return _network(tuple(tuple(n * q for n in g) for g in _gains(net)))
-
-
-def _next_step(rates: list[int]) -> tuple[int, str, str | None]:
-    """Deterministic induction order: lowest-index pair with both rates
-    nonzero first; otherwise lowest-index nonzero directed rate, A before B."""
-    for i in range(len(rates) // 2):
-        if rates[2 * i] > 0 and rates[2 * i + 1] > 0:
-            return i, XOR, None
-    k = next(k for k, r in enumerate(rates) if r > 0)
-    return k // 2, SOLO, SIDES[k % 2]
 
 
 def _original_level(removed: list[int], level: int) -> int:
@@ -221,22 +213,25 @@ def _original_level(removed: list[int], level: int) -> int:
 def _run_induction(
     gains: Gains, rates: Sequence[int]
 ) -> list[tuple[int, str, str | None, int, int]]:
-    """Serve ``rates`` bit by bit on int gain tuples, re-checking after every
-    step that the remaining rates lie in the reduced full-duplex region.
-    Returns (pair, kind, side, l_u, l_d) per step, levels in the coordinates
-    of ``gains``."""
+    """Serve ``rates`` bit by bit on int gain tuples, in the order planned
+    once from the rates: each pair's min(R_A, R_B) XOR bits, lowest pair
+    first, then each session's one-way bits left, in session order (A
+    before B).  After every step, re-checks that the remaining rates lie in
+    the reduced full-duplex region.  Returns (pair, kind, side, l_u, l_d)
+    per step, levels in the coordinates of ``gains``."""
+    plan = []  # (pair, kind, side, sessions served), one entry per step
+    for i in range(len(rates) // 2):
+        plan += [(i, XOR, None, (2 * i, 2 * i + 1))] * min(rates[2 * i : 2 * i + 2])
+    for k, r in enumerate(rates):
+        plan += [(k // 2, SOLO, SIDES[k % 2], (k,))] * (r - min(r, rates[k ^ 1]))
     remaining = list(rates)
     removed_up: list[int] = []
     removed_down: list[int] = []
     steps = []
-    while any(remaining):
-        pair, kind, side = _next_step(remaining)
+    for pair, kind, side, sessions in plan:
         gains, l_u, l_d = _reduce(gains, pair, kind, side)
-        if kind == XOR:
-            remaining[2 * pair] -= 1
-            remaining[2 * pair + 1] -= 1
-        else:
-            remaining[2 * pair + SIDES.index(side)] -= 1
+        for k in sessions:
+            remaining[k] -= 1
         up = _original_level(removed_up, l_u)
         down = _original_level(removed_down, l_d)
         steps.append((pair, kind, side, up, down))
@@ -303,7 +298,7 @@ def _time_expanded(
                 pair, kind, side, up_slot, up_level, q - transmit + down_slot, down_level
             )
         )
-    listen_slots = listen if isinstance(mode, HalfDuplex) else None
+    listen_slots = listen if listen < q else None  # half duplex listens in fewer than Q
     return Schedule(net=net, slots=q, assignments=tuple(assignments), listen_slots=listen_slots)
 
 
@@ -382,20 +377,29 @@ def chunk_schedule(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
 def validate_schedule(sched: Schedule) -> None:
     """Check level bounds per assignment and per-slot orthogonality."""
     net = sched.net
+    slots, listen = sched.slots, sched.listen_slots
+    if isinstance(slots, bool) or not isinstance(slots, numbers.Integral) or slots < 1:
+        raise ScheduleInvalidError(f"slots must be a positive integer, got {slots!r}")
+    if listen is not None and (
+        isinstance(listen, bool) or not isinstance(listen, numbers.Integral) or not 1 <= listen < slots
+    ):
+        raise ScheduleInvalidError(
+            f"listen_slots must be None or an integer in [1, {slots - 1}], got {listen!r}"
+        )
     gains = _gains(net)
     used_up: set[tuple[int, int]] = set()
     used_down: set[tuple[int, int]] = set()
     for a in sched.assignments:
         if not 0 <= a.pair < net.pairs:
             raise ScheduleInvalidError(f"assignment names pair {a.pair} of {net.pairs}")
-        if a.uplink_slot < 0 or a.uplink_slot >= sched.slots:
-            raise ScheduleInvalidError(f"uplink slot {a.uplink_slot} outside 0..{sched.slots - 1}")
-        if a.downlink_slot < 0 or a.downlink_slot >= sched.slots:
+        if a.uplink_slot < 0 or a.uplink_slot >= slots:
+            raise ScheduleInvalidError(f"uplink slot {a.uplink_slot} outside 0..{slots - 1}")
+        if a.downlink_slot < 0 or a.downlink_slot >= slots:
             raise ScheduleInvalidError(f"downlink slot {a.downlink_slot} out of range")
-        if sched.listen_slots is not None:
-            if a.uplink_slot >= sched.listen_slots:
+        if listen is not None:
+            if a.uplink_slot >= listen:
                 raise ScheduleInvalidError("uplink use scheduled in a transmit slot")
-            if a.downlink_slot < sched.listen_slots:
+            if a.downlink_slot < listen:
                 raise ScheduleInvalidError("downlink use scheduled in a listen slot")
         up_cap, down_cap = _reach(gains, a.pair, a.kind, a.side)
         if not 1 <= a.uplink_level <= up_cap:

@@ -51,6 +51,23 @@ def test_half_duplex_bound_scales():
     assert det_cut_bound(REF, Cut((0,), (0,)), HalfDuplex(Fraction(1, 2))) == 1
 
 
+@pytest.mark.parametrize("mode", ["half", None, 0.5, Fraction(1, 2), FullDuplex], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mode: in_det_cutset(REF, (2, 2, 0, 0), mode),
+        lambda mode: enumerate_integral_region(REF, mode),
+        lambda mode: directed_rate_caps(REF, mode),
+        lambda mode: det_cut_bound(REF, Cut((0,), (1,)), mode),
+    ],
+    ids=["in_det_cutset", "enumerate_integral_region", "directed_rate_caps", "det_cut_bound"],
+)
+def test_a_value_that_is_not_a_duplex_mode_is_refused(call, mode):
+    # Each used to answer for full duplex.
+    with pytest.raises(ValueError, match="duplex mode must be FullDuplex or HalfDuplex, got "):
+        call(mode)
+
+
 def test_reference_membership():
     assert in_det_cutset(REF, (2, 1, 1, 1)).member
     assert in_det_cutset(REF, (0, 0, 0, 0)).member

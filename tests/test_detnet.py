@@ -118,8 +118,26 @@ def test_downlink_zero_gain_silent():
 
 
 def test_downlink_unknown_node():
-    with pytest.raises(LookupError):
-        node_downlink_receive(REF, 0, 5, "A")
+    for pair in (5, True, 1.0):
+        with pytest.raises(LookupError):
+            node_downlink_receive(REF, 0, pair, "A")
+
+
+@pytest.mark.parametrize("pair", [True, False, 1.0, 0.0, Fraction(1), "1"], ids=repr)
+def test_node_index_refuses_bools_and_non_integers(pair):
+    # A bool or a whole float used to act on pair 1 (or 0), or fail on a tuple index.
+    for call in (
+        lambda: REF.uplink_gain(pair, "A"),
+        lambda: REF.downlink_gain(pair, "B"),
+        lambda: relay_uplink_receive(REF, {(pair, "A"): 1}),
+    ):
+        with pytest.raises(LookupError, match=re.escape(f"no node ({pair}, ")):
+            call()
+
+
+def test_node_index_accepts_numpy_integers():
+    assert REF.uplink_gain(np.int64(1), "A") == REF.uplink_gain(1, "A")
+    assert node_downlink_receive(REF, 0b110, np.int32(0), "B") == node_downlink_receive(REF, 0b110, 0, "B")
 
 
 def test_gain_validation():

@@ -120,7 +120,7 @@ def test_reduce_oneway_source_drop():
 
 
 def test_reduce_refuses_a_pair_outside_the_network():
-    for pair in (-1, 2, 5):
+    for pair in (-1, 2, 5, True, 1.0):
         with pytest.raises(LookupError):
             reduce_pair_bidirectional(REF, pair)
         with pytest.raises(LookupError):
@@ -360,6 +360,13 @@ def test_expand_time_identity_and_scaling():
     assert expand_time(REF, 1) == REF
     doubled = expand_time(REF, 2)
     assert doubled.n_ar == (6, 4) and doubled.n_br == (4, 2)
+
+
+@pytest.mark.parametrize("q", [True, False, 2.0, 1.5, Fraction(2), "2"], ids=repr)
+def test_expand_time_refuses_a_non_integer_factor(q):
+    # True used to act as Q = 1, and 2.0 failed later on a float gain.
+    with pytest.raises(ValueError, match="expansion factor must be an integer"):
+        expand_time(REF, q)
 
 
 def test_expand_time_region_scaling_spot():
@@ -625,6 +632,24 @@ def test_simulation_rejects_unreachable_level():
     sched = Schedule(net=REF, slots=1, assignments=(a,))
     with pytest.raises(ScheduleInvalidError):
         validate_schedule(sched)
+
+
+@pytest.mark.parametrize("slots", [1.5, 1.0, True, 0, -1, "1", None], ids=repr)
+def test_validate_refuses_slots_that_are_not_a_positive_integer(slots):
+    # Schedule(net, 1.5, ...) and Schedule(net, True, ...) used to simulate with ok=True.
+    a = LevelAssignment(0, "xor", None, 0, 1, 0, 1)
+    sched = Schedule(net=REF, slots=slots, assignments=(a,))
+    with pytest.raises(ScheduleInvalidError, match="slots must be a positive integer"):
+        simulate_schedule(sched, {(0, "A"): (1,), (0, "B"): (0,)})
+
+
+@pytest.mark.parametrize("listen", [True, False, 0, 2, 3, 1.0, "1"], ids=repr)
+def test_validate_refuses_listen_slots_outside_the_slots(listen):
+    a = LevelAssignment(0, "xor", None, 0, 1, 1, 1)
+    sched = Schedule(net=REF, slots=2, assignments=(a,), listen_slots=listen)
+    with pytest.raises(ScheduleInvalidError, match=r"listen_slots must be None or an integer in \[1, 1\]"):
+        simulate_schedule(sched, {(0, "A"): (1,), (0, "B"): (0,)})
+    validate_schedule(Schedule(net=REF, slots=2, assignments=(a,), listen_slots=1))
 
 
 def test_simulation_rejects_unknown_message_keys():
