@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -54,6 +55,11 @@ class RegionSizeError(RuntimeError):
     """A brute-force enumeration box or a time expansion exceeds its budget."""
 
 
+def _integer(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included: a bool or a float is not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Cut:
     members: tuple[int, ...]  # sorted pair indices, nonempty
@@ -62,12 +68,14 @@ class Cut:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("a cut needs a nonempty pair subset")
+        if not all(_integer(i) and i >= 0 for i in self.members):
+            raise ValueError(f"cut members must be non-negative integers, got {self.members!r}")
         if tuple(sorted(set(self.members))) != self.members:
             raise ValueError("cut members must be sorted and unique")
         if len(self.orientation) != len(self.members):
             raise ValueError("one orientation bit per member required")
-        if any(b not in (0, 1) for b in self.orientation):
-            raise ValueError("orientation bits must be 0/1")
+        if not all(_integer(b) and b in (0, 1) for b in self.orientation):
+            raise ValueError(f"orientation bits must be the integers 0/1, got {self.orientation!r}")
 
     @property
     def sessions(self) -> tuple[int, ...]:
@@ -91,17 +99,17 @@ class Membership:
     member: bool
     violations: tuple[CutViolation, ...]
     # (Q, listen, transmit, bits) the verdict was computed on (`_scaled_rates`)
-    scaled: tuple[int, int, int, list[int]] | None = field(default=None, compare=False, repr=False)
+    scaled: tuple[int, int, int, list[int]] = field(compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.member
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so that a cached 1 does not answer for True
 def enumerate_cuts(pairs: int) -> tuple[Cut, ...]:
     """All cuts of an M-pair network: sum over k of C(M,k) * 2^k of them."""
-    if pairs < 1:
-        raise ValueError("need at least one pair")
+    if not _integer(pairs) or pairs < 1:
+        raise ValueError(f"need at least one pair, as an integer, got {pairs!r}")
     cuts = []
     for k in range(1, pairs + 1):
         for members in itertools.combinations(range(pairs), k):
@@ -119,6 +127,8 @@ def _cut_gains(net: DetNetwork, cut: Cut) -> tuple[int, int]:
 def det_cut_bound(net: DetNetwork, cut: Cut, mode: DuplexMode = FULL_DUPLEX) -> Fraction:
     """Exact value of one cut's rate-sum bound.  The brute-force reference:
     it reads the mode itself rather than through `_time_scales`."""
+    if cut.members[-1] >= net.pairs:
+        raise ValueError(f"cut {cut.describe()} names a pair outside the {net.pairs}-pair network")
     up, down = _cut_gains(net, cut)
     if isinstance(mode, FullDuplex):
         return Fraction(min(up, down))

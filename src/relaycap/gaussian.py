@@ -144,13 +144,9 @@ class GaussNetwork:
         p = _positive(self.power, "power")
         object.__setattr__(self, "power", p)
         # No square in this module, (x + y) ** 2 P included, exceeds
-        # (2 max|h|)^2 P; `**` raises OverflowError where `*` gives inf.
+        # (2 max|h|)^2 P, so none overflows when this one is finite.
         top = 2.0 * max(self.h_ar + self.h_br + self.h_ra + self.h_rb)
-        try:
-            finite = math.isfinite(top ** 2 * p)
-        except OverflowError:
-            finite = False
-        if not finite:
+        if not math.isfinite(top * top * p):
             raise ValueError(f"(2 max|h|)^2 P overflows a float: max|h| = {top / 2:.4g}, P = {p:.4g}")
 
     def snrs(self) -> tuple[float, ...]:
@@ -282,13 +278,6 @@ def _row(columns, i: int) -> tuple:
     return tuple(c[i].item() for c in columns)
 
 
-def _snrs(magnitudes, power):
-    """|h|^2 P of each magnitude: of a (4, n) session array, as one, or of a
-    session 4-tuple of numbers, as a tuple of floats."""
-    snr = _pow(np.asarray(magnitudes, dtype=float), 2) * power
-    return snr if isinstance(magnitudes, np.ndarray) else tuple(snr.tolist())
-
-
 def _session_sums(rates: np.ndarray) -> np.ndarray:
     """Each family's rate sum, as Python's sum() adds it (from 0, so that a
     rate of -0.0 sums to 0.0)."""
@@ -296,24 +285,33 @@ def _session_sums(rates: np.ndarray) -> np.ndarray:
     return np.concatenate([single, single[_PAIR_S] + rates[_PAIR_T]])
 
 
+def _hop_terms(up, down, p) -> tuple[np.ndarray, np.ndarray]:
+    """Each family's restricted uplink and downlink term, (8, n) each: a
+    single session's C(|h|^2 P) on either hop; a pair's C((|h_s|^2 +
+    |h_t|^2) P) on the uplink and C(max(|h_s|^2, |h_t|^2) P) on the
+    downlink.  The restricted region is their minimum, and each hop's rate
+    preconditions are its terms less their back-off."""
+    up2, down2 = up * up, down * down
+    caps = _capacity(np.concatenate([up2 * p, down2 * p, (up2[_PAIR_S] + up2[_PAIR_T]) * p]))
+    single_down = caps[4:8]
+    # C(max(a, b) P) is C(a P) or C(b P), whichever max picks.
+    pair_down = np.where(down2[_PAIR_T] > down2[_PAIR_S], single_down[_PAIR_T], single_down[_PAIR_S])
+    return np.concatenate([caps[:4], caps[8:]]), np.concatenate([single_down, pair_down])
+
+
 def _family_terms(up, down, p, restricted: bool, terms=None) -> np.ndarray:
     """RHS of each constraint family: min(uplink term, downlink term).
 
-    A single session's terms are C(|h|^2 P) on both hops.  A pair adds
-    amplitudes on the uplink and powers on the downlink in the cut-set
-    bound; the restricted bound adds powers on the uplink and takes the
-    larger power on the downlink.  The cut-set bound takes its single-family
-    terms from the restricted bound's, ``terms`` when already at hand.
+    The restricted terms are the minimum of the two `_hop_terms`.  The
+    cut-set bound shares the single-family terms, taken from ``terms`` when
+    already at hand, and for a pair adds amplitudes on the uplink and
+    powers on the downlink.
     """
-    up2, down2 = up * up, down * down
     if terms is None:
-        caps = _capacity(np.concatenate([up2 * p, down2 * p, (up2[_PAIR_S] + up2[_PAIR_T]) * p]))
-        single_down = caps[4:8]
-        # C(max(a, b) P) is C(a P) or C(b P), whichever max picks.
-        pair_down = np.where(down2[_PAIR_T] > down2[_PAIR_S], single_down[_PAIR_T], single_down[_PAIR_S])
-        terms = _min(np.concatenate([caps[:4], caps[8:]]), np.concatenate([single_down, pair_down]))
+        terms = _min(*_hop_terms(up, down, p))
     if restricted:
         return terms
+    down2 = down * down
     caps = _capacity(np.concatenate([_pow(up[_PAIR_S] + up[_PAIR_T], 2) * p, (down2[_PAIR_S] + down2[_PAIR_T]) * p]))
     return np.concatenate([terms[:4], _min(caps[:4], caps[4:])])
 
@@ -439,9 +437,9 @@ class NormalizedProblem:
 
 def _normalize(up, down, p, rates, terms=None):
     """`reduce_orderings` on columns: the normalised session arrays and
-    rates, each pair's side swap, the clamps (name and where applied) and
-    the pair swap.  ``terms`` are the input's restricted family terms when
-    already at hand."""
+    rates, each pair's side swap, the clamps (name and where applied), the
+    pair swap and the normalised network's `_hop_terms`.  ``terms`` are the
+    input's restricted family terms when already at hand."""
     if terms is None:
         terms = _family_terms(up, down, p, True)
     outside, slacks = _outside(terms, rates)
@@ -461,20 +459,21 @@ def _normalize(up, down, p, rates, terms=None):
     pairs_swapped = q[0, 2] > q[0, 0]
     up, down, r = _swap_pairs(q, pairs_swapped)
 
-    outside, slacks = _outside(_family_terms(up, down, p, True), r)
+    hop_terms = _hop_terms(up, down, p)
+    outside, slacks = _outside(_min(*hop_terms), r)
     if outside.any():
         raise AssertionError(
             "channel weakening pushed the rates out of the region; the reduction "
             f"argument excludes this ({_violated_names(slacks, outside.argmax())})"
         )
     clamps = list(zip(("h_br[0]", "h_ra[0]", "h_br[1]", "h_ra[1]"), clamp.swapaxes(0, 1).reshape(4, -1)))
-    return up, down, r, side_swapped, clamps, pairs_swapped
+    return up, down, r, side_swapped, clamps, pairs_swapped, hop_terms
 
 
 def _normalized_problem(net: GaussNetwork, normalized) -> NormalizedProblem:
     """The `NormalizedProblem` of ``net`` from `_normalize`'s columns for
     it as a batch of one."""
-    up, down, r, side, clamps, pairs = normalized
+    up, down, r, side, clamps, pairs, _ = normalized
     up, down = _row(up, 0), _row(down, 0)
     return NormalizedProblem(
         GaussNetwork((up[0], up[2]), (up[1], up[3]), (down[1], down[3]), (down[0], down[2]), net.power),
@@ -535,18 +534,13 @@ class _Splits:
         return _Splits(self.case[rows], self.alpha[:, rows], self.rates[:, rows], swapped)
 
 
-def _precondition_errors(direction: str, snr, r) -> dict[int, InfeasibleRatesError]:
+def _precondition_errors(direction: str, terms, r) -> dict[int, InfeasibleRatesError]:
     """Each refused trial's first failed rate precondition of the hop, as the
     `InfeasibleRatesError` naming it, by the trial's position in the batch.
-    A pair's uplink term adds the two sessions' SNRs, its downlink term
-    takes the larger one."""
+    A precondition is the hop's restricted family term, from ``terms`` (the
+    hop's `_hop_terms`), less its back-off."""
     rows = _PRECONDITIONS[direction]
-    if direction == "uplink":
-        caps = _capacity(np.concatenate([snr, snr[_PAIR_S] + snr[_PAIR_T]]))
-    else:  # C(max(a, b)) is C(a) or C(b), whichever max picks
-        caps = _capacity(snr)
-        caps = np.concatenate([caps, np.where(snr[_PAIR_T] > snr[_PAIR_S], caps[_PAIR_T], caps[_PAIR_S])])
-    lhs, rhs = _session_sums(r)[_PRE_ORDER], caps[_PRE_ORDER] - _BACKOFFS[direction]
+    lhs, rhs = _session_sums(r)[_PRE_ORDER], terms[_PRE_ORDER] - _BACKOFFS[direction]
     failed = lhs > rhs + TOL
     errors = {}
     for i in np.flatnonzero(failed.any(axis=0)).tolist():
@@ -555,18 +549,19 @@ def _precondition_errors(direction: str, snr, r) -> dict[int, InfeasibleRatesErr
     return errors
 
 
-def _allocate(direction: str, mags, p, r):
+def _allocate(direction: str, mags, p, r, terms):
     """Walk each trial's cancellation chain for the hop.  A trial is refused
     before any split at the SNR floor, then at the hop's first failed rate
-    precondition, and after it where the split overspends.  Returns the
-    splits of the trials that get one, their positions in the batch, SNRs
-    and budget excess, and the refused trials' errors."""
+    precondition (from ``terms``, the hop's `_hop_terms`), and after it
+    where the split overspends.  Returns the splits of the trials that get
+    one, their positions in the batch, SNRs and budget excess, and the
+    refused trials' errors."""
     unsorted = (r[1::2] > r[0::2] + TOL).any(axis=0)
     if unsorted.any():
         raise ValueError(f"rates {_row(r, unsorted.argmax())} not normalized: each pair needs r_A >= r_B")
-    snr = _snrs(mags, p)
+    snr = mags * mags * p
     floor = snr.min(axis=0)  # finite and positive, as the network is
-    errors = _precondition_errors(direction, snr, r)
+    errors = _precondition_errors(direction, terms, r)
     for i in np.flatnonzero(floor < MIN_PROVEN_SNR - TOL).tolist():
         errors[i] = LowPowerError(f"{direction} |h|^2 P floor {floor[i].item():.4g} below {MIN_PROVEN_SNR}")
     rows = np.delete(np.arange(len(p)), list(errors))
@@ -731,8 +726,8 @@ def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     then mirror powers through the alignment rule so each pair's lattice
     codewords arrive level.
     """
-    up, _, p = net._columns()
-    splits, *_, errors = _allocate("uplink", up, p, _one(_rate_quad(r)))
+    up, down, p = net._columns()
+    splits, *_, errors = _allocate("uplink", up, p, _one(_rate_quad(r)), _hop_terms(up, down, p)[0])
     if errors:  # a batch of one's refusal
         raise errors[0]
     return _uplink_allocation(splits, 0)
@@ -783,7 +778,7 @@ def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[Const
         _one((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2)),
         _one((*alloc.gaussian_rates, *alloc.lattice_rates)),
     )
-    return _single_checks(_uplink_checks(up, _snrs(up, p), splits))
+    return _single_checks(_uplink_checks(up, up * up * p, splits))
 
 
 # --- Downlink ----------------------------------------------------------------
@@ -895,8 +890,8 @@ def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocati
     are relabeled internally, which the pair-symmetric rate preconditions
     permit.
     """
-    _, down, p = net._columns()
-    splits, *_, errors = _allocate("downlink", down, p, _one(_rate_quad(r)))
+    up, down, p = net._columns()
+    splits, *_, errors = _allocate("downlink", down, p, _one(_rate_quad(r)), _hop_terms(up, down, p)[1])
     if errors:  # a batch of one's refusal
         raise errors[0]
     return _downlink_allocation(splits, 0)
@@ -932,7 +927,7 @@ def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[C
     splits = _Splits(
         np.array([alloc.case]), _one(alloc.alpha_r), _one(alloc.stream_rates), np.array([alloc.pairs_swapped])
     )
-    return _single_checks(_downlink_checks(down, _snrs(down, p), splits))
+    return _single_checks(_downlink_checks(down, down * down * p, splits))
 
 
 class _Hop(NamedTuple):
@@ -1050,17 +1045,18 @@ def _verify_columns(up, down, p, target, terms=None):
     _require_hypothesis(target, up, down, p)
     normalized = _normalize(up, down, p, target, terms)
     up, down, quad = normalized[:3]
+    up_terms, down_terms = normalized[-1]
     r = _back_off(quad)
 
     stage, detail = np.full(n, "ok", dtype=object), [""] * n
     excess, slack = np.zeros(n), np.full(n, math.inf)
     hops = {}
     rows = np.arange(n)  # the trials still at stage "ok"
-    for hop, mags in (("uplink", up), ("downlink", down)):
+    for hop, mags, hop_terms in (("uplink", up, up_terms), ("downlink", down, down_terms)):
         if not rows.size:
             break
         mags = mags[:, rows]
-        splits, kept, snr, spent, errors = _allocate(hop, mags, p[rows], r[:, rows])
+        splits, kept, snr, spent, errors = _allocate(hop, mags, p[rows], r[:, rows], hop_terms[:, rows])
         for i, e in errors.items():
             stage[rows[i]], detail[rows[i]] = f"{hop}-allocation", str(e)
         rows, mags = rows[kept], mags[:, kept]

@@ -99,8 +99,9 @@ def family_rhs(net: GaussNetwork, restricted: bool) -> dict[str, float]:
 # --- the rate preconditions --------------------------------------------------
 
 # Per hop, in checking order: each inequality's name, the sessions it sums
-# and the bits it backs off.  A pair's uplink term adds the two sessions'
-# SNRs; its downlink term takes the larger one.
+# and the bits it backs off.  A precondition is the hop's restricted family
+# term less the back-off: a pair's uplink term adds the two sessions' |h|^2,
+# its downlink term takes the larger one, as `family_rhs` does.
 PRECONDITIONS = {
     "uplink": (
         ("r_A1 <= C(|h_A1R|^2 P) - 2", (0,), 2.0),
@@ -127,20 +128,24 @@ PRECONDITIONS = {
 
 def reference_snrs(magnitudes: Sequence[float], power: float) -> tuple[float, ...]:
     """|h|^2 P of each magnitude of a session 4-tuple."""
-    return tuple(h ** 2 * power for h in magnitudes)
+    return tuple(h * h * power for h in magnitudes)
 
 
 def reference_precondition_rhs(net: GaussNetwork, direction: str) -> list[tuple[str, tuple[int, ...], float]]:
     """Each precondition of the hop, in checking order: its name, sessions
     and right-hand side."""
-    if direction == "uplink":
-        snr, combine = reference_snrs(net.uplink, net.power), sum
-    else:
-        snr, combine = reference_snrs(net.downlink, net.power), max
-    return [
-        (name, sessions, awgn_capacity(combine(snr[k] for k in sessions)) - backoff)
-        for name, sessions, backoff in PRECONDITIONS[direction]
-    ]
+    mags, p = (net.uplink if direction == "uplink" else net.downlink), net.power
+
+    def term(sessions: tuple[int, ...]) -> float:
+        if len(sessions) == 1:
+            x = mags[sessions[0]]
+            return awgn_capacity(x * x * p)
+        x, y = (mags[k] for k in sessions)
+        if direction == "uplink":
+            return awgn_capacity((x * x + y * y) * p)
+        return awgn_capacity(max(x * x, y * y) * p)
+
+    return [(name, sessions, term(sessions) - backoff) for name, sessions, backoff in PRECONDITIONS[direction]]
 
 
 def reference_require_preconditions(direction: str, net: GaussNetwork, r: RateQuad) -> None:

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +33,41 @@ def test_cut_counts(pairs, count):
 
 def test_single_pair_cuts():
     assert set(enumerate_cuts(1)) == {Cut((0,), (1,)), Cut((0,), (0,))}
+
+
+@pytest.mark.parametrize(
+    "members,orientation,match",
+    [
+        ((-1,), (1,), "members must be non-negative integers"),  # used to answer for the last pair
+        ((True,), (1,), "members must be non-negative integers"),  # used to answer for pair 1
+        ((0.0,), (1,), "members must be non-negative integers"),
+        ((0,), (True,), "orientation bits must be the integers 0/1"),
+        ((0,), (1.0,), "orientation bits must be the integers 0/1"),  # used to fail in det_cut_bound
+        ((0,), (2,), "orientation bits must be the integers 0/1"),
+    ],
+    ids=repr,
+)
+def test_cut_refuses_non_integer_members_and_bits(members, orientation, match):
+    with pytest.raises(ValueError, match=match):
+        Cut(members, orientation)
+
+
+def test_cut_accepts_numpy_integers():
+    assert det_cut_bound(REF, Cut((np.int64(0),), (np.int64(1),))) == det_cut_bound(REF, Cut((0,), (1,)))
+
+
+@pytest.mark.parametrize("cut", [Cut((2,), (1,)), Cut((0, 5), (1, 0))], ids=str)
+def test_det_cut_bound_refuses_a_pair_outside_the_network(cut):
+    # Used to raise IndexError.
+    with pytest.raises(ValueError, match="outside the 2-pair network"):
+        det_cut_bound(REF, cut)
+
+
+@pytest.mark.parametrize("pairs", [True, 1.0, 2.5, 0, -1, "2"], ids=repr)
+def test_enumerate_cuts_refuses_a_count_that_is_no_positive_integer(pairs):
+    enumerate_cuts(1)  # a cached 1 must not answer for True
+    with pytest.raises(ValueError, match="need at least one pair"):
+        enumerate_cuts(pairs)
 
 
 def test_reference_bounds():

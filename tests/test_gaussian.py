@@ -149,7 +149,11 @@ def test_network_squares_finite_below_the_overflow_bound():
     for verdict in (gauss_cutset(net, (0, 0, 0, 0)), gauss_restricted_cutset(net, (0, 0, 0, 0))):
         assert verdict.inside and all(math.isfinite(c.rhs) for c in verdict.checks)
     assert all(math.isfinite(g) for g in restricted_bound_gaps(net).values())
-    assert all(math.isfinite(x) for x in (*net.snrs(), *gaussian._snrs(net.uplink, net.power)))
+    assert all(math.isfinite(x) for x in net.snrs())
+    up, down, p = net._columns()
+    for direction, mags, terms in zip(("uplink", "downlink"), (up, down), gaussian._hop_terms(up, down, p)):
+        _, kept, snr, _, errors = gaussian._allocate(direction, mags, p, gaussian._one((0.0,) * 4), terms)
+        assert not errors and kept.tolist() == [0] and np.isfinite(snr).all()
 
 
 # --- rate functions ---------------------------------------------------------
@@ -231,7 +235,7 @@ _magnitudes = st.floats(0.3, 300.0, allow_nan=False, allow_infinity=False)
     st.lists(st.floats(0.0, 12.0), min_size=4, max_size=4),
 )
 # Magnitudes where C(h ** 2 P) and C(h * h * P) differ in the last bit:
-# each formula must keep the form it had.
+# every formula must use h * h * P.
 @example(
     [1.4399460194402325, 3.063971698296596, 6.065673579434813, 10.138766721090509,
      4.333145849111602, 5.70823331580167, 10.53795950503214, 2.461094633695714],
@@ -256,15 +260,66 @@ def test_family_table_matches_reference(h, power, rates):
     # Rate preconditions of both hops: same pass/fail, same first failing
     # inequality, same lhs and rhs in its message.
     r = tuple(rates)
-    for direction, magnitudes in (("uplink", net.uplink), ("downlink", net.downlink)):
-        snr = gaussian._snrs(magnitudes, net.power)
-        assert snr == reference_snrs(magnitudes, net.power)  # session order, h ** 2 * P
-        error = gaussian._precondition_errors(direction, gaussian._one(snr), gaussian._one(r)).get(0)
+    up, down, p = net._columns()
+    for direction, terms in zip(("uplink", "downlink"), gaussian._hop_terms(up, down, p)):
+        error = gaussian._precondition_errors(direction, terms, gaussian._one(r)).get(0)
         got = None if error is None else str(error)
         assert got == _first_failure(reference_require_preconditions, direction, net, r)
+    # The SNRs each hop's allocator walks on, in session order, wherever a
+    # zero-rate trial of the network in normalised order gets a split.
+    ordered = reduce_orderings(net, (0.0,) * 4).net
+    up, down, p = ordered._columns()
+    hops = zip(("uplink", "downlink"), (up, down), (ordered.uplink, ordered.downlink), gaussian._hop_terms(up, down, p))
+    for direction, mags, magnitudes, terms in hops:
+        _, kept, snr, _, _ = gaussian._allocate(direction, mags, p, gaussian._one((0.0,) * 4), terms)
+        if kept.size:
+            assert tuple(snr[:, 0].tolist()) == reference_snrs(magnitudes, ordered.power)  # h * h * P
     # The sweep sampler's acceptance: SNR floor, then the exact 2-bit base check.
     base_ok = all(res[name] >= family_sum(coefs, BASE_POINT) for name, coefs in FAMILY_COEFS.items())
     assert gaussian._sampler_accepts(net) == (min(net.snrs()) >= MIN_LINK_SNR and base_ok)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_magnitudes, min_size=8, max_size=8), st.floats(0.05, 200.0))
+@example([1.0, 100.0, 2.1255904992285837, 100.0, 100.0, 100.0, 100.0, 100.0], 1.0)
+def test_precondition_rhs_is_the_hop_term_less_its_backoff(h, power):
+    # The restricted region is the minimum of the two hops' terms, and each
+    # precondition's rhs is its family's term on that hop less its back-off,
+    # bit for bit: with only that family's term finite, a rate of
+    # rhs + TOL holds and the next float above it fails, naming the row.
+    net = GaussNetwork(tuple(h[:2]), tuple(h[2:4]), tuple(h[4:6]), tuple(h[6:]), power)
+    up, down, p = net._columns()
+    hop_terms = gaussian._hop_terms(up, down, p)
+    assert gaussian._min(*hop_terms)[:, 0].tolist() == list(family_rhs(net, True).values())
+    families = [{k for k, c in enumerate(coefs) if c} for coefs in FAMILY_COEFS.values()]
+    for direction, terms in zip(("uplink", "downlink"), hop_terms):
+        for (name, sessions, backoff), (_, _, want) in zip(
+            PRECONDITIONS[direction], reference_precondition_rhs(net, direction)
+        ):
+            family = families.index(set(sessions))
+            rhs = terms[family, 0].item() - backoff
+            assert (rhs, repr(rhs)) == (want, repr(want))
+            only = np.full_like(terms, math.inf)
+            only[family] = terms[family]
+            for rate, fails in ((rhs + TOL, False), (math.nextafter(rhs + TOL, math.inf), True)):
+                r = [0.0] * 4
+                r[sessions[-1]] = rate
+                error = gaussian._precondition_errors(direction, only, gaussian._one(r)).get(0)
+                assert (error.inequality if error else None) == (name if fails else None)
+
+
+def test_uplink_precondition_reads_the_restricted_term_at_an_ulp():
+    # For this |h_B1R|, h ** 2 and h * h differ in the last bit, and the
+    # rate r_B1 sits one float above the restricted uplink term of R_B1 less
+    # its 1-bit back-off, plus TOL: read from C(h * h P), it is refused.
+    h = 2.1255904992285837
+    assert (h**2, h * h) == (4.51813497041082, 4.518134970410819)
+    net = GaussNetwork((100.0, 100.0), (h, 100.0), (100.0, 100.0), (100.0, 100.0), 1.0)
+    r_b1 = math.nextafter(awgn_capacity(h * h) - 1.0 + TOL, math.inf)
+    assert r_b1 == 1.4641807456145195
+    with pytest.raises(InfeasibleRatesError) as info:
+        uplink_allocate(net, (2.0, r_b1, 0.0, 0.0))
+    assert info.value.inequality == "r_B1 <= C(|h_B1R|^2 P) - 1"
 
 
 def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
@@ -587,8 +642,9 @@ def _allocation_montecarlo(seed, direction, allocate, rate_check):
         assert all(c.slack >= -1e-9 for c in checks), [c for c in checks if c.slack < -1e-9]
 
     up, down, p, r = (np.asarray(q) for q in _trial_columns(trials))
-    mags = up if direction == "uplink" else down
-    splits, kept, snr, excess, errors = gaussian._allocate(direction, mags, p, r)
+    up_terms, down_terms = gaussian._hop_terms(up, down, p)
+    mags, terms = (up, up_terms) if direction == "uplink" else (down, down_terms)
+    splits, kept, snr, excess, errors = gaussian._allocate(direction, mags, p, r, terms)
     assert not errors and kept.tolist() == list(range(len(trials)))
     assert (excess <= 1e-9).all(), np.flatnonzero(excess > 1e-9)
     for rows, checks in gaussian._HOPS[direction].checks(mags, snr, splits):
@@ -1130,8 +1186,8 @@ def test_stacked_arrays_match_scalar_reference(trials):
     sums = gaussian._session_sums(r)
     for i, (_, rates, _) in enumerate(trials):
         same(tuple(sums[:, i].tolist()), tuple(family_sum(coefs, rates) for coefs in FAMILY_COEFS.values()))
-    for direction, mags in (("uplink", up), ("downlink", down)):
-        errors = gaussian._precondition_errors(direction, gaussian._snrs(mags, p), r)
+    for direction, terms in zip(("uplink", "downlink"), gaussian._hop_terms(up, down, p)):
+        errors = gaussian._precondition_errors(direction, terms, r)
         for i, (net, rates, _) in enumerate(trials):
             assert (errors.get(i) and str(errors[i])) == _first_failure(
                 reference_require_preconditions, direction, net, tuple(rates)
