@@ -19,6 +19,7 @@ are arrays of two JSON numbers and power a JSON number, all finite.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -162,21 +163,6 @@ def _emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _assignment_records(sched: scheduler.Schedule) -> list[dict]:
-    return [
-        {
-            "pair": a.pair,
-            "kind": a.kind,
-            "side": a.side,
-            "uplink_slot": a.uplink_slot,
-            "uplink_level": a.uplink_level,
-            "downlink_slot": a.downlink_slot,
-            "downlink_level": a.downlink_level,
-        }
-        for a in sched.assignments
-    ]
-
-
 def _check_records(checks, slack: bool = False) -> list[dict]:
     return [
         {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, **({"slack": c.slack} if slack else {})}
@@ -244,7 +230,7 @@ def cmd_schedule(args) -> int:
         "rates": [str(r) for r in rates],
         "slots": sched.slots,
         "listen_slots": sched.listen_slots,
-        "assignments": _assignment_records(sched),
+        "assignments": [dataclasses.asdict(a) for a in sched.assignments],
         "bit_budgets": {f"{s}{i + 1}": n for (i, s), n in sched.bit_budgets().items()},
     }
     if args.simulate:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +39,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex, _refuse_inexact
+from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex, _integer, _refuse_inexact
 
 Rate = Union[int, Fraction]
 
@@ -53,11 +52,6 @@ CELL_BUDGET = 5_000_000
 
 class RegionSizeError(RuntimeError):
     """A brute-force enumeration box or a time expansion exceeds its budget."""
-
-
-def _integer(v) -> bool:
-    """Whether ``v`` is an integer, numpy's included: a bool or a float is not."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

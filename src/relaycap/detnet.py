@@ -32,7 +32,6 @@ All values here are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -55,6 +54,12 @@ class ShapeError(ValueError):
 @dataclass(frozen=True)
 class FullDuplex:
     """Relay listens and transmits in every channel use."""
+
+
+def _integer(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included: a bool or a float is
+    not.  The exact-int test comes first, as the cheap one."""
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _refuse_inexact(value, what: str) -> None:
@@ -106,12 +111,11 @@ class DetNetwork:
             raw = getattr(self, name)
             try:
                 raw = tuple(raw)
-                vals = tuple(operator.index(v) for v in raw)
             except TypeError as exc:
                 raise InvalidGainError(f"{name} must be integers, got {raw!r}") from exc
-            if any(isinstance(v, bool) for v in raw) or any(v < 0 for v in vals):
+            if not all(_integer(v) and v >= 0 for v in raw):
                 raise InvalidGainError(f"{name} must be non-negative integers, got {raw}")
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, tuple(map(int, raw)))
         if not self.n_ar:
             raise ValueError("network needs at least one pair")
         if any(len(getattr(self, name)) != self.pairs for name in ("n_br", "n_ra", "n_rb")):
@@ -158,16 +162,20 @@ class DetNetwork:
                 yield (i, side)
 
     def _check_node(self, pair: int, side: Side) -> None:
-        # a bool or a float is no pair index; the exact-int test comes first, as the cheap one
-        integral = type(pair) is int or isinstance(pair, numbers.Integral) and not isinstance(pair, bool)
-        if not integral or not 0 <= pair < self.pairs or side not in SIDES:
+        if not _integer(pair) or not 0 <= pair < self.pairs or side not in SIDES:
             raise LookupError(f"no node ({pair}, {side!r}) in an {self.pairs}-pair network")
 
 
 def shifted_contribution(x: int, gain: int, q: int) -> int:
     """What a receiver sees from one transmitter: the top ``gain`` of the
     ``q`` levels of frame ``x`` shifted to the bottom of the frame, zeros
-    above."""
+    above.  All three are integers: numpy's are taken as int, bools refused."""
+    if not type(x) is type(gain) is type(q) is int:
+        if not (_integer(gain) and _integer(q)):
+            raise InvalidGainError(f"gain {gain!r} and frame length {q!r} must be integers")
+        if not _integer(x):
+            raise ShapeError(f"frame {x!r} is not an integer")
+        x, gain, q = int(x), int(gain), int(q)
     if not 0 <= gain <= q:
         raise InvalidGainError(f"gain {gain} outside [0, {q}]")
     if x < 0 or x >> q:

@@ -52,6 +52,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .detnet import _integer
+
 _LN2 = math.log(2.0)
 
 TOL = 1e-9  # absolute slack tolerance on all rate and power comparisons
@@ -1259,7 +1261,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for name in ("trials", "seed"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+            if not _integer(v) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
             object.__setattr__(self, name, int(v))
         if self.trials > 2**32:
@@ -1446,7 +1448,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
     """One deterministic trial, a batch of one; its stream depends only on
     (seed, index), so trials run in any order or split yield identical
     records.  ``index`` is one spawn-key word: an integer in [0, 2^32)."""
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index <= _M32:
+    if not _integer(index) or not 0 <= index <= _M32:
         raise ValueError(f"trial index must be an integer in [0, 2**32), got {index!r}")
     return GapReport(cfg, _trial_block(cfg, (int(index),))).records[0]
 

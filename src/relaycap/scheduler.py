@@ -31,7 +31,6 @@ full-duplex tuple is the case Q = 1.
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -49,6 +48,7 @@ from .detnet import (
     HalfDuplex,
     NodeId,
     ShapeError,
+    _integer,
     node_downlink_receive,
     relay_uplink_receive,
 )
@@ -111,7 +111,7 @@ class LevelAssignment:
         ints = self.pair, self.uplink_slot, self.uplink_level, self.downlink_slot, self.downlink_level
         if set(map(type, ints)) != {int}:  # the slow path also stores numpy integers as int
             for name, value in zip(_INT_FIELDS, ints):
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                if not _integer(value):
                     raise ValueError(f"assignment {name} must be an integer, got {value!r}")
                 object.__setattr__(self, name, int(value))
 
@@ -192,7 +192,7 @@ def reduce_pair_oneway(net: DetNetwork, pair: int, source: str) -> tuple[DetNetw
 def expand_time(net: DetNetwork, q: int) -> DetNetwork:
     """Q channel uses of a network are one use of the network with all
     gains multiplied by Q."""
-    if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+    if not _integer(q):
         raise ValueError(f"expansion factor must be an integer, got {q!r}")
     if q < 1:
         raise ValueError("expansion factor must be >= 1")
@@ -378,11 +378,9 @@ def validate_schedule(sched: Schedule) -> None:
     """Check level bounds per assignment and per-slot orthogonality."""
     net = sched.net
     slots, listen = sched.slots, sched.listen_slots
-    if isinstance(slots, bool) or not isinstance(slots, numbers.Integral) or slots < 1:
+    if not _integer(slots) or slots < 1:
         raise ScheduleInvalidError(f"slots must be a positive integer, got {slots!r}")
-    if listen is not None and (
-        isinstance(listen, bool) or not isinstance(listen, numbers.Integral) or not 1 <= listen < slots
-    ):
+    if listen is not None and (not _integer(listen) or not 1 <= listen < slots):
         raise ScheduleInvalidError(
             f"listen_slots must be None or an integer in [1, {slots - 1}], got {listen!r}"
         )
@@ -457,9 +455,7 @@ def simulate_schedule(
     for node, need in budgets.items():
         got = tuple(messages.get(node, ()))
         if set(map(type, got)) - {int}:  # the slow path stores numpy integers as int, and refuses the rest
-            got = tuple(
-                None if isinstance(b, bool) or not isinstance(b, numbers.Integral) else int(b) for b in got
-            )
+            got = tuple(int(b) if _integer(b) else None for b in got)
         if not set(got) <= {0, 1}:
             raise ValueError(f"message for {node} must be bits")
         if len(got) != need:

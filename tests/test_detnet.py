@@ -1,11 +1,14 @@
+import ast
 import itertools
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import relaycap
 from relaycap import (
     DetNetwork,
     HalfDuplex,
@@ -138,6 +141,68 @@ def test_node_index_refuses_bools_and_non_integers(pair):
 def test_node_index_accepts_numpy_integers():
     assert REF.uplink_gain(np.int64(1), "A") == REF.uplink_gain(1, "A")
     assert node_downlink_receive(REF, 0b110, np.int32(0), "B") == node_downlink_receive(REF, 0b110, 0, "B")
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, np.float64(1.0), Fraction(1), "1"], ids=repr)
+def test_channel_primitives_refuse_non_integers(bad):
+    # A bool frame or gain used to pass as the integer 1 or 0, and a float
+    # frame failed on the shift with a bare TypeError.
+    for call in (
+        lambda: relay_uplink_receive(REF, {(0, "A"): bad}),
+        lambda: node_downlink_receive(REF, bad, 0, "A"),
+        lambda: shifted_contribution(bad, 1, 1),
+    ):
+        with pytest.raises(ShapeError, match=re.escape(f"frame {bad!r} is not an integer")):
+            call()
+    for gain, q in ((bad, 2), (1, bad)):
+        with pytest.raises(InvalidGainError, match="must be integers"):
+            shifted_contribution(1, gain, q)
+
+
+def test_channel_primitives_take_numpy_integers_as_int():
+    got = shifted_contribution(np.int64(0b110), np.int32(2), np.int64(3))
+    assert (type(got), got) == (int, 0b011)
+
+
+# The names that decide whether a value is an integer: only
+# `detnet._integer` may use them.
+_INTEGER_RULE = {"numbers.Integral", "operator.index"}
+
+
+def _integer_rule_uses(source: str, module: str) -> list[tuple[str, str | None, str]]:
+    """(module, enclosing def or class, name) of each use of a name in
+    `_INTEGER_RULE`, as an attribute or a from-import."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        found.extend((module, owner, name) for name in names if name in _INTEGER_RULE)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_integer_rule():
+    # Every boundary that takes an integer asks `detnet._integer`; no other
+    # code spells the rule again.
+    package = Path(relaycap.__file__).parent
+    uses = [use for path in sorted(package.glob("*.py")) for use in _integer_rule_uses(path.read_text(), path.stem)]
+    assert uses == [("detnet", "_integer", "numbers.Integral")]
+    for planted, use in (
+        ("def f(v):\n    return isinstance(v, numbers.Integral)", ("m", "f", "numbers.Integral")),
+        ("from numbers import Integral", ("m", None, "numbers.Integral")),
+        ("class C:\n    x = operator.index(1)", ("m", "C", "operator.index")),
+    ):
+        assert _integer_rule_uses(planted, "m") == [use], planted
 
 
 def test_gain_validation():

@@ -16,8 +16,11 @@ from gauss_reference import (
     PRECONDITIONS,
     family_rhs,
     family_sum,
+    reference_budget_excess,
     reference_downlink_allocate,
     reference_downlink_rate_check,
+    reference_max_alpha_excess,
+    reference_min_check_slack,
     reference_precondition_rhs,
     reference_require_preconditions,
     reference_run_trial,
@@ -322,6 +325,39 @@ def test_uplink_precondition_reads_the_restricted_term_at_an_ulp():
     assert info.value.inequality == "r_B1 <= C(|h_B1R|^2 P) - 1"
 
 
+def test_cascade_preconditions_read_each_hops_terms_at_an_ulp(monkeypatch):
+    # For this |h_RB1|, h ** 2 rounds one ulp below h * h, and R_A1 is the
+    # largest float within TOL of its restricted term C(h * h P).  Backed off
+    # by 2 bits, it sits less than one ulp of R_A1 below its downlink
+    # precondition's rhs plus TOL, and above that rhs read from h ** 2.  A
+    # rate inside the region meets every precondition of either hop on either
+    # hop's terms, so the report cannot show which hop's terms a precondition
+    # read: the spy compares each hop's rhs with the reference, bit for bit.
+    h = 2.1370988374527102
+    assert (h**2, h * h) == (4.567191441041725, 4.567191441041726)
+    target = 2.47694969553709
+    assert awgn_capacity(h * h) - target >= -TOL > awgn_capacity(h * h) - math.nextafter(target, math.inf)
+    rhs = awgn_capacity(h * h) - 2.0
+    assert awgn_capacity(h**2) - 2.0 + TOL < target - 2.0 <= rhs + TOL < math.nextafter(target, math.inf) - 2.0
+    net = GaussNetwork((100.0, 100.0), (100.0, 100.0), (2.0, 100.0), (h, 100.0), 1.0)
+    read, precondition_errors = {}, gaussian._precondition_errors
+
+    def spy(direction, terms, r):
+        read[direction] = terms[:, 0].tolist()
+        return precondition_errors(direction, terms, r)
+
+    monkeypatch.setattr(gaussian, "_precondition_errors", spy)
+    report = verify_constant_gap(net, (target, 2.0, 2.0, 2.0))
+    assert (report.stage, report.detail, report.normalized.net) == ("ok", "", net)
+    families = [{k for k, c in enumerate(coefs) if c} for coefs in FAMILY_COEFS.values()]
+    for direction in ("uplink", "downlink"):
+        for (name, sessions, backoff), (_, _, want) in zip(
+            PRECONDITIONS[direction], reference_precondition_rhs(net, direction)
+        ):
+            got = read[direction][families.index(set(sessions))] - backoff
+            assert (got, repr(got)) == (want, repr(want)), name
+
+
 def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
     # The cascade reads each hop's functions from its `_HOPS` row: a forced
     # uplink check failure ends the run before the downlink is walked, and
@@ -490,6 +526,12 @@ _CORNER_TRIAL = (
 # check order.
 @example((_normalized_net([3.66, 2.69, 19.0, 40.75, 84.59, 2.0, 9.21, 61.58], 7.01),
           (6.617076885160013, 0.5400246143493648, 2.9015082007705986, 2.7274177087243627), (3, -1.0)))
+# A budget that binds only once tampered: A2's, with its Gaussian fraction
+# doubled, and the relay's, with its pair-2 shared stream quadrupled.
+@example((_normalized_net([6.31, 64.18, 5.13, 7.31, 8.45, 27.54, 57.85, 80.64], 27.45),
+          (2.771184913462683, 2.284792478738976, 5.037571114696192, 0.6388383132423753), (2, 2.0)))
+@example((_normalized_net([88.72, 96.09, 47.81, 81.24, 5.78, 72.79, 32.6, 2.73], 58.05),
+          (8.198984374797833, 4.50706504394909, 7.028172870364892, 3.4150418153173785), (3, 4.0)))
 def test_chain_tables_match_reference(inputs):
     net, rates, (stream, factor) = inputs
     for allocate, rate_check, reference_allocate, reference_check in (
@@ -501,6 +543,7 @@ def test_chain_tables_match_reference(inputs):
         alloc = got[0]
         if isinstance(alloc, (UplinkAllocation, DownlinkAllocation)):
             for a in (alloc, _tampered(alloc, stream, factor)):
+                assert repr(a.budget_excess()) == repr(reference_budget_excess(a))
                 assert _outcome(rate_check, net, a) == _outcome(reference_check, net, a)
 
 
@@ -1060,8 +1103,11 @@ def _pipeline_verdicts(trials):
 
 
 def _report_verdict(report):
+    """A reference report's verdict as `_pipeline_verdicts` gives it, with
+    the excess and slack the reference computes."""
     return (
-        report.stage, report.max_alpha_excess(), report.min_check_slack(), report.detail, report.uplink, report.downlink
+        report.stage, reference_max_alpha_excess(report), reference_min_check_slack(report), report.detail,
+        report.uplink, report.downlink,
     )
 
 
