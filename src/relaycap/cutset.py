@@ -251,8 +251,21 @@ def in_det_cutset(
 def directed_rate_caps(net: DetNetwork, mode: DuplexMode = FULL_DUPLEX) -> tuple[int, ...]:
     """Largest integral value of each session's rate alone (the singleton
     cuts), in session order."""
-    q, listen, transmit = _time_scales(mode, ())
+    return _rate_caps(net, *_time_scales(mode, ()))
+
+
+def _rate_caps(net: DetNetwork, q: int, listen: int, transmit: int) -> tuple[int, ...]:
     return tuple(min(listen * u, transmit * d) // q for u, d in zip(net.uplink, net.downlink))
+
+
+def _walk_size(factors: Iterable[int], what: str) -> int:
+    """The product of ``factors``; RegionSizeError once a partial product passes CELL_BUDGET."""
+    n = 1
+    for f in factors:
+        n *= f
+        if n > CELL_BUDGET:
+            raise RegionSizeError(f"{what} exceed work budget {CELL_BUDGET}")
+    return n
 
 
 def enumerate_integral_region(
@@ -261,27 +274,21 @@ def enumerate_integral_region(
     """Every integral rate tuple inside the cut-set region, in lexicographic
     order.  Brute force over the box of per-direction caps; intended as the
     oracle for desk-scale networks.  Refused before any work when the walk
-    would exceed `CELL_BUDGET`."""
-    caps = directed_rate_caps(net, mode)
-    cells = math.prod(c + 1 for c in caps)
-    cuts = 3**net.pairs - 1
-    work = cuts * (cells + 1000)  # see CELL_BUDGET
-    if work > CELL_BUDGET:
-        raise RegionSizeError(
-            f"enumeration box has {cells} cells and {cuts} cuts, "
-            f"work {work} exceeds budget {CELL_BUDGET}"
-        )
+    would exceed `CELL_BUDGET`, on M alone where that decides it."""
+    cuts = _walk_size(itertools.repeat(3, net.pairs), f"3^{net.pairs} - 1 cuts") - 1
+    q, listen, transmit = _time_scales(mode, ())
+    dims = tuple(c + 1 for c in _rate_caps(net, q, listen, transmit))
+    cells = _walk_size(dims, f"the cells of a {len(dims)}-session box")
+    if cuts * (cells + 1000) > CELL_BUDGET:  # see CELL_BUDGET
+        raise RegionSizeError(f"{cuts} cuts over {cells} cells exceed work budget {CELL_BUDGET}")
 
-    dims = tuple(c + 1 for c in caps)
     # row-major unravel keeps the columns in lexicographic order
     points = np.stack(np.unravel_index(np.arange(cells, dtype=np.int64), dims))
 
     # integral rates over Q uses: Q * lhs <= min(listen * up, transmit * down)
-    q, listen, transmit = _time_scales(mode, ())
     mask = np.ones(points.shape[1], dtype=bool)
     for cut in enumerate_cuts(net.pairs):
         lhs = points[list(cut.sessions)].sum(axis=0)
         up, down = _cut_gains(net, cut)
         mask &= q * lhs <= min(listen * up, transmit * down)
-    region = points[:, mask].T
-    return [tuple(int(v) for v in row) for row in region]
+    return list(map(tuple, points[:, mask].T.tolist()))

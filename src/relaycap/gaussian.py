@@ -1058,6 +1058,8 @@ def _verify_columns(up, down, p, target, terms=None):
         if not rows.size:
             break
         mags = mags[:, rows]
+        # Past _normalize a precondition fails only by rounding, yet _allocate checks them all: uplink_allocate and
+        # downlink_allocate need it, the cascade's ulp test spies on it, and a skip here would be a second code path.
         splits, kept, snr, spent, errors = _allocate(hop, mags, p[rows], r[:, rows], hop_terms[:, rows])
         for i, e in errors.items():
             stage[rows[i]], detail[rows[i]] = f"{hop}-allocation", str(e)

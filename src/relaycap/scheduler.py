@@ -31,6 +31,7 @@ full-duplex tuple is the case Q = 1.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -447,6 +448,9 @@ def simulate_schedule(
     """
     validate_schedule(sched)
     net = sched.net
+    q_up, q_down = net.q_up, net.q_down
+    if max(q_up, q_down) > sys.maxsize:  # frames are Python ints, built by shifts
+        raise ShapeError(f"frames of {max(q_up, q_down)} bits: a simulated frame holds at most {sys.maxsize}")
     budgets = sched.bit_budgets()
     unknown = [node for node in messages if node not in budgets]
     if unknown:
@@ -467,7 +471,6 @@ def simulate_schedule(
     # index gain - l, and arrives as bit l - 1 at the relay.
     order = _ordered(sched.assignments)
     feeds = {node: iter(bits) for node, bits in msgs.items()}
-    q_up, q_down = net.q_up, net.q_down
     up, down = net.uplink, net.downlink
     sent: list[dict[str, int]] = []
     tx: dict[int, dict[NodeId, int]] = defaultdict(dict)

@@ -17,8 +17,9 @@ from relaycap.cli import (
     main,
     parse_fraction,
 )
+from relaycap.cutset import in_det_cutset
 from relaycap.detnet import DetNetwork, FullDuplex, HalfDuplex
-from relaycap.gaussian import GaussNetwork, SweepConfig, run_trial
+from relaycap.gaussian import GaussNetwork, SweepConfig, gauss_cutset, run_trial, verify_constant_gap
 
 REF_NET = {
     "kind": "deterministic",
@@ -113,7 +114,7 @@ def test_region_non_member_lists_cuts(det_file, capsys):
 
 def test_region_bad_rate_arity(det_file, capsys):
     code, _, err = run(capsys, "region", det_file, "--rates", "1,1")
-    assert code == EXIT_INPUT and "expected 4 rates" in err
+    assert code == EXIT_INPUT and "expected 4 rate components, got 2" in err
 
 
 def test_region_decimal_rate_rejected(det_file, capsys):
@@ -417,6 +418,74 @@ def test_gaussian_file_values_must_be_finite(tmp_path, capsys, field, value):
         load_network(str(path))
     code, doc, _ = run(capsys, "gauss-verify", str(path), "--rates", "4,4,4,4")
     assert code == EXIT_INPUT and doc is None
+
+
+_DET_NET = DetNetwork(*(tuple(REF_NET[k]) for k in ("n_ar", "n_br", "n_ra", "n_rb")))
+_MAGNITUDES = {k: tuple(GAUSS[k]) for k in ("h_ar", "h_br", "h_ra", "h_rb")}
+_GAUSS_NET = GaussNetwork(**_MAGNITUDES, power=GAUSS["power"])
+
+
+def _library_refusal(call, *args, **kwargs) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "command,network,rates,call,parsed",
+    [
+        ("region", "det", "1,1", in_det_cutset, [Fraction(1), Fraction(1)]),
+        *(
+            (command, "gauss", rates, call, [float(r) for r in rates.split(",")])
+            for command, call in (("region", gauss_cutset), ("gauss-verify", verify_constant_gap))
+            for rates in ("4,4,4", "4,4,4,4,4", "nan,4,4,4", "4,inf,4,4")
+        ),
+    ],
+)
+def test_each_rate_refusal_text_comes_from_the_library(
+    det_file, gauss_file, capsys, command, network, rates, call, parsed
+):
+    # The CLI parses the rates; their count and finiteness are refused once,
+    # by the library call the command makes, with that call's text.
+    net, path = (_DET_NET, det_file) if network == "det" else (_GAUSS_NET, gauss_file)
+    code, doc, err = run(capsys, command, path, "--rates", rates)
+    assert code == EXIT_INPUT and doc is None
+    assert err == f"error: {_library_refusal(call, net, parsed)}\n"
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("h_ra", [True, 16.0]), ("h_ar", [None, 16.0]), ("h_br", ["16", 16.0]), ("power", None)],
+    ids=["true", "null", "string-in-list", "missing-power"],
+)
+def test_each_gaussian_file_refusal_text_comes_from_the_library(tmp_path, capsys, field, value):
+    # Every value's refusal is GaussNetwork's, behind load_network's path
+    # prefix.  A null power is written as a missing one.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({k: v for k, v in {**GAUSS, field: value}.items() if v is not None}))
+    refusal = _library_refusal(GaussNetwork, **{**_MAGNITUDES, "power": GAUSS["power"], field: value})
+    code, doc, err = run(capsys, "gauss-verify", str(path), "--rates", "4,4,4,4")
+    assert code == EXIT_INPUT and doc is None
+    assert err == f"error: {path}: bad gaussian network fields ({refusal})\n"
+
+
+def test_det_sweep_over_the_region_budget_is_infeasible(capsys):
+    # Once "Exceeds the limit (4300 digits) for integer string conversion",
+    # exit 2: the budget message formatted 3^M - 1 for M up to 100000.
+    start = time.perf_counter()
+    code, doc, err = run(capsys, "sweep", "--det", "--trials", "1", "--seed", "0", "--max-pairs", "100000")
+    assert code == EXIT_INFEASIBLE and doc is None
+    assert err.startswith("infeasible: ") and "exceed work budget" in err
+    assert time.perf_counter() - start < 5.0
+
+
+def test_schedule_simulation_refuses_an_unbuildable_frame(tmp_path, capsys):
+    # A 10^30-level uplink frame: once an OverflowError traceback, exit 1.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**REF_NET, "n_ar": [10**30, 2]}))
+    code, doc, err = run(capsys, "schedule", str(path), "--rates", "1,0,0,0", "--simulate", "1")
+    assert code == EXIT_INPUT and doc is None
+    assert err.startswith(f"error: frames of {10**30} bits")
 
 
 # Gaussian networks whose reports together cover uplink and downlink cases

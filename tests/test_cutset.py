@@ -179,6 +179,22 @@ def test_enumerate_budget_counts_the_cut_walk():
     assert len(enumerate_integral_region(DetNetwork(sixes, sixes, sixes, sixes))) == 3024
 
 
+def test_enumerate_budget_decided_without_giant_integers():
+    # Once a product over all 2M caps and 3^M - 1, formatted into the message:
+    # from about M = 9000 that raised "Exceeds the limit (4300 digits) for
+    # integer string conversion" instead of RegionSizeError.
+    zeros = (0,) * 100_000
+    net = DetNetwork(zeros, zeros, zeros, zeros)
+    start = time.perf_counter()
+    with pytest.raises(RegionSizeError, match=r"3\^100000 - 1 cuts exceed work budget"):
+        enumerate_integral_region(net)
+    assert time.perf_counter() - start < 1.0
+    # A box too large for the budget on its own, refused before it is built.
+    big = (10**40,)
+    with pytest.raises(RegionSizeError, match="cells of a 2-session box exceed work budget"):
+        enumerate_integral_region(DetNetwork(big, big, big, big))
+
+
 def test_enumerate_half_duplex():
     net = DetNetwork((2,), (2,), (2,), (2,))
     region = enumerate_integral_region(net, HalfDuplex(Fraction(1, 2)))

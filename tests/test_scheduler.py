@@ -679,6 +679,15 @@ def test_simulation_rejects_wrong_payload_length():
         simulate_schedule(sched, {(0, "A"): (1, 0), (0, "B"): (1,), (1, "A"): (), (1, "B"): ()})
 
 
+def test_simulate_refuses_a_frame_python_cannot_build():
+    # A one-way bit rides its source's top level, so this schedule's uplink
+    # frame is 10^30 bits long: once an OverflowError from `bit << shift`.
+    net = DetNetwork((10**30, 2), (2, 1), (2, 1), (3, 2))
+    sched = schedule_fractional(net, (1, 0, 0, 0))
+    with pytest.raises(ShapeError, match=f"frames of {10**30} bits"):
+        simulate_schedule(sched, random_messages(sched, np.random.default_rng(0)))
+
+
 def test_decoded_messages_round_trip_specific_payload():
     sched = divide_and_conquer(REF, (2, 1, 1, 1))
     msgs = {(0, "A"): (1, 0), (0, "B"): (1,), (1, "A"): (1,), (1, "B"): (0,)}
