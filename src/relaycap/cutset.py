@@ -1,4 +1,4 @@
-"""Cut-set bounds, region membership and brute-force region enumeration.
+"""Cut-set bounds, region membership and region enumeration.
 
 All arithmetic on this side of the package is exact: integer gains,
 integer or `Fraction` rates, `Fraction` listen fractions.  Floats are
@@ -25,7 +25,8 @@ one per hop.  `cutset_holds` tests each with one pass over the positive-rate
 sessions sorted by that hop's gain, in integers, in O(M + K log K) with
 K <= 2M sessions; see its docstring for why it is exact.  `enumerate_cuts`
 and `det_cut_bound` stay as the brute-force reference; only a non-member
-walks `enumerate_cuts`, to list its violated cuts.
+walks `enumerate_cuts`, to list its violated cuts.  Enumeration walks the
+down-closed region on `cutset_holds`, so its cost follows the region's size.
 """
 
 from __future__ import annotations
@@ -37,21 +38,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex, _integer, _refuse_inexact
 
 Rate = Union[int, Fraction]
 
-# Cap on the work of `enumerate_integral_region`: one numpy pass over the
-# box of candidate tuples per cut, for all 3^M - 1 cuts.  A pass costs about
-# 10 ns per cell plus a fixed 20 us, as much as about 1000 cells (2-vCPU x86
-# machine), so the work is counted as (3^M - 1) * (cells + 1000).
-CELL_BUDGET = 5_000_000
+# Cap on the work of `enumerate_integral_region` and `enumerate_cuts`, in
+# session reads: 2M per tuple the region walk tests, M per cut listed.  The
+# cuts of M = 9 fit; a refusal takes up to about 0.5 s (M = 1, 2-vCPU x86).
+READ_BUDGET = 250_000
 
 
 class RegionSizeError(RuntimeError):
-    """A brute-force enumeration box or a time expansion exceeds its budget."""
+    """A region walk, a cut listing or a time expansion exceeds its budget."""
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,15 @@ class Membership:
 
 @lru_cache(maxsize=None, typed=True)  # typed, so that a cached 1 does not answer for True
 def enumerate_cuts(pairs: int) -> tuple[Cut, ...]:
-    """All cuts of an M-pair network: sum over k of C(M,k) * 2^k of them."""
+    """All 3^M - 1 cuts of an M-pair network; RegionSizeError, before any
+    is built, when M session reads per cut would pass `READ_BUDGET`."""
     if not _integer(pairs) or pairs < 1:
         raise ValueError(f"need at least one pair, as an integer, got {pairs!r}")
+    count = 1
+    for _ in range(pairs):
+        count *= 3
+        if count - 1 > READ_BUDGET // pairs:  # stops once past, so 3^M is never built
+            raise RegionSizeError(f"the 3^{pairs} - 1 cuts to list exceed work budget {READ_BUDGET}")
     cuts = []
     for k in range(1, pairs + 1):
         for members in itertools.combinations(range(pairs), k):
@@ -233,7 +237,7 @@ def in_det_cutset(
     The verdict comes from `cutset_holds` on the bits the rates serve over
     Q uses (`_scaled_rates`).  Only a non-member walks `enumerate_cuts` to
     list its violated cuts, in that order, each bound being
-    min(listen * a, transmit * b) / Q."""
+    min(listen * a, transmit * b) / Q, or raises its RegionSizeError."""
     scaled = _scaled_rates(net, mode, rates)
     q, listen, transmit, bits = scaled
     if cutset_holds(net.uplink, net.downlink, bits, listen, transmit):
@@ -251,44 +255,38 @@ def in_det_cutset(
 def directed_rate_caps(net: DetNetwork, mode: DuplexMode = FULL_DUPLEX) -> tuple[int, ...]:
     """Largest integral value of each session's rate alone (the singleton
     cuts), in session order."""
-    return _rate_caps(net, *_time_scales(mode, ()))
-
-
-def _rate_caps(net: DetNetwork, q: int, listen: int, transmit: int) -> tuple[int, ...]:
+    q, listen, transmit = _time_scales(mode, ())
     return tuple(min(listen * u, transmit * d) // q for u, d in zip(net.uplink, net.downlink))
-
-
-def _walk_size(factors: Iterable[int], what: str) -> int:
-    """The product of ``factors``; RegionSizeError once a partial product passes CELL_BUDGET."""
-    n = 1
-    for f in factors:
-        n *= f
-        if n > CELL_BUDGET:
-            raise RegionSizeError(f"{what} exceed work budget {CELL_BUDGET}")
-    return n
 
 
 def enumerate_integral_region(
     net: DetNetwork, mode: DuplexMode = FULL_DUPLEX
 ) -> list[tuple[int, ...]]:
     """Every integral rate tuple inside the cut-set region, in lexicographic
-    order.  Brute force over the box of per-direction caps; intended as the
-    oracle for desk-scale networks.  Refused before any work when the walk
-    would exceed `CELL_BUDGET`, on M alone where that decides it."""
-    cuts = _walk_size(itertools.repeat(3, net.pairs), f"3^{net.pairs} - 1 cuts") - 1
+    order.  An odometer asks `cutset_holds` about each tuple it visits; the
+    region is down-closed, so once (prefix, v, 0, ..., 0) fails, no tuple
+    with that prefix and a rate >= v next is a member: the walk carries to
+    the previous coordinate.  Each test reads the 2M sessions: RegionSizeError is raised
+    once those reads pass `READ_BUDGET`, up front when the 2M probes that
+    every walk fails would pass it."""
     q, listen, transmit = _time_scales(mode, ())
-    dims = tuple(c + 1 for c in _rate_caps(net, q, listen, transmit))
-    cells = _walk_size(dims, f"the cells of a {len(dims)}-session box")
-    if cuts * (cells + 1000) > CELL_BUDGET:  # see CELL_BUDGET
-        raise RegionSizeError(f"{cuts} cuts over {cells} cells exceed work budget {CELL_BUDGET}")
-
-    # row-major unravel keeps the columns in lexicographic order
-    points = np.stack(np.unravel_index(np.arange(cells, dtype=np.int64), dims))
-
-    # integral rates over Q uses: Q * lhs <= min(listen * up, transmit * down)
-    mask = np.ones(points.shape[1], dtype=bool)
-    for cut in enumerate_cuts(net.pairs):
-        lhs = points[list(cut.sessions)].sum(axis=0)
-        up, down = _cut_gains(net, cut)
-        mask &= q * lhs <= min(listen * up, transmit * down)
-    return list(map(tuple, points[:, mask].T.tolist()))
+    n = 2 * net.pairs
+    tests = READ_BUDGET // n
+    if tests < n:
+        raise RegionSizeError(f"the {n} or more tests of a {n}-session walk exceed work budget {READ_BUDGET}")
+    rates = [0] * n
+    bits = [0] * n  # rates[k] * q: the bits over Q uses that cutset_holds reads
+    region = [tuple(rates)]
+    k = n - 1
+    for _ in range(tests):
+        rates[k] += 1
+        bits[k] += q
+        if cutset_holds(net.uplink, net.downlink, bits, listen, transmit):
+            region.append(tuple(rates))
+            k = n - 1
+        else:
+            rates[k] = bits[k] = 0
+            k -= 1
+            if k < 0:
+                return region
+    raise RegionSizeError(f"tests of a {n}-session walk exceed work budget {READ_BUDGET} at {len(region)} tuples")

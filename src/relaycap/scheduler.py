@@ -263,8 +263,9 @@ def _expanded_rates(
     """(Q, listen, transmit, bits) for an in-region tuple, as the membership
     verdict scaled them.  With ``integral``, first refuses a rate that is
     not whole: in full duplex the verdict's Q is 1 exactly when every rate
-    is.  Raises `NotInRegionError` for a non-member and `RegionSizeError`
-    when the bits would take more than `STEP_BUDGET` induction steps."""
+    is.  Raises `NotInRegionError` for a non-member (`RegionSizeError` if its
+    cuts are too many to list) and `RegionSizeError` when the bits would
+    take more than `STEP_BUDGET` induction steps."""
     membership = in_det_cutset(net, rates, mode)
     q, listen, transmit, bits = membership.scaled
     if integral and q != 1:

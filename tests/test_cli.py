@@ -112,6 +112,18 @@ def test_region_non_member_lists_cuts(det_file, capsys):
     assert any(v["cut"] == "{A1}->relay" for v in doc["violated_cuts"])
 
 
+def test_region_non_member_past_the_listing_budget(tmp_path, capsys):
+    # Its 3^14 - 1 cuts are too many to list: refused, not walked.
+    path = tmp_path / "wide.json"
+    gains = {f: [0] * 14 for f in ("n_ar", "n_br", "n_ra", "n_rb")}
+    path.write_text(json.dumps({"kind": "deterministic", "pairs": 14, **gains}))
+    start = time.perf_counter()
+    code, doc, err = run(capsys, "region", str(path), "--rates", ",".join(["1"] + ["0"] * 27))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INFEASIBLE and doc is None
+    assert err.startswith("infeasible: the 3^14 - 1 cuts to list exceed work budget")
+
+
 def test_region_bad_rate_arity(det_file, capsys):
     code, _, err = run(capsys, "region", det_file, "--rates", "1,1")
     assert code == EXIT_INPUT and "expected 4 rate components, got 2" in err

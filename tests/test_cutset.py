@@ -1,3 +1,5 @@
+import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -19,9 +21,19 @@ from relaycap import (
     in_det_cutset,
 )
 from relaycap.cutset import cutset_holds
-from relaycap.scheduler import expand_time
+from relaycap.scheduler import divide_and_conquer, expand_time
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
+
+
+def reference_region(net, mode=FullDuplex()):
+    """The box brute force: every tuple of the `directed_rate_caps` box,
+    in lexicographic order, that `det_cut_bound` admits on every cut of
+    `enumerate_cuts`."""
+    # a tuple's rate sums are integers, so each bound may be floored
+    bounds = [(cut.sessions, math.floor(det_cut_bound(net, cut, mode))) for cut in enumerate_cuts(net.pairs)]
+    box = itertools.product(*(range(c + 1) for c in directed_rate_caps(net, mode)))
+    return [t for t in box if all(sum(t[k] for k in sessions) <= b for sessions, b in bounds)]
 
 
 @pytest.mark.parametrize("pairs,count", [(1, 2), (2, 8), (3, 26)])
@@ -143,17 +155,8 @@ def test_enumerate_reference_region():
     assert (2, 1, 1, 1) in region
     assert (3, 1, 2, 2) not in region
     assert region == sorted(region)
-    # cross-check every box point against the scalar membership test
-    caps = directed_rate_caps(REF)
-    assert caps == (3, 2, 2, 1)
-    from itertools import product
-
-    expected = [
-        t
-        for t in product(*(range(c + 1) for c in caps))
-        if in_det_cutset(REF, t).member
-    ]
-    assert region == expected
+    assert directed_rate_caps(REF) == (3, 2, 2, 1)
+    assert region == reference_region(REF)
 
 
 def test_enumerate_zero_network():
@@ -163,16 +166,19 @@ def test_enumerate_zero_network():
 
 def test_enumerate_budget_guard():
     net = DetNetwork((50, 50, 50), (50, 50, 50), (50, 50, 50), (50, 50, 50))
-    with pytest.raises(RegionSizeError):
+    start = time.perf_counter()
+    with pytest.raises(RegionSizeError, match="tests of a 6-session walk exceed work budget"):
         enumerate_integral_region(net)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_budget_counts_the_cut_walk():
-    # A one-cell box still walks all 3^M - 1 cuts: M = 12 is refused up front.
+    # The walk's cost follows the region, not the 3^M - 1 cuts: the
+    # one-tuple region of an all-zero M = 12 network, once refused up front
+    # for its 531440 cuts, is answered.
     zeros = (0,) * 12
     start = time.perf_counter()
-    with pytest.raises(RegionSizeError, match="531440 cuts"):
-        enumerate_integral_region(DetNetwork(zeros, zeros, zeros, zeros))
+    assert enumerate_integral_region(DetNetwork(zeros, zeros, zeros, zeros)) == [(0,) * 24]
     assert time.perf_counter() - start < 1.0
     # The largest desk-scale walk, M = 3 with gains 6, still fits.
     sixes = (6, 6, 6)
@@ -182,17 +188,45 @@ def test_enumerate_budget_counts_the_cut_walk():
 def test_enumerate_budget_decided_without_giant_integers():
     # Once a product over all 2M caps and 3^M - 1, formatted into the message:
     # from about M = 9000 that raised "Exceeds the limit (4300 digits) for
-    # integer string conversion" instead of RegionSizeError.
+    # integer string conversion" instead of RegionSizeError.  Now the one
+    # failing probe per coordinate that every walk makes is too many.
     zeros = (0,) * 100_000
     net = DetNetwork(zeros, zeros, zeros, zeros)
     start = time.perf_counter()
-    with pytest.raises(RegionSizeError, match=r"3\^100000 - 1 cuts exceed work budget"):
+    with pytest.raises(RegionSizeError, match="the 200000 or more tests of a 200000-session walk exceed work budget"):
         enumerate_integral_region(net)
     assert time.perf_counter() - start < 1.0
-    # A box too large for the budget on its own, refused before it is built.
+    # A region far past the budget: the walk runs out of it.
     big = (10**40,)
-    with pytest.raises(RegionSizeError, match="cells of a 2-session box exceed work budget"):
+    start = time.perf_counter()
+    with pytest.raises(RegionSizeError, match="tests of a 2-session walk exceed work budget"):
         enumerate_integral_region(DetNetwork(big, big, big, big))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_enumerate_beyond_int64():
+    # Q = 10**19 does not fit an int64: the numpy box walk raised OverflowError.
+    mode = HalfDuplex(Fraction(1, 10**19))
+    net = DetNetwork((2 * 10**19,), (1,), (10**19,), (2 * 10**19,))
+    assert enumerate_integral_region(net, mode) == [(0, 0), (1, 0), (2, 0)]
+    big = (10**19,)
+    assert enumerate_integral_region(DetNetwork(big, big, big, big), mode) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_non_member_cut_listing_is_budgeted():
+    # M per cut: the 3^9 - 1 cuts of M = 9 fit, those of M = 10 do not.
+    assert len(enumerate_cuts(9)) == 3**9 - 1
+    with pytest.raises(RegionSizeError, match=r"the 3\^10 - 1 cuts to list exceed work budget"):
+        enumerate_cuts(10)
+    # Listing the 3^14 - 1 cuts a non-member violates used to take about 90 s.
+    zeros = (0,) * 14
+    net = DetNetwork(zeros, zeros, zeros, zeros)
+    rates = (1,) + (0,) * 27
+    for call in (in_det_cutset, divide_and_conquer):
+        start = time.perf_counter()
+        with pytest.raises(RegionSizeError, match=r"the 3\^14 - 1 cuts to list exceed work budget"):
+            call(net, rates)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_half_duplex():
@@ -204,9 +238,6 @@ def test_enumerate_half_duplex():
 
 
 def test_enumerate_half_duplex_matches_scalar_oracle():
-    import numpy as np
-    from itertools import product
-
     rng = np.random.default_rng(60)
     deltas = [Fraction(2, 5), Fraction(5, 7), Fraction(1, 6), Fraction(3, 4)]
     cut_below_box = 0
@@ -217,14 +248,27 @@ def test_enumerate_half_duplex_matches_scalar_oracle():
         )
         mode = HalfDuplex(deltas[int(rng.integers(0, len(deltas)))])
         fast = enumerate_integral_region(net, mode)
-        caps = directed_rate_caps(net, mode)
-        box = list(product(*(range(c + 1) for c in caps)))
-        slow = [t for t in box if in_det_cutset(net, t, mode).member]
+        slow = reference_region(net, mode)
         assert fast == slow
-        cut_below_box += len(slow) < len(box)
+        cut_below_box += len(slow) < math.prod(c + 1 for c in directed_rate_caps(net, mode))
     # The comparison only tells something where a two-pair bound cuts the
     # region below its box of per-direction caps.
     assert cut_below_box >= 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.one_of(
+        st.just(FullDuplex()),
+        st.sampled_from([Fraction(1, 2), Fraction(2, 5), Fraction(5, 7), Fraction(1, 6)]).map(HalfDuplex),
+    ),
+    st.data(),
+)
+def test_region_walk_matches_box_reference(pairs, mode, data):
+    gain_lists = st.lists(st.integers(0, 6), min_size=pairs, max_size=pairs).map(tuple)
+    net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
+    assert enumerate_integral_region(net, mode) == reference_region(net, mode)
 
 
 gains = st.tuples(st.integers(0, 5), st.integers(0, 5))

@@ -205,6 +205,27 @@ def test_one_integer_rule():
         assert _integer_rule_uses(planted, "m") == [use], planted
 
 
+def _numpy_imports(source: str) -> list[str]:
+    """Each module name from the numpy package that an import names."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] == "numpy"]
+
+
+def test_exact_side_imports_no_numpy():
+    # The deterministic side computes in Python ints and Fractions, which
+    # grow where numpy's fixed-width integers would wrap or refuse.
+    package = Path(relaycap.__file__).parent
+    for module in ("cutset", "scheduler", "detnet"):
+        assert _numpy_imports((package / f"{module}.py").read_text()) == [], module
+    for planted in ("import numpy as np", "def f():\n    from numpy.linalg import norm"):
+        assert _numpy_imports(planted), planted
+
+
 def test_gain_validation():
     with pytest.raises(InvalidGainError):
         DetNetwork((-1,), (0,), (0,), (0,))
