@@ -12,10 +12,11 @@ Gaussian codeword and a lattice codeword whose receive power matches the
 partner's lattice codeword, so the relay can decode the lattice sum.
 Sorting the users by receive strength leaves three uplink and three
 downlink configurations.  Each configuration's successive-cancellation
-chain is written once, in `_UPLINK_CHAINS` or `_DOWNLINK_CHAINS`: the
-power allocators walk it bottom-up, spending exactly the power each
-stream's rate requires given the interference still standing under it,
-and the decoding-rate checks walk the same stages.
+chain is written once, in `_UPLINK_CHAINS` or `_DOWNLINK_CHAINS`, as
+stages of a stream and the receivers that decode it (the uplink's one
+receiver is the relay, at SNR 1).  One walker, `_walk`, spends bottom-up
+exactly the power each stream's rate requires given the interference still
+standing under it, and one checker, `_chain_checks`, walks the same stages.
 
 Rates and magnitudes are indexed by session in the order (A1, B1, A2, B2)
 (session A1 carries A1's message to B1): see `GaussNetwork.uplink` and
@@ -47,7 +48,6 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -205,10 +205,10 @@ _FAMILIES = (
 # and min(a, b) are `_max` and `_min`, which keep its pick on ties, NaN and
 # signed zero (a plain np.min or np.max only where every input is finite and
 # never -0.0 by validation); and every log and every `**` is Python's own
-# call, entry by entry (`_capacity`, `_lattice_cap`, `_pow`), since numpy's
-# differ from libm's in the last bit.  A value two formulas share exactly is
-# computed once: C(max(a, b) P) is whichever of C(a P) and C(b P) max picks,
-# and the single-family terms of both bounds are one formula.
+# call, entry by entry through `_each` (`_capacity` and `_lattice_cap` too),
+# since numpy's differ from libm's in the last bit.  A value two formulas
+# share exactly is computed once: C(max(a, b) P) is whichever of C(a P) and
+# C(b P) max picks, and the single-family terms of both bounds are one formula.
 
 # Python's float arithmetic overflows to inf without a warning.
 _quiet = np.errstate(over="ignore", invalid="ignore")
@@ -247,13 +247,6 @@ def _fold(pick, columns):
 def _each(fn, x: np.ndarray) -> np.ndarray:
     """The Python call ``fn`` on each entry."""
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _pow(base, exponent):
-    """``base ** exponent`` through Python's float pow, per entry of an array."""
-    if isinstance(base, np.ndarray):
-        return np.fromiter(map(pow, base.ravel().tolist(), repeat(exponent)), float, base.size).reshape(base.shape)
-    return np.fromiter(map(pow, repeat(base), exponent.ravel().tolist()), float, exponent.size).reshape(exponent.shape)
 
 
 def _capacity(x: np.ndarray) -> np.ndarray:
@@ -313,8 +306,8 @@ def _family_terms(up, down, p, restricted: bool, terms=None) -> np.ndarray:
         terms = _min(*_hop_terms(up, down, p))
     if restricted:
         return terms
-    down2 = down * down
-    caps = _capacity(np.concatenate([_pow(up[_PAIR_S] + up[_PAIR_T], 2) * p, (down2[_PAIR_S] + down2[_PAIR_T]) * p]))
+    sum2, down2 = _each(lambda x: x ** 2, up[_PAIR_S] + up[_PAIR_T]), down * down
+    caps = _capacity(np.concatenate([sum2 * p, (down2[_PAIR_S] + down2[_PAIR_T]) * p]))
     return np.concatenate([terms[:4], _min(caps[:4], caps[4:])])
 
 
@@ -586,6 +579,39 @@ def _by_case(case: np.ndarray):
             yield c, np.flatnonzero(mask)
 
 
+def _walk(chains, case, need, g) -> np.ndarray:
+    """Each stream's power for each trial's case, walking its chain in
+    ``chains`` from the bottom: a stream needs ``need`` (1 + g q) / g at a
+    receiver of SNR row g under interference q, and its worst receiver binds."""
+    power = np.zeros(need.shape)
+    for c, rows in _by_case(case):
+        n, gc, pc = need[:, rows], g[:, rows], [np.zeros(len(rows))] * len(need)
+        for stream, receivers in chains[c]:
+            if len(receivers) == 1:  # the closed form's association, bit for bit
+                ((k, under),) = receivers
+                pc[stream] = n[stream] * (1.0 + gc[k] * under(pc)) / gc[k]
+            else:
+                pc[stream] = n[stream] * _fold(_max, [(1.0 + gc[k] * under(pc)) / gc[k] for k, under in receivers])
+        power[:, rows] = pc
+    return power
+
+
+def _chain_checks(chains, checks, case, power, g, rates):
+    """Each trial's decoding checks, ``checks[case]``, per case present:
+    its trials' positions and (name, lhs, rhs) columns.  A check sums its
+    streams' rates and powers p, and takes the least cap(g p / (1 + g q))
+    over the receivers of its first stream's stage, as min() picks it."""
+    for c, rows in _by_case(case):
+        pc, gc, rc = power[:, rows], g[:, rows], rates[:, rows]
+        receivers = dict(chains[c])
+        out = []
+        for name, streams, cap in checks[c]:
+            p = _fold(np.add, [pc[s] for s in streams])
+            caps = [cap(_divide(gc[k] * p, 1.0 + gc[k] * under(pc))) for k, under in receivers[streams[0]]]
+            out.append((name, _fold(np.add, [rc[s] for s in streams]), _fold(_min, caps)))
+        yield rows, out
+
+
 # --- Uplink ------------------------------------------------------------------
 
 
@@ -641,62 +667,71 @@ _BACKOFFS = {direction: np.array([[backoff] for _, _, backoff in rows]) for dire
 
 
 # The uplink cancellation chains, bottom stage first; the relay decodes
-# from the top.  A stage is a stream and the noise plus interference still
-# undecoded beneath it, from the received powers alpha * |h|^2 P: G1 and G2
-# of the Gaussian codewords, T and W of each lattice codeword of pairs 1
-# and 2 (a lattice sum arrives at twice that).  Cases II and III end in one
-# MAC stage that decodes both Gaussian codewords jointly.
+# from the top.  It is the one receiver, `_RELAY`, at SNR 1, so the powers
+# are the received ones, alpha * |h|^2 P: G1 and G2 of the Gaussian
+# codewords, T and W of each lattice codeword of pairs 1 and 2 (a lattice
+# sum arrives at twice that).  Cases II and III decode both Gaussian
+# codewords jointly (a MAC): two stages under one interference.
 _G1, _T, _G2, _W = range(4)
+_RELAY = 0
 _UPLINK_CHAINS = {
     "I": (
-        (_W, lambda G1, T, G2, W: 1.0),
-        (_G2, lambda G1, T, G2, W: 2.0 * W + 1.0),
-        (_T, lambda G1, T, G2, W: G2 + 2.0 * W + 1.0),
-        (_G1, lambda G1, T, G2, W: 2.0 * T + G2 + 2.0 * W + 1.0),
+        (_W, ((_RELAY, lambda q: 0.0),)),
+        (_G2, ((_RELAY, lambda q: 2.0 * q[_W]),)),
+        (_T, ((_RELAY, lambda q: q[_G2] + 2.0 * q[_W]),)),
+        (_G1, ((_RELAY, lambda q: 2.0 * q[_T] + q[_G2] + 2.0 * q[_W]),)),
     ),
     "II": (
-        (_W, lambda G1, T, G2, W: 1.0),
-        (_T, lambda G1, T, G2, W: 2.0 * W + 1.0),
-        ("MAC", lambda G1, T, G2, W: 2.0 * T + 2.0 * W + 1.0),
+        (_W, ((_RELAY, lambda q: 0.0),)),
+        (_T, ((_RELAY, lambda q: 2.0 * q[_W]),)),
+        (_G2, ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)),
+        (_G1, ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)),
     ),
     "III": (  # pair 2's lattice sum is decoded before pair 1's
-        (_T, lambda G1, T, G2, W: 1.0),
-        (_W, lambda G1, T, G2, W: 2.0 * T + 1.0),
-        ("MAC", lambda G1, T, G2, W: 2.0 * T + 2.0 * W + 1.0),
+        (_T, ((_RELAY, lambda q: 0.0),)),
+        (_W, ((_RELAY, lambda q: 2.0 * q[_T]),)),
+        (_G2, ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)),
+        (_G1, ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)),
     ),
 }
-# Each uplink stream's decoding check and its rate limit.
-_UPLINK_STREAMS = (
-    ("decode x_A1 gaussian", _capacity),
-    ("decode pair-1 lattice sum", _lattice_cap),
-    ("decode x_A2 gaussian", _capacity),
-    ("decode pair-2 lattice sum", _lattice_cap),
-)
+# Each case's uplink checks, in decoding order: a MAC's sum after its two single-user checks.
+_UPLINK_CHECKS = {
+    "I": (
+        ("decode x_A1 gaussian", (_G1,), _capacity),
+        ("decode pair-1 lattice sum", (_T,), _lattice_cap),
+        ("decode x_A2 gaussian", (_G2,), _capacity),
+        ("decode pair-2 lattice sum", (_W,), _lattice_cap),
+    ),
+    "II": (
+        ("decode x_A1 gaussian (MAC)", (_G1,), _capacity),
+        ("decode x_A2 gaussian (MAC)", (_G2,), _capacity),
+        ("gaussian MAC sum", (_G1, _G2), _capacity),
+        ("decode pair-1 lattice sum", (_T,), _lattice_cap),
+        ("decode pair-2 lattice sum", (_W,), _lattice_cap),
+    ),
+    "III": (
+        ("decode x_A1 gaussian (MAC)", (_G1,), _capacity),
+        ("decode x_A2 gaussian (MAC)", (_G2,), _capacity),
+        ("gaussian MAC sum", (_G1, _G2), _capacity),
+        ("decode pair-2 lattice sum", (_W,), _lattice_cap),
+        ("decode pair-1 lattice sum", (_T,), _lattice_cap),
+    ),
+}
 
 
 def _walk_uplink(mags, snr, r) -> _Splits:
     """The uplink power splits of each trial's case, walking its chain in
     `_UPLINK_CHAINS` from the bottom."""
     case = classify_case(mags, "uplink")
-    powers = _pow(2.0, r)
+    powers = _each(functools.partial(pow, 2.0), r)
     u, s, v, w = powers
 
-    # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.
+    # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.  In a MAC, x_A1's
+    # single-user and sum-rate constraints each demand a power; the larger binds.
     need = powers.copy()
     need[0::2] = powers[0::2] / powers[1::2] - 1.0
-    q = np.zeros((4, len(case)))
-    for c, rows in _by_case(case):
-        n, qc = need[:, rows], [np.zeros(len(rows))] * 4
-        for stream, noise in _UPLINK_CHAINS[c]:
-            den = noise(*qc)
-            if stream == "MAC":
-                # x_A1's single-user and sum-rate constraints each demand a power; the larger binds.
-                qc[_G2] = n[_G2] * den
-                sum_rate = (u[rows] * v[rows]) / (s[rows] * w[rows]) - v[rows] / w[rows]
-                qc[_G1] = _max(n[_G1], sum_rate) * den
-            else:
-                qc[stream] = n[stream] * den
-        q[:, rows] = qc
+    need[_G1] = np.where(case == "I", need[_G1], _max(need[_G1], (u * v) / (s * w) - v / w))
+    q = _walk(_UPLINK_CHAINS, case, need, np.ones((1, len(case))))
     # G1 / x1, T / x1, G2 / x3, W / x3, T / x2, W / x4
     alpha = q[[_G1, _T, _G2, _W, _T, _W]] / snr[[0, 0, 2, 2, 1, 3]]
     return _Splits(case, alpha, np.concatenate([r[0::2] - r[1::2], r[1::2]]))
@@ -736,32 +771,16 @@ def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
 
 
 def _uplink_checks(mags, snr, splits: _Splits):
-    """Every decoding inequality of each trial's case, in decoding order
-    (the case's chain from the top): per case present, its trials'
-    positions and (name, lhs, rhs) columns.  ``snr`` are the hop's |h|^2 P."""
+    """`_chain_checks` of each trial's case in `_UPLINK_CHECKS`, at the
+    relay.  ``snr`` are the hop's |h|^2 P."""
     expected = classify_case(mags, "uplink")
     wrong = expected != splits.case
     if wrong.any():
         i = wrong.argmax()
         raise ValueError(f"allocation is for case {splits.case[i]}, network classifies as {expected[i]}")
     q = splits.alpha[[0, 4, 2, 5]] * snr  # received powers of G1, T, G2, W
-    rates = splits.rates[[0, 2, 1, 3]]
-
-    for c, rows in _by_case(splits.case):
-        qc, rc = q[:, rows], rates[:, rows]
-        checks = []
-        for stream, noise in reversed(_UPLINK_CHAINS[c]):
-            den = noise(*qc)
-            if stream == "MAC":
-                checks += (
-                    ("decode x_A1 gaussian (MAC)", rc[_G1], _capacity(_divide(qc[_G1], den))),
-                    ("decode x_A2 gaussian (MAC)", rc[_G2], _capacity(_divide(qc[_G2], den))),
-                    ("gaussian MAC sum", rc[_G1] + rc[_G2], _capacity(_divide(qc[_G1] + qc[_G2], den))),
-                )
-            else:
-                name, cap = _UPLINK_STREAMS[stream]
-                checks.append((name, rc[stream], cap(_divide(qc[stream], den))))
-        yield rows, checks
+    ones = np.ones((1, len(splits.case)))
+    return _chain_checks(_UPLINK_CHAINS, _UPLINK_CHECKS, splits.case, q, ones, splits.rates[[0, 2, 1, 3]])
 
 
 def _single_checks(groups) -> tuple[ConstraintCheck, ...]:
@@ -838,9 +857,13 @@ _DOWNLINK_CHAINS = {
                     (_A2, lambda p: p[0] + p[3]))),
     ),
 }
-# Each downlink stream's check name, and the order the checks come in.
-_DOWNLINK_STREAMS = ("pair-1 solo stream", "pair-1 shared stream", "pair-2 solo stream", "pair-2 shared stream")
-_DOWNLINK_CHECK_ORDER = (_SHARED1, _SHARED2, _SOLO1, _SOLO2)
+# Each case's downlink checks: each stream's rate against its worst receiver, shared streams first.
+_DOWNLINK_CHECKS = dict.fromkeys(_CASES, (
+    ("pair-1 shared stream", (_SHARED1,), _capacity),
+    ("pair-2 shared stream", (_SHARED2,), _capacity),
+    ("pair-1 solo stream", (_SOLO1,), _capacity),
+    ("pair-2 solo stream", (_SOLO2,), _capacity),
+))
 
 
 def _walk_downlink(mags, snr, r) -> _Splits:
@@ -851,22 +874,12 @@ def _walk_downlink(mags, snr, r) -> _Splits:
     r, mags, snr = _swap_pairs(np.stack([r, mags, snr]), swapped)
     case = classify_case(mags, "downlink")
 
-    powers = _pow(2.0, r)
+    powers = _each(functools.partial(pow, 2.0), r)
     need = powers - 1.0
     need[0::2] = powers[0::2] / powers[1::2] - 1.0
-    alpha = np.zeros((4, len(case)))
-    for c, rows in _by_case(case):
-        n, g, pc = need[:, rows], snr[:, rows], [np.zeros(len(rows))] * 4
-        for stream, receivers in _DOWNLINK_CHAINS[c]:
-            if len(receivers) == 1:  # the closed form's association, bit for bit
-                ((k, under),) = receivers
-                pc[stream] = n[stream] * (1.0 + g[k] * under(pc)) / g[k]
-            else:
-                pc[stream] = n[stream] * _fold(_max, [(1.0 + g[k] * under(pc)) / g[k] for k, under in receivers])
-        alpha[:, rows] = pc
     rates = r.copy()
     rates[0::2] = r[0::2] - r[1::2]
-    return _Splits(case, alpha, rates, swapped)
+    return _Splits(case, _walk(_DOWNLINK_CHAINS, case, need, snr), rates, swapped)
 
 
 def _downlink_allocation(splits: _Splits, i: int) -> DownlinkAllocation:
@@ -900,25 +913,12 @@ def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocati
 
 
 def _downlink_checks(mags, snr, splits: _Splits):
-    """Every broadcast decoding inequality of each trial's case: each
-    stream's rate against its worst receiver in the case's chain.  Per case
-    present, its trials' positions and (name, lhs, rhs) columns.  ``snr``
-    are the hop's |h|^2 P."""
+    """`_chain_checks` of each trial's case in `_DOWNLINK_CHECKS`, with the
+    pairs as its chain takes them.  ``snr`` are the hop's |h|^2 P."""
     mags, snr = _swap_pairs(np.stack([mags, snr]), splits.swapped)
     if np.any(classify_case(mags, "downlink") != splits.case):
         raise ValueError("allocation case does not match the network ordering")
-
-    for c, rows in _by_case(splits.case):
-        pc, g, rates = splits.alpha[:, rows], snr[:, rows], splits.rates[:, rows]
-        receivers = dict(_DOWNLINK_CHAINS[c])
-        checks = []
-        for stream in _DOWNLINK_CHECK_ORDER:
-            rhs = None  # the smallest capacity over the receivers, as min() picks it
-            for k, under in receivers[stream]:
-                cap = _capacity(_divide(g[k] * pc[stream], 1.0 + g[k] * under(pc)))
-                rhs = cap if rhs is None else _min(rhs, cap)
-            checks.append((_DOWNLINK_STREAMS[stream], rates[stream], rhs))
-        yield rows, checks
+    return _chain_checks(_DOWNLINK_CHAINS, _DOWNLINK_CHECKS, splits.case, splits.alpha, snr, splits.rates)
 
 
 @_quiet

@@ -500,6 +500,59 @@ def test_schedule_simulation_refuses_an_unbuildable_frame(tmp_path, capsys):
     assert err.startswith(f"error: frames of {10**30} bits")
 
 
+_NO_N_RB = {k: v for k, v in REF_NET.items() if k != "n_rb"}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("not json", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ("[1, 2]", "expected a JSON object"),
+        (json.dumps(_NO_N_RB), "bad deterministic network fields ('n_rb')"),
+        (json.dumps({**REF_NET, "pairs": 3}), "gain arrays must each hold 3 entries"),
+        (json.dumps({**REF_NET, "delta": "1/3"}), "'delta' only applies to half duplex"),
+        (json.dumps({**REF_NET, "duplex": "half"}), "half duplex requires 'delta'"),
+        (json.dumps({**REF_NET, "duplex": "half", "delta": "3/2"}),
+         "listen fraction must lie strictly in (0,1), got 3/2"),
+        (json.dumps({**REF_NET, "duplex": "quarter"}), "duplex must be 'full' or 'half', got 'quarter'"),
+        (json.dumps({**GAUSS, "mystery": 1}), "unknown fields ['mystery']"),
+        (json.dumps({**GAUSS, "kind": "quantum"}), "kind must be 'deterministic' or 'gaussian', got 'quantum'"),
+    ],
+    ids=["invalid-json", "non-object", "missing-field", "short-arrays", "delta-in-full-duplex",
+         "half-duplex-without-delta", "delta-three-halves", "bad-duplex", "unknown-gaussian-field", "bad-kind"],
+)
+def test_each_file_refusal_exits_2_with_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "n.json"
+    path.write_text(text)
+    code, doc, err = run(capsys, "region", str(path), "--rates", "1,1,1,1")
+    assert (code, doc, err) == (EXIT_INPUT, None, f"error: {path}: {message}\n")
+
+
+def test_an_unreadable_file_exits_2_with_its_line(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code, doc, err = run(capsys, "region", str(path), "--rates", "1,1,1,1")
+    assert (code, doc) == (EXIT_INPUT, None)
+    assert err == f"error: cannot read {path}: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["schedule", "{gauss}", "--rates", "1,1,1,1"], "schedule requires a deterministic network"),
+        (["schedule", "{half}", "--rates", "1,0,0,0", "--chunked"], "--chunked applies to full-duplex networks only"),
+        (["gauss-verify", "{det}", "--rates", "4,4,4,4"], "gauss-verify requires a gaussian network"),
+        (["region", "{gauss}", "--rates", "x,4,4,4"],
+         "gaussian rates must be decimals: could not convert string to float: 'x'"),
+    ],
+    ids=["schedule-gaussian", "chunked-half-duplex", "gauss-verify-deterministic", "gaussian-rate-x"],
+)
+def test_each_command_refusal_exits_2_with_its_line(tmp_path, det_file, gauss_file, capsys, argv, message):
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({**REF_NET, "duplex": "half", "delta": "1/2"}))
+    code, doc, err = run(capsys, *(a.format(det=det_file, gauss=gauss_file, half=half) for a in argv))
+    assert (code, doc, err) == (EXIT_INPUT, None, f"error: {message}\n")
+
+
 # Gaussian networks whose reports together cover uplink and downlink cases
 # I, II and III, side swaps, a pair swap, clamps, the downlink's internal
 # pair swap and a failed uplink allocation.

@@ -226,6 +226,56 @@ def test_exact_side_imports_no_numpy():
         assert _numpy_imports(planted), planted
 
 
+def _defined_names(stmt) -> set[str]:
+    """The module-level names one top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return {node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each module-level underscore name of ``sources``
+    (module name -> source of one package module) that no statement but its
+    own definition reads: by name in its module, by a relative from-import,
+    or as an attribute of a module of the package imported by name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        siblings = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+        }
+        for stmt in tree.body:
+            own = _defined_names(stmt)
+            defined += [(module, name) for name in sorted(own) if name.startswith("_") and not name.endswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
+                    read.add((module, node.id))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    read.update((node.module, alias.name) for alias in node.names)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in siblings:
+                    read.add((siblings[node.value.id], node.attr))
+    return [f"{module}.{name}" for module, name in defined if (module, name) not in read]
+
+
+def test_every_private_module_name_is_read():
+    # A table or helper the package no longer reads is a leftover of a
+    # refactor, kept alive only by its own definition or by tests.
+    package = Path(relaycap.__file__).parent
+    assert _unread_private_names({path.stem: path.read_text() for path in sorted(package.glob("*.py"))}) == []
+    for planted, unread in (
+        ({"m": "_A, _B = 1, 2\nx = _A"}, ["m._B"]),
+        ({"m": "def _f(n):\n    return _f(n - 1)"}, ["m._f"]),  # a self-call is no reader
+        ({"m": "class _C:\n    pass", "n": "from .m import _C"}, []),
+        ({"m": "_T: int = 1", "n": "from . import m\nx = m._T"}, []),
+        ({"m": "_T = 1", "n": "import m\nx = m._T"}, ["m._T"]),  # not a package import
+    ):
+        assert _unread_private_names(planted) == unread, planted
+
+
 def test_gain_validation():
     with pytest.raises(InvalidGainError):
         DetNetwork((-1,), (0,), (0,), (0,))

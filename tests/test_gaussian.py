@@ -547,6 +547,57 @@ def test_chain_tables_match_reference(inputs):
                 assert _outcome(rate_check, net, a) == _outcome(reference_check, net, a)
 
 
+# --- the engine's refusals ----------------------------------------------------------------------
+# Each refusal's exact type and text, so that a rewrite of the chain walker
+# or checker cannot drop or reword one unnoticed.
+
+_CASE_I_NET = GaussNetwork((20.0, 6.0), (8.0, 4.0), (20.0, 20.0), (30.0, 25.0), 1.0)  # |h_B2R|^2 P = 16
+_CASE_I_RATES = (2.0, 1.0, 1.5, 1.0)
+
+
+def test_uplink_rate_check_refuses_an_allocation_of_another_case():
+    alloc = replace(uplink_allocate(_CASE_I_NET, _CASE_I_RATES), case="II")
+    with pytest.raises(ValueError, match=r"^allocation is for case II, network classifies as I$"):
+        uplink_rate_check(_CASE_I_NET, alloc)
+
+
+def test_downlink_rate_check_refuses_an_allocation_of_another_case():
+    alloc = downlink_allocate(_CASE_I_NET, _CASE_I_RATES)
+    other = replace(alloc, case=next(c for c in ("I", "II", "III") if c != alloc.case))
+    with pytest.raises(ValueError, match="^allocation case does not match the network ordering$"):
+        downlink_rate_check(_CASE_I_NET, other)
+
+
+def test_uplink_rate_check_divides_by_a_zero_noise_as_python_does():
+    # W = alpha_b2 |h_B2R|^2 P = -0.5 exactly, so x_A2's noise 2 W + 1 is 0:
+    # the checks before it pass, and its division raises.
+    alloc = replace(uplink_allocate(_CASE_I_NET, _CASE_I_RATES), alpha_b2=-0.5 / 16.0)
+    with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+        uplink_rate_check(_CASE_I_NET, alloc)
+    assert _outcome(uplink_rate_check, _CASE_I_NET, alloc) == _outcome(reference_uplink_rate_check, _CASE_I_NET, alloc)
+
+
+def test_uplink_allocate_refuses_unnormalized_rates():
+    message = r"^rates \(0\.5, 1\.0, 0\.5, 0\.0\) not normalized: each pair needs r_A >= r_B$"
+    with pytest.raises(ValueError, match=message):
+        uplink_allocate(_CASE_I_NET, (0.5, 1.0, 0.5, 0.0))
+
+
+def test_classify_case_refuses_an_unknown_direction():
+    with pytest.raises(ValueError, match="^direction must be 'uplink' or 'downlink', got 'sideways'$"):
+        classify_case((10, 5, 3, 1), "sideways")
+
+
+def test_network_refuses_a_magnitude_array_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^h_ar needs one magnitude per pair$"):
+        GaussNetwork((16.0,), (16.0, 16.0), (16.0, 16.0), (16.0, 16.0), 1.0)
+
+
+def test_sweep_config_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="^magnitude and power ranges must be non-empty$"):
+        SweepConfig(3, h_min=5.0, h_max=2.0)
+
+
 # --- outer-vs-restricted gaps ----------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from collections import Counter, defaultdict
@@ -620,11 +621,42 @@ def test_chunked_matches_inductive_construction(seed):
 
 
 def test_simulation_rejects_duplicate_levels():
-    a = LevelAssignment(0, "xor", None, 0, 2, 0, 2)
-    b = LevelAssignment(1, "xor", None, 0, 2, 0, 1)
+    # Both levels are reachable, so the refusal is the reuse check's.
+    a = LevelAssignment(0, "xor", None, 0, 1, 0, 2)
+    b = LevelAssignment(1, "xor", None, 0, 1, 0, 1)
     sched = Schedule(net=REF, slots=1, assignments=(a, b))
-    with pytest.raises(ScheduleInvalidError):
+    with pytest.raises(ScheduleInvalidError, match=r"^uplink level reused in one slot: \(0, 1\)$"):
         simulate_schedule(sched, {(0, "A"): (1,), (0, "B"): (0,), (1, "A"): (1,), (1, "B"): (1,)})
+
+
+def test_validate_rejects_a_downlink_level_reused_in_one_slot():
+    a = LevelAssignment(0, "xor", None, 0, 2, 0, 1)
+    b = LevelAssignment(1, "xor", None, 0, 1, 0, 1)
+    with pytest.raises(ScheduleInvalidError, match=r"^downlink level reused in one slot: \(0, 1\)$"):
+        validate_schedule(Schedule(net=REF, slots=1, assignments=(a, b)))
+
+
+def test_validate_accepts_one_level_in_different_slots():
+    a = LevelAssignment(0, "xor", None, 0, 1, 0, 1)
+    b = LevelAssignment(1, "xor", None, 1, 1, 1, 1)
+    validate_schedule(Schedule(net=REF, slots=2, assignments=(a, b)))
+
+
+@pytest.mark.parametrize(
+    "fields,listen,message",
+    [
+        ((2, "xor", None, 0, 1, 0, 1), None, "assignment names pair 2 of 2"),
+        ((0, "xor", None, 2, 1, 0, 1), None, "uplink slot 2 outside 0..1"),
+        ((0, "xor", None, 0, 1, -1, 1), None, "downlink slot -1 out of range"),
+        ((0, "xor", None, 1, 1, 1, 1), 1, "uplink use scheduled in a transmit slot"),
+        ((0, "xor", None, 0, 1, 0, 1), 1, "downlink use scheduled in a listen slot"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_validate_refuses_an_assignment_outside_the_schedule(fields, listen, message):
+    sched = Schedule(net=REF, slots=2, assignments=(LevelAssignment(*fields),), listen_slots=listen)
+    with pytest.raises(ScheduleInvalidError, match=f"^{re.escape(message)}$"):
+        validate_schedule(sched)
 
 
 def test_simulation_rejects_unreachable_level():
