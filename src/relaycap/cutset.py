@@ -23,10 +23,13 @@ gain b, so a cut is violated iff its rate sum exceeds up_scale * a or
 down_scale * b: the region is the intersection of two one-sided regions,
 one per hop.  `cutset_holds` tests each with one pass over the positive-rate
 sessions sorted by that hop's gain, in integers, in O(M + K log K) with
-K <= 2M sessions; see its docstring for why it is exact.  `enumerate_cuts`
-and `det_cut_bound` stay as the brute-force reference; only a non-member
-walks `enumerate_cuts`, to list its violated cuts.  Enumeration walks the
-down-closed region on `cutset_holds`, so its cost follows the region's size.
+K <= 2M sessions; see its docstring for why it is exact.  The pass itself,
+`_hop_holds`, also serves the region walk and the scheduler's re-check
+after every induction step, which sort each hop's sessions once.
+`enumerate_cuts` and `det_cut_bound` stay as the brute-force reference;
+only a non-member walks `enumerate_cuts`, to list its violated cuts.
+Enumeration walks the down-closed region on the hop passes, so its cost
+follows the region's size.
 """
 
 from __future__ import annotations
@@ -216,11 +219,29 @@ def cutset_holds(
     sum > scale * g; it last grew at a gain <= g, and the pass failed there.
     """
     live = [k for k, r in enumerate(rates) if r]
-    for gains, scale in ((uplink, up_scale), (downlink, down_scale)):
-        best = [0] * (len(rates) // 2)  # largest rate seen so far, per pair
-        total = 0
-        for k in sorted(live, key=gains.__getitem__):
-            r, i = rates[k], k // 2
+    return _hop_holds(sorted(live, key=uplink.__getitem__), uplink, rates, up_scale) and (
+        _hop_holds(sorted(live, key=downlink.__getitem__), downlink, rates, down_scale)
+    )
+
+
+def _hop_holds(order: Sequence[int], gains: Sequence[int], rates: Sequence[int], scale: int) -> bool:
+    """One hop's pass of `cutset_holds`: True iff no cut's rate sum exceeds
+    scale * (its largest gain in ``gains``).  ``order`` lists sessions in
+    non-decreasing order of ``gains``; it may hold zero-rate sessions, which
+    the pass skips.  Sessions of equal gain may come in any order: the sum
+    only grows within a run of equal gains and is compared with one bound,
+    so it exceeds that bound at some step of the run iff at its end.
+
+    So an order sorted once stays valid while the gains change by any map
+    that never reorders them.  The induction's reduction, n -> n - (n >= l),
+    is such a map (it may merge two gains, never swap them), and so is the
+    identity of a region walk over fixed gains."""
+    best = [0] * (len(rates) // 2)  # largest rate seen so far, per pair
+    total = 0
+    for k in order:
+        r = rates[k]
+        if r:
+            i = k // 2
             if r > best[i]:
                 total += r - best[i]
                 best[i] = r
@@ -263,25 +284,29 @@ def enumerate_integral_region(
     net: DetNetwork, mode: DuplexMode = FULL_DUPLEX
 ) -> list[tuple[int, ...]]:
     """Every integral rate tuple inside the cut-set region, in lexicographic
-    order.  An odometer asks `cutset_holds` about each tuple it visits; the
-    region is down-closed, so once (prefix, v, 0, ..., 0) fails, no tuple
-    with that prefix and a rate >= v next is a member: the walk carries to
-    the previous coordinate.  Each test reads the 2M sessions: RegionSizeError is raised
-    once those reads pass `READ_BUDGET`, up front when the 2M probes that
-    every walk fails would pass it."""
+    order.  An odometer asks `cutset_holds`'s two hop passes about each
+    tuple it visits, with each hop's sessions sorted once, since the gains
+    stay fixed while it walks.  The region is down-closed, so once
+    (prefix, v, 0, ..., 0) fails, no tuple with that prefix and a rate >= v
+    next is a member: the walk carries to the previous coordinate.  Each
+    test reads the 2M sessions: RegionSizeError is raised once those reads
+    pass `READ_BUDGET`, up front when the 2M probes that every walk fails
+    would pass it."""
     q, listen, transmit = _time_scales(mode, ())
     n = 2 * net.pairs
     tests = READ_BUDGET // n
     if tests < n:
         raise RegionSizeError(f"the {n} or more tests of a {n}-session walk exceed work budget {READ_BUDGET}")
+    up, down = net.uplink, net.downlink
+    up_order, down_order = sorted(range(n), key=up.__getitem__), sorted(range(n), key=down.__getitem__)
     rates = [0] * n
-    bits = [0] * n  # rates[k] * q: the bits over Q uses that cutset_holds reads
+    bits = [0] * n  # rates[k] * q: the bits over Q uses that the hop passes read
     region = [tuple(rates)]
     k = n - 1
     for _ in range(tests):
         rates[k] += 1
         bits[k] += q
-        if cutset_holds(net.uplink, net.downlink, bits, listen, transmit):
+        if _hop_holds(up_order, up, bits, listen) and _hop_holds(down_order, down, bits, transmit):
             region.append(tuple(rates))
             k = n - 1
         else:

@@ -20,8 +20,10 @@ drops by one (the removed level disappears from the frame), and the
 reduced rate tuple provably stays inside the reduced network's cut-set
 region; that invariant is re-checked at runtime on every step.
 
-Each step's levels are mapped to original-network levels as the step is
-taken, from the sorted lists of levels removed before it.
+The induction takes each step's levels directly in original-network
+levels: the level the reduced network serves a step on is, in original
+levels, the largest one at or below the step's cap that no earlier step
+took, found in a map of the levels taken so far.
 
 Every schedule is this construction run on Q channel uses: the Q uses
 concatenate into one use of the network with uplink gains scaled by the
@@ -32,15 +34,12 @@ full-duplex tuple is the case Q = 1.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
-from .cutset import (
-    Membership, Rate, RegionSizeError, cutset_holds, in_det_cutset
-)
+from .cutset import Membership, Rate, RegionSizeError, _hop_holds, in_det_cutset
 from .detnet import (
     FULL_DUPLEX,
     SIDES,
@@ -60,7 +59,7 @@ SOLO = "solo"
 # Cap on the bits any schedule serves, sum of Q times each rate (Q = 1 for
 # integral and chunked schedules); refused before any induction or packing.
 # The induction takes at most one step per bit.  At the cap, 8192 one-way
-# steps schedule in about 0.15 s for M = 1 and 0.13 s for M = 3 (2-vCPU x86
+# steps schedule in about 0.06 s for M = 1 and 0.07 s for M = 3 (2-vCPU x86
 # machine).
 STEP_BUDGET = 8192
 
@@ -109,8 +108,11 @@ class LevelAssignment:
             raise ValueError("XOR assignments carry no side; SOLO assignments need one")
         if self.kind == SOLO and self.side not in SIDES:
             raise ValueError(f"SOLO side must be 'A' or 'B', got {self.side!r}")
-        ints = self.pair, self.uplink_slot, self.uplink_level, self.downlink_slot, self.downlink_level
-        if set(map(type, ints)) != {int}:  # the slow path also stores numpy integers as int
+        if not (
+            type(self.pair) is type(self.uplink_slot) is type(self.uplink_level)
+            is type(self.downlink_slot) is type(self.downlink_level) is int
+        ):  # the slow path also stores numpy integers as int
+            ints = self.pair, self.uplink_slot, self.uplink_level, self.downlink_slot, self.downlink_level
             for name, value in zip(_INT_FIELDS, ints):
                 if not _integer(value):
                     raise ValueError(f"assignment {name} must be an integer, got {value!r}")
@@ -161,15 +163,21 @@ def _reach(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[int, i
     return up[k], down[k]
 
 
+def _refuse_step(pair: int, kind: str, side: str | None, l_u: int, l_d: int) -> NoReturn:
+    """Refuse a step whose reach (l_u, l_d) leaves it no level on a hop."""
+    step = f"pair {pair + 1} XOR" if kind == XOR else f"one-way {side}{pair + 1}"
+    raise ValueError(f"{step} step needs positive gains, have l_u={l_u}, l_d={l_d}")
+
+
 def _reduce(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[Gains, int, int]:
     """One induction step on session gain tuples: take the levels (l_u, l_d)
     that serve the bit, then remove them -- every gain at or above a removed
     level drops by one."""
     l_u, l_d = _reach(gains, pair, kind, side)
     if l_u < 1 or l_d < 1:
-        step = f"pair {pair + 1} XOR" if kind == XOR else f"one-way {side}{pair + 1}"
-        raise ValueError(f"{step} step needs positive gains, have l_u={l_u}, l_d={l_d}")
+        _refuse_step(pair, kind, side, l_u, l_d)
     up, down = gains
+    # The same removal, on original gains and levels, is inlined in `_run_induction`.
     return (tuple([n - (n >= l_u) for n in up]), tuple([n - (n >= l_d) for n in down])), l_u, l_d
 
 
@@ -200,15 +208,19 @@ def expand_time(net: DetNetwork, q: int) -> DetNetwork:
     return _network(tuple(tuple(n * q for n in g) for g in _gains(net)))
 
 
-def _original_level(removed: list[int], level: int) -> int:
-    """Original level of ``level`` in coordinates with the sorted original
-    levels ``removed`` taken out, and record it as removed.  Original level
-    x sits at x - #{r < x}, so ``level`` is ``level + k`` for the number k
-    of removed[i] with removed[i] - i <= level (non-decreasing in i); those
-    are the k removed levels below it, so it is inserted at index k."""
-    k = bisect_right(range(len(removed)), level, key=lambda i: removed[i] - i)
-    removed.insert(k, level + k)
-    return level + k
+def _take(below: dict[int, int], cap: int) -> int:
+    """Take the largest level <= ``cap`` that is not yet taken, and return
+    it; 0 when every level up to ``cap`` is taken.  ``below`` holds each
+    taken level and a level under it such that every level in between is
+    taken too; the walk down those links is compressed as it is taken."""
+    level = cap
+    while level in below:
+        level = below[level]
+    if level:
+        below[level] = level - 1
+        while cap != level:
+            below[cap], cap = level - 1, below[cap]  # the old link is read first
+    return level
 
 
 def _run_induction(
@@ -217,31 +229,62 @@ def _run_induction(
     """Serve ``rates`` bit by bit on int gain tuples, in the order planned
     once from the rates: each pair's min(R_A, R_B) XOR bits, lowest pair
     first, then each session's one-way bits left, in session order (A
-    before B).  After every step, re-checks that the remaining rates lie in
-    the reduced full-duplex region.  Returns (pair, kind, side, l_u, l_d)
-    per step, levels in the coordinates of ``gains``."""
-    plan = []  # (pair, kind, side, sessions served), one entry per step
+    before B).  Returns (pair, kind, side, l_u, l_d) per step, levels in the
+    coordinates of ``gains``.
+
+    A step serves its bit, on each hop, on the largest level at or below its
+    `_reach` cap in ``gains`` that no earlier step took: removing a level
+    and renumbering the rest, as `_reduce` does, leaves exactly the levels
+    not taken, so the cap in the reduced network lands on that level.  A
+    session's reduced gain is the number of levels at or below its gain not
+    yet taken.  After every step, re-checks that the remaining rates lie in
+    the reduced full-duplex region, with each hop's sessions sorted once: a
+    reduction never reorders gains (see `_hop_holds`)."""
+    xor_runs, solo_runs = [], []  # (pair, kind, side, sessions served, bits), none empty
     for i in range(len(rates) // 2):
-        plan += [(i, XOR, None, (2 * i, 2 * i + 1))] * min(rates[2 * i : 2 * i + 2])
-    for k, r in enumerate(rates):
-        plan += [(k // 2, SOLO, SIDES[k % 2], (k,))] * (r - min(r, rates[k ^ 1]))
+        a, b = rates[2 * i], rates[2 * i + 1]
+        both = min(a, b)
+        if both:
+            xor_runs.append((i, XOR, None, (2 * i, 2 * i + 1), both))
+        if a > both:
+            solo_runs.append((i, SOLO, "A", (2 * i,), a - both))
+        if b > both:
+            solo_runs.append((i, SOLO, "B", (2 * i + 1,), b - both))
+    up, down = gains
+    up_order = sorted(range(len(up)), key=up.__getitem__)
+    down_order = sorted(range(len(down)), key=down.__getitem__)
+    reduced_up, reduced_down = list(up), list(down)
+    taken_up: dict[int, int] = {}
+    taken_down: dict[int, int] = {}
     remaining = list(rates)
-    removed_up: list[int] = []
-    removed_down: list[int] = []
     steps = []
-    for pair, kind, side, sessions in plan:
-        gains, l_u, l_d = _reduce(gains, pair, kind, side)
-        for k in sessions:
-            remaining[k] -= 1
-        up = _original_level(removed_up, l_u)
-        down = _original_level(removed_down, l_d)
-        steps.append((pair, kind, side, up, down))
-        if not cutset_holds(*gains, remaining):
-            raise InductionInvariantError(
-                f"reduced tuple {tuple(remaining)} left the reduced region after "
-                f"step {len(steps)} ({kind} pair {pair}); this contradicts the "
-                f"induction safety proof"
-            )
+    for pair, kind, side, sessions, count in xor_runs + solo_runs:
+        cap_up, cap_down = _reach(gains, pair, kind, side)
+        for _ in range(count):
+            l_u = _take(taken_up, cap_up)
+            l_d = _take(taken_down, cap_down)
+            if not (l_u and l_d):
+                _refuse_step(pair, kind, side, *_reach((reduced_up, reduced_down), pair, kind, side))
+            # `_reduce`'s removal n -> n - (n >= l), tested on the original
+            # gains since l_u and l_d are original levels.
+            for k, g in enumerate(up):
+                if g >= l_u:
+                    reduced_up[k] -= 1
+            for k, g in enumerate(down):
+                if g >= l_d:
+                    reduced_down[k] -= 1
+            for k in sessions:
+                remaining[k] -= 1
+            steps.append((pair, kind, side, l_u, l_d))
+            if not (
+                _hop_holds(up_order, reduced_up, remaining, 1)
+                and _hop_holds(down_order, reduced_down, remaining, 1)
+            ):
+                raise InductionInvariantError(
+                    f"reduced tuple {tuple(remaining)} left the reduced region after "
+                    f"step {len(steps)} ({kind} pair {pair}); this contradicts the "
+                    f"induction safety proof"
+                )
     return steps
 
 
@@ -467,23 +510,27 @@ def simulate_schedule(
             raise ShapeError(f"message for {node} has {len(got)} bits, schedule carries {need}")
         msgs[node] = got
 
-    # Uplink: each assignment draws its message bits in consumption order; a
-    # node's bit for relay level l (bottom-up) sits at its own top-down frame
-    # index gain - l, and arrives as bit l - 1 at the relay.
+    # Uplink: each assignment draws its message bits in consumption order,
+    # one (node, session, bit) per session it serves; a node's bit for relay
+    # level l (bottom-up) sits at its own top-down frame index gain - l, and
+    # arrives as bit l - 1 at the relay.
     order = _ordered(sched.assignments)
     feeds = {node: iter(bits) for node, bits in msgs.items()}
+    nodes = [(i, s) for i in range(net.pairs) for s in SIDES]  # session k's source; k ^ 1's is its destination
     up, down = net.uplink, net.downlink
-    sent: list[dict[str, int]] = []
+    sent: list[list[tuple[NodeId, int, int]]] = []
     tx: dict[int, dict[NodeId, int]] = defaultdict(dict)
     for a in order:
-        bits = {}
+        first = 2 * a.pair  # session A_i; B_i is the next
+        served = []
         frames = tx[a.uplink_slot]
-        for side in SIDES if a.kind == XOR else (a.side,):
-            node = (a.pair, side)
-            bits[side] = bit = next(feeds[node])
-            shift = q_up - 1 - up[2 * a.pair + SIDES.index(side)] + a.uplink_level
-            frames[node] = frames.get(node, 0) | bit << shift
-        sent.append(bits)
+        top = q_up - 1 + a.uplink_level
+        for k in (first, first + 1) if a.kind == XOR else (first + (a.side == "B"),):
+            node = nodes[k]
+            bit = next(feeds[node])
+            frames[node] = frames.get(node, 0) | bit << (top - up[k])
+            served.append((node, k, bit))
+        sent.append(served)
     received = {slot: relay_uplink_receive(net, frames) for slot, frames in tx.items()}
 
     # Relay permute-and-forward: downlink level l (top-down) is bit
@@ -494,21 +541,20 @@ def simulate_schedule(
         relay_frames[a.downlink_slot] |= bit << (q_down - a.downlink_level)
 
     # Each destination decodes from what it hears, one frame per (downlink
-    # slot, node): a destination with downlink gain g finds level l at bit
-    # g - l.  Decoded bits are reassembled in the order they were consumed.
-    heard: dict[tuple[int, int, str], int] = {}
+    # slot, session): a destination with downlink gain g finds level l at
+    # bit g - l.  Decoded bits are reassembled in the order they were consumed.
+    heard: dict[tuple[int, int], int] = {}
     out: dict[NodeId, list[int]] = {node: [] for node in msgs}
-    for a, bits in zip(order, sent):
-        for side in bits:
-            dst = "B" if side == "A" else "A"
-            key = (a.downlink_slot, a.pair, dst)
-            frame = heard.get(key)
+    for a, served in zip(order, sent):
+        slot, level, xor = a.downlink_slot, a.downlink_level, a.kind == XOR
+        for node, k, _ in served:
+            frame = heard.get((slot, k))
             if frame is None:
-                frame = heard[key] = node_downlink_receive(net, relay_frames[a.downlink_slot], a.pair, dst)
-            got = frame >> (down[2 * a.pair + SIDES.index(side)] - a.downlink_level) & 1
-            if a.kind == XOR:
-                got ^= bits[dst]  # own bit cancels out of the XOR
-            out[(a.pair, side)].append(got)
+                frame = heard[slot, k] = node_downlink_receive(net, relay_frames[slot], *nodes[k ^ 1])
+            got = frame >> (down[k] - level) & 1
+            if xor:
+                got ^= served[(k & 1) ^ 1][2]  # the destination's own bit cancels out of the XOR
+            out[node].append(got)
 
     decoded = {node: tuple(bits) for node, bits in out.items()}
     return SimulationResult(ok=decoded == msgs, decoded=decoded)

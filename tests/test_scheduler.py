@@ -35,11 +35,10 @@ from relaycap import (
     validate_schedule,
 )
 from relaycap import FullDuplex, enumerate_cuts, scheduler
-from relaycap.cutset import _cut_gains, _time_scales, cutset_holds, directed_rate_caps
+from relaycap.cutset import _cut_gains, _hop_holds, _time_scales, cutset_holds, directed_rate_caps
 from relaycap.detnet import SIDES, NodeId, node_downlink_receive, relay_uplink_receive
 from relaycap.scheduler import (
-    SOLO, XOR, SimulationResult, _gains, _network, _ordered, _original_level, _reach, _reduce,
-    _run_induction,
+    SOLO, XOR, SimulationResult, _gains, _network, _ordered, _reach, _reduce, _run_induction, _take,
 )
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
@@ -321,6 +320,82 @@ def test_induction_rechecks_region_after_each_step():
         _run_induction(_gains(REF), [4, 0, 0, 0])
 
 
+def reference_induction(net, rates):
+    """`_run_induction` as it was on networks: serve the same plan of steps
+    with the public reductions, map the reduced levels back with
+    `quadratic_replay` and re-check the rates left with `cutset_holds`
+    after every step."""
+    plan = []
+    for i in range(net.pairs):
+        plan += [(i, XOR, None)] * min(rates[2 * i], rates[2 * i + 1])
+    for k, r in enumerate(rates):
+        plan += [(k // 2, SOLO, SIDES[k % 2])] * (r - min(r, rates[k ^ 1]))
+    remaining = list(rates)
+    steps = []
+    for pair, kind, side in plan:
+        if kind == XOR:
+            net, l_u, l_d = reduce_pair_bidirectional(net, pair)
+            remaining[2 * pair] -= 1
+            remaining[2 * pair + 1] -= 1
+        else:
+            net, l_u, l_d = reduce_pair_oneway(net, pair, side)
+            remaining[2 * pair + SIDES.index(side)] -= 1
+        steps.append(SimpleNamespace(pair=pair, kind=kind, side=side, l_u=l_u, l_d=l_d))
+        if not cutset_holds(net.uplink, net.downlink, remaining):
+            raise InductionInvariantError(
+                f"reduced tuple {tuple(remaining)} left the reduced region after "
+                f"step {len(steps)} ({kind} pair {pair}); this contradicts the "
+                f"induction safety proof"
+            )
+    return [(s.pair, s.kind, s.side, l_u, l_d) for s, l_u, l_d in quadratic_replay(steps)]
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # the exception type and message are the outcome
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 1)]), st.booleans(), st.data())
+def test_induction_matches_reference_on_networks(pairs, scales, outside, data):
+    # The digest reaches Q > 1 only with halved maximal tuples; here every
+    # tuple of the scaled region can be drawn, and, with ``outside``, one a
+    # unit above it, whose refusal (a step without a level, or a failed
+    # re-check) must match too.
+    listen, transmit = scales
+    gain_lists = st.lists(st.integers(0, 8), min_size=pairs, max_size=pairs).map(tuple)
+    net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
+    gains = tuple(n * listen for n in net.uplink), tuple(n * transmit for n in net.downlink)
+    scaled = _network(gains)
+    rates = [data.draw(st.integers(0, min(u, d))) for u, d in zip(*gains)]
+    while not cutset_holds(*gains, rates):
+        rates[rates.index(max(rates))] -= 1
+    if outside:
+        rates[data.draw(st.integers(0, 2 * pairs - 1))] += 1
+    assert _outcome(_run_induction, gains, rates) == _outcome(reference_induction, scaled, rates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_an_order_sorted_once_stays_valid_under_reductions(pairs, up_scale, down_scale, data):
+    # The induction sorts each hop's sessions once and re-checks every
+    # step on that order; a reduction maps n to n - (n >= l) on each hop.
+    gain_lists = st.lists(st.integers(0, 9), min_size=2 * pairs, max_size=2 * pairs)
+    up, down = data.draw(gain_lists), data.draw(gain_lists)
+    up_order = sorted(range(2 * pairs), key=up.__getitem__)
+    down_order = sorted(range(2 * pairs), key=down.__getitem__)
+    levels = st.tuples(st.integers(1, 10), st.integers(1, 10))
+    for l_u, l_d in data.draw(st.lists(levels, min_size=1, max_size=6)):
+        up = [n - (n >= l_u) for n in up]
+        down = [n - (n >= l_d) for n in down]
+        rates = data.draw(st.lists(st.integers(0, 9), min_size=2 * pairs, max_size=2 * pairs))
+        holds = _hop_holds(up_order, up, rates, up_scale) and _hop_holds(down_order, down, rates, down_scale)
+        assert holds == cutset_holds(up, down, rates, up_scale, down_scale)
+        assert holds == reference_cutset_holds(_network((up, down)), rates, up_scale, down_scale)
+
+
 def test_fractional_rates_rejected_by_integral_path():
     with pytest.raises(ValueError):
         divide_and_conquer(REF, (Fraction(1, 2), 0, 0, 0))
@@ -523,17 +598,45 @@ def quadratic_replay(steps):
     return out
 
 
-@given(st.lists(st.tuples(st.integers(1, 24), st.integers(1, 24)), max_size=80))
-def test_replay_matches_quadratic_undo(levels):
-    # The induction maps each step's levels with `_original_level` as it
-    # takes the step, one sorted list of removed levels per direction.
-    steps = [SimpleNamespace(l_u=l_u, l_d=l_d) for l_u, l_d in levels]
-    removed_up, removed_down = [], []
-    mapped = [
-        (s, _original_level(removed_up, s.l_u), _original_level(removed_down, s.l_d))
-        for s in steps
-    ]
-    assert mapped == quadratic_replay(steps)
+def free_level(taken, cap):
+    """The highest level <= cap not in ``taken``, by scanning; 0 if none."""
+    return max((level for level in range(1, cap + 1) if level not in taken), default=0)
+
+
+STEP_KINDS = ((XOR, None), (SOLO, "A"), (SOLO, "B"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 24), max_size=80), st.integers(1, 3), st.data())
+def test_replay_matches_quadratic_undo(caps, pairs, data):
+    # `_take` returns the highest level at or below the cap not yet taken,
+    # 0 when none is free, as a scan of the taken set does.
+    below, taken = {}, set()
+    for cap in caps:
+        level = free_level(taken, cap)
+        assert _take(below, cap) == level
+        taken.add(level)
+    # The induction takes each step's levels with `_take`, from the step's
+    # `_reach` caps on the original gains.  The `_reduce` chain takes them in
+    # reduced coordinates instead; undoing its removals must give the same
+    # levels, and `_take` must find no free level exactly where `_reduce`
+    # refuses the step.
+    gain_lists = st.lists(st.integers(0, 12), min_size=2 * pairs, max_size=2 * pairs).map(tuple)
+    original = gains = data.draw(gain_lists), data.draw(gain_lists)
+    steps = st.tuples(st.integers(0, pairs - 1), st.sampled_from(STEP_KINDS))
+    below_up, below_down = {}, {}
+    reduced, took = [], []
+    for pair, (kind, side) in data.draw(st.lists(steps, max_size=40)):
+        cap_up, cap_down = _reach(original, pair, kind, side)
+        levels = _take(below_up, cap_up), _take(below_down, cap_down)
+        try:
+            gains, l_u, l_d = _reduce(gains, pair, kind, side)
+        except ValueError:
+            assert 0 in levels
+            break
+        reduced.append(SimpleNamespace(l_u=l_u, l_d=l_d))
+        took.append(levels)
+    assert [(l_u, l_d) for _, l_u, l_d in quadratic_replay(reduced)] == took
 
 
 def test_every_scheduler_is_budgeted():
