@@ -35,7 +35,6 @@ from . import gaussian, scheduler
 from .cutset import RegionSizeError, enumerate_integral_region, in_det_cutset
 from .detnet import FULL_DUPLEX, DetNetwork, HalfDuplex
 from .gaussian import (
-    AllocationInvalidError,
     GaussNetwork,
     InfeasibleRatesError,
     LowPowerError,
@@ -457,9 +456,6 @@ def main(argv=None) -> int:
     except LowPowerError as exc:
         print(f"side condition: {exc}", file=sys.stderr)
         return EXIT_SIDE_CONDITION
-    except AllocationInvalidError as exc:
-        print(f"allocation invalid: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

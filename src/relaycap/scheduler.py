@@ -25,19 +25,20 @@ levels: the level the reduced network serves a step on is, in original
 levels, the largest one at or below the step's cap that no earlier step
 took, found in a map of the levels taken so far.
 
-Every schedule is this construction run on Q channel uses: the Q uses
-concatenate into one use of the network with uplink gains scaled by the
-listen slots and downlink gains by the transmit slots.  An integral
-full-duplex tuple is the case Q = 1.
+Every schedule is a level rule -- this construction, or the chunked
+packing `_pack` -- run on Q channel uses: the Q uses concatenate into one
+use of the network with uplink gains scaled by the listen slots and
+downlink gains by the transmit slots.  An integral full-duplex tuple is
+the case Q = 1.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 from .cutset import Membership, Rate, RegionSizeError, _hop_holds, in_det_cutset
 from .detnet import (
@@ -139,6 +140,7 @@ class Schedule:
 
 
 Gains = tuple[tuple[int, ...], tuple[int, ...]]  # (uplink, downlink) by session
+Step = tuple[int, str, str | None, int, int]  # (pair, kind, side, l_u, l_d) serving one bit
 
 
 def _gains(net: DetNetwork) -> Gains:
@@ -223,14 +225,25 @@ def _take(below: dict[int, int], cap: int) -> int:
     return level
 
 
-def _run_induction(
-    gains: Gains, rates: Sequence[int]
-) -> list[tuple[int, str, str | None, int, int]]:
-    """Serve ``rates`` bit by bit on int gain tuples, in the order planned
-    once from the rates: each pair's min(R_A, R_B) XOR bits, lowest pair
-    first, then each session's one-way bits left, in session order (A
-    before B).  Returns (pair, kind, side, l_u, l_d) per step, levels in the
-    coordinates of ``gains``.
+def _runs(bits: Sequence[int]) -> list[tuple[int, str, str | None, int]]:
+    """The plan that serves a tuple: each non-empty run of bits as (pair,
+    kind, side, bits), pair by pair -- the pair's min(R_A, R_B) XOR bits,
+    then its |R_A - R_B| one-way bits from the larger side."""
+    runs = []
+    for i in range(len(bits) // 2):
+        a, b = bits[2 * i], bits[2 * i + 1]
+        if min(a, b):
+            runs.append((i, XOR, None, min(a, b)))
+        if a != b:
+            runs.append((i, SOLO, "A" if a > b else "B", abs(a - b)))
+    return runs
+
+
+def _run_induction(gains: Gains, rates: Sequence[int]) -> list[Step]:
+    """Serve ``rates`` bit by bit on int gain tuples, in the order of the
+    `_runs` plan with every XOR run first: each pair's XOR bits, lowest pair
+    first, then each pair's one-way bits.  Returns (pair, kind, side, l_u,
+    l_d) per step, levels in the coordinates of ``gains``.
 
     A step serves its bit, on each hop, on the largest level at or below its
     `_reach` cap in ``gains`` that no earlier step took: removing a level
@@ -240,16 +253,6 @@ def _run_induction(
     yet taken.  After every step, re-checks that the remaining rates lie in
     the reduced full-duplex region, with each hop's sessions sorted once: a
     reduction never reorders gains (see `_hop_holds`)."""
-    xor_runs, solo_runs = [], []  # (pair, kind, side, sessions served, bits), none empty
-    for i in range(len(rates) // 2):
-        a, b = rates[2 * i], rates[2 * i + 1]
-        both = min(a, b)
-        if both:
-            xor_runs.append((i, XOR, None, (2 * i, 2 * i + 1), both))
-        if a > both:
-            solo_runs.append((i, SOLO, "A", (2 * i,), a - both))
-        if b > both:
-            solo_runs.append((i, SOLO, "B", (2 * i + 1,), b - both))
     up, down = gains
     up_order = sorted(range(len(up)), key=up.__getitem__)
     down_order = sorted(range(len(down)), key=down.__getitem__)
@@ -258,8 +261,9 @@ def _run_induction(
     taken_down: dict[int, int] = {}
     remaining = list(rates)
     steps = []
-    for pair, kind, side, sessions, count in xor_runs + solo_runs:
+    for pair, kind, side, count in sorted(_runs(rates), key=lambda run: run[1] == SOLO):
         cap_up, cap_down = _reach(gains, pair, kind, side)
+        sessions = (2 * pair, 2 * pair + 1) if kind == XOR else (2 * pair + SIDES.index(side),)
         for _ in range(count):
             l_u = _take(taken_up, cap_up)
             l_d = _take(taken_down, cap_down)
@@ -291,7 +295,7 @@ def _run_induction(
 def divide_and_conquer(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     """Single-use schedule achieving an integral in-region rate tuple: time
     expansion with Q = 1."""
-    return _time_expanded(net, FULL_DUPLEX, rates, integral=True)
+    return _time_expanded(net, FULL_DUPLEX, rates, True, _run_induction)
 
 
 def _interleaved(level: int, lanes: int) -> tuple[int, int]:
@@ -325,17 +329,20 @@ def _expanded_rates(
 
 
 def _time_expanded(
-    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate], integral: bool = False
+    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate], integral: bool,
+    levels: Callable[[Gains, Sequence[int]], list[Step]],
 ) -> Schedule:
     """Schedule an in-region tuple over Q uses.  The relay listens in the
     first ``listen`` of the Q slots and transmits in the last ``transmit``;
     in full duplex both are Q.  The Q uses concatenate into one full-duplex
     use with uplink gains scaled by ``listen`` and downlink gains by
-    ``transmit``.  ``integral`` refuses rates that are not whole."""
+    ``transmit``, on which the level rule ``levels`` (`_run_induction` or
+    `_pack`) serves the scaled bits.  ``integral`` refuses rates that are
+    not whole."""
     q, listen, transmit, bits = _expanded_rates(net, mode, rates, integral)
     gains = tuple([n * listen for n in net.uplink]), tuple([n * transmit for n in net.downlink])
     assignments = []
-    for pair, kind, side, l_u, l_d in _run_induction(gains, bits):
+    for pair, kind, side, l_u, l_d in levels(gains, bits):
         up_slot, up_level = _interleaved(l_u, listen)
         down_slot, down_level = _interleaved(l_d, transmit)
         assignments.append(
@@ -350,7 +357,7 @@ def _time_expanded(
 def schedule_fractional(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     """Schedule a rational in-region tuple over Q uses, Q = lcm of the rate
     denominators."""
-    return _time_expanded(net, FULL_DUPLEX, rates)
+    return _time_expanded(net, FULL_DUPLEX, rates, False, _run_induction)
 
 
 def schedule_half_duplex(
@@ -358,62 +365,46 @@ def schedule_half_duplex(
 ) -> Schedule:
     """Schedule under a half-duplex relay listening a ``delta`` fraction of
     the time: the first Q*delta of Q slots listen, the rest transmit."""
-    return _time_expanded(net, HalfDuplex(delta), rates)
+    return _time_expanded(net, HalfDuplex(delta), rates, False, _run_induction)
 
 
 # --- chunked variant -------------------------------------------------------
 
 
-@dataclass
-class _Chunk:
-    pair: int
-    kind: str
-    side: str | None
-    size: int
-    caps: tuple[int, int]  # largest uplink and downlink level, from `_reach`
-    levels: list[range] = field(default_factory=list)  # uplink run, then downlink run
+def _pack(gains: Gains, bits: Sequence[int]) -> list[Step]:
+    """The chunked level rule: each `_runs` run takes one contiguous run of
+    levels per hop, packed bottom-up in order of the runs' `_reach` caps
+    (earliest deadline first).  Dense stacking keeps every run contiguous,
+    and the cut-set bounds imply the deadline condition, so the packing
+    succeeds exactly on in-region tuples.  Returns (pair, kind, side, l_u,
+    l_d) per bit, run by run."""
+    runs = _runs(bits)
+    caps = [_reach(gains, pair, kind, side) for pair, kind, side, _ in runs]
+    firsts = [[0, 0] for _ in runs]  # first uplink and downlink level per run
+    for hop, direction in enumerate(("up", "down")):
+        next_free = 1
+        for k in sorted(range(len(runs)), key=lambda k: (caps[k][hop], *runs[k][:2])):
+            pair, kind, _, count = runs[k]
+            firsts[k][hop] = next_free
+            next_free += count
+            if next_free - 1 > caps[k][hop]:
+                raise InductionInvariantError(
+                    f"chunk packing ran past its reachability cap ({direction}link "
+                    f"pair {pair} {kind}: need level {next_free - 1}, "
+                    f"cap {caps[k][hop]}); in-region tuples cannot do this"
+                )
+    return [
+        (pair, kind, side, up + n, down + n)
+        for (pair, kind, side, count), (up, down) in zip(runs, firsts)
+        for n in range(count)
+    ]
 
 
 def chunk_schedule(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
-    """Schedule with per-(pair, kind) levels in one contiguous run.
-
-    Builds one XOR chunk of size min(R_A, R_B) and one SOLO chunk of size
-    |R_A - R_B| per pair and packs chunks bottom-up in order of their
-    reachability cap (earliest deadline first).  Dense stacking keeps every
-    chunk contiguous, and the cut-set bounds imply the deadline condition,
-    so the packing succeeds exactly on in-region tuples.
-    """
-    _, _, _, ints = _expanded_rates(net, FULL_DUPLEX, rates, integral=True)
-
-    gains = _gains(net)
-    chunks: list[_Chunk] = []
-    for i in range(net.pairs):
-        ra, rb = ints[2 * i], ints[2 * i + 1]
-        if min(ra, rb):
-            chunks.append(_Chunk(i, XOR, None, min(ra, rb), _reach(gains, i, XOR, None)))
-        if ra != rb:
-            src = "A" if ra > rb else "B"
-            chunks.append(_Chunk(i, SOLO, src, abs(ra - rb), _reach(gains, i, SOLO, src)))
-
-    for hop, direction in enumerate(("up", "down")):
-        next_free = 1
-        for chunk in sorted(chunks, key=lambda c: (c.caps[hop], c.pair, c.kind)):
-            levels = range(next_free, next_free + chunk.size)
-            next_free += chunk.size
-            if levels and levels[-1] > chunk.caps[hop]:
-                raise InductionInvariantError(
-                    f"chunk packing ran past its reachability cap ({direction}link "
-                    f"pair {chunk.pair} {chunk.kind}: need level {levels[-1]}, "
-                    f"cap {chunk.caps[hop]}); in-region tuples cannot do this"
-                )
-            chunk.levels.append(levels)
-
-    assignments = tuple(
-        LevelAssignment(c.pair, c.kind, c.side, 0, l_u, 0, l_d)
-        for c in chunks
-        for l_u, l_d in zip(*c.levels)
-    )
-    return Schedule(net=net, slots=1, assignments=assignments)
+    """Single-use schedule of an integral in-region tuple with each pair's
+    XOR bits, and its one-way bits, on one contiguous run of levels per
+    hop: the packing rule `_pack` run through the shared builder."""
+    return _time_expanded(net, FULL_DUPLEX, rates, True, _pack)
 
 
 # --- simulation ------------------------------------------------------------

@@ -149,6 +149,13 @@ def test_schedule_with_simulation(det_file, capsys):
     assert len(doc["assignments"]) == 3
 
 
+def test_schedule_without_simulation(det_file, capsys):
+    code, doc, _ = run(capsys, "schedule", det_file, "--rates", "2,1,1,1")
+    assert code == EXIT_OK and "simulate" not in doc
+    _, simulated, _ = run(capsys, "schedule", det_file, "--rates", "2,1,1,1", "--simulate", "1")
+    assert doc["assignments"] == simulated["assignments"]
+
+
 def test_schedule_chunked(det_file, capsys):
     code, doc, _ = run(capsys, "schedule", det_file, "--rates", "2,1,1,1", "--chunked", "--simulate", "10")
     assert code == EXIT_OK and doc["simulate"]["decoded_exactly"] == 10

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -62,6 +63,24 @@ def test_single_pair_cuts():
 def test_cut_refuses_non_integer_members_and_bits(members, orientation, match):
     with pytest.raises(ValueError, match=match):
         Cut(members, orientation)
+
+
+@pytest.mark.parametrize(
+    "members,orientation,message",
+    [
+        ((), (), "a cut needs a nonempty pair subset"),
+        ((1, 0), (1, 1), "cut members must be sorted and unique"),
+        ((0,), (1, 0), "one orientation bit per member required"),
+    ],
+    ids=repr,
+)
+def test_cut_refuses_a_malformed_member_list(members, orientation, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Cut(members, orientation)
+
+
+def test_a_non_member_verdict_is_false():
+    assert bool(in_det_cutset(REF, (9, 0, 0, 0))) is False
 
 
 def test_cut_accepts_numpy_integers():

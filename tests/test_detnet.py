@@ -94,6 +94,16 @@ def test_relay_receive_single_transmitter():
     assert got == shifted_contribution(x, 3, 3) == x
 
 
+@pytest.mark.parametrize(
+    "gains,message",
+    [(((1, 2), (1,), (1,), (1,)), "gain arrays must all have one entry per pair")],
+    ids=repr,
+)
+def test_network_refuses_malformed_gains(gains, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DetNetwork(*gains)
+
+
 def test_relay_receive_shape_error():
     # REF frames have q = 3 levels: ints outside [0, 8) are rejected.
     for bad in (1 << 3, (1 << 3) + 1, -1):

@@ -159,6 +159,20 @@ def test_network_squares_finite_below_the_overflow_bound():
         assert not errors and kept.tolist() == [0] and np.isfinite(snr).all()
 
 
+def test_downlink_overspend_names_the_case_and_the_excess():
+    # Precondition terms of 100 let every rate through, so the case I split
+    # runs past the relay's budget and is refused with the amount.
+    net = GaussNetwork((30, 20), (25, 15), (20, 10), (30, 15), 10)
+    _, down, p = net._columns()
+    _, kept, _, _, errors = gaussian._allocate(
+        "downlink", down, p, gaussian._one((12.0, 6.0, 11.0, 5.0)), np.full((8, 1), 100.0)
+    )
+    assert kept.tolist() == [] and isinstance(errors[0], AllocationInvalidError)
+    assert str(errors[0]).startswith(
+        "downlink case I relay budget exceeded by 932 (alphas (0.007, 0.448, 28.693, 903.60"
+    )
+
+
 # --- rate functions ---------------------------------------------------------
 
 
@@ -906,6 +920,13 @@ def test_sweep_empty():
     report = monte_carlo_gap(SweepConfig(trials=0, seed=1))
     assert report.pass_rate == 1.0
     assert report.records == ()
+
+
+def test_sweep_rebuilds_draws_near_the_overflow_guard():
+    # (2 max|h|)^2 P = 4e300 P reaches the sampler's 1e300 test, so each draw
+    # is built as a GaussNetwork first; that network accepts it.
+    report = monte_carlo_gap(SweepConfig(3, h_min=1e150, h_max=1e150))
+    assert list(report.columns.stage) == ["ok"] * 3
 
 
 def test_sweep_deterministic_and_worker_invariant():

@@ -1,9 +1,11 @@
+import ast
 import math
 import re
 import time
 import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Mapping, Sequence
 
@@ -132,6 +134,22 @@ def test_solo_assignment_refuses_an_unknown_side():
         with pytest.raises(ValueError, match="SOLO side"):
             LevelAssignment(0, "solo", side, 0, 1, 0, 1)
     assert LevelAssignment(0, "solo", "B", 0, 1, 0, 1).side == "B"
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: LevelAssignment(0, "both", None, 0, 1, 0, 1), "unknown assignment kind 'both'"),
+        (lambda: LevelAssignment(0, XOR, "A", 0, 1, 0, 1), "XOR assignments carry no side; SOLO assignments need one"),
+        (lambda: LevelAssignment(0, SOLO, None, 0, 1, 0, 1), "XOR assignments carry no side; SOLO assignments need one"),
+        (lambda: reduce_pair_oneway(REF, 0, "C"), "source side must be 'A' or 'B', got 'C'"),
+        (lambda: expand_time(REF, 0), "expansion factor must be >= 1"),
+    ],
+    ids=["unknown-kind", "xor-with-side", "solo-without-side", "oneway-side", "expand-zero"],
+)
+def test_scheduler_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 ASSIGNMENT_INT_FIELDS = ("pair", "uplink_slot", "uplink_level", "downlink_slot", "downlink_level")
@@ -718,6 +736,43 @@ def test_chunked_matches_inductive_construction(seed):
     assert_contiguous(chunked)
     msgs = random_messages(chunked, rng)
     assert simulate_schedule(chunked, msgs).ok
+
+
+_BUILT = {"Schedule", "LevelAssignment"}
+
+
+def _builds(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing def or class, name) of each call of a name in `_BUILT`,
+    bare or as an attribute."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _BUILT:
+                found.append((owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_schedule_builder():
+    # Both level rules, the induction and the chunked packing, reach their
+    # schedule through `_time_expanded`; no other code in the module builds
+    # a schedule or an assignment.
+    source = Path(scheduler.__file__).read_text()
+    assert sorted(_builds(source)) == [("_time_expanded", "LevelAssignment"), ("_time_expanded", "Schedule")]
+    planted = (
+        "def chunk_schedule(net, runs):\n"
+        "    levels = tuple(LevelAssignment(*run) for run in runs)\n"
+        "    return scheduler.Schedule(net=net, slots=1, assignments=levels)"
+    )
+    assert _builds(planted) == [("chunk_schedule", "LevelAssignment"), ("chunk_schedule", "Schedule")]
 
 
 # --- simulation guards ----------------------------------------------------------
