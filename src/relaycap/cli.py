@@ -447,16 +447,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (NotInRegionError, InfeasibleRatesError, RegionSizeError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except LowPowerError as exc:
         print(f"side condition: {exc}", file=sys.stderr)
         return EXIT_SIDE_CONDITION
-    except ValueError as exc:
+    except ValueError as exc:  # InputError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

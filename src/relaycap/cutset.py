@@ -93,7 +93,7 @@ class CutViolation:
 class Membership:
     member: bool
     violations: tuple[CutViolation, ...]
-    # (Q, listen, transmit, bits) the verdict was computed on (`_scaled_rates`)
+    # (Q, listen, transmit, bits): the rates' `_time_scales` and bits, as the verdict read them
     scaled: tuple[int, int, int, list[int]] = field(compare=False, repr=False)
 
     def __bool__(self) -> bool:
@@ -173,16 +173,6 @@ def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Rate, ...]:
     return out
 
 
-def _scaled_rates(
-    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate]
-) -> tuple[int, int, int, list[int]]:
-    """(Q, listen, transmit, bits): the `_time_scales` of the checked rates,
-    and the bits each rate serves over Q uses."""
-    rs = _check_rates(net, rates)
-    q, listen, transmit = _time_scales(mode, [r.denominator for r in rs])
-    return q, listen, transmit, [r.numerator * (q // r.denominator) for r in rs]
-
-
 def cutset_holds(
     uplink: Sequence[int],
     downlink: Sequence[int],
@@ -255,12 +245,14 @@ def in_det_cutset(
 ) -> Membership:
     """Membership test; on failure reports every violated cut.
 
-    The verdict comes from `cutset_holds` on the bits the rates serve over
-    Q uses (`_scaled_rates`).  Only a non-member walks `enumerate_cuts` to
-    list its violated cuts, in that order, each bound being
-    min(listen * a, transmit * b) / Q, or raises its RegionSizeError."""
-    scaled = _scaled_rates(net, mode, rates)
-    q, listen, transmit, bits = scaled
+    The verdict comes from `cutset_holds` on the bits the checked rates
+    serve over the Q uses of their `_time_scales`.  Only a non-member walks
+    `enumerate_cuts` to list its violated cuts, in that order, each bound
+    being min(listen * a, transmit * b) / Q, or raises its RegionSizeError."""
+    rs = _check_rates(net, rates)
+    q, listen, transmit = _time_scales(mode, [r.denominator for r in rs])
+    bits = [r.numerator * (q // r.denominator) for r in rs]
+    scaled = q, listen, transmit, bits
     if cutset_holds(net.uplink, net.downlink, bits, listen, transmit):
         return Membership(True, (), scaled)
     violations = []

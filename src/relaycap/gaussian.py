@@ -382,15 +382,15 @@ def gauss_restricted_cutset(net: GaussNetwork, rates: Sequence[float]) -> Region
     return _region_verdict(net, rates, restricted=True)
 
 
-def _bound_gaps(general: np.ndarray, restricted: np.ndarray, families=_FAMILIES) -> np.ndarray:
-    """Per-family difference (general RHS - restricted RHS) of ``families``;
-    raises on the first trial with a difference outside [0, 1]."""
+def _bound_gaps(general: np.ndarray, restricted: np.ndarray) -> np.ndarray:
+    """Per-family difference (general RHS - restricted RHS), a row per
+    `_FAMILIES` row; raises on the first trial with one outside [0, 1]."""
     gaps = general - restricted
     outside = (gaps < -TOL) | (gaps > 1.0 + TOL)
     bad = outside.any(axis=0)
     if bad.any():
         i = bad.argmax()
-        found = {name: g[i].item() for (name, _, _, _), g, o in zip(families, gaps, outside) if o[i]}
+        found = {name: g[i].item() for (name, _, _, _), g, o in zip(_FAMILIES, gaps, outside) if o[i]}
         raise AssertionError(f"gap outside [0, 1]: {found}")
     return gaps
 
@@ -1418,8 +1418,8 @@ def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> SweepColumns:
     rates = _boundary_rates(streams, terms)
     up, down = _sessions(h)
     stage, excess, slack, *_ = _verify_columns(up, down, p, rates, terms)
-    # Both bounds share the single-family terms, whose gaps are 0.0.
-    gaps = _bound_gaps(_family_terms(up, down, p, False, terms)[4:], terms[4:], _FAMILIES[4:])
+    # Both bounds share the single-family terms, so their gaps are 0.0.
+    gaps = _bound_gaps(_family_terms(up, down, p, False, terms), terms)
     gap = _fold(_max, [0.0, *gaps])
     # h's rows are h_ar, h_br, h_ra, h_rb pair by pair; the columns take the CSV's order.
     columns = (*h[[0, 2, 1, 3, 4, 6, 5, 7]], p, *rates, stage, excess, slack, gap)

@@ -12,8 +12,9 @@ The inductive construction serves one bit (pair) per step:
   destination's lowest reachable downlink level (``l_d`` = the
   destination's downlink gain).
 
-Both rules are written once, in `_reach`, on session gains; chunked
-schedules and `validate_schedule` take their level caps from it too.
+Both rules are written once, in `_reach`, on session gains, and the sessions
+a bit serves once, in `_served`; chunked schedules and `validate_schedule`
+take their level caps from `_reach` too.
 
 After a step, every uplink gain >= l_u and every downlink gain >= l_d
 drops by one (the removed level disappears from the frame), and the
@@ -129,13 +130,10 @@ class Schedule:
 
     def bit_budgets(self) -> dict[NodeId, int]:
         """Directed message bits carried per (pair, source side)."""
-        budgets = {(i, s): 0 for i in range(self.net.pairs) for s in ("A", "B")}
+        budgets = {(i, s): 0 for i in range(self.net.pairs) for s in SIDES}
         for a in self.assignments:
-            if a.kind == XOR:
-                budgets[(a.pair, "A")] += 1
-                budgets[(a.pair, "B")] += 1
-            else:
-                budgets[(a.pair, a.side)] += 1
+            for k in _served(a.pair, a.kind, a.side):
+                budgets[(a.pair, SIDES[k & 1])] += 1  # session k's source
         return budgets
 
 
@@ -153,11 +151,18 @@ def _network(gains: Gains) -> DetNetwork:
     return DetNetwork(n_ar=up[0::2], n_br=up[1::2], n_ra=down[1::2], n_rb=down[0::2])
 
 
+def _served(pair: int, kind: str, side: str | None) -> tuple[int, ...]:
+    """The sessions a bit of ``kind`` on ``pair`` serves: both of the pair's
+    for an XOR bit, the one from ``side`` for a SOLO bit."""
+    return (2 * pair, 2 * pair + 1) if kind == XOR else (2 * pair + SIDES.index(side),)
+
+
 def _reach(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[int, int]:
     """(l_u, l_d): the largest uplink and downlink level a bit of ``kind``
     on ``pair`` can use, and the levels the induction serves it on.  An XOR
     bit takes the smaller of the pair's two session gains on each hop, a
-    SOLO bit the gains of the session from ``side``."""
+    SOLO bit the gains of the session from ``side``: `_served`'s rule,
+    inlined, since `validate_schedule` calls this once per assignment."""
     up, down = gains
     if kind == XOR:
         return min(up[2 * pair], up[2 * pair + 1]), min(down[2 * pair], down[2 * pair + 1])
@@ -263,7 +268,7 @@ def _run_induction(gains: Gains, rates: Sequence[int]) -> list[Step]:
     steps = []
     for pair, kind, side, count in sorted(_runs(rates), key=lambda run: run[1] == SOLO):
         cap_up, cap_down = _reach(gains, pair, kind, side)
-        sessions = (2 * pair, 2 * pair + 1) if kind == XOR else (2 * pair + SIDES.index(side),)
+        sessions = _served(pair, kind, side)
         for _ in range(count):
             l_u = _take(taken_up, cap_up)
             l_d = _take(taken_down, cap_down)
@@ -304,15 +309,22 @@ def _interleaved(level: int, lanes: int) -> tuple[int, int]:
     return (level - 1) % lanes, (level + lanes - 1) // lanes
 
 
-def _expanded_rates(
-    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate], integral: bool = False
-) -> tuple[int, int, int, list[int]]:
-    """(Q, listen, transmit, bits) for an in-region tuple, as the membership
-    verdict scaled them.  With ``integral``, first refuses a rate that is
-    not whole: in full duplex the verdict's Q is 1 exactly when every rate
-    is.  Raises `NotInRegionError` for a non-member (`RegionSizeError` if its
-    cuts are too many to list) and `RegionSizeError` when the bits would
-    take more than `STEP_BUDGET` induction steps."""
+def _time_expanded(
+    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate], integral: bool,
+    levels: Callable[[Gains, Sequence[int]], list[Step]],
+) -> Schedule:
+    """Schedule an in-region tuple over Q uses: the one gate and the one
+    builder of every schedule.  The gate takes (Q, listen, transmit, bits)
+    as the membership verdict scaled the rates; with ``integral`` it first
+    refuses a rate that is not whole (in full duplex Q is 1 exactly when
+    every rate is), then raises `NotInRegionError` for a non-member
+    (`RegionSizeError` if its cuts are too many to list) and
+    `RegionSizeError` for bits past `STEP_BUDGET` induction steps.  The
+    relay listens in the first ``listen`` of the Q slots and transmits in
+    the last ``transmit`` (both Q in full duplex); the Q uses concatenate
+    into one full-duplex use with uplink gains scaled by ``listen`` and
+    downlink gains by ``transmit``, on which the level rule ``levels``
+    (`_run_induction` or `_pack`) serves the scaled bits."""
     membership = in_det_cutset(net, rates, mode)
     q, listen, transmit, bits = membership.scaled
     if integral and q != 1:
@@ -325,21 +337,6 @@ def _expanded_rates(
             f"schedule over Q={q} uses serves {sum(bits)} bits, "
             f"step budget is {STEP_BUDGET}"
         )
-    return q, listen, transmit, bits
-
-
-def _time_expanded(
-    net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate], integral: bool,
-    levels: Callable[[Gains, Sequence[int]], list[Step]],
-) -> Schedule:
-    """Schedule an in-region tuple over Q uses.  The relay listens in the
-    first ``listen`` of the Q slots and transmits in the last ``transmit``;
-    in full duplex both are Q.  The Q uses concatenate into one full-duplex
-    use with uplink gains scaled by ``listen`` and downlink gains by
-    ``transmit``, on which the level rule ``levels`` (`_run_induction` or
-    `_pack`) serves the scaled bits.  ``integral`` refuses rates that are
-    not whole."""
-    q, listen, transmit, bits = _expanded_rates(net, mode, rates, integral)
     gains = tuple([n * listen for n in net.uplink]), tuple([n * transmit for n in net.downlink])
     assignments = []
     for pair, kind, side, l_u, l_d in levels(gains, bits):
@@ -502,26 +499,25 @@ def simulate_schedule(
         msgs[node] = got
 
     # Uplink: each assignment draws its message bits in consumption order,
-    # one (node, session, bit) per session it serves; a node's bit for relay
-    # level l (bottom-up) sits at its own top-down frame index gain - l, and
-    # arrives as bit l - 1 at the relay.
+    # one (session, bit) per `_served` session, whose source is nodes[k]; a
+    # node's bit for relay level l (bottom-up) sits at its own top-down frame
+    # index gain - l, and arrives as bit l - 1 at the relay.
     order = _ordered(sched.assignments)
     feeds = {node: iter(bits) for node, bits in msgs.items()}
     nodes = [(i, s) for i in range(net.pairs) for s in SIDES]  # session k's source; k ^ 1's is its destination
     up, down = net.uplink, net.downlink
-    sent: list[list[tuple[NodeId, int, int]]] = []
+    sent: list[list[tuple[int, int]]] = []
     tx: dict[int, dict[NodeId, int]] = defaultdict(dict)
     for a in order:
-        first = 2 * a.pair  # session A_i; B_i is the next
-        served = []
+        drawn = []
         frames = tx[a.uplink_slot]
         top = q_up - 1 + a.uplink_level
-        for k in (first, first + 1) if a.kind == XOR else (first + (a.side == "B"),):
+        for k in _served(a.pair, a.kind, a.side):
             node = nodes[k]
             bit = next(feeds[node])
             frames[node] = frames.get(node, 0) | bit << (top - up[k])
-            served.append((node, k, bit))
-        sent.append(served)
+            drawn.append((k, bit))
+        sent.append(drawn)
     received = {slot: relay_uplink_receive(net, frames) for slot, frames in tx.items()}
 
     # Relay permute-and-forward: downlink level l (top-down) is bit
@@ -536,16 +532,16 @@ def simulate_schedule(
     # bit g - l.  Decoded bits are reassembled in the order they were consumed.
     heard: dict[tuple[int, int], int] = {}
     out: dict[NodeId, list[int]] = {node: [] for node in msgs}
-    for a, served in zip(order, sent):
+    for a, drawn in zip(order, sent):
         slot, level, xor = a.downlink_slot, a.downlink_level, a.kind == XOR
-        for node, k, _ in served:
+        for k, _ in drawn:
             frame = heard.get((slot, k))
             if frame is None:
                 frame = heard[slot, k] = node_downlink_receive(net, relay_frames[slot], *nodes[k ^ 1])
             got = frame >> (down[k] - level) & 1
             if xor:
-                got ^= served[(k & 1) ^ 1][2]  # the destination's own bit cancels out of the XOR
-            out[node].append(got)
+                got ^= drawn[(k & 1) ^ 1][1]  # the destination's own bit cancels out of the XOR
+            out[nodes[k]].append(got)
 
     decoded = {node: tuple(bits) for node, bits in out.items()}
     return SimulationResult(ok=decoded == msgs, decoded=decoded)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from relaycap import cli
+from relaycap import cli, scheduler
 from relaycap.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -20,6 +20,7 @@ from relaycap.cli import (
 from relaycap.cutset import in_det_cutset
 from relaycap.detnet import DetNetwork, FullDuplex, HalfDuplex
 from relaycap.gaussian import GaussNetwork, SweepConfig, gauss_cutset, run_trial, verify_constant_gap
+from relaycap.scheduler import SimulationResult
 
 REF_NET = {
     "kind": "deterministic",
@@ -248,6 +249,26 @@ def test_sweep_zero_trials_header_only(tmp_path, capsys):
     capsys.readouterr()
     lines = out.read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("trial,")
+
+
+def test_sweep_det_counts_a_failed_simulation(tmp_path, capsys, monkeypatch):
+    # The 2nd simulation reports a wrong decode: trial 0 fails with one
+    # failure, trial 1 still passes, and the sweep exits infeasible.
+    real = scheduler.simulate_schedule
+    calls = []
+
+    def simulate(sched, msgs):
+        calls.append(sched)
+        return SimulationResult(False, {}) if len(calls) == 2 else real(sched, msgs)
+
+    monkeypatch.setattr(scheduler, "simulate_schedule", simulate)
+    out = tmp_path / "det.csv"
+    code, doc, _ = run(capsys, "sweep", "--det", "--trials", "2", "--seed", "3", "--out", str(out))
+    assert code == EXIT_INFEASIBLE
+    _, first, second = out.read_text().splitlines()
+    assert first == "0,3,fail,2,3;0,2;1,6;0,4;3,12,1"
+    assert second.split(",")[:3] == ["1", "3", "pass"]
+    assert doc["failures"] == 1 and doc["tuples_checked"] == 28
 
 
 def test_sweep_det_mode(tmp_path, capsys):

@@ -621,6 +621,17 @@ def test_gap_zero_on_single_rate_families():
         assert gaps[name] == 0.0
 
 
+def test_bound_gaps_refusal_names_the_first_bad_trial():
+    # Eight rows, one per `_FAMILIES` row; trials 1 and 2 leave [0, 1], and
+    # only trial 1's gaps are named, each under its own family.
+    restricted = np.ones((8, 3))
+    planted = np.zeros((8, 3))
+    planted[4, 1], planted[7, 1], planted[5, 2] = -0.5, 1.5, 2.0
+    with pytest.raises(AssertionError) as info:
+        gaussian._bound_gaps(restricted + planted, restricted)
+    assert str(info.value) == "gap outside [0, 1]: {'R_A1+R_A2': -0.5, 'R_B1+R_A2': 1.5}"
+
+
 def test_gap_approaches_one_bit_at_high_snr():
     gaps = restricted_bound_gaps(snr_net(1e6))
     assert 1 - 1e-5 <= gaps["R_A1+R_A2"] <= 1.0

@@ -40,7 +40,7 @@ from relaycap import FullDuplex, enumerate_cuts, scheduler
 from relaycap.cutset import _cut_gains, _hop_holds, _time_scales, cutset_holds, directed_rate_caps
 from relaycap.detnet import SIDES, NodeId, node_downlink_receive, relay_uplink_receive
 from relaycap.scheduler import (
-    SOLO, XOR, SimulationResult, _gains, _network, _ordered, _reach, _reduce, _run_induction, _take,
+    SOLO, XOR, SimulationResult, _gains, _network, _ordered, _reach, _reduce, _run_induction, _served, _take,
 )
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
@@ -290,6 +290,24 @@ def test_session_gains_match_node_reference(pairs, mode, data):
                 else:
                     with pytest.raises(ScheduleInvalidError, match="unreachable"):
                         validate_schedule(sched)
+
+
+def test_reach_is_the_smallest_gain_over_the_served_sessions():
+    # `_reach` inlines the served-sessions rule; `_served` states it.
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        pairs = int(rng.integers(1, 5))
+        net = DetNetwork(*(tuple(int(g) for g in rng.integers(0, 10, size=pairs)) for _ in range(4)))
+        up, down = gains = _gains(net)
+        for pair in range(pairs):
+            assert _served(pair, XOR, None) == (2 * pair, 2 * pair + 1)
+            assert _served(pair, SOLO, "A") == (2 * pair,)
+            assert _served(pair, SOLO, "B") == (2 * pair + 1,)
+            for kind, side in ((XOR, None), (SOLO, "A"), (SOLO, "B")):
+                sessions = _served(pair, kind, side)
+                assert _reach(gains, pair, kind, side) == (
+                    min(up[k] for k in sessions), min(down[k] for k in sessions)
+                )
 
 
 # --- divide and conquer ------------------------------------------------------
@@ -738,7 +756,7 @@ def test_chunked_matches_inductive_construction(seed):
     assert simulate_schedule(chunked, msgs).ok
 
 
-_BUILT = {"Schedule", "LevelAssignment"}
+_BUILT = {"Schedule", "LevelAssignment", "in_det_cutset"}
 
 
 def _builds(source: str) -> list[tuple[str | None, str]]:
@@ -764,9 +782,12 @@ def _builds(source: str) -> list[tuple[str | None, str]]:
 def test_one_schedule_builder():
     # Both level rules, the induction and the chunked packing, reach their
     # schedule through `_time_expanded`; no other code in the module builds
-    # a schedule or an assignment.
+    # a schedule or an assignment, or asks for the membership verdict that
+    # gates every schedule.
     source = Path(scheduler.__file__).read_text()
-    assert sorted(_builds(source)) == [("_time_expanded", "LevelAssignment"), ("_time_expanded", "Schedule")]
+    assert sorted(_builds(source)) == [
+        ("_time_expanded", "LevelAssignment"), ("_time_expanded", "Schedule"), ("_time_expanded", "in_det_cutset"),
+    ]
     planted = (
         "def chunk_schedule(net, runs):\n"
         "    levels = tuple(LevelAssignment(*run) for run in runs)\n"
