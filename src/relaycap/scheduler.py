@@ -12,9 +12,8 @@ The inductive construction serves one bit (pair) per step:
   destination's lowest reachable downlink level (``l_d`` = the
   destination's downlink gain).
 
-Both rules are written once, in `_reach`, on session gains, and the sessions
-a bit serves once, in `_served`; chunked schedules and `validate_schedule`
-take their level caps from `_reach` too.
+Both rules are written once, in `_reach`, on the gains of the sessions a bit
+serves (`_served`); the chunked packing and `validate_schedule` use it too.
 
 After a step, every uplink gain >= l_u and every downlink gain >= l_d
 drops by one (the removed level disappears from the frame), and the
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NoReturn, Sequence
 
@@ -61,8 +60,7 @@ SOLO = "solo"
 # Cap on the bits any schedule serves, sum of Q times each rate (Q = 1 for
 # integral and chunked schedules); refused before any induction or packing.
 # The induction takes at most one step per bit.  At the cap, 8192 one-way
-# steps schedule in about 0.06 s for M = 1 and 0.07 s for M = 3 (2-vCPU x86
-# machine).
+# steps schedule and validate in about 0.07 s for M = 1 and M = 3 (2-vCPU x86).
 STEP_BUDGET = 8192
 
 
@@ -123,18 +121,20 @@ class LevelAssignment:
 
 @dataclass(frozen=True)
 class Schedule:
+    """Level assignments over ``slots`` uses, checked when built by `validate_schedule`."""
+
     net: DetNetwork
     slots: int
     assignments: tuple[LevelAssignment, ...]
     listen_slots: int | None = None  # half-duplex: slots [0, listen_slots) listen
+    _budgets: dict[NodeId, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_budgets", validate_schedule(self))
 
     def bit_budgets(self) -> dict[NodeId, int]:
         """Directed message bits carried per (pair, source side)."""
-        budgets = {(i, s): 0 for i in range(self.net.pairs) for s in SIDES}
-        for a in self.assignments:
-            for k in _served(a.pair, a.kind, a.side):
-                budgets[(a.pair, SIDES[k & 1])] += 1  # session k's source
-        return budgets
+        return dict(self._budgets)
 
 
 Gains = tuple[tuple[int, ...], tuple[int, ...]]  # (uplink, downlink) by session
@@ -157,17 +157,13 @@ def _served(pair: int, kind: str, side: str | None) -> tuple[int, ...]:
     return (2 * pair, 2 * pair + 1) if kind == XOR else (2 * pair + SIDES.index(side),)
 
 
-def _reach(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[int, int]:
-    """(l_u, l_d): the largest uplink and downlink level a bit of ``kind``
-    on ``pair`` can use, and the levels the induction serves it on.  An XOR
-    bit takes the smaller of the pair's two session gains on each hop, a
-    SOLO bit the gains of the session from ``side``: `_served`'s rule,
-    inlined, since `validate_schedule` calls this once per assignment."""
+def _reach(gains: Gains, sessions: tuple[int, ...]) -> tuple[int, int]:
+    """(l_u, l_d): the largest uplink and downlink level a bit serving
+    ``sessions`` (`_served`'s) can use, and the levels the induction serves
+    it on: the smallest of the sessions' gains on each hop."""
     up, down = gains
-    if kind == XOR:
-        return min(up[2 * pair], up[2 * pair + 1]), min(down[2 * pair], down[2 * pair + 1])
-    k = 2 * pair + SIDES.index(side)
-    return up[k], down[k]
+    first, last = sessions[0], sessions[-1]
+    return min(up[first], up[last]), min(down[first], down[last])
 
 
 def _refuse_step(pair: int, kind: str, side: str | None, l_u: int, l_d: int) -> NoReturn:
@@ -180,7 +176,7 @@ def _reduce(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[Gains
     """One induction step on session gain tuples: take the levels (l_u, l_d)
     that serve the bit, then remove them -- every gain at or above a removed
     level drops by one."""
-    l_u, l_d = _reach(gains, pair, kind, side)
+    l_u, l_d = _reach(gains, _served(pair, kind, side))
     if l_u < 1 or l_d < 1:
         _refuse_step(pair, kind, side, l_u, l_d)
     up, down = gains
@@ -267,13 +263,13 @@ def _run_induction(gains: Gains, rates: Sequence[int]) -> list[Step]:
     remaining = list(rates)
     steps = []
     for pair, kind, side, count in sorted(_runs(rates), key=lambda run: run[1] == SOLO):
-        cap_up, cap_down = _reach(gains, pair, kind, side)
         sessions = _served(pair, kind, side)
+        cap_up, cap_down = _reach(gains, sessions)
         for _ in range(count):
             l_u = _take(taken_up, cap_up)
             l_d = _take(taken_down, cap_down)
             if not (l_u and l_d):
-                _refuse_step(pair, kind, side, *_reach((reduced_up, reduced_down), pair, kind, side))
+                _refuse_step(pair, kind, side, *_reach((reduced_up, reduced_down), sessions))
             # `_reduce`'s removal n -> n - (n >= l), tested on the original
             # gains since l_u and l_d are original levels.
             for k, g in enumerate(up):
@@ -376,7 +372,7 @@ def _pack(gains: Gains, bits: Sequence[int]) -> list[Step]:
     succeeds exactly on in-region tuples.  Returns (pair, kind, side, l_u,
     l_d) per bit, run by run."""
     runs = _runs(bits)
-    caps = [_reach(gains, pair, kind, side) for pair, kind, side, _ in runs]
+    caps = [_reach(gains, _served(pair, kind, side)) for pair, kind, side, _ in runs]
     firsts = [[0, 0] for _ in runs]  # first uplink and downlink level per run
     for hop, direction in enumerate(("up", "down")):
         next_free = 1
@@ -407,8 +403,9 @@ def chunk_schedule(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
 # --- simulation ------------------------------------------------------------
 
 
-def validate_schedule(sched: Schedule) -> None:
-    """Check level bounds per assignment and per-slot orthogonality."""
+def validate_schedule(sched: Schedule) -> dict[NodeId, int]:
+    """Check level bounds per assignment and per-slot orthogonality, and
+    return the message bits each (pair, source side) sends; `Schedule` keeps them."""
     net = sched.net
     slots, listen = sched.slots, sched.listen_slots
     if not _integer(slots) or slots < 1:
@@ -418,6 +415,7 @@ def validate_schedule(sched: Schedule) -> None:
             f"listen_slots must be None or an integer in [1, {slots - 1}], got {listen!r}"
         )
     gains = _gains(net)
+    sent = [0] * (2 * net.pairs)  # message bits per session
     used_up: set[tuple[int, int]] = set()
     used_down: set[tuple[int, int]] = set()
     for a in sched.assignments:
@@ -432,7 +430,8 @@ def validate_schedule(sched: Schedule) -> None:
                 raise ScheduleInvalidError("uplink use scheduled in a transmit slot")
             if a.downlink_slot < listen:
                 raise ScheduleInvalidError("downlink use scheduled in a listen slot")
-        up_cap, down_cap = _reach(gains, a.pair, a.kind, a.side)
+        sessions = _served(a.pair, a.kind, a.side)
+        up_cap, down_cap = _reach(gains, sessions)
         if not 1 <= a.uplink_level <= up_cap:
             raise ScheduleInvalidError(
                 f"uplink level {a.uplink_level} unreachable for {a.kind} of pair "
@@ -451,6 +450,9 @@ def validate_schedule(sched: Schedule) -> None:
             raise ScheduleInvalidError(f"downlink level reused in one slot: {down_key}")
         used_up.add(up_key)
         used_down.add(down_key)
+        for k in sessions:
+            sent[k] += 1
+    return {(k >> 1, SIDES[k & 1]): n for k, n in enumerate(sent)}  # session k's source
 
 
 @dataclass(frozen=True)
@@ -470,25 +472,23 @@ def simulate_schedule(
 ) -> SimulationResult:
     """Push message bits through the deterministic channel end to end.
 
-    Transmit frames are built from the schedule, the relay receive/permute/
-    forward chain runs through the channel-model primitives, every node
-    decodes from what it actually hears (XOR entries combined with the
-    node's own transmitted bit, SOLO entries read directly), and the
-    verdict compares decoded messages with the inputs.  Every message
-    entry must be an integer 0 or 1 (numpy integers included, bools not):
-    nothing else is read as a bit.
+    Transmit frames are built from the schedule (checked when it was
+    built), the relay receive/permute/forward chain runs through the
+    channel-model primitives, every node decodes from what it actually
+    hears (XOR entries combined with the node's own transmitted bit, SOLO
+    entries read directly), and the verdict compares decoded messages
+    with the inputs.  Every message entry must be an integer 0 or 1
+    (numpy integers included, bools not): nothing else is read as a bit.
     """
-    validate_schedule(sched)
     net = sched.net
     q_up, q_down = net.q_up, net.q_down
     if max(q_up, q_down) > sys.maxsize:  # frames are Python ints, built by shifts
         raise ShapeError(f"frames of {max(q_up, q_down)} bits: a simulated frame holds at most {sys.maxsize}")
-    budgets = sched.bit_budgets()
-    unknown = [node for node in messages if node not in budgets]
+    unknown = [node for node in messages if node not in sched._budgets]
     if unknown:
         raise ValueError(f"messages for nodes outside the network: {unknown}")
     msgs: dict[NodeId, tuple[int, ...]] = {}
-    for node, need in budgets.items():
+    for node, need in sched._budgets.items():
         got = tuple(messages.get(node, ()))
         if set(map(type, got)) - {int}:  # the slow path stores numpy integers as int, and refuses the rest
             got = tuple(int(b) if _integer(b) else None for b in got)

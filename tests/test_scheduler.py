@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import re
 import time
@@ -36,7 +37,7 @@ from relaycap import (
     simulate_schedule,
     validate_schedule,
 )
-from relaycap import FullDuplex, enumerate_cuts, scheduler
+from relaycap import FullDuplex, cli, enumerate_cuts, scheduler
 from relaycap.cutset import _cut_gains, _hop_holds, _time_scales, cutset_holds, directed_rate_caps
 from relaycap.detnet import SIDES, NodeId, node_downlink_receive, relay_uplink_receive
 from relaycap.scheduler import (
@@ -276,7 +277,7 @@ def test_session_gains_match_node_reference(pairs, mode, data):
 
     for pair in range(pairs):
         for kind, side in ((XOR, None), (SOLO, "A"), (SOLO, "B")):
-            caps = _reach(_gains(net), pair, kind, side)
+            caps = _reach(_gains(net), _served(pair, kind, side))
             up_cap, down_cap = reference_caps(net, pair, kind, side)
             assert caps == (up_cap, down_cap)
             assert _step_outcome(_reduce, _gains(net), _network, pair, kind, side) == (
@@ -284,16 +285,16 @@ def test_session_gains_match_node_reference(pairs, mode, data):
             )
             for l_u, l_d in ((caps[0], caps[1]), (caps[0] + 1, caps[1]), (caps[0], caps[1] + 1)):
                 a = LevelAssignment(pair, kind, side, 0, l_u, 0, l_d)
-                sched = Schedule(net=net, slots=1, assignments=(a,))
                 if 1 <= l_u <= up_cap and 1 <= l_d <= down_cap:
-                    validate_schedule(sched)
+                    validate_schedule(Schedule(net=net, slots=1, assignments=(a,)))
                 else:
                     with pytest.raises(ScheduleInvalidError, match="unreachable"):
-                        validate_schedule(sched)
+                        Schedule(net=net, slots=1, assignments=(a,))
 
 
 def test_reach_is_the_smallest_gain_over_the_served_sessions():
-    # `_reach` inlines the served-sessions rule; `_served` states it.
+    # `_reach` reads the first and last of `_served`'s sessions; the rule is
+    # the smallest gain over all of them.
     rng = np.random.default_rng(26)
     for _ in range(200):
         pairs = int(rng.integers(1, 5))
@@ -305,7 +306,7 @@ def test_reach_is_the_smallest_gain_over_the_served_sessions():
             assert _served(pair, SOLO, "B") == (2 * pair + 1,)
             for kind, side in ((XOR, None), (SOLO, "A"), (SOLO, "B")):
                 sessions = _served(pair, kind, side)
-                assert _reach(gains, pair, kind, side) == (
+                assert _reach(gains, sessions) == (
                     min(up[k] for k in sessions), min(down[k] for k in sessions)
                 )
 
@@ -663,7 +664,7 @@ def test_replay_matches_quadratic_undo(caps, pairs, data):
     below_up, below_down = {}, {}
     reduced, took = [], []
     for pair, (kind, side) in data.draw(st.lists(steps, max_size=40)):
-        cap_up, cap_down = _reach(original, pair, kind, side)
+        cap_up, cap_down = _reach(original, _served(pair, kind, side))
         levels = _take(below_up, cap_up), _take(below_down, cap_down)
         try:
             gains, l_u, l_d = _reduce(gains, pair, kind, side)
@@ -756,7 +757,7 @@ def test_chunked_matches_inductive_construction(seed):
     assert simulate_schedule(chunked, msgs).ok
 
 
-_BUILT = {"Schedule", "LevelAssignment", "in_det_cutset"}
+_BUILT = {"Schedule", "LevelAssignment", "in_det_cutset", "validate_schedule"}
 
 
 def _builds(source: str) -> list[tuple[str | None, str]]:
@@ -783,9 +784,10 @@ def test_one_schedule_builder():
     # Both level rules, the induction and the chunked packing, reach their
     # schedule through `_time_expanded`; no other code in the module builds
     # a schedule or an assignment, or asks for the membership verdict that
-    # gates every schedule.
+    # gates every schedule.  A schedule is validated once, when built.
     source = Path(scheduler.__file__).read_text()
     assert sorted(_builds(source)) == [
+        ("__post_init__", "validate_schedule"),
         ("_time_expanded", "LevelAssignment"), ("_time_expanded", "Schedule"), ("_time_expanded", "in_det_cutset"),
     ]
     planted = (
@@ -803,9 +805,8 @@ def test_simulation_rejects_duplicate_levels():
     # Both levels are reachable, so the refusal is the reuse check's.
     a = LevelAssignment(0, "xor", None, 0, 1, 0, 2)
     b = LevelAssignment(1, "xor", None, 0, 1, 0, 1)
-    sched = Schedule(net=REF, slots=1, assignments=(a, b))
     with pytest.raises(ScheduleInvalidError, match=r"^uplink level reused in one slot: \(0, 1\)$"):
-        simulate_schedule(sched, {(0, "A"): (1,), (0, "B"): (0,), (1, "A"): (1,), (1, "B"): (1,)})
+        Schedule(net=REF, slots=1, assignments=(a, b))
 
 
 def test_validate_rejects_a_downlink_level_reused_in_one_slot():
@@ -833,34 +834,68 @@ def test_validate_accepts_one_level_in_different_slots():
     ids=lambda v: v if isinstance(v, str) else None,
 )
 def test_validate_refuses_an_assignment_outside_the_schedule(fields, listen, message):
-    sched = Schedule(net=REF, slots=2, assignments=(LevelAssignment(*fields),), listen_slots=listen)
     with pytest.raises(ScheduleInvalidError, match=f"^{re.escape(message)}$"):
-        validate_schedule(sched)
+        Schedule(net=REF, slots=2, assignments=(LevelAssignment(*fields),), listen_slots=listen)
 
 
 def test_simulation_rejects_unreachable_level():
     a = LevelAssignment(1, "xor", None, 0, 2, 0, 1)  # pair 2 shares only level 1
-    sched = Schedule(net=REF, slots=1, assignments=(a,))
     with pytest.raises(ScheduleInvalidError):
-        validate_schedule(sched)
+        Schedule(net=REF, slots=1, assignments=(a,))
 
 
 @pytest.mark.parametrize("slots", [1.5, 1.0, True, 0, -1, "1", None], ids=repr)
 def test_validate_refuses_slots_that_are_not_a_positive_integer(slots):
     # Schedule(net, 1.5, ...) and Schedule(net, True, ...) used to simulate with ok=True.
     a = LevelAssignment(0, "xor", None, 0, 1, 0, 1)
-    sched = Schedule(net=REF, slots=slots, assignments=(a,))
     with pytest.raises(ScheduleInvalidError, match="slots must be a positive integer"):
-        simulate_schedule(sched, {(0, "A"): (1,), (0, "B"): (0,)})
+        Schedule(net=REF, slots=slots, assignments=(a,))
 
 
 @pytest.mark.parametrize("listen", [True, False, 0, 2, 3, 1.0, "1"], ids=repr)
 def test_validate_refuses_listen_slots_outside_the_slots(listen):
     a = LevelAssignment(0, "xor", None, 0, 1, 1, 1)
-    sched = Schedule(net=REF, slots=2, assignments=(a,), listen_slots=listen)
     with pytest.raises(ScheduleInvalidError, match=r"listen_slots must be None or an integer in \[1, 1\]"):
-        simulate_schedule(sched, {(0, "A"): (1,), (0, "B"): (0,)})
+        Schedule(net=REF, slots=2, assignments=(a,), listen_slots=listen)
     validate_schedule(Schedule(net=REF, slots=2, assignments=(a,), listen_slots=1))
+
+
+@pytest.mark.parametrize("pair", [2, -1])
+def test_schedule_refuses_a_pair_outside_the_network(pair):
+    # Such a schedule used to be built, and its `bit_budgets` (so
+    # `random_messages`) raised a bare KeyError: (2, 'A') or (-1, 'A').
+    a = LevelAssignment(pair, "xor", None, 0, 1, 0, 1)
+    with pytest.raises(ScheduleInvalidError, match=f"^assignment names pair {pair} of 2$"):
+        Schedule(REF, 1, (a,))
+
+
+def test_a_schedule_is_validated_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    real = scheduler.validate_schedule
+
+    def counting(sched):
+        calls.append(sched)
+        return real(sched)
+
+    monkeypatch.setattr(scheduler, "validate_schedule", counting)
+    sched = divide_and_conquer(REF, (2, 1, 1, 1))
+    assert simulate_schedule(sched, random_messages(sched, np.random.default_rng(0))).ok
+    assert len(calls) == 1
+
+    # One schedule and five payloads: validated when built, never per payload.
+    calls.clear()
+    path = tmp_path / "det.json"
+    net = {"kind": "deterministic", "pairs": 2, "n_ar": [3, 2], "n_br": [2, 1], "n_ra": [2, 1], "n_rb": [3, 2]}
+    path.write_text(json.dumps(net))
+    assert cli.main(["schedule", str(path), "--rates", "2,1,1,1", "--simulate", "5"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["simulate"]["decoded_exactly"] == 5
+    assert len(calls) == 1
+
+    # The kept budgets are handed out as a fresh dict each time.
+    budgets = sched.bit_budgets()
+    budgets[(0, "A")] += 5
+    del budgets[(1, "B")]
+    assert sched.bit_budgets() == {(0, "A"): 2, (0, "B"): 1, (1, "A"): 1, (1, "B"): 1}
 
 
 def test_simulation_rejects_unknown_message_keys():
