@@ -19,10 +19,13 @@ are arrays of two JSON numbers and power a JSON number, all finite.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -283,16 +286,32 @@ _GAUSS_CSV_HEADER = (
 _DET_CSV_HEADER = "trial,seed,verdict,pairs,n_ar,n_br,n_ra,n_rb,tuples_checked,failures"
 
 
-def _write_out(path: str | None, text: str, mode: str = "w") -> None:
-    """Write ``text`` to the --out file, or to stdout when there is none.
-    Mode "a" with no text checks the file before any sweep work: it creates
-    a missing file and truncates none."""
+def _open_out(path: str | None):
+    """The --out file, opened once before any sweep work so that an
+    unwritable path is refused first: a missing file is created, and none is
+    truncated until `_write_out`.  A null context when there is no --out."""
     if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "a")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_out(out, path: str | None, text: str) -> None:
+    """Replace the contents of ``out``, `_open_out`'s file for ``path``, with
+    ``text``; write it to stdout when there is no file.  A file no longer
+    at ``path`` (removed while the sweep ran) is refused, as a write error."""
+    if out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, mode) as out:
-            out.write(text)
+        if not os.path.samestat(os.fstat(out.fileno()), os.stat(path)):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if out.seekable() and out.tell():  # a file that was not empty
+            out.truncate(0)
+        out.write(text)
+        out.flush()
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -312,16 +331,16 @@ def cmd_sweep(args) -> int:
         p_min=args.pmin,
         p_max=args.pmax,
     )
-    _write_out(args.out, "", "a")
-    report = gaussian.monte_carlo_gap(cfg)
-    c = report.columns
-    floats = (
-        c.max_alpha_excess, c.bound_gap, c.h_a1r, c.h_b1r, c.h_a2r, c.h_b2r,
-        c.h_ra1, c.h_rb1, c.h_ra2, c.h_rb2, c.power,
-    )
-    verdicts = ["pass" if s == "ok" else "fail" for s in c.stage]
-    rows = zip(map(str, c.trial), repeat(str(cfg.seed)), verdicts, c.stage, *(map(repr, f) for f in floats))
-    _write_out(args.out, "\n".join([_GAUSS_CSV_HEADER, *map(",".join, rows)]) + "\n")
+    with _open_out(args.out) as out:
+        report = gaussian.monte_carlo_gap(cfg)
+        c = report.columns
+        floats = (
+            c.max_alpha_excess, c.bound_gap, c.h_a1r, c.h_b1r, c.h_a2r, c.h_b2r,
+            c.h_ra1, c.h_rb1, c.h_ra2, c.h_rb2, c.power,
+        )
+        verdicts = ["pass" if s == "ok" else "fail" for s in c.stage]
+        rows = zip(map(str, c.trial), repeat(str(cfg.seed)), verdicts, c.stage, *(map(repr, f) for f in floats))
+        _write_out(out, args.out, "\n".join([_GAUSS_CSV_HEADER, *map(",".join, rows)]) + "\n")
     summary = {
         "command": "sweep",
         "mode": "gaussian",
@@ -343,44 +362,44 @@ def _det_sweep(args) -> int:
         raise InputError(f"--trials must be non-negative, got {args.trials}")
     if args.seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {args.seed}")
-    _write_out(args.out, "", "a")
-    lines = [_DET_CSV_HEADER]
-    failures_total = 0
-    tuples_total = 0
-    for trial in range(args.trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(trial,)))
-        pairs = int(rng.integers(1, args.max_pairs + 1))
-        gains = {
-            name: tuple(int(g) for g in rng.integers(0, args.max_gain + 1, size=pairs))
-            for name in ("n_ar", "n_br", "n_ra", "n_rb")
-        }
-        net = DetNetwork(**gains)
-        failures = 0
-        region = enumerate_integral_region(net)  # RegionSizeError aborts the sweep
-        for tup in region:
-            sched = scheduler.divide_and_conquer(net, tup)
-            msgs = scheduler.random_messages(sched, rng)
-            if not scheduler.simulate_schedule(sched, msgs).ok:
-                failures += 1
-        failures_total += failures
-        tuples_total += len(region)
-        lines.append(
-            ",".join(
-                [
-                    str(trial),
-                    str(args.seed),
-                    "pass" if failures == 0 else "fail",
-                    str(pairs),
-                    ";".join(map(str, gains["n_ar"])),
-                    ";".join(map(str, gains["n_br"])),
-                    ";".join(map(str, gains["n_ra"])),
-                    ";".join(map(str, gains["n_rb"])),
-                    str(len(region)),
-                    str(failures),
-                ]
+    with _open_out(args.out) as out:
+        lines = [_DET_CSV_HEADER]
+        failures_total = 0
+        tuples_total = 0
+        for trial in range(args.trials):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(trial,)))
+            pairs = int(rng.integers(1, args.max_pairs + 1))
+            gains = {
+                name: tuple(int(g) for g in rng.integers(0, args.max_gain + 1, size=pairs))
+                for name in ("n_ar", "n_br", "n_ra", "n_rb")
+            }
+            net = DetNetwork(**gains)
+            failures = 0
+            region = enumerate_integral_region(net)  # RegionSizeError aborts the sweep
+            for tup in region:
+                sched = scheduler.divide_and_conquer(net, tup)
+                msgs = scheduler.random_messages(sched, rng)
+                if not scheduler.simulate_schedule(sched, msgs).ok:
+                    failures += 1
+            failures_total += failures
+            tuples_total += len(region)
+            lines.append(
+                ",".join(
+                    [
+                        str(trial),
+                        str(args.seed),
+                        "pass" if failures == 0 else "fail",
+                        str(pairs),
+                        ";".join(map(str, gains["n_ar"])),
+                        ";".join(map(str, gains["n_br"])),
+                        ";".join(map(str, gains["n_ra"])),
+                        ";".join(map(str, gains["n_rb"])),
+                        str(len(region)),
+                        str(failures),
+                    ]
+                )
             )
-        )
-    _write_out(args.out, "\n".join(lines) + "\n")
+        _write_out(out, args.out, "\n".join(lines) + "\n")
     _emit(
         {
             "command": "sweep",

@@ -21,11 +21,12 @@ Membership does not walk the 3^M - 1 cuts.  A cut's bound is
 min(up_scale * a, down_scale * b) for its largest uplink gain a and downlink
 gain b, so a cut is violated iff its rate sum exceeds up_scale * a or
 down_scale * b: the region is the intersection of two one-sided regions,
-one per hop.  `cutset_holds` tests each with one pass over the positive-rate
-sessions sorted by that hop's gain, in integers, in O(M + K log K) with
-K <= 2M sessions; see its docstring for why it is exact.  The pass itself,
-`_hop_holds`, also serves the region walk and the scheduler's re-check
-after every induction step, which sort each hop's sessions once.
+one per hop.  `cutset_holds` tests each with one pass over the sessions
+sorted by that hop's gain, in integers, in O(M log M) for the sort and O(M)
+for the pass; see its docstring for why it is exact.  The pass itself,
+`_hop_holds`, also serves `in_det_cutset`, the region walk and the
+scheduler's re-check after every induction step, all on the network's
+`hop_orders`, sorted once per network: a tuple they test costs O(M).
 `enumerate_cuts` and `det_cut_bound` stay as the brute-force reference;
 only a non-member walks `enumerate_cuts`, to list its violated cuts.
 Enumeration walks the down-closed region on the hop passes, so its cost
@@ -36,12 +37,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex, _integer, _refuse_inexact
+from .detnet import (
+    FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex, _integer, _refuse_inexact, gain_order,
+)
 
 Rate = Union[int, Fraction]
 
@@ -155,21 +159,39 @@ def _time_scales(mode: DuplexMode, denominators: Iterable[int]) -> tuple[int, in
     raise ValueError(f"duplex mode must be FullDuplex or HalfDuplex, got {mode!r}")
 
 
-def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[Rate, ...]:
+def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> list[Rate]:
     """The rates, one per session, with every non-int converted to a
-    Fraction once.  Refuses a wrong count and a bool, non-finite, negative
-    or inexact (a float that is not whole) rate with ValueError."""
+    Fraction, in one pass.  Refuses with ValueError, in this order: a wrong
+    count; a value that is not a number (a string among them) or not
+    finite; a bool or a negative rate; an inexact one (a float that is not
+    whole)."""
     if len(rates) != 2 * net.pairs:
         raise ValueError(f"expected {2 * net.pairs} rate components, got {len(rates)}")
-    try:
-        out = tuple(r if isinstance(r, int) else Fraction(r) for r in rates)
-    except (OverflowError, TypeError, ValueError) as exc:  # e.g. inf, NaN, None
-        raise ValueError(f"rates must be finite numbers, got {rates}") from exc
-    if any(isinstance(r, bool) or r.numerator < 0 for r in out):
-        raise ValueError(f"rates must be non-negative numbers, got {rates}")
+    out = []
+    others = []  # the non-int rates, which `_refuse_inexact` reads
+    unreadable = negative = False
     for r in rates:
-        if not isinstance(r, int):
-            _refuse_inexact(r, "rates")
+        if type(r) is not int:
+            others.append(r)
+            try:
+                if not isinstance(r, numbers.Number):  # Fraction() would parse a string
+                    raise TypeError(r)
+                exact = r if isinstance(r, int) else Fraction(r)
+            except (OverflowError, TypeError, ValueError):  # e.g. inf, NaN, 1j
+                unreadable = True
+                continue
+            if isinstance(r, bool):
+                negative = True
+            r = exact
+        if r < 0:
+            negative = True
+        out.append(r)
+    if unreadable:
+        raise ValueError(f"rates must be finite numbers, got {rates}")
+    if negative:
+        raise ValueError(f"rates must be non-negative numbers, got {rates}")
+    for r in others:
+        _refuse_inexact(r, "rates")
     return out
 
 
@@ -192,11 +214,12 @@ def cutset_holds(
     Separability.  The sum exceeds the min iff it exceeds up_scale * a or
     down_scale * b, so the test is two one-sided tests, one per hop: no
     cut's sum may exceed scale * (its largest gain on that hop).  Each is
-    one pass over the sessions with positive rate, in ascending order of
-    that hop's gain.  The pass keeps each pair's largest rate seen so far
-    and their sum, and fails as soon as the sum exceeds scale * g for the
-    gain g just reached; the sum is checked when it grows, since g only
-    rises.  That is O(M + K log K) per hop with K <= 2M.
+    one pass over the sessions in ascending order of that hop's gain
+    (`gain_order`), skipping those with zero rate.  The pass keeps each
+    pair's largest rate seen so far and their sum, and fails as soon as the
+    sum exceeds scale * g for the gain g just reached; the sum is checked
+    when it grows, since g only rises.  That is O(M log M) per hop for the
+    sort and O(M) for the pass.
 
     Exactness of one pass.  If it fails at gain g, the kept rates select
     at most one session per pair, all with gains <= g: a cut, nonempty
@@ -208,9 +231,8 @@ def cutset_holds(
     <= g, the cut's members among them, the kept sum is at least the cut's
     sum > scale * g; it last grew at a gain <= g, and the pass failed there.
     """
-    live = [k for k, r in enumerate(rates) if r]
-    return _hop_holds(sorted(live, key=uplink.__getitem__), uplink, rates, up_scale) and (
-        _hop_holds(sorted(live, key=downlink.__getitem__), downlink, rates, down_scale)
+    return _hop_holds(gain_order(uplink), uplink, rates, up_scale) and (
+        _hop_holds(gain_order(downlink), downlink, rates, down_scale)
     )
 
 
@@ -245,15 +267,17 @@ def in_det_cutset(
 ) -> Membership:
     """Membership test; on failure reports every violated cut.
 
-    The verdict comes from `cutset_holds` on the bits the checked rates
-    serve over the Q uses of their `_time_scales`.  Only a non-member walks
+    The verdict comes from `cutset_holds`'s two hop passes, on the
+    network's `hop_orders`, on the bits the checked rates serve over the Q
+    uses of their `_time_scales`.  Only a non-member walks
     `enumerate_cuts` to list its violated cuts, in that order, each bound
     being min(listen * a, transmit * b) / Q, or raises its RegionSizeError."""
     rs = _check_rates(net, rates)
     q, listen, transmit = _time_scales(mode, [r.denominator for r in rs])
     bits = [r.numerator * (q // r.denominator) for r in rs]
     scaled = q, listen, transmit, bits
-    if cutset_holds(net.uplink, net.downlink, bits, listen, transmit):
+    up_order, down_order = net.hop_orders
+    if _hop_holds(up_order, net.uplink, bits, listen) and _hop_holds(down_order, net.downlink, bits, transmit):
         return Membership(True, (), scaled)
     violations = []
     for cut in enumerate_cuts(net.pairs):
@@ -276,21 +300,20 @@ def enumerate_integral_region(
     net: DetNetwork, mode: DuplexMode = FULL_DUPLEX
 ) -> list[tuple[int, ...]]:
     """Every integral rate tuple inside the cut-set region, in lexicographic
-    order.  An odometer asks `cutset_holds`'s two hop passes about each
-    tuple it visits, with each hop's sessions sorted once, since the gains
-    stay fixed while it walks.  The region is down-closed, so once
-    (prefix, v, 0, ..., 0) fails, no tuple with that prefix and a rate >= v
-    next is a member: the walk carries to the previous coordinate.  Each
-    test reads the 2M sessions: RegionSizeError is raised once those reads
-    pass `READ_BUDGET`, up front when the 2M probes that every walk fails
-    would pass it."""
+    order.  An odometer asks `cutset_holds`'s two hop passes, on the
+    network's `hop_orders`, about each tuple it visits.  The region is
+    down-closed, so once (prefix, v, 0, ..., 0) fails, no tuple with that
+    prefix and a rate >= v next is a member: the walk carries to the
+    previous coordinate.  Each test reads the 2M sessions: RegionSizeError
+    is raised once those reads pass `READ_BUDGET`, up front when the 2M
+    probes that every walk fails would pass it."""
     q, listen, transmit = _time_scales(mode, ())
     n = 2 * net.pairs
     tests = READ_BUDGET // n
     if tests < n:
         raise RegionSizeError(f"the {n} or more tests of a {n}-session walk exceed work budget {READ_BUDGET}")
     up, down = net.uplink, net.downlink
-    up_order, down_order = sorted(range(n), key=up.__getitem__), sorted(range(n), key=down.__getitem__)
+    up_order, down_order = net.hop_orders
     rates = [0] * n
     bits = [0] * n  # rates[k] * q: the bits over Q uses that the hop passes read
     region = [tuple(rates)]

@@ -26,7 +26,10 @@ simulator:
   levels 1..n, so the lowest level shared by both users of pair i is
   ``min(n_ra[i], n_rb[i])``.
 
-All values here are immutable; every operation is a pure function.
+All values here are immutable; every operation is a pure function.  A
+network keeps tables derived from its gains, each built the first time it
+is read (`hop_orders`, `sources` and the scheduler's bit table); they are
+not fields, so `==`, `hash` and `repr` never see them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Side = str  # "A" or "B"
 NodeId = tuple[int, Side]  # (pair index, side)
@@ -80,6 +83,8 @@ class HalfDuplex:
     delta: Fraction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.delta, numbers.Number):  # Fraction() would parse a string
+            raise ValueError(f"listen fraction must be a number, got {self.delta!r}")
         _refuse_inexact(self.delta, "listen fraction")
         delta = Fraction(self.delta)
         object.__setattr__(self, "delta", delta)
@@ -138,6 +143,25 @@ class DetNetwork:
         return tuple(g for pair in zip(self.n_rb, self.n_ra) for g in pair)
 
     @cached_property
+    def hop_orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The sessions in non-decreasing order of uplink gain, and of
+        downlink gain: the orders the cut-set hop passes walk."""
+        return gain_order(self.uplink), gain_order(self.downlink)
+
+    @cached_property
+    def sources(self) -> tuple[NodeId, ...]:
+        """Each session's source node, in session order: (i, "A") for
+        session 2i, (i, "B") for 2i + 1; session k's destination is k ^ 1's."""
+        return tuple(self.nodes())
+
+    @cached_property
+    def _bit_table(self) -> dict:
+        """(pair, kind, side) of a bit -> (the sessions it serves, its
+        (uplink, downlink) level caps).  Empty until the scheduler fills an
+        entry, from its own rules, the first time that bit is read."""
+        return {}
+
+    @cached_property
     def q_up(self) -> int:
         """Uplink frame length: the largest uplink gain (0 when all are 0)."""
         return max(self.uplink)
@@ -164,6 +188,12 @@ class DetNetwork:
     def _check_node(self, pair: int, side: Side) -> None:
         if not _integer(pair) or not 0 <= pair < self.pairs or side not in SIDES:
             raise LookupError(f"no node ({pair}, {side!r}) in an {self.pairs}-pair network")
+
+
+def gain_order(gains: Sequence[int]) -> tuple[int, ...]:
+    """Indices of ``gains`` in non-decreasing order of gain, ties in index
+    order.  Scaling every gain by one positive factor keeps the order."""
+    return tuple(sorted(range(len(gains)), key=gains.__getitem__))
 
 
 def shifted_contribution(x: int, gain: int, q: int) -> int:

@@ -13,12 +13,16 @@ The inductive construction serves one bit (pair) per step:
   destination's downlink gain).
 
 Both rules are written once, in `_reach`, on the gains of the sessions a bit
-serves (`_served`); the chunked packing and `validate_schedule` use it too.
+serves (`_served`).  Each network keeps both for every bit in its bit table,
+filled from those two rules the first time a bit is read (`_bit`): the
+induction, the chunked packing, `validate_schedule` and the simulation read
+it, as they read the network's `hop_orders` and `sources`.
 
 After a step, every uplink gain >= l_u and every downlink gain >= l_d
 drops by one (the removed level disappears from the frame), and the
 reduced rate tuple provably stays inside the reduced network's cut-set
-region; that invariant is re-checked at runtime on every step.
+region; that invariant is re-checked at runtime on every step, on the
+network's `hop_orders`.
 
 The induction takes each step's levels directly in original-network
 levels: the level the reduced network serves a step on is, in original
@@ -28,8 +32,9 @@ took, found in a map of the levels taken so far.
 Every schedule is a level rule -- this construction, or the chunked
 packing `_pack` -- run on Q channel uses: the Q uses concatenate into one
 use of the network with uplink gains scaled by the listen slots and
-downlink gains by the transmit slots.  An integral full-duplex tuple is
-the case Q = 1.
+downlink gains by the transmit slots, both at least 1, so the scaled gains,
+and the caps of a bit, keep the network's orders.  An integral full-duplex
+tuple is the case Q = 1.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ SOLO = "solo"
 # Cap on the bits any schedule serves, sum of Q times each rate (Q = 1 for
 # integral and chunked schedules); refused before any induction or packing.
 # The induction takes at most one step per bit.  At the cap, 8192 one-way
-# steps schedule and validate in about 0.07 s for M = 1 and M = 3 (2-vCPU x86).
+# steps schedule and validate in about 0.04 s for M = 1 and M = 3 (2-vCPU x86).
 STEP_BUDGET = 8192
 
 
@@ -166,6 +171,18 @@ def _reach(gains: Gains, sessions: tuple[int, ...]) -> tuple[int, int]:
     return min(up[first], up[last]), min(down[first], down[last])
 
 
+def _bit(net: DetNetwork, pair: int, kind: str, side: str | None) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """(`_served`'s sessions, `_reach`'s (l_u, l_d) on the network's gains)
+    of a bit on ``pair``, from the network's bit table; an entry is filled
+    from those two rules the first time its bit is read."""
+    key = pair, kind, side
+    entry = net._bit_table.get(key)
+    if entry is None:
+        sessions = _served(pair, kind, side)
+        entry = net._bit_table[key] = sessions, _reach(_gains(net), sessions)
+    return entry
+
+
 def _refuse_step(pair: int, kind: str, side: str | None, l_u: int, l_d: int) -> NoReturn:
     """Refuse a step whose reach (l_u, l_d) leaves it no level on a hop."""
     step = f"pair {pair + 1} XOR" if kind == XOR else f"one-way {side}{pair + 1}"
@@ -240,31 +257,33 @@ def _runs(bits: Sequence[int]) -> list[tuple[int, str, str | None, int]]:
     return runs
 
 
-def _run_induction(gains: Gains, rates: Sequence[int]) -> list[Step]:
-    """Serve ``rates`` bit by bit on int gain tuples, in the order of the
-    `_runs` plan with every XOR run first: each pair's XOR bits, lowest pair
-    first, then each pair's one-way bits.  Returns (pair, kind, side, l_u,
-    l_d) per step, levels in the coordinates of ``gains``.
+def _run_induction(net: DetNetwork, listen: int, transmit: int, rates: Sequence[int]) -> list[Step]:
+    """Serve ``rates`` bit by bit on the network's gains scaled by
+    ``listen`` on the uplink and ``transmit`` on the downlink (both >= 1),
+    in the order of the `_runs` plan with every XOR run first: each pair's
+    XOR bits, lowest pair first, then each pair's one-way bits.  Returns
+    (pair, kind, side, l_u, l_d) per step, levels in scaled coordinates.
 
     A step serves its bit, on each hop, on the largest level at or below its
-    `_reach` cap in ``gains`` that no earlier step took: removing a level
+    scaled `_reach` cap that no earlier step took: removing a level
     and renumbering the rest, as `_reduce` does, leaves exactly the levels
     not taken, so the cap in the reduced network lands on that level.  A
     session's reduced gain is the number of levels at or below its gain not
     yet taken.  After every step, re-checks that the remaining rates lie in
-    the reduced full-duplex region, with each hop's sessions sorted once: a
-    reduction never reorders gains (see `_hop_holds`)."""
-    up, down = gains
-    up_order = sorted(range(len(up)), key=up.__getitem__)
-    down_order = sorted(range(len(down)), key=down.__getitem__)
+    the reduced full-duplex region on the network's `hop_orders`: scaling
+    and reduction never reorder gains (see `_hop_holds`)."""
+    up = [n * listen for n in net.uplink]
+    down = [n * transmit for n in net.downlink]
+    up_order, down_order = net.hop_orders
     reduced_up, reduced_down = list(up), list(down)
     taken_up: dict[int, int] = {}
     taken_down: dict[int, int] = {}
     remaining = list(rates)
     steps = []
     for pair, kind, side, count in sorted(_runs(rates), key=lambda run: run[1] == SOLO):
-        sessions = _served(pair, kind, side)
-        cap_up, cap_down = _reach(gains, sessions)
+        sessions, (cap_up, cap_down) = _bit(net, pair, kind, side)
+        cap_up *= listen
+        cap_down *= transmit
         for _ in range(count):
             l_u = _take(taken_up, cap_up)
             l_d = _take(taken_down, cap_down)
@@ -307,7 +326,7 @@ def _interleaved(level: int, lanes: int) -> tuple[int, int]:
 
 def _time_expanded(
     net: DetNetwork, mode: DuplexMode, rates: Sequence[Rate], integral: bool,
-    levels: Callable[[Gains, Sequence[int]], list[Step]],
+    levels: Callable[[DetNetwork, int, int, Sequence[int]], list[Step]],
 ) -> Schedule:
     """Schedule an in-region tuple over Q uses: the one gate and the one
     builder of every schedule.  The gate takes (Q, listen, transmit, bits)
@@ -333,9 +352,8 @@ def _time_expanded(
             f"schedule over Q={q} uses serves {sum(bits)} bits, "
             f"step budget is {STEP_BUDGET}"
         )
-    gains = tuple([n * listen for n in net.uplink]), tuple([n * transmit for n in net.downlink])
     assignments = []
-    for pair, kind, side, l_u, l_d in levels(gains, bits):
+    for pair, kind, side, l_u, l_d in levels(net, listen, transmit, bits):
         up_slot, up_level = _interleaved(l_u, listen)
         down_slot, down_level = _interleaved(l_d, transmit)
         assignments.append(
@@ -364,15 +382,19 @@ def schedule_half_duplex(
 # --- chunked variant -------------------------------------------------------
 
 
-def _pack(gains: Gains, bits: Sequence[int]) -> list[Step]:
-    """The chunked level rule: each `_runs` run takes one contiguous run of
-    levels per hop, packed bottom-up in order of the runs' `_reach` caps
+def _pack(net: DetNetwork, listen: int, transmit: int, bits: Sequence[int]) -> list[Step]:
+    """The chunked level rule on the network's gains scaled by ``listen``
+    and ``transmit``: each `_runs` run takes one contiguous run of levels
+    per hop, packed bottom-up in order of the runs' scaled `_reach` caps
     (earliest deadline first).  Dense stacking keeps every run contiguous,
     and the cut-set bounds imply the deadline condition, so the packing
     succeeds exactly on in-region tuples.  Returns (pair, kind, side, l_u,
     l_d) per bit, run by run."""
     runs = _runs(bits)
-    caps = [_reach(gains, _served(pair, kind, side)) for pair, kind, side, _ in runs]
+    caps = []
+    for pair, kind, side, _ in runs:
+        cap_up, cap_down = _bit(net, pair, kind, side)[1]
+        caps.append((cap_up * listen, cap_down * transmit))
     firsts = [[0, 0] for _ in runs]  # first uplink and downlink level per run
     for hop, direction in enumerate(("up", "down")):
         next_free = 1
@@ -414,7 +436,6 @@ def validate_schedule(sched: Schedule) -> dict[NodeId, int]:
         raise ScheduleInvalidError(
             f"listen_slots must be None or an integer in [1, {slots - 1}], got {listen!r}"
         )
-    gains = _gains(net)
     sent = [0] * (2 * net.pairs)  # message bits per session
     used_up: set[tuple[int, int]] = set()
     used_down: set[tuple[int, int]] = set()
@@ -430,8 +451,7 @@ def validate_schedule(sched: Schedule) -> dict[NodeId, int]:
                 raise ScheduleInvalidError("uplink use scheduled in a transmit slot")
             if a.downlink_slot < listen:
                 raise ScheduleInvalidError("downlink use scheduled in a listen slot")
-        sessions = _served(a.pair, a.kind, a.side)
-        up_cap, down_cap = _reach(gains, sessions)
+        sessions, (up_cap, down_cap) = _bit(net, a.pair, a.kind, a.side)
         if not 1 <= a.uplink_level <= up_cap:
             raise ScheduleInvalidError(
                 f"uplink level {a.uplink_level} unreachable for {a.kind} of pair "
@@ -452,7 +472,7 @@ def validate_schedule(sched: Schedule) -> dict[NodeId, int]:
         used_down.add(down_key)
         for k in sessions:
             sent[k] += 1
-    return {(k >> 1, SIDES[k & 1]): n for k, n in enumerate(sent)}  # session k's source
+    return dict(zip(net.sources, sent))
 
 
 @dataclass(frozen=True)
@@ -504,7 +524,7 @@ def simulate_schedule(
     # index gain - l, and arrives as bit l - 1 at the relay.
     order = _ordered(sched.assignments)
     feeds = {node: iter(bits) for node, bits in msgs.items()}
-    nodes = [(i, s) for i in range(net.pairs) for s in SIDES]  # session k's source; k ^ 1's is its destination
+    nodes = net.sources  # session k's source; k ^ 1's is its destination
     up, down = net.uplink, net.downlink
     sent: list[list[tuple[int, int]]] = []
     tx: dict[int, dict[NodeId, int]] = defaultdict(dict)
@@ -512,7 +532,7 @@ def simulate_schedule(
         drawn = []
         frames = tx[a.uplink_slot]
         top = q_up - 1 + a.uplink_level
-        for k in _served(a.pair, a.kind, a.side):
+        for k in _bit(net, a.pair, a.kind, a.side)[0]:
             node = nodes[k]
             bit = next(feeds[node])
             frames[node] = frames.get(node, 0) | bit << (top - up[k])

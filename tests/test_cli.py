@@ -17,7 +17,7 @@ from relaycap.cli import (
     main,
     parse_fraction,
 )
-from relaycap.cutset import in_det_cutset
+from relaycap.cutset import RegionSizeError, in_det_cutset
 from relaycap.detnet import DetNetwork, FullDuplex, HalfDuplex
 from relaycap.gaussian import GaussNetwork, SweepConfig, gauss_cutset, run_trial, verify_constant_gap
 from relaycap.scheduler import SimulationResult
@@ -306,6 +306,39 @@ def test_sweep_write_error_is_an_input_error(tmp_path, capsys, monkeypatch, mode
     code, doc, err = run(capsys, "sweep", *mode, "--trials", "1", "--out", str(path))
     assert code == EXIT_INPUT and doc is None
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--det"]], ids=["gaussian", "det"])
+def test_sweep_opens_out_once_and_replaces_a_longer_file_exactly(tmp_path, monkeypatch, mode):
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    assert main(["sweep", *mode, "--trials", "3", "--seed", "4", "--out", str(fresh)]) == EXIT_OK
+    reused.write_text("x" * 100_000 + "\n")
+    opened = []
+
+    def counting(path, *args):
+        opened.append(path)
+        return open(path, *args)
+
+    monkeypatch.setattr(cli, "open", counting, raising=False)
+    assert main(["sweep", *mode, "--trials", "3", "--seed", "4", "--out", str(reused)]) == EXIT_OK
+    assert opened == [str(reused)]
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [[], ["--det"]], ids=["gaussian", "det"])
+def test_a_failed_sweep_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, mode):
+    # The file is truncated only once the sweep has succeeded.
+    path = tmp_path / "kept.csv"
+    path.write_text("earlier results\n")
+
+    def failing(*args):
+        raise RegionSizeError("too large")
+
+    monkeypatch.setattr(cli.gaussian, "monte_carlo_gap", failing)
+    monkeypatch.setattr(cli, "enumerate_integral_region", failing)
+    code, doc, err = run(capsys, "sweep", *mode, "--trials", "1", "--out", str(path))
+    assert code == EXIT_INFEASIBLE and doc is None and err == "infeasible: too large\n"
+    assert path.read_text() == "earlier results\n"
 
 
 def test_main_leaves_no_parsed_state_between_calls(tmp_path, capsys):

@@ -215,6 +215,48 @@ def test_one_integer_rule():
         assert _integer_rule_uses(planted, "m") == [use], planted
 
 
+def _sorts(source: str, module: str) -> list[tuple[str, str | None, str]]:
+    """(module, enclosing def or class, name) of each call that sorts --
+    `sorted`, a `.sort` method, or `gain_order`."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("sorted", "sort", "gain_order"):
+                found.append((module, owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_hop_order():
+    # Each hop's sessions are put in gain order in one place, `gain_order`:
+    # `DetNetwork.hop_orders` keeps its two orders for the network's
+    # lifetime, and `cutset_holds` sorts the gains it is given.  The other
+    # sorts order CLI field names, cut members, `_runs` runs and assignments.
+    package = Path(relaycap.__file__).parent
+    sorts = [use for path in sorted(package.glob("*.py")) for use in _sorts(path.read_text(), path.stem)]
+    assert sorts == [
+        ("cli", "load_network", "sorted"), ("cli", "load_network", "sorted"),
+        ("cutset", "__post_init__", "sorted"),
+        ("cutset", "cutset_holds", "gain_order"), ("cutset", "cutset_holds", "gain_order"),
+        ("detnet", "hop_orders", "gain_order"), ("detnet", "hop_orders", "gain_order"),
+        ("detnet", "gain_order", "sorted"),
+        ("scheduler", "_run_induction", "sorted"), ("scheduler", "_pack", "sorted"), ("scheduler", "_ordered", "sorted"),
+    ]
+    for planted, use in (
+        ("def walk(up):\n    return sorted(range(len(up)), key=lambda k: up[k])", ("m", "walk", "sorted")),
+        ("class C:\n    def f(self, order):\n        order.sort(key=self.up.__getitem__)", ("m", "f", "sort")),
+    ):
+        assert _sorts(planted, "m") == [use], planted
+
+
 def _numpy_imports(source: str) -> list[str]:
     """Each module name from the numpy package that an import names."""
     names = []
@@ -305,8 +347,15 @@ def test_half_duplex_refuses_inexact_listen_fractions(delta):
         HalfDuplex(delta)
 
 
+@pytest.mark.parametrize("delta", ["1/3", "0.5", b"1/3", None], ids=repr)
+def test_half_duplex_refuses_a_listen_fraction_that_is_not_a_number(delta):
+    # Fraction() parses "1/3": HalfDuplex("1/3") was once taken as 1/3.
+    with pytest.raises(ValueError, match=f"^listen fraction must be a number, got {re.escape(repr(delta))}$"):
+        HalfDuplex(delta)
+
+
 def test_half_duplex_takes_exact_listen_fractions():
-    assert HalfDuplex(Fraction(1, 10)).delta == HalfDuplex("1/10").delta == Fraction(1, 10)
+    assert HalfDuplex(Fraction(1, 10)).delta == Fraction(1, 10)
     for whole in (1.0, 0, 1):
         with pytest.raises(ValueError, match="strictly in"):
             HalfDuplex(whole)

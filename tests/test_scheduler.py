@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import pickle
 import re
 import time
 import tracemalloc
@@ -37,7 +38,7 @@ from relaycap import (
     simulate_schedule,
     validate_schedule,
 )
-from relaycap import FullDuplex, cli, enumerate_cuts, scheduler
+from relaycap import FullDuplex, cli, detnet, enumerate_cuts, scheduler
 from relaycap.cutset import _cut_gains, _hop_holds, _time_scales, cutset_holds, directed_rate_caps
 from relaycap.detnet import SIDES, NodeId, node_downlink_receive, relay_uplink_receive
 from relaycap.scheduler import (
@@ -311,6 +312,70 @@ def test_reach_is_the_smallest_gain_over_the_served_sessions():
                 )
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_session_tables_match_their_rules(pairs, data):
+    # A network keeps each hop's session order, each session's source and
+    # each bit's served sessions and reach caps once they are read.  After
+    # integral, chunked, fractional and half-duplex schedules and their
+    # simulations, every entry equals what the rules give directly, and the
+    # tables leave ==, hash, repr and pickling as a fresh network has them.
+    gain_lists = st.lists(st.integers(0, 7), min_size=pairs, max_size=pairs).map(tuple)
+    fields = [data.draw(gain_lists) for _ in range(4)]
+    net = DetNetwork(*fields)
+    rates = [data.draw(st.integers(0, min(u, d))) for u, d in zip(net.uplink, net.downlink)]
+    while not cutset_holds(net.uplink, net.downlink, rates):
+        rates[rates.index(max(rates))] -= 1
+    halves = [Fraction(r, 2) for r in rates]
+    rng = np.random.default_rng(pairs)
+    for sched in (
+        divide_and_conquer(net, rates),
+        chunk_schedule(net, rates),
+        schedule_fractional(net, halves),
+        schedule_half_duplex(net, Fraction(1, 2), halves),
+    ):
+        assert simulate_schedule(sched, random_messages(sched, rng)).ok
+
+    sessions = range(2 * pairs)
+    assert net.hop_orders == (
+        tuple(sorted(sessions, key=net.uplink.__getitem__)),
+        tuple(sorted(sessions, key=net.downlink.__getitem__)),
+    )
+    assert net.sources == tuple((i, side) for i in range(pairs) for side in SIDES)
+    assert set(net._bit_table) <= {(i, *bit) for i in range(pairs) for bit in STEP_KINDS}
+    assert bool(net._bit_table) == any(rates)
+    for (pair, kind, side), entry in net._bit_table.items():
+        served = _served(pair, kind, side)
+        assert entry == (served, _reach(_gains(net), served))
+
+    fresh = DetNetwork(*fields)
+    copy = pickle.loads(pickle.dumps(net))
+    for other in (net, copy):
+        assert other == fresh and hash(other) == hash(fresh) and repr(other) == repr(fresh)
+    assert divide_and_conquer(copy, rates) == divide_and_conquer(fresh, rates)
+
+
+def test_scheduling_a_region_sorts_each_hop_once(monkeypatch):
+    # The region walk, every tuple's membership verdict, induction,
+    # validation and simulation all read the network's one sort per hop.
+    calls = []
+    real = detnet.gain_order
+
+    def counting(gains):
+        calls.append(tuple(gains))
+        return real(gains)
+
+    monkeypatch.setattr(detnet, "gain_order", counting)
+    net = DetNetwork((3, 2, 4), (2, 1, 1), (2, 1, 3), (3, 2, 2))
+    rng = np.random.default_rng(0)
+    region = enumerate_integral_region(net)
+    for rates in region:
+        sched = divide_and_conquer(net, rates)
+        assert simulate_schedule(sched, random_messages(sched, rng)).ok
+    assert len(region) > 50
+    assert calls == [net.uplink, net.downlink]
+
+
 # --- divide and conquer ------------------------------------------------------
 
 
@@ -354,7 +419,7 @@ def test_induction_rechecks_region_after_each_step():
     # (4, 0, 0, 0) is outside REF's region; the first one-way step goes
     # through, and the per-step check then finds R_A1 = 3 above its cap of 2.
     with pytest.raises(InductionInvariantError, match="after step 1"):
-        _run_induction(_gains(REF), [4, 0, 0, 0])
+        _run_induction(REF, 1, 1, [4, 0, 0, 0])
 
 
 def reference_induction(net, rates):
@@ -411,7 +476,7 @@ def test_induction_matches_reference_on_networks(pairs, scales, outside, data):
         rates[rates.index(max(rates))] -= 1
     if outside:
         rates[data.draw(st.integers(0, 2 * pairs - 1))] += 1
-    assert _outcome(_run_induction, gains, rates) == _outcome(reference_induction, scaled, rates)
+    assert _outcome(_run_induction, net, listen, transmit, rates) == _outcome(reference_induction, scaled, rates)
 
 
 @settings(max_examples=300, deadline=None)
@@ -439,7 +504,11 @@ def test_fractional_rates_rejected_by_integral_path():
 
 
 @pytest.mark.parametrize(
-    "bad", [True, False, math.inf, -math.inf, math.nan, np.float64(math.inf), 0.1, np.float64(1.5)]
+    "bad",
+    [True, False, math.inf, -math.inf, math.nan, np.float64(math.inf), 0.1, np.float64(1.5),
+     # Fraction() parses these two: in_det_cutset(REF, ["1", "0", "0", "0"])
+     # once answered member=True and divide_and_conquer built its schedule.
+     "1", "1/3", None, 1j],
 )
 @pytest.mark.parametrize(
     "call",
@@ -454,6 +523,33 @@ def test_fractional_rates_rejected_by_integral_path():
 def test_rates_refuse_bools_and_non_finite_values(call, bad):
     with pytest.raises(ValueError, match="rates must be"):
         call(REF, (0, bad, 0, 0))
+
+
+def test_a_listen_fraction_that_is_not_a_number_is_refused_first():
+    # schedule_half_duplex(REF, "1/3", ...) once scheduled over Q = 3.
+    with pytest.raises(ValueError, match=r"^listen fraction must be a number, got '1/3'$"):
+        schedule_half_duplex(REF, "1/3", ("1/3", 0, 0, 0))
+    with pytest.raises(ValueError, match=r"^rates must be finite numbers, got \('1/3', 0, 0, 0\)$"):
+        schedule_half_duplex(REF, Fraction(1, 3), ("1/3", 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "rates,message",
+    [
+        ((0, 0, 0), "expected 4 rate components, got 3"),
+        ((0.5, -1, "1", 0), "rates must be finite numbers, got (0.5, -1, '1', 0)"),
+        ((0.5, -1, math.inf, 0), "rates must be finite numbers, got (0.5, -1, inf, 0)"),
+        ((0.5, True, 0, 0), "rates must be non-negative numbers, got (0.5, True, 0, 0)"),
+        ((0.25, 0, Fraction(-1, 2), 0), "rates must be non-negative numbers, got (0.25, 0, Fraction(-1, 2), 0)"),
+        ((1, 0.5, 0.25, 0), "rates must be exact: 0.5 is a float that is not a whole number"),
+    ],
+    ids=repr,
+)
+def test_rate_refusals_keep_their_order(rates, message):
+    # Whichever value comes first: a wrong count, then a value that is not a
+    # finite number, then a bool or negative rate, then an inexact one.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        in_det_cutset(REF, rates)
 
 
 def test_inexact_float_rates_and_fractions_named():
