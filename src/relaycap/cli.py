@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import errno
 import functools
 import hashlib
 import json
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gaussian, scheduler
-from .cutset import RegionSizeError, enumerate_integral_region, in_det_cutset
+from .cutset import RegionSizeError, enumerate_integral_region, in_det_cutset, region_walk_tests
 from .detnet import FULL_DUPLEX, DetNetwork, HalfDuplex
 from .gaussian import (
     GaussNetwork,
@@ -67,8 +66,10 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-_DET_FIELDS = {"kind", "pairs", "n_ar", "n_br", "n_ra", "n_rb", "duplex", "delta"}
-_GAUSS_FIELDS = {"kind", "h_ar", "h_br", "h_ra", "h_rb", "power"}
+_NETWORK_FIELDS = {
+    "deterministic": {"kind", "pairs", "n_ar", "n_br", "n_ra", "n_rb", "duplex", "delta"},
+    "gaussian": {"kind", "h_ar", "h_br", "h_ra", "h_rb", "power"},
+}
 
 
 def load_network(path: str):
@@ -83,12 +84,14 @@ def load_network(path: str):
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _NETWORK_FIELDS:
+        raise InputError(f"{path}: kind must be 'deterministic' or 'gaussian', got {kind!r}")
+    unknown = set(doc) - _NETWORK_FIELDS[kind]
+    if unknown:
+        raise InputError(f"{path}: unknown fields {sorted(unknown)}")
     digest = hashlib.sha256(raw).hexdigest()
 
     if kind == "deterministic":
-        unknown = set(doc) - _DET_FIELDS
-        if unknown:
-            raise InputError(f"{path}: unknown fields {sorted(unknown)}")
         try:
             pairs = doc["pairs"]
             gains = {k: tuple(doc[k]) for k in ("n_ar", "n_br", "n_ra", "n_rb")}
@@ -119,20 +122,14 @@ def load_network(path: str):
             raise InputError(f"{path}: duplex must be 'full' or 'half', got {duplex!r}")
         return net, mode, digest
 
-    if kind == "gaussian":
-        unknown = set(doc) - _GAUSS_FIELDS
-        if unknown:
-            raise InputError(f"{path}: unknown fields {sorted(unknown)}")
-        magnitudes = [doc.get(k) for k in ("h_ar", "h_br", "h_ra", "h_rb")]
-        if not all(type(m) is list and len(m) == 2 for m in magnitudes):
-            raise InputError(f"{path}: h_ar, h_br, h_ra and h_rb must be arrays of two magnitudes")
-        try:
-            net = GaussNetwork(*map(tuple, magnitudes), doc.get("power"))
-        except (ValueError, OverflowError) as exc:
-            raise InputError(f"{path}: bad gaussian network fields ({exc})") from exc
-        return net, None, digest
-
-    raise InputError(f"{path}: kind must be 'deterministic' or 'gaussian', got {kind!r}")
+    magnitudes = [doc.get(k) for k in ("h_ar", "h_br", "h_ra", "h_rb")]
+    if not all(type(m) is list and len(m) == 2 for m in magnitudes):
+        raise InputError(f"{path}: h_ar, h_br, h_ra and h_rb must be arrays of two magnitudes")
+    try:
+        net = GaussNetwork(*map(tuple, magnitudes), doc.get("power"))
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: bad gaussian network fields ({exc})") from exc
+    return net, None, digest
 
 
 def _det_rates(text: str) -> list[Fraction]:
@@ -197,9 +194,17 @@ def cmd_region(args) -> int:
     return EXIT_OK if check.inside else EXIT_INFEASIBLE
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed numpy cannot seed a generator with, in `SweepConfig`'s
+    words for the Gaussian sweep's seed."""
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
+
+
 def cmd_schedule(args) -> int:
     if args.simulate < 0:
         raise InputError(f"--simulate must be non-negative, got {args.simulate}")
+    _check_seed(args.seed)
     net, mode, digest = load_network(args.network)
     if not isinstance(net, DetNetwork):
         raise InputError("schedule requires a deterministic network")
@@ -301,13 +306,14 @@ def _open_out(path: str | None):
 def _write_out(out, path: str | None, text: str) -> None:
     """Replace the contents of ``out``, `_open_out`'s file for ``path``, with
     ``text``; write it to stdout when there is no file.  A file no longer
-    at ``path`` (removed while the sweep ran) is refused, as a write error."""
+    at ``path`` (removed or replaced while the sweep ran) is refused, as a
+    write error, and left as it is."""
     if out is None:
         sys.stdout.write(text)
         return
     try:
         if not os.path.samestat(os.fstat(out.fileno()), os.stat(path)):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            raise InputError(f"cannot write {path}: the file was replaced while the sweep ran")
         if out.seekable() and out.tell():  # a file that was not empty
             out.truncate(0)
         out.write(text)
@@ -316,102 +322,96 @@ def _write_out(out, path: str | None, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+# The largest value numpy's default int64 draw takes for --max-pairs and
+# --max-gain: each is drawn with an exclusive upper bound one above it.
+_DRAW_MAX = 2**63 - 1
+
+
 def cmd_sweep(args) -> int:
     if args.max_pairs < 1:
         raise InputError(f"--max-pairs must be at least 1, got {args.max_pairs}")
     if args.max_gain < 0:
         raise InputError(f"--max-gain must be non-negative, got {args.max_gain}")
+    for flag, value in (("--max-pairs", args.max_pairs), ("--max-gain", args.max_gain)):
+        if value > _DRAW_MAX:
+            raise InputError(f"{flag} must be at most 2**63 - 1 (an int64 draw), got {value}")
     if args.det:
-        return _det_sweep(args)
-    cfg = SweepConfig(
-        trials=args.trials,
-        seed=args.seed,
-        h_min=args.hmin,
-        h_max=args.hmax,
-        p_min=args.pmin,
-        p_max=args.pmax,
-    )
-    with _open_out(args.out) as out:
-        report = gaussian.monte_carlo_gap(cfg)
-        c = report.columns
-        floats = (
-            c.max_alpha_excess, c.bound_gap, c.h_a1r, c.h_b1r, c.h_a2r, c.h_b2r,
-            c.h_ra1, c.h_rb1, c.h_ra2, c.h_rb2, c.power,
+        if args.trials < 0:
+            raise InputError(f"--trials must be non-negative, got {args.trials}")
+        _check_seed(args.seed)
+    else:
+        cfg = SweepConfig(
+            trials=args.trials,
+            seed=args.seed,
+            h_min=args.hmin,
+            h_max=args.hmax,
+            p_min=args.pmin,
+            p_max=args.pmax,
         )
-        verdicts = ["pass" if s == "ok" else "fail" for s in c.stage]
-        rows = zip(map(str, c.trial), repeat(str(cfg.seed)), verdicts, c.stage, *(map(repr, f) for f in floats))
-        _write_out(out, args.out, "\n".join([_GAUSS_CSV_HEADER, *map(",".join, rows)]) + "\n")
+    with _open_out(args.out) as out:
+        lines, summary, passed = _det_sweep(args) if args.det else _gauss_sweep(cfg)
+        _write_out(out, args.out, "\n".join(lines) + "\n")
+    _emit({"command": "sweep", "seed": args.seed, "trials": args.trials, **summary, "out": args.out})
+    return EXIT_OK if passed else EXIT_INFEASIBLE
+
+
+def _gauss_sweep(cfg: SweepConfig):
+    """The Gaussian sweep's CSV lines, summary fields and verdict."""
+    report = gaussian.monte_carlo_gap(cfg)
+    c = report.columns
+    floats = (
+        c.max_alpha_excess, c.bound_gap, c.h_a1r, c.h_b1r, c.h_a2r, c.h_b2r,
+        c.h_ra1, c.h_rb1, c.h_ra2, c.h_rb2, c.power,
+    )
+    verdicts = ["pass" if s == "ok" else "fail" for s in c.stage]
+    rows = zip(map(str, c.trial), repeat(str(cfg.seed)), verdicts, c.stage, *(map(repr, f) for f in floats))
     summary = {
-        "command": "sweep",
         "mode": "gaussian",
-        "seed": cfg.seed,
-        "trials": cfg.trials,
         "ranges": {"h": [cfg.h_min, cfg.h_max], "power": [cfg.p_min, cfg.p_max]},
         "passed": c.stage.count("ok"),
         "pass_rate": report.pass_rate,
         "max_alpha_slack": report.max_alpha_excess,
         "max_bound_gap": report.max_bound_gap,
-        "out": args.out,
     }
-    _emit(summary)
-    return EXIT_OK if report.pass_rate == 1.0 else EXIT_INFEASIBLE
+    return [_GAUSS_CSV_HEADER, *map(",".join, rows)], summary, report.pass_rate == 1.0
 
 
-def _det_sweep(args) -> int:
-    if args.trials < 0:
-        raise InputError(f"--trials must be non-negative, got {args.trials}")
-    if args.seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {args.seed}")
-    with _open_out(args.out) as out:
-        lines = [_DET_CSV_HEADER]
-        failures_total = 0
-        tuples_total = 0
-        for trial in range(args.trials):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(trial,)))
-            pairs = int(rng.integers(1, args.max_pairs + 1))
-            gains = {
-                name: tuple(int(g) for g in rng.integers(0, args.max_gain + 1, size=pairs))
-                for name in ("n_ar", "n_br", "n_ra", "n_rb")
-            }
-            net = DetNetwork(**gains)
-            failures = 0
-            region = enumerate_integral_region(net)  # RegionSizeError aborts the sweep
-            for tup in region:
-                sched = scheduler.divide_and_conquer(net, tup)
-                msgs = scheduler.random_messages(sched, rng)
-                if not scheduler.simulate_schedule(sched, msgs).ok:
-                    failures += 1
-            failures_total += failures
-            tuples_total += len(region)
-            lines.append(
-                ",".join(
-                    [
-                        str(trial),
-                        str(args.seed),
-                        "pass" if failures == 0 else "fail",
-                        str(pairs),
-                        ";".join(map(str, gains["n_ar"])),
-                        ";".join(map(str, gains["n_br"])),
-                        ";".join(map(str, gains["n_ra"])),
-                        ";".join(map(str, gains["n_rb"])),
-                        str(len(region)),
-                        str(failures),
-                    ]
-                )
-            )
-        _write_out(out, args.out, "\n".join(lines) + "\n")
-    _emit(
-        {
-            "command": "sweep",
-            "mode": "deterministic",
-            "seed": args.seed,
-            "trials": args.trials,
-            "tuples_checked": tuples_total,
-            "failures": failures_total,
-            "out": args.out,
+def _det_sweep(args):
+    """The deterministic sweep's CSV lines, summary fields and verdict."""
+    lines = [_DET_CSV_HEADER]
+    summary = {"mode": "deterministic", "tuples_checked": 0, "failures": 0}
+    for trial in range(args.trials):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(trial,)))
+        pairs = int(rng.integers(1, args.max_pairs + 1))
+        region_walk_tests(pairs)  # a walk too large is refused before its gains are drawn
+        gains = {
+            name: tuple(int(g) for g in rng.integers(0, args.max_gain + 1, size=pairs))
+            for name in ("n_ar", "n_br", "n_ra", "n_rb")
         }
-    )
-    return EXIT_OK if failures_total == 0 else EXIT_INFEASIBLE
+        net = DetNetwork(**gains)
+        failures = 0
+        region = enumerate_integral_region(net)  # RegionSizeError aborts the sweep
+        for tup in region:
+            sched = scheduler.divide_and_conquer(net, tup)
+            msgs = scheduler.random_messages(sched, rng)
+            if not scheduler.simulate_schedule(sched, msgs).ok:
+                failures += 1
+        summary["failures"] += failures
+        summary["tuples_checked"] += len(region)
+        lines.append(
+            ",".join(
+                [
+                    str(trial),
+                    str(args.seed),
+                    "pass" if failures == 0 else "fail",
+                    str(pairs),
+                    *(";".join(map(str, g)) for g in gains.values()),
+                    str(len(region)),
+                    str(failures),
+                ]
+            )
+        )
+    return lines, summary, summary["failures"] == 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("--rates", required=True, help="comma-separated rate tuple")
     p.add_argument("--restricted", action="store_true", help="use the restricted bound (gaussian only)")
-    p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("schedule", help="construct (and simulate) a deterministic schedule")
     p.add_argument("network")
@@ -433,12 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulate", type=int, default=0, metavar="N", help="verify N random payloads")
     p.add_argument("--chunked", action="store_true", help="contiguous per-type level chunks")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("gauss-verify", help="constant-gap achievability check")
     p.add_argument("network")
     p.add_argument("--rates", required=True)
-    p.set_defaults(func=cmd_gauss_verify)
 
     p = sub.add_parser("sweep", help="Monte Carlo verification sweep")
     p.add_argument("--det", action="store_true", help="deterministic-network completeness sweep")
@@ -451,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.add_argument("--max-pairs", type=int, default=3, help="det mode: largest M")
     p.add_argument("--max-gain", type=int, default=6, help="det mode: largest channel gain")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -464,8 +460,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # Looked up when called, not bound into the cached parser, so a command
+    # wrapped after an earlier call is the one that runs.
+    command = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (NotInRegionError, InfeasibleRatesError, RegionSizeError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

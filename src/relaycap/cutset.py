@@ -296,6 +296,17 @@ def directed_rate_caps(net: DetNetwork, mode: DuplexMode = FULL_DUPLEX) -> tuple
     return tuple(min(listen * u, transmit * d) // q for u, d in zip(net.uplink, net.downlink))
 
 
+def region_walk_tests(pairs: int) -> int:
+    """The tests a region walk over ``pairs`` pairs may make, at 2M session
+    reads each, within `READ_BUDGET`.  RegionSizeError when the 2M probes
+    that every walk fails would pass it: the refusal depends on M alone."""
+    n = 2 * pairs
+    tests = READ_BUDGET // n
+    if tests < n:
+        raise RegionSizeError(f"the {n} or more tests of a {n}-session walk exceed work budget {READ_BUDGET}")
+    return tests
+
+
 def enumerate_integral_region(
     net: DetNetwork, mode: DuplexMode = FULL_DUPLEX
 ) -> list[tuple[int, ...]]:
@@ -305,13 +316,11 @@ def enumerate_integral_region(
     down-closed, so once (prefix, v, 0, ..., 0) fails, no tuple with that
     prefix and a rate >= v next is a member: the walk carries to the
     previous coordinate.  Each test reads the 2M sessions: RegionSizeError
-    is raised once those reads pass `READ_BUDGET`, up front when the 2M
-    probes that every walk fails would pass it."""
+    is raised once those reads pass `READ_BUDGET`, up front as
+    `region_walk_tests` says."""
     q, listen, transmit = _time_scales(mode, ())
     n = 2 * net.pairs
-    tests = READ_BUDGET // n
-    if tests < n:
-        raise RegionSizeError(f"the {n} or more tests of a {n}-session walk exceed work budget {READ_BUDGET}")
+    tests = region_walk_tests(net.pairs)
     up, down = net.uplink, net.downlink
     up_order, down_order = net.hop_orders
     rates = [0] * n

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import time
@@ -341,6 +342,80 @@ def test_a_failed_sweep_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, mode
     assert path.read_text() == "earlier results\n"
 
 
+@pytest.mark.parametrize("mode", [[], ["--det"]], ids=["gaussian", "det"])
+def test_sweep_without_out_writes_its_csv_then_its_summary_to_stdout(tmp_path, capsys, mode):
+    path = tmp_path / "x.csv"
+    argv = ["sweep", *mode, "--trials", "3", "--seed", "4"]
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    summary = {**json.loads(capsys.readouterr().out), "out": None}
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == path.read_text() + json.dumps(summary, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--det"]], ids=["gaussian", "det"])
+def test_sweep_refuses_an_out_file_replaced_while_it_ran(tmp_path, capsys, monkeypatch, mode):
+    # Once refused as "No such file or directory", with a file at the path.
+    path, other = tmp_path / "x.csv", tmp_path / "other.csv"
+    for name in ("_gauss_sweep", "_det_sweep"):
+        def replacing(*args, sweep=getattr(cli, name)):
+            other.write_text("the replacer's rows\n")
+            other.replace(path)
+            return sweep(*args)
+
+        monkeypatch.setattr(cli, name, replacing)
+    code, doc, err = run(capsys, "sweep", *mode, "--trials", "1", "--out", str(path))
+    assert (code, doc) == (EXIT_INPUT, None)
+    assert err == f"error: cannot write {path}: the file was replaced while the sweep ran\n"
+    assert path.read_text() == "the replacer's rows\n"
+
+
+def test_a_command_is_looked_up_when_main_runs(capsys, monkeypatch):
+    # Once bound into the cached parser: a command wrapped after the first
+    # call was never run.
+    assert main(["sweep", "--trials", "0"]) == EXIT_OK
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.trials) or 7)
+    assert main(["sweep", "--trials", "5"]) == 7 and seen == [5]
+
+
+def _calls(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing def or class, name) of each call of `_open_out`,
+    `_write_out` or `_check_seed`, bare or as an attribute."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("_open_out", "_write_out", "_check_seed"):
+                found.append((owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_sweep_front_end():
+    # Both sweep modes open --out, write their CSV and check a seed in
+    # `cmd_sweep`; the row builders only build rows.  `schedule` is the
+    # other command that seeds a numpy generator.
+    assert _calls(Path(cli.__file__).read_text()) == [
+        ("cmd_schedule", "_check_seed"),
+        ("cmd_sweep", "_check_seed"), ("cmd_sweep", "_open_out"), ("cmd_sweep", "_write_out"),
+    ]
+    planted = (
+        "def _det_sweep(args):\n"
+        "    with cli._open_out(args.out) as out:\n"
+        "        _write_out(out, args.out, _DET_CSV_HEADER)"
+    )
+    assert _calls(planted) == [("_det_sweep", "_open_out"), ("_det_sweep", "_write_out")]
+
+
 def test_main_leaves_no_parsed_state_between_calls(tmp_path, capsys):
     # The parser is built once per process; a Gaussian sweep run after a
     # --det sweep is Gaussian and writes the bytes of a run on a fresh parser.
@@ -456,6 +531,12 @@ def test_schedule_integral_over_budget(tmp_path, capsys):
         (["sweep", "--trials", "2", "--hmin", "0"], "h_min must be positive"),
         # Once numpy's bare "expected non-negative integer".
         (["sweep", "--det", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        # Once numpy's "high is out of bounds for int64".
+        (["sweep", "--det", "--max-pairs", str(10**20)], f"--max-pairs must be at most 2**63 - 1 (an int64 draw), got {10**20}"),
+        (["sweep", "--det", "--max-gain", str(10**20)], f"--max-gain must be at most 2**63 - 1 (an int64 draw), got {10**20}"),
+        # Once numpy's bare "expected non-negative integer".
+        (["schedule", "{det}", "--rates", "1,1,0,0", "--simulate", "1", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_cli_rejects_invalid_options(det_file, capsys, argv, message):
@@ -552,6 +633,23 @@ def test_det_sweep_over_the_region_budget_is_infeasible(capsys):
     assert time.perf_counter() - start < 5.0
 
 
+def test_det_sweep_refuses_a_walk_too_large_before_drawing_its_gains(capsys, monkeypatch):
+    # Once M = 1604476 gains were drawn and a network built first: 2.2 s and
+    # a 157 MB peak before the walk refused it.
+    def refused(**gains):
+        raise AssertionError("the sweep built a network its walk refuses")
+
+    monkeypatch.setattr(cli, "DetNetwork", refused)
+    start = time.perf_counter()
+    code, doc, err = run(capsys, "sweep", "--det", "--trials", "1", "--seed", "0", "--max-pairs", "2000000")
+    assert (code, doc) == (EXIT_INFEASIBLE, None)
+    assert err == "infeasible: the 3208952 or more tests of a 3208952-session walk exceed work budget 250000\n"
+    assert time.perf_counter() - start < 0.5
+    # The largest --max-pairs an int64 draw takes is drawn, then refused the same way.
+    code, doc, err = run(capsys, "sweep", "--det", "--trials", "1", "--max-pairs", str(2**63 - 1))
+    assert (code, doc) == (EXIT_INFEASIBLE, None) and "-session walk exceed work budget" in err
+
+
 def test_schedule_simulation_refuses_an_unbuildable_frame(tmp_path, capsys):
     # A 10^30-level uplink frame: once an OverflowError traceback, exit 1.
     path = tmp_path / "huge.json"
@@ -578,9 +676,12 @@ _NO_N_RB = {k: v for k, v in REF_NET.items() if k != "n_rb"}
         (json.dumps({**REF_NET, "duplex": "quarter"}), "duplex must be 'full' or 'half', got 'quarter'"),
         (json.dumps({**GAUSS, "mystery": 1}), "unknown fields ['mystery']"),
         (json.dumps({**GAUSS, "kind": "quantum"}), "kind must be 'deterministic' or 'gaussian', got 'quantum'"),
+        (json.dumps({**REF_NET, "mystery": 1}), "unknown fields ['mystery']"),
+        (json.dumps({**GAUSS, "kind": ["gaussian"]}), "kind must be 'deterministic' or 'gaussian', got ['gaussian']"),
     ],
     ids=["invalid-json", "non-object", "missing-field", "short-arrays", "delta-in-full-duplex",
-         "half-duplex-without-delta", "delta-three-halves", "bad-duplex", "unknown-gaussian-field", "bad-kind"],
+         "half-duplex-without-delta", "delta-three-halves", "bad-duplex", "unknown-gaussian-field", "bad-kind",
+         "unknown-deterministic-field", "unhashable-kind"],
 )
 def test_each_file_refusal_exits_2_with_its_line(tmp_path, capsys, text, message):
     path = tmp_path / "n.json"

@@ -243,7 +243,7 @@ def test_one_hop_order():
     package = Path(relaycap.__file__).parent
     sorts = [use for path in sorted(package.glob("*.py")) for use in _sorts(path.read_text(), path.stem)]
     assert sorts == [
-        ("cli", "load_network", "sorted"), ("cli", "load_network", "sorted"),
+        ("cli", "load_network", "sorted"),
         ("cutset", "__post_init__", "sorted"),
         ("cutset", "cutset_holds", "gain_order"), ("cutset", "cutset_holds", "gain_order"),
         ("detnet", "hop_orders", "gain_order"), ("detnet", "hop_orders", "gain_order"),

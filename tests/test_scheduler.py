@@ -1030,6 +1030,32 @@ def test_simulate_refuses_a_frame_python_cannot_build():
         simulate_schedule(sched, random_messages(sched, np.random.default_rng(0)))
 
 
+def test_simulate_refuses_a_frame_past_the_budget_before_building_it():
+    # Once a 10^10-bit uplink frame, about 1.2 GB, was built: frames were
+    # refused only past sys.maxsize bits.
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        net = DetNetwork((10**10, 2), (2, 1), (2, 1), (3, 2))
+        sched = schedule_fractional(net, (1, 0, 0, 0))
+        refusal = f"^frames of {10**10} bits: a simulated frame holds at most {scheduler.FRAME_BUDGET}$"
+        with pytest.raises(ShapeError, match=refusal):
+            simulate_schedule(sched, random_messages(sched, np.random.default_rng(0)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.1 and peak < 2**20
+    # The budget itself is simulated; one bit more is refused.
+    for gain, simulated in ((scheduler.FRAME_BUDGET, True), (scheduler.FRAME_BUDGET + 1, False)):
+        sched = schedule_fractional(DetNetwork((2, 1), (2, 1), (2, 1), (3, gain)), (0, 0, 0, 1))
+        msgs = random_messages(sched, np.random.default_rng(0))
+        if simulated:
+            assert simulate_schedule(sched, msgs).ok
+        else:
+            with pytest.raises(ShapeError, match=f"^frames of {gain} bits"):
+                simulate_schedule(sched, msgs)
+
+
 def test_decoded_messages_round_trip_specific_payload():
     sched = divide_and_conquer(REF, (2, 1, 1, 1))
     msgs = {(0, "A"): (1, 0), (0, "B"): (1,), (1, "A"): (1,), (1, "B"): (0,)}
