@@ -49,7 +49,7 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_SIDE_CONDITION = 4
 
-_FRACTION_RE = re.compile(r"^\s*(\d+)\s*(?:/\s*([1-9]\d*)\s*)?$")
+_FRACTION_RE = re.compile(r"^\s*(\d+)\s*(?:/\s*([1-9]\d*)\s*)?$", re.ASCII)
 
 
 class InputError(ValueError):
@@ -138,9 +138,14 @@ def _det_rates(text: str) -> list[Fraction]:
 
 
 def _gaussian_rates(text: str) -> list[float]:
-    """Decimal rates from a comma-separated list."""
+    """Decimal rates from a comma-separated list, in ASCII: `float` would
+    also read other scripts' digits and ``_`` separators."""
+    tokens = text.split(",")
     try:
-        return [float(tok) for tok in text.split(",")]
+        for tok in tokens:
+            if not tok.isascii() or "_" in tok:
+                raise ValueError(f"{tok!r} is not an ASCII decimal")
+        return [float(tok) for tok in tokens]
     except ValueError as exc:
         raise InputError(f"gaussian rates must be decimals: {exc}") from exc
 

@@ -21,16 +21,15 @@ Membership does not walk the 3^M - 1 cuts.  A cut's bound is
 min(up_scale * a, down_scale * b) for its largest uplink gain a and downlink
 gain b, so a cut is violated iff its rate sum exceeds up_scale * a or
 down_scale * b: the region is the intersection of two one-sided regions,
-one per hop.  `cutset_holds` tests each with one pass over the sessions
-sorted by that hop's gain, in integers, in O(M log M) for the sort and O(M)
-for the pass; see its docstring for why it is exact.  The pass itself,
-`_hop_holds`, also serves `in_det_cutset`, the region walk and the
-scheduler's re-check after every induction step, all on the network's
-`hop_orders`, sorted once per network: a tuple they test costs O(M).
-`enumerate_cuts` and `det_cut_bound` stay as the brute-force reference;
-only a non-member walks `enumerate_cuts`, to list its violated cuts.
-Enumeration walks the down-closed region on the hop passes, so its cost
-follows the region's size.
+one per hop.  `_hop_holds` tests each with one pass over the sessions in
+that hop's gain order, in integers, in O(M); see its docstring for why it
+is exact.  It is the one verdict pass: `in_det_cutset`, the region walk and
+the scheduler's re-check after every induction step run it on the
+network's `hop_orders`, sorted once per network.  `enumerate_cuts` and
+`det_cut_bound` stay as the brute-force reference; only a non-member walks
+`enumerate_cuts`, to list its violated cuts.  Enumeration walks the
+down-closed region on the hop passes, so its cost follows the region's
+size.
 """
 
 from __future__ import annotations
@@ -43,9 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .detnet import (
-    FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex, _integer, _refuse_inexact, gain_order,
-)
+from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex, _integer, _refuse_inexact
 
 Rate = Union[int, Fraction]
 
@@ -195,59 +192,36 @@ def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> list[Rate]:
     return out
 
 
-def cutset_holds(
-    uplink: Sequence[int],
-    downlink: Sequence[int],
-    rates: Sequence[int],
-    up_scale: int = 1,
-    down_scale: int = 1,
-) -> bool:
-    """Integer test: True iff every cut satisfies
-
-        sum of its sessions' rates <= min(up_scale * a, down_scale * b)
-
-    where a and b are the cut's largest uplink and downlink session gain.
-    ``uplink``, ``downlink`` and ``rates`` are indexed by session (A1, B1,
-    A2, B2, ...); rates are non-negative ints, and integral full-duplex
-    rates use the unit scales.
-
-    Separability.  The sum exceeds the min iff it exceeds up_scale * a or
-    down_scale * b, so the test is two one-sided tests, one per hop: no
-    cut's sum may exceed scale * (its largest gain on that hop).  Each is
-    one pass over the sessions in ascending order of that hop's gain
-    (`gain_order`), skipping those with zero rate.  The pass keeps each
-    pair's largest rate seen so far and their sum, and fails as soon as the
-    sum exceeds scale * g for the gain g just reached; the sum is checked
-    when it grows, since g only rises.  That is O(M log M) per hop for the
-    sort and O(M) for the pass.
-
-    Exactness of one pass.  If it fails at gain g, the kept rates select
-    at most one session per pair, all with gains <= g: a cut, nonempty
-    because its sum is positive, whose largest gain g' <= g gives a bound
-    scale * g' <= scale * g below its sum, so the cut is violated.
-    Conversely, let a cut be violated on this hop.  Drop its zero-rate
-    members: the sum stays and the largest gain g cannot grow, so it stays
-    violated.  Once the pass has seen every positive-rate session of gain
-    <= g, the cut's members among them, the kept sum is at least the cut's
-    sum > scale * g; it last grew at a gain <= g, and the pass failed there.
-    """
-    return _hop_holds(gain_order(uplink), uplink, rates, up_scale) and (
-        _hop_holds(gain_order(downlink), downlink, rates, down_scale)
-    )
-
-
 def _hop_holds(order: Sequence[int], gains: Sequence[int], rates: Sequence[int], scale: int) -> bool:
-    """One hop's pass of `cutset_holds`: True iff no cut's rate sum exceeds
-    scale * (its largest gain in ``gains``).  ``order`` lists sessions in
-    non-decreasing order of ``gains``; it may hold zero-rate sessions, which
-    the pass skips.  Sessions of equal gain may come in any order: the sum
-    only grows within a run of equal gains and is compared with one bound,
-    so it exceeds that bound at some step of the run iff at its end.
+    """One hop's verdict: True iff no cut's rate sum exceeds scale * (its
+    largest gain in ``gains``).  ``gains`` and ``rates`` are indexed by
+    session (A1, B1, A2, B2, ...), rates are non-negative ints, and
+    ``order`` lists the sessions in non-decreasing order of ``gains``.
 
-    So an order sorted once stays valid while the gains change by any map
-    that never reorders them.  The induction's reduction, n -> n - (n >= l),
-    is such a map (it may merge two gains, never swap them), and so is the
-    identity of a region walk over fixed gains."""
+    Separability.  A cut's sum exceeds min(up_scale * a, down_scale * b)
+    iff it exceeds up_scale * a or down_scale * b, so membership is this
+    test on each hop.  The pass walks ``order``, skipping zero-rate
+    sessions, keeps each pair's largest rate seen so far and their sum,
+    and fails as soon as the sum exceeds scale * g for the gain g just
+    reached; the sum is checked when it grows, since g only rises.
+
+    Exactness.  If it fails at gain g, the kept rates select at most one
+    session per pair, all with gains <= g: a cut, nonempty because its sum
+    is positive, whose largest gain g' <= g gives a bound scale * g' <=
+    scale * g below its sum, so the cut is violated.  Conversely, let a cut
+    be violated on this hop.  Drop its zero-rate members: the sum stays and
+    the largest gain g cannot grow, so it stays violated.  Once the pass
+    has seen every positive-rate session of gain <= g, the cut's members
+    among them, the kept sum is at least the cut's sum > scale * g; it last
+    grew at a gain <= g, and the pass failed there.
+
+    Sessions of equal gain may come in any order: the sum only grows within
+    a run of equal gains and is compared with one bound, so it exceeds that
+    bound at some step of the run iff at its end.  So an order sorted once
+    stays valid while the gains change by any map that never reorders them.
+    The induction's reduction, n -> n - (n >= l), is such a map (it may
+    merge two gains, never swap them), and so is the identity of a region
+    walk over fixed gains."""
     best = [0] * (len(rates) // 2)  # largest rate seen so far, per pair
     total = 0
     for k in order:
@@ -267,11 +241,11 @@ def in_det_cutset(
 ) -> Membership:
     """Membership test; on failure reports every violated cut.
 
-    The verdict comes from `cutset_holds`'s two hop passes, on the
-    network's `hop_orders`, on the bits the checked rates serve over the Q
-    uses of their `_time_scales`.  Only a non-member walks
-    `enumerate_cuts` to list its violated cuts, in that order, each bound
-    being min(listen * a, transmit * b) / Q, or raises its RegionSizeError."""
+    The verdict comes from the two `_hop_holds` passes, on the network's
+    `hop_orders`, on the bits the checked rates serve over the Q uses of
+    their `_time_scales`.  Only a non-member walks `enumerate_cuts` to list
+    its violated cuts, in that order, each bound being
+    min(listen * a, transmit * b) / Q, or raises its RegionSizeError."""
     rs = _check_rates(net, rates)
     q, listen, transmit = _time_scales(mode, [r.denominator for r in rs])
     bits = [r.numerator * (q // r.denominator) for r in rs]
@@ -311,11 +285,11 @@ def enumerate_integral_region(
     net: DetNetwork, mode: DuplexMode = FULL_DUPLEX
 ) -> list[tuple[int, ...]]:
     """Every integral rate tuple inside the cut-set region, in lexicographic
-    order.  An odometer asks `cutset_holds`'s two hop passes, on the
-    network's `hop_orders`, about each tuple it visits.  The region is
-    down-closed, so once (prefix, v, 0, ..., 0) fails, no tuple with that
-    prefix and a rate >= v next is a member: the walk carries to the
-    previous coordinate.  Each test reads the 2M sessions: RegionSizeError
+    order.  An odometer asks the two `_hop_holds` passes, on the network's
+    `hop_orders`, about each tuple it visits.  The region is down-closed,
+    so once (prefix, v, 0, ..., 0) fails, no tuple with that prefix and a
+    rate >= v next is a member: the walk carries to the previous
+    coordinate.  Each test reads the 2M sessions: RegionSizeError
     is raised once those reads pass `READ_BUDGET`, up front as
     `region_walk_tests` says."""
     q, listen, transmit = _time_scales(mode, ())

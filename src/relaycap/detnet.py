@@ -27,9 +27,9 @@ simulator:
   ``min(n_ra[i], n_rb[i])``.
 
 All values here are immutable; every operation is a pure function.  A
-network keeps tables derived from its gains, each built the first time it
-is read (`hop_orders`, `sources` and the scheduler's bit table); they are
-not fields, so `==`, `hash` and `repr` never see them.
+network keeps tables derived from its gains, each built whole the first
+time it is read (`hop_orders`, `sources` and the bit table the scheduler
+reads); they are not fields, so `==`, `hash` and `repr` never see them.
 """
 
 from __future__ import annotations
@@ -156,10 +156,21 @@ class DetNetwork:
 
     @cached_property
     def _bit_table(self) -> dict:
-        """(pair, kind, side) of a bit -> (the sessions it serves, its
-        (uplink, downlink) level caps).  Empty until the scheduler fills an
-        entry, from its own rules, the first time that bit is read."""
-        return {}
+        """(pair, side) of each bit the scheduler serves, side None for an
+        XOR bit -> (the sessions it serves, its (uplink, downlink) reach).
+        An XOR bit serves both of its pair's sessions, a one-way bit from
+        ``side`` that side's session.  Its reach on each hop is the smallest
+        gain over those sessions: by the level conventions above, the
+        highest uplink and the lowest downlink level they all share, which
+        the induction serves the bit on."""
+        up, down = self.uplink, self.downlink
+        table = {}
+        for i in range(self.pairs):
+            a, b = 2 * i, 2 * i + 1
+            table[i, None] = (a, b), (min(up[a], up[b]), min(down[a], down[b]))
+            table[i, "A"] = (a,), (up[a], down[a])
+            table[i, "B"] = (b,), (up[b], down[b])
+        return table
 
     @cached_property
     def q_up(self) -> int:

@@ -12,11 +12,12 @@ The inductive construction serves one bit (pair) per step:
   destination's lowest reachable downlink level (``l_d`` = the
   destination's downlink gain).
 
-Both rules are written once, in `_reach`, on the gains of the sessions a bit
-serves (`_served`).  Each network keeps both for every bit in its bit table,
-filled from those two rules the first time a bit is read (`_bit`): the
-induction, the chunked packing, `validate_schedule` and the simulation read
-it, as they read the network's `hop_orders` and `sources`.
+Both rules are facts about the network's gains, kept in its bit table:
+keyed by (pair, side), side None for an XOR bit, each entry holds the
+sessions the bit serves and its reach (l_u, l_d), the smallest gain over
+those sessions on each hop.  The induction, the chunked packing,
+`validate_schedule` and the simulation read it, as they read the network's
+`hop_orders` and `sources`.
 
 After a step, every uplink gain >= l_u and every downlink gain >= l_d
 drops by one (the removed level disappears from the frame), and the
@@ -149,71 +150,37 @@ class Schedule:
         return dict(self._budgets)
 
 
-Gains = tuple[tuple[int, ...], tuple[int, ...]]  # (uplink, downlink) by session
 Step = tuple[int, str, str | None, int, int]  # (pair, kind, side, l_u, l_d) serving one bit
 
 
-def _gains(net: DetNetwork) -> Gains:
-    return net.uplink, net.downlink
-
-
-def _network(gains: Gains) -> DetNetwork:
-    """The network with these session gains."""
-    up, down = gains
+def _network(up: Sequence[int], down: Sequence[int]) -> DetNetwork:
+    """The network with these uplink and downlink session gains."""
     return DetNetwork(n_ar=up[0::2], n_br=up[1::2], n_ra=down[1::2], n_rb=down[0::2])
 
 
-def _served(pair: int, kind: str, side: str | None) -> tuple[int, ...]:
-    """The sessions a bit of ``kind`` on ``pair`` serves: both of the pair's
-    for an XOR bit, the one from ``side`` for a SOLO bit."""
-    return (2 * pair, 2 * pair + 1) if kind == XOR else (2 * pair + SIDES.index(side),)
-
-
-def _reach(gains: Gains, sessions: tuple[int, ...]) -> tuple[int, int]:
-    """(l_u, l_d): the largest uplink and downlink level a bit serving
-    ``sessions`` (`_served`'s) can use, and the levels the induction serves
-    it on: the smallest of the sessions' gains on each hop."""
-    up, down = gains
-    first, last = sessions[0], sessions[-1]
-    return min(up[first], up[last]), min(down[first], down[last])
-
-
-def _bit(net: DetNetwork, pair: int, kind: str, side: str | None) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """(`_served`'s sessions, `_reach`'s (l_u, l_d) on the network's gains)
-    of a bit on ``pair``, from the network's bit table; an entry is filled
-    from those two rules the first time its bit is read."""
-    key = pair, kind, side
-    entry = net._bit_table.get(key)
-    if entry is None:
-        sessions = _served(pair, kind, side)
-        entry = net._bit_table[key] = sessions, _reach(_gains(net), sessions)
-    return entry
-
-
-def _refuse_step(pair: int, kind: str, side: str | None, l_u: int, l_d: int) -> NoReturn:
+def _refuse_step(pair: int, side: str | None, l_u: int, l_d: int) -> NoReturn:
     """Refuse a step whose reach (l_u, l_d) leaves it no level on a hop."""
-    step = f"pair {pair + 1} XOR" if kind == XOR else f"one-way {side}{pair + 1}"
+    step = f"pair {pair + 1} XOR" if side is None else f"one-way {side}{pair + 1}"
     raise ValueError(f"{step} step needs positive gains, have l_u={l_u}, l_d={l_d}")
 
 
-def _reduce(gains: Gains, pair: int, kind: str, side: str | None) -> tuple[Gains, int, int]:
-    """One induction step on session gain tuples: take the levels (l_u, l_d)
-    that serve the bit, then remove them -- every gain at or above a removed
-    level drops by one."""
-    l_u, l_d = _reach(gains, _served(pair, kind, side))
+def _reduce(net: DetNetwork, pair: int, side: str | None) -> tuple[DetNetwork, int, int]:
+    """One induction step: take the levels (l_u, l_d) that serve the bit,
+    its reach, then remove them -- every gain at or above a removed level
+    drops by one."""
+    l_u, l_d = net._bit_table[pair, side][1]
     if l_u < 1 or l_d < 1:
-        _refuse_step(pair, kind, side, l_u, l_d)
-    up, down = gains
+        _refuse_step(pair, side, l_u, l_d)
     # The same removal, on original gains and levels, is inlined in `_run_induction`.
-    return (tuple([n - (n >= l_u) for n in up]), tuple([n - (n >= l_d) for n in down])), l_u, l_d
+    reduced = _network([n - (n >= l_u) for n in net.uplink], [n - (n >= l_d) for n in net.downlink])
+    return reduced, l_u, l_d
 
 
 def reduce_pair_bidirectional(net: DetNetwork, pair: int) -> tuple[DetNetwork, int, int]:
     """Serve one XOR bit of ``pair``: returns the reduced network and the
     removed levels (l_u, l_d)."""
     net._check_node(pair, "A")
-    gains, l_u, l_d = _reduce(_gains(net), pair, XOR, None)
-    return _network(gains), l_u, l_d
+    return _reduce(net, pair, None)
 
 
 def reduce_pair_oneway(net: DetNetwork, pair: int, source: str) -> tuple[DetNetwork, int, int]:
@@ -221,8 +188,7 @@ def reduce_pair_oneway(net: DetNetwork, pair: int, source: str) -> tuple[DetNetw
     if source not in SIDES:
         raise ValueError(f"source side must be 'A' or 'B', got {source!r}")
     net._check_node(pair, source)
-    gains, l_u, l_d = _reduce(_gains(net), pair, SOLO, source)
-    return _network(gains), l_u, l_d
+    return _reduce(net, pair, source)
 
 
 def expand_time(net: DetNetwork, q: int) -> DetNetwork:
@@ -232,7 +198,7 @@ def expand_time(net: DetNetwork, q: int) -> DetNetwork:
         raise ValueError(f"expansion factor must be an integer, got {q!r}")
     if q < 1:
         raise ValueError("expansion factor must be >= 1")
-    return _network(tuple(tuple(n * q for n in g) for g in _gains(net)))
+    return _network([n * q for n in net.uplink], [n * q for n in net.downlink])
 
 
 def _take(below: dict[int, int], cap: int) -> int:
@@ -271,12 +237,14 @@ def _run_induction(net: DetNetwork, listen: int, transmit: int, rates: Sequence[
     XOR bits, lowest pair first, then each pair's one-way bits.  Returns
     (pair, kind, side, l_u, l_d) per step, levels in scaled coordinates.
 
-    A step serves its bit, on each hop, on the largest level at or below its
-    scaled `_reach` cap that no earlier step took: removing a level
-    and renumbering the rest, as `_reduce` does, leaves exactly the levels
-    not taken, so the cap in the reduced network lands on that level.  A
-    session's reduced gain is the number of levels at or below its gain not
-    yet taken.  After every step, re-checks that the remaining rates lie in
+    A step serves its bit, on each hop, on the largest level at or below
+    its scaled reach, from the network's bit table, that no earlier step
+    took: removing a level and renumbering the rest, as `_reduce` does,
+    leaves exactly the levels not taken, so the reach in the reduced
+    network lands on that level.  A session's reduced gain is the number of
+    levels at or below its gain not yet taken; a step with no level left is
+    refused with the reduced network's reach, as `_reduce` refuses it.
+    After every step, re-checks that the remaining rates lie in
     the reduced full-duplex region on the network's `hop_orders`: scaling
     and reduction never reorder gains (see `_hop_holds`)."""
     up = [n * listen for n in net.uplink]
@@ -288,14 +256,14 @@ def _run_induction(net: DetNetwork, listen: int, transmit: int, rates: Sequence[
     remaining = list(rates)
     steps = []
     for pair, kind, side, count in sorted(_runs(rates), key=lambda run: run[1] == SOLO):
-        sessions, (cap_up, cap_down) = _bit(net, pair, kind, side)
+        sessions, (cap_up, cap_down) = net._bit_table[pair, side]
         cap_up *= listen
         cap_down *= transmit
         for _ in range(count):
             l_u = _take(taken_up, cap_up)
             l_d = _take(taken_down, cap_down)
             if not (l_u and l_d):
-                _refuse_step(pair, kind, side, *_reach((reduced_up, reduced_down), sessions))
+                _refuse_step(pair, side, *_network(reduced_up, reduced_down)._bit_table[pair, side][1])
             # `_reduce`'s removal n -> n - (n >= l), tested on the original
             # gains since l_u and l_d are original levels.
             for k, g in enumerate(up):
@@ -392,15 +360,15 @@ def schedule_half_duplex(
 def _pack(net: DetNetwork, listen: int, transmit: int, bits: Sequence[int]) -> list[Step]:
     """The chunked level rule on the network's gains scaled by ``listen``
     and ``transmit``: each `_runs` run takes one contiguous run of levels
-    per hop, packed bottom-up in order of the runs' scaled `_reach` caps
+    per hop, packed bottom-up in order of the runs' scaled reach caps
     (earliest deadline first).  Dense stacking keeps every run contiguous,
     and the cut-set bounds imply the deadline condition, so the packing
     succeeds exactly on in-region tuples.  Returns (pair, kind, side, l_u,
     l_d) per bit, run by run."""
     runs = _runs(bits)
     caps = []
-    for pair, kind, side, _ in runs:
-        cap_up, cap_down = _bit(net, pair, kind, side)[1]
+    for pair, _, side, _ in runs:
+        cap_up, cap_down = net._bit_table[pair, side][1]
         caps.append((cap_up * listen, cap_down * transmit))
     firsts = [[0, 0] for _ in runs]  # first uplink and downlink level per run
     for hop, direction in enumerate(("up", "down")):
@@ -458,7 +426,7 @@ def validate_schedule(sched: Schedule) -> dict[NodeId, int]:
                 raise ScheduleInvalidError("uplink use scheduled in a transmit slot")
             if a.downlink_slot < listen:
                 raise ScheduleInvalidError("downlink use scheduled in a listen slot")
-        sessions, (up_cap, down_cap) = _bit(net, a.pair, a.kind, a.side)
+        sessions, (up_cap, down_cap) = net._bit_table[a.pair, a.side]
         if not 1 <= a.uplink_level <= up_cap:
             raise ScheduleInvalidError(
                 f"uplink level {a.uplink_level} unreachable for {a.kind} of pair "
@@ -527,7 +495,7 @@ def simulate_schedule(
         msgs[node] = got
 
     # Uplink: each assignment draws its message bits in consumption order,
-    # one (session, bit) per `_served` session, whose source is nodes[k]; a
+    # one (session, bit) per session the bit serves, whose source is nodes[k]; a
     # node's bit for relay level l (bottom-up) sits at its own top-down frame
     # index gain - l, and arrives as bit l - 1 at the relay.
     order = _ordered(sched.assignments)
@@ -540,7 +508,7 @@ def simulate_schedule(
         drawn = []
         frames = tx[a.uplink_slot]
         top = q_up - 1 + a.uplink_level
-        for k in _bit(net, a.pair, a.kind, a.side)[0]:
+        for k in net._bit_table[a.pair, a.side][0]:
             node = nodes[k]
             bit = next(feeds[node])
             frames[node] = frames.get(node, 0) | bit << (top - up[k])

@@ -715,6 +715,26 @@ def test_each_command_refusal_exits_2_with_its_line(tmp_path, det_file, gauss_fi
     assert (code, doc, err) == (EXIT_INPUT, None, f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["region", "{det}", "--rates", "\u0661,1,1,1"], "expected an integer or 'p/q' fraction, got '\u0661'"),
+        (["region", "{half}", "--rates", "1,0,0,0"], "expected an integer or 'p/q' fraction, got '\u0661/2'"),
+        (["region", "{gauss}", "--rates", "1_0,4,4,4"], "gaussian rates must be decimals: '1_0' is not an ASCII decimal"),
+        (["region", "{gauss}", "--rates", "4,\u0664,4,4"], "gaussian rates must be decimals: '\u0664' is not an ASCII decimal"),
+    ],
+    ids=["det-rate-arabic-indic-digit", "delta-arabic-indic-digit", "gaussian-rate-underscore",
+         "gaussian-rate-arabic-indic-digit"],
+)
+def test_numbers_are_read_in_ascii_only(tmp_path, det_file, gauss_file, capsys, argv, message):
+    # `\d` matches any script's digits and `float` reads them and `_`
+    # separators: each of these was once read as a number and answered.
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({**REF_NET, "duplex": "half", "delta": "\u0661/2"}))
+    code, doc, err = run(capsys, *(a.format(det=det_file, gauss=gauss_file, half=half) for a in argv))
+    assert (code, doc, err) == (EXIT_INPUT, None, f"error: {message}\n")
+
+
 # Gaussian networks whose reports together cover uplink and downlink cases
 # I, II and III, side swaps, a pair swap, clamps, the downlink's internal
 # pair swap and a failed uplink allocation.

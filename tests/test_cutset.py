@@ -21,7 +21,8 @@ from relaycap import (
     enumerate_integral_region,
     in_det_cutset,
 )
-from relaycap.cutset import cutset_holds
+from relaycap.cutset import _hop_holds
+from relaycap.detnet import gain_order
 from relaycap.scheduler import divide_and_conquer, expand_time
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
@@ -407,8 +408,10 @@ def brute_holds(uplink, downlink, rates, up_scale, down_scale):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5), st.data())
 def test_cutset_holds_matches_brute_force_cuts(pairs, up_scale, down_scale, data):
-    # Session gains and rates drawn directly, zeros included, then one
-    # session's rate set to the largest value its cuts allow and one above.
+    # The two `_hop_holds` passes, each on its hop's `gain_order`, against
+    # every cut.  Session gains and rates drawn directly, zeros included,
+    # then one session's rate set to the largest value its cuts allow and
+    # one above.
     sessions = st.lists(st.integers(0, 6), min_size=2 * pairs, max_size=2 * pairs)
     uplink, downlink = data.draw(sessions), data.draw(sessions)
     rates = data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 8]), min_size=2 * pairs, max_size=2 * pairs))
@@ -422,7 +425,8 @@ def test_cutset_holds_matches_brute_force_cuts(pairs, up_scale, down_scale, data
     for value in (rates[k], room, room + 1):
         if value >= 0:
             rates[k] = value
-            assert cutset_holds(uplink, downlink, rates, up_scale, down_scale) == (
-                brute_holds(uplink, downlink, rates, up_scale, down_scale)
-            ), (uplink, downlink, rates)
+            holds = _hop_holds(gain_order(uplink), uplink, rates, up_scale) and (
+                _hop_holds(gain_order(downlink), downlink, rates, down_scale)
+            )
+            assert holds == brute_holds(uplink, downlink, rates, up_scale, down_scale), (uplink, downlink, rates)
 

@@ -236,16 +236,15 @@ def _sorts(source: str, module: str) -> list[tuple[str, str | None, str]]:
 
 
 def test_one_hop_order():
-    # Each hop's sessions are put in gain order in one place, `gain_order`:
-    # `DetNetwork.hop_orders` keeps its two orders for the network's
-    # lifetime, and `cutset_holds` sorts the gains it is given.  The other
-    # sorts order CLI field names, cut members, `_runs` runs and assignments.
+    # Each hop's sessions are put in gain order in one place, `gain_order`,
+    # which only `DetNetwork.hop_orders` calls: it keeps its two orders for
+    # the network's lifetime.  The other sorts order CLI field names, cut
+    # members, `_runs` runs and assignments.
     package = Path(relaycap.__file__).parent
     sorts = [use for path in sorted(package.glob("*.py")) for use in _sorts(path.read_text(), path.stem)]
     assert sorts == [
         ("cli", "load_network", "sorted"),
         ("cutset", "__post_init__", "sorted"),
-        ("cutset", "cutset_holds", "gain_order"), ("cutset", "cutset_holds", "gain_order"),
         ("detnet", "hop_orders", "gain_order"), ("detnet", "hop_orders", "gain_order"),
         ("detnet", "gain_order", "sorted"),
         ("scheduler", "_run_induction", "sorted"), ("scheduler", "_pack", "sorted"), ("scheduler", "_ordered", "sorted"),
@@ -255,6 +254,96 @@ def test_one_hop_order():
         ("class C:\n    def f(self, order):\n        order.sort(key=self.up.__getitem__)", ("m", "f", "sort")),
     ):
         assert _sorts(planted, "m") == [use], planted
+
+
+def _hop_pass_uses(source: str, module: str) -> list[tuple[str, str | None]]:
+    """(module, enclosing def or class) of each read of `_hop_holds`, by
+    name or as an attribute; its definition and imports are no reads."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if getattr(node, "id", None) == "_hop_holds" or getattr(node, "attr", None) == "_hop_holds":
+            found.append((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_verdict_pass():
+    # `_hop_holds` is the one membership pass: the oracle, the region walk
+    # and the induction's re-check each run it once per hop, and nothing
+    # else reads it.
+    package = Path(relaycap.__file__).parent
+    uses = [use for path in sorted(package.glob("*.py")) for use in _hop_pass_uses(path.read_text(), path.stem)]
+    assert uses == [
+        ("cutset", "in_det_cutset"), ("cutset", "in_det_cutset"),
+        ("cutset", "enumerate_integral_region"), ("cutset", "enumerate_integral_region"),
+        ("scheduler", "_run_induction"), ("scheduler", "_run_induction"),
+    ]
+    for planted, use in (
+        ("def cutset_holds(up, rates):\n    return _hop_holds(gain_order(up), up, rates, 1)", ("m", "cutset_holds")),
+        ("from . import cutset\ncheck = cutset._hop_holds", ("m", None)),
+    ):
+        assert _hop_pass_uses(planted, "m") == [use], planted
+
+
+_DICT_WRITES = ("clear", "pop", "popitem", "setdefault", "update")
+_ATTR_WRITES = ("setattr", "__setattr__", "delattr", "__delattr__")
+
+
+def _is_bit_table(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_bit_table"
+
+
+def _bit_table_writes(source: str, module: str) -> list[tuple[str, str | None, str]]:
+    """(module, enclosing class, "def" or "store") of each definition of
+    `_bit_table` and each store into one: an assignment or `del` of it or
+    of one of its keys, a dict method that changes it, or a `setattr` that
+    names it."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_bit_table":
+            found.append((module, owner, "def"))
+        stored = False
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            stored = _is_bit_table(node)
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            stored = _is_bit_table(node.value)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            named = any(isinstance(arg, ast.Constant) and arg.value == "_bit_table" for arg in node.args)
+            stored = (name in _DICT_WRITES and _is_bit_table(func.value)) or (name in _ATTR_WRITES and named)
+        if stored:
+            found.append((module, owner, "store"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_network_owns_its_bit_table():
+    # Each bit's served sessions and reach are facts about the network's
+    # gains: `DetNetwork._bit_table` builds them all, and no other code
+    # defines the table or stores into it.
+    package = Path(relaycap.__file__).parent
+    writes = [use for path in sorted(package.glob("*.py")) for use in _bit_table_writes(path.read_text(), path.stem)]
+    assert writes == [("detnet", "DetNetwork", "def")]
+    for planted, use in (
+        ("def _bit(net, key):\n    entry = net._bit_table[key] = (key,)", ("m", None, "store")),
+        ("class C:\n    def f(self, net):\n        net._bit_table.setdefault(0, ())", ("m", "C", "store")),
+        ("object.__setattr__(net, '_bit_table', {})", ("m", None, "store")),
+        ("class Net:\n    @property\n    def _bit_table(self):\n        return {}", ("m", "Net", "def")),
+    ):
+        assert _bit_table_writes(planted, "m") == [use], planted
 
 
 def _numpy_imports(source: str) -> list[str]:

@@ -39,11 +39,9 @@ from relaycap import (
     validate_schedule,
 )
 from relaycap import FullDuplex, cli, detnet, enumerate_cuts, scheduler
-from relaycap.cutset import _cut_gains, _hop_holds, _time_scales, cutset_holds, directed_rate_caps
+from relaycap.cutset import _cut_gains, _hop_holds, _time_scales, directed_rate_caps
 from relaycap.detnet import SIDES, NodeId, node_downlink_receive, relay_uplink_receive
-from relaycap.scheduler import (
-    SOLO, XOR, SimulationResult, _gains, _network, _ordered, _reach, _reduce, _run_induction, _served, _take,
-)
+from relaycap.scheduler import SOLO, XOR, SimulationResult, _network, _ordered, _reduce, _run_induction, _take
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
 
@@ -182,14 +180,12 @@ def test_assignment_stores_numpy_integers_as_int():
 # session-ordered code to reproduce every verdict, level pair, reduced
 # network and exception type.
 
-RefGains = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-
-def reference_reduce(gains: RefGains, pair: int, kind: str, side: str | None) -> tuple[RefGains, int, int]:
-    """One induction step on plain (n_ar, n_br, n_ra, n_rb) gain tuples:
+def reference_reduce(net: DetNetwork, pair: int, kind: str, side: str | None) -> tuple[DetNetwork, int, int]:
+    """One induction step on the plain (n_ar, n_br, n_ra, n_rb) node gains:
     pick the levels (l_u, l_d) that serve the bit, then remove them -- every
     gain at or above a removed level drops by one."""
-    n_ar, n_br, n_ra, n_rb = gains
+    n_ar, n_br, n_ra, n_rb = net.n_ar, net.n_br, net.n_ra, net.n_rb
     if kind == XOR:
         if min(n_ar[pair], n_br[pair], n_ra[pair], n_rb[pair]) < 1:
             raise ValueError(
@@ -204,7 +200,7 @@ def reference_reduce(gains: RefGains, pair: int, kind: str, side: str | None) ->
             raise ValueError(
                 f"one-way step {side}{pair + 1} needs positive gains, have l_u={l_u}, l_d={l_d}"
             )
-    reduced = (
+    reduced = DetNetwork(
         tuple(n - (n >= l_u) for n in n_ar),
         tuple(n - (n >= l_u) for n in n_br),
         tuple(n - (n >= l_d) for n in n_ra),
@@ -242,12 +238,11 @@ def reference_caps(net, pair, kind, side):
     return net.uplink_gain(pair, side), net.downlink_gain(pair, dst)
 
 
-def _step_outcome(reduce, gains, to_network, pair, kind, side):
+def _step_outcome(reduce, *args):
     try:
-        reduced, l_u, l_d = reduce(gains, pair, kind, side)
+        return reduce(*args)
     except Exception as exc:  # the exception type is part of the outcome
         return type(exc)
-    return to_network(reduced), l_u, l_d
 
 
 duplex_modes = st.one_of(
@@ -265,25 +260,22 @@ duplex_modes = st.one_of(
 def test_session_gains_match_node_reference(pairs, mode, data):
     gain_lists = st.lists(st.integers(0, 9), min_size=pairs, max_size=pairs).map(tuple)
     net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
-    node_gains = (net.n_ar, net.n_br, net.n_ra, net.n_rb)
-    assert _network(_gains(net)) == net
+    assert _network(net.uplink, net.downlink) == net
 
     rates = data.draw(st.lists(st.integers(0, 9), min_size=2 * pairs, max_size=2 * pairs))
     _, listen, transmit = _time_scales(mode, ())
-    assert cutset_holds(net.uplink, net.downlink, rates, listen, transmit) == (
-        reference_cutset_holds(net, rates, listen, transmit)
-    )
+    up_order, down_order = net.hop_orders
+    holds = _hop_holds(up_order, net.uplink, rates, listen) and _hop_holds(down_order, net.downlink, rates, transmit)
+    assert holds == reference_cutset_holds(net, rates, listen, transmit)
     for cut in enumerate_cuts(pairs):
         assert _cut_gains(net, cut) == reference_cut_gains(net, cut)
 
     for pair in range(pairs):
-        for kind, side in ((XOR, None), (SOLO, "A"), (SOLO, "B")):
-            caps = _reach(_gains(net), _served(pair, kind, side))
+        for kind, side in STEP_KINDS:
+            caps = net._bit_table[pair, side][1]
             up_cap, down_cap = reference_caps(net, pair, kind, side)
             assert caps == (up_cap, down_cap)
-            assert _step_outcome(_reduce, _gains(net), _network, pair, kind, side) == (
-                _step_outcome(reference_reduce, node_gains, lambda g: DetNetwork(*g), pair, kind, side)
-            )
+            assert _step_outcome(_reduce, net, pair, side) == _step_outcome(reference_reduce, net, pair, kind, side)
             for l_u, l_d in ((caps[0], caps[1]), (caps[0] + 1, caps[1]), (caps[0], caps[1] + 1)):
                 a = LevelAssignment(pair, kind, side, 0, l_u, 0, l_d)
                 if 1 <= l_u <= up_cap and 1 <= l_d <= down_cap:
@@ -294,21 +286,18 @@ def test_session_gains_match_node_reference(pairs, mode, data):
 
 
 def test_reach_is_the_smallest_gain_over_the_served_sessions():
-    # `_reach` reads the first and last of `_served`'s sessions; the rule is
-    # the smallest gain over all of them.
+    # The network's bit table: an XOR bit serves both of its pair's
+    # sessions, a one-way bit its side's, and its reach on each hop is the
+    # smallest gain over the sessions it serves.
     rng = np.random.default_rng(26)
     for _ in range(200):
         pairs = int(rng.integers(1, 5))
         net = DetNetwork(*(tuple(int(g) for g in rng.integers(0, 10, size=pairs)) for _ in range(4)))
-        up, down = gains = _gains(net)
+        up, down = net.uplink, net.downlink
         for pair in range(pairs):
-            assert _served(pair, XOR, None) == (2 * pair, 2 * pair + 1)
-            assert _served(pair, SOLO, "A") == (2 * pair,)
-            assert _served(pair, SOLO, "B") == (2 * pair + 1,)
-            for kind, side in ((XOR, None), (SOLO, "A"), (SOLO, "B")):
-                sessions = _served(pair, kind, side)
-                assert _reach(gains, sessions) == (
-                    min(up[k] for k in sessions), min(down[k] for k in sessions)
+            for side, sessions in ((None, (2 * pair, 2 * pair + 1)), ("A", (2 * pair,)), ("B", (2 * pair + 1,))):
+                assert net._bit_table[pair, side] == (
+                    sessions, (min(up[k] for k in sessions), min(down[k] for k in sessions))
                 )
 
 
@@ -318,13 +307,14 @@ def test_session_tables_match_their_rules(pairs, data):
     # A network keeps each hop's session order, each session's source and
     # each bit's served sessions and reach caps once they are read.  After
     # integral, chunked, fractional and half-duplex schedules and their
-    # simulations, every entry equals what the rules give directly, and the
-    # tables leave ==, hash, repr and pickling as a fresh network has them.
+    # simulations, every table is whole, every entry equals what the rules
+    # give directly, and the tables leave ==, hash, repr and pickling as a
+    # fresh network has them.
     gain_lists = st.lists(st.integers(0, 7), min_size=pairs, max_size=pairs).map(tuple)
     fields = [data.draw(gain_lists) for _ in range(4)]
     net = DetNetwork(*fields)
     rates = [data.draw(st.integers(0, min(u, d))) for u, d in zip(net.uplink, net.downlink)]
-    while not cutset_holds(net.uplink, net.downlink, rates):
+    while not in_det_cutset(net, rates):
         rates[rates.index(max(rates))] -= 1
     halves = [Fraction(r, 2) for r in rates]
     rng = np.random.default_rng(pairs)
@@ -342,11 +332,11 @@ def test_session_tables_match_their_rules(pairs, data):
         tuple(sorted(sessions, key=net.downlink.__getitem__)),
     )
     assert net.sources == tuple((i, side) for i in range(pairs) for side in SIDES)
-    assert set(net._bit_table) <= {(i, *bit) for i in range(pairs) for bit in STEP_KINDS}
-    assert bool(net._bit_table) == any(rates)
-    for (pair, kind, side), entry in net._bit_table.items():
-        served = _served(pair, kind, side)
-        assert entry == (served, _reach(_gains(net), served))
+    assert net._bit_table.keys() == {(i, side) for i in range(pairs) for side in (None, *SIDES)}
+    for (pair, side), (sessions, caps) in net._bit_table.items():
+        senders = [(pair, "A"), (pair, "B")] if side is None else [(pair, side)]
+        assert [net.sources[k] for k in sessions] == senders
+        assert caps == reference_caps(net, pair, XOR if side is None else SOLO, side)
 
     fresh = DetNetwork(*fields)
     copy = pickle.loads(pickle.dumps(net))
@@ -425,8 +415,8 @@ def test_induction_rechecks_region_after_each_step():
 def reference_induction(net, rates):
     """`_run_induction` as it was on networks: serve the same plan of steps
     with the public reductions, map the reduced levels back with
-    `quadratic_replay` and re-check the rates left with `cutset_holds`
-    after every step."""
+    `quadratic_replay` and re-check the rates left after every step by
+    walking every cut (`reference_cutset_holds`), apart from `hop_orders`."""
     plan = []
     for i in range(net.pairs):
         plan += [(i, XOR, None)] * min(rates[2 * i], rates[2 * i + 1])
@@ -443,7 +433,7 @@ def reference_induction(net, rates):
             net, l_u, l_d = reduce_pair_oneway(net, pair, side)
             remaining[2 * pair + SIDES.index(side)] -= 1
         steps.append(SimpleNamespace(pair=pair, kind=kind, side=side, l_u=l_u, l_d=l_d))
-        if not cutset_holds(net.uplink, net.downlink, remaining):
+        if not reference_cutset_holds(net, remaining, 1, 1):
             raise InductionInvariantError(
                 f"reduced tuple {tuple(remaining)} left the reduced region after "
                 f"step {len(steps)} ({kind} pair {pair}); this contradicts the "
@@ -470,9 +460,9 @@ def test_induction_matches_reference_on_networks(pairs, scales, outside, data):
     gain_lists = st.lists(st.integers(0, 8), min_size=pairs, max_size=pairs).map(tuple)
     net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
     gains = tuple(n * listen for n in net.uplink), tuple(n * transmit for n in net.downlink)
-    scaled = _network(gains)
+    scaled = _network(*gains)
     rates = [data.draw(st.integers(0, min(u, d))) for u, d in zip(*gains)]
-    while not cutset_holds(*gains, rates):
+    while not in_det_cutset(scaled, rates):
         rates[rates.index(max(rates))] -= 1
     if outside:
         rates[data.draw(st.integers(0, 2 * pairs - 1))] += 1
@@ -494,8 +484,7 @@ def test_an_order_sorted_once_stays_valid_under_reductions(pairs, up_scale, down
         down = [n - (n >= l_d) for n in down]
         rates = data.draw(st.lists(st.integers(0, 9), min_size=2 * pairs, max_size=2 * pairs))
         holds = _hop_holds(up_order, up, rates, up_scale) and _hop_holds(down_order, down, rates, down_scale)
-        assert holds == cutset_holds(up, down, rates, up_scale, down_scale)
-        assert holds == reference_cutset_holds(_network((up, down)), rates, up_scale, down_scale)
+        assert holds == reference_cutset_holds(_network(up, down), rates, up_scale, down_scale)
 
 
 def test_fractional_rates_rejected_by_integral_path():
@@ -750,20 +739,20 @@ def test_replay_matches_quadratic_undo(caps, pairs, data):
         assert _take(below, cap) == level
         taken.add(level)
     # The induction takes each step's levels with `_take`, from the step's
-    # `_reach` caps on the original gains.  The `_reduce` chain takes them in
+    # reach on the original network.  The `_reduce` chain takes them in
     # reduced coordinates instead; undoing its removals must give the same
     # levels, and `_take` must find no free level exactly where `_reduce`
     # refuses the step.
     gain_lists = st.lists(st.integers(0, 12), min_size=2 * pairs, max_size=2 * pairs).map(tuple)
-    original = gains = data.draw(gain_lists), data.draw(gain_lists)
+    original = net = _network(data.draw(gain_lists), data.draw(gain_lists))
     steps = st.tuples(st.integers(0, pairs - 1), st.sampled_from(STEP_KINDS))
     below_up, below_down = {}, {}
     reduced, took = [], []
-    for pair, (kind, side) in data.draw(st.lists(steps, max_size=40)):
-        cap_up, cap_down = _reach(original, _served(pair, kind, side))
+    for pair, (_, side) in data.draw(st.lists(steps, max_size=40)):
+        cap_up, cap_down = original._bit_table[pair, side][1]
         levels = _take(below_up, cap_up), _take(below_down, cap_down)
         try:
-            gains, l_u, l_d = _reduce(gains, pair, kind, side)
+            net, l_u, l_d = _reduce(net, pair, side)
         except ValueError:
             assert 0 in levels
             break
