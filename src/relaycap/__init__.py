@@ -6,8 +6,6 @@ from .cutset import (
     CutViolation,
     Membership,
     RegionSizeError,
-    det_cut_bound,
-    directed_rate_caps,
     enumerate_cuts,
     enumerate_integral_region,
     in_det_cutset,
@@ -58,10 +56,7 @@ from .scheduler import (
     SimulationResult,
     chunk_schedule,
     divide_and_conquer,
-    expand_time,
     random_messages,
-    reduce_pair_bidirectional,
-    reduce_pair_oneway,
     schedule_fractional,
     schedule_half_duplex,
     simulate_schedule,

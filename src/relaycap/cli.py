@@ -113,9 +113,8 @@ def load_network(path: str):
         elif duplex == "half":
             if "delta" not in doc:
                 raise InputError(f"{path}: half duplex requires 'delta'")
-            delta = parse_fraction(doc["delta"])
             try:
-                mode = HalfDuplex(delta)
+                mode = HalfDuplex(parse_fraction(doc["delta"]))
             except ValueError as exc:
                 raise InputError(f"{path}: {exc}") from exc
         else:

@@ -25,11 +25,11 @@ one per hop.  `_hop_holds` tests each with one pass over the sessions in
 that hop's gain order, in integers, in O(M); see its docstring for why it
 is exact.  It is the one verdict pass: `in_det_cutset`, the region walk and
 the scheduler's re-check after every induction step run it on the
-network's `hop_orders`, sorted once per network.  `enumerate_cuts` and
-`det_cut_bound` stay as the brute-force reference; only a non-member walks
-`enumerate_cuts`, to list its violated cuts.  Enumeration walks the
-down-closed region on the hop passes, so its cost follows the region's
-size.
+network's `hop_orders`, sorted once per network.  Only a non-member walks
+`enumerate_cuts`, to list its violated cuts; the brute-force reference that
+checks every verdict against every cut lives with the tests
+(`tests/det_reference.py`).  Enumeration walks the down-closed region on
+the hop passes, so its cost follows the region's size.
 """
 
 from __future__ import annotations
@@ -118,25 +118,6 @@ def enumerate_cuts(pairs: int) -> tuple[Cut, ...]:
             for orientation in itertools.product((1, 0), repeat=k):
                 cuts.append(Cut(members, orientation))
     return tuple(cuts)
-
-
-def _cut_gains(net: DetNetwork, cut: Cut) -> tuple[int, int]:
-    """The cut's largest uplink and downlink session gains."""
-    sessions = cut.sessions
-    return max(net.uplink[k] for k in sessions), max(net.downlink[k] for k in sessions)
-
-
-def det_cut_bound(net: DetNetwork, cut: Cut, mode: DuplexMode = FULL_DUPLEX) -> Fraction:
-    """Exact value of one cut's rate-sum bound.  The brute-force reference:
-    it reads the mode itself rather than through `_time_scales`."""
-    if cut.members[-1] >= net.pairs:
-        raise ValueError(f"cut {cut.describe()} names a pair outside the {net.pairs}-pair network")
-    up, down = _cut_gains(net, cut)
-    if isinstance(mode, FullDuplex):
-        return Fraction(min(up, down))
-    if isinstance(mode, HalfDuplex):
-        return min(mode.delta * up, (1 - mode.delta) * down)
-    raise ValueError(f"duplex mode must be FullDuplex or HalfDuplex, got {mode!r}")
 
 
 def _time_scales(mode: DuplexMode, denominators: Iterable[int]) -> tuple[int, int, int]:
@@ -254,20 +235,14 @@ def in_det_cutset(
     if _hop_holds(up_order, net.uplink, bits, listen) and _hop_holds(down_order, net.downlink, bits, transmit):
         return Membership(True, (), scaled)
     violations = []
+    up, down = net.uplink, net.downlink
     for cut in enumerate_cuts(net.pairs):
-        lhs = sum(bits[k] for k in cut.sessions)
-        up, down = _cut_gains(net, cut)
-        bound = min(listen * up, transmit * down)
+        sessions = cut.sessions
+        lhs = sum(bits[k] for k in sessions)
+        bound = min(listen * max(up[k] for k in sessions), transmit * max(down[k] for k in sessions))
         if lhs > bound:
             violations.append(CutViolation(cut, Fraction(lhs, q), Fraction(bound, q)))
     return Membership(False, tuple(violations), scaled)
-
-
-def directed_rate_caps(net: DetNetwork, mode: DuplexMode = FULL_DUPLEX) -> tuple[int, ...]:
-    """Largest integral value of each session's rate alone (the singleton
-    cuts), in session order."""
-    q, listen, transmit = _time_scales(mode, ())
-    return tuple(min(listen * u, transmit * d) // q for u, d in zip(net.uplink, net.downlink))
 
 
 def region_walk_tests(pairs: int) -> int:

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .cutset import Membership, Rate, RegionSizeError, _hop_holds, in_det_cutset
 from .detnet import (
@@ -153,54 +153,6 @@ class Schedule:
 Step = tuple[int, str, str | None, int, int]  # (pair, kind, side, l_u, l_d) serving one bit
 
 
-def _network(up: Sequence[int], down: Sequence[int]) -> DetNetwork:
-    """The network with these uplink and downlink session gains."""
-    return DetNetwork(n_ar=up[0::2], n_br=up[1::2], n_ra=down[1::2], n_rb=down[0::2])
-
-
-def _refuse_step(pair: int, side: str | None, l_u: int, l_d: int) -> NoReturn:
-    """Refuse a step whose reach (l_u, l_d) leaves it no level on a hop."""
-    step = f"pair {pair + 1} XOR" if side is None else f"one-way {side}{pair + 1}"
-    raise ValueError(f"{step} step needs positive gains, have l_u={l_u}, l_d={l_d}")
-
-
-def _reduce(net: DetNetwork, pair: int, side: str | None) -> tuple[DetNetwork, int, int]:
-    """One induction step: take the levels (l_u, l_d) that serve the bit,
-    its reach, then remove them -- every gain at or above a removed level
-    drops by one."""
-    l_u, l_d = net._bit_table[pair, side][1]
-    if l_u < 1 or l_d < 1:
-        _refuse_step(pair, side, l_u, l_d)
-    # The same removal, on original gains and levels, is inlined in `_run_induction`.
-    reduced = _network([n - (n >= l_u) for n in net.uplink], [n - (n >= l_d) for n in net.downlink])
-    return reduced, l_u, l_d
-
-
-def reduce_pair_bidirectional(net: DetNetwork, pair: int) -> tuple[DetNetwork, int, int]:
-    """Serve one XOR bit of ``pair``: returns the reduced network and the
-    removed levels (l_u, l_d)."""
-    net._check_node(pair, "A")
-    return _reduce(net, pair, None)
-
-
-def reduce_pair_oneway(net: DetNetwork, pair: int, source: str) -> tuple[DetNetwork, int, int]:
-    """Serve one bit from ``source`` of ``pair`` to the opposite side."""
-    if source not in SIDES:
-        raise ValueError(f"source side must be 'A' or 'B', got {source!r}")
-    net._check_node(pair, source)
-    return _reduce(net, pair, source)
-
-
-def expand_time(net: DetNetwork, q: int) -> DetNetwork:
-    """Q channel uses of a network are one use of the network with all
-    gains multiplied by Q."""
-    if not _integer(q):
-        raise ValueError(f"expansion factor must be an integer, got {q!r}")
-    if q < 1:
-        raise ValueError("expansion factor must be >= 1")
-    return _network([n * q for n in net.uplink], [n * q for n in net.downlink])
-
-
 def _take(below: dict[int, int], cap: int) -> int:
     """Take the largest level <= ``cap`` that is not yet taken, and return
     it; 0 when every level up to ``cap`` is taken.  ``below`` holds each
@@ -239,14 +191,15 @@ def _run_induction(net: DetNetwork, listen: int, transmit: int, rates: Sequence[
 
     A step serves its bit, on each hop, on the largest level at or below
     its scaled reach, from the network's bit table, that no earlier step
-    took: removing a level and renumbering the rest, as `_reduce` does,
-    leaves exactly the levels not taken, so the reach in the reduced
-    network lands on that level.  A session's reduced gain is the number of
-    levels at or below its gain not yet taken; a step with no level left is
-    refused with the reduced network's reach, as `_reduce` refuses it.
-    After every step, re-checks that the remaining rates lie in
-    the reduced full-duplex region on the network's `hop_orders`: scaling
-    and reduction never reorder gains (see `_hop_holds`)."""
+    took: removing a level and renumbering the rest, the paper's reduction
+    n -> n - (n >= l), leaves exactly the levels not taken, so the reach in
+    the reduced network lands on that level.  A session's reduced gain is
+    the number of levels at or below its gain not yet taken.  After every
+    step, re-checks that the remaining rates lie in the reduced full-duplex
+    region on the network's `hop_orders`: scaling and reduction never
+    reorder gains (see `_hop_holds`).  A step with no level left, or a
+    failed re-check, raises `InductionInvariantError`; only a tuple outside
+    the region can reach either, and `_time_expanded` refuses those first."""
     up = [n * listen for n in net.uplink]
     down = [n * transmit for n in net.downlink]
     up_order, down_order = net.hop_orders
@@ -263,9 +216,13 @@ def _run_induction(net: DetNetwork, listen: int, transmit: int, rates: Sequence[
             l_u = _take(taken_up, cap_up)
             l_d = _take(taken_down, cap_down)
             if not (l_u and l_d):
-                _refuse_step(pair, side, *_network(reduced_up, reduced_down)._bit_table[pair, side][1])
-            # `_reduce`'s removal n -> n - (n >= l), tested on the original
-            # gains since l_u and l_d are original levels.
+                raise InductionInvariantError(
+                    f"step {len(steps) + 1} ({kind} pair {pair}) found no free "
+                    f"{'downlink' if l_u else 'uplink'} level; this contradicts the "
+                    f"induction safety proof"
+                )
+            # The removal n -> n - (n >= l), tested on the original gains
+            # since l_u and l_d are original levels.
             for k, g in enumerate(up):
                 if g >= l_u:
                     reduced_up[k] -= 1

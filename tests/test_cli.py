@@ -673,6 +673,7 @@ _NO_N_RB = {k: v for k, v in REF_NET.items() if k != "n_rb"}
         (json.dumps({**REF_NET, "duplex": "half"}), "half duplex requires 'delta'"),
         (json.dumps({**REF_NET, "duplex": "half", "delta": "3/2"}),
          "listen fraction must lie strictly in (0,1), got 3/2"),
+        (json.dumps({**REF_NET, "duplex": "half", "delta": "0.5"}), "expected an integer or 'p/q' fraction, got '0.5'"),
         (json.dumps({**REF_NET, "duplex": "quarter"}), "duplex must be 'full' or 'half', got 'quarter'"),
         (json.dumps({**GAUSS, "mystery": 1}), "unknown fields ['mystery']"),
         (json.dumps({**GAUSS, "kind": "quantum"}), "kind must be 'deterministic' or 'gaussian', got 'quantum'"),
@@ -680,8 +681,8 @@ _NO_N_RB = {k: v for k, v in REF_NET.items() if k != "n_rb"}
         (json.dumps({**GAUSS, "kind": ["gaussian"]}), "kind must be 'deterministic' or 'gaussian', got ['gaussian']"),
     ],
     ids=["invalid-json", "non-object", "missing-field", "short-arrays", "delta-in-full-duplex",
-         "half-duplex-without-delta", "delta-three-halves", "bad-duplex", "unknown-gaussian-field", "bad-kind",
-         "unknown-deterministic-field", "unhashable-kind"],
+         "half-duplex-without-delta", "delta-three-halves", "delta-decimal", "bad-duplex", "unknown-gaussian-field",
+         "bad-kind", "unknown-deterministic-field", "unhashable-kind"],
 )
 def test_each_file_refusal_exits_2_with_its_line(tmp_path, capsys, text, message):
     path = tmp_path / "n.json"
@@ -719,7 +720,7 @@ def test_each_command_refusal_exits_2_with_its_line(tmp_path, det_file, gauss_fi
     "argv,message",
     [
         (["region", "{det}", "--rates", "\u0661,1,1,1"], "expected an integer or 'p/q' fraction, got '\u0661'"),
-        (["region", "{half}", "--rates", "1,0,0,0"], "expected an integer or 'p/q' fraction, got '\u0661/2'"),
+        (["region", "{half}", "--rates", "1,0,0,0"], "{half}: expected an integer or 'p/q' fraction, got '\u0661/2'"),
         (["region", "{gauss}", "--rates", "1_0,4,4,4"], "gaussian rates must be decimals: '1_0' is not an ASCII decimal"),
         (["region", "{gauss}", "--rates", "4,\u0664,4,4"], "gaussian rates must be decimals: '\u0664' is not an ASCII decimal"),
     ],
@@ -732,7 +733,7 @@ def test_numbers_are_read_in_ascii_only(tmp_path, det_file, gauss_file, capsys, 
     half = tmp_path / "half.json"
     half.write_text(json.dumps({**REF_NET, "duplex": "half", "delta": "\u0661/2"}))
     code, doc, err = run(capsys, *(a.format(det=det_file, gauss=gauss_file, half=half) for a in argv))
-    assert (code, doc, err) == (EXIT_INPUT, None, f"error: {message}\n")
+    assert (code, doc, err) == (EXIT_INPUT, None, f"error: {message.format(half=half)}\n")
 
 
 # Gaussian networks whose reports together cover uplink and downlink cases

@@ -417,6 +417,22 @@ def test_every_private_module_name_is_read():
         assert _unread_private_names(planted) == unread, planted
 
 
+def test_public_api_is_pinned():
+    # What `relaycap` exports, stated once: a removal or a new re-export
+    # shows up here as a diff.
+    assert sorted(relaycap.__all__) == """
+        AchievabilityReport AllocationInvalidError Cut CutViolation DetNetwork DownlinkAllocation DuplexMode
+        FULL_DUPLEX FullDuplex GapReport GaussNetwork HalfDuplex InductionInvariantError InfeasibleRatesError
+        InvalidGainError LevelAssignment LowPowerError Membership NormalizedProblem NotInRegionError RegionSizeError
+        Schedule ScheduleInvalidError ShapeError SimulationResult SweepConfig UplinkAllocation awgn_capacity
+        chunk_schedule classify_case cutset detnet divide_and_conquer downlink_allocate downlink_rate_check
+        enumerate_cuts enumerate_integral_region gauss_cutset gauss_restricted_cutset gaussian in_det_cutset
+        lattice_rate_cap monte_carlo_gap node_downlink_receive random_messages reduce_orderings relay_uplink_receive
+        restricted_bound_gaps schedule_fractional schedule_half_duplex scheduler shifted_contribution
+        simulate_schedule uplink_allocate uplink_rate_check validate_schedule verify_constant_gap
+    """.split()
+
+
 def test_gain_validation():
     with pytest.raises(InvalidGainError):
         DetNetwork((-1,), (0,), (0,), (0,))

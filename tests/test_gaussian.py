@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import det_reference
 import gauss_reference
 from gauss_reference import (
     BASE_POINT,
@@ -1377,10 +1378,15 @@ def _private_relaycap_reads(source: str) -> list[str]:
 
 
 def test_reference_reads_no_private_names():
-    # The reference must not drift back onto the module's own tables, where
+    # Neither reference may drift back onto the package's own tables, where
     # a wrong entry would agree with itself.
-    assert _private_relaycap_reads(Path(gauss_reference.__file__).read_text()) == []
+    for reference in (gauss_reference, det_reference):
+        assert _private_relaycap_reads(Path(reference.__file__).read_text()) == [], reference.__name__
+    # The deterministic one reads node gains, never session-ordered gains or the tables built from them.
+    tree = ast.parse(Path(det_reference.__file__).read_text())
+    assert not {"uplink", "downlink", "hop_orders", "sources", "_bit_table"} & {getattr(n, "attr", 0) for n in ast.walk(tree)}
     for planted, name in (
+        ("from relaycap.scheduler import _run_induction", "_run_induction"),
         ("from relaycap import gaussian\nx = gaussian._FAMILIES[0]", "_FAMILIES"),
         ("import relaycap.gaussian as g\nx = g._UPLINK_CHAINS", "_UPLINK_CHAINS"),
         ("from relaycap.gaussian import _DOWNLINK_CHAINS", "_DOWNLINK_CHAINS"),

@@ -8,13 +8,13 @@ import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import det_reference
 from relaycap import (
     DetNetwork,
     HalfDuplex,
@@ -28,20 +28,17 @@ from relaycap import (
     chunk_schedule,
     divide_and_conquer,
     enumerate_integral_region,
-    expand_time,
     in_det_cutset,
     random_messages,
-    reduce_pair_bidirectional,
-    reduce_pair_oneway,
     schedule_fractional,
     schedule_half_duplex,
     simulate_schedule,
     validate_schedule,
 )
-from relaycap import FullDuplex, cli, detnet, enumerate_cuts, scheduler
-from relaycap.cutset import _cut_gains, _hop_holds, _time_scales, directed_rate_caps
+from relaycap import FullDuplex, cli, detnet, scheduler
+from relaycap.cutset import _hop_holds, _time_scales
 from relaycap.detnet import SIDES, NodeId, node_downlink_receive, relay_uplink_receive
-from relaycap.scheduler import SOLO, XOR, SimulationResult, _network, _ordered, _reduce, _run_induction, _take
+from relaycap.scheduler import SOLO, XOR, SimulationResult, _ordered, _run_induction, _take
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
 
@@ -68,11 +65,17 @@ def random_network(rng, max_pairs=3, max_gain=6):
     )
 
 
-# --- reductions -------------------------------------------------------------
+# --- reductions: the reference's reach and removal, by hand -----------------
+
+
+def reduce_step(net, pair, side):
+    """One step of the reference induction: the bit's reach, then its removal."""
+    l_u, l_d = det_reference.reach(net, pair, side)
+    return det_reference.reduce(net, l_u, l_d), l_u, l_d
 
 
 def test_reduce_bidirectional_reference_pair1():
-    reduced, l_u, l_d = reduce_pair_bidirectional(REF, 0)
+    reduced, l_u, l_d = reduce_step(REF, 0, None)
     assert (l_u, l_d) == (2, 2)
     # every gain at or above the removed level drops, in both directions
     assert reduced.n_ar == (2, 1) and reduced.n_br == (1, 1)
@@ -81,27 +84,30 @@ def test_reduce_bidirectional_reference_pair1():
 
 def test_reduce_bidirectional_unit_network():
     net = DetNetwork((1,), (1,), (1,), (1,))
-    reduced, l_u, l_d = reduce_pair_bidirectional(net, 0)
+    reduced, l_u, l_d = reduce_step(net, 0, None)
     assert (l_u, l_d) == (1, 1)
     assert reduced == DetNetwork((0,), (0,), (0,), (0,))
 
 
 def test_reduce_bidirectional_keeps_pair_symmetry():
     net = DetNetwork((4, 3), (4, 3), (2, 5), (2, 5))
-    reduced, _, _ = reduce_pair_bidirectional(net, 0)
+    reduced, _, _ = reduce_step(net, 0, None)
     assert reduced.n_ar == reduced.n_br
     assert reduced.n_ra == reduced.n_rb
 
 
 def test_reduce_bidirectional_requires_all_links():
+    # B1 reaches no uplink level, so an XOR bit of pair 1 has none: the
+    # induction, called directly on this non-member, finds no free level.
     net = DetNetwork((2,), (0,), (1,), (1,))
-    with pytest.raises(ValueError):
-        reduce_pair_bidirectional(net, 0)
+    message = "step 1 (xor pair 0) found no free uplink level; this contradicts the induction safety proof"
+    refusal = _outcome(_run_induction, net, 1, 1, [1, 1])
+    assert refusal == _outcome(det_reference.induction, net, [1, 1]) == (InductionInvariantError, message)
 
 
 def test_reduce_oneway_levels():
     net = DetNetwork((2, 1), (0, 1), (1, 1), (3, 1))
-    reduced, l_u, l_d = reduce_pair_oneway(net, 0, "A")
+    reduced, l_u, l_d = reduce_step(net, 0, "A")
     assert (l_u, l_d) == (2, 3)
     assert reduced.n_ar[0] == 1  # the source always loses exactly one level
 
@@ -112,21 +118,10 @@ def test_reduce_oneway_source_drop():
         net = random_network(rng)
         for pair in range(net.pairs):
             for side in ("A", "B"):
-                if net.uplink_gain(pair, side) < 1:
+                if min(det_reference.reach(net, pair, side)) < 1:
                     continue
-                dest = "B" if side == "A" else "A"
-                if net.downlink_gain(pair, dest) < 1:
-                    continue
-                reduced, _, _ = reduce_pair_oneway(net, pair, side)
+                reduced, _, _ = reduce_step(net, pair, side)
                 assert reduced.uplink_gain(pair, side) == net.uplink_gain(pair, side) - 1
-
-
-def test_reduce_refuses_a_pair_outside_the_network():
-    for pair in (-1, 2, 5, True, 1.0):
-        with pytest.raises(LookupError):
-            reduce_pair_bidirectional(REF, pair)
-        with pytest.raises(LookupError):
-            reduce_pair_oneway(REF, pair, "A")
 
 
 def test_solo_assignment_refuses_an_unknown_side():
@@ -142,10 +137,8 @@ def test_solo_assignment_refuses_an_unknown_side():
         (lambda: LevelAssignment(0, "both", None, 0, 1, 0, 1), "unknown assignment kind 'both'"),
         (lambda: LevelAssignment(0, XOR, "A", 0, 1, 0, 1), "XOR assignments carry no side; SOLO assignments need one"),
         (lambda: LevelAssignment(0, SOLO, None, 0, 1, 0, 1), "XOR assignments carry no side; SOLO assignments need one"),
-        (lambda: reduce_pair_oneway(REF, 0, "C"), "source side must be 'A' or 'B', got 'C'"),
-        (lambda: expand_time(REF, 0), "expansion factor must be >= 1"),
     ],
-    ids=["unknown-kind", "xor-with-side", "solo-without-side", "oneway-side", "expand-zero"],
+    ids=["unknown-kind", "xor-with-side", "solo-without-side"],
 )
 def test_scheduler_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -172,79 +165,6 @@ def test_assignment_stores_numpy_integers_as_int():
     assert simulate_schedule(sched, {(0, "A"): (1,), (0, "B"): (), (1, "A"): (), (1, "B"): ()}).ok
 
 
-# --- reference: the node-indexed deterministic side ---------------------------
-# `_reduce` and `_cut_gains` as written on (n_ar, n_br, n_ra, n_rb) node gains
-# before the session-ordered gains, the level caps of `validate_schedule` and
-# `chunk_schedule`, and membership as a brute-force walk over every cut with
-# those node-indexed cut gains; the differential test below requires the
-# session-ordered code to reproduce every verdict, level pair, reduced
-# network and exception type.
-
-
-def reference_reduce(net: DetNetwork, pair: int, kind: str, side: str | None) -> tuple[DetNetwork, int, int]:
-    """One induction step on the plain (n_ar, n_br, n_ra, n_rb) node gains:
-    pick the levels (l_u, l_d) that serve the bit, then remove them -- every
-    gain at or above a removed level drops by one."""
-    n_ar, n_br, n_ra, n_rb = net.n_ar, net.n_br, net.n_ra, net.n_rb
-    if kind == XOR:
-        if min(n_ar[pair], n_br[pair], n_ra[pair], n_rb[pair]) < 1:
-            raise ValueError(
-                f"pair {pair} has a zero gain {(n_ar[pair], n_br[pair], n_ra[pair], n_rb[pair])}; "
-                f"bidirectional step needs all four links"
-            )
-        l_u = min(n_ar[pair], n_br[pair])
-        l_d = min(n_ra[pair], n_rb[pair])
-    else:
-        l_u, l_d = (n_ar[pair], n_rb[pair]) if side == "A" else (n_br[pair], n_ra[pair])
-        if l_u < 1 or l_d < 1:
-            raise ValueError(
-                f"one-way step {side}{pair + 1} needs positive gains, have l_u={l_u}, l_d={l_d}"
-            )
-    reduced = DetNetwork(
-        tuple(n - (n >= l_u) for n in n_ar),
-        tuple(n - (n >= l_u) for n in n_br),
-        tuple(n - (n >= l_d) for n in n_ra),
-        tuple(n - (n >= l_d) for n in n_rb),
-    )
-    return reduced, l_u, l_d
-
-
-def reference_cut_gains(net, cut):
-    up = max(
-        net.n_ar[i] if b else net.n_br[i] for i, b in zip(cut.members, cut.orientation)
-    )
-    down = max(
-        net.n_rb[i] if b else net.n_ra[i] for i, b in zip(cut.members, cut.orientation)
-    )
-    return up, down
-
-
-def reference_cutset_holds(net, rates, up_scale, down_scale):
-    """Every cut of `enumerate_cuts` holds: its sessions' rate sum is at
-    most min(up_scale * a, down_scale * b) for its node-indexed gains."""
-    for cut in enumerate_cuts(net.pairs):
-        up, down = reference_cut_gains(net, cut)
-        if sum(rates[k] for k in cut.sessions) > min(up_scale * up, down_scale * down):
-            return False
-    return True
-
-
-def reference_caps(net, pair, kind, side):
-    """The (cap_up, cap_down) of a level assignment: the level-cap branch
-    of `validate_schedule`, and of `chunk_schedule`'s XOR and SOLO chunks."""
-    if kind == XOR:
-        return min(net.n_ar[pair], net.n_br[pair]), min(net.n_ra[pair], net.n_rb[pair])
-    dst = "B" if side == "A" else "A"
-    return net.uplink_gain(pair, side), net.downlink_gain(pair, dst)
-
-
-def _step_outcome(reduce, *args):
-    try:
-        return reduce(*args)
-    except Exception as exc:  # the exception type is part of the outcome
-        return type(exc)
-
-
 duplex_modes = st.one_of(
     st.just(FullDuplex()),
     st.builds(
@@ -258,24 +178,22 @@ duplex_modes = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5), duplex_modes, st.data())
 def test_session_gains_match_node_reference(pairs, mode, data):
+    # The hop passes on `hop_orders`, and the bit table's reach as the level
+    # caps `validate_schedule` enforces, against the node-gain reference.
     gain_lists = st.lists(st.integers(0, 9), min_size=pairs, max_size=pairs).map(tuple)
     net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
-    assert _network(net.uplink, net.downlink) == net
 
     rates = data.draw(st.lists(st.integers(0, 9), min_size=2 * pairs, max_size=2 * pairs))
     _, listen, transmit = _time_scales(mode, ())
     up_order, down_order = net.hop_orders
     holds = _hop_holds(up_order, net.uplink, rates, listen) and _hop_holds(down_order, net.downlink, rates, transmit)
-    assert holds == reference_cutset_holds(net, rates, listen, transmit)
-    for cut in enumerate_cuts(pairs):
-        assert _cut_gains(net, cut) == reference_cut_gains(net, cut)
+    assert holds == (not det_reference.violations(det_reference.expand_time(net, listen, transmit), rates))
 
     for pair in range(pairs):
         for kind, side in STEP_KINDS:
             caps = net._bit_table[pair, side][1]
-            up_cap, down_cap = reference_caps(net, pair, kind, side)
+            up_cap, down_cap = det_reference.reach(net, pair, side)
             assert caps == (up_cap, down_cap)
-            assert _step_outcome(_reduce, net, pair, side) == _step_outcome(reference_reduce, net, pair, kind, side)
             for l_u, l_d in ((caps[0], caps[1]), (caps[0] + 1, caps[1]), (caps[0], caps[1] + 1)):
                 a = LevelAssignment(pair, kind, side, 0, l_u, 0, l_d)
                 if 1 <= l_u <= up_cap and 1 <= l_d <= down_cap:
@@ -336,7 +254,7 @@ def test_session_tables_match_their_rules(pairs, data):
     for (pair, side), (sessions, caps) in net._bit_table.items():
         senders = [(pair, "A"), (pair, "B")] if side is None else [(pair, side)]
         assert [net.sources[k] for k in sessions] == senders
-        assert caps == reference_caps(net, pair, XOR if side is None else SOLO, side)
+        assert caps == det_reference.reach(net, pair, side)
 
     fresh = DetNetwork(*fields)
     copy = pickle.loads(pickle.dumps(net))
@@ -412,36 +330,6 @@ def test_induction_rechecks_region_after_each_step():
         _run_induction(REF, 1, 1, [4, 0, 0, 0])
 
 
-def reference_induction(net, rates):
-    """`_run_induction` as it was on networks: serve the same plan of steps
-    with the public reductions, map the reduced levels back with
-    `quadratic_replay` and re-check the rates left after every step by
-    walking every cut (`reference_cutset_holds`), apart from `hop_orders`."""
-    plan = []
-    for i in range(net.pairs):
-        plan += [(i, XOR, None)] * min(rates[2 * i], rates[2 * i + 1])
-    for k, r in enumerate(rates):
-        plan += [(k // 2, SOLO, SIDES[k % 2])] * (r - min(r, rates[k ^ 1]))
-    remaining = list(rates)
-    steps = []
-    for pair, kind, side in plan:
-        if kind == XOR:
-            net, l_u, l_d = reduce_pair_bidirectional(net, pair)
-            remaining[2 * pair] -= 1
-            remaining[2 * pair + 1] -= 1
-        else:
-            net, l_u, l_d = reduce_pair_oneway(net, pair, side)
-            remaining[2 * pair + SIDES.index(side)] -= 1
-        steps.append(SimpleNamespace(pair=pair, kind=kind, side=side, l_u=l_u, l_d=l_d))
-        if not reference_cutset_holds(net, remaining, 1, 1):
-            raise InductionInvariantError(
-                f"reduced tuple {tuple(remaining)} left the reduced region after "
-                f"step {len(steps)} ({kind} pair {pair}); this contradicts the "
-                f"induction safety proof"
-            )
-    return [(s.pair, s.kind, s.side, l_u, l_d) for s, l_u, l_d in quadratic_replay(steps)]
-
-
 def _outcome(call, *args):
     try:
         return call(*args)
@@ -459,14 +347,13 @@ def test_induction_matches_reference_on_networks(pairs, scales, outside, data):
     listen, transmit = scales
     gain_lists = st.lists(st.integers(0, 8), min_size=pairs, max_size=pairs).map(tuple)
     net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
-    gains = tuple(n * listen for n in net.uplink), tuple(n * transmit for n in net.downlink)
-    scaled = _network(*gains)
-    rates = [data.draw(st.integers(0, min(u, d))) for u, d in zip(*gains)]
-    while not in_det_cutset(scaled, rates):
+    scaled = det_reference.expand_time(net, listen, transmit)
+    rates = [data.draw(st.integers(0, c)) for c in det_reference.caps(scaled)]
+    while det_reference.violations(scaled, rates):
         rates[rates.index(max(rates))] -= 1
     if outside:
         rates[data.draw(st.integers(0, 2 * pairs - 1))] += 1
-    assert _outcome(_run_induction, net, listen, transmit, rates) == _outcome(reference_induction, scaled, rates)
+    assert _outcome(_run_induction, net, listen, transmit, rates) == _outcome(det_reference.induction, scaled, rates)
 
 
 @settings(max_examples=300, deadline=None)
@@ -474,17 +361,15 @@ def test_induction_matches_reference_on_networks(pairs, scales, outside, data):
 def test_an_order_sorted_once_stays_valid_under_reductions(pairs, up_scale, down_scale, data):
     # The induction sorts each hop's sessions once and re-checks every
     # step on that order; a reduction maps n to n - (n >= l) on each hop.
-    gain_lists = st.lists(st.integers(0, 9), min_size=2 * pairs, max_size=2 * pairs)
-    up, down = data.draw(gain_lists), data.draw(gain_lists)
-    up_order = sorted(range(2 * pairs), key=up.__getitem__)
-    down_order = sorted(range(2 * pairs), key=down.__getitem__)
+    gain_lists = st.lists(st.integers(0, 9), min_size=pairs, max_size=pairs).map(tuple)
+    net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
+    up_order, down_order = net.hop_orders
     levels = st.tuples(st.integers(1, 10), st.integers(1, 10))
     for l_u, l_d in data.draw(st.lists(levels, min_size=1, max_size=6)):
-        up = [n - (n >= l_u) for n in up]
-        down = [n - (n >= l_d) for n in down]
+        net = det_reference.reduce(net, l_u, l_d)
         rates = data.draw(st.lists(st.integers(0, 9), min_size=2 * pairs, max_size=2 * pairs))
-        holds = _hop_holds(up_order, up, rates, up_scale) and _hop_holds(down_order, down, rates, down_scale)
-        assert holds == reference_cutset_holds(_network(up, down), rates, up_scale, down_scale)
+        holds = _hop_holds(up_order, net.uplink, rates, up_scale) and _hop_holds(down_order, net.downlink, rates, down_scale)
+        assert holds == (not det_reference.violations(det_reference.expand_time(net, up_scale, down_scale), rates))
 
 
 def test_fractional_rates_rejected_by_integral_path():
@@ -555,22 +440,16 @@ def test_inexact_float_rates_and_fractions_named():
 
 
 def test_expand_time_identity_and_scaling():
-    assert expand_time(REF, 1) == REF
-    doubled = expand_time(REF, 2)
-    assert doubled.n_ar == (6, 4) and doubled.n_br == (4, 2)
-
-
-@pytest.mark.parametrize("q", [True, False, 2.0, 1.5, Fraction(2), "2"], ids=repr)
-def test_expand_time_refuses_a_non_integer_factor(q):
-    # True used to act as Q = 1, and 2.0 failed later on a float gain.
-    with pytest.raises(ValueError, match="expansion factor must be an integer"):
-        expand_time(REF, q)
+    assert det_reference.expand_time(REF, 1, 1) == REF
+    scaled = det_reference.expand_time(REF, 2, 3)
+    assert scaled.n_ar == (6, 4) and scaled.n_br == (4, 2)
+    assert scaled.n_ra == (6, 3) and scaled.n_rb == (9, 6)
 
 
 def test_expand_time_region_scaling_spot():
     net = DetNetwork((2, 1), (1, 2), (2, 2), (1, 1))
     region = set(enumerate_integral_region(net))
-    big = set(enumerate_integral_region(expand_time(net, 3)))
+    big = set(enumerate_integral_region(det_reference.expand_time(net, 3, 3)))
     assert {tuple(3 * x for x in t) for t in region} == {
         t for t in big if all(x % 3 == 0 for x in t)
     }
@@ -705,26 +584,6 @@ def test_half_duplex_large_q_bounded_memory():
     assert peak < 10 * 2**20
 
 
-def quadratic_replay(steps):
-    """Reference replay: undo the removals one by one in reverse order,
-    O(steps^2)."""
-    out = []
-    for k, step in enumerate(steps):
-        l_u, l_d = step.l_u, step.l_d
-        for j in range(k - 1, -1, -1):
-            if l_u >= steps[j].l_u:
-                l_u += 1
-            if l_d >= steps[j].l_d:
-                l_d += 1
-        out.append((step, l_u, l_d))
-    return out
-
-
-def free_level(taken, cap):
-    """The highest level <= cap not in ``taken``, by scanning; 0 if none."""
-    return max((level for level in range(1, cap + 1) if level not in taken), default=0)
-
-
 STEP_KINDS = ((XOR, None), (SOLO, "A"), (SOLO, "B"))
 
 
@@ -735,30 +594,30 @@ def test_replay_matches_quadratic_undo(caps, pairs, data):
     # 0 when none is free, as a scan of the taken set does.
     below, taken = {}, set()
     for cap in caps:
-        level = free_level(taken, cap)
+        level = det_reference.free_level(taken, cap)
         assert _take(below, cap) == level
         taken.add(level)
     # The induction takes each step's levels with `_take`, from the step's
-    # reach on the original network.  The `_reduce` chain takes them in
-    # reduced coordinates instead; undoing its removals must give the same
-    # levels, and `_take` must find no free level exactly where `_reduce`
-    # refuses the step.
-    gain_lists = st.lists(st.integers(0, 12), min_size=2 * pairs, max_size=2 * pairs).map(tuple)
-    original = net = _network(data.draw(gain_lists), data.draw(gain_lists))
+    # reach on the original network.  The reference's chain of reductions
+    # takes them in reduced coordinates instead; undoing its removals must
+    # give the same levels, and `_take` must find no free level on exactly
+    # the hops where the reduced reach is 0.
+    gain_lists = st.lists(st.integers(0, 12), min_size=pairs, max_size=pairs).map(tuple)
+    original = net = DetNetwork(*(data.draw(gain_lists) for _ in range(4)))
     steps = st.tuples(st.integers(0, pairs - 1), st.sampled_from(STEP_KINDS))
     below_up, below_down = {}, {}
     reduced, took = [], []
     for pair, (_, side) in data.draw(st.lists(steps, max_size=40)):
-        cap_up, cap_down = original._bit_table[pair, side][1]
+        cap_up, cap_down = det_reference.reach(original, pair, side)
         levels = _take(below_up, cap_up), _take(below_down, cap_down)
-        try:
-            net, l_u, l_d = _reduce(net, pair, side)
-        except ValueError:
-            assert 0 in levels
+        l_u, l_d = det_reference.reach(net, pair, side)
+        if not (l_u and l_d):
+            assert (levels[0] == 0, levels[1] == 0) == (l_u == 0, l_d == 0)
             break
-        reduced.append(SimpleNamespace(l_u=l_u, l_d=l_d))
+        net = det_reference.reduce(net, l_u, l_d)
+        reduced.append((l_u, l_d))
         took.append(levels)
-    assert [(l_u, l_d) for _, l_u, l_d in quadratic_replay(reduced)] == took
+    assert det_reference.quadratic_replay(reduced) == took
 
 
 def test_every_scheduler_is_budgeted():
@@ -1136,7 +995,7 @@ def _sim_outcome(simulate, sched, msgs):
 def _in_region_tuple(data, net, q, mode):
     """A rate tuple over ``q`` uses: drawn per session up to q times its
     singleton cap, then lowered one unit at a time until it is a member."""
-    caps = directed_rate_caps(net, mode)
+    caps = det_reference.caps(net, mode)
     bits = [data.draw(st.integers(0, q * c)) for c in caps]
     while not in_det_cutset(net, [Fraction(b, q) for b in bits], mode).member:
         bits[bits.index(max(bits))] -= 1
