@@ -46,6 +46,8 @@ from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex,
 
 Rate = Union[int, Fraction]
 
+_INT = frozenset((int,))  # `_INT.issuperset(map(type, xs))`: every x is an int, not a subclass
+
 # Cap on the work of `enumerate_integral_region` and `enumerate_cuts`, in
 # session reads: 2M per tuple the region walk tests, M per cut listed.  The
 # cuts of M = 9 fit; a refusal takes up to about 0.5 s (M = 1, 2-vCPU x86).
@@ -97,6 +99,11 @@ class Membership:
     # (Q, listen, transmit, bits): the rates' `_time_scales` and bits, as the verdict read them
     scaled: tuple[int, int, int, list[int]] = field(compare=False, repr=False)
 
+    def __init__(
+        self, member: bool, violations: tuple[CutViolation, ...], scaled: tuple[int, int, int, list[int]]
+    ) -> None:
+        self.__dict__.update(member=member, violations=violations, scaled=scaled)
+
     def __bool__(self) -> bool:
         return self.member
 
@@ -137,16 +144,19 @@ def _time_scales(mode: DuplexMode, denominators: Iterable[int]) -> tuple[int, in
     raise ValueError(f"duplex mode must be FullDuplex or HalfDuplex, got {mode!r}")
 
 
-def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> list[Rate]:
+def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[list[Rate], list[int]]:
     """The rates, one per session, with every non-int converted to a
-    Fraction, in one pass.  Refuses with ValueError, in this order: a wrong
-    count; a value that is not a number (a string among them) or not
-    finite; a bool or a negative rate; an inexact one (a float that is not
-    whole)."""
+    Fraction, in one pass, and the denominators of those not given as an
+    int.  Refuses with ValueError, in this order: a wrong count; a value
+    that is not a number (a string among them) or not finite; a bool or a
+    negative rate; an inexact one (a float that is not whole)."""
     if len(rates) != 2 * net.pairs:
         raise ValueError(f"expected {2 * net.pairs} rate components, got {len(rates)}")
+    if _INT.issuperset(map(type, rates)) and min(rates) >= 0:  # every rate an int, none negative
+        return list(rates), []
     out = []
     others = []  # the non-int rates, which `_refuse_inexact` reads
+    denominators = []
     unreadable = negative = False
     for r in rates:
         if type(r) is not int:
@@ -161,6 +171,7 @@ def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> list[Rate]:
             if isinstance(r, bool):
                 negative = True
             r = exact
+            denominators.append(r.denominator)
         if r < 0:
             negative = True
         out.append(r)
@@ -170,7 +181,7 @@ def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> list[Rate]:
         raise ValueError(f"rates must be non-negative numbers, got {rates}")
     for r in others:
         _refuse_inexact(r, "rates")
-    return out
+    return out, denominators
 
 
 def _hop_holds(order: Sequence[int], gains: Sequence[int], rates: Sequence[int], scale: int) -> bool:
@@ -227,9 +238,10 @@ def in_det_cutset(
     their `_time_scales`.  Only a non-member walks `enumerate_cuts` to list
     its violated cuts, in that order, each bound being
     min(listen * a, transmit * b) / Q, or raises its RegionSizeError."""
-    rs = _check_rates(net, rates)
-    q, listen, transmit = _time_scales(mode, [r.denominator for r in rs])
-    bits = [r.numerator * (q // r.denominator) for r in rs]
+    rs, denominators = _check_rates(net, rates)
+    q, listen, transmit = _time_scales(mode, denominators)
+    # Q = 1 with every rate an int: the rates are their own bits.
+    bits = rs if q == 1 and not denominators else [r.numerator * (q // r.denominator) for r in rs]
     scaled = q, listen, transmit, bits
     up_order, down_order = net.hop_orders
     if _hop_holds(up_order, net.uplink, bits, listen) and _hop_holds(down_order, net.downlink, bits, transmit):

@@ -28,8 +28,9 @@ simulator:
 
 All values here are immutable; every operation is a pure function.  A
 network keeps tables derived from its gains, each built whole the first
-time it is read (`hop_orders`, `sources` and the bit table the scheduler
-reads); they are not fields, so `==`, `hash` and `repr` never see them.
+time it is read (`hop_orders`, `sources`, the bit table the scheduler
+reads and the node table the channel primitives read); they are not
+fields, so `==`, `hash` and `repr` never see them.
 """
 
 from __future__ import annotations
@@ -173,6 +174,18 @@ class DetNetwork:
         return table
 
     @cached_property
+    def _node_gains(self) -> dict:
+        """Each node (pair, side), pair an int and side a str -> its
+        (uplink, downlink) gain: the channel primitives' lookup.  A key not
+        in it takes the checked `uplink_gain` or `downlink_gain`, which
+        accepts a numpy pair and refuses the rest."""
+        table = {}
+        for i in range(self.pairs):
+            table[i, "A"] = self.n_ar[i], self.n_ra[i]
+            table[i, "B"] = self.n_br[i], self.n_rb[i]
+        return table
+
+    @cached_property
     def q_up(self) -> int:
         """Uplink frame length: the largest uplink gain (0 when all are 0)."""
         return max(self.uplink)
@@ -228,12 +241,28 @@ def relay_uplink_receive(net: DetNetwork, frames: Mapping[NodeId, int]) -> int:
     """Relay frame received in one use: mod-2 sum of every node's shifted
     contribution.  Nodes absent from ``frames`` are silent."""
     q = net.q_up
+    table = net._node_gains
     acc = 0
     for (pair, side), frame in frames.items():
-        acc ^= shifted_contribution(frame, net.uplink_gain(pair, side), q)
+        # Only an int pair and a str side look up the table: a bool or a
+        # float pair would find the int it equals.
+        gains = table.get((pair, side)) if type(pair) is int and type(side) is str else None
+        gain = gains[0] if gains else net.uplink_gain(pair, side)
+        # A node's gain is an int in [0, q], so an int frame in [0, 2**q)
+        # (``frame >> q`` is 0 for those alone) shifts as
+        # `shifted_contribution` shifts it; it checks every other frame.
+        if type(frame) is int and not frame >> q:
+            acc ^= frame >> (q - gain)
+        else:
+            acc ^= shifted_contribution(frame, gain, q)
     return acc
 
 
 def node_downlink_receive(net: DetNetwork, relay_frame: int, pair: int, side: Side) -> int:
     """What node (pair, side) hears when the relay broadcasts ``relay_frame``."""
-    return shifted_contribution(relay_frame, net.downlink_gain(pair, side), net.q_down)
+    gains = net._node_gains.get((pair, side)) if type(pair) is int and type(side) is str else None
+    gain = gains[1] if gains else net.downlink_gain(pair, side)
+    q = net.q_down
+    if type(relay_frame) is int and not relay_frame >> q:  # as in relay_uplink_receive
+        return relay_frame >> (q - gain)
+    return shifted_contribution(relay_frame, gain, q)

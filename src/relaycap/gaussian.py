@@ -151,13 +151,6 @@ class GaussNetwork:
         if not math.isfinite(top * top * p):
             raise ValueError(f"(2 max|h|)^2 P overflows a float: max|h| = {top / 2:.4g}, P = {p:.4g}")
 
-    def snrs(self) -> tuple[float, ...]:
-        """All eight |h|^2 P products."""
-        p = self.power
-        return tuple(
-            h * h * p for h in (*self.h_ar, *self.h_br, *self.h_ra, *self.h_rb)
-        )
-
     @property
     def uplink(self) -> tuple[float, float, float, float]:
         """Each session's uplink magnitude: (|h_A1R|, |h_B1R|, |h_A2R|, |h_B2R|)."""

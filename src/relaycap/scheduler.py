@@ -40,12 +40,12 @@ tuple is the case Q = 1.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from .cutset import Membership, Rate, RegionSizeError, _hop_holds, in_det_cutset
+from .cutset import _INT, Membership, Rate, RegionSizeError, _hop_holds, in_det_cutset
 from .detnet import (
     FULL_DUPLEX,
     SIDES,
@@ -114,36 +114,56 @@ class LevelAssignment:
     downlink_slot: int
     downlink_level: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in (XOR, SOLO):
-            raise ValueError(f"unknown assignment kind {self.kind!r}")
-        if (self.side is None) != (self.kind == XOR):
+    def __init__(
+        self, pair: int, kind: str, side: str | None,
+        uplink_slot: int, uplink_level: int, downlink_slot: int, downlink_level: int,
+    ) -> None:
+        if kind not in (XOR, SOLO):
+            raise ValueError(f"unknown assignment kind {kind!r}")
+        if (side is None) != (kind == XOR):
             raise ValueError("XOR assignments carry no side; SOLO assignments need one")
-        if self.kind == SOLO and self.side not in SIDES:
-            raise ValueError(f"SOLO side must be 'A' or 'B', got {self.side!r}")
+        if kind == SOLO and side not in SIDES:
+            raise ValueError(f"SOLO side must be 'A' or 'B', got {side!r}")
         if not (
-            type(self.pair) is type(self.uplink_slot) is type(self.uplink_level)
-            is type(self.downlink_slot) is type(self.downlink_level) is int
+            type(pair) is type(uplink_slot) is type(uplink_level)
+            is type(downlink_slot) is type(downlink_level) is int
         ):  # the slow path also stores numpy integers as int
-            ints = self.pair, self.uplink_slot, self.uplink_level, self.downlink_slot, self.downlink_level
+            ints = pair, uplink_slot, uplink_level, downlink_slot, downlink_level
             for name, value in zip(_INT_FIELDS, ints):
                 if not _integer(value):
                     raise ValueError(f"assignment {name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))
+            pair, uplink_slot, uplink_level, downlink_slot, downlink_level = map(int, ints)
+        self.__dict__.update(
+            pair=pair, kind=kind, side=side, uplink_slot=uplink_slot, uplink_level=uplink_level,
+            downlink_slot=downlink_slot, downlink_level=downlink_level,
+        )
+
+
+# An assignment as the simulation reads it: (uplink slot, -uplink level,
+# downlink slot, downlink level, whether it is an XOR bit, the sessions it
+# serves).  Sorted, rows come in the order message bits are consumed.
+Row = tuple[int, int, int, int, bool, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Level assignments over ``slots`` uses, checked when built by `validate_schedule`."""
+    """Level assignments over ``slots`` uses, checked when built by
+    `validate_schedule`, which also leaves on it the rows the simulation reads."""
 
     net: DetNetwork
     slots: int
     assignments: tuple[LevelAssignment, ...]
     listen_slots: int | None = None  # half-duplex: slots [0, listen_slots) listen
     _budgets: dict[NodeId, int] = field(init=False, repr=False, compare=False)
+    _rows: list[Row] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_budgets", validate_schedule(self))
+    def __init__(
+        self, net: DetNetwork, slots: int, assignments: tuple[LevelAssignment, ...],
+        listen_slots: int | None = None,
+    ) -> None:
+        fields = self.__dict__
+        fields.update(net=net, slots=slots, assignments=assignments, listen_slots=listen_slots)
+        fields["_budgets"] = validate_schedule(self)
 
     def bit_budgets(self) -> dict[NodeId, int]:
         """Directed message bits carried per (pair, source side)."""
@@ -173,12 +193,13 @@ def _runs(bits: Sequence[int]) -> list[tuple[int, str, str | None, int]]:
     kind, side, bits), pair by pair -- the pair's min(R_A, R_B) XOR bits,
     then its |R_A - R_B| one-way bits from the larger side."""
     runs = []
-    for i in range(len(bits) // 2):
-        a, b = bits[2 * i], bits[2 * i + 1]
-        if min(a, b):
-            runs.append((i, XOR, None, min(a, b)))
-        if a != b:
-            runs.append((i, SOLO, "A" if a > b else "B", abs(a - b)))
+    for i, (a, b) in enumerate(zip(bits[::2], bits[1::2])):
+        if a and b:
+            runs.append((i, XOR, None, a if a < b else b))
+        if a > b:
+            runs.append((i, SOLO, "A", a - b))
+        elif b > a:
+            runs.append((i, SOLO, "B", b - a))
     return runs
 
 
@@ -200,16 +221,21 @@ def _run_induction(net: DetNetwork, listen: int, transmit: int, rates: Sequence[
     reorder gains (see `_hop_holds`).  A step with no level left, or a
     failed re-check, raises `InductionInvariantError`; only a tuple outside
     the region can reach either, and `_time_expanded` refuses those first."""
-    up = [n * listen for n in net.uplink]
-    down = [n * transmit for n in net.downlink]
+    up = net.uplink if listen == 1 else [n * listen for n in net.uplink]
+    down = net.downlink if transmit == 1 else [n * transmit for n in net.downlink]
     up_order, down_order = net.hop_orders
+    table = net._bit_table
     reduced_up, reduced_down = list(up), list(down)
     taken_up: dict[int, int] = {}
     taken_down: dict[int, int] = {}
     remaining = list(rates)
     steps = []
-    for pair, kind, side, count in sorted(_runs(rates), key=lambda run: run[1] == SOLO):
-        sessions, (cap_up, cap_down) = net._bit_table[pair, side]
+    all_sessions = range(len(up))
+    xor_runs, solo_runs = [], []
+    for run in _runs(rates):
+        (xor_runs if run[1] is XOR else solo_runs).append(run)
+    for pair, kind, side, count in xor_runs + solo_runs:
+        sessions, (cap_up, cap_down) = table[pair, side]
         cap_up *= listen
         cap_down *= transmit
         for _ in range(count):
@@ -221,13 +247,12 @@ def _run_induction(net: DetNetwork, listen: int, transmit: int, rates: Sequence[
                     f"{'downlink' if l_u else 'uplink'} level; this contradicts the "
                     f"induction safety proof"
                 )
-            # The removal n -> n - (n >= l), tested on the original gains
-            # since l_u and l_d are original levels.
-            for k, g in enumerate(up):
-                if g >= l_u:
+            # The removal n -> n - (n >= l) on both hops, tested on the
+            # original gains since l_u and l_d are original levels.
+            for k in all_sessions:
+                if up[k] >= l_u:
                     reduced_up[k] -= 1
-            for k, g in enumerate(down):
-                if g >= l_d:
+                if down[k] >= l_d:
                     reduced_down[k] -= 1
             for k in sessions:
                 remaining[k] -= 1
@@ -248,12 +273,6 @@ def divide_and_conquer(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
     """Single-use schedule achieving an integral in-region rate tuple: time
     expansion with Q = 1."""
     return _time_expanded(net, FULL_DUPLEX, rates, True, _run_induction)
-
-
-def _interleaved(level: int, lanes: int) -> tuple[int, int]:
-    """Expanded level -> (slot, per-use level) under the block interleaving
-    that identifies Q uses with the gains-times-Q network."""
-    return (level - 1) % lanes, (level + lanes - 1) // lanes
 
 
 def _time_expanded(
@@ -284,17 +303,19 @@ def _time_expanded(
             f"schedule over Q={q} uses serves {sum(bits)} bits, "
             f"step budget is {STEP_BUDGET}"
         )
-    assignments = []
-    for pair, kind, side, l_u, l_d in levels(net, listen, transmit, bits):
-        up_slot, up_level = _interleaved(l_u, listen)
-        down_slot, down_level = _interleaved(l_d, transmit)
-        assignments.append(
-            LevelAssignment(
-                pair, kind, side, up_slot, up_level, q - transmit + down_slot, down_level
-            )
+    # Block interleaving identifies the Q uses with the scaled network: on
+    # a hop used in ``lanes`` slots, expanded level l is per-use level
+    # (l + lanes - 1) // lanes in slot (l - 1) % lanes of that hop's slots.
+    first_down = q - transmit
+    assignments = tuple([
+        LevelAssignment(
+            pair, kind, side, (l_u - 1) % listen, (l_u + listen - 1) // listen,
+            first_down + (l_d - 1) % transmit, (l_d + transmit - 1) // transmit,
         )
+        for pair, kind, side, l_u, l_d in levels(net, listen, transmit, bits)
+    ])
     listen_slots = listen if listen < q else None  # half duplex listens in fewer than Q
-    return Schedule(net=net, slots=q, assignments=tuple(assignments), listen_slots=listen_slots)
+    return Schedule(net, q, assignments, listen_slots)
 
 
 def schedule_fractional(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
@@ -359,7 +380,9 @@ def chunk_schedule(net: DetNetwork, rates: Sequence[Rate]) -> Schedule:
 
 def validate_schedule(sched: Schedule) -> dict[NodeId, int]:
     """Check level bounds per assignment and per-slot orthogonality, and
-    return the message bits each (pair, source side) sends; `Schedule` keeps them."""
+    return the message bits each (pair, source side) sends; `Schedule` keeps
+    them.  The walk also leaves on ``sched`` its assignments as sorted rows
+    (see `Row`), which `simulate_schedule` reads."""
     net = sched.net
     slots, listen = sched.slots, sched.listen_slots
     if not _integer(slots) or slots < 1:
@@ -368,34 +391,39 @@ def validate_schedule(sched: Schedule) -> dict[NodeId, int]:
         raise ScheduleInvalidError(
             f"listen_slots must be None or an integer in [1, {slots - 1}], got {listen!r}"
         )
-    sent = [0] * (2 * net.pairs)  # message bits per session
+    pairs, table = net.pairs, net._bit_table
+    sent = [0] * (2 * pairs)  # message bits per session
     used_up: set[tuple[int, int]] = set()
     used_down: set[tuple[int, int]] = set()
+    rows: list[Row] = []
     for a in sched.assignments:
-        if not 0 <= a.pair < net.pairs:
-            raise ScheduleInvalidError(f"assignment names pair {a.pair} of {net.pairs}")
-        if a.uplink_slot < 0 or a.uplink_slot >= slots:
-            raise ScheduleInvalidError(f"uplink slot {a.uplink_slot} outside 0..{slots - 1}")
-        if a.downlink_slot < 0 or a.downlink_slot >= slots:
-            raise ScheduleInvalidError(f"downlink slot {a.downlink_slot} out of range")
+        pair = a.pair
+        if not 0 <= pair < pairs:
+            raise ScheduleInvalidError(f"assignment names pair {pair} of {pairs}")
+        up_slot = a.uplink_slot
+        if up_slot < 0 or up_slot >= slots:
+            raise ScheduleInvalidError(f"uplink slot {up_slot} outside 0..{slots - 1}")
+        down_slot = a.downlink_slot
+        if down_slot < 0 or down_slot >= slots:
+            raise ScheduleInvalidError(f"downlink slot {down_slot} out of range")
         if listen is not None:
-            if a.uplink_slot >= listen:
+            if up_slot >= listen:
                 raise ScheduleInvalidError("uplink use scheduled in a transmit slot")
-            if a.downlink_slot < listen:
+            if down_slot < listen:
                 raise ScheduleInvalidError("downlink use scheduled in a listen slot")
-        sessions, (up_cap, down_cap) = net._bit_table[a.pair, a.side]
-        if not 1 <= a.uplink_level <= up_cap:
+        sessions, (up_cap, down_cap) = table[pair, a.side]
+        up_level = a.uplink_level
+        if not 1 <= up_level <= up_cap:
             raise ScheduleInvalidError(
-                f"uplink level {a.uplink_level} unreachable for {a.kind} of pair "
-                f"{a.pair} (cap {up_cap})"
+                f"uplink level {up_level} unreachable for {a.kind} of pair {pair} (cap {up_cap})"
             )
-        if not 1 <= a.downlink_level <= down_cap:
+        down_level = a.downlink_level
+        if not 1 <= down_level <= down_cap:
             raise ScheduleInvalidError(
-                f"downlink level {a.downlink_level} unreachable for {a.kind} of pair "
-                f"{a.pair} (cap {down_cap})"
+                f"downlink level {down_level} unreachable for {a.kind} of pair {pair} (cap {down_cap})"
             )
-        up_key = (a.uplink_slot, a.uplink_level)
-        down_key = (a.downlink_slot, a.downlink_level)
+        up_key = (up_slot, up_level)
+        down_key = (down_slot, down_level)
         if up_key in used_up:
             raise ScheduleInvalidError(f"uplink level reused in one slot: {up_key}")
         if down_key in used_down:
@@ -404,6 +432,12 @@ def validate_schedule(sched: Schedule) -> dict[NodeId, int]:
         used_down.add(down_key)
         for k in sessions:
             sent[k] += 1
+        rows.append((up_slot, -up_level, down_slot, down_level, a.kind == XOR, sessions))
+    # Message bits are consumed listen-slot by listen-slot, most significant
+    # relay level first, on both the encode and decode side.  No two rows
+    # share an uplink (slot, level), so the sort reads nothing past those.
+    rows.sort()
+    sched.__dict__["_rows"] = rows
     return dict(zip(net.sources, sent))
 
 
@@ -412,11 +446,46 @@ class SimulationResult:
     ok: bool
     decoded: dict[NodeId, tuple[int, ...]]
 
+    def __init__(self, ok: bool, decoded: dict[NodeId, tuple[int, ...]]) -> None:
+        self.__dict__.update(ok=ok, decoded=decoded)
 
-def _ordered(assignments: Sequence[LevelAssignment]) -> list[LevelAssignment]:
-    # Message bits are consumed listen-slot by listen-slot, most significant
-    # relay level first, on both the encode and decode side.
-    return sorted(assignments, key=lambda a: (a.uplink_slot, -a.uplink_level))
+
+def _checked_payloads(budgets: dict[NodeId, int], payloads: list[tuple]) -> list[tuple[int, ...]]:
+    """``payloads``, in the order of ``budgets``, checked payload by payload
+    and entry by entry: numpy integers are stored as int, anything else but
+    an integer 0 or 1 is refused, then a wrong length."""
+    checked = []
+    for (node, need), got in zip(budgets.items(), payloads):
+        if set(map(type, got)) - {int}:
+            got = tuple(int(b) if _integer(b) else None for b in got)
+        if not set(got) <= {0, 1}:
+            raise ValueError(f"message for {node} must be bits")
+        if len(got) != need:
+            raise ShapeError(f"message for {node} has {len(got)} bits, schedule carries {need}")
+        checked.append(got)
+    return checked
+
+
+def _payloads(budgets: dict[NodeId, int], messages: Mapping[NodeId, Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each session's payload, in the order of ``budgets`` (session order).
+    One pass over them all accepts ints 0 and 1 in the budgeted counts;
+    anything else takes `_checked_payloads`, so the first payload at fault
+    is refused, as if each were checked before the next was read."""
+    payloads = []
+    try:
+        for node in budgets:
+            payloads.append(tuple(messages.get(node, ())))
+    except Exception:
+        _checked_payloads(budgets, payloads)  # a refusal of an earlier payload comes first
+        raise
+    bits = tuple(chain.from_iterable(payloads))
+    if (
+        list(map(len, payloads)) == list(budgets.values())
+        and bits.count(0) + bits.count(1) == len(bits)
+        and _INT.issuperset(map(type, bits))
+    ):
+        return payloads
+    return _checked_payloads(budgets, payloads)
 
 
 def simulate_schedule(
@@ -437,72 +506,67 @@ def simulate_schedule(
     q_up, q_down = net.q_up, net.q_down
     if max(q_up, q_down) > FRAME_BUDGET:
         raise ShapeError(f"frames of {max(q_up, q_down)} bits: a simulated frame holds at most {FRAME_BUDGET}")
-    unknown = [node for node in messages if node not in sched._budgets]
+    budgets = sched._budgets
+    unknown = [node for node in messages if node not in budgets]
     if unknown:
         raise ValueError(f"messages for nodes outside the network: {unknown}")
-    msgs: dict[NodeId, tuple[int, ...]] = {}
-    for node, need in sched._budgets.items():
-        got = tuple(messages.get(node, ()))
-        if set(map(type, got)) - {int}:  # the slow path stores numpy integers as int, and refuses the rest
-            got = tuple(int(b) if _integer(b) else None for b in got)
-        if not set(got) <= {0, 1}:
-            raise ValueError(f"message for {node} must be bits")
-        if len(got) != need:
-            raise ShapeError(f"message for {node} has {len(got)} bits, schedule carries {need}")
-        msgs[node] = got
+    payloads = _payloads(budgets, messages)
 
-    # Uplink: each assignment draws its message bits in consumption order,
-    # one (session, bit) per session the bit serves, whose source is nodes[k]; a
-    # node's bit for relay level l (bottom-up) sits at its own top-down frame
-    # index gain - l, and arrives as bit l - 1 at the relay.
-    order = _ordered(sched.assignments)
-    feeds = {node: iter(bits) for node, bits in msgs.items()}
+    # Uplink: each row draws its message bits in consumption order, one per
+    # session k it serves, whose source is nodes[k]; a node's bit for relay
+    # level l (bottom-up) sits at its own top-down frame index gain - l, and
+    # arrives as bit l - 1 at the relay.
+    rows = sched._rows
+    feeds = list(map(iter, payloads))
     nodes = net.sources  # session k's source; k ^ 1's is its destination
     up, down = net.uplink, net.downlink
-    sent: list[list[tuple[int, int]]] = []
-    tx: dict[int, dict[NodeId, int]] = defaultdict(dict)
-    for a in order:
-        drawn = []
-        frames = tx[a.uplink_slot]
-        top = q_up - 1 + a.uplink_level
-        for k in net._bit_table[a.pair, a.side][0]:
+    drawn = []  # per row, the bit it carries of each session it serves
+    tx: dict[int, dict[NodeId, int]] = {}
+    for up_slot, neg_level, _, _, _, sessions in rows:
+        frames = tx.get(up_slot)
+        if frames is None:
+            frames = tx[up_slot] = {}
+        top = q_up - 1 - neg_level
+        bits = []
+        for k in sessions:
             node = nodes[k]
-            bit = next(feeds[node])
+            bit = next(feeds[k])
             frames[node] = frames.get(node, 0) | bit << (top - up[k])
-            drawn.append((k, bit))
-        sent.append(drawn)
-    received = {slot: relay_uplink_receive(net, frames) for slot, frames in tx.items()}
+            bits.append(bit)
+        drawn.append(bits)
+    received = {}
+    for slot, frames in tx.items():
+        received[slot] = relay_uplink_receive(net, frames)
 
     # Relay permute-and-forward: downlink level l (top-down) is bit
     # q_down - l of the relay frame.
-    relay_frames: dict[int, int] = defaultdict(int)
-    for a in order:
-        bit = received[a.uplink_slot] >> (a.uplink_level - 1) & 1
-        relay_frames[a.downlink_slot] |= bit << (q_down - a.downlink_level)
+    relay_frames: dict[int, int] = {}
+    for up_slot, neg_level, down_slot, down_level, _, _ in rows:
+        bit = received[up_slot] >> (-1 - neg_level) & 1
+        relay_frames[down_slot] = relay_frames.get(down_slot, 0) | bit << (q_down - down_level)
 
     # Each destination decodes from what it hears, one frame per (downlink
     # slot, session): a destination with downlink gain g finds level l at
     # bit g - l.  Decoded bits are reassembled in the order they were consumed.
     heard: dict[tuple[int, int], int] = {}
-    out: dict[NodeId, list[int]] = {node: [] for node in msgs}
-    for a, drawn in zip(order, sent):
-        slot, level, xor = a.downlink_slot, a.downlink_level, a.kind == XOR
-        for k, _ in drawn:
+    out: list[list[int]] = [[] for _ in payloads]
+    for (_, _, slot, level, xor, sessions), bits in zip(rows, drawn):
+        for j, k in enumerate(sessions):
             frame = heard.get((slot, k))
             if frame is None:
                 frame = heard[slot, k] = node_downlink_receive(net, relay_frames[slot], *nodes[k ^ 1])
             got = frame >> (down[k] - level) & 1
             if xor:
-                got ^= drawn[(k & 1) ^ 1][1]  # the destination's own bit cancels out of the XOR
-            out[nodes[k]].append(got)
+                got ^= bits[1 - j]  # the destination's own bit cancels out of the XOR
+            out[k].append(got)
 
-    decoded = {node: tuple(bits) for node, bits in out.items()}
-    return SimulationResult(ok=decoded == msgs, decoded=decoded)
+    decoded = list(map(tuple, out))
+    return SimulationResult(decoded == payloads, dict(zip(budgets, decoded)))
 
 
 def random_messages(sched: Schedule, rng) -> dict[NodeId, tuple[int, ...]]:
     """Random payload matching the schedule's bit budgets."""
     return {
-        node: tuple(int(b) for b in rng.integers(0, 2, size=need))
+        node: tuple(rng.integers(0, 2, size=need).tolist())
         for node, need in sched.bit_budgets().items()
     }

@@ -132,6 +132,11 @@ def reference_snrs(magnitudes: Sequence[float], power: float) -> tuple[float, ..
     return tuple(h * h * power for h in magnitudes)
 
 
+def reference_link_snrs(net: GaussNetwork) -> tuple[float, ...]:
+    """|h|^2 P of all eight links: the uplink's four, then the downlink's."""
+    return reference_snrs(net.uplink, net.power) + reference_snrs(net.downlink, net.power)
+
+
 def reference_precondition_rhs(net: GaussNetwork, direction: str) -> list[tuple[str, tuple[int, ...], float]]:
     """Each precondition of the hop, in checking order: its name, sessions
     and right-hand side."""
@@ -520,7 +525,7 @@ def reference_verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> 
         raise InfeasibleRatesError(
             "constant-gap hypothesis: every component must be >= 2", f"got {target}"
         )
-    snrs = net.snrs()
+    snrs = reference_link_snrs(net)
     if min(snrs) < MIN_PROVEN_SNR - TOL:
         raise LowPowerError(
             f"|h|^2 P floor {min(snrs):.4g} below the proven threshold {MIN_PROVEN_SNR}"
@@ -568,7 +573,7 @@ def reference_sampler_accepts(net: GaussNetwork) -> bool:
     """Every link clears the SNR floor and the base point lies in the
     restricted region, compared exactly."""
     rhs = family_rhs(net, True)
-    return min(net.snrs()) >= MIN_LINK_SNR and all(
+    return min(reference_link_snrs(net)) >= MIN_LINK_SNR and all(
         rhs[name] >= family_sum(coefs, BASE_POINT) for name, coefs in FAMILY_COEFS.items()
     )
 

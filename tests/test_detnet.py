@@ -239,7 +239,7 @@ def test_one_hop_order():
     # Each hop's sessions are put in gain order in one place, `gain_order`,
     # which only `DetNetwork.hop_orders` calls: it keeps its two orders for
     # the network's lifetime.  The other sorts order CLI field names, cut
-    # members, `_runs` runs and assignments.
+    # members, `_runs` runs and the rows of a validated schedule.
     package = Path(relaycap.__file__).parent
     sorts = [use for path in sorted(package.glob("*.py")) for use in _sorts(path.read_text(), path.stem)]
     assert sorts == [
@@ -247,7 +247,7 @@ def test_one_hop_order():
         ("cutset", "__post_init__", "sorted"),
         ("detnet", "hop_orders", "gain_order"), ("detnet", "hop_orders", "gain_order"),
         ("detnet", "gain_order", "sorted"),
-        ("scheduler", "_run_induction", "sorted"), ("scheduler", "_pack", "sorted"), ("scheduler", "_ordered", "sorted"),
+        ("scheduler", "_pack", "sorted"), ("scheduler", "validate_schedule", "sort"),
     ]
     for planted, use in (
         ("def walk(up):\n    return sorted(range(len(up)), key=lambda k: up[k])", ("m", "walk", "sorted")),

@@ -20,6 +20,7 @@ from gauss_reference import (
     reference_budget_excess,
     reference_downlink_allocate,
     reference_downlink_rate_check,
+    reference_link_snrs,
     reference_max_alpha_excess,
     reference_min_check_slack,
     reference_precondition_rhs,
@@ -153,7 +154,7 @@ def test_network_squares_finite_below_the_overflow_bound():
     for verdict in (gauss_cutset(net, (0, 0, 0, 0)), gauss_restricted_cutset(net, (0, 0, 0, 0))):
         assert verdict.inside and all(math.isfinite(c.rhs) for c in verdict.checks)
     assert all(math.isfinite(g) for g in restricted_bound_gaps(net).values())
-    assert all(math.isfinite(x) for x in net.snrs())
+    assert all(math.isfinite(x) for x in reference_link_snrs(net))
     up, down, p = net._columns()
     for direction, mags, terms in zip(("uplink", "downlink"), (up, down), gaussian._hop_terms(up, down, p)):
         _, kept, snr, _, errors = gaussian._allocate(direction, mags, p, gaussian._one((0.0,) * 4), terms)
@@ -294,7 +295,7 @@ def test_family_table_matches_reference(h, power, rates):
             assert tuple(snr[:, 0].tolist()) == reference_snrs(magnitudes, ordered.power)  # h * h * P
     # The sweep sampler's acceptance: SNR floor, then the exact 2-bit base check.
     base_ok = all(res[name] >= family_sum(coefs, BASE_POINT) for name, coefs in FAMILY_COEFS.items())
-    assert gaussian._sampler_accepts(net) == (min(net.snrs()) >= MIN_LINK_SNR and base_ok)
+    assert gaussian._sampler_accepts(net) == (min(reference_link_snrs(net)) >= MIN_LINK_SNR and base_ok)
 
 
 @settings(max_examples=200, deadline=None)

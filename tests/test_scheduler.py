@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import pickle
@@ -20,6 +21,7 @@ from relaycap import (
     HalfDuplex,
     InductionInvariantError,
     LevelAssignment,
+    Membership,
     NotInRegionError,
     RegionSizeError,
     Schedule,
@@ -38,7 +40,7 @@ from relaycap import (
 from relaycap import FullDuplex, cli, detnet, scheduler
 from relaycap.cutset import _hop_holds, _time_scales
 from relaycap.detnet import SIDES, NodeId, node_downlink_receive, relay_uplink_receive
-from relaycap.scheduler import SOLO, XOR, SimulationResult, _ordered, _run_induction, _take
+from relaycap.scheduler import SOLO, XOR, SimulationResult, _run_induction, _take
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
 
@@ -706,21 +708,23 @@ _BUILT = {"Schedule", "LevelAssignment", "in_det_cutset", "validate_schedule"}
 
 def _builds(source: str) -> list[tuple[str | None, str]]:
     """(enclosing def or class, name) of each call of a name in `_BUILT`,
-    bare or as an attribute."""
+    bare or as an attribute; a method is named with its class, "C.f"."""
     found = []
 
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = node.name
+    def visit(node, owner, cls):
+        if isinstance(node, ast.ClassDef):
+            owner = cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner, cls = (f"{cls}.{node.name}" if cls else node.name), None
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name in _BUILT:
                 found.append((owner, name))
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, owner, cls)
 
-    visit(ast.parse(source), None)
+    visit(ast.parse(source), None, None)
     return found
 
 
@@ -731,7 +735,7 @@ def test_one_schedule_builder():
     # gates every schedule.  A schedule is validated once, when built.
     source = Path(scheduler.__file__).read_text()
     assert sorted(_builds(source)) == [
-        ("__post_init__", "validate_schedule"),
+        ("Schedule.__init__", "validate_schedule"),
         ("_time_expanded", "LevelAssignment"), ("_time_expanded", "Schedule"), ("_time_expanded", "in_det_cutset"),
     ]
     planted = (
@@ -740,6 +744,8 @@ def test_one_schedule_builder():
         "    return scheduler.Schedule(net=net, slots=1, assignments=levels)"
     )
     assert _builds(planted) == [("chunk_schedule", "LevelAssignment"), ("chunk_schedule", "Schedule")]
+    planted = "class C:\n    def __init__(self):\n        validate_schedule(self)"
+    assert _builds(planted) == [("C.__init__", "validate_schedule")]
 
 
 # --- simulation guards ----------------------------------------------------------
@@ -863,6 +869,96 @@ def test_simulation_refuses_entries_that_are_not_bits(bad):
     assert res.ok and res.decoded == {(0, "A"): (1,), (0, "B"): (0,), (1, "A"): (), (1, "B"): ()}
 
 
+def _values():
+    """One value of each type the op builds, its init fields, the repr it
+    must keep, and a value of the same type that differs from it."""
+    sched = divide_and_conquer(REF, (1, 0, 0, 1))
+    msgs = {(0, "A"): (1,), (0, "B"): (), (1, "A"): (), (1, "B"): (0,)}
+    sim = simulate_schedule(sched, msgs)
+    return [
+        (sched.assignments[0], "pair kind side uplink_slot uplink_level downlink_slot downlink_level",
+         "LevelAssignment(pair=0, kind='solo', side='A', uplink_slot=0, uplink_level=3, "
+         "downlink_slot=0, downlink_level=3)", sched.assignments[1]),
+        (sched, "net slots assignments listen_slots",
+         f"Schedule(net={REF!r}, slots=1, assignments={sched.assignments!r}, listen_slots=None)",
+         divide_and_conquer(REF, (1, 0, 0, 0))),
+        (sim, "ok decoded",
+         "SimulationResult(ok=True, decoded={(0, 'A'): (1,), (0, 'B'): (), (1, 'A'): (), (1, 'B'): (0,)})",
+         simulate_schedule(sched, {**msgs, (0, "A"): (0,)})),
+        (in_det_cutset(REF, (1, 0, 0, 1)), "member violations scaled",
+         "Membership(member=True, violations=())", in_det_cutset(REF, (5, 0, 0, 0))),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["LevelAssignment", "Schedule", "SimulationResult", "Membership"])
+def test_values_keep_their_dataclass_contract(index):
+    # The values the op builds are frozen dataclasses, however they are
+    # constructed: fields, replace, ==, hash, repr, frozenness and pickling.
+    value, names, text, other = _values()[index]
+    assert repr(value) == text
+    init = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
+    assert list(init) == names.split()
+    compared = tuple(getattr(value, f.name) for f in dataclasses.fields(value) if f.compare)
+    assert (value == other) is False is (compared == tuple(getattr(other, f.name) for f in dataclasses.fields(other) if f.compare))
+    copy = dataclasses.replace(value)
+    assert copy == value and copy is not value and repr(copy) == text
+    assert type(value)(**init) == value
+    try:
+        expected_hash = hash(compared)
+    except TypeError:  # a dict field: unhashable, as the field tuple is
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == expected_hash == hash(copy)
+    first = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, first, getattr(value, first))
+    restored = pickle.loads(pickle.dumps(value))
+    assert restored == value and repr(restored) == text
+
+
+def test_value_constructors_store_numpy_integers_as_int():
+    a = LevelAssignment(np.int64(0), "xor", None, np.int32(0), np.uint8(2), np.int16(0), np.int64(1))
+    assert a == LevelAssignment(0, "xor", None, 0, 2, 0, 1)
+    assert all(type(getattr(a, name)) is int for name in scheduler._INT_FIELDS)
+    assert type(dataclasses.replace(a, pair=np.int64(1)).pair) is int
+    # Keywords and positions build the same values.
+    assert LevelAssignment(pair=0, kind="xor", side=None, uplink_slot=0, uplink_level=2,
+                           downlink_slot=0, downlink_level=1) == a
+    sched = Schedule(REF, 1, (a,))
+    assert sched == Schedule(net=REF, slots=1, assignments=(a,), listen_slots=None)
+    assert Membership(True, (), None) == Membership(member=True, violations=(), scaled=(1, 1, 1, []))
+    assert SimulationResult(True, {}) == SimulationResult(ok=True, decoded={})
+
+
+@pytest.mark.parametrize(
+    "changes, refusal, text",
+    [
+        # An unknown node is refused before any payload is read.
+        ({(5, "A"): (1,), (0, "B"): (2,)}, ValueError, r"^messages for nodes outside the network: \[\(5, 'A'\)\]$"),
+        # A bool is no bit, and that is refused before the wrong length.
+        ({(0, "A"): (True, 0, 1)}, ValueError, r"^message for \(0, 'A'\) must be bits$"),
+        ({(0, "A"): (1.0,)}, ValueError, r"^message for \(0, 'A'\) must be bits$"),
+        ({(0, "A"): (1.0, 1)}, ValueError, r"^message for \(0, 'A'\) must be bits$"),
+        # The first payload at fault, in session order, is the one refused.
+        ({(0, "A"): (1, 1), (0, "B"): (True,)}, ShapeError, r"^message for \(0, 'A'\) has 2 bits, schedule carries 1$"),
+        ({(0, "A"): (np.int64(1),), (0, "B"): (1, 0), (1, "A"): (0.0,)}, ShapeError, r"^message for \(0, 'B'\) has 2 bits"),
+        ({(0, "B"): (False,), (1, "A"): 7}, ValueError, r"^message for \(0, 'B'\) must be bits$"),
+        ({(1, "A"): 7}, TypeError, r"not iterable"),
+    ],
+)
+def test_simulation_payload_refusals_keep_their_order(changes, refusal, text):
+    # Payloads with two faults, or two payloads at fault: the refusal is the
+    # one the entry-by-entry check makes, node by node in session order.
+    sched = divide_and_conquer(REF, (1, 1, 0, 0))
+    msgs = {(0, "A"): (1,), (0, "B"): (0,), (1, "A"): (), (1, "B"): ()}
+    with pytest.raises(refusal, match=text):
+        simulate_schedule(sched, {**msgs, **changes})
+    # A numpy-integer bit is a bit, and is decoded as an int.
+    res = simulate_schedule(sched, {**msgs, (0, "A"): (np.uint8(1),), (0, "B"): [np.int64(0)]})
+    assert res.ok and res.decoded == msgs and type(res.decoded[0, "A"][0]) is int
+
+
 def test_simulation_rejects_wrong_payload_length():
     sched = divide_and_conquer(REF, (1, 1, 0, 0))
     with pytest.raises(ShapeError):
@@ -943,7 +1039,9 @@ def reference_simulate_schedule(
             raise ShapeError(f"message for {node} has {len(got)} bits, schedule carries {need}")
         msgs[node] = got
 
-    order = _ordered(sched.assignments)
+    # Message bits are consumed listen-slot by listen-slot, most significant
+    # relay level first, on both the encode and decode side.
+    order = sorted(sched.assignments, key=lambda a: (a.uplink_slot, -a.uplink_level))
     feeds = {node: iter(bits) for node, bits in msgs.items()}
     sent = [
         {side: next(feeds[(a.pair, side)]) for side in (SIDES if a.kind == XOR else (a.side,))}
