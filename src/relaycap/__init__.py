@@ -1,6 +1,8 @@
 """Capacity regions, bit-level relaying schedules and constant-gap power
 allocations for multi-pair bidirectional relay networks."""
 
+from types import ModuleType as _ModuleType
+
 from .cutset import (
     Cut,
     CutViolation,
@@ -63,4 +65,7 @@ from .scheduler import (
     validate_schedule,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names, not the submodules the imports above bind.
+__all__ = [
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

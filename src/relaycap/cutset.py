@@ -46,8 +46,6 @@ from .detnet import FULL_DUPLEX, DetNetwork, DuplexMode, FullDuplex, HalfDuplex,
 
 Rate = Union[int, Fraction]
 
-_INT = frozenset((int,))  # `_INT.issuperset(map(type, xs))`: every x is an int, not a subclass
-
 # Cap on the work of `enumerate_integral_region` and `enumerate_cuts`, in
 # session reads: 2M per tuple the region walk tests, M per cut listed.  The
 # cuts of M = 9 fit; a refusal takes up to about 0.5 s (M = 1, 2-vCPU x86).
@@ -147,13 +145,12 @@ def _time_scales(mode: DuplexMode, denominators: Iterable[int]) -> tuple[int, in
 def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[list[Rate], list[int]]:
     """The rates, one per session, with every non-int converted to a
     Fraction, in one pass, and the denominators of those not given as an
-    int.  Refuses with ValueError, in this order: a wrong count; a value
-    that is not a number (a string among them) or not finite; a bool or a
-    negative rate; an inexact one (a float that is not whole)."""
+    int: an int comes back as itself, with no denominator.  Refuses with
+    ValueError, in this order: a wrong count; a value that is not a number
+    (a string among them) or not finite; a bool or a negative rate; an
+    inexact one (a float that is not whole)."""
     if len(rates) != 2 * net.pairs:
         raise ValueError(f"expected {2 * net.pairs} rate components, got {len(rates)}")
-    if _INT.issuperset(map(type, rates)) and min(rates) >= 0:  # every rate an int, none negative
-        return list(rates), []
     out = []
     others = []  # the non-int rates, which `_refuse_inexact` reads
     denominators = []
@@ -164,7 +161,7 @@ def _check_rates(net: DetNetwork, rates: Sequence[Rate]) -> tuple[list[Rate], li
             try:
                 if not isinstance(r, numbers.Number):  # Fraction() would parse a string
                     raise TypeError(r)
-                exact = r if isinstance(r, int) else Fraction(r)
+                exact = int(r) if _integer(r) else Fraction(r)  # a numpy int, stored as int, cannot wrap
             except (OverflowError, TypeError, ValueError):  # e.g. inf, NaN, 1j
                 unreadable = True
                 continue

@@ -176,9 +176,10 @@ class DetNetwork:
     @cached_property
     def _node_gains(self) -> dict:
         """Each node (pair, side), pair an int and side a str -> its
-        (uplink, downlink) gain: the channel primitives' lookup.  A key not
-        in it takes the checked `uplink_gain` or `downlink_gain`, which
-        accepts a numpy pair and refuses the rest."""
+        (uplink, downlink) gain: the one node-to-gain rule.  The channel
+        primitives look a key up in it; one not in it takes the checked
+        `uplink_gain` or `downlink_gain`, which read it once `_check_node`
+        has accepted the node (a numpy pair among them)."""
         table = {}
         for i in range(self.pairs):
             table[i, "A"] = self.n_ar[i], self.n_ra[i]
@@ -197,12 +198,12 @@ class DetNetwork:
 
     def uplink_gain(self, pair: int, side: Side) -> int:
         self._check_node(pair, side)
-        return self.n_ar[pair] if side == "A" else self.n_br[pair]
+        return self._node_gains[pair, side][0]
 
     def downlink_gain(self, pair: int, side: Side) -> int:
         """Gain of the relay-to-node link, i.e. how much of the relay frame the node hears."""
         self._check_node(pair, side)
-        return self.n_ra[pair] if side == "A" else self.n_rb[pair]
+        return self._node_gains[pair, side][1]
 
     def nodes(self) -> Iterable[NodeId]:
         for i in range(self.pairs):

@@ -67,8 +67,11 @@ BOUNDARY_NUDGE = 1e-6
 # Draws per sampled network before a trial is refused; at the default ranges
 # no trial of 10^5 (seed 0) needed more than 10.
 MAX_SAMPLE_DRAWS = 1000
-# Trials per block of the sweep's batch pipeline, so that memory stays flat
-# over a long sweep.
+# Trials per block of the sweep's batch pipeline.  The block bounds only the
+# numpy temporaries of one block: `monte_carlo_gap` keeps every trial's
+# columns and `cli.cmd_sweep` joins the whole CSV before writing it, so peak
+# RSS grows by about 1 KB per trial (`relaycap sweep --trials N --out f`,
+# in-process: 48 MB at 10^4 trials, 137 MB at 10^5; x86, Python 3.11).
 SWEEP_BLOCK = 1024
 
 

@@ -42,10 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from .cutset import _INT, Membership, Rate, RegionSizeError, _hop_holds, in_det_cutset
+from .cutset import Membership, Rate, RegionSizeError, _hop_holds, in_det_cutset
 from .detnet import (
     FULL_DUPLEX,
     SIDES,
@@ -61,6 +60,8 @@ from .detnet import (
 
 XOR = "xor"
 SOLO = "solo"
+
+_INT = frozenset((int,))  # `_INT.issuperset(map(type, xs))`: every x is an int, not a subclass
 
 # Cap on the bits any schedule serves, sum of Q times each rate (Q = 1 for
 # integral and chunked schedules); refused before any induction or packing.
@@ -450,44 +451,6 @@ class SimulationResult:
         self.__dict__.update(ok=ok, decoded=decoded)
 
 
-def _checked_payloads(budgets: dict[NodeId, int], payloads: list[tuple]) -> list[tuple[int, ...]]:
-    """``payloads``, in the order of ``budgets``, checked payload by payload
-    and entry by entry: numpy integers are stored as int, anything else but
-    an integer 0 or 1 is refused, then a wrong length."""
-    checked = []
-    for (node, need), got in zip(budgets.items(), payloads):
-        if set(map(type, got)) - {int}:
-            got = tuple(int(b) if _integer(b) else None for b in got)
-        if not set(got) <= {0, 1}:
-            raise ValueError(f"message for {node} must be bits")
-        if len(got) != need:
-            raise ShapeError(f"message for {node} has {len(got)} bits, schedule carries {need}")
-        checked.append(got)
-    return checked
-
-
-def _payloads(budgets: dict[NodeId, int], messages: Mapping[NodeId, Sequence[int]]) -> list[tuple[int, ...]]:
-    """Each session's payload, in the order of ``budgets`` (session order).
-    One pass over them all accepts ints 0 and 1 in the budgeted counts;
-    anything else takes `_checked_payloads`, so the first payload at fault
-    is refused, as if each were checked before the next was read."""
-    payloads = []
-    try:
-        for node in budgets:
-            payloads.append(tuple(messages.get(node, ())))
-    except Exception:
-        _checked_payloads(budgets, payloads)  # a refusal of an earlier payload comes first
-        raise
-    bits = tuple(chain.from_iterable(payloads))
-    if (
-        list(map(len, payloads)) == list(budgets.values())
-        and bits.count(0) + bits.count(1) == len(bits)
-        and _INT.issuperset(map(type, bits))
-    ):
-        return payloads
-    return _checked_payloads(budgets, payloads)
-
-
 def simulate_schedule(
     sched: Schedule, messages: Mapping[NodeId, Sequence[int]]
 ) -> SimulationResult:
@@ -510,7 +473,18 @@ def simulate_schedule(
     unknown = [node for node in messages if node not in budgets]
     if unknown:
         raise ValueError(f"messages for nodes outside the network: {unknown}")
-    payloads = _payloads(budgets, messages)
+    # Each payload, in session order, is checked before the next is read, so
+    # the first at fault is refused; numpy integers are stored as int.
+    payloads = []
+    for node, need in budgets.items():
+        got = tuple(messages.get(node, ()))
+        if not _INT.issuperset(map(type, got)):
+            got = tuple(int(b) if _integer(b) else None for b in got)
+        if got.count(0) + got.count(1) != len(got):
+            raise ValueError(f"message for {node} must be bits")
+        if len(got) != need:
+            raise ShapeError(f"message for {node} has {len(got)} bits, schedule carries {need}")
+        payloads.append(got)
 
     # Uplink: each row draws its message bits in consumption order, one per
     # session k it serves, whose source is nodes[k]; a node's bit for relay

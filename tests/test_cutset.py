@@ -20,7 +20,7 @@ from relaycap import (
 )
 from relaycap.cutset import _hop_holds
 from relaycap.detnet import gain_order
-from relaycap.scheduler import divide_and_conquer
+from relaycap.scheduler import NotInRegionError, divide_and_conquer, schedule_half_duplex
 
 REF = DetNetwork((3, 2), (2, 1), (2, 1), (3, 2))
 
@@ -143,6 +143,45 @@ def test_rate_validation():
         in_det_cutset(REF, (1, 1, 1))
     with pytest.raises(ValueError):
         in_det_cutset(REF, (-1, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "rates,bits",
+    [
+        ((2, 0, 1, 1), (2, 0, 1, 1)),
+        (tuple(map(np.int64, (2, 0, 1, 1))), (2, 0, 1, 1)),
+        ((Fraction(1, 2), 0, 1, Fraction(3, 2)), (1, 0, 2, 3)),  # Q = 2
+        ((2.0, 0.0, 1.0, 1.0), (2, 0, 1, 1)),
+        ((3, 2, 2, 1), (3, 2, 2, 1)),  # a non-member has its bits too
+    ],
+    ids=["int", "numpy-int", "Fraction", "whole-float", "int-non-member"],
+)
+@pytest.mark.parametrize("delta", [None, Fraction(1, 3)], ids=["full", "delta=1/3"])
+def test_membership_scaled_is_what_the_gate_reads(rates, bits, delta):
+    # (Q, listen, transmit, bits): the rates' time scales and the bits they
+    # serve over Q uses, which the scheduling gate reads as they stand.
+    if delta is None:
+        q = 2 if Fraction(1, 2) in rates else 1
+        expected = (q, q, q, list(bits))
+        scaled = in_det_cutset(REF, rates).scaled
+    else:
+        q = 6 if Fraction(1, 2) in rates else 3
+        expected = (q, q // 3, q - q // 3, [b * 3 for b in bits])
+        scaled = in_det_cutset(REF, rates, HalfDuplex(delta)).scaled
+    assert scaled == expected  # in full duplex, int rates come back as their own bits
+    assert all(type(b) is int for b in scaled[3])
+
+
+def test_numpy_integer_rates_are_scaled_as_ints():
+    # Kept as numpy int64, 3 * 2**62 bits wrapped to a negative count: the
+    # tuple was a member at delta = 1/3 and scheduled with no assignment.
+    net = DetNetwork((1,), (1,), (1,), (1,))
+    rates = (np.int64(2**62), np.int64(2**62))
+    membership = in_det_cutset(net, rates, HalfDuplex(Fraction(1, 3)))
+    assert not membership.member
+    assert membership.scaled[3] == [3 * 2**62, 3 * 2**62]
+    with pytest.raises(NotInRegionError):
+        schedule_half_duplex(net, Fraction(1, 3), rates)
 
 
 def test_enumerate_all_ones():
