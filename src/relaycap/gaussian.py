@@ -36,7 +36,9 @@ run the batch code on a batch of one.
 The sweep's randomness is columns too (see "Sweep streams" below): trial
 i's k-th double is a pure function of (seed, i, k), numpy's k-th draw of
 default_rng(SeedSequence(entropy=seed, spawn_key=(i,))) computed without
-building that generator.  A sampling round takes 9 doubles per pending
+building that generator: the seed's pool is numpy's SeedSequence(seed).pool,
+and the index word and generate_state are two stacked hashmix calls over a
+column of trials.  A sampling round takes 9 doubles per pending
 trial, a boundary direction 4, and redraws advance only the rejected
 trials' streams.
 """
@@ -150,9 +152,9 @@ class GaussNetwork:
         object.__setattr__(self, "power", p)
         # No square in this module, (x + y) ** 2 P included, exceeds
         # (2 max|h|)^2 P, so none overflows when this one is finite.
-        top = 2.0 * max(self.h_ar + self.h_br + self.h_ra + self.h_rb)
-        if not math.isfinite(top * top * p):
-            raise ValueError(f"(2 max|h|)^2 P overflows a float: max|h| = {top / 2:.4g}, P = {p:.4g}")
+        top = max(self.h_ar + self.h_br + self.h_ra + self.h_rb)
+        if not math.isfinite(4.0 * top * top * p):
+            raise ValueError(f"(2 max|h|)^2 P overflows a float: max|h| = {top:.4g}, P = {p:.4g}")
 
     @property
     def uplink(self) -> tuple[float, float, float, float]:
@@ -1084,11 +1086,12 @@ def _verify_columns(up, down, p, target, terms=None):
 # --- Sweep streams -------------------------------------------------------------
 # Trial i of a sweep with seed s reads, in order, the doubles that numpy's
 # default_rng(SeedSequence(entropy=s, spawn_key=(i,))).random() returns.
-# `_Streams` computes them for a column of trials at once from numpy's
-# documented algorithms: the SeedSequence pool mix and generate_state(4,
-# uint64); PCG64, a 128-bit LCG x -> M x + inc with XSL-RR output (O'Neill
-# 2014), its state kept as (high, low) uint64 columns; and next_double,
-# (u >> 11) 2^-53.  numpy's own generators serve only as the tests' oracle.
+# `_Streams` computes them for a column of trials at once: the pool after
+# the seed's words is numpy's SeedSequence(s).pool; the index word's mix and
+# generate_state(4, uint64) are one stacked hashmix call each; PCG64, a
+# 128-bit LCG x -> M x + inc with XSL-RR output (O'Neill 2014), runs as
+# (high, low) uint64 columns; next_double is (u >> 11) 2^-53.  A per-trial
+# numpy Generator would cost more than the trial: those are the tests' oracle.
 
 _M32 = 0xFFFF_FFFF
 _POOL = 4  # SeedSequence's pool size, in 32-bit words
@@ -1117,62 +1120,29 @@ def _jump_table(steps: int):
 _JUMPS = _jump_table(_ROUND)
 
 
-class _HashMix:
-    """SeedSequence's hashmix with its running hash constant.  It works on
-    plain ints and on uint64 arrays alike, keeping the low 32 bits."""
+def _hash_consts(const: int, mult: int, first: int, k: int) -> np.ndarray:
+    """The running hash constants const mult^j mod 2^32 for j in [first,
+    first + k), as a uint64 column: hashmix call j starts from the j-th."""
+    return np.array([const * pow(mult, j, _M32 + 1) & _M32 for j in range(first, first + k)], np.uint64)[:, None]
 
-    def __init__(self, const, mult: int):
-        self.const, self.mult = const, mult
 
-    def __call__(self, value):
-        value = value ^ self.const
-        self.const = self.const * self.mult & _M32
-        value = value * self.const & _M32
-        return value ^ value >> 16
-
-    def stacked(self, k: int) -> _HashMix:
-        """A hashmix of k stacked rows, whose constant is a column: row j
-        is hashed as this one's j-th next call would hash it.  This one
-        passes those k calls."""
-        consts = [self.const]
-        for _ in range(k):
-            consts.append(consts[-1] * self.mult & _M32)
-        self.const = consts.pop()
-        return _HashMix(np.array(consts, np.uint64)[:, None], self.mult)
+def _hashmix(value, consts, mult: int):
+    """SeedSequence's hashmix of uint64 rows of 32-bit words, row j hashed
+    with the running constant consts[j] (see `_hash_consts`)."""
+    value = (value ^ consts) * (consts * mult & _M32) & _M32
+    return value ^ value >> 16
 
 
 # generate_state(4, uint64) hashes the pool's words in turn, twice over, with
 # a hashmix of its own whose constants are the same for every stream.
 _STATE_ROWS = [k % _POOL for k in range(2 * _POOL)]
-_STATE_CONSTS = _HashMix(_INIT_B, _MULT_B).stacked(2 * _POOL).const
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL)
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words, plain ints or uint64 columns."""
+    """SeedSequence's mix of two 32-bit words, as uint64 columns."""
     out = (_MIX_L * x - _MIX_R * y) & _M32
     return out ^ out >> 16
-
-
-def _seed_prefix(seed: int) -> tuple[list[int], _HashMix]:
-    """The pool of SeedSequence(entropy=seed, spawn_key=(i,)) before it mixes
-    in its last entropy word, i, and its hashmix at that point: both depend
-    on the seed alone.  The seed's 32-bit words, least significant first, are
-    padded with zeros to the pool size; a seed of 2^128 or more has more
-    words than the pool, and mixes the rest in after the pool's own words."""
-    words = []
-    while seed:
-        words.append(seed & _M32)
-        seed >>= 32
-    words += [0] * (_POOL - len(words))
-    hashmix = _HashMix(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        pool = [_mix(x, hashmix(w)) for x in pool]
-    return pool, hashmix
 
 
 def _mul_hi(a, b):
@@ -1213,10 +1183,16 @@ class _Streams:
     for, so redraw rounds run the pending trials in lockstep."""
 
     def __init__(self, seed: int, indices: Sequence[int]):
-        pool, hashmix = _seed_prefix(seed)
+        # SeedSequence(entropy=seed, spawn_key=(i,)) mixes the seed's words
+        # into its pool first, as SeedSequence(seed) does, then the index
+        # word: its hashmix calls follow the 4 + 12 of the pool and 4 for
+        # each seed word past the pool.
+        pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+        words = -(-seed.bit_length() // 32)
+        consts = _hash_consts(_INIT_A, _MULT_A, _POOL * max(_POOL, words), _POOL)
         i = np.fromiter(indices, np.uint64, len(indices))
-        pool = _mix(np.array(pool, np.uint64)[:, None], hashmix.stacked(_POOL)(i))
-        half = _HashMix(_STATE_CONSTS, _MULT_B)(pool[_STATE_ROWS])
+        pool = _mix(pool, _hashmix(i, consts, _MULT_A))
+        half = _hashmix(pool[_STATE_ROWS], _STATE_CONSTS, _MULT_B)
         w0, w1, w2, w3 = half[0::2] | half[1::2] << 32
         # PCG64's set-seq seeding: inc = 2 (w2, w3) + 1, then two steps around
         # adding the initial state (w0, w1).

@@ -143,9 +143,12 @@ def test_network_accepts_ints_and_numpy_floats():
 )
 def test_network_refuses_magnitudes_whose_squares_overflow(h, power):
     # `x ** 2` raises OverflowError where `x * x` gives inf, so a network
-    # whose (2 max|h|)^2 P is not a finite float is refused up front.
-    with pytest.raises(ValueError, match="overflows"):
+    # whose (2 max|h|)^2 P is not a finite float is refused up front, and
+    # the refusal names the largest magnitude itself, even where 2 max|h|
+    # is already inf.
+    with pytest.raises(ValueError, match="overflows") as refused:
         GaussNetwork((h, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), power)
+    assert f"max|h| = {h:.4g}," in str(refused.value)
 
 
 def test_network_squares_finite_below_the_overflow_bound():
@@ -1022,6 +1025,8 @@ def test_sweep_config_takes_every_seed_numpy_takes():
 @example(seed=2**32, indices=[7], rounds=[(9, 1)] * 4 + [(4, 1)], lo=-3.0, hi=3.0)
 @example(seed=2**64 + 1, indices=[0, 1], rounds=[(9, 3), (9, 2), (9, 1)], lo=1e-3, hi=math.log(100))
 @example(seed=2**128 + 3, indices=[2**32 - 1, 0], rounds=[(5, 3), (9, 1)], lo=math.log(2), hi=math.log(3))
+@example(seed=2**128 - 1, indices=[2**32 - 1, 3], rounds=[(9, 3), (9, 1)], lo=math.log(2), hi=math.log(3))
+@example(seed=2**160, indices=[0, 2**32 - 1], rounds=[(9, 3), (4, 2)], lo=-3.0, hi=3.0)
 def test_sweep_streams_match_numpy(seed, indices, rounds, lo, hi):
     # Each trial's column draws are the doubles of its numpy generator, bit
     # for bit, and lo + (hi - lo) d its uniform(lo, hi) draws: in rounds of 1
@@ -1044,6 +1049,46 @@ def test_sweep_streams_match_numpy(seed, indices, rounds, lo, hi):
             doubles, uniform = oracles[j]
             assert np.array_equal(row.view(np.uint64), doubles.random(k).view(np.uint64))
             assert np.array_equal(gaussian._uniform(lo, hi, row).view(np.uint64), uniform.uniform(lo, hi, k).view(np.uint64))
+
+
+def _np_random_reads(source: str) -> list[tuple[str | None, str | None]]:
+    """(enclosing def, dotted under its class, and the name read) of each
+    read of numpy's random module: `np.random.X` gives X, a bare
+    `np.random` gives None, and an import from it gives each name."""
+    found = []
+
+    def visit(node, owner, parent):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner is None else f"{owner}.{node.name}"
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                path = (alias.name if isinstance(node, ast.Import) else f"{node.module}.{alias.name}").split(".")
+                if path[:2] == ["numpy", "random"]:
+                    found.append((owner, ".".join(path[2:]) or None))
+        elif getattr(node, "attr", None) == "random" and getattr(node.value, "id", None) in ("np", "numpy"):
+            found.append((owner, parent.attr if isinstance(parent, ast.Attribute) else None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, node)
+
+    visit(ast.parse(source), None, None)
+    return found
+
+
+def test_streams_read_only_the_seed_pool_from_numpy_random():
+    # A per-trial SeedSequence plus generate_state costs about 20 us, half a
+    # sweep trial, so `_Streams` reads only the seed's pool from numpy, once
+    # per block, and computes every stream itself: no default_rng, Generator
+    # or PCG64 anywhere in the Gaussian module.
+    source = Path(gaussian.__file__).read_text()
+    assert _np_random_reads(source) == [("_Streams.__init__", "SeedSequence")]
+    for planted, use in (
+        ("def _sample_networks(cfg):\n    return np.random.default_rng(cfg.seed)", ("_sample_networks", "default_rng")),
+        ("class S:\n    def __init__(self, s):\n        self.bits = np.random.PCG64(s)", ("S.__init__", "PCG64")),
+        ("from numpy.random import Generator", (None, "Generator")),
+        ("from numpy import random", (None, None)),
+        ("rng = numpy.random", (None, None)),
+    ):
+        assert _np_random_reads(planted) == [use], planted
 
 
 def test_exp_of_stacked_draws_matches_per_trial_calls():
