@@ -26,7 +26,9 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -295,6 +297,11 @@ _GAUSS_CSV_HEADER = (
 _DET_CSV_HEADER = "trial,seed,verdict,pairs,n_ar,n_br,n_ra,n_rb,tuples_checked,failures"
 
 
+# CSV characters a sweep spools in memory; past them the spool moves to an
+# unnamed temporary file, so a sweep's memory does not grow with its trials.
+_SPOOL_CHARS = 1 << 16
+
+
 def _open_out(path: str | None):
     """The --out file, opened once before any sweep work so that an
     unwritable path is refused first: a missing file is created, and none is
@@ -307,20 +314,21 @@ def _open_out(path: str | None):
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_out(out, path: str | None, text: str) -> None:
+def _write_out(out, path: str | None, spool) -> None:
     """Replace the contents of ``out``, `_open_out`'s file for ``path``, with
-    ``text``; write it to stdout when there is no file.  A file no longer
-    at ``path`` (removed or replaced while the sweep ran) is refused, as a
-    write error, and left as it is."""
+    the spooled CSV; write it to stdout when there is no file.  A file no
+    longer at ``path`` (removed or replaced while the sweep ran) is refused,
+    as a write error, and left as it is."""
+    spool.seek(0)
     if out is None:
-        sys.stdout.write(text)
+        shutil.copyfileobj(spool, sys.stdout)
         return
     try:
         if not os.path.samestat(os.fstat(out.fileno()), os.stat(path)):
             raise InputError(f"cannot write {path}: the file was replaced while the sweep ran")
         if out.seekable() and out.tell():  # a file that was not empty
             out.truncate(0)
-        out.write(text)
+        shutil.copyfileobj(spool, out)
         out.flush()
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -352,37 +360,51 @@ def cmd_sweep(args) -> int:
             p_min=args.pmin,
             p_max=args.pmax,
         )
-    with _open_out(args.out) as out:
-        lines, summary, passed = _det_sweep(args) if args.det else _gauss_sweep(cfg)
-        _write_out(out, args.out, "\n".join(lines) + "\n")
+    # Rows are spooled as they are made and copied out only once the sweep
+    # has succeeded: a sweep that fails leaves no partial CSV.
+    with _open_out(args.out) as out, tempfile.SpooledTemporaryFile(_SPOOL_CHARS, "w+", newline="") as spool:
+        try:
+            summary, passed = _det_sweep(args, spool) if args.det else _gauss_sweep(cfg, spool)
+        except OSError as exc:  # only the spool's temporary file does I/O here
+            raise InputError(f"cannot spool the sweep's CSV: {exc.strerror or exc}") from exc
+        _write_out(out, args.out, spool)
     _emit({"command": "sweep", "seed": args.seed, "trials": args.trials, **summary, "out": args.out})
     return EXIT_OK if passed else EXIT_INFEASIBLE
 
 
-def _gauss_sweep(cfg: SweepConfig):
-    """The Gaussian sweep's CSV lines, summary fields and verdict."""
-    report = gaussian.monte_carlo_gap(cfg)
-    c = report.columns
-    floats = (
-        c.max_alpha_excess, c.bound_gap, c.h_a1r, c.h_b1r, c.h_a2r, c.h_b2r,
-        c.h_ra1, c.h_rb1, c.h_ra2, c.h_rb2, c.power,
-    )
-    verdicts = ["pass" if s == "ok" else "fail" for s in c.stage]
-    rows = zip(map(str, c.trial), repeat(str(cfg.seed)), verdicts, c.stage, *(map(repr, f) for f in floats))
+def _gauss_sweep(cfg: SweepConfig, spool):
+    """Write the Gaussian sweep's CSV to ``spool`` block by block; return its
+    summary fields and verdict, from running tallies."""
+    spool.write(_GAUSS_CSV_HEADER + "\n")
+    # The largest excess and gap so far, each as max() over every trial so far
+    # gives it (NaN and signed zeros included): () before the first block.
+    passed, peaks = 0, ((), ())
+    for c in gaussian.sweep_blocks(cfg):
+        floats = (
+            c.max_alpha_excess, c.bound_gap, c.h_a1r, c.h_b1r, c.h_a2r, c.h_b2r,
+            c.h_ra1, c.h_rb1, c.h_ra2, c.h_rb2, c.power,
+        )
+        verdicts = ["pass" if s == "ok" else "fail" for s in c.stage]
+        rows = zip(map(str, c.trial), repeat(str(cfg.seed)), verdicts, c.stage, *(map(repr, f) for f in floats))
+        spool.write("\n".join(map(",".join, rows)) + "\n")
+        passed += c.stage.count("ok")
+        peaks = tuple((max((*peak, *column)),) for peak, column in zip(peaks, (c.max_alpha_excess, c.bound_gap)))
+    pass_rate = passed / cfg.trials if cfg.trials else 1.0
     summary = {
         "mode": "gaussian",
         "ranges": {"h": [cfg.h_min, cfg.h_max], "power": [cfg.p_min, cfg.p_max]},
-        "passed": c.stage.count("ok"),
-        "pass_rate": report.pass_rate,
-        "max_alpha_slack": report.max_alpha_excess,
-        "max_bound_gap": report.max_bound_gap,
+        "passed": passed,
+        "pass_rate": pass_rate,
+        "max_alpha_slack": max(peaks[0], default=0.0),
+        "max_bound_gap": max(peaks[1], default=0.0),
     }
-    return [_GAUSS_CSV_HEADER, *map(",".join, rows)], summary, report.pass_rate == 1.0
+    return summary, pass_rate == 1.0
 
 
-def _det_sweep(args):
-    """The deterministic sweep's CSV lines, summary fields and verdict."""
-    lines = [_DET_CSV_HEADER]
+def _det_sweep(args, spool):
+    """Write the deterministic sweep's CSV to ``spool`` trial by trial;
+    return its summary fields and verdict."""
+    spool.write(_DET_CSV_HEADER + "\n")
     summary = {"mode": "deterministic", "tuples_checked": 0, "failures": 0}
     for trial in range(args.trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(trial,)))
@@ -402,7 +424,7 @@ def _det_sweep(args):
                 failures += 1
         summary["failures"] += failures
         summary["tuples_checked"] += len(region)
-        lines.append(
+        spool.write(
             ",".join(
                 [
                     str(trial),
@@ -414,8 +436,9 @@ def _det_sweep(args):
                     str(failures),
                 ]
             )
+            + "\n"
         )
-    return lines, summary, summary["failures"] == 0
+    return summary, summary["failures"] == 0
 
 
 def build_parser() -> argparse.ArgumentParser:

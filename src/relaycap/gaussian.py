@@ -28,7 +28,7 @@ sampler read it, and normalisation swaps and clamps session 4-tuples.
 Every computation runs on columns, one entry per trial (see "Columns"
 below).  One masked cascade, `_verify_columns`, normalises, then allocates
 and checks each hop, each trial leaving at its first failing stage:
-`monte_carlo_gap` runs it on a block of sampled trials and
+`sweep_blocks` runs it on each block of sampled trials and
 `verify_constant_gap` on a batch of one, whose report it builds from the
 cascade's columns.  The region checks, allocators and rate checks also
 run the batch code on a batch of one.
@@ -36,11 +36,14 @@ run the batch code on a batch of one.
 The sweep's randomness is columns too (see "Sweep streams" below): trial
 i's k-th double is a pure function of (seed, i, k), numpy's k-th draw of
 default_rng(SeedSequence(entropy=seed, spawn_key=(i,))) computed without
-building that generator: the seed's pool is numpy's SeedSequence(seed).pool,
-and the index word and generate_state are two stacked hashmix calls over a
-column of trials.  A sampling round takes 9 doubles per pending
-trial, a boundary direction 4, and redraws advance only the rejected
-trials' streams.
+building that generator or importing numpy.random: SeedSequence(seed)'s
+pool is mixed in plain ints once per block, and the index word and
+generate_state are two stacked hashmix calls over a column of trials.  A
+sampling round takes 9 doubles per pending trial, a boundary direction 4,
+and redraws advance only the rejected trials' streams.  `sweep_blocks`
+yields a sweep block by block, so a caller that keeps only what it needs of
+each block runs in memory flat in the trial count; `monte_carlo_gap` joins
+the blocks into one report.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,11 +72,11 @@ BOUNDARY_NUDGE = 1e-6
 # Draws per sampled network before a trial is refused; at the default ranges
 # no trial of 10^5 (seed 0) needed more than 10.
 MAX_SAMPLE_DRAWS = 1000
-# Trials per block of the sweep's batch pipeline.  The block bounds only the
-# numpy temporaries of one block: `monte_carlo_gap` keeps every trial's
-# columns and `cli.cmd_sweep` joins the whole CSV before writing it, so peak
-# RSS grows by about 1 KB per trial (`relaycap sweep --trials N --out f`,
-# in-process: 48 MB at 10^4 trials, 137 MB at 10^5; x86, Python 3.11).
+# Trials per block of the sweep's batch pipeline.  `sweep_blocks` yields each
+# block's columns once the block is done, and `cli.cmd_sweep` spools its CSV
+# rows then, so the block size, not the trial count, bounds a sweep's memory,
+# and trades it against per-block overhead: `relaycap sweep --seed 0 --out f`
+# peaked at 37.5 MB RSS at 10^4 trials and 38.2 MB at 10^6 (x86, Python 3.11).
 SWEEP_BLOCK = 1024
 
 
@@ -1087,11 +1090,13 @@ def _verify_columns(up, down, p, target, terms=None):
 # Trial i of a sweep with seed s reads, in order, the doubles that numpy's
 # default_rng(SeedSequence(entropy=s, spawn_key=(i,))).random() returns.
 # `_Streams` computes them for a column of trials at once: the pool after
-# the seed's words is numpy's SeedSequence(s).pool; the index word's mix and
-# generate_state(4, uint64) are one stacked hashmix call each; PCG64, a
-# 128-bit LCG x -> M x + inc with XSL-RR output (O'Neill 2014), runs as
-# (high, low) uint64 columns; next_double is (u >> 11) 2^-53.  A per-trial
-# numpy Generator would cost more than the trial: those are the tests' oracle.
+# the seed's words is SeedSequence(s).pool, mixed in plain ints by
+# `_seed_pool`; the index word's mix and generate_state(4, uint64) are one
+# stacked hashmix call each; PCG64, a 128-bit LCG x -> M x + inc with XSL-RR
+# output (O'Neill 2014), runs as (high, low) uint64 columns; next_double is
+# (u >> 11) 2^-53.  No numpy.random name is read: a per-trial numpy Generator
+# would cost more than the trial, and numpy's generators, SeedSequence among
+# them, are the tests' oracle.
 
 _M32 = 0xFFFF_FFFF
 _POOL = 4  # SeedSequence's pool size, in 32-bit words
@@ -1120,29 +1125,56 @@ def _jump_table(steps: int):
 _JUMPS = _jump_table(_ROUND)
 
 
-def _hash_consts(const: int, mult: int, first: int, k: int) -> np.ndarray:
+def _hash_consts(const: int, mult: int, first: int, k: int) -> list[int]:
     """The running hash constants const mult^j mod 2^32 for j in [first,
-    first + k), as a uint64 column: hashmix call j starts from the j-th."""
-    return np.array([const * pow(mult, j, _M32 + 1) & _M32 for j in range(first, first + k)], np.uint64)[:, None]
+    first + k): hashmix call j starts from the j-th."""
+    return [const * pow(mult, j, _M32 + 1) & _M32 for j in range(first, first + k)]
+
+
+def _column(words) -> np.ndarray:
+    """32-bit words as a uint64 column."""
+    return np.array(words, np.uint64)[:, None]
 
 
 def _hashmix(value, consts, mult: int):
-    """SeedSequence's hashmix of uint64 rows of 32-bit words, row j hashed
-    with the running constant consts[j] (see `_hash_consts`)."""
+    """SeedSequence's hashmix of 32-bit words, plain ints or uint64 rows,
+    each hashed with its running constant in ``consts`` (see
+    `_hash_consts`)."""
     value = (value ^ consts) * (consts * mult & _M32) & _M32
     return value ^ value >> 16
 
 
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words, plain ints or uint64 columns."""
+    out = (_MIX_L * x - _MIX_R * y) & _M32
+    return out ^ out >> 16
+
+
+# The pool's first 4 + 12 hashmix calls: one per pool word, then one per
+# ordered pair of distinct pool words.
+_POOL_CONSTS = _hash_consts(_INIT_A, _MULT_A, 0, _POOL * _POOL)
 # generate_state(4, uint64) hashes the pool's words in turn, twice over, with
 # a hashmix of its own whose constants are the same for every stream.
 _STATE_ROWS = [k % _POOL for k in range(2 * _POOL)]
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL)
+_STATE_CONSTS = _column(_hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL))
 
 
-def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words, as uint64 columns."""
-    out = (_MIX_L * x - _MIX_R * y) & _M32
-    return out ^ out >> 16
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence(seed).pool in plain ints, and the number of hashmix calls
+    that built it.  The seed's 32-bit words, low first and zero-padded to the
+    pool, are hashed in; every pool word is mixed into every other; then
+    each word past the pool is mixed into every pool word, 4 calls a word."""
+    words = [seed >> 32 * k & _M32 for k in range(max(_POOL, -(-seed.bit_length() // 32)))]
+    consts = iter(_POOL_CONSTS)
+    pool = [_hashmix(w, next(consts), _MULT_A) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts), _MULT_A))
+    for k, word in enumerate(words[_POOL:], _POOL):
+        consts = _hash_consts(_INIT_A, _MULT_A, _POOL * k, _POOL)
+        pool = [_mix(p, _hashmix(word, c, _MULT_A)) for p, c in zip(pool, consts)]
+    return pool, _POOL * len(words)
 
 
 def _mul_hi(a, b):
@@ -1183,15 +1215,13 @@ class _Streams:
     for, so redraw rounds run the pending trials in lockstep."""
 
     def __init__(self, seed: int, indices: Sequence[int]):
-        # SeedSequence(entropy=seed, spawn_key=(i,)) mixes the seed's words
-        # into its pool first, as SeedSequence(seed) does, then the index
-        # word: its hashmix calls follow the 4 + 12 of the pool and 4 for
-        # each seed word past the pool.
-        pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
-        words = -(-seed.bit_length() // 32)
-        consts = _hash_consts(_INIT_A, _MULT_A, _POOL * max(_POOL, words), _POOL)
+        # SeedSequence(entropy=seed, spawn_key=(i,)) builds SeedSequence(seed)'s
+        # pool first, once per block, then mixes in the index word as one more
+        # word past the pool, one column entry per trial.
+        pool, calls = _seed_pool(seed)
         i = np.fromiter(indices, np.uint64, len(indices))
-        pool = _mix(pool, _hashmix(i, consts, _MULT_A))
+        consts = _column(_hash_consts(_INIT_A, _MULT_A, calls, _POOL))
+        pool = _mix(_column(pool), _hashmix(i, consts, _MULT_A))
         half = _hashmix(pool[_STATE_ROWS], _STATE_CONSTS, _MULT_B)
         w0, w1, w2, w3 = half[0::2] | half[1::2] << 32
         # PCG64's set-seq seeding: inc = 2 (w2, w3) + 1, then two steps around
@@ -1220,10 +1250,10 @@ class SweepConfig:
     """A sweep: ``trials`` trials drawn from seed ``seed``, with magnitudes
     log-uniform on [h_min, h_max] and power log-uniform on [p_min, p_max].
 
-    ``trials`` and ``seed`` are non-negative integers (bools refused); any
-    seed `numpy.random.SeedSequence` takes is taken, but at most 2^32 trials,
-    since a trial's index is one 32-bit spawn-key word.  The range bounds
-    are positive finite reals."""
+    ``trials`` and ``seed`` are non-negative integers (bools refused).  A
+    seed of any size is taken, as numpy's SeedSequence takes it, but at most
+    2^32 trials, since a trial's index is one 32-bit spawn-key word.  The
+    range bounds are positive finite reals."""
 
     trials: int
     seed: int = 0
@@ -1427,12 +1457,20 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
     return GapReport(cfg, _trial_block(cfg, (int(index),))).records[0]
 
 
-def monte_carlo_gap(cfg: SweepConfig) -> GapReport:
+def sweep_blocks(cfg: SweepConfig) -> Iterator[SweepColumns]:
     """Sample (network, boundary rate tuple) pairs and verify the 2-bit
-    back-off end to end, in blocks of `SWEEP_BLOCK` trials; deterministic
-    for a fixed seed."""
-    columns = [[] for _ in SweepColumns._fields]
+    back-off end to end, yielding each block of `SWEEP_BLOCK` trials' columns
+    as soon as it is done; deterministic for a fixed seed.  A sweep that
+    fails raises once the first failing block is reached, after yielding
+    every block before it."""
     for start in range(0, cfg.trials, SWEEP_BLOCK):
-        for column, block in zip(columns, _sweep_block(cfg, range(start, min(start + SWEEP_BLOCK, cfg.trials)))):
-            column += block
+        yield _sweep_block(cfg, range(start, min(start + SWEEP_BLOCK, cfg.trials)))
+
+
+def monte_carlo_gap(cfg: SweepConfig) -> GapReport:
+    """`sweep_blocks`, joined into one report."""
+    columns = [[] for _ in SweepColumns._fields]
+    for block in sweep_blocks(cfg):
+        for column, values in zip(columns, block):
+            column += values
     return GapReport(cfg, SweepColumns._make(map(tuple, columns)))

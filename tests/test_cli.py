@@ -1,7 +1,13 @@
 import ast
+import errno
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -285,7 +291,7 @@ def test_sweep_det_mode(tmp_path, capsys):
 def test_sweep_refuses_unwritable_out_before_sweeping(tmp_path, capsys, monkeypatch, mode):
     # Once the whole sweep ran, then a FileNotFoundError traceback.
     path = tmp_path / "missing" / "x.csv"
-    monkeypatch.setattr(cli.gaussian, "monte_carlo_gap", None)  # any sweep work fails
+    monkeypatch.setattr(cli.gaussian, "sweep_blocks", None)  # any sweep work fails
     monkeypatch.setattr(cli, "enumerate_integral_region", None)
     code, doc, err = run(capsys, "sweep", *mode, "--trials", "1", "--out", str(path))
     assert code == EXIT_INPUT and doc is None
@@ -297,7 +303,7 @@ def test_sweep_write_error_is_an_input_error(tmp_path, capsys, monkeypatch, mode
     # The directory goes away while the sweep runs.
     path = tmp_path / "gone" / "x.csv"
     path.parent.mkdir()
-    for owner, name in ((cli.gaussian, "monte_carlo_gap"), (cli, "enumerate_integral_region")):
+    for owner, name in ((cli.gaussian, "sweep_blocks"), (cli, "enumerate_integral_region")):
         def removing(*args, sweep=getattr(owner, name)):
             path.unlink(missing_ok=True)
             path.parent.rmdir()
@@ -335,11 +341,76 @@ def test_a_failed_sweep_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, mode
     def failing(*args):
         raise RegionSizeError("too large")
 
-    monkeypatch.setattr(cli.gaussian, "monte_carlo_gap", failing)
+    monkeypatch.setattr(cli.gaussian, "sweep_blocks", failing)
     monkeypatch.setattr(cli, "enumerate_integral_region", failing)
     code, doc, err = run(capsys, "sweep", *mode, "--trials", "1", "--out", str(path))
     assert code == EXIT_INFEASIBLE and doc is None and err == "infeasible: too large\n"
     assert path.read_text() == "earlier results\n"
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_a_sweep_failing_in_a_later_block_writes_no_csv(tmp_path, capsys, monkeypatch, to_file):
+    # Blocks of 5 trials: trial 23 runs out of draws in the fifth block, once
+    # the first four blocks' rows were spooled.  Not one CSV byte reaches
+    # --out, which keeps its old contents, or stdout.
+    monkeypatch.setattr(cli.gaussian, "SWEEP_BLOCK", 5)
+    spooled, sweep_blocks = [], cli.gaussian.sweep_blocks
+
+    def recorded(cfg):
+        for block in sweep_blocks(cfg):
+            spooled.append(block.trial)
+            yield block
+
+    monkeypatch.setattr(cli.gaussian, "sweep_blocks", recorded)
+    path = tmp_path / "kept.csv"
+    path.write_text("earlier results\n")
+    argv = ["sweep", "--trials", "40", "--seed", "7", "--hmax", "4", "--pmax", "2"]
+    code = main([*argv, "--out", str(path)] if to_file else argv)
+    out, err = capsys.readouterr()
+    assert spooled == [tuple(range(start, start + 5)) for start in range(0, 20, 5)]
+    assert code == EXIT_INPUT and out == "" and err.startswith("error: trial 23: none of 1000 sampled networks")
+    assert path.read_text() == "earlier results\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--det"]], ids=["gaussian", "det"])
+def test_a_spool_that_cannot_grow_is_an_input_error(tmp_path, capsys, monkeypatch, mode):
+    # Past `_SPOOL_CHARS` the rows move to a temporary file; a full disk
+    # there is refused like one at --out, which keeps its old contents.
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_SPOOL_CHARS", 10)
+    monkeypatch.setattr(tempfile, "TemporaryFile", full)
+    path = tmp_path / "kept.csv"
+    path.write_text("earlier results\n")
+    code, doc, err = run(capsys, "sweep", *mode, "--trials", "3", "--out", str(path))
+    assert (code, doc) == (EXIT_INPUT, None)
+    assert err == "error: cannot spool the sweep's CSV: No space left on device\n"
+    assert path.read_text() == "earlier results\n"
+
+
+def test_sweep_memory_is_flat_in_the_trial_count(tmp_path, capsys, monkeypatch):
+    # Each block's rows go to a spool that moves to a temporary file past
+    # `_SPOOL_CHARS`, and a block's columns live only until the next block
+    # is done: 4096 trials peak where 1024 do, both many blocks long.  Once
+    # every trial's columns and the whole CSV were held, and the traced peak
+    # grew from 0.94 MiB to 3.61 MiB.
+    monkeypatch.setattr(cli.gaussian, "SWEEP_BLOCK", 256)
+    path = tmp_path / "x.csv"
+
+    def traced_peak(trials):
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--trials", str(trials), "--out", str(path)]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    traced_peak(1)  # once-per-process caches are not a sweep's memory
+    small = traced_peak(1024)
+    assert path.stat().st_size > cli._SPOOL_CHARS
+    assert traced_peak(4096) - small < 256 * 1024
 
 
 @pytest.mark.parametrize("mode", [[], ["--det"]], ids=["gaussian", "det"])
@@ -351,6 +422,21 @@ def test_sweep_without_out_writes_its_csv_then_its_summary_to_stdout(tmp_path, c
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert out == path.read_text() + json.dumps(summary, sort_keys=True, indent=2) + "\n"
+
+
+def test_a_gaussian_sweep_never_imports_numpy_random():
+    # numpy 2 loads numpy.random lazily, and loading it costs a process about
+    # 10 ms and 1.7 MB: the sweep streams mix SeedSequence's pool themselves.
+    script = (
+        "import sys\n"
+        "from relaycap.cli import main\n"
+        "assert main(['sweep', '--trials', '3']) == 0\n"
+        "assert 'numpy.random' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("trial,seed,verdict,")
 
 
 @pytest.mark.parametrize("mode", [[], ["--det"]], ids=["gaussian", "det"])

@@ -1051,6 +1051,18 @@ def test_sweep_streams_match_numpy(seed, indices, rounds, lo, hi):
             assert np.array_equal(gaussian._uniform(lo, hi, row).view(np.uint64), uniform.uniform(lo, hi, k).view(np.uint64))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(1, 40).flatmap(lambda words: st.integers(2 ** (32 * words - 32), 2 ** (32 * words) - 1)))
+@example(seed=0)
+@example(seed=2**32)
+@example(seed=2**128 - 1)
+@example(seed=2**128)
+@example(seed=2**1279 - 1)
+def test_seed_pool_is_numpys(seed):
+    # Seeds of 1 to 40 32-bit words, on both sides of the four-word pool.
+    assert gaussian._seed_pool(seed)[0] == np.random.SeedSequence(seed).pool.tolist()
+
+
 def _np_random_reads(source: str) -> list[tuple[str | None, str | None]]:
     """(enclosing def, dotted under its class, and the name read) of each
     read of numpy's random module: `np.random.X` gives X, a bare
@@ -1076,11 +1088,12 @@ def _np_random_reads(source: str) -> list[tuple[str | None, str | None]]:
 
 def test_streams_read_only_the_seed_pool_from_numpy_random():
     # A per-trial SeedSequence plus generate_state costs about 20 us, half a
-    # sweep trial, so `_Streams` reads only the seed's pool from numpy, once
-    # per block, and computes every stream itself: no default_rng, Generator
-    # or PCG64 anywhere in the Gaussian module.
+    # sweep trial, and importing numpy.random costs a process about 10 ms and
+    # 1.7 MB: `_Streams` mixes the seed's pool itself, once per block, and
+    # computes every stream itself.  The Gaussian module reads no numpy.random
+    # name: no SeedSequence, default_rng, Generator or PCG64.
     source = Path(gaussian.__file__).read_text()
-    assert _np_random_reads(source) == [("_Streams.__init__", "SeedSequence")]
+    assert _np_random_reads(source) == []
     for planted, use in (
         ("def _sample_networks(cfg):\n    return np.random.default_rng(cfg.seed)", ("_sample_networks", "default_rng")),
         ("class S:\n    def __init__(self, s):\n        self.bits = np.random.PCG64(s)", ("S.__init__", "PCG64")),
