@@ -338,28 +338,36 @@ def _write_out(out, path: str | None, spool) -> None:
 # --max-gain: each is drawn with an exclusive upper bound one above it.
 _DRAW_MAX = 2**63 - 1
 
+# The flags one sweep mode reads, by their parsed names.  Each is None when
+# not given, so that the other mode refuses it: the Gaussian ranges, as the
+# `SweepConfig` fields whose defaults then apply, and the --det sweep's
+# largest M and gain, with their defaults.
+_GAUSS_RANGES = {"hmin": "h_min", "hmax": "h_max", "pmin": "p_min", "pmax": "p_max"}
+_DET_DEFAULTS = {"max_pairs": 3, "max_gain": 6}
+
 
 def cmd_sweep(args) -> int:
-    if args.max_pairs < 1:
-        raise InputError(f"--max-pairs must be at least 1, got {args.max_pairs}")
-    if args.max_gain < 0:
-        raise InputError(f"--max-gain must be non-negative, got {args.max_gain}")
-    for flag, value in (("--max-pairs", args.max_pairs), ("--max-gain", args.max_gain)):
-        if value > _DRAW_MAX:
-            raise InputError(f"{flag} must be at most 2**63 - 1 (an int64 draw), got {value}")
+    other, mode = (_GAUSS_RANGES, "gaussian") if args.det else (_DET_DEFAULTS, "--det")
+    for dest in other:
+        if getattr(args, dest) is not None:
+            raise InputError(f"--{dest.replace('_', '-')} applies to the {mode} sweep only")
     if args.det:
+        for dest, default in _DET_DEFAULTS.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        if args.max_pairs < 1:
+            raise InputError(f"--max-pairs must be at least 1, got {args.max_pairs}")
+        if args.max_gain < 0:
+            raise InputError(f"--max-gain must be non-negative, got {args.max_gain}")
+        for flag, value in (("--max-pairs", args.max_pairs), ("--max-gain", args.max_gain)):
+            if value > _DRAW_MAX:
+                raise InputError(f"{flag} must be at most 2**63 - 1 (an int64 draw), got {value}")
         if args.trials < 0:
             raise InputError(f"--trials must be non-negative, got {args.trials}")
         _check_seed(args.seed)
     else:
-        cfg = SweepConfig(
-            trials=args.trials,
-            seed=args.seed,
-            h_min=args.hmin,
-            h_max=args.hmax,
-            p_min=args.pmin,
-            p_max=args.pmax,
-        )
+        given = {field: getattr(args, dest) for dest, field in _GAUSS_RANGES.items()}
+        cfg = SweepConfig(args.trials, args.seed, **{field: v for field, v in given.items() if v is not None})
     # Rows are spooled as they are made and copied out only once the sweep
     # has succeeded: a sweep that fails leaves no partial CSV.
     with _open_out(args.out) as out, tempfile.SpooledTemporaryFile(_SPOOL_CHARS, "w+", newline="") as spool:
@@ -389,6 +397,7 @@ def _gauss_sweep(cfg: SweepConfig, spool):
         spool.write("\n".join(map(",".join, rows)) + "\n")
         passed += c.stage.count("ok")
         peaks = tuple((max((*peak, *column)),) for peak, column in zip(peaks, (c.max_alpha_excess, c.bound_gap)))
+        del c, floats, verdicts, rows  # released before `sweep_blocks` computes the next block
     pass_rate = passed / cfg.trials if cfg.trials else 1.0
     summary = {
         "mode": "gaussian",
@@ -468,13 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", action="store_true", help="deterministic-network completeness sweep")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hmin", type=float, default=1.0)
-    p.add_argument("--hmax", type=float, default=100.0)
-    p.add_argument("--pmin", type=float, default=1.0)
-    p.add_argument("--pmax", type=float, default=100.0)
+    for dest in _GAUSS_RANGES:
+        p.add_argument(f"--{dest}", type=float)
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
-    p.add_argument("--max-pairs", type=int, default=3, help="det mode: largest M")
-    p.add_argument("--max-gain", type=int, default=6, help="det mode: largest channel gain")
+    p.add_argument("--max-pairs", type=int, help="det mode: largest M")
+    p.add_argument("--max-gain", type=int, help="det mode: largest channel gain")
     return parser
 
 

@@ -295,21 +295,18 @@ def _hop_terms(up, down, p) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([caps[:4], caps[8:]]), np.concatenate([single_down, pair_down])
 
 
-def _family_terms(up, down, p, restricted: bool, terms=None) -> np.ndarray:
-    """RHS of each constraint family: min(uplink term, downlink term).
+def _restricted_terms(up, down, p) -> np.ndarray:
+    """Each family's restricted term, (8, n): the minimum of its two `_hop_terms`."""
+    return _min(*_hop_terms(up, down, p))
 
-    The restricted terms are the minimum of the two `_hop_terms`.  The
-    cut-set bound shares the single-family terms, taken from ``terms`` when
-    already at hand, and for a pair adds amplitudes on the uplink and
-    powers on the downlink.
-    """
-    if terms is None:
-        terms = _min(*_hop_terms(up, down, p))
-    if restricted:
-        return terms
+
+def _cutset_terms(up, down, p, restricted: np.ndarray) -> np.ndarray:
+    """Each family's cut-set term, (8, n), from its ``restricted`` terms:
+    the single families share them, and a pair's adds amplitudes on the
+    uplink and powers on the downlink, the minimum of the two hops."""
     sum2, down2 = _each(lambda x: x ** 2, up[_PAIR_S] + up[_PAIR_T]), down * down
     caps = _capacity(np.concatenate([sum2 * p, (down2[_PAIR_S] + down2[_PAIR_T]) * p]))
-    return np.concatenate([terms[:4], _min(caps[:4], caps[4:])])
+    return np.concatenate([restricted[:4], _min(caps[:4], caps[4:])])
 
 
 def _rate_quad(rates: Sequence[float]) -> RateQuad:
@@ -345,8 +342,8 @@ class RegionVerdict:
     def violated(self) -> tuple[ConstraintCheck, ...]:
         return tuple(c for c in self.checks if c.slack < -TOL)
 
-    def binding(self, tol: float = 1e-6) -> tuple[ConstraintCheck, ...]:
-        return tuple(c for c in self.checks if abs(c.slack) <= tol)
+    def binding(self) -> tuple[ConstraintCheck, ...]:
+        return tuple(c for c in self.checks if abs(c.slack) <= 1e-6)
 
 
 def _outside(terms: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +361,9 @@ def _violated_names(slacks: list, i: int) -> list[str]:
 def _region_verdict(net: GaussNetwork, rates: Sequence[float], restricted: bool) -> RegionVerdict:
     r = _rate_quad(rates)
     up, down, p = net._columns()
-    terms, sums = _family_terms(up, down, p, restricted), _session_sums(_one(r))
+    terms, sums = _restricted_terms(up, down, p), _session_sums(_one(r))
+    if not restricted:
+        terms = _cutset_terms(up, down, p, terms)
     checks = tuple(
         ConstraintCheck(name, lhs.item(), rhs.item())
         for (name, _, _, _), lhs, rhs in zip(_FAMILIES, sums, terms)
@@ -405,8 +404,8 @@ def restricted_bound_gaps(net: GaussNetwork) -> dict[str, float]:
     C(2x) <= C(x) + 1.
     """
     up, down, p = net._columns()
-    terms = _family_terms(up, down, p, True)
-    gaps = _bound_gaps(_family_terms(up, down, p, False, terms), terms)
+    terms = _restricted_terms(up, down, p)
+    gaps = _bound_gaps(_cutset_terms(up, down, p, terms), terms)
     return {name: g.item() for (name, _, _, _), g in zip(_FAMILIES, gaps)}
 
 
@@ -431,13 +430,11 @@ class NormalizedProblem:
     clamped: tuple[str, ...]
 
 
-def _normalize(up, down, p, rates, terms=None):
-    """`reduce_orderings` on columns: the normalised session arrays and
-    rates, each pair's side swap, the clamps (name and where applied), the
-    pair swap and the normalised network's `_hop_terms`.  ``terms`` are the
-    input's restricted family terms when already at hand."""
-    if terms is None:
-        terms = _family_terms(up, down, p, True)
+def _normalize(up, down, p, rates, terms):
+    """`reduce_orderings` on columns, given the input's restricted family
+    ``terms``: the normalised session arrays and rates, each pair's side
+    swap, the clamps (name and where applied), the pair swap and the
+    normalised network's `_hop_terms`."""
     outside, slacks = _outside(terms, rates)
     if outside.any():
         names = ", ".join(_violated_names(slacks, outside.argmax()))
@@ -482,7 +479,8 @@ def _normalized_problem(net: GaussNetwork, normalized) -> NormalizedProblem:
 
 @_quiet
 def reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedProblem:
-    return _normalized_problem(net, _normalize(*net._columns(), _one(_rate_quad(rates))))
+    up, down, p = net._columns()
+    return _normalized_problem(net, _normalize(up, down, p, _one(_rate_quad(rates)), _restricted_terms(up, down, p)))
 
 
 def _swap_pairs(q: np.ndarray, swapped) -> np.ndarray:
@@ -671,10 +669,13 @@ _BACKOFFS = {direction: np.array([[backoff] for _, _, backoff in rows]) for dire
 # from the top.  It is the one receiver, `_RELAY`, at SNR 1, so the powers
 # are the received ones, alpha * |h|^2 P: G1 and G2 of the Gaussian
 # codewords, T and W of each lattice codeword of pairs 1 and 2 (a lattice
-# sum arrives at twice that).  Cases II and III decode both Gaussian
-# codewords jointly (a MAC): two stages under one interference.
+# sum arrives at twice that).  Cases II and III end in the same MAC: both
+# Gaussian codewords decoded jointly, two stages under one interference.
 _G1, _T, _G2, _W = range(4)
 _RELAY = 0
+# The MAC's stages: x_A2's codeword, then x_A1's, at the relay under both lattice sums.
+_MAC_RECEIVERS = ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)
+_MAC = ((_G2, _MAC_RECEIVERS), (_G1, _MAC_RECEIVERS))
 _UPLINK_CHAINS = {
     "I": (
         (_W, ((_RELAY, lambda q: 0.0),)),
@@ -682,41 +683,27 @@ _UPLINK_CHAINS = {
         (_T, ((_RELAY, lambda q: q[_G2] + 2.0 * q[_W]),)),
         (_G1, ((_RELAY, lambda q: 2.0 * q[_T] + q[_G2] + 2.0 * q[_W]),)),
     ),
-    "II": (
-        (_W, ((_RELAY, lambda q: 0.0),)),
-        (_T, ((_RELAY, lambda q: 2.0 * q[_W]),)),
-        (_G2, ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)),
-        (_G1, ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)),
-    ),
-    "III": (  # pair 2's lattice sum is decoded before pair 1's
-        (_T, ((_RELAY, lambda q: 0.0),)),
-        (_W, ((_RELAY, lambda q: 2.0 * q[_T]),)),
-        (_G2, ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)),
-        (_G1, ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)),
-    ),
+    "II": ((_W, ((_RELAY, lambda q: 0.0),)), (_T, ((_RELAY, lambda q: 2.0 * q[_W]),)), *_MAC),
+    # pair 2's lattice sum is decoded before pair 1's
+    "III": ((_T, ((_RELAY, lambda q: 0.0),)), (_W, ((_RELAY, lambda q: 2.0 * q[_T]),)), *_MAC),
 }
-# Each case's uplink checks, in decoding order: a MAC's sum after its two single-user checks.
+# Each case's uplink checks, in decoding order: the MAC's sum after its two single-user checks.
+_LATTICE1 = ("decode pair-1 lattice sum", (_T,), _lattice_cap)
+_LATTICE2 = ("decode pair-2 lattice sum", (_W,), _lattice_cap)
+_MAC_CHECKS = (
+    ("decode x_A1 gaussian (MAC)", (_G1,), _capacity),
+    ("decode x_A2 gaussian (MAC)", (_G2,), _capacity),
+    ("gaussian MAC sum", (_G1, _G2), _capacity),
+)
 _UPLINK_CHECKS = {
     "I": (
         ("decode x_A1 gaussian", (_G1,), _capacity),
-        ("decode pair-1 lattice sum", (_T,), _lattice_cap),
+        _LATTICE1,
         ("decode x_A2 gaussian", (_G2,), _capacity),
-        ("decode pair-2 lattice sum", (_W,), _lattice_cap),
+        _LATTICE2,
     ),
-    "II": (
-        ("decode x_A1 gaussian (MAC)", (_G1,), _capacity),
-        ("decode x_A2 gaussian (MAC)", (_G2,), _capacity),
-        ("gaussian MAC sum", (_G1, _G2), _capacity),
-        ("decode pair-1 lattice sum", (_T,), _lattice_cap),
-        ("decode pair-2 lattice sum", (_W,), _lattice_cap),
-    ),
-    "III": (
-        ("decode x_A1 gaussian (MAC)", (_G1,), _capacity),
-        ("decode x_A2 gaussian (MAC)", (_G2,), _capacity),
-        ("gaussian MAC sum", (_G1, _G2), _capacity),
-        ("decode pair-2 lattice sum", (_W,), _lattice_cap),
-        ("decode pair-1 lattice sum", (_T,), _lattice_cap),
-    ),
+    "II": (*_MAC_CHECKS, _LATTICE1, _LATTICE2),
+    "III": (*_MAC_CHECKS, _LATTICE2, _LATTICE1),
 }
 
 
@@ -771,14 +758,9 @@ def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     return _uplink_allocation(splits, 0)
 
 
-def _uplink_checks(mags, snr, splits: _Splits):
+def _uplink_checks(snr, splits: _Splits):
     """`_chain_checks` of each trial's case in `_UPLINK_CHECKS`, at the
     relay.  ``snr`` are the hop's |h|^2 P."""
-    expected = classify_case(mags, "uplink")
-    wrong = expected != splits.case
-    if wrong.any():
-        i = wrong.argmax()
-        raise ValueError(f"allocation is for case {splits.case[i]}, network classifies as {expected[i]}")
     q = splits.alpha[[0, 4, 2, 5]] * snr  # received powers of G1, T, G2, W
     ones = np.ones((1, len(splits.case)))
     return _chain_checks(_UPLINK_CHAINS, _UPLINK_CHECKS, splits.case, q, ones, splits.rates[[0, 2, 1, 3]])
@@ -800,7 +782,10 @@ def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[Const
         _one((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2)),
         _one((*alloc.gaussian_rates, *alloc.lattice_rates)),
     )
-    return _single_checks(_uplink_checks(up, up * up * p, splits))
+    expected = classify_case(up, "uplink")
+    if expected[0] != splits.case[0]:
+        raise ValueError(f"allocation is for case {splits.case[0]}, network classifies as {expected[0]}")
+    return _single_checks(_uplink_checks(up * up * p, splits))
 
 
 # --- Downlink ----------------------------------------------------------------
@@ -913,12 +898,10 @@ def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocati
     return _downlink_allocation(splits, 0)
 
 
-def _downlink_checks(mags, snr, splits: _Splits):
+def _downlink_checks(snr, splits: _Splits):
     """`_chain_checks` of each trial's case in `_DOWNLINK_CHECKS`, with the
     pairs as its chain takes them.  ``snr`` are the hop's |h|^2 P."""
-    mags, snr = _swap_pairs(np.stack([mags, snr]), splits.swapped)
-    if np.any(classify_case(mags, "downlink") != splits.case):
-        raise ValueError("allocation case does not match the network ordering")
+    snr = _swap_pairs(snr, splits.swapped)
     return _chain_checks(_DOWNLINK_CHAINS, _DOWNLINK_CHECKS, splits.case, splits.alpha, snr, splits.rates)
 
 
@@ -930,14 +913,16 @@ def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[C
     splits = _Splits(
         np.array([alloc.case]), _one(alloc.alpha_r), _one(alloc.stream_rates), np.array([alloc.pairs_swapped])
     )
-    return _single_checks(_downlink_checks(down, down * down * p, splits))
+    if np.any(classify_case(_swap_pairs(down, splits.swapped), "downlink") != splits.case):
+        raise ValueError("allocation case does not match the network ordering")
+    return _single_checks(_downlink_checks(down * down * p, splits))
 
 
 class _Hop(NamedTuple):
     walk: Callable  # (magnitudes, SNRs, rates) -> _Splits
     excess: Callable  # alpha rows -> budget excess
     overspend: Callable  # (splits, trial, excess) -> AllocationInvalidError text
-    checks: Callable  # (magnitudes, SNRs, splits) -> per case: trials, (name, lhs, rhs)
+    checks: Callable  # (SNRs, splits) -> per case: trials, (name, lhs, rhs)
     allocation: Callable  # (splits, trial) -> UplinkAllocation or DownlinkAllocation
 
 
@@ -1012,7 +997,8 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
     report is `_verify_columns` on a batch of one.
     """
     target = _rate_quad(rates)
-    stage, _, _, detail, normalized, hops = _verify_columns(*net._columns(), _one(target))
+    up, down, p = net._columns()
+    stage, _, _, detail, normalized, hops = _verify_columns(up, down, p, _one(target), _restricted_terms(up, down, p))
     reached = {
         hop: (_HOPS[hop].allocation(splits, 0), _single_checks(groups))
         for hop, (rows, splits, groups) in hops.items()
@@ -1033,17 +1019,15 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
     )
 
 
-def _verify_columns(up, down, p, target, terms=None):
-    """`verify_constant_gap` on session arrays (or sequences of four
-    columns), the one constant-gap cascade: the
-    hops run masked, and a trial leaves at its first failing stage, so a hop
-    no trial reaches is skipped.  Returns each trial's stage, largest budget
-    excess, smallest check slack and detail, as its report gives them;
+def _verify_columns(up, down, p, target, terms):
+    """`verify_constant_gap` on session arrays, given their restricted
+    family ``terms``: the one constant-gap cascade.  The hops run masked,
+    and a trial leaves at its first failing stage, so a hop no trial
+    reaches is skipped.  Returns each trial's stage, largest budget excess,
+    smallest check slack and detail, as its report gives them;
     `_normalize`'s columns; and per hop reached, the trials that got a
-    split, their `_Splits` and their check groups.  ``terms`` are the
-    restricted family terms when already at hand.  Raises where
+    split, their `_Splits` and their check groups.  Raises where
     `verify_constant_gap` raises, for some trial."""
-    up, down, target = (np.asarray(q, dtype=float) for q in (up, down, target))
     n = len(p)
     _require_hypothesis(target, up, down, p)
     normalized = _normalize(up, down, p, target, terms)
@@ -1058,17 +1042,16 @@ def _verify_columns(up, down, p, target, terms=None):
     for hop, mags, hop_terms in (("uplink", up, up_terms), ("downlink", down, down_terms)):
         if not rows.size:
             break
-        mags = mags[:, rows]
         # Past _normalize a precondition fails only by rounding, yet _allocate checks them all: uplink_allocate and
         # downlink_allocate need it, the cascade's ulp test spies on it, and a skip here would be a second code path.
-        splits, kept, snr, spent, errors = _allocate(hop, mags, p[rows], r[:, rows], hop_terms[:, rows])
+        splits, kept, snr, spent, errors = _allocate(hop, mags[:, rows], p[rows], r[:, rows], hop_terms[:, rows])
         for i, e in errors.items():
             stage[rows[i]], detail[rows[i]] = f"{hop}-allocation", str(e)
-        rows, mags = rows[kept], mags[:, kept]
+        rows = rows[kept]
         excess[rows] = _max(excess[rows], spent)
 
         bad = np.zeros(len(rows), dtype=bool)
-        groups = list(_HOPS[hop].checks(mags, snr, splits))
+        groups = list(_HOPS[hop].checks(snr, splits))
         for at, checks in groups:
             trials = rows[at]
             slacks = np.array([rhs - lhs for _, lhs, rhs in checks])
@@ -1339,7 +1322,7 @@ def _accepts(up, down, p) -> tuple[np.ndarray, np.ndarray]:
     """Which networks the sampler keeps: every link clears the SNR floor
     and the 2-bit base point (2, 2, 2, 2) lies in the restricted region,
     compared exactly.  Also gives the restricted family terms."""
-    h, terms = np.concatenate([up, down]), _family_terms(up, down, p, True)
+    h, terms = np.concatenate([up, down]), _restricted_terms(up, down, p)
     floor = (h * h * p).min(axis=0)  # finite and positive: every draw passed the network's checks
     return (floor >= MIN_LINK_SNR) & (terms >= _BASE_SUMS).all(axis=0), terms
 
@@ -1421,7 +1404,7 @@ def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> SweepColumns:
     up, down = _sessions(h)
     stage, excess, slack, *_ = _verify_columns(up, down, p, rates, terms)
     # Both bounds share the single-family terms, so their gaps are 0.0.
-    gaps = _bound_gaps(_family_terms(up, down, p, False, terms), terms)
+    gaps = _bound_gaps(_cutset_terms(up, down, p, terms), terms)
     gap = _fold(_max, [0.0, *gaps])
     # h's rows are h_ar, h_br, h_ra, h_rb pair by pair; the columns take the CSV's order.
     columns = (*h[[0, 2, 1, 3, 4, 6, 5, 7]], p, *rates, stage, excess, slack, gap)

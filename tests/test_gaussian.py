@@ -384,7 +384,7 @@ def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
     calls = []
     failing = ConstraintCheck("forced", 1.0, 0.0)
 
-    def forced_checks(mags, snr, splits):
+    def forced_checks(snr, splits):
         calls.append("up")
         n = snr.shape[1]
         return [(np.arange(n), [("forced", np.ones(n), np.zeros(n))])]
@@ -771,7 +771,7 @@ def _allocation_montecarlo(seed, direction, allocate, rate_check):
     splits, kept, snr, excess, errors = gaussian._allocate(direction, mags, p, r, terms)
     assert not errors and kept.tolist() == list(range(len(trials)))
     assert (excess <= 1e-9).all(), np.flatnonzero(excess > 1e-9)
-    for rows, checks in gaussian._HOPS[direction].checks(mags, snr, splits):
+    for rows, checks in gaussian._HOPS[direction].checks(snr, splits):
         for name, lhs, rhs in checks:
             assert (rhs - lhs >= -1e-9).all(), (name, rows[rhs - lhs < -1e-9])
 
@@ -1104,6 +1104,32 @@ def test_streams_read_only_the_seed_pool_from_numpy_random():
         assert _np_random_reads(planted) == [use], planted
 
 
+def _private_defaults(source: str) -> list[str]:
+    """Each function whose name starts with a single underscore and that has
+    a parameter default, positional or keyword-only."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and (node.args.defaults or any(d is not None for d in node.args.kw_defaults))
+    ]
+
+
+def test_no_private_gaussian_function_has_a_default():
+    # Each private function has one call form, and its caller passes what
+    # it needs: a default such as `terms=None` recomputed 12 capacity terms
+    # per trial whenever a caller left them out.
+    assert _private_defaults(Path(gaussian.__file__).read_text()) == []
+    planted = (
+        "def _verify_columns(up, down, p, target, terms=None):\n    pass\n"
+        "class _Hop:\n    def __init__(self, walk=None):\n        pass\n"
+        "    def _take(self, *, rows=()):\n        pass\n"
+        "def public(x=1):\n    pass\n"
+    )
+    assert _private_defaults(planted) == ["_verify_columns", "_take"]
+
+
 def test_exp_of_stacked_draws_matches_per_trial_calls():
     # The sampler calls np.exp once on a (rows x 8) block of magnitude
     # uniforms and once on a column of power uniforms, where the one-trial
@@ -1237,7 +1263,9 @@ def _pipeline_verdicts(trials):
     """Each trial's (stage, max_alpha_excess, min_check_slack, detail,
     uplink allocation, downlink allocation) from the batch pipeline; a hop
     the trial got no split from gives None."""
-    stage, excess, slack, detail, _, hops = gaussian._verify_columns(*_trial_columns(trials))
+    up, down, p, r = (np.asarray(q) for q in _trial_columns(trials))
+    terms = gaussian._restricted_terms(up, down, p)
+    stage, excess, slack, detail, _, hops = gaussian._verify_columns(up, down, p, r, terms)
     allocations = {hop: [None] * len(trials) for hop in ("uplink", "downlink")}
     for hop, (rows, splits, _) in hops.items():
         for j, i in enumerate(rows.tolist()):
@@ -1368,8 +1396,9 @@ def test_stacked_arrays_match_scalar_reference(trials):
 
     nets = [net for net, _, _ in trials]
     up, down, p, r = (np.asarray(q) for q in _trial_columns([(net, rates) for net, rates, _ in trials]))
-    for restricted in (False, True):
-        terms = gaussian._family_terms(up, down, p, restricted)
+    restricted_terms = gaussian._restricted_terms(up, down, p)
+    cutset_terms = gaussian._cutset_terms(up, down, p, restricted_terms)
+    for restricted, terms in ((False, cutset_terms), (True, restricted_terms)):
         for i, net in enumerate(nets):
             same(tuple(terms[:, i].tolist()), tuple(family_rhs(net, restricted).values()))
     sums = gaussian._session_sums(r)
@@ -1386,7 +1415,7 @@ def test_stacked_arrays_match_scalar_reference(trials):
     if not accepted:
         return
     d = np.array([trials[i][2] for i in accepted])
-    terms = gaussian._family_terms(up[:, accepted], down[:, accepted], p[accepted], True)
+    terms = gaussian._restricted_terms(up[:, accepted], down[:, accepted], p[accepted])
     with np.errstate(over="ignore"):  # as in the sweep: a tiny step's room is inf
         walked = gaussian._boundary_rates(SimpleNamespace(draw=lambda rows, k: d[rows]), terms)
     walks = [(nets[i], tuple(walked[:, j].tolist())) for j, i in enumerate(accepted)]
