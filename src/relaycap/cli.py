@@ -268,7 +268,7 @@ def cmd_gauss_verify(args) -> int:
             "clamped": list(report.normalized.clamped),
             "rates": list(report.normalized.rates),
         },
-        "max_alpha_excess": report.max_alpha_excess(),
+        "max_alpha_excess": report.max_alpha_excess,
     }
     if report.uplink is not None:
         doc["uplink"] = {
@@ -384,9 +384,9 @@ def _gauss_sweep(cfg: SweepConfig, spool):
     """Write the Gaussian sweep's CSV to ``spool`` block by block; return its
     summary fields and verdict, from running tallies."""
     spool.write(_GAUSS_CSV_HEADER + "\n")
-    # The largest excess and gap so far, each as max() over every trial so far
-    # gives it (NaN and signed zeros included): () before the first block.
-    passed, peaks = 0, ((), ())
+    # The largest excess and gap so far, from 0.0: plain max() is exact, as both
+    # columns hold floats in [0.0, 1 + TOL], none of them -0.0 (a test pins it).
+    passed, peak_excess, peak_gap = 0, 0.0, 0.0
     for c in gaussian.sweep_blocks(cfg):
         floats = (
             c.max_alpha_excess, c.bound_gap, c.h_a1r, c.h_b1r, c.h_a2r, c.h_b2r,
@@ -396,7 +396,7 @@ def _gauss_sweep(cfg: SweepConfig, spool):
         rows = zip(map(str, c.trial), repeat(str(cfg.seed)), verdicts, c.stage, *(map(repr, f) for f in floats))
         spool.write("\n".join(map(",".join, rows)) + "\n")
         passed += c.stage.count("ok")
-        peaks = tuple((max((*peak, *column)),) for peak, column in zip(peaks, (c.max_alpha_excess, c.bound_gap)))
+        peak_excess, peak_gap = max([peak_excess, *c.max_alpha_excess]), max([peak_gap, *c.bound_gap])
         del c, floats, verdicts, rows  # released before `sweep_blocks` computes the next block
     pass_rate = passed / cfg.trials if cfg.trials else 1.0
     summary = {
@@ -404,8 +404,8 @@ def _gauss_sweep(cfg: SweepConfig, spool):
         "ranges": {"h": [cfg.h_min, cfg.h_max], "power": [cfg.p_min, cfg.p_max]},
         "passed": passed,
         "pass_rate": pass_rate,
-        "max_alpha_slack": max(peaks[0], default=0.0),
-        "max_bound_gap": max(peaks[1], default=0.0),
+        "max_alpha_slack": peak_excess,
+        "max_bound_gap": peak_gap,
     }
     return summary, pass_rate == 1.0
 

@@ -949,18 +949,12 @@ class AchievabilityReport:
     downlink_checks: tuple[ConstraintCheck, ...]
     stage: str  # "ok" or the first failing stage
     detail: str
+    max_alpha_excess: float  # largest budget excess over the allocations made, 0.0 at least
+    min_check_slack: float  # worst decoding-inequality slack across both hops, inf with none
 
     @property
     def achievable(self) -> bool:
         return self.stage == "ok"
-
-    def max_alpha_excess(self) -> float:
-        allocs = (self.uplink, self.downlink)
-        return max([0.0] + [a.budget_excess() for a in allocs if a is not None])
-
-    def min_check_slack(self) -> float:
-        slacks = [c.slack for c in self.uplink_checks + self.downlink_checks]
-        return min(slacks) if slacks else math.inf
 
 
 def _require_hypothesis(target, up, down, p) -> None:
@@ -998,7 +992,8 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
     """
     target = _rate_quad(rates)
     up, down, p = net._columns()
-    stage, _, _, detail, normalized, hops = _verify_columns(up, down, p, _one(target), _restricted_terms(up, down, p))
+    terms = _restricted_terms(up, down, p)
+    stage, excess, slack, detail, normalized, hops = _verify_columns(up, down, p, _one(target), terms)
     reached = {
         hop: (_HOPS[hop].allocation(splits, 0), _single_checks(groups))
         for hop, (rows, splits, groups) in hops.items()
@@ -1016,6 +1011,8 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
         downlink_checks=downlink_checks,
         stage=stage[0],
         detail=detail[0],
+        max_alpha_excess=excess[0].item(),
+        min_check_slack=slack[0].item(),
     )
 
 

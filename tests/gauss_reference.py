@@ -283,16 +283,6 @@ def reference_budget_excess(alloc: UplinkAllocation | DownlinkAllocation) -> flo
     return max(max(sum(fractions) - 1.0 for fractions in nodes), -min(a for fractions in nodes for a in fractions))
 
 
-def reference_max_alpha_excess(report: AchievabilityReport) -> float:
-    """The largest budget excess over the report's allocations, 0 at least."""
-    return max([0.0] + [reference_budget_excess(a) for a in (report.uplink, report.downlink) if a is not None])
-
-
-def reference_min_check_slack(report: AchievabilityReport) -> float:
-    """The smallest slack over both hops' rate checks, inf with none."""
-    return min((c.slack for c in report.uplink_checks + report.downlink_checks), default=math.inf)
-
-
 def reference_uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     """Power splits letting the relay decode both Gaussian codewords and
     both lattice sums at the component rates implied by ``r``.
@@ -563,6 +553,10 @@ def reference_verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> 
         downlink_checks=downlink_checks,
         stage=stage,
         detail=detail,
+        # The largest budget excess over the allocations, 0 at least; the
+        # smallest slack over both hops' rate checks, inf with none.
+        max_alpha_excess=max([0.0] + [reference_budget_excess(a) for a in (uplink, downlink) if a is not None]),
+        min_check_slack=min((c.slack for c in uplink_checks + downlink_checks), default=math.inf),
     )
 
 
@@ -624,7 +618,7 @@ def reference_run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
         rates=rates,
         achievable=report.achievable,
         stage=report.stage,
-        max_alpha_excess=reference_max_alpha_excess(report),
-        min_check_slack=reference_min_check_slack(report),
+        max_alpha_excess=report.max_alpha_excess,
+        min_check_slack=report.min_check_slack,
         bound_gap=max(gaps.values()),
     )

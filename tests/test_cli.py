@@ -1,4 +1,3 @@
-import ast
 import errno
 import hashlib
 import json
@@ -13,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import guards
 from relaycap import cli, scheduler
 from relaycap.cli import (
     EXIT_INFEASIBLE,
@@ -510,21 +510,11 @@ def test_a_command_is_looked_up_when_main_runs(capsys, monkeypatch):
 def _calls(source: str) -> list[tuple[str | None, str]]:
     """(enclosing def or class, name) of each call of `_open_out`,
     `_write_out` or `_check_seed`, bare or as an attribute."""
-    found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("_open_out", "_write_out", "_check_seed"):
-                found.append((owner, name))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
-    return found
+    return [
+        (guards.innermost(scopes), guards.called(node))
+        for node, scopes, _ in guards.walk(source)
+        if guards.called(node) in ("_open_out", "_write_out", "_check_seed")
+    ]
 
 
 def test_one_sweep_front_end():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import guards
 import relaycap
 from relaycap import (
     DetNetwork,
@@ -183,21 +184,14 @@ def _integer_rule_uses(source: str, module: str) -> list[tuple[str, str | None, 
     """(module, enclosing def or class, name) of each use of a name in
     `_INTEGER_RULE`, as an attribute or a from-import."""
     found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = node.name
+    for node, scopes, _ in guards.walk(source):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             names = [f"{node.value.id}.{node.attr}"]
         elif isinstance(node, ast.ImportFrom):
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             names = []
-        found.extend((module, owner, name) for name in names if name in _INTEGER_RULE)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
+        found.extend((module, guards.innermost(scopes), name) for name in names if name in _INTEGER_RULE)
     return found
 
 
@@ -218,21 +212,11 @@ def test_one_integer_rule():
 def _sorts(source: str, module: str) -> list[tuple[str, str | None, str]]:
     """(module, enclosing def or class, name) of each call that sorts --
     `sorted`, a `.sort` method, or `gain_order`."""
-    found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("sorted", "sort", "gain_order"):
-                found.append((module, owner, name))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
-    return found
+    return [
+        (module, guards.innermost(scopes), guards.called(node))
+        for node, scopes, _ in guards.walk(source)
+        if guards.called(node) in ("sorted", "sort", "gain_order")
+    ]
 
 
 def test_one_hop_order():
@@ -259,18 +243,11 @@ def test_one_hop_order():
 def _hop_pass_uses(source: str, module: str) -> list[tuple[str, str | None]]:
     """(module, enclosing def or class) of each read of `_hop_holds`, by
     name or as an attribute; its definition and imports are no reads."""
-    found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = node.name
-        if getattr(node, "id", None) == "_hop_holds" or getattr(node, "attr", None) == "_hop_holds":
-            found.append((module, owner))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
-    return found
+    return [
+        (module, guards.innermost(scopes))
+        for node, scopes, _ in guards.walk(source)
+        if getattr(node, "id", None) == "_hop_holds" or getattr(node, "attr", None) == "_hop_holds"
+    ]
 
 
 def test_one_verdict_pass():
@@ -305,10 +282,8 @@ def _bit_table_writes(source: str, module: str) -> list[tuple[str, str | None, s
     of one of its keys, a dict method that changes it, or a `setattr` that
     names it."""
     found = []
-
-    def visit(node, owner):
-        if isinstance(node, ast.ClassDef):
-            owner = node.name
+    for node, scopes, _ in guards.walk(source):
+        owner = next((name for kind, name in reversed(scopes) if kind == "class"), None)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_bit_table":
             found.append((module, owner, "def"))
         stored = False
@@ -317,16 +292,11 @@ def _bit_table_writes(source: str, module: str) -> list[tuple[str, str | None, s
         elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
             stored = _is_bit_table(node.value)
         elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = guards.called(node)
             named = any(isinstance(arg, ast.Constant) and arg.value == "_bit_table" for arg in node.args)
-            stored = (name in _DICT_WRITES and _is_bit_table(func.value)) or (name in _ATTR_WRITES and named)
+            stored = (name in _DICT_WRITES and _is_bit_table(node.func.value)) or (name in _ATTR_WRITES and named)
         if stored:
             found.append((module, owner, "store"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
     return found
 
 

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import det_reference
 import gauss_reference
+import guards
 from gauss_reference import (
     BASE_POINT,
     FAMILY_COEFS,
@@ -21,8 +22,6 @@ from gauss_reference import (
     reference_downlink_allocate,
     reference_downlink_rate_check,
     reference_link_snrs,
-    reference_max_alpha_excess,
-    reference_min_check_slack,
     reference_precondition_rhs,
     reference_require_preconditions,
     reference_run_trial,
@@ -892,8 +891,8 @@ def test_constant_gap_symmetric_network():
     assert report.achievable
     assert report.uplink.case == "I" and report.downlink.case == "I"
     assert abs(report.uplink.alpha_b1 - 36.0 / 255.0) < 1e-12
-    assert report.max_alpha_excess() <= 1e-9
-    assert report.min_check_slack() >= -1e-9
+    assert report.max_alpha_excess <= 1e-9
+    assert report.min_check_slack >= -1e-9
 
 
 def test_constant_gap_hypothesis_needs_two_bits():
@@ -1068,10 +1067,8 @@ def _np_random_reads(source: str) -> list[tuple[str | None, str | None]]:
     read of numpy's random module: `np.random.X` gives X, a bare
     `np.random` gives None, and an import from it gives each name."""
     found = []
-
-    def visit(node, owner, parent):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = node.name if owner is None else f"{owner}.{node.name}"
+    for node, scopes, parent in guards.walk(source):
+        owner = ".".join(name for _, name in scopes) or None
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 path = (alias.name if isinstance(node, ast.Import) else f"{node.module}.{alias.name}").split(".")
@@ -1079,10 +1076,6 @@ def _np_random_reads(source: str) -> list[tuple[str | None, str | None]]:
                     found.append((owner, ".".join(path[2:]) or None))
         elif getattr(node, "attr", None) == "random" and getattr(node.value, "id", None) in ("np", "numpy"):
             found.append((owner, parent.attr if isinstance(parent, ast.Attribute) else None))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner, node)
-
-    visit(ast.parse(source), None, None)
     return found
 
 
@@ -1277,8 +1270,7 @@ def _report_verdict(report):
     """A reference report's verdict as `_pipeline_verdicts` gives it, with
     the excess and slack the reference computes."""
     return (
-        report.stage, reference_max_alpha_excess(report), reference_min_check_slack(report), report.detail,
-        report.uplink, report.downlink,
+        report.stage, report.max_alpha_excess, report.min_check_slack, report.detail, report.uplink, report.downlink,
     )
 
 
@@ -1287,23 +1279,26 @@ def _reference_verdict(net, rates):
 
 
 @st.composite
-def _explicit_trials(draw):
-    """Networks with rates walked from (2, 2, 2, 2) towards the restricted
+def _explicit_trial(draw):
+    """A network with rates walked from (2, 2, 2, 2) towards the restricted
     boundary, and at times past it."""
-    trials = []
-    for _ in range(draw(st.integers(1, 12))):
-        h = draw(st.lists(st.floats(1.0, 100.0), min_size=8, max_size=8))
-        net = GaussNetwork(tuple(h[:2]), tuple(h[2:4]), tuple(h[4:6]), tuple(h[6:]), draw(st.floats(1.0, 100.0)))
-        d = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=4, max_size=4))
-        rhs = family_rhs(net, True)
-        room = [
-            (rhs[name] - family_sum(coefs, BASE_POINT)) / family_sum(coefs, d)
-            for name, coefs in FAMILY_COEFS.items()
-            if family_sum(coefs, d) > 0
-        ]
-        t = max(0.0, min(room, default=0.0)) * draw(st.one_of(st.just(1.0 - 1e-7), st.floats(0.0, 1.1)))
-        trials.append((net, tuple(2.0 + t * x for x in d)))
-    return trials
+    h = draw(st.lists(st.floats(1.0, 100.0), min_size=8, max_size=8))
+    net = GaussNetwork(tuple(h[:2]), tuple(h[2:4]), tuple(h[4:6]), tuple(h[6:]), draw(st.floats(1.0, 100.0)))
+    d = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=4, max_size=4))
+    rhs = family_rhs(net, True)
+    room = [
+        (rhs[name] - family_sum(coefs, BASE_POINT)) / family_sum(coefs, d)
+        for name, coefs in FAMILY_COEFS.items()
+        if family_sum(coefs, d) > 0
+    ]
+    t = max(0.0, min(room, default=0.0)) * draw(st.one_of(st.just(1.0 - 1e-7), st.floats(0.0, 1.1)))
+    return net, tuple(2.0 + t * x for x in d)
+
+
+@st.composite
+def _explicit_trials(draw):
+    """One to twelve `_explicit_trial`s."""
+    return [draw(_explicit_trial()) for _ in range(draw(st.integers(1, 12)))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1341,6 +1336,43 @@ def test_verify_columns_cover_every_case():
     cases = {(hop, getattr(r, hop).case) for r in reports for hop in ("uplink", "downlink") if getattr(r, hop)}
     assert cases == {(hop, case) for hop in ("uplink", "downlink") for case in ("I", "II", "III")}
     assert {r.stage for r in reports} == {"ok", "uplink-allocation"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_explicit_trial())
+@example(_CORNER_TRIAL)
+def test_report_matches_reference(trial):
+    # The whole public report, its excess and slack fields included, equals
+    # the reference's and prints as it does; or both raise the same exception.
+    assert _outcome(verify_constant_gap, *trial) == _outcome(reference_verify_constant_gap, *trial)
+
+
+def _peak_float(x) -> bool:
+    """A value `cli._gauss_sweep`'s plain max() from 0.0 folds as max() over
+    the trials would: a float in [0.0, 1 + TOL], not NaN and not -0.0."""
+    return type(x) is float and 0.0 <= x <= 1.0 + TOL and math.copysign(1.0, x) == 1.0
+
+
+def test_peak_float_rejects_nan_and_negative_zero():
+    assert all(map(_peak_float, (0.0, TOL, 1.0, 1.0 + TOL)))
+    assert not any(map(_peak_float, (math.nan, -0.0, -TOL, 1.0 + 2 * TOL, math.inf, np.float64(0.5), 0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweep_configs(), _explicit_trials())
+@example(SweepConfig(64, 13), [_CORNER_TRIAL, (snr_net(255.0), (4.0, 4.0, 4.0, 4.0))])
+def test_excess_and_gap_columns_hold_plain_floats(cfg, trials):
+    # The cascade's excess starts as np.zeros and only `_max` raises it, by
+    # at most TOL; the gap is `_max` over 0.0 and gaps `_bound_gaps` bounds.
+    # So both columns hold `_peak_float`s, on every stage, failing ones too.
+    try:
+        for block in gaussian.sweep_blocks(cfg):
+            assert all(map(_peak_float, block.max_alpha_excess + block.bound_gap)), block
+    except ValueError:  # a trial ran out of draws: the blocks before it were checked
+        pass
+    kept = [trial for trial in trials if not isinstance(_outcome(reference_verify_constant_gap, *trial)[0], type)]
+    excess = [verdict[1] for verdict in _pipeline_verdicts(kept)] if kept else []
+    assert all(map(_peak_float, excess)), excess
 
 
 # --- the stacked arrays against entry-by-entry scalar references ------------------------------

@@ -1,5 +1,5 @@
-import ast
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import det_reference
+import guards
 from relaycap import (
     DetNetwork,
     HalfDuplex,
@@ -703,6 +704,71 @@ def test_chunked_matches_inductive_construction(seed):
     assert simulate_schedule(chunked, msgs).ok
 
 
+# --- every small network, without reduction -------------------------------------
+
+
+def _relabellings(pairs):
+    """The relabellings that generate the group, each a map of the gains
+    (n_ar, n_br, n_ra, n_rb) and a map of a rate tuple: swapping pairs i and
+    i + 1, each pair's A/B swap (n_ar <-> n_br, n_ra <-> n_rb, R_A <-> R_B),
+    and hop reversal (n_ar <-> n_rb, n_br <-> n_ra)."""
+
+    def transpose(i):
+        order = [*range(i), i + 1, i, *range(i + 2, pairs)]
+        return (
+            lambda gains: tuple(tuple(g[k] for k in order) for g in gains),
+            lambda rates: tuple(rates[2 * k + side] for k in order for side in (0, 1)),
+        )
+
+    def swap(i):
+        def gains_map(gains):
+            ar, br, ra, rb = map(list, gains)
+            ar[i], br[i], ra[i], rb[i] = br[i], ar[i], rb[i], ra[i]
+            return tuple(map(tuple, (ar, br, ra, rb)))
+
+        return gains_map, lambda rates: tuple(rates[k ^ 1] if k // 2 == i else rates[k] for k in range(2 * pairs))
+
+    reverse = (lambda gains: gains[::-1], lambda rates: rates)
+    return [*map(transpose, range(pairs - 1)), *map(swap, range(pairs)), reverse]
+
+
+def _decodes(sched, rates, rng):
+    """The schedule carries each session's rate over its slots, and a random
+    payload decodes exactly."""
+    budgets = sched.bit_budgets()
+    carried = [budgets[node] for node in sched.net.sources]
+    return carried == [sched.slots * r for r in rates] and simulate_schedule(sched, random_messages(sched, rng)).ok
+
+
+@pytest.mark.parametrize("pairs, max_gain", [(1, 4), (2, 1)], ids=["M1-gains4", "M2-gains1"])
+def test_every_small_network_is_complete_under_relabelling(pairs, max_gain):
+    # Every network of the family, on the full product with no reduction to
+    # canonical forms: the region is the reference's and maps onto itself
+    # under each relabelling, which a reduction to canonical forms assumes;
+    # both level rules schedule every tuple and the simulation decodes it.
+    # At delta = 1/3 the same, with hop reversal onto the delta = 2/3 region.
+    third, two_thirds = HalfDuplex(Fraction(1, 3)), HalfDuplex(Fraction(2, 3))
+    family = [
+        tuple(g[k * pairs:(k + 1) * pairs] for k in range(4))
+        for g in itertools.product(range(max_gain + 1), repeat=4 * pairs)
+    ]
+    full = {gains: enumerate_integral_region(DetNetwork(*gains)) for gains in family}
+    rng = np.random.default_rng(12)
+    for gains in family:
+        net = DetNetwork(*gains)
+        half = enumerate_integral_region(net, third)
+        assert full[gains] == det_reference.region(net), gains
+        assert half == det_reference.region(net, third), gains
+        for relabel, relabel_rates in _relabellings(pairs):
+            assert sorted(map(relabel_rates, full[gains])) == full[relabel(gains)], gains
+        assert half == enumerate_integral_region(DetNetwork(*gains[::-1]), two_thirds), gains
+        for rates in full[gains]:
+            for sched in (divide_and_conquer(net, rates), chunk_schedule(net, rates)):
+                assert _decodes(sched, rates, rng), (gains, rates)
+        for rates in half:
+            assert _decodes(schedule_half_duplex(net, third.delta, rates), rates, rng), (gains, rates)
+
+
 _BUILT = {"Schedule", "LevelAssignment", "in_det_cutset", "validate_schedule"}
 
 
@@ -710,21 +776,12 @@ def _builds(source: str) -> list[tuple[str | None, str]]:
     """(enclosing def or class, name) of each call of a name in `_BUILT`,
     bare or as an attribute; a method is named with its class, "C.f"."""
     found = []
-
-    def visit(node, owner, cls):
-        if isinstance(node, ast.ClassDef):
-            owner = cls = node.name
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner, cls = (f"{cls}.{node.name}" if cls else node.name), None
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in _BUILT:
-                found.append((owner, name))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner, cls)
-
-    visit(ast.parse(source), None, None)
+    for node, scopes, _ in guards.walk(source):
+        if guards.called(node) in _BUILT:
+            owner = guards.innermost(scopes)
+            if [kind for kind, _ in scopes[-2:]] == ["class", "def"]:
+                owner = f"{scopes[-2][1]}.{owner}"
+            found.append((owner, guards.called(node)))
     return found
 
 
