@@ -300,6 +300,25 @@ _DET_CSV_HEADER = "trial,seed,verdict,pairs,n_ar,n_br,n_ra,n_rb,tuples_checked,f
 # CSV characters a sweep spools in memory; past them the spool moves to an
 # unnamed temporary file, so a sweep's memory does not grow with its trials.
 _SPOOL_CHARS = 1 << 16
+# The longest Gaussian CSV row, less its trial and seed fields: the verdict,
+# the longest stage ("downlink-allocation"), eleven floats at the 24
+# characters of the longest float repr, 14 commas and the newline.
+_GAUSS_ROW_CHARS = len("pass") + len("downlink-allocation") + 11 * len(repr(-2.2250738585072014e-308)) + 15
+
+
+def _check_spool_room(cfg: SweepConfig) -> None:
+    """Refuse a Gaussian sweep whose longest possible CSV would not fit in
+    the temporary directory, which the spool moves to past `_SPOOL_CHARS`;
+    a sweep whose CSV stays in memory is not checked.  The CSV is ASCII, so
+    its characters are its bytes."""
+    row = len(str(cfg.trials)) + len(str(cfg.seed)) + _GAUSS_ROW_CHARS
+    longest = len(_GAUSS_CSV_HEADER) + 1 + cfg.trials * row
+    if longest <= _SPOOL_CHARS:
+        return
+    tmp = tempfile.gettempdir()
+    free = shutil.disk_usage(tmp).free
+    if longest > free:
+        raise InputError(f"cannot spool the sweep's CSV: it may take {longest} bytes, and {tmp} has {free} free")
 
 
 def _open_out(path: str | None):
@@ -368,6 +387,7 @@ def cmd_sweep(args) -> int:
     else:
         given = {field: getattr(args, dest) for dest, field in _GAUSS_RANGES.items()}
         cfg = SweepConfig(args.trials, args.seed, **{field: v for field, v in given.items() if v is not None})
+        _check_spool_room(cfg)
     # Rows are spooled as they are made and copied out only once the sweep
     # has succeeded: a sweep that fails leaves no partial CSV.
     with _open_out(args.out) as out, tempfile.SpooledTemporaryFile(_SPOOL_CHARS, "w+", newline="") as spool:

@@ -1,0 +1,488 @@
+"""Both hops of the two-pair Gaussian relay network's achievable scheme:
+the successive-cancellation chains, the power allocators and the
+decoding-rate checks, uplink and downlink.
+
+Lattice codewords themselves are never constructed -- streams are
+represented by their rate and their received power only.  The achievable
+scheme superposes, at the higher-rate user of each pair, a Gaussian
+codeword and a lattice codeword whose receive power matches the partner's
+lattice codeword, so the relay can decode the lattice sum.  Sorting the
+users by receive strength leaves three uplink and three downlink
+configurations.  Each configuration's successive-cancellation chain is
+written once, in `_UPLINK_CHAINS` or `_DOWNLINK_CHAINS`, as stages of a
+stream and the receivers that decode it (the uplink's one receiver is the
+relay, at SNR 1).  One walker, `_walk`, spends bottom-up exactly the power
+each stream's rate requires given the interference still standing under
+it, and one checker, `_chain_checks`, walks the same stages.
+
+`_allocate` runs one hop for a batch of trials, and `_HOPS` gives the
+constant-gap cascade each hop's functions.  The allocators and rate checks
+run the batch code on a batch of one.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
+
+from .gaussnet import (
+    _CASES,
+    _FAMILIES,
+    _SESSIONS,
+    TOL,
+    ConstraintCheck,
+    GaussNetwork,
+    InfeasibleRatesError,
+    _capacity,
+    _divide,
+    _each,
+    _fold,
+    _hop_terms,
+    _lattice_cap,
+    _max,
+    _min,
+    _one,
+    _quiet,
+    _rate_quad,
+    _row,
+    _session_sums,
+    _swap_pairs,
+    classify_case,
+)
+
+MIN_PROVEN_SNR = 2.5  # every |h|^2 P must clear this for the splits to be proven valid
+
+
+class LowPowerError(ValueError):
+    """A receive SNR sits below the proven validity threshold of the construction."""
+
+
+class AllocationInvalidError(RuntimeError):
+    """A computed power split exceeds a power budget.
+
+    The validity chains only guarantee the splits near-universally; see the
+    package notes on sum-rate corner cases.
+    """
+
+
+@dataclass
+class _Splits:
+    """One hop's power splits for a batch: each trial's case, the alpha
+    rows and rate rows of `UplinkAllocation` or `DownlinkAllocation` in
+    field order, and the downlink's pair swap."""
+
+    case: np.ndarray
+    alpha: np.ndarray
+    rates: np.ndarray
+    swapped: np.ndarray | None = None
+
+    def take(self, rows) -> "_Splits":
+        swapped = None if self.swapped is None else self.swapped[rows]
+        return _Splits(self.case[rows], self.alpha[:, rows], self.rates[:, rows], swapped)
+
+
+def _precondition_errors(direction: str, terms, r) -> dict[int, InfeasibleRatesError]:
+    """Each refused trial's first failed rate precondition of the hop, as the
+    `InfeasibleRatesError` naming it, by the trial's position in the batch.
+    A precondition is the hop's restricted family term, from ``terms`` (the
+    hop's `_hop_terms`), less its back-off."""
+    rows = _PRECONDITIONS[direction]
+    lhs, rhs = _session_sums(r)[_PRE_ORDER], terms[_PRE_ORDER] - _BACKOFFS[direction]
+    failed = lhs > rhs + TOL
+    errors = {}
+    for i in np.flatnonzero(failed.any(axis=0)).tolist():
+        k = failed[:, i].argmax()
+        errors[i] = InfeasibleRatesError(rows[k][0], f"lhs={lhs[k, i].item():.6g}, rhs={rhs[k, i].item():.6g}")
+    return errors
+
+
+def _allocate(direction: str, mags, p, r, terms):
+    """Walk each trial's cancellation chain for the hop.  A trial is refused
+    before any split at the SNR floor, then at the hop's first failed rate
+    precondition (from ``terms``, the hop's `_hop_terms`), and after it
+    where the split overspends.  Returns the splits of the trials that get
+    one, their positions in the batch, SNRs and budget excess, and the
+    refused trials' errors."""
+    unsorted = (r[1::2] > r[0::2] + TOL).any(axis=0)
+    if unsorted.any():
+        raise ValueError(f"rates {_row(r, unsorted.argmax())} not normalized: each pair needs r_A >= r_B")
+    snr = mags * mags * p
+    floor = snr.min(axis=0)  # finite and positive, as the network is
+    errors = _precondition_errors(direction, terms, r)
+    for i in np.flatnonzero(floor < MIN_PROVEN_SNR - TOL).tolist():
+        errors[i] = LowPowerError(f"{direction} |h|^2 P floor {floor[i].item():.4g} below {MIN_PROVEN_SNR}")
+    rows = np.delete(np.arange(len(p)), list(errors))
+    hop = _HOPS[direction]
+    splits = hop.walk(mags[:, rows], snr[:, rows], r[:, rows])
+    excess = hop.excess(splits.alpha)
+    over = excess > TOL
+    for i in np.flatnonzero(over).tolist():
+        errors[rows[i].item()] = AllocationInvalidError(hop.overspend(splits, i, excess[i].item()))
+    kept = np.flatnonzero(~over)
+    rows = rows[kept]
+    return splits.take(kept), rows, snr[:, rows], excess[kept], errors
+
+
+def _by_case(case: np.ndarray):
+    """Each case present, with the positions of its trials."""
+    for c in _CASES:
+        mask = case == c
+        if mask.any():
+            yield c, np.flatnonzero(mask)
+
+
+def _walk(chains, case, need, g) -> np.ndarray:
+    """Each stream's power for each trial's case, walking its chain in
+    ``chains`` from the bottom: a stream needs ``need`` (1 + g q) / g at a
+    receiver of SNR row g under interference q, and its worst receiver binds."""
+    power = np.zeros(need.shape)
+    for c, rows in _by_case(case):
+        n, gc, pc = need[:, rows], g[:, rows], [np.zeros(len(rows))] * len(need)
+        for stream, receivers in chains[c]:
+            if len(receivers) == 1:  # the closed form's association, bit for bit
+                ((k, under),) = receivers
+                pc[stream] = n[stream] * (1.0 + gc[k] * under(pc)) / gc[k]
+            else:
+                pc[stream] = n[stream] * _fold(_max, [(1.0 + gc[k] * under(pc)) / gc[k] for k, under in receivers])
+        power[:, rows] = pc
+    return power
+
+
+def _chain_checks(chains, checks, case, power, g, rates):
+    """Each trial's decoding checks, ``checks[case]``, per case present:
+    its trials' positions and (name, lhs, rhs) columns.  A check sums its
+    streams' rates and powers p, and takes the least cap(g p / (1 + g q))
+    over the receivers of its first stream's stage, as min() picks it."""
+    for c, rows in _by_case(case):
+        pc, gc, rc = power[:, rows], g[:, rows], rates[:, rows]
+        receivers = dict(chains[c])
+        out = []
+        for name, streams, cap in checks[c]:
+            p = _fold(np.add, [pc[s] for s in streams])
+            caps = [cap(_divide(gc[k] * p, 1.0 + gc[k] * under(pc))) for k, under in receivers[streams[0]]]
+            out.append((name, _fold(np.add, [rc[s] for s in streams]), _fold(_min, caps)))
+        yield rows, out
+
+
+# --- Uplink ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class UplinkAllocation:
+    case: str
+    alpha_a1: tuple[float, float]  # Gaussian and lattice fraction at A1
+    alpha_a2: tuple[float, float]
+    alpha_b1: float  # lattice fraction at B1
+    alpha_b2: float
+    gaussian_rates: tuple[float, float]  # r_Ai - r_Bi
+    lattice_rates: tuple[float, float]  # r_Bi
+
+    def budget_excess(self) -> float:
+        """How far any power budget is exceeded (<= 0 when valid)."""
+        return float(_uplink_excess(_one((*self.alpha_a1, *self.alpha_a2, self.alpha_b1, self.alpha_b2)))[0])
+
+
+def _uplink_excess(alpha) -> np.ndarray:
+    a1g, a1l, a2g, a2l, b1, b2 = alpha
+    worst = _fold(_max, [a1g + a1l - 1.0, a2g + a2l - 1.0, b1 - 1.0, b2 - 1.0])
+    return _max(worst, -_fold(_min, alpha))
+
+
+_PRE_ORDER = [0, 1, 2, 3, 4, 6, 5, 7]  # the families in precondition checking order
+
+
+def _precondition_rows(direction: str) -> tuple[tuple[str, tuple[int, ...], float], ...]:
+    """(name, sessions, back-off) of each rate precondition of one hop, in
+    checking order: the paper's, which puts A1+B2 before B1+B2.
+
+    A session's uplink is |h_A1R| for session A1; its downlink is the
+    relay's link to its destination, the partner `s ^ 1`: |h_RB1|.
+    """
+    rows = []
+    for k in _PRE_ORDER:
+        _, sessions, up_backoff, down_backoff = _FAMILIES[k]
+        if direction == "uplink":
+            powers = [f"|h_{_SESSIONS[s]}R|^2" for s in sessions]
+            snr, backoff = f"({'+'.join(powers)}) P", up_backoff
+        else:
+            powers = [f"|h_R{_SESSIONS[s ^ 1]}|^2" for s in sessions]
+            snr, backoff = f"max({','.join(powers)}) P", down_backoff
+        if len(sessions) == 1:
+            snr = f"{powers[0]} P"
+        lhs = " + ".join(f"r_{_SESSIONS[s]}" for s in sessions)
+        rows.append((f"{lhs} <= C({snr}) - {backoff:g}", sessions, backoff))
+    return tuple(rows)
+
+
+_PRECONDITIONS = {direction: _precondition_rows(direction) for direction in ("uplink", "downlink")}
+_BACKOFFS = {direction: np.array([[backoff] for _, _, backoff in rows]) for direction, rows in _PRECONDITIONS.items()}
+
+
+# The uplink cancellation chains, bottom stage first; the relay decodes
+# from the top.  It is the one receiver, `_RELAY`, at SNR 1, so the powers
+# are the received ones, alpha * |h|^2 P: G1 and G2 of the Gaussian
+# codewords, T and W of each lattice codeword of pairs 1 and 2 (a lattice
+# sum arrives at twice that).  Cases II and III end in the same MAC: both
+# Gaussian codewords decoded jointly, two stages under one interference.
+_G1, _T, _G2, _W = range(4)
+_RELAY = 0
+# The MAC's stages: x_A2's codeword, then x_A1's, at the relay under both lattice sums.
+_MAC_RECEIVERS = ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)
+_MAC = ((_G2, _MAC_RECEIVERS), (_G1, _MAC_RECEIVERS))
+_UPLINK_CHAINS = {
+    "I": (
+        (_W, ((_RELAY, lambda q: 0.0),)),
+        (_G2, ((_RELAY, lambda q: 2.0 * q[_W]),)),
+        (_T, ((_RELAY, lambda q: q[_G2] + 2.0 * q[_W]),)),
+        (_G1, ((_RELAY, lambda q: 2.0 * q[_T] + q[_G2] + 2.0 * q[_W]),)),
+    ),
+    "II": ((_W, ((_RELAY, lambda q: 0.0),)), (_T, ((_RELAY, lambda q: 2.0 * q[_W]),)), *_MAC),
+    # pair 2's lattice sum is decoded before pair 1's
+    "III": ((_T, ((_RELAY, lambda q: 0.0),)), (_W, ((_RELAY, lambda q: 2.0 * q[_T]),)), *_MAC),
+}
+# Each case's uplink checks, in decoding order: the MAC's sum after its two single-user checks.
+_LATTICE1 = ("decode pair-1 lattice sum", (_T,), _lattice_cap)
+_LATTICE2 = ("decode pair-2 lattice sum", (_W,), _lattice_cap)
+_MAC_CHECKS = (
+    ("decode x_A1 gaussian (MAC)", (_G1,), _capacity),
+    ("decode x_A2 gaussian (MAC)", (_G2,), _capacity),
+    ("gaussian MAC sum", (_G1, _G2), _capacity),
+)
+_UPLINK_CHECKS = {
+    "I": (
+        ("decode x_A1 gaussian", (_G1,), _capacity),
+        _LATTICE1,
+        ("decode x_A2 gaussian", (_G2,), _capacity),
+        _LATTICE2,
+    ),
+    "II": (*_MAC_CHECKS, _LATTICE1, _LATTICE2),
+    "III": (*_MAC_CHECKS, _LATTICE2, _LATTICE1),
+}
+
+
+def _walk_uplink(mags, snr, r) -> _Splits:
+    """The uplink power splits of each trial's case, walking its chain in
+    `_UPLINK_CHAINS` from the bottom."""
+    case = classify_case(mags, "uplink")
+    powers = _each(functools.partial(pow, 2.0), r)
+    u, s, v, w = powers
+
+    # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.  In a MAC, x_A1's
+    # single-user and sum-rate constraints each demand a power; the larger binds.
+    need = powers.copy()
+    need[0::2] = powers[0::2] / powers[1::2] - 1.0
+    need[_G1] = np.where(case == "I", need[_G1], _max(need[_G1], (u * v) / (s * w) - v / w))
+    q = _walk(_UPLINK_CHAINS, case, need, np.ones((1, len(case))))
+    # G1 / x1, T / x1, G2 / x3, W / x3, T / x2, W / x4
+    alpha = q[[_G1, _T, _G2, _W, _T, _W]] / snr[[0, 0, 2, 2, 1, 3]]
+    return _Splits(case, alpha, np.concatenate([r[0::2] - r[1::2], r[1::2]]))
+
+
+def _uplink_allocation(splits: _Splits, i: int) -> UplinkAllocation:
+    a1g, a1l, a2g, a2l, b1, b2 = _row(splits.alpha, i)
+    rg1, rg2, rl1, rl2 = _row(splits.rates, i)
+    return UplinkAllocation(str(splits.case[i]), (a1g, a1l), (a2g, a2l), b1, b2, (rg1, rg2), (rl1, rl2))
+
+
+def _uplink_overspend(splits: _Splits, i: int, excess: float) -> str:
+    alloc = _uplink_allocation(splits, i)
+    return (
+        f"uplink case {alloc.case} power budget exceeded by {excess:.3g} "
+        f"(alphas A1={alloc.alpha_a1}, A2={alloc.alpha_a2}, "
+        f"B1={alloc.alpha_b1:.6g}, B2={alloc.alpha_b2:.6g})"
+    )
+
+
+@_quiet
+def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
+    """Power splits letting the relay decode both Gaussian codewords and
+    both lattice sums at the component rates implied by ``r``.
+
+    Walks the case's chain in `_UPLINK_CHAINS` from the bottom: each stream
+    gets exactly the receive power that makes its decoding inequality an
+    equality given the streams still undecoded beneath it.  Lattice partners
+    then mirror powers through the alignment rule so each pair's lattice
+    codewords arrive level.
+    """
+    up, down, p = net._columns()
+    splits, *_, errors = _allocate("uplink", up, p, _one(_rate_quad(r)), _hop_terms(up, down, p)[0])
+    if errors:  # a batch of one's refusal
+        raise errors[0]
+    return _uplink_allocation(splits, 0)
+
+
+def _uplink_checks(snr, splits: _Splits):
+    """`_chain_checks` of each trial's case in `_UPLINK_CHECKS`, at the
+    relay.  ``snr`` are the hop's |h|^2 P."""
+    q = splits.alpha[[0, 4, 2, 5]] * snr  # received powers of G1, T, G2, W
+    ones = np.ones((1, len(splits.case)))
+    return _chain_checks(_UPLINK_CHAINS, _UPLINK_CHECKS, splits.case, q, ones, splits.rates[[0, 2, 1, 3]])
+
+
+def _single_checks(groups) -> tuple[ConstraintCheck, ...]:
+    """The checks of a batch of one."""
+    ((_, checks),) = groups
+    return tuple(ConstraintCheck(name, lhs.item(), rhs.item()) for name, lhs, rhs in checks)
+
+
+@_quiet
+def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
+    """Evaluate every decoding inequality of the allocation's case, in
+    decoding order: the case's chain from the top."""
+    up, _, p = net._columns()
+    splits = _Splits(
+        np.array([alloc.case]),
+        _one((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2)),
+        _one((*alloc.gaussian_rates, *alloc.lattice_rates)),
+    )
+    expected = classify_case(up, "uplink")
+    if expected[0] != splits.case[0]:
+        raise ValueError(f"allocation is for case {splits.case[0]}, network classifies as {expected[0]}")
+    return _single_checks(_uplink_checks(up * up * p, splits))
+
+
+# --- Downlink ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DownlinkAllocation:
+    """Relay power split over the four broadcast streams, indexed as in
+    `_DOWNLINK_CHAINS`: 0 = pair 1's solo stream, 1 = pair 1's shared
+    stream, 2 and 3 = pair 2's.  Pair 1 is the pair with the stronger
+    shared-stream receiver; when ``pairs_swapped`` is set, that is the
+    input's pair 2.
+    """
+
+    case: str
+    alpha_r: tuple[float, float, float, float]
+    stream_rates: tuple[float, float, float, float]
+    pairs_swapped: bool
+
+    def budget_excess(self) -> float:
+        return float(_downlink_excess(_one(self.alpha_r))[0])
+
+
+def _downlink_excess(alpha) -> np.ndarray:
+    return _max(sum(alpha) - 1.0, -_fold(_min, alpha))
+
+
+# The downlink cancellation chains, bottom stage first, over the relay
+# power fractions p of the streams.  A stage is a stream and each receiver
+# that decodes it: the position of its SNR in (b1, a1, b2, a2), that is
+# |h_RB1|^2 P, |h_RA1|^2 P, ..., and the interference fraction still
+# standing there.  Pair 1's A node already knows stream 0, and pair 2's A
+# node reconstructs its own solo stream 2.
+_SOLO1, _SHARED1, _SOLO2, _SHARED2 = range(4)
+_B1, _A1, _B2, _A2 = range(4)
+_DOWNLINK_CHAINS = {
+    "I": (
+        (_SOLO1, ((_B1, lambda p: 0.0),)),
+        (_SHARED1, ((_B1, lambda p: p[0]), (_A1, lambda p: 0.0))),
+        (_SOLO2, ((_B2, lambda p: p[0] + p[1]),)),
+        (_SHARED2, ((_B2, lambda p: p[0] + p[1] + p[2]), (_A2, lambda p: p[0] + p[1]))),
+    ),
+    "II": (
+        (_SOLO1, ((_B1, lambda p: 0.0),)),
+        (_SOLO2, ((_B2, lambda p: p[0]),)),
+        (_SHARED1, ((_A1, lambda p: p[2]), (_B2, lambda p: p[0] + p[2]))),
+        (_SHARED2, ((_B2, lambda p: p[0] + p[1] + p[2]), (_A1, lambda p: p[1] + p[2]),
+                    (_A2, lambda p: p[0] + p[1]))),
+    ),
+    "III": (
+        (_SOLO1, ((_B1, lambda p: 0.0),)),
+        (_SOLO2, ((_B2, lambda p: p[0]),)),
+        (_SHARED2, ((_A2, lambda p: p[0]), (_B2, lambda p: p[0] + p[2]))),
+        (_SHARED1, ((_B2, lambda p: p[0] + p[2] + p[3]), (_A1, lambda p: p[2] + p[3]),
+                    (_A2, lambda p: p[0] + p[3]))),
+    ),
+}
+# Each case's downlink checks: each stream's rate against its worst receiver, shared streams first.
+_DOWNLINK_CHECKS = dict.fromkeys(_CASES, (
+    ("pair-1 shared stream", (_SHARED1,), _capacity),
+    ("pair-2 shared stream", (_SHARED2,), _capacity),
+    ("pair-1 solo stream", (_SOLO1,), _capacity),
+    ("pair-2 solo stream", (_SOLO2,), _capacity),
+))
+
+
+def _walk_downlink(mags, snr, r) -> _Splits:
+    """The relay's power split of each trial's case, walking its chain in
+    `_DOWNLINK_CHAINS` from the bottom.  The chains take pair 1 to be the
+    pair with the stronger shared-stream receiver."""
+    swapped = mags[2] > mags[0]
+    r, mags, snr = _swap_pairs(np.stack([r, mags, snr]), swapped)
+    case = classify_case(mags, "downlink")
+
+    powers = _each(functools.partial(pow, 2.0), r)
+    need = powers - 1.0
+    need[0::2] = powers[0::2] / powers[1::2] - 1.0
+    rates = r.copy()
+    rates[0::2] = r[0::2] - r[1::2]
+    return _Splits(case, _walk(_DOWNLINK_CHAINS, case, need, snr), rates, swapped)
+
+
+def _downlink_allocation(splits: _Splits, i: int) -> DownlinkAllocation:
+    return DownlinkAllocation(
+        str(splits.case[i]), _row(splits.alpha, i), _row(splits.rates, i), bool(splits.swapped[i])
+    )
+
+
+def _downlink_overspend(splits: _Splits, i: int, excess: float) -> str:
+    alloc = _downlink_allocation(splits, i)
+    return f"downlink case {alloc.case} relay budget exceeded by {excess:.3g} (alphas {alloc.alpha_r})"
+
+
+@_quiet
+def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocation:
+    """Relay power split delivering the four streams at their rates.
+
+    Walks the case's chain in `_DOWNLINK_CHAINS` from the bottom: a stream
+    of rate rho needs alpha >= (2^rho - 1) (1 + g q) / g at each receiver
+    of SNR g under interference fraction q.  The chains take pair 1 to be
+    the pair with the stronger shared-stream receiver (the B side, after
+    normalization); when the input has them the other way round the pairs
+    are relabeled internally, which the pair-symmetric rate preconditions
+    permit.
+    """
+    up, down, p = net._columns()
+    splits, *_, errors = _allocate("downlink", down, p, _one(_rate_quad(r)), _hop_terms(up, down, p)[1])
+    if errors:  # a batch of one's refusal
+        raise errors[0]
+    return _downlink_allocation(splits, 0)
+
+
+def _downlink_checks(snr, splits: _Splits):
+    """`_chain_checks` of each trial's case in `_DOWNLINK_CHECKS`, with the
+    pairs as its chain takes them.  ``snr`` are the hop's |h|^2 P."""
+    snr = _swap_pairs(snr, splits.swapped)
+    return _chain_checks(_DOWNLINK_CHAINS, _DOWNLINK_CHECKS, splits.case, splits.alpha, snr, splits.rates)
+
+
+@_quiet
+def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[ConstraintCheck, ...]:
+    """Evaluate every broadcast decoding inequality of the allocation's
+    case: each stream's rate against its worst receiver in the case's chain."""
+    _, down, p = net._columns()
+    splits = _Splits(
+        np.array([alloc.case]), _one(alloc.alpha_r), _one(alloc.stream_rates), np.array([alloc.pairs_swapped])
+    )
+    if np.any(classify_case(_swap_pairs(down, splits.swapped), "downlink") != splits.case):
+        raise ValueError("allocation case does not match the network ordering")
+    return _single_checks(_downlink_checks(down * down * p, splits))
+
+
+class _Hop(NamedTuple):
+    walk: Callable  # (magnitudes, SNRs, rates) -> _Splits
+    excess: Callable  # alpha rows -> budget excess
+    overspend: Callable  # (splits, trial, excess) -> AllocationInvalidError text
+    checks: Callable  # (SNRs, splits) -> per case: trials, (name, lhs, rhs)
+    allocation: Callable  # (splits, trial) -> UplinkAllocation or DownlinkAllocation
+
+
+_HOPS = {
+    "uplink": _Hop(_walk_uplink, _uplink_excess, _uplink_overspend, _uplink_checks, _uplink_allocation),
+    "downlink": _Hop(_walk_downlink, _downlink_excess, _downlink_overspend, _downlink_checks, _downlink_allocation),
+}

@@ -1,10 +1,12 @@
 """One walk over a module's syntax tree for the design guards.
 
 Each guard test matches the nodes it looks for and names their owner from
-the scopes `walk` gives; the walk itself is written once, here.
+the scopes `walk` gives; the walk itself is written once, here, and so is
+the package's import graph that the layout guard reads.
 """
 
 import ast
+import graphlib
 
 _SCOPES = {ast.FunctionDef: "def", ast.AsyncFunctionDef: "def", ast.ClassDef: "class"}
 
@@ -35,3 +37,42 @@ def called(node) -> str | None:
         return None
     func = node.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def package_imports(sources: dict) -> dict:
+    """Each relaycap module of ``sources`` (its name without ``.py``, source
+    text) and the relaycap modules it imports, anywhere in its body,
+    relatively or by the package's name.  A name imported from the package
+    itself that is none of its modules is an import of ``__init__``."""
+
+    def target(name: str) -> str:
+        return name if name in sources else "__init__"
+
+    graph = {}
+    for module, source in sources.items():
+        found = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                parts = [alias.name.split(".") for alias in node.names]
+                found |= {target(p[1]) for p in parts if p[0] == "relaycap" and len(p) > 1}
+            elif isinstance(node, ast.ImportFrom):
+                path = node.module.split(".") if node.module else []
+                if node.level == 0 and path[:1] != ["relaycap"]:
+                    continue
+                inner = path if node.level else path[1:]
+                if inner:
+                    found.add(target(inner[0]))
+                else:
+                    found |= {target(alias.name) for alias in node.names}
+        graph[module] = found - {module}
+    return graph
+
+
+def import_cycle(graph: dict) -> list | None:
+    """One cycle of the import ``graph`` as the modules along it, first
+    repeated last; None when the imports form no cycle."""
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return None

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -9,6 +10,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -387,6 +389,43 @@ def test_a_spool_that_cannot_grow_is_an_input_error(tmp_path, capsys, monkeypatc
     assert (code, doc) == (EXIT_INPUT, None)
     assert err == "error: cannot spool the sweep's CSV: No space left on device\n"
     assert path.read_text() == "earlier results\n"
+
+
+def test_a_gaussian_sweep_the_temporary_directory_cannot_hold_is_refused_up_front(tmp_path, capsys, monkeypatch):
+    # Past `_SPOOL_CHARS` the spool moves to the temporary directory.  A sweep
+    # whose longest possible CSV would not fit there is refused before its
+    # first block, and --out is left as it was; one whose CSV stays in memory
+    # reads no free space at all.
+    free, asked = [0], []
+
+    def disk_usage(path):
+        asked.append(path)
+        return SimpleNamespace(free=free[0])
+
+    monkeypatch.setattr(shutil, "disk_usage", disk_usage)
+    assert run(capsys, "sweep", "--trials", "150", "--seed", str(2**32 - 1), "--out", str(tmp_path / "a.csv"))[0] == EXIT_OK
+    assert asked == []
+
+    kept, missing = tmp_path / "kept.csv", tmp_path / "missing.csv"
+    kept.write_text("earlier results\n")
+    with monkeypatch.context() as m:
+        m.setattr(cli.gaussian, "sweep_blocks", None)  # any sweep work fails
+        for path in (kept, missing):
+            code, doc, err = run(capsys, "sweep", "--trials", "300", "--seed", "7", "--out", str(path))
+            assert (code, doc, asked[-1]) == (EXIT_INPUT, None, tempfile.gettempdir())
+            prefix, _, rest = err.partition(" bytes, and ")
+            assert prefix.startswith("error: cannot spool the sweep's CSV: it may take ")
+            assert rest == f"{tempfile.gettempdir()} has 0 free\n"
+    assert kept.read_text() == "earlier results\n" and not missing.exists()
+
+    # The bound holds the sweep's real CSV, which fits at exactly that much free space and not one byte less.
+    longest = int(prefix.rpartition(" ")[2])
+    free[0] = longest
+    assert run(capsys, "sweep", "--trials", "300", "--seed", "7", "--out", str(kept))[0] == EXIT_OK
+    assert len(kept.read_bytes()) <= longest
+    free[0] = longest - 1
+    assert run(capsys, "sweep", "--trials", "300", "--seed", "7", "--out", str(missing))[0] == EXIT_INPUT
+    assert not missing.exists()
 
 
 def _traced_sweep_peak(capsys, path, trials: int) -> int:

@@ -397,6 +397,44 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
+# A process with no cached bytecode compiles each module at import, and the
+# compile holds about 2.2-3.1 KiB of heap per source line at its peak; with
+# numpy imported first that heap stays resident, so the largest module sets
+# the benchmark's peak RSS.
+MAX_MODULE_LINES = 600
+
+
+def _long_modules(sources: dict) -> list[str]:
+    return [name for name, source in sources.items() if len(source.splitlines()) > MAX_MODULE_LINES]
+
+
+def test_modules_are_short_and_import_in_layers():
+    package = Path(relaycap.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _long_modules(sources) == []
+    graph = guards.package_imports(sources)
+    assert guards.import_cycle(graph) is None
+    # The Gaussian layers import downward only: `gaussian` sits on `hops`,
+    # which sits on `gaussnet`, and `streams` stands alone.
+    assert graph["gaussnet"] == set() and graph["hops"] == {"gaussnet"} and graph["streams"] == set()
+    assert {"gaussnet", "hops", "streams"} <= graph["gaussian"]
+
+    assert _long_modules({"big": "x = 1\n" * 601, "fits": "x = 1\n" * 600}) == ["big"]
+    planted = {
+        "__init__": "from .a import f",
+        "a": "from relaycap import b",
+        "b": "def g():\n    import relaycap.c",
+        "c": "from relaycap.d import h",
+        "d": "import numpy\nfrom . import VERSION",
+    }
+    graph = guards.package_imports(planted)
+    assert graph == {"__init__": {"a"}, "a": {"b"}, "b": {"c"}, "c": {"d"}, "d": {"__init__"}}
+    cycle = guards.import_cycle(graph)
+    assert cycle is not None and len(cycle) == 6 and cycle[0] == cycle[-1] and set(cycle) == set(planted)
+    planted["d"] = "import numpy"
+    assert guards.import_cycle(guards.package_imports(planted)) is None
+
+
 def test_public_api_is_pinned():
     # What `relaycap` exports, stated once: a removal or a new re-export
     # shows up here as a diff.  The submodules are not exported.

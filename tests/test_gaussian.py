@@ -52,7 +52,7 @@ from relaycap import (
     uplink_rate_check,
     verify_constant_gap,
 )
-from relaycap import gaussian
+from relaycap import gaussian, gaussnet, hops, streams
 from relaycap.gaussian import (
     MIN_LINK_SNR,
     TOL,
@@ -158,8 +158,8 @@ def test_network_squares_finite_below_the_overflow_bound():
     assert all(math.isfinite(g) for g in restricted_bound_gaps(net).values())
     assert all(math.isfinite(x) for x in reference_link_snrs(net))
     up, down, p = net._columns()
-    for direction, mags, terms in zip(("uplink", "downlink"), (up, down), gaussian._hop_terms(up, down, p)):
-        _, kept, snr, _, errors = gaussian._allocate(direction, mags, p, gaussian._one((0.0,) * 4), terms)
+    for direction, mags, terms in zip(("uplink", "downlink"), (up, down), gaussnet._hop_terms(up, down, p)):
+        _, kept, snr, _, errors = hops._allocate(direction, mags, p, gaussnet._one((0.0,) * 4), terms)
         assert not errors and kept.tolist() == [0] and np.isfinite(snr).all()
 
 
@@ -168,8 +168,8 @@ def test_downlink_overspend_names_the_case_and_the_excess():
     # runs past the relay's budget and is refused with the amount.
     net = GaussNetwork((30, 20), (25, 15), (20, 10), (30, 15), 10)
     _, down, p = net._columns()
-    _, kept, _, _, errors = gaussian._allocate(
-        "downlink", down, p, gaussian._one((12.0, 6.0, 11.0, 5.0)), np.full((8, 1), 100.0)
+    _, kept, _, _, errors = hops._allocate(
+        "downlink", down, p, gaussnet._one((12.0, 6.0, 11.0, 5.0)), np.full((8, 1), 100.0)
     )
     assert kept.tolist() == [] and isinstance(errors[0], AllocationInvalidError)
     assert str(errors[0]).startswith(
@@ -282,17 +282,17 @@ def test_family_table_matches_reference(h, power, rates):
     # inequality, same lhs and rhs in its message.
     r = tuple(rates)
     up, down, p = net._columns()
-    for direction, terms in zip(("uplink", "downlink"), gaussian._hop_terms(up, down, p)):
-        error = gaussian._precondition_errors(direction, terms, gaussian._one(r)).get(0)
+    for direction, terms in zip(("uplink", "downlink"), gaussnet._hop_terms(up, down, p)):
+        error = hops._precondition_errors(direction, terms, gaussnet._one(r)).get(0)
         got = None if error is None else str(error)
         assert got == _first_failure(reference_require_preconditions, direction, net, r)
     # The SNRs each hop's allocator walks on, in session order, wherever a
     # zero-rate trial of the network in normalised order gets a split.
     ordered = reduce_orderings(net, (0.0,) * 4).net
     up, down, p = ordered._columns()
-    hops = zip(("uplink", "downlink"), (up, down), (ordered.uplink, ordered.downlink), gaussian._hop_terms(up, down, p))
-    for direction, mags, magnitudes, terms in hops:
-        _, kept, snr, _, _ = gaussian._allocate(direction, mags, p, gaussian._one((0.0,) * 4), terms)
+    per_hop = zip(("uplink", "downlink"), (up, down), (ordered.uplink, ordered.downlink), gaussnet._hop_terms(up, down, p))
+    for direction, mags, magnitudes, terms in per_hop:
+        _, kept, snr, _, _ = hops._allocate(direction, mags, p, gaussnet._one((0.0,) * 4), terms)
         if kept.size:
             assert tuple(snr[:, 0].tolist()) == reference_snrs(magnitudes, ordered.power)  # h * h * P
     # The sweep sampler's acceptance: SNR floor, then the exact 2-bit base check.
@@ -310,8 +310,8 @@ def test_precondition_rhs_is_the_hop_term_less_its_backoff(h, power):
     # rhs + TOL holds and the next float above it fails, naming the row.
     net = GaussNetwork(tuple(h[:2]), tuple(h[2:4]), tuple(h[4:6]), tuple(h[6:]), power)
     up, down, p = net._columns()
-    hop_terms = gaussian._hop_terms(up, down, p)
-    assert gaussian._min(*hop_terms)[:, 0].tolist() == list(family_rhs(net, True).values())
+    hop_terms = gaussnet._hop_terms(up, down, p)
+    assert gaussnet._min(*hop_terms)[:, 0].tolist() == list(family_rhs(net, True).values())
     families = [{k for k, c in enumerate(coefs) if c} for coefs in FAMILY_COEFS.values()]
     for direction, terms in zip(("uplink", "downlink"), hop_terms):
         for (name, sessions, backoff), (_, _, want) in zip(
@@ -325,7 +325,7 @@ def test_precondition_rhs_is_the_hop_term_less_its_backoff(h, power):
             for rate, fails in ((rhs + TOL, False), (math.nextafter(rhs + TOL, math.inf), True)):
                 r = [0.0] * 4
                 r[sessions[-1]] = rate
-                error = gaussian._precondition_errors(direction, only, gaussian._one(r)).get(0)
+                error = hops._precondition_errors(direction, only, gaussnet._one(r)).get(0)
                 assert (error.inequality if error else None) == (name if fails else None)
 
 
@@ -358,13 +358,13 @@ def test_cascade_preconditions_read_each_hops_terms_at_an_ulp(monkeypatch):
     rhs = awgn_capacity(h * h) - 2.0
     assert awgn_capacity(h**2) - 2.0 + TOL < target - 2.0 <= rhs + TOL < math.nextafter(target, math.inf) - 2.0
     net = GaussNetwork((100.0, 100.0), (100.0, 100.0), (2.0, 100.0), (h, 100.0), 1.0)
-    read, precondition_errors = {}, gaussian._precondition_errors
+    read, precondition_errors = {}, hops._precondition_errors
 
     def spy(direction, terms, r):
         read[direction] = terms[:, 0].tolist()
         return precondition_errors(direction, terms, r)
 
-    monkeypatch.setattr(gaussian, "_precondition_errors", spy)
+    monkeypatch.setattr(hops, "_precondition_errors", spy)
     report = verify_constant_gap(net, (target, 2.0, 2.0, 2.0))
     assert (report.stage, report.detail, report.normalized.net) == ("ok", "", net)
     families = [{k for k, c in enumerate(coefs) if c} for coefs in FAMILY_COEFS.values()]
@@ -392,9 +392,9 @@ def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
         calls.append("down")
         return downlink.walk(mags, snr, r)
 
-    uplink, downlink = gaussian._HOPS["uplink"], gaussian._HOPS["downlink"]
-    monkeypatch.setitem(gaussian._HOPS, "uplink", uplink._replace(checks=forced_checks))
-    monkeypatch.setitem(gaussian._HOPS, "downlink", downlink._replace(walk=recording_walk))
+    uplink, downlink = hops._HOPS["uplink"], hops._HOPS["downlink"]
+    monkeypatch.setitem(hops._HOPS, "uplink", uplink._replace(checks=forced_checks))
+    monkeypatch.setitem(hops._HOPS, "downlink", downlink._replace(walk=recording_walk))
     report = verify_constant_gap(snr_net(255.0), (4.0, 4.0, 4.0, 4.0))
     assert calls == ["up"]
     assert report.stage == "uplink-rate-check" and report.detail == "forced"
@@ -404,7 +404,7 @@ def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
 
 def test_precondition_names_match_reference():
     for direction, reference in PRECONDITIONS.items():
-        assert [row[0] for row in gaussian._PRECONDITIONS[direction]] == [row[0] for row in reference]
+        assert [row[0] for row in hops._PRECONDITIONS[direction]] == [row[0] for row in reference]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -632,7 +632,7 @@ def test_bound_gaps_refusal_names_the_first_bad_trial():
     planted = np.zeros((8, 3))
     planted[4, 1], planted[7, 1], planted[5, 2] = -0.5, 1.5, 2.0
     with pytest.raises(AssertionError) as info:
-        gaussian._bound_gaps(restricted + planted, restricted)
+        gaussnet._bound_gaps(restricted + planted, restricted)
     assert str(info.value) == "gap outside [0, 1]: {'R_A1+R_A2': -0.5, 'R_B1+R_A2': 1.5}"
 
 
@@ -765,12 +765,12 @@ def _allocation_montecarlo(seed, direction, allocate, rate_check):
         assert all(c.slack >= -1e-9 for c in checks), [c for c in checks if c.slack < -1e-9]
 
     up, down, p, r = (np.asarray(q) for q in _trial_columns(trials))
-    up_terms, down_terms = gaussian._hop_terms(up, down, p)
+    up_terms, down_terms = gaussnet._hop_terms(up, down, p)
     mags, terms = (up, up_terms) if direction == "uplink" else (down, down_terms)
-    splits, kept, snr, excess, errors = gaussian._allocate(direction, mags, p, r, terms)
+    splits, kept, snr, excess, errors = hops._allocate(direction, mags, p, r, terms)
     assert not errors and kept.tolist() == list(range(len(trials)))
     assert (excess <= 1e-9).all(), np.flatnonzero(excess > 1e-9)
-    for rows, checks in gaussian._HOPS[direction].checks(snr, splits):
+    for rows, checks in hops._HOPS[direction].checks(snr, splits):
         for name, lhs, rhs in checks:
             assert (rhs - lhs >= -1e-9).all(), (name, rows[rhs - lhs < -1e-9])
 
@@ -1032,7 +1032,7 @@ def test_sweep_streams_match_numpy(seed, indices, rounds, lo, hi):
     # to 9 draws, the first for every trial and each later one for a subset
     # (a mask over the trials), at most 40 draws in all.
     assume(hi >= lo)
-    streams = gaussian._Streams(seed, indices)
+    drawn = streams._Streams(seed, indices)
     oracles = [
         [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for _ in range(2)]
         for i in indices
@@ -1043,11 +1043,11 @@ def test_sweep_streams_match_numpy(seed, indices, rounds, lo, hi):
         if total > 40:
             break
         rows = [j for j in range(len(indices)) if n == 0 or mask >> j & 1] or list(range(len(indices)))
-        got = streams.draw(np.array(rows), k)
+        got = drawn.draw(np.array(rows), k)
         for row, j in zip(got, rows):
             doubles, uniform = oracles[j]
             assert np.array_equal(row.view(np.uint64), doubles.random(k).view(np.uint64))
-            assert np.array_equal(gaussian._uniform(lo, hi, row).view(np.uint64), uniform.uniform(lo, hi, k).view(np.uint64))
+            assert np.array_equal(streams._uniform(lo, hi, row).view(np.uint64), uniform.uniform(lo, hi, k).view(np.uint64))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1059,7 +1059,12 @@ def test_sweep_streams_match_numpy(seed, indices, rounds, lo, hi):
 @example(seed=2**1279 - 1)
 def test_seed_pool_is_numpys(seed):
     # Seeds of 1 to 40 32-bit words, on both sides of the four-word pool.
-    assert gaussian._seed_pool(seed)[0] == np.random.SeedSequence(seed).pool.tolist()
+    assert streams._seed_pool(seed)[0] == np.random.SeedSequence(seed).pool.tolist()
+
+
+# The modules of the Gaussian side: `gaussian` and the layers it took code
+# from.  A source guard reads them all.
+GAUSSIAN_MODULES = (gaussnet, hops, streams, gaussian)
 
 
 def _np_random_reads(source: str) -> list[tuple[str | None, str | None]]:
@@ -1083,10 +1088,11 @@ def test_streams_read_only_the_seed_pool_from_numpy_random():
     # A per-trial SeedSequence plus generate_state costs about 20 us, half a
     # sweep trial, and importing numpy.random costs a process about 10 ms and
     # 1.7 MB: `_Streams` mixes the seed's pool itself, once per block, and
-    # computes every stream itself.  The Gaussian module reads no numpy.random
-    # name: no SeedSequence, default_rng, Generator or PCG64.
-    source = Path(gaussian.__file__).read_text()
-    assert _np_random_reads(source) == []
+    # computes every stream itself.  No Gaussian module, `streams` among
+    # them, reads a numpy.random name: no SeedSequence, default_rng,
+    # Generator or PCG64.
+    for module in GAUSSIAN_MODULES:
+        assert _np_random_reads(Path(module.__file__).read_text()) == [], module.__name__
     for planted, use in (
         ("def _sample_networks(cfg):\n    return np.random.default_rng(cfg.seed)", ("_sample_networks", "default_rng")),
         ("class S:\n    def __init__(self, s):\n        self.bits = np.random.PCG64(s)", ("S.__init__", "PCG64")),
@@ -1113,7 +1119,8 @@ def test_no_private_gaussian_function_has_a_default():
     # Each private function has one call form, and its caller passes what
     # it needs: a default such as `terms=None` recomputed 12 capacity terms
     # per trial whenever a caller left them out.
-    assert _private_defaults(Path(gaussian.__file__).read_text()) == []
+    for module in GAUSSIAN_MODULES:
+        assert _private_defaults(Path(module.__file__).read_text()) == [], module.__name__
     planted = (
         "def _verify_columns(up, down, p, target, terms=None):\n    pass\n"
         "class _Hop:\n    def __init__(self, walk=None):\n        pass\n"
@@ -1257,12 +1264,12 @@ def _pipeline_verdicts(trials):
     uplink allocation, downlink allocation) from the batch pipeline; a hop
     the trial got no split from gives None."""
     up, down, p, r = (np.asarray(q) for q in _trial_columns(trials))
-    terms = gaussian._restricted_terms(up, down, p)
-    stage, excess, slack, detail, _, hops = gaussian._verify_columns(up, down, p, r, terms)
+    terms = gaussnet._restricted_terms(up, down, p)
+    stage, excess, slack, detail, _, reached = gaussian._verify_columns(up, down, p, r, terms)
     allocations = {hop: [None] * len(trials) for hop in ("uplink", "downlink")}
-    for hop, (rows, splits, _) in hops.items():
+    for hop, (rows, splits, _) in reached.items():
         for j, i in enumerate(rows.tolist()):
-            allocations[hop][i] = gaussian._HOPS[hop].allocation(splits, j)
+            allocations[hop][i] = hops._HOPS[hop].allocation(splits, j)
     return list(zip(stage.tolist(), excess.tolist(), slack.tolist(), detail, *allocations.values()))
 
 
@@ -1428,16 +1435,16 @@ def test_stacked_arrays_match_scalar_reference(trials):
 
     nets = [net for net, _, _ in trials]
     up, down, p, r = (np.asarray(q) for q in _trial_columns([(net, rates) for net, rates, _ in trials]))
-    restricted_terms = gaussian._restricted_terms(up, down, p)
-    cutset_terms = gaussian._cutset_terms(up, down, p, restricted_terms)
+    restricted_terms = gaussnet._restricted_terms(up, down, p)
+    cutset_terms = gaussnet._cutset_terms(up, down, p, restricted_terms)
     for restricted, terms in ((False, cutset_terms), (True, restricted_terms)):
         for i, net in enumerate(nets):
             same(tuple(terms[:, i].tolist()), tuple(family_rhs(net, restricted).values()))
-    sums = gaussian._session_sums(r)
+    sums = gaussnet._session_sums(r)
     for i, (_, rates, _) in enumerate(trials):
         same(tuple(sums[:, i].tolist()), tuple(family_sum(coefs, rates) for coefs in FAMILY_COEFS.values()))
-    for direction, terms in zip(("uplink", "downlink"), gaussian._hop_terms(up, down, p)):
-        errors = gaussian._precondition_errors(direction, terms, r)
+    for direction, terms in zip(("uplink", "downlink"), gaussnet._hop_terms(up, down, p)):
+        errors = hops._precondition_errors(direction, terms, r)
         for i, (net, rates, _) in enumerate(trials):
             assert (errors.get(i) and str(errors[i])) == _first_failure(
                 reference_require_preconditions, direction, net, tuple(rates)
@@ -1447,7 +1454,7 @@ def test_stacked_arrays_match_scalar_reference(trials):
     if not accepted:
         return
     d = np.array([trials[i][2] for i in accepted])
-    terms = gaussian._restricted_terms(up[:, accepted], down[:, accepted], p[accepted])
+    terms = gaussnet._restricted_terms(up[:, accepted], down[:, accepted], p[accepted])
     with np.errstate(over="ignore"):  # as in the sweep: a tiny step's room is inf
         walked = gaussian._boundary_rates(SimpleNamespace(draw=lambda rows, k: d[rows]), terms)
     walks = [(nets[i], tuple(walked[:, j].tolist())) for j, i in enumerate(accepted)]
