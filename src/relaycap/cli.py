@@ -299,6 +299,7 @@ _DET_CSV_HEADER = "trial,seed,verdict,pairs,n_ar,n_br,n_ra,n_rb,tuples_checked,f
 
 # CSV characters a sweep spools in memory; past them the spool moves to an
 # unnamed temporary file, so a sweep's memory does not grow with its trials.
+# The CSV is ASCII, spooled as bytes, so a copy to --out decodes no text.
 _SPOOL_CHARS = 1 << 16
 # The longest Gaussian CSV row, less its trial and seed fields: the verdict,
 # the longest stage ("downlink-allocation"), eleven floats at the 24
@@ -324,11 +325,12 @@ def _check_spool_room(cfg: SweepConfig) -> None:
 def _open_out(path: str | None):
     """The --out file, opened once before any sweep work so that an
     unwritable path is refused first: a missing file is created, and none is
-    truncated until `_write_out`.  A null context when there is no --out."""
+    truncated until `_write_out` copies the spool's bytes into it.  A null
+    context when there is no --out."""
     if not path:
         return contextlib.nullcontext()
     try:
-        return open(path, "a")
+        return open(path, "ab")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -337,10 +339,12 @@ def _write_out(out, path: str | None, spool) -> None:
     """Replace the contents of ``out``, `_open_out`'s file for ``path``, with
     the spooled CSV; write it to stdout when there is no file.  A file no
     longer at ``path`` (removed or replaced while the sweep ran) is refused,
-    as a write error, and left as it is."""
+    as a write error, and left as it is.  Both copies go by chunks, so a
+    spool in the temporary directory is never read whole."""
     spool.seek(0)
     if out is None:
-        shutil.copyfileobj(spool, sys.stdout)
+        for chunk in iter(functools.partial(spool.read, _SPOOL_CHARS), b""):
+            sys.stdout.write(chunk.decode())
         return
     try:
         if not os.path.samestat(os.fstat(out.fileno()), os.stat(path)):
@@ -390,7 +394,7 @@ def cmd_sweep(args) -> int:
         _check_spool_room(cfg)
     # Rows are spooled as they are made and copied out only once the sweep
     # has succeeded: a sweep that fails leaves no partial CSV.
-    with _open_out(args.out) as out, tempfile.SpooledTemporaryFile(_SPOOL_CHARS, "w+", newline="") as spool:
+    with _open_out(args.out) as out, tempfile.SpooledTemporaryFile(_SPOOL_CHARS, "w+b") as spool:
         try:
             summary, passed = _det_sweep(args, spool) if args.det else _gauss_sweep(cfg, spool)
         except OSError as exc:  # only the spool's temporary file does I/O here
@@ -403,7 +407,7 @@ def cmd_sweep(args) -> int:
 def _gauss_sweep(cfg: SweepConfig, spool):
     """Write the Gaussian sweep's CSV to ``spool`` block by block; return its
     summary fields and verdict, from running tallies."""
-    spool.write(_GAUSS_CSV_HEADER + "\n")
+    spool.write(_GAUSS_CSV_HEADER.encode() + b"\n")
     # The largest excess and gap so far, from 0.0: plain max() is exact, as both
     # columns hold floats in [0.0, 1 + TOL], none of them -0.0 (a test pins it).
     passed, peak_excess, peak_gap = 0, 0.0, 0.0
@@ -414,7 +418,7 @@ def _gauss_sweep(cfg: SweepConfig, spool):
         )
         verdicts = ["pass" if s == "ok" else "fail" for s in c.stage]
         rows = zip(map(str, c.trial), repeat(str(cfg.seed)), verdicts, c.stage, *(map(repr, f) for f in floats))
-        spool.write("\n".join(map(",".join, rows)) + "\n")
+        spool.write(("\n".join(map(",".join, rows)) + "\n").encode())
         passed += c.stage.count("ok")
         peak_excess, peak_gap = max([peak_excess, *c.max_alpha_excess]), max([peak_gap, *c.bound_gap])
         del c, floats, verdicts, rows  # released before `sweep_blocks` computes the next block
@@ -433,7 +437,7 @@ def _gauss_sweep(cfg: SweepConfig, spool):
 def _det_sweep(args, spool):
     """Write the deterministic sweep's CSV to ``spool`` trial by trial;
     return its summary fields and verdict."""
-    spool.write(_DET_CSV_HEADER + "\n")
+    spool.write(_DET_CSV_HEADER.encode() + b"\n")
     summary = {"mode": "deterministic", "tuples_checked": 0, "failures": 0}
     for trial in range(args.trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(trial,)))
@@ -453,20 +457,9 @@ def _det_sweep(args, spool):
                 failures += 1
         summary["failures"] += failures
         summary["tuples_checked"] += len(region)
-        spool.write(
-            ",".join(
-                [
-                    str(trial),
-                    str(args.seed),
-                    "pass" if failures == 0 else "fail",
-                    str(pairs),
-                    *(";".join(map(str, g)) for g in gains.values()),
-                    str(len(region)),
-                    str(failures),
-                ]
-            )
-            + "\n"
-        )
+        fields = [str(trial), str(args.seed), "pass" if failures == 0 else "fail", str(pairs)]
+        fields += [*(";".join(map(str, g)) for g in gains.values()), str(len(region)), str(failures)]
+        spool.write((",".join(fields) + "\n").encode())
     return summary, summary["failures"] == 0
 
 

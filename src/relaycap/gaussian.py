@@ -49,15 +49,16 @@ from .gaussnet import (
     _bound_gaps,
     _cutset_terms,
     _fold,
+    _hop_terms,
     _max,
     _min,
     _normalize,
     _normalized_problem,
     _one,
     _positive,
+    _pow2,
     _quiet,
     _rate_quad,
-    _restricted_terms,
     _row,
     _session_sums,
     awgn_capacity,
@@ -159,8 +160,8 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
     """
     target = _rate_quad(rates)
     up, down, p = net._columns()
-    terms = _restricted_terms(up, down, p)
-    stage, excess, slack, detail, normalized, hops = _verify_columns(up, down, p, _one(target), terms)
+    hop_terms = _hop_terms(up, down, p)
+    stage, excess, slack, detail, normalized, hops = _verify_columns(up, down, p, _one(target), hop_terms)
     reached = {
         hop: (_HOPS[hop].allocation(splits, 0), _single_checks(groups))
         for hop, (rows, splits, groups) in hops.items()
@@ -183,32 +184,35 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
     )
 
 
-def _verify_columns(up, down, p, target, terms):
-    """`verify_constant_gap` on session arrays, given their restricted
-    family ``terms``: the one constant-gap cascade.  The hops run masked,
-    and a trial leaves at its first failing stage, so a hop no trial
-    reaches is skipped.  Returns each trial's stage, largest budget excess,
-    smallest check slack and detail, as its report gives them;
-    `_normalize`'s columns; and per hop reached, the trials that got a
-    split, their `_Splits` and their check groups.  Raises where
-    `verify_constant_gap` raises, for some trial."""
+def _verify_columns(up, down, p, target, hop_terms):
+    """`verify_constant_gap` on session arrays, given their `_hop_terms`:
+    the one constant-gap cascade.  The hops run masked, and a trial leaves
+    at its first failing stage, so a hop no trial reaches is skipped.
+    Returns each trial's stage, largest budget excess, smallest check slack
+    and detail, as its report gives them; `_normalize`'s columns; and per
+    hop reached, the trials that got a split, their `_Splits` and their
+    check groups.  Raises where `verify_constant_gap` raises, for some
+    trial."""
     n = len(p)
     _require_hypothesis(target, up, down, p)
-    normalized = _normalize(up, down, p, target, terms)
+    normalized = _normalize(up, down, target, hop_terms)
     up, down, quad = normalized[:3]
     up_terms, down_terms = normalized[-1]
     r = _back_off(quad)
+    powers = _pow2(r)  # both hops' walks read it
 
     stage, detail = np.full(n, "ok", dtype=object), [""] * n
     excess, slack = np.zeros(n), np.full(n, math.inf)
     hops = {}
     rows = np.arange(n)  # the trials still at stage "ok"
-    for hop, mags, hop_terms in (("uplink", up, up_terms), ("downlink", down, down_terms)):
+    for hop, mags, terms in (("uplink", up, up_terms), ("downlink", down, down_terms)):
         if not rows.size:
             break
         # Past _normalize a precondition fails only by rounding, yet _allocate checks them all: uplink_allocate and
         # downlink_allocate need it, the cascade's ulp test spies on it, and a skip here would be a second code path.
-        splits, kept, snr, spent, errors = _allocate(hop, mags[:, rows], p[rows], r[:, rows], hop_terms[:, rows])
+        splits, kept, snr, spent, errors = _allocate(
+            hop, mags[:, rows], p[rows], r[:, rows], powers[:, rows], terms[:, rows]
+        )
         for i, e in errors.items():
             stage[rows[i]], detail[rows[i]] = f"{hop}-allocation", str(e)
         rows = rows[kept]
@@ -329,10 +333,10 @@ class GapReport:
 def _accepts(up, down, p) -> tuple[np.ndarray, np.ndarray]:
     """Which networks the sampler keeps: every link clears the SNR floor
     and the 2-bit base point (2, 2, 2, 2) lies in the restricted region,
-    compared exactly.  Also gives the restricted family terms."""
-    h, terms = np.concatenate([up, down]), _restricted_terms(up, down, p)
+    compared exactly.  Also gives the networks' `_hop_terms`."""
+    h, hop_terms = np.concatenate([up, down]), _hop_terms(up, down, p)
     floor = (h * h * p).min(axis=0)  # finite and positive: every draw passed the network's checks
-    return (floor >= MIN_LINK_SNR) & (terms >= _BASE_SUMS).all(axis=0), terms
+    return (floor >= MIN_LINK_SNR) & (_min(*hop_terms) >= _BASE_SUMS).all(axis=0), hop_terms
 
 
 @_quiet
@@ -352,12 +356,12 @@ def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]
     `_ROUND` doubles from each pending trial's stream (`np.exp` of 8
     magnitude uniforms, then of a power uniform) and tests the round at once;
     the next round redraws the rejected trials.  Returns the magnitudes (one
-    row per link, one column per trial), the powers and the restricted
-    family terms of the kept networks."""
+    row per link, one column per trial), the powers and the `_hop_terms` of
+    the kept networks."""
     lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
     lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
     n = len(indices)
-    h, p, terms = np.empty((8, n)), np.empty(n), np.empty((8, n))
+    h, p, hop_terms = np.empty((8, n)), np.empty(n), np.empty((2, 8, n))
     rows = np.arange(n)
     for _ in range(MAX_SAMPLE_DRAWS):
         d = streams.draw(rows, _ROUND)
@@ -371,10 +375,10 @@ def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]
             h_j = hp[:, j].tolist()
             GaussNetwork(h_j[0:2], h_j[2:4], h_j[4:6], h_j[6:8], pp[j].item())
         ok, t = _accepts(*_sessions(hp), pp)
-        terms[:, rows] = t
+        hop_terms[:, :, rows] = t
         rows = rows[~ok]
         if not rows.size:
-            return h, p, terms
+            return h, p, hop_terms
     error = ValueError(
         f"trial {indices[rows[0]]}: none of {MAX_SAMPLE_DRAWS} sampled networks met the SNR "
         "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"
@@ -407,10 +411,11 @@ def _boundary_rates(streams: _Streams, terms: np.ndarray) -> np.ndarray:
 def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> SweepColumns:
     """The trials ``indices`` of the sweep, as one batch."""
     streams = _Streams(cfg.seed, indices)
-    h, p, terms = _sample_networks(cfg, streams, indices)
+    h, p, hop_terms = _sample_networks(cfg, streams, indices)
+    terms = _min(*hop_terms)
     rates = _boundary_rates(streams, terms)
     up, down = _sessions(h)
-    stage, excess, slack, *_ = _verify_columns(up, down, p, rates, terms)
+    stage, excess, slack, *_ = _verify_columns(up, down, p, rates, hop_terms)
     # Both bounds share the single-family terms, so their gaps are 0.0.
     gaps = _bound_gaps(_cutset_terms(up, down, p, terms), terms)
     gap = _fold(_max, [0.0, *gaps])

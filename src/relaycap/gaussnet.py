@@ -23,15 +23,22 @@ Python does, in each formula's own association order; Python's max(a, b)
 and min(a, b) are `_max` and `_min`, which keep its pick on ties, NaN and
 signed zero (a plain np.min or np.max only where every input is finite and
 never -0.0 by validation); and every log and every `**` is Python's own
-call, entry by entry through `_each` (`_capacity` and `_lattice_cap` too),
-since numpy's differ from libm's in the last bit.  A value two formulas
-share exactly is computed once: C(max(a, b) P) is whichever of C(a P) and
-C(b P) max picks, and the single-family terms of both bounds are one formula.
-The region checks run this batch code on a batch of one.
+call, entry by entry through `_each` (`_capacity`, `_lattice_cap` and
+`_pow2` too), since numpy's differ from libm's in the last bit.  A map
+costs a numpy call or two however many entries it has, so each stage makes
+as few as it can: a hop's decoding checks map each cap function once per
+case (`hops._chain_checks`).  A value two formulas share exactly is
+computed once: C(max(a, b) P) is whichever of C(a P) and C(b P) max
+picks; the single-family terms of both bounds are one formula; and the
+normalised network's `_hop_terms` are gathered from the input's, since
+each normalised session takes the float of one input session
+(`_normalize`).  The region checks run this batch code on a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -157,6 +164,14 @@ _quiet = np.errstate(over="ignore", invalid="ignore")
 # families come first, one per session in session order.
 _PAIR_S, _PAIR_T = map(np.array, zip(*(sessions for _, sessions, _, _ in _FAMILIES[4:])))
 _PAIR_SWAP = [2, 3, 0, 1]  # a session 4-tuple with pair 1 and pair 2 exchanged
+_SIDE_SWAP = np.array([[1], [0], [3], [2]])  # the sessions with each pair's sides exchanged
+_SAME = np.arange(4)[:, None]
+# Each family's first and last session (a single family's one session), and
+# `_FAMILY_OF[s, t]`, the family of sessions s and t either way round (-1
+# for two sessions of one pair, which no family sums).
+_FIRST, _LAST = map(np.array, zip(*((sessions[0], sessions[-1]) for _, sessions, _, _ in _FAMILIES)))
+_FAMILY_OF = np.full((4, 4), -1)
+_FAMILY_OF[_FIRST, _LAST] = _FAMILY_OF[_LAST, _FIRST] = range(len(_FAMILIES))
 # Each family's sum at the 2-bit base point (2, 2, 2, 2).
 _BASE_SUMS = np.array([[2.0 * len(sessions)] for _, sessions, _, _ in _FAMILIES])
 
@@ -184,9 +199,9 @@ def _fold(pick, columns):
     return out
 
 
-def _each(fn, x: np.ndarray) -> np.ndarray:
-    """The Python call ``fn`` on each entry."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+def _each(fn, x: np.ndarray, *args) -> np.ndarray:
+    """The Python call ``fn(entry, *args)`` on each entry."""
+    return np.fromiter(map(fn, x.ravel().tolist(), *map(itertools.repeat, args)), float, x.size).reshape(x.shape)
 
 
 def _capacity(x: np.ndarray) -> np.ndarray:
@@ -197,15 +212,42 @@ def _capacity(x: np.ndarray) -> np.ndarray:
 
 
 def _lattice_cap(x: np.ndarray) -> np.ndarray:
-    """`lattice_rate_cap` per entry."""
-    return _each(lattice_rate_cap, x)
+    """`lattice_rate_cap` per entry: log2 of 1 wherever x <= 1 is 0.0, and
+    np.maximum keeps a NaN."""
+    return _each(math.log2, np.maximum(x, 1.0))
+
+
+def _pow2(r: np.ndarray) -> np.ndarray:
+    """``2.0 ** r`` per entry, and inf from r = 1024 up, where Python's
+    overflows and raises: every such rate fails its hop's rate
+    preconditions before a walk reads its power."""
+    big = r >= 1024.0
+    return np.where(big, math.inf, _each(functools.partial(pow, 2.0), np.where(big, 0.0, r)))
 
 
 def _divide(a, b):
     """``a / b``, raising as Python's float division does where ``b`` is 0."""
-    if np.any(b == 0):
+    if (b == 0).any():
         raise ZeroDivisionError("float division by zero")
     return a / b
+
+
+def _cap_quotients(parts) -> np.ndarray:
+    """``cap(_divide(num, den))`` of each (num, den, cap) of ``parts``, one
+    row each, with one `_divide` over all of them and one map per cap
+    function.  On an error it calls them part by part, in order, and so
+    raises what the first part to raise raises."""
+    num, den = np.array([n for n, _, _ in parts]), np.array([d for _, d, _ in parts])
+    try:
+        x = _divide(num, den)
+        for cap in dict.fromkeys(cap for _, _, cap in parts):
+            at = [i for i, part in enumerate(parts) if part[2] is cap]
+            x[at] = cap(x[at])
+    except (ZeroDivisionError, ValueError):
+        for n, d, cap in parts:
+            cap(_divide(n, d))
+        raise
+    return x
 
 
 def _row(columns, i: int) -> tuple:
@@ -220,8 +262,8 @@ def _session_sums(rates: np.ndarray) -> np.ndarray:
     return np.concatenate([single, single[_PAIR_S] + rates[_PAIR_T]])
 
 
-def _hop_terms(up, down, p) -> tuple[np.ndarray, np.ndarray]:
-    """Each family's restricted uplink and downlink term, (8, n) each: a
+def _hop_terms(up, down, p) -> np.ndarray:
+    """Each family's restricted uplink and downlink term, (2, 8, n): a
     single session's C(|h|^2 P) on either hop; a pair's C((|h_s|^2 +
     |h_t|^2) P) on the uplink and C(max(|h_s|^2, |h_t|^2) P) on the
     downlink.  The restricted region is their minimum, and each hop's rate
@@ -231,7 +273,7 @@ def _hop_terms(up, down, p) -> tuple[np.ndarray, np.ndarray]:
     single_down = caps[4:8]
     # C(max(a, b) P) is C(a P) or C(b P), whichever max picks.
     pair_down = np.where(down2[_PAIR_T] > down2[_PAIR_S], single_down[_PAIR_T], single_down[_PAIR_S])
-    return np.concatenate([caps[:4], caps[8:]]), np.concatenate([single_down, pair_down])
+    return np.array([np.concatenate([caps[:4], caps[8:]]), np.concatenate([single_down, pair_down])])
 
 
 def _restricted_terms(up, down, p) -> np.ndarray:
@@ -243,7 +285,7 @@ def _cutset_terms(up, down, p, restricted: np.ndarray) -> np.ndarray:
     """Each family's cut-set term, (8, n), from its ``restricted`` terms:
     the single families share them, and a pair's adds amplitudes on the
     uplink and powers on the downlink, the minimum of the two hops."""
-    sum2, down2 = _each(lambda x: x ** 2, up[_PAIR_S] + up[_PAIR_T]), down * down
+    sum2, down2 = _each(pow, up[_PAIR_S] + up[_PAIR_T], 2.0), down * down  # pow(x, 2.0) is x ** 2
     caps = _capacity(np.concatenate([sum2 * p, (down2[_PAIR_S] + down2[_PAIR_T]) * p]))
     return np.concatenate([restricted[:4], _min(caps[:4], caps[4:])])
 
@@ -369,29 +411,38 @@ class NormalizedProblem:
     clamped: tuple[str, ...]
 
 
-def _normalize(up, down, p, rates, terms):
-    """`reduce_orderings` on columns, given the input's restricted family
-    ``terms``: the normalised session arrays and rates, each pair's side
-    swap, the clamps (name and where applied), the pair swap and the
-    normalised network's `_hop_terms`."""
-    outside, slacks = _outside(terms, rates)
+def _normalize(up, down, rates, hop_terms):
+    """`reduce_orderings` on columns, given the input's `_hop_terms`: the
+    normalised session arrays and rates, each pair's side swap, the clamps
+    (name and where applied), the pair swap and the normalised network's
+    `_hop_terms`, gathered from the input's."""
+    outside, slacks = _outside(_min(*hop_terms), rates)
     if outside.any():
         names = ", ".join(_violated_names(slacks, outside.argmax()))
         raise InfeasibleRatesError(f"rates outside the restricted cut-set region ({names})")
 
-    # The session arrays stacked as (uplink, downlink, rates): a side swap
-    # exchanges a pair's two sessions, a clamp lowers the B session's uplink
-    # or downlink (|h_BiR|, |h_RAi|) to the A session's, and a pair swap
-    # exchanges the two pairs.
-    q = np.stack([up, down, rates])
+    # Each normalised session takes the float of one input session, its
+    # source, in each of (uplink, downlink, rates): a side swap exchanges a
+    # pair's two sessions, a clamp lowers the B session's uplink or downlink
+    # (|h_BiR|, |h_RAi|) to the A session's, and a pair swap exchanges the
+    # two pairs.
+    q = np.array([up, down, rates])
     side_swapped = rates[1::2] > rates[0::2]  # one row per pair
-    q = np.where(np.repeat(side_swapped, 2, axis=0), q[:, [1, 0, 3, 2]], q)
-    clamp = q[:2, 1::2] > q[:2, 0::2]  # (hop, pair, trial)
-    q[:2, 1::2] = np.where(clamp, q[:2, 0::2], q[:2, 1::2])
-    pairs_swapped = q[0, 2] > q[0, 0]
-    up, down, r = _swap_pairs(q, pairs_swapped)
+    src = np.array([np.where(np.repeat(side_swapped, 2, axis=0), _SIDE_SWAP, _SAME)] * 3)
+    mags = np.take_along_axis(q[:2], src[:2], 1)
+    clamp = mags[:, 1::2] > mags[:, 0::2]  # (hop, pair, trial)
+    src[:2, 1::2] = np.where(clamp, src[:2, 0::2], src[:2, 1::2])
+    pairs_swapped = mags[0, 2] > mags[0, 0]
+    src = _swap_pairs(src, pairs_swapped)
+    up, down, r = np.take_along_axis(q, src, 1)
+    # So each family's normalised term on a hop is the input's term of its
+    # sessions' sources there, bit for bit: the same floats enter, a pair
+    # family's two sources lie one in each pair (a pair family too), and a
+    # pair term reads its two sessions either way round: a + b == b + a in
+    # IEEE, and C(max(a, b) P) picks the term of the larger square (on a tie
+    # the two terms are one float).
+    hop_terms = np.take_along_axis(hop_terms, _FAMILY_OF[src[:2, _FIRST], src[:2, _LAST]], 1)
 
-    hop_terms = _hop_terms(up, down, p)
     outside, slacks = _outside(_min(*hop_terms), r)
     if outside.any():
         raise AssertionError(
@@ -419,7 +470,7 @@ def _normalized_problem(net: GaussNetwork, normalized) -> NormalizedProblem:
 @_quiet
 def reduce_orderings(net: GaussNetwork, rates: Sequence[float]) -> NormalizedProblem:
     up, down, p = net._columns()
-    return _normalized_problem(net, _normalize(up, down, p, _one(_rate_quad(rates)), _restricted_terms(up, down, p)))
+    return _normalized_problem(net, _normalize(up, down, _one(_rate_quad(rates)), _hop_terms(up, down, p)))
 
 
 def _swap_pairs(q: np.ndarray, swapped) -> np.ndarray:

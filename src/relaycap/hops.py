@@ -15,14 +15,17 @@ relay, at SNR 1).  One walker, `_walk`, spends bottom-up exactly the power
 each stream's rate requires given the interference still standing under
 it, and one checker, `_chain_checks`, walks the same stages.
 
-`_allocate` runs one hop for a batch of trials, and `_HOPS` gives the
-constant-gap cascade each hop's functions.  The allocators and rate checks
-run the batch code on a batch of one.
+Each libm map costs a numpy call or two whatever its length, so the hops
+make few: `_chain_checks` stacks each case's (check, receiver) quotients
+for one division and one map per cap function, and the walks read 2^r,
+which the constant-gap cascade computes once for both hops.  `_allocate`
+runs one hop for a batch of trials, and `_HOPS` gives the cascade each
+hop's functions.  The allocators and rate checks run the batch code on a
+batch of one.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -36,15 +39,15 @@ from .gaussnet import (
     ConstraintCheck,
     GaussNetwork,
     InfeasibleRatesError,
+    _cap_quotients,
     _capacity,
-    _divide,
-    _each,
     _fold,
     _hop_terms,
     _lattice_cap,
     _max,
     _min,
     _one,
+    _pow2,
     _quiet,
     _rate_quad,
     _row,
@@ -99,13 +102,14 @@ def _precondition_errors(direction: str, terms, r) -> dict[int, InfeasibleRatesE
     return errors
 
 
-def _allocate(direction: str, mags, p, r, terms):
-    """Walk each trial's cancellation chain for the hop.  A trial is refused
-    before any split at the SNR floor, then at the hop's first failed rate
-    precondition (from ``terms``, the hop's `_hop_terms`), and after it
-    where the split overspends.  Returns the splits of the trials that get
-    one, their positions in the batch, SNRs and budget excess, and the
-    refused trials' errors."""
+def _allocate(direction: str, mags, p, r, powers, terms):
+    """Walk each trial's cancellation chain for the hop at rates ``r``,
+    whose `_pow2` are ``powers``.  A trial is refused before any split at the
+    SNR floor, then at the hop's first failed rate precondition (from
+    ``terms``, the hop's `_hop_terms`), and after it where the split
+    overspends.  Returns the splits of the trials that get one, their
+    positions in the batch, SNRs and budget excess, and the refused trials'
+    errors."""
     unsorted = (r[1::2] > r[0::2] + TOL).any(axis=0)
     if unsorted.any():
         raise ValueError(f"rates {_row(r, unsorted.argmax())} not normalized: each pair needs r_A >= r_B")
@@ -116,7 +120,7 @@ def _allocate(direction: str, mags, p, r, terms):
         errors[i] = LowPowerError(f"{direction} |h|^2 P floor {floor[i].item():.4g} below {MIN_PROVEN_SNR}")
     rows = np.delete(np.arange(len(p)), list(errors))
     hop = _HOPS[direction]
-    splits = hop.walk(mags[:, rows], snr[:, rows], r[:, rows])
+    splits = hop.walk(mags[:, rows], snr[:, rows], r[:, rows], powers[:, rows])
     excess = hop.excess(splits.alpha)
     over = excess > TOL
     for i in np.flatnonzero(over).tolist():
@@ -155,16 +159,22 @@ def _chain_checks(chains, checks, case, power, g, rates):
     """Each trial's decoding checks, ``checks[case]``, per case present:
     its trials' positions and (name, lhs, rhs) columns.  A check sums its
     streams' rates and powers p, and takes the least cap(g p / (1 + g q))
-    over the receivers of its first stream's stage, as min() picks it."""
+    over the receivers of its first stream's stage, as min() picks it.  A
+    case's receivers are stacked, for one `_divide` and one map per cap
+    function (`_cap_quotients`)."""
     for c, rows in _by_case(case):
         pc, gc, rc = power[:, rows], g[:, rows], rates[:, rows]
         receivers = dict(chains[c])
-        out = []
-        for name, streams, cap in checks[c]:
+        stages = [receivers[streams[0]] for _, streams, _ in checks[c]]
+        parts = []
+        for (_, streams, cap), stage in zip(checks[c], stages):
             p = _fold(np.add, [pc[s] for s in streams])
-            caps = [cap(_divide(gc[k] * p, 1.0 + gc[k] * under(pc))) for k, under in receivers[streams[0]]]
-            out.append((name, _fold(np.add, [rc[s] for s in streams]), _fold(_min, caps)))
-        yield rows, out
+            parts += [(gc[k] * p, 1.0 + gc[k] * under(pc), cap) for k, under in stage]
+        caps = iter(_cap_quotients(parts))
+        yield rows, [
+            (name, _fold(np.add, [rc[s] for s in streams]), _fold(_min, [next(caps) for _ in stage]))
+            for (name, streams, _), stage in zip(checks[c], stages)
+        ]
 
 
 # --- Uplink ------------------------------------------------------------------
@@ -263,11 +273,10 @@ _UPLINK_CHECKS = {
 }
 
 
-def _walk_uplink(mags, snr, r) -> _Splits:
+def _walk_uplink(mags, snr, r, powers) -> _Splits:
     """The uplink power splits of each trial's case, walking its chain in
-    `_UPLINK_CHAINS` from the bottom."""
+    `_UPLINK_CHAINS` from the bottom; ``powers`` are 2^r."""
     case = classify_case(mags, "uplink")
-    powers = _each(functools.partial(pow, 2.0), r)
     u, s, v, w = powers
 
     # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.  In a MAC, x_A1's
@@ -308,7 +317,8 @@ def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     codewords arrive level.
     """
     up, down, p = net._columns()
-    splits, *_, errors = _allocate("uplink", up, p, _one(_rate_quad(r)), _hop_terms(up, down, p)[0])
+    r = _one(_rate_quad(r))
+    splits, *_, errors = _allocate("uplink", up, p, r, _pow2(r), _hop_terms(up, down, p)[0])
     if errors:  # a batch of one's refusal
         raise errors[0]
     return _uplink_allocation(splits, 0)
@@ -408,15 +418,14 @@ _DOWNLINK_CHECKS = dict.fromkeys(_CASES, (
 ))
 
 
-def _walk_downlink(mags, snr, r) -> _Splits:
+def _walk_downlink(mags, snr, r, powers) -> _Splits:
     """The relay's power split of each trial's case, walking its chain in
-    `_DOWNLINK_CHAINS` from the bottom.  The chains take pair 1 to be the
-    pair with the stronger shared-stream receiver."""
+    `_DOWNLINK_CHAINS` from the bottom; ``powers`` are 2^r.  The chains take
+    pair 1 to be the pair with the stronger shared-stream receiver."""
     swapped = mags[2] > mags[0]
-    r, mags, snr = _swap_pairs(np.stack([r, mags, snr]), swapped)
+    r, powers, mags, snr = _swap_pairs(np.array([r, powers, mags, snr]), swapped)
     case = classify_case(mags, "downlink")
 
-    powers = _each(functools.partial(pow, 2.0), r)
     need = powers - 1.0
     need[0::2] = powers[0::2] / powers[1::2] - 1.0
     rates = r.copy()
@@ -448,7 +457,8 @@ def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocati
     permit.
     """
     up, down, p = net._columns()
-    splits, *_, errors = _allocate("downlink", down, p, _one(_rate_quad(r)), _hop_terms(up, down, p)[1])
+    r = _one(_rate_quad(r))
+    splits, *_, errors = _allocate("downlink", down, p, r, _pow2(r), _hop_terms(up, down, p)[1])
     if errors:  # a batch of one's refusal
         raise errors[0]
     return _downlink_allocation(splits, 0)
@@ -475,7 +485,7 @@ def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[C
 
 
 class _Hop(NamedTuple):
-    walk: Callable  # (magnitudes, SNRs, rates) -> _Splits
+    walk: Callable  # (magnitudes, SNRs, rates, 2^rates) -> _Splits
     excess: Callable  # alpha rows -> budget excess
     overspend: Callable  # (splits, trial, excess) -> AllocationInvalidError text
     checks: Callable  # (SNRs, splits) -> per case: trials, (name, lhs, rhs)

@@ -158,8 +158,9 @@ def test_network_squares_finite_below_the_overflow_bound():
     assert all(math.isfinite(g) for g in restricted_bound_gaps(net).values())
     assert all(math.isfinite(x) for x in reference_link_snrs(net))
     up, down, p = net._columns()
+    r = gaussnet._one((0.0,) * 4)
     for direction, mags, terms in zip(("uplink", "downlink"), (up, down), gaussnet._hop_terms(up, down, p)):
-        _, kept, snr, _, errors = hops._allocate(direction, mags, p, gaussnet._one((0.0,) * 4), terms)
+        _, kept, snr, _, errors = hops._allocate(direction, mags, p, r, gaussnet._pow2(r), terms)
         assert not errors and kept.tolist() == [0] and np.isfinite(snr).all()
 
 
@@ -168,9 +169,8 @@ def test_downlink_overspend_names_the_case_and_the_excess():
     # runs past the relay's budget and is refused with the amount.
     net = GaussNetwork((30, 20), (25, 15), (20, 10), (30, 15), 10)
     _, down, p = net._columns()
-    _, kept, _, _, errors = hops._allocate(
-        "downlink", down, p, gaussnet._one((12.0, 6.0, 11.0, 5.0)), np.full((8, 1), 100.0)
-    )
+    r = gaussnet._one((12.0, 6.0, 11.0, 5.0))
+    _, kept, _, _, errors = hops._allocate("downlink", down, p, r, gaussnet._pow2(r), np.full((8, 1), 100.0))
     assert kept.tolist() == [] and isinstance(errors[0], AllocationInvalidError)
     assert str(errors[0]).startswith(
         "downlink case I relay budget exceeded by 932 (alphas (0.007, 0.448, 28.693, 903.60"
@@ -195,6 +195,21 @@ def test_lattice_cap_clamps():
     assert lattice_rate_cap(0.0) == 0.0
     assert lattice_rate_cap(0.5) == 0.0
     assert lattice_rate_cap(8.0) == 3.0
+
+
+def test_column_rate_functions_give_the_python_calls_bits():
+    # (log2 x)+ as log2 of np.maximum(x, 1.0), C(x) and 2.0 ** r, bit for
+    # bit, on their edges and on a spread of values; 2.0 ** r reads inf
+    # where Python's overflows and raises.
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 5e-324, math.inf, -math.inf, math.nan]
+    x = np.concatenate([edges, np.exp(rng.uniform(-700.0, 700.0, 500)), rng.uniform(-2.0, 4.0, 500)])
+    assert gaussnet._lattice_cap(x).tobytes() == np.array([lattice_rate_cap(v) for v in x.tolist()]).tobytes()
+    x = x[~(x < 0)]
+    assert gaussnet._capacity(x).tobytes() == np.array([awgn_capacity(v) for v in x.tolist()]).tobytes()
+    r = np.concatenate([[-1e-9, -0.0, math.nextafter(1024.0, 0.0), math.inf, math.nan], rng.uniform(0.0, 60.0, 500)])
+    assert gaussnet._pow2(r).tobytes() == np.array([2.0**v for v in r.tolist()]).tobytes()
+    assert gaussnet._pow2(np.array([1024.0, 1e300])).tolist() == [math.inf, math.inf]
 
 
 # --- regions ------------------------------------------------------------------
@@ -291,8 +306,9 @@ def test_family_table_matches_reference(h, power, rates):
     ordered = reduce_orderings(net, (0.0,) * 4).net
     up, down, p = ordered._columns()
     per_hop = zip(("uplink", "downlink"), (up, down), (ordered.uplink, ordered.downlink), gaussnet._hop_terms(up, down, p))
+    r = gaussnet._one((0.0,) * 4)
     for direction, mags, magnitudes, terms in per_hop:
-        _, kept, snr, _, _ = hops._allocate(direction, mags, p, gaussnet._one((0.0,) * 4), terms)
+        _, kept, snr, _, _ = hops._allocate(direction, mags, p, r, gaussnet._pow2(r), terms)
         if kept.size:
             assert tuple(snr[:, 0].tolist()) == reference_snrs(magnitudes, ordered.power)  # h * h * P
     # The sweep sampler's acceptance: SNR floor, then the exact 2-bit base check.
@@ -388,9 +404,9 @@ def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
         n = snr.shape[1]
         return [(np.arange(n), [("forced", np.ones(n), np.zeros(n))])]
 
-    def recording_walk(mags, snr, r):
+    def recording_walk(mags, snr, r, powers):
         calls.append("down")
-        return downlink.walk(mags, snr, r)
+        return downlink.walk(mags, snr, r, powers)
 
     uplink, downlink = hops._HOPS["uplink"], hops._HOPS["downlink"]
     monkeypatch.setitem(hops._HOPS, "uplink", uplink._replace(checks=forced_checks))
@@ -586,11 +602,38 @@ def test_downlink_rate_check_refuses_an_allocation_of_another_case():
         downlink_rate_check(_CASE_I_NET, other)
 
 
+@pytest.mark.parametrize(
+    "allocate, reference",
+    [(uplink_allocate, reference_uplink_allocate), (downlink_allocate, reference_downlink_allocate)],
+)
+def test_allocators_refuse_a_rate_whose_power_overflows_at_its_precondition(allocate, reference):
+    # 2.0 ** 1024 overflows, and Python raises.  The walks read 2^r only of
+    # the rates that meet the hop's preconditions, and no such rate comes
+    # near 1024, so a larger one is refused by its precondition.
+    for rates in ((1024.0, 0.0, 0.0, 0.0), (2.0, 1.0, 1e300, 0.0)):
+        with pytest.raises(InfeasibleRatesError):
+            allocate(_CASE_I_NET, rates)
+        assert _outcome(allocate, _CASE_I_NET, rates) == _outcome(reference, _CASE_I_NET, rates)
+
+
 def test_uplink_rate_check_divides_by_a_zero_noise_as_python_does():
     # W = alpha_b2 |h_B2R|^2 P = -0.5 exactly, so x_A2's noise 2 W + 1 is 0:
     # the checks before it pass, and its division raises.
     alloc = replace(uplink_allocate(_CASE_I_NET, _CASE_I_RATES), alpha_b2=-0.5 / 16.0)
     with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+        uplink_rate_check(_CASE_I_NET, alloc)
+    assert _outcome(uplink_rate_check, _CASE_I_NET, alloc) == _outcome(reference_uplink_rate_check, _CASE_I_NET, alloc)
+
+
+def test_uplink_rate_check_raises_at_its_first_offending_check():
+    # A negative x_A1 Gaussian fraction makes the first check's capacity
+    # argument negative, and W = -0.5 zeroes the third check's noise, as
+    # above.  The checks raise in decoding order, so the first one's error
+    # wins, although a division over the case's stacked checks meets the
+    # zero before any capacity is taken.
+    alloc = uplink_allocate(_CASE_I_NET, _CASE_I_RATES)
+    alloc = replace(alloc, alpha_a1=(-0.1, alloc.alpha_a1[1]), alpha_b2=-0.5 / (4.0**2 * 1.0))
+    with pytest.raises(ValueError, match=r"^capacity argument must be non-negative, got -1\.3177253570392613$"):
         uplink_rate_check(_CASE_I_NET, alloc)
     assert _outcome(uplink_rate_check, _CASE_I_NET, alloc) == _outcome(reference_uplink_rate_check, _CASE_I_NET, alloc)
 
@@ -683,6 +726,23 @@ def test_reduce_orderings_swaps_sides_and_pairs():
     assert norm.net.h_ar[0] >= norm.net.h_ar[1]
 
 
+def test_normalized_hop_terms_are_gathered_bit_for_bit():
+    # `_normalize` gathers the normalised network's `_hop_terms` from the
+    # input's rather than computing them again: on networks whose
+    # magnitudes tie or differ by an ulp, and whose rates call for every
+    # side swap, clamp and pair swap, the gathered terms are the computed
+    # ones, bit for bit.
+    rng = np.random.default_rng(5)
+    n = 2000
+    values = np.array([2.0, 3.0, math.nextafter(3.0, 4.0), 7.5, 40.0])
+    up, down = values[rng.integers(0, 5, (4, n))], values[rng.integers(0, 5, (4, n))]
+    p = np.array([1.0, 2.5])[rng.integers(0, 2, n)]
+    rates = np.array([0.0, 0.5, 1.0])[rng.integers(0, 3, (4, n))]  # inside every region here
+    up, down, _, side, clamps, pairs, hop_terms = gaussnet._normalize(up, down, rates, gaussnet._hop_terms(up, down, p))
+    assert hop_terms.tobytes() == gaussnet._hop_terms(up, down, p).tobytes()
+    assert side.any() and pairs.any() and all(clamp.any() for _, clamp in clamps)
+
+
 def test_reduce_orderings_requires_membership():
     with pytest.raises(InfeasibleRatesError):
         reduce_orderings(snr_net(15.0), (9.0, 0.0, 0.0, 0.0))
@@ -767,7 +827,7 @@ def _allocation_montecarlo(seed, direction, allocate, rate_check):
     up, down, p, r = (np.asarray(q) for q in _trial_columns(trials))
     up_terms, down_terms = gaussnet._hop_terms(up, down, p)
     mags, terms = (up, up_terms) if direction == "uplink" else (down, down_terms)
-    splits, kept, snr, excess, errors = hops._allocate(direction, mags, p, r, terms)
+    splits, kept, snr, excess, errors = hops._allocate(direction, mags, p, r, gaussnet._pow2(r), terms)
     assert not errors and kept.tolist() == list(range(len(trials)))
     assert (excess <= 1e-9).all(), np.flatnonzero(excess > 1e-9)
     for rows, checks in hops._HOPS[direction].checks(snr, splits):
@@ -1103,6 +1163,50 @@ def test_streams_read_only_the_seed_pool_from_numpy_random():
         assert _np_random_reads(planted) == [use], planted
 
 
+# numpy's transcendental functions: each rounds differently from libm on
+# some inputs, and so differs from the Python calls the one-trial formulas
+# make.
+_NP_TRANSCENDENTALS = frozenset(
+    "log log2 log10 log1p logaddexp logaddexp2 exp exp2 expm1 power float_power pow cbrt hypot sinc "
+    "sin cos tan arcsin arccos arctan arctan2 asin acos atan atan2 "
+    "sinh cosh tanh arcsinh arccosh arctanh asinh acosh atanh".split()
+)
+
+
+def _np_transcendentals(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing def, dotted under its class, and the name) of each read
+    of a numpy transcendental: `np.X` or `numpy.X`, called or not, and each
+    import of one from numpy."""
+    found = []
+    for node, scopes, _ in guards.walk(source):
+        owner = ".".join(name for _, name in scopes) or None
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(owner, alias.name) for alias in node.names if alias.name in _NP_TRANSCENDENTALS]
+        elif getattr(node, "attr", None) in _NP_TRANSCENDENTALS and getattr(node.value, "id", None) in ("np", "numpy"):
+            found.append((owner, node.attr))
+    return found
+
+
+def test_no_module_calls_a_numpy_transcendental_but_the_samplers_exp():
+    # Every log and every `**` of the pipeline is libm's, entry by entry
+    # through `gaussnet._each`: numpy's AVX-512 log1p differs from glibc's
+    # on about 2% of inputs.  The one exception is the sampler's np.exp of
+    # its uniforms, which the pinned sweep hashes were drawn with.
+    package = Path(gaussian.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        exempt = [("_sample_networks", "exp")] * 2 if path.stem == "gaussian" else []
+        assert _np_transcendentals(path.read_text()) == exempt, path.name
+    for planted, use in (
+        ("def _capacity(x):\n    return np.log1p(x) / _LN2", [("_capacity", "log1p")]),
+        ("y = numpy.exp2(r)", [(None, "exp2")]),
+        ("def f(x):\n    return _each(np.expm1, x)", [("f", "expm1")]),
+        ("class C:\n    def g(self, x):\n        return np.float_power(x, 2)", [("C.g", "float_power")]),
+        ("from numpy import maximum, power as pw", [(None, "power")]),
+        ("def _lattice_cap(x):\n    return _each(math.log2, np.maximum(x, 1.0))", []),
+    ):
+        assert _np_transcendentals(planted) == use, planted
+
+
 def _private_defaults(source: str) -> list[str]:
     """Each function whose name starts with a single underscore and that has
     a parameter default, positional or keyword-only."""
@@ -1128,6 +1232,50 @@ def test_no_private_gaussian_function_has_a_default():
         "def public(x=1):\n    pass\n"
     )
     assert _private_defaults(planted) == ["_verify_columns", "_take"]
+
+
+def _libm_work(monkeypatch) -> tuple[int, int, int, int]:
+    """The libm maps (`gaussnet._each` calls) and the libm calls (their
+    entries) of `_trial_block` on trials 0-149 of seed 0 as one block, then
+    on trials 0-19 as batches of one."""
+    each, sizes, counts = gaussnet._each, [], []
+
+    def spy(fn, x, *args):
+        sizes.append(x.size)
+        return each(fn, x, *args)
+
+    monkeypatch.setattr(gaussnet, "_each", spy)
+    cfg = SweepConfig(150, 0)
+    for blocks in ([range(150)], [(i,) for i in range(20)]):
+        sizes.clear()
+        for indices in blocks:
+            gaussian._trial_block(cfg, indices)
+        counts += [len(sizes), sum(sizes)]
+    return tuple(counts)
+
+
+def test_sweep_libm_work_is_pinned(monkeypatch):
+    # A libm map costs a few numpy calls however short it is, and a libm
+    # call about 60 ns, so each stage of the cascade maps once: a hop's
+    # decoding checks once per (case, cap function), the normalised
+    # network's family terms gathered from the sampler's, and 2^r once for
+    # both hops.  The pins hold that work: a stage that maps again, or that
+    # recomputes a value the block already holds, moves them.  Every other
+    # module reaches libm through `gaussnet._each`, so the spy sees it all.
+    assert not any(hasattr(module, "_each") for module in (hops, streams, gaussian))
+    pinned = (15, 6092, 147, 861)
+    assert _libm_work(monkeypatch) == pinned
+    # Planted: `_normalize` calling `_hop_terms` again, as it once did,
+    # costs a map and 12 calls per trial.
+    normalize = gaussian._normalize
+
+    def recomputing(up, down, rates, hop_terms):
+        normalized = normalize(up, down, rates, hop_terms)
+        gaussnet._hop_terms(normalized[0], normalized[1], np.ones(up.shape[1]))
+        return normalized
+
+    monkeypatch.setattr(gaussian, "_normalize", recomputing)
+    assert _libm_work(monkeypatch) == (15 + 1, 6092 + 12 * 150, 147 + 20, 861 + 12 * 20)
 
 
 def test_exp_of_stacked_draws_matches_per_trial_calls():
@@ -1264,8 +1412,8 @@ def _pipeline_verdicts(trials):
     uplink allocation, downlink allocation) from the batch pipeline; a hop
     the trial got no split from gives None."""
     up, down, p, r = (np.asarray(q) for q in _trial_columns(trials))
-    terms = gaussnet._restricted_terms(up, down, p)
-    stage, excess, slack, detail, _, reached = gaussian._verify_columns(up, down, p, r, terms)
+    hop_terms = gaussnet._hop_terms(up, down, p)
+    stage, excess, slack, detail, _, reached = gaussian._verify_columns(up, down, p, r, hop_terms)
     allocations = {hop: [None] * len(trials) for hop in ("uplink", "downlink")}
     for hop, (rows, splits, _) in reached.items():
         for j, i in enumerate(rows.tolist()):
