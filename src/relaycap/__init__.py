@@ -28,11 +28,11 @@ from .gaussian import (
     AchievabilityReport,
     AllocationInvalidError,
     DownlinkAllocation,
-    GapReport,
     GaussNetwork,
     InfeasibleRatesError,
     LowPowerError,
     NormalizedProblem,
+    SweepColumns,
     SweepConfig,
     UplinkAllocation,
     awgn_capacity,

@@ -22,13 +22,12 @@ building that generator or importing numpy.random.  A sampling round takes
 9 doubles per pending trial, a boundary direction 4, and redraws advance
 only the rejected trials' streams.  `sweep_blocks` yields a sweep block by
 block, so a caller that keeps only what it needs of each block runs in
-memory flat in the trial count; `monte_carlo_gap` joins the blocks into one
-report.
+memory flat in the trial count; `monte_carlo_gap` joins the blocks into
+one `SweepColumns`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -280,54 +279,15 @@ class SweepConfig:
             )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    net: GaussNetwork
-    rates: RateQuad
-    achievable: bool
-    stage: str
-    max_alpha_excess: float
-    min_check_slack: float  # worst decoding-inequality slack across both hops
-    bound_gap: float
-
-
 # A sweep's trials as columns, one tuple per quantity in trial order: each
 # drawn network's eight magnitudes and power (named as the sweep CSV's
-# columns), its boundary rates, and the `TrialRecord` fields.
+# columns), its boundary rates, its report's stage, max_alpha_excess and
+# min_check_slack, and its largest restricted bound gap.
 SweepColumns = namedtuple(
     "SweepColumns",
     "trial h_a1r h_b1r h_a2r h_b2r h_ra1 h_rb1 h_ra2 h_rb2 power r_a1 r_b1 r_a2 r_b2 "
     "stage max_alpha_excess min_check_slack bound_gap",
 )
-
-
-@dataclass(frozen=True)
-class GapReport:
-    config: SweepConfig
-    columns: SweepColumns
-
-    @functools.cached_property
-    def records(self) -> tuple[TrialRecord, ...]:
-        """One `TrialRecord` per trial, with a validated `GaussNetwork`;
-        built on first access."""
-        return tuple(
-            TrialRecord(i, GaussNetwork((a1, a2), (b1, b2), (ra1, ra2), (rb1, rb2), p), tuple(q), s == "ok", s, e, m, g)
-            for i, a1, b1, a2, b2, ra1, rb1, ra2, rb2, p, *q, s, e, m, g in zip(*self.columns)
-        )
-
-    @property
-    def pass_rate(self) -> float:
-        stage = self.columns.stage
-        return stage.count("ok") / len(stage) if stage else 1.0
-
-    @property
-    def max_alpha_excess(self) -> float:
-        return max(self.columns.max_alpha_excess, default=0.0)
-
-    @property
-    def max_bound_gap(self) -> float:
-        return max(self.columns.bound_gap, default=0.0)
 
 
 def _accepts(up, down, p) -> tuple[np.ndarray, np.ndarray]:
@@ -444,13 +404,13 @@ def _sweep_block(cfg: SweepConfig, indices: Sequence[int]) -> SweepColumns:
     raise error
 
 
-def run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
-    """One deterministic trial, a batch of one; its stream depends only on
-    (seed, index), so trials run in any order or split yield identical
-    records.  ``index`` is one spawn-key word: an integer in [0, 2^32)."""
+def run_trial(cfg: SweepConfig, index: int) -> SweepColumns:
+    """One deterministic trial's columns, a batch of one; its stream depends
+    only on (seed, index), so trials run in any order or split yield the
+    same columns.  ``index`` is one spawn-key word: an integer in [0, 2^32)."""
     if not _integer(index) or not 0 <= index <= _M32:
         raise ValueError(f"trial index must be an integer in [0, 2**32), got {index!r}")
-    return GapReport(cfg, _trial_block(cfg, (int(index),))).records[0]
+    return _trial_block(cfg, (int(index),))
 
 
 def sweep_blocks(cfg: SweepConfig) -> Iterator[SweepColumns]:
@@ -463,10 +423,10 @@ def sweep_blocks(cfg: SweepConfig) -> Iterator[SweepColumns]:
         yield _sweep_block(cfg, range(start, min(start + SWEEP_BLOCK, cfg.trials)))
 
 
-def monte_carlo_gap(cfg: SweepConfig) -> GapReport:
-    """`sweep_blocks`, joined into one report."""
+def monte_carlo_gap(cfg: SweepConfig) -> SweepColumns:
+    """`sweep_blocks`, joined into one `SweepColumns`."""
     columns = [[] for _ in SweepColumns._fields]
     for block in sweep_blocks(cfg):
         for column, values in zip(columns, block):
             column += values
-    return GapReport(cfg, SweepColumns._make(map(tuple, columns)))
+    return SweepColumns._make(map(tuple, columns))

@@ -36,7 +36,6 @@ from relaycap.gaussian import (
     RateQuad,
     RegionVerdict,
     SweepConfig,
-    TrialRecord,
     UplinkAllocation,
     awgn_capacity,
     lattice_rate_cap,
@@ -606,19 +605,14 @@ def reference_sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork)
     return tuple(2.0 + t * float(x) for x in d)
 
 
-def reference_run_trial(cfg: SweepConfig, index: int) -> TrialRecord:
+def reference_run_trial(cfg: SweepConfig, index: int) -> tuple:
+    """Trial ``index`` of the sweep as one row, in `SweepColumns` field order."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
     net = reference_sample_network(rng, cfg, index)
     rates = reference_sample_boundary_rates(rng, net)
     report = reference_verify_constant_gap(net, rates)
     gaps = reference_restricted_bound_gaps(net)
-    return TrialRecord(
-        trial=index,
-        net=net,
-        rates=rates,
-        achievable=report.achievable,
-        stage=report.stage,
-        max_alpha_excess=report.max_alpha_excess,
-        min_check_slack=report.min_check_slack,
-        bound_gap=max(gaps.values()),
+    return (
+        index, net.h_ar[0], net.h_br[0], net.h_ar[1], net.h_br[1], net.h_ra[0], net.h_rb[0], net.h_ra[1], net.h_rb[1],
+        net.power, *rates, report.stage, report.max_alpha_excess, report.min_check_slack, max(gaps.values()),
     )

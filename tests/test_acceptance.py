@@ -18,6 +18,7 @@ from relaycap import (
     DetNetwork,
     HalfDuplex,
     NotInRegionError,
+    SweepColumns,
     SweepConfig,
     chunk_schedule,
     divide_and_conquer,
@@ -212,15 +213,16 @@ def test_restricted_gap_bound():
 def test_constant_gap_sweep():
     with criterion("constant-gap-sweep"):
         start = time.monotonic()
-        report = monte_carlo_gap(SweepConfig(trials=100_000, seed=0))
+        c = monte_carlo_gap(SweepConfig(trials=100_000, seed=0))
         elapsed = time.monotonic() - start
-        failing = sorted({stage for stage in report.columns.stage if stage != "ok"})
+        failing = sorted({stage for stage in c.stage if stage != "ok"})
+        pass_rate, max_excess = c.stage.count("ok") / len(c.stage), max(c.max_alpha_excess)
         conclude(
             "constant-gap-sweep",
-            report.pass_rate == 1.0 and report.max_alpha_excess <= 1e-9 and elapsed < 120.0,
-            f"10^5 boundary samples: pass rate {report.pass_rate:.6f}, "
-            f"max alpha excess {report.max_alpha_excess:.2e}, "
-            f"max bound gap {report.max_bound_gap:.6f}, {elapsed:.1f}s"
+            pass_rate == 1.0 and max_excess <= 1e-9 and elapsed < 120.0,
+            f"10^5 boundary samples: pass rate {pass_rate:.6f}, "
+            f"max alpha excess {max_excess:.2e}, "
+            f"max bound gap {max(c.bound_gap):.6f}, {elapsed:.1f}s"
             + (f"; failing stages {failing}" if failing else ""),
         )
 
@@ -250,17 +252,17 @@ def test_sweep_determinism(tmp_path, capsys):
     blobs = [p.read_bytes() for p in paths]
     cfg = SweepConfig(trials=300, seed=99)
     backwards = tuple(run_trial(cfg, i) for i in reversed(range(cfg.trials)))
-    records = monte_carlo_gap(cfg).records
+    c = monte_carlo_gap(cfg)
     verdicts = [line.split(",")[:4] for line in blobs[0].decode().splitlines()[1:]]
     ok = (
         blobs[0] == blobs[1]
-        and records == backwards[::-1]
-        and verdicts == [[str(r.trial), "99", "pass" if r.achievable else "fail", r.stage] for r in records]
+        and c == SweepColumns._make(sum(column, ()) for column in zip(*backwards[::-1]))
+        and verdicts == [[str(t), "99", "pass" if s == "ok" else "fail", s] for t, s in zip(c.trial, c.stage)]
     )
     with capsys.disabled():
         conclude(
             "sweep-determinism",
             ok,
-            f"fixed-seed CSV byte-identical across reruns, records equal to trials run "
+            f"fixed-seed CSV byte-identical across reruns, columns equal to trials run "
             f"in reverse order ({len(blobs[0])} bytes)",
         )

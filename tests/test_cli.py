@@ -28,7 +28,7 @@ from relaycap.cli import (
 )
 from relaycap.cutset import RegionSizeError, in_det_cutset
 from relaycap.detnet import DetNetwork, FullDuplex, HalfDuplex
-from relaycap.gaussian import GaussNetwork, SweepConfig, gauss_cutset, run_trial, verify_constant_gap
+from relaycap.gaussian import GaussNetwork, SweepColumns, SweepConfig, gauss_cutset, run_trial, verify_constant_gap
 from relaycap.scheduler import SimulationResult
 
 REF_NET = {
@@ -242,12 +242,14 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
     cfg = SweepConfig(trials=40, seed=5)
     backwards = [run_trial(cfg, i) for i in reversed(range(cfg.trials))]
     expected = []
-    for r in reversed(backwards):
-        n = r.net
-        cells = (n.h_ar[0], n.h_br[0], n.h_ar[1], n.h_br[1], n.h_ra[0], n.h_rb[0], n.h_ra[1], n.h_rb[1], n.power)
+    for c in reversed(backwards):
+        r = SweepColumns._make(x for (x,) in c)  # the trial's one entry per field
+        cells = (
+            r.max_alpha_excess, r.bound_gap, r.h_a1r, r.h_b1r, r.h_a2r, r.h_b2r, r.h_ra1, r.h_rb1, r.h_ra2, r.h_rb2,
+            r.power,
+        )
         expected.append(",".join(
-            [str(r.trial), "5", "pass" if r.achievable else "fail", r.stage,
-             repr(r.max_alpha_excess), repr(r.bound_gap), *map(repr, cells)]
+            [str(r.trial), "5", "pass" if r.stage == "ok" else "fail", r.stage, *map(repr, cells)]
         ))
     assert rows == expected
 
@@ -255,7 +257,8 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
 def test_sweep_zero_trials_header_only(tmp_path, capsys):
     out = tmp_path / "empty.csv"
     assert main(["sweep", "--trials", "0", "--out", str(out)]) == EXIT_OK
-    capsys.readouterr()
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["passed"], doc["pass_rate"]) == (0, 1.0)
     lines = out.read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("trial,")
 
@@ -467,13 +470,14 @@ def test_a_sweep_holds_one_block_at_a_time(tmp_path, capsys, monkeypatch):
 
 def test_the_sweep_summary_is_the_librarys(tmp_path, capsys, monkeypatch):
     # `sweep` folds its summary from running tallies, block by block, and
-    # `monte_carlo_gap` joins the blocks into one `GapReport`: over four
-    # blocks, both give the same figures, bit for bit.
+    # `monte_carlo_gap` joins the blocks' columns: over four blocks, the
+    # summary gives the joined columns' figures, bit for bit.
     monkeypatch.setattr(cli.gaussian, "SWEEP_BLOCK", 256)
     code, doc, _ = run(capsys, "sweep", "--trials", "1000", "--seed", "7", "--out", str(tmp_path / "x.csv"))
-    report = cli.gaussian.monte_carlo_gap(SweepConfig(1000, 7))
+    c = cli.gaussian.monte_carlo_gap(SweepConfig(1000, 7))
+    passed = c.stage.count("ok")
     got = (doc["passed"], doc["pass_rate"], doc["max_alpha_slack"], doc["max_bound_gap"])
-    want = (report.columns.stage.count("ok"), report.pass_rate, report.max_alpha_excess, report.max_bound_gap)
+    want = (passed, passed / len(c.stage), max(c.max_alpha_excess), max(c.bound_gap))
     assert code == EXIT_OK and (got, repr(got)) == (want, repr(want))
 
 
@@ -983,19 +987,17 @@ def test_sweep_csv_pinned(tmp_path, capsys):
 
 
 def test_sweep_csv_builds_no_record_or_network_per_trial(tmp_path, capsys, monkeypatch):
-    # The CLI formats the sweep's columns: no TrialRecord, and no network
-    # beyond SweepConfig's range check.  Trials are independent, so 40
-    # trials give the pinned 300-trial CSV's header and first 40 rows.
-    def refused(*args, **kwargs):
-        raise AssertionError("the sweep CLI built a TrialRecord")
-
+    # The CLI formats the sweep's columns, and the library returns them: no
+    # network is built per trial, beyond SweepConfig's range check.  Trials
+    # are independent, so 40 trials give the pinned 300-trial CSV's header
+    # and first 40 rows.
     built, check = [], GaussNetwork.__post_init__
 
     def counted(net):
         built.append(net)
         check(net)
 
-    monkeypatch.setattr(cli.gaussian, "TrialRecord", refused)
+    cfg = SweepConfig(40, 5)
     monkeypatch.setattr(GaussNetwork, "__post_init__", counted)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--trials", "40", "--seed", "5", "--out", str(out)]) == EXIT_OK
@@ -1003,6 +1005,10 @@ def test_sweep_csv_builds_no_record_or_network_per_trial(tmp_path, capsys, monke
     pinned = (Path(__file__).parent / "data" / "sweep_seed5.csv").read_text().splitlines(keepends=True)
     assert out.read_text() == "".join(pinned[:41])
     assert len(built) <= 1
+    built.clear()
+    cli.gaussian.monte_carlo_gap(cfg)
+    run_trial(cfg, 39)
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import ast
 import math
 import pickle
+import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -37,6 +39,7 @@ from relaycap import (
     GaussNetwork,
     InfeasibleRatesError,
     LowPowerError,
+    SweepColumns,
     SweepConfig,
     awgn_capacity,
     restricted_bound_gaps,
@@ -878,8 +881,7 @@ def test_uplink_power_budget_corner_detected():
     )
     corners = [(*_CORNER_TRIAL, "I"), (unequal, (7.413382952223102, 2.0, 6.571257162093544, 2.0), "I")]
     for cfg, index, case in ((SweepConfig(150, 2162487093), 146, "II"), (SweepConfig(150, 1552185256), 138, "III")):
-        rec = run_trial(cfg, index)
-        corners.append((rec.net, rec.rates, case))
+        corners.append((*_row_trial(next(zip(*run_trial(cfg, index)))), case))
     for net, target, case in corners:
         report = verify_constant_gap(net, target)
         assert report.stage == "uplink-allocation", (net, target, report.stage)
@@ -887,6 +889,30 @@ def test_uplink_power_budget_corner_detected():
         backed_off = tuple(max(0.0, x - 2.0) for x in report.normalized.rates)
         with pytest.raises(AllocationInvalidError, match=f"^uplink case {case} power budget exceeded"):
             uplink_allocate(report.normalized.net, backed_off)
+
+
+# The trials of `sweep --trials 1000000 --seed 0` that fail, each in the corner above.
+_SEED0_FAILURES = (
+    224589, 332987, 340107, 361695, 401623, 424010, 448439, 481193, 537608,
+    569635, 640500, 774775, 807456, 903148, 913253, 915437, 978317,
+)
+
+
+def test_seed0_million_trial_sweep_failures():
+    # A trial's draws do not depend on its block, so the 17 failures of the
+    # 10^6-trial seed-0 sweep run cheaply as one block of their own.  The test
+    # records the scheme as the paper states it: a fix for the corner updates
+    # it, and no seed is changed to hide these trials.
+    cfg = SweepConfig(10**6, 0)
+    c = gaussian._trial_block(cfg, _SEED0_FAILURES)
+    assert c.trial == _SEED0_FAILURES
+    assert set(c.stage) == {"uplink-allocation"}
+    reports = [verify_constant_gap(*_row_trial(row)) for row in zip(*c)]
+    assert [r.stage for r in reports] == list(c.stage)
+    found = [re.fullmatch(r"uplink case (I+) power budget exceeded by (\S+) \(alphas .*\)", r.detail) for r in reports]
+    assert Counter(m[1] for m in found) == {"I": 11, "III": 6}
+    assert all(0.00251 <= float(m[2]) <= 0.0785 for m in found), [m[2] for m in found]
+    assert run_trial(cfg, _SEED0_FAILURES[3]) == SweepColumns._make((column[3],) for column in c)
 
 
 # --- downlink allocation -------------------------------------------------------------------
@@ -991,41 +1017,48 @@ def test_constant_gap_label_invariance(seed):
 # --- Monte Carlo sweep ------------------------------------------------------------------------
 
 
+def _row_trial(row):
+    """The network and rates of a sweep row in `SweepColumns` field order."""
+    _, a1, b1, a2, b2, ra1, rb1, ra2, rb2, p, *rates = row[:14]
+    return GaussNetwork((a1, a2), (b1, b2), (ra1, ra2), (rb1, rb2), p), tuple(rates)
+
+
 def test_sweep_empty():
-    report = monte_carlo_gap(SweepConfig(trials=0, seed=1))
-    assert report.pass_rate == 1.0
-    assert report.records == ()
+    columns = monte_carlo_gap(SweepConfig(trials=0, seed=1))
+    assert columns == SweepColumns(*[()] * len(SweepColumns._fields))
 
 
 def test_sweep_rebuilds_draws_near_the_overflow_guard():
     # (2 max|h|)^2 P = 4e300 P reaches the sampler's 1e300 test, so each draw
     # is built as a GaussNetwork first; that network accepts it.
-    report = monte_carlo_gap(SweepConfig(3, h_min=1e150, h_max=1e150))
-    assert list(report.columns.stage) == ["ok"] * 3
+    columns = monte_carlo_gap(SweepConfig(3, h_min=1e150, h_max=1e150))
+    assert list(columns.stage) == ["ok"] * 3
 
 
-def test_sweep_deterministic_and_worker_invariant():
+def test_sweep_deterministic_and_worker_invariant(monkeypatch):
     cfg = SweepConfig(trials=64, seed=13)
     a = monte_carlo_gap(cfg)
     b = monte_carlo_gap(cfg)
     assert a == b
     # Trials depend only on (seed, index): any split or order of the indices,
-    # here one by one from the last, gives the same records.
+    # here blocks of 16 and one by one from the last, joins into the same
+    # columns.
+    def join(blocks):
+        return SweepColumns._make(sum(column, ()) for column in zip(*blocks))
+
+    monkeypatch.setattr(gaussian, "SWEEP_BLOCK", 16)
     backwards = [run_trial(cfg, i) for i in reversed(range(cfg.trials))]
-    assert a.records == tuple(reversed(backwards))
-    # A report of columns stays a value: hashable, picklable, and its
-    # records are built once.
+    assert join(gaussian.sweep_blocks(cfg)) == join(reversed(backwards)) == a
+    # The columns stay a value: hashable and picklable.
     assert hash(a) == hash(b)
     assert pickle.loads(pickle.dumps(a)) == a
-    assert a.records is a.records
 
 
 def test_sweep_rates_sit_on_boundary():
     cfg = SweepConfig(trials=32, seed=21)
-    report = monte_carlo_gap(cfg)
-    for rec in report.records:
-        assert min(rec.rates) >= 2.0
-        verdict = gauss_restricted_cutset(rec.net, rec.rates)
+    for net, rates in map(_row_trial, zip(*monte_carlo_gap(cfg))):
+        assert min(rates) >= 2.0
+        verdict = gauss_restricted_cutset(net, rates)
         assert verdict.inside
         # the sampler retreats 1e-6 bits from the nearest constraint
         assert min(c.slack for c in verdict.checks) < 1e-4
@@ -1297,23 +1330,24 @@ def test_exp_of_stacked_draws_matches_per_trial_calls():
 # --- the batch pipeline against the reference ----------------------------------------------
 
 
-def _sweep_outcome(records_of, cfg):
-    """A sweep's records and their repr, or its exception type and message."""
+def _sweep_outcome(rows_of, cfg):
+    """A sweep's rows and their repr, or its exception type and message."""
     try:
-        records = records_of(cfg)
+        rows = rows_of(cfg)
     except Exception as exc:  # noqa: BLE001 -- the exception itself is compared
         return type(exc), str(exc)
-    return records, repr(records)
+    return rows, repr(rows)
 
 
-def _reference_records(cfg):
-    return tuple(reference_run_trial(cfg, i) for i in range(cfg.trials))
+def _sweep_rows(cfg):
+    return tuple(zip(*monte_carlo_gap(cfg)))
 
 
-def _reference_float_records(cfg):
-    """The reference records with each rate passed through float(): the
+def _reference_float_rows(cfg):
+    """The reference rows with each rate passed through float(): the
     reference keeps numpy floats where the boundary walk left the base point."""
-    return tuple(replace(rec, rates=tuple(map(float, rec.rates))) for rec in _reference_records(cfg))
+    rows = (reference_run_trial(cfg, i) for i in range(cfg.trials))
+    return tuple((*row[:10], *map(float, row[10:14]), *row[14:]) for row in rows)
 
 
 @st.composite
@@ -1344,9 +1378,9 @@ def _sweep_configs(draw):
 @example(SweepConfig(8, 2**64 + 1))
 @example(SweepConfig(8, 2**130 + 5))
 def test_sweep_matches_reference(cfg):
-    # Records equal and print the same (every rate a plain float, bit for bit
+    # Rows equal and print the same (every rate a plain float, bit for bit
     # the reference's), or the same exception.
-    assert _sweep_outcome(lambda c: monte_carlo_gap(c).records, cfg) == _sweep_outcome(_reference_float_records, cfg)
+    assert _sweep_outcome(_sweep_rows, cfg) == _sweep_outcome(_reference_float_rows, cfg)
 
 
 @pytest.mark.parametrize(
@@ -1356,10 +1390,10 @@ def test_sweep_matches_reference(cfg):
 )
 def test_sweep_blocks_match_reference(monkeypatch, cfg):
     # Blocks of 5 trials: block edges, redraw rounds and a failing block
-    # rerun trial by trial give the same records, or the same exception for
+    # rerun trial by trial give the same rows, or the same exception for
     # the same trial.
     monkeypatch.setattr(gaussian, "SWEEP_BLOCK", 5)
-    assert _sweep_outcome(lambda c: monte_carlo_gap(c).records, cfg) == _sweep_outcome(_reference_float_records, cfg)
+    assert _sweep_outcome(_sweep_rows, cfg) == _sweep_outcome(_reference_float_rows, cfg)
 
 
 # Trial 23 runs out of draws; trials 0 to 22 are all sampled before it does.
@@ -1484,7 +1518,7 @@ def test_verify_columns_cover_every_case():
     # downlink case and the uplink-allocation stage, with its failure text,
     # all matching the reference.
     cfg = SweepConfig(trials=300, seed=5)
-    trials = [(rec.net, rec.rates) for rec in map(lambda i: reference_run_trial(cfg, i), range(cfg.trials))]
+    trials = [_row_trial(reference_run_trial(cfg, i)) for i in range(cfg.trials)]
     trials.insert(150, _CORNER_TRIAL)
     reports = [reference_verify_constant_gap(net, rates) for net, rates in trials]
     assert _pipeline_verdicts(trials) == [_report_verdict(r) for r in reports]
