@@ -35,14 +35,12 @@ from .gaussian import (
     SweepColumns,
     SweepConfig,
     UplinkAllocation,
-    awgn_capacity,
     restricted_bound_gaps,
     classify_case,
     downlink_allocate,
     downlink_rate_check,
     gauss_cutset,
     gauss_restricted_cutset,
-    lattice_rate_cap,
     monte_carlo_gap,
     reduce_orderings,
     uplink_allocate,

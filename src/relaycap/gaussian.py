@@ -60,11 +60,9 @@ from .gaussnet import (
     _rate_quad,
     _row,
     _session_sums,
-    awgn_capacity,
     classify_case,
     gauss_cutset,
     gauss_restricted_cutset,
-    lattice_rate_cap,
     reduce_orderings,
     restricted_bound_gaps,
 )

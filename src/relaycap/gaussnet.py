@@ -59,20 +59,6 @@ class InfeasibleRatesError(ValueError):
         super().__init__(f"infeasible rates: {inequality}" + (f" ({detail})" if detail else ""))
 
 
-def awgn_capacity(x: float) -> float:
-    """C(x) = log2(1 + x), the Gaussian codeword rate limit."""
-    if x < 0:
-        raise ValueError(f"capacity argument must be non-negative, got {x}")
-    return math.log1p(x) / _LN2
-
-
-def lattice_rate_cap(x: float) -> float:
-    """(log2 x)+, the lattice decoding rate limit at effective SNR x."""
-    if x <= 1.0:
-        return 0.0
-    return math.log2(x)
-
-
 def _real(v, name: str) -> float:
     """``v`` as a float, refusing a bool, a string or any other non-real."""
     if not (isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool))):
@@ -205,15 +191,16 @@ def _each(fn, x: np.ndarray, *args) -> np.ndarray:
 
 
 def _capacity(x: np.ndarray) -> np.ndarray:
-    """`awgn_capacity` per entry; raises as it does at the first negative one."""
+    """C(x) = log2(1 + x) per entry, the Gaussian codeword rate limit;
+    raises at the first negative entry in row-major order."""
     if (x < 0).any():
-        awgn_capacity(x[x < 0][0].item())
+        raise ValueError(f"capacity argument must be non-negative, got {x[x < 0][0].item()}")
     return _each(math.log1p, x) / _LN2
 
 
 def _lattice_cap(x: np.ndarray) -> np.ndarray:
-    """`lattice_rate_cap` per entry: log2 of 1 wherever x <= 1 is 0.0, and
-    np.maximum keeps a NaN."""
+    """(log2 x)+ per entry, the lattice decoding rate limit at effective SNR
+    x: log2 of 1 wherever x <= 1 is 0.0, and np.maximum keeps a NaN."""
     return _each(math.log2, np.maximum(x, 1.0))
 
 

@@ -190,10 +190,6 @@ class UplinkAllocation:
     gaussian_rates: tuple[float, float]  # r_Ai - r_Bi
     lattice_rates: tuple[float, float]  # r_Bi
 
-    def budget_excess(self) -> float:
-        """How far any power budget is exceeded (<= 0 when valid)."""
-        return float(_uplink_excess(_one((*self.alpha_a1, *self.alpha_a2, self.alpha_b1, self.alpha_b2)))[0])
-
 
 def _uplink_excess(alpha) -> np.ndarray:
     a1g, a1l, a2g, a2l, b1, b2 = alpha
@@ -370,9 +366,6 @@ class DownlinkAllocation:
     alpha_r: tuple[float, float, float, float]
     stream_rates: tuple[float, float, float, float]
     pairs_swapped: bool
-
-    def budget_excess(self) -> float:
-        return float(_downlink_excess(_one(self.alpha_r))[0])
 
 
 def _downlink_excess(alpha) -> np.ndarray:

@@ -1,17 +1,21 @@
 """The Gaussian side one trial at a time, as the test reference.
 
 One reference per computation, written out from the formulas on Python
-floats: the eight constraint families (`FAMILY_COEFS`, `family_rhs`), both
-hops' rate preconditions (`PRECONDITIONS`), each hop's power allocation and
-rate check case by case, each node's power budget, the constant-gap cascade
-with its largest budget excess and smallest check slack, and the sweep's
-sampler and boundary walk on numpy's own per-trial generators.  The differential
-tests in `test_gaussian.py` require `relaycap.gaussian` to reproduce every
-value here bit for bit, and every exception with its text.
+floats: the two rate limits C(x) and (log2 x)+ (`awgn_capacity`,
+`lattice_rate_cap`), the eight constraint families (`FAMILY_COEFS`,
+`family_rhs`), both hops' rate preconditions (`PRECONDITIONS`), each hop's
+power allocation and rate check case by case, each node's power budget,
+the constant-gap cascade with its largest budget excess and smallest check
+slack, and the sweep's sampler and boundary walk on numpy's own per-trial
+generators.  The differential tests in `test_gaussian.py` require
+`relaycap.gaussian` to reproduce every value here bit for bit, and every
+exception with its text.
 
-Nothing here reads `relaycap.gaussian`'s tables or private helpers: a wrong
-table entry there then shows up as a difference, not as agreement with
-itself.  `test_reference_reads_no_private_names` keeps it that way.
+Nothing here reads `relaycap.gaussian`'s tables, private helpers or
+functions, only its classes, exceptions and constants: a wrong table entry
+or formula there then shows up as a difference, not as agreement with
+itself.  `test_reference_reads_no_private_names` and
+`test_reference_imports_no_function` keep it that way.
 """
 
 import math
@@ -37,9 +41,24 @@ from relaycap.gaussian import (
     RegionVerdict,
     SweepConfig,
     UplinkAllocation,
-    awgn_capacity,
-    lattice_rate_cap,
 )
+
+# --- the rate limits -------------------------------------------------------
+
+
+def awgn_capacity(x: float) -> float:
+    """C(x) = log2(1 + x), the Gaussian codeword rate limit."""
+    if x < 0:
+        raise ValueError(f"capacity argument must be non-negative, got {x}")
+    return math.log1p(x) / math.log(2.0)
+
+
+def lattice_rate_cap(x: float) -> float:
+    """(log2 x)+, the lattice decoding rate limit at effective SNR x."""
+    if x <= 1.0:
+        return 0.0
+    return math.log2(x)
+
 
 # --- the constraint families -------------------------------------------------
 

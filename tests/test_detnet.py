@@ -446,9 +446,9 @@ def test_public_api_is_pinned():
         FULL_DUPLEX FullDuplex GaussNetwork HalfDuplex InductionInvariantError InfeasibleRatesError
         InvalidGainError LevelAssignment LowPowerError Membership NormalizedProblem NotInRegionError RegionSizeError
         Schedule ScheduleInvalidError ShapeError SimulationResult SweepColumns SweepConfig UplinkAllocation
-        awgn_capacity chunk_schedule classify_case divide_and_conquer downlink_allocate downlink_rate_check
+        chunk_schedule classify_case divide_and_conquer downlink_allocate downlink_rate_check
         enumerate_cuts enumerate_integral_region gauss_cutset gauss_restricted_cutset in_det_cutset
-        lattice_rate_cap monte_carlo_gap node_downlink_receive random_messages reduce_orderings relay_uplink_receive
+        monte_carlo_gap node_downlink_receive random_messages reduce_orderings relay_uplink_receive
         restricted_bound_gaps schedule_fractional schedule_half_duplex shifted_contribution
         simulate_schedule uplink_allocate uplink_rate_check validate_schedule verify_constant_gap
     """.split()

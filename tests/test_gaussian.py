@@ -1,11 +1,14 @@
 import ast
+import importlib
+import inspect
+import itertools
 import math
 import pickle
 import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
+from types import GenericAlias, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +21,10 @@ from gauss_reference import (
     BASE_POINT,
     FAMILY_COEFS,
     PRECONDITIONS,
+    awgn_capacity,
     family_rhs,
     family_sum,
+    lattice_rate_cap,
     reference_budget_excess,
     reference_downlink_allocate,
     reference_downlink_rate_check,
@@ -36,19 +41,19 @@ from gauss_reference import (
 )
 from relaycap import (
     AllocationInvalidError,
+    DetNetwork,
     GaussNetwork,
     InfeasibleRatesError,
     LowPowerError,
     SweepColumns,
     SweepConfig,
-    awgn_capacity,
     restricted_bound_gaps,
     classify_case,
     downlink_allocate,
     downlink_rate_check,
+    enumerate_integral_region,
     gauss_cutset,
     gauss_restricted_cutset,
-    lattice_rate_cap,
     monte_carlo_gap,
     reduce_orderings,
     uplink_allocate,
@@ -184,20 +189,18 @@ def test_downlink_overspend_names_the_case_and_the_excess():
 
 
 def test_capacity_values():
-    assert awgn_capacity(0) == 0.0
-    assert awgn_capacity(1) == 1.0
-    assert abs(awgn_capacity(15) - 4.0) < 1e-12
+    assert gaussnet._capacity(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+    assert abs(gaussnet._capacity(np.array([15.0]))[0] - 4.0) < 1e-12
 
 
 def test_capacity_domain():
-    with pytest.raises(ValueError):
-        awgn_capacity(-0.5)
+    # The first negative entry in row-major order, not the column's first entry.
+    with pytest.raises(ValueError, match=r"^capacity argument must be non-negative, got -0\.5$"):
+        gaussnet._capacity(np.array([[1.0, -0.5], [-2.0, 0.0]]))
 
 
 def test_lattice_cap_clamps():
-    assert lattice_rate_cap(0.0) == 0.0
-    assert lattice_rate_cap(0.5) == 0.0
-    assert lattice_rate_cap(8.0) == 3.0
+    assert gaussnet._lattice_cap(np.array([0.0, 0.5, 8.0])).tolist() == [0.0, 0.0, 3.0]
 
 
 def test_column_rate_functions_give_the_python_calls_bits():
@@ -507,6 +510,13 @@ def _outcome(call, *args):
     return value, repr(value)
 
 
+def _alpha_column(alloc):
+    """The allocation's power fractions as the cascade's alpha rows, a batch of one."""
+    if isinstance(alloc, DownlinkAllocation):
+        return gaussnet._one(alloc.alpha_r)
+    return gaussnet._one((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2))
+
+
 def _tampered(alloc, stream, factor):
     """``alloc`` with one received power (uplink G1, T, G2, W; downlink
     alpha_r[stream]) scaled by ``factor``."""
@@ -571,16 +581,19 @@ _CORNER_TRIAL = (
           (8.198984374797833, 4.50706504394909, 7.028172870364892, 3.4150418153173785), (3, 4.0)))
 def test_chain_tables_match_reference(inputs):
     net, rates, (stream, factor) = inputs
-    for allocate, rate_check, reference_allocate, reference_check in (
-        (uplink_allocate, uplink_rate_check, reference_uplink_allocate, reference_uplink_rate_check),
-        (downlink_allocate, downlink_rate_check, reference_downlink_allocate, reference_downlink_rate_check),
+    for hop, allocate, rate_check, reference_allocate, reference_check in (
+        ("uplink", uplink_allocate, uplink_rate_check, reference_uplink_allocate, reference_uplink_rate_check),
+        (
+            "downlink", downlink_allocate, downlink_rate_check, reference_downlink_allocate,
+            reference_downlink_rate_check,
+        ),
     ):
         got = _outcome(allocate, net, rates)
         assert got == _outcome(reference_allocate, net, rates)
         alloc = got[0]
         if isinstance(alloc, (UplinkAllocation, DownlinkAllocation)):
             for a in (alloc, _tampered(alloc, stream, factor)):
-                assert repr(a.budget_excess()) == repr(reference_budget_excess(a))
+                assert repr(hops._HOPS[hop].excess(_alpha_column(a))[0].item()) == repr(reference_budget_excess(a))
                 assert _outcome(rate_check, net, a) == _outcome(reference_check, net, a)
 
 
@@ -793,7 +806,7 @@ def test_uplink_alignment_rule():
 def test_uplink_zero_rates_allocation_valid():
     net = snr_net(16.0)
     alloc = uplink_allocate(net, (0.0, 0.0, 0.0, 0.0))
-    assert alloc.budget_excess() <= 0
+    assert reference_budget_excess(alloc) <= 0
     assert all(c.slack >= -1e-9 for c in uplink_rate_check(net, alloc))
 
 
@@ -823,7 +836,7 @@ def _allocation_montecarlo(seed, direction, allocate, rate_check):
             trials.append((net, r))
     for net, r in trials[:200]:
         alloc = allocate(net, r)
-        assert alloc.budget_excess() <= 1e-9
+        assert reference_budget_excess(alloc) <= 1e-9
         checks = rate_check(net, alloc)
         assert all(c.slack >= -1e-9 for c in checks), [c for c in checks if c.slack < -1e-9]
 
@@ -958,7 +971,7 @@ def test_downlink_internal_pair_swap():
     net = GaussNetwork((30.0, 40.0), (20.0, 25.0), (5.0, 9.0), (6.0, 10.0), 1.0)
     alloc = downlink_allocate(net, (1.0, 0.5, 1.2, 0.6))
     assert alloc.pairs_swapped
-    assert alloc.budget_excess() <= 1e-9
+    assert reference_budget_excess(alloc) <= 1e-9
     assert all(c.slack >= -1e-9 for c in downlink_rate_check(net, alloc))
 
 
@@ -1012,6 +1025,64 @@ def test_constant_gap_label_invariance(seed):
     assert verify_constant_gap(swapped_pairs, (2.2, 2.1, 2.2, 2.1)).achievable == base.achievable
     swapped_sides = GaussNetwork(net.h_br, net.h_ar, net.h_rb, net.h_ra, net.power)
     assert verify_constant_gap(swapped_sides, (2.1, 2.2, 2.1, 2.2)).achievable == base.achievable
+
+
+# --- deterministic networks lifted onto Gaussian ones -----------------------------------------
+# Each gain n of a deterministic network becomes the magnitude 2^(s n / 2) in
+# the same field, at power 1, so each link's SNR is 2^(s n).  For a tuple R
+# of the deterministic region, s R lies in the Gaussian cut-set region (a
+# single family's term is C(2^(s n)) >= s n, a pair family's at least
+# s max(n)), so the paper's claim covers (s R - 3)+: the cascade's back-off
+# of the target s R - 1.  The family is finite and holds no random draw.
+
+_LIFT_SCALES = (4, 16, 64)
+
+
+@pytest.fixture(scope="module")
+def lifted_family() -> tuple[np.ndarray, np.ndarray]:
+    """Every M = 2 network with all eight gains in 1..3, once per tuple of
+    its region with all four rates at least 1: the gains as rows n_ar,
+    n_br, n_ra, n_rb pair by pair and the tuples as session rows, one
+    column per (network, tuple)."""
+    gains, tuples = [], []
+    for g in itertools.product(range(1, 4), repeat=8):
+        for rates in enumerate_integral_region(DetNetwork(g[0:2], g[2:4], g[4:6], g[6:8])):
+            if min(rates) >= 1:
+                gains.append(g)
+                tuples.append(rates)
+    return np.array(gains, dtype=float).T, np.array(tuples, dtype=float).T
+
+
+@pytest.mark.parametrize("s", _LIFT_SCALES)
+def test_lifted_family_passes_the_cascade(lifted_family, s):
+    gains, rates = lifted_family
+    assert rates.shape == (4, 5924)
+    up, down = gaussian._sessions(2.0 ** (s * gains / 2))
+    p = np.ones(rates.shape[1])
+    hop_terms = gaussnet._hop_terms(up, down, p)
+    stage, _, _, _, _, reached = gaussian._verify_columns(up, down, p, s * rates - 1.0, hop_terms)
+    assert set(stage.tolist()) == {"ok"}
+    (up_rows, up_splits, _), (down_rows, down_splits, _) = reached["uplink"], reached["downlink"]
+    assert up_rows.tolist() == down_rows.tolist() == list(range(rates.shape[1]))
+    assert Counter(zip(up_splits.case.tolist(), down_splits.case.tolist())) == {
+        ("I", "I"): 3546, ("I", "II"): 234, ("I", "III"): 792,
+        ("II", "I"): 234, ("II", "II"): 20, ("II", "III"): 58,
+        ("III", "I"): 796, ("III", "II"): 58, ("III", "III"): 186,
+    }
+
+
+def test_lifted_family_lies_in_the_cutset_region(lifted_family):
+    gains, rates = lifted_family
+    outside = []
+    for s in _LIFT_SCALES:
+        for g, r in zip(gains.T.tolist(), rates.T.tolist()):
+            h = [2.0 ** (s * n / 2) for n in g]
+            rhs = family_rhs(GaussNetwork(h[0:2], h[2:4], h[4:6], h[6:8], 1.0), restricted=False)
+            lifted = [s * x for x in r]
+            outside += [
+                (s, g, r, name) for name, coefs in FAMILY_COEFS.items() if family_sum(coefs, lifted) > rhs[name] + TOL
+            ]
+    assert outside == []
 
 
 # --- Monte Carlo sweep ------------------------------------------------------------------------
@@ -1704,3 +1775,35 @@ def test_reference_reads_no_private_names():
     ):
         assert _private_relaycap_reads(planted) == [name], planted
     assert _private_relaycap_reads("import numpy as np\nx = np._core\ny = [].__len__") == []
+
+
+def _relaycap_code_imports(source: str) -> list[str]:
+    """Every name ``source`` imports from relaycap that is not a class, an
+    exception, a type alias or a constant: a function, or a module whose
+    functions it could then call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "relaycap"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "relaycap":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name)
+                if inspect.ismodule(value) or (callable(value) and not isinstance(value, (type, GenericAlias))):
+                    found.append(alias.name)
+    return found
+
+
+def test_reference_imports_no_function():
+    # The Gaussian reference computes every formula itself, C(x) and
+    # (log2 x)+ included: a function it imported would agree with itself.
+    assert _relaycap_code_imports(Path(gauss_reference.__file__).read_text()) == []
+    for planted, names in (
+        ("from relaycap.gaussian import gauss_cutset", ["gauss_cutset"]),
+        ("from relaycap import FULL_DUPLEX, GaussNetwork, verify_constant_gap", ["verify_constant_gap"]),
+        ("from relaycap.gaussnet import InfeasibleRatesError, RateQuad, classify_case", ["classify_case"]),
+        ("from relaycap import gaussian", ["gaussian"]),
+        ("import relaycap.gaussian as g", ["relaycap.gaussian"]),
+        ("import numpy as np\nfrom math import log1p", []),
+    ):
+        assert _relaycap_code_imports(planted) == names, planted
