@@ -20,7 +20,10 @@ double is a pure function of (seed, i, k), numpy's k-th draw of
 default_rng(SeedSequence(entropy=seed, spawn_key=(i,))) computed without
 building that generator or importing numpy.random.  A sampling round takes
 9 doubles per pending trial, a boundary direction 4, and redraws advance
-only the rejected trials' streams.  `sweep_blocks` yields a sweep block by
+only the rejected trials' streams.  The sampler tests a round's networks
+with no libm call, each SNR against the least float whose C reaches the
+2-bit base point's sum (`_accepts`), and maps C once per block, on the
+networks it keeps.  `sweep_blocks` yields a sweep block by
 block, so a caller that keeps only what it needs of each block runs in
 memory flat in the trial count; `monte_carlo_gap` joins the blocks into
 one `SweepColumns`.
@@ -28,6 +31,7 @@ one `SweepColumns`.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -38,6 +42,8 @@ import numpy as np
 from .detnet import _integer
 from .gaussnet import (
     _BASE_SUMS,
+    _PAIR_S,
+    _PAIR_T,
     TOL,
     ConstraintCheck,
     GaussNetwork,
@@ -46,6 +52,7 @@ from .gaussnet import (
     RateQuad,
     RegionVerdict,
     _bound_gaps,
+    _capacity,
     _cutset_terms,
     _fold,
     _hop_terms,
@@ -268,8 +275,7 @@ class SweepConfig:
             raise ValueError("magnitude and power ranges must be non-empty")
         # Every family term grows with each magnitude and the power, so when
         # the strongest network in range fails the sampler, every draw does.
-        h = (self.h_max, self.h_max)
-        if not _sampler_accepts(GaussNetwork(h, h, h, h, self.p_max)):
+        if not _ranges_hold(self.h_max, self.p_max):
             raise ValueError(
                 "ranges cannot satisfy the side conditions: even with every |h| = "
                 f"{self.h_max:.4g} and P = {self.p_max:.4g} a network misses the SNR "
@@ -288,18 +294,46 @@ SweepColumns = namedtuple(
 )
 
 
-def _accepts(up, down, p) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _snr_thresholds() -> tuple[float, float]:
+    """The least floats whose C reaches 2 and 4 bits, the base point (2, 2,
+    2, 2)'s sums over a single session and over a pair.  C is
+    non-decreasing, so a family term C(x) holds its base sum exactly when
+    its SNR x reaches that float.  One `_capacity` map over the 17 floats
+    nearest 3 and 15, which must step once from below each sum to it, finds
+    them on first use, so an import that never samples pays no libm call."""
+    ulps, sums = np.arange(-8, 9), np.array([[2.0], [4.0]])
+    window = ((2.0**sums - 1.0).view(np.int64) + ulps).view(float)
+    reached = _capacity(window) >= sums
+    first = reached.argmax(axis=1)
+    if reached[:, 0].any() or (reached != (ulps >= ulps[first][:, None])).any():
+        raise AssertionError("C(x) does not step up once near 3 and 15")
+    return tuple(window[[0, 1], first].tolist())
+
+
+def _accepts(up, down, p) -> np.ndarray:
     """Which networks the sampler keeps: every link clears the SNR floor
     and the 2-bit base point (2, 2, 2, 2) lies in the restricted region,
-    compared exactly.  Also gives the networks' `_hop_terms`."""
-    h, hop_terms = np.concatenate([up, down]), _hop_terms(up, down, p)
-    floor = (h * h * p).min(axis=0)  # finite and positive: every draw passed the network's checks
-    return (floor >= MIN_LINK_SNR) & (_min(*hop_terms) >= _BASE_SUMS).all(axis=0), hop_terms
+    compared exactly but with no libm call: each SNR of `_hop_terms`, in
+    its association, against its `_snr_thresholds`.  A link's SNR is a
+    single family's on its hop, so one floor covers both tests."""
+    single, pair = _snr_thresholds()
+    up2, down_snr = up * up, down * down * p
+    pairs = np.concatenate([(up2[_PAIR_S] + up2[_PAIR_T]) * p, np.maximum(down_snr[_PAIR_S], down_snr[_PAIR_T])])
+    links = np.concatenate([up2 * p, down_snr]) >= max(MIN_LINK_SNR, single)
+    return links.all(axis=0) & (pairs >= pair).all(axis=0)
+
+
+@functools.lru_cache
+def _ranges_hold(h_max: float, p_max: float) -> bool:
+    """Whether the strongest network of a sweep's ranges passes the sampler."""
+    h = (h_max, h_max)
+    return _sampler_accepts(GaussNetwork(h, h, h, h, p_max))
 
 
 @_quiet
 def _sampler_accepts(net: GaussNetwork) -> bool:
-    return bool(_accepts(*net._columns())[0][0])
+    return bool(_accepts(*net._columns())[0])
 
 
 def _sessions(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,14 +346,14 @@ def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]
     """Log-uniform magnitudes and power, each trial redrawn until `_accepts`
     keeps its network, at most `MAX_SAMPLE_DRAWS` times.  A round takes
     `_ROUND` doubles from each pending trial's stream (`np.exp` of 8
-    magnitude uniforms, then of a power uniform) and tests the round at once;
-    the next round redraws the rejected trials.  Returns the magnitudes (one
-    row per link, one column per trial), the powers and the `_hop_terms` of
-    the kept networks."""
+    magnitude uniforms, then of a power uniform) and tests the round at once,
+    on SNR thresholds; the next round redraws the rejected trials.  Returns
+    the magnitudes (one row per link, one column per trial), the powers and
+    the `_hop_terms` of the kept networks, the block's one libm map."""
     lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
     lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
     n = len(indices)
-    h, p, hop_terms = np.empty((8, n)), np.empty(n), np.empty((2, 8, n))
+    h, p = np.empty((8, n)), np.empty(n)
     rows = np.arange(n)
     for _ in range(MAX_SAMPLE_DRAWS):
         d = streams.draw(rows, _ROUND)
@@ -332,11 +366,9 @@ def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]
         for j in np.flatnonzero(~((hp > 0).all(axis=0) & (pp > 0) & (top * top * pp < 1e300))).tolist():
             h_j = hp[:, j].tolist()
             GaussNetwork(h_j[0:2], h_j[2:4], h_j[4:6], h_j[6:8], pp[j].item())
-        ok, t = _accepts(*_sessions(hp), pp)
-        hop_terms[:, :, rows] = t
-        rows = rows[~ok]
+        rows = rows[~_accepts(*_sessions(hp), pp)]
         if not rows.size:
-            return h, p, hop_terms
+            return h, p, _hop_terms(*_sessions(h), p)
     error = ValueError(
         f"trial {indices[rows[0]]}: none of {MAX_SAMPLE_DRAWS} sampled networks met the SNR "
         "floor and held the rates (2, 2, 2, 2); widen the magnitude or power range"

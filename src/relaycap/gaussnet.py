@@ -466,6 +466,18 @@ def _swap_pairs(q: np.ndarray, swapped) -> np.ndarray:
     return np.where(swapped, q[..., _PAIR_SWAP, :], q)
 
 
+def _case_codes(magnitudes, direction: str) -> np.ndarray:
+    """`classify_case` as codes, each an index into `_CASES`."""
+    if direction not in ("uplink", "downlink"):
+        raise ValueError(f"direction must be 'uplink' or 'downlink', got {direction!r}")
+    s1, w1, s2, w2 = magnitudes
+    unordered = (w1 > s1 + TOL) | (w2 > s2 + TOL) | (s2 > s1 + TOL)
+    if np.any(unordered):
+        shown = tuple(magnitudes) if np.ndim(s1) == 0 else _row(magnitudes, unordered.argmax())
+        raise ValueError(f"{direction} magnitudes {shown} are not in normalized order")
+    return np.where(w1 >= s2, 0, np.where(w1 >= w2, 1, 2))
+
+
 def classify_case(magnitudes: Sequence, direction: str):
     """Configuration tag for one hop.
 
@@ -475,12 +487,5 @@ def classify_case(magnitudes: Sequence, direction: str):
     normalized ordering strong_i >= weak_i and strong1 >= strong2.  Ties
     resolve to the lowest-numbered case.
     """
-    if direction not in ("uplink", "downlink"):
-        raise ValueError(f"direction must be 'uplink' or 'downlink', got {direction!r}")
-    s1, w1, s2, w2 = magnitudes
-    unordered = (w1 > s1 + TOL) | (w2 > s2 + TOL) | (s2 > s1 + TOL)
-    if np.any(unordered):
-        shown = tuple(magnitudes) if np.ndim(s1) == 0 else _row(magnitudes, unordered.argmax())
-        raise ValueError(f"{direction} magnitudes {shown} are not in normalized order")
-    case = np.where(w1 >= s2, "I", np.where(w1 >= w2, "II", "III"))
+    case = np.array(_CASES)[_case_codes(magnitudes, direction)]
     return case if case.ndim else str(case)

@@ -41,6 +41,7 @@ from .gaussnet import (
     InfeasibleRatesError,
     _cap_quotients,
     _capacity,
+    _case_codes,
     _fold,
     _hop_terms,
     _lattice_cap,
@@ -73,7 +74,7 @@ class AllocationInvalidError(RuntimeError):
 
 @dataclass
 class _Splits:
-    """One hop's power splits for a batch: each trial's case, the alpha
+    """One hop's power splits for a batch: each trial's case code, the alpha
     rows and rate rows of `UplinkAllocation` or `DownlinkAllocation` in
     field order, and the downlink's pair swap."""
 
@@ -131,8 +132,8 @@ def _allocate(direction: str, mags, p, r, powers, terms):
 
 
 def _by_case(case: np.ndarray):
-    """Each case present, with the positions of its trials."""
-    for c in _CASES:
+    """Each case code present, with the positions of its trials."""
+    for c in range(len(_CASES)):
         mask = case == c
         if mask.any():
             yield c, np.flatnonzero(mask)
@@ -238,17 +239,17 @@ _RELAY = 0
 # The MAC's stages: x_A2's codeword, then x_A1's, at the relay under both lattice sums.
 _MAC_RECEIVERS = ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)
 _MAC = ((_G2, _MAC_RECEIVERS), (_G1, _MAC_RECEIVERS))
-_UPLINK_CHAINS = {
-    "I": (
+_UPLINK_CHAINS = (  # indexed by case code: I, II, III
+    (
         (_W, ((_RELAY, lambda q: 0.0),)),
         (_G2, ((_RELAY, lambda q: 2.0 * q[_W]),)),
         (_T, ((_RELAY, lambda q: q[_G2] + 2.0 * q[_W]),)),
         (_G1, ((_RELAY, lambda q: 2.0 * q[_T] + q[_G2] + 2.0 * q[_W]),)),
     ),
-    "II": ((_W, ((_RELAY, lambda q: 0.0),)), (_T, ((_RELAY, lambda q: 2.0 * q[_W]),)), *_MAC),
-    # pair 2's lattice sum is decoded before pair 1's
-    "III": ((_T, ((_RELAY, lambda q: 0.0),)), (_W, ((_RELAY, lambda q: 2.0 * q[_T]),)), *_MAC),
-}
+    ((_W, ((_RELAY, lambda q: 0.0),)), (_T, ((_RELAY, lambda q: 2.0 * q[_W]),)), *_MAC),
+    # III: pair 2's lattice sum is decoded before pair 1's
+    ((_T, ((_RELAY, lambda q: 0.0),)), (_W, ((_RELAY, lambda q: 2.0 * q[_T]),)), *_MAC),
+)
 # Each case's uplink checks, in decoding order: the MAC's sum after its two single-user checks.
 _LATTICE1 = ("decode pair-1 lattice sum", (_T,), _lattice_cap)
 _LATTICE2 = ("decode pair-2 lattice sum", (_W,), _lattice_cap)
@@ -257,29 +258,29 @@ _MAC_CHECKS = (
     ("decode x_A2 gaussian (MAC)", (_G2,), _capacity),
     ("gaussian MAC sum", (_G1, _G2), _capacity),
 )
-_UPLINK_CHECKS = {
-    "I": (
+_UPLINK_CHECKS = (  # indexed by case code: I, II, III
+    (
         ("decode x_A1 gaussian", (_G1,), _capacity),
         _LATTICE1,
         ("decode x_A2 gaussian", (_G2,), _capacity),
         _LATTICE2,
     ),
-    "II": (*_MAC_CHECKS, _LATTICE1, _LATTICE2),
-    "III": (*_MAC_CHECKS, _LATTICE2, _LATTICE1),
-}
+    (*_MAC_CHECKS, _LATTICE1, _LATTICE2),
+    (*_MAC_CHECKS, _LATTICE2, _LATTICE1),
+)
 
 
 def _walk_uplink(mags, snr, r, powers) -> _Splits:
     """The uplink power splits of each trial's case, walking its chain in
     `_UPLINK_CHAINS` from the bottom; ``powers`` are 2^r."""
-    case = classify_case(mags, "uplink")
+    case = _case_codes(mags, "uplink")
     u, s, v, w = powers
 
     # Power over noise: 2^rate - 1 for a Gaussian codeword, 2^rate for a lattice one.  In a MAC, x_A1's
     # single-user and sum-rate constraints each demand a power; the larger binds.
     need = powers.copy()
     need[0::2] = powers[0::2] / powers[1::2] - 1.0
-    need[_G1] = np.where(case == "I", need[_G1], _max(need[_G1], (u * v) / (s * w) - v / w))
+    need[_G1] = np.where(case == 0, need[_G1], _max(need[_G1], (u * v) / (s * w) - v / w))
     q = _walk(_UPLINK_CHAINS, case, need, np.ones((1, len(case))))
     # G1 / x1, T / x1, G2 / x3, W / x3, T / x2, W / x4
     alpha = q[[_G1, _T, _G2, _W, _T, _W]] / snr[[0, 0, 2, 2, 1, 3]]
@@ -289,7 +290,7 @@ def _walk_uplink(mags, snr, r, powers) -> _Splits:
 def _uplink_allocation(splits: _Splits, i: int) -> UplinkAllocation:
     a1g, a1l, a2g, a2l, b1, b2 = _row(splits.alpha, i)
     rg1, rg2, rl1, rl2 = _row(splits.rates, i)
-    return UplinkAllocation(str(splits.case[i]), (a1g, a1l), (a2g, a2l), b1, b2, (rg1, rg2), (rl1, rl2))
+    return UplinkAllocation(_CASES[splits.case[i]], (a1g, a1l), (a2g, a2l), b1, b2, (rg1, rg2), (rl1, rl2))
 
 
 def _uplink_overspend(splits: _Splits, i: int, excess: float) -> str:
@@ -339,14 +340,12 @@ def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[Const
     """Evaluate every decoding inequality of the allocation's case, in
     decoding order: the case's chain from the top."""
     up, _, p = net._columns()
-    splits = _Splits(
-        np.array([alloc.case]),
-        _one((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2)),
-        _one((*alloc.gaussian_rates, *alloc.lattice_rates)),
-    )
-    expected = classify_case(up, "uplink")
-    if expected[0] != splits.case[0]:
-        raise ValueError(f"allocation is for case {splits.case[0]}, network classifies as {expected[0]}")
+    alpha = _one((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2))
+    rates = _one((*alloc.gaussian_rates, *alloc.lattice_rates))
+    (expected,) = classify_case(up, "uplink")
+    if expected != alloc.case:
+        raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
+    splits = _Splits(np.array([_CASES.index(expected)]), alpha, rates)
     return _single_checks(_uplink_checks(up * up * p, splits))
 
 
@@ -380,35 +379,35 @@ def _downlink_excess(alpha) -> np.ndarray:
 # node reconstructs its own solo stream 2.
 _SOLO1, _SHARED1, _SOLO2, _SHARED2 = range(4)
 _B1, _A1, _B2, _A2 = range(4)
-_DOWNLINK_CHAINS = {
-    "I": (
+_DOWNLINK_CHAINS = (  # indexed by case code: I, II, III
+    (
         (_SOLO1, ((_B1, lambda p: 0.0),)),
         (_SHARED1, ((_B1, lambda p: p[0]), (_A1, lambda p: 0.0))),
         (_SOLO2, ((_B2, lambda p: p[0] + p[1]),)),
         (_SHARED2, ((_B2, lambda p: p[0] + p[1] + p[2]), (_A2, lambda p: p[0] + p[1]))),
     ),
-    "II": (
+    (
         (_SOLO1, ((_B1, lambda p: 0.0),)),
         (_SOLO2, ((_B2, lambda p: p[0]),)),
         (_SHARED1, ((_A1, lambda p: p[2]), (_B2, lambda p: p[0] + p[2]))),
         (_SHARED2, ((_B2, lambda p: p[0] + p[1] + p[2]), (_A1, lambda p: p[1] + p[2]),
                     (_A2, lambda p: p[0] + p[1]))),
     ),
-    "III": (
+    (
         (_SOLO1, ((_B1, lambda p: 0.0),)),
         (_SOLO2, ((_B2, lambda p: p[0]),)),
         (_SHARED2, ((_A2, lambda p: p[0]), (_B2, lambda p: p[0] + p[2]))),
         (_SHARED1, ((_B2, lambda p: p[0] + p[2] + p[3]), (_A1, lambda p: p[2] + p[3]),
                     (_A2, lambda p: p[0] + p[3]))),
     ),
-}
+)
 # Each case's downlink checks: each stream's rate against its worst receiver, shared streams first.
-_DOWNLINK_CHECKS = dict.fromkeys(_CASES, (
+_DOWNLINK_CHECKS = ((
     ("pair-1 shared stream", (_SHARED1,), _capacity),
     ("pair-2 shared stream", (_SHARED2,), _capacity),
     ("pair-1 solo stream", (_SOLO1,), _capacity),
     ("pair-2 solo stream", (_SOLO2,), _capacity),
-))
+),) * len(_CASES)
 
 
 def _walk_downlink(mags, snr, r, powers) -> _Splits:
@@ -417,7 +416,7 @@ def _walk_downlink(mags, snr, r, powers) -> _Splits:
     pair 1 to be the pair with the stronger shared-stream receiver."""
     swapped = mags[2] > mags[0]
     r, powers, mags, snr = _swap_pairs(np.array([r, powers, mags, snr]), swapped)
-    case = classify_case(mags, "downlink")
+    case = _case_codes(mags, "downlink")
 
     need = powers - 1.0
     need[0::2] = powers[0::2] / powers[1::2] - 1.0
@@ -428,7 +427,7 @@ def _walk_downlink(mags, snr, r, powers) -> _Splits:
 
 def _downlink_allocation(splits: _Splits, i: int) -> DownlinkAllocation:
     return DownlinkAllocation(
-        str(splits.case[i]), _row(splits.alpha, i), _row(splits.rates, i), bool(splits.swapped[i])
+        _CASES[splits.case[i]], _row(splits.alpha, i), _row(splits.rates, i), bool(splits.swapped[i])
     )
 
 
@@ -469,11 +468,11 @@ def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[C
     """Evaluate every broadcast decoding inequality of the allocation's
     case: each stream's rate against its worst receiver in the case's chain."""
     _, down, p = net._columns()
-    splits = _Splits(
-        np.array([alloc.case]), _one(alloc.alpha_r), _one(alloc.stream_rates), np.array([alloc.pairs_swapped])
-    )
-    if np.any(classify_case(_swap_pairs(down, splits.swapped), "downlink") != splits.case):
+    alpha, rates, swapped = _one(alloc.alpha_r), _one(alloc.stream_rates), np.array([alloc.pairs_swapped])
+    (case,) = classify_case(_swap_pairs(down, swapped), "downlink")
+    if case != alloc.case:
         raise ValueError("allocation case does not match the network ordering")
+    splits = _Splits(np.array([_CASES.index(case)]), alpha, rates, swapped)
     return _single_checks(_downlink_checks(down * down * p, splits))
 
 

@@ -1039,18 +1039,24 @@ _LIFT_SCALES = (4, 16, 64)
 
 
 @pytest.fixture(scope="module")
-def lifted_family() -> tuple[np.ndarray, np.ndarray]:
+def lifted_region() -> tuple[np.ndarray, np.ndarray]:
     """Every M = 2 network with all eight gains in 1..3, once per tuple of
-    its region with all four rates at least 1: the gains as rows n_ar,
-    n_br, n_ra, n_rb pair by pair and the tuples as session rows, one
-    column per (network, tuple)."""
+    its region: the gains as rows n_ar, n_br, n_ra, n_rb pair by pair and
+    the tuples as session rows, one column per (network, tuple)."""
     gains, tuples = [], []
     for g in itertools.product(range(1, 4), repeat=8):
         for rates in enumerate_integral_region(DetNetwork(g[0:2], g[2:4], g[4:6], g[6:8])):
-            if min(rates) >= 1:
-                gains.append(g)
-                tuples.append(rates)
+            gains.append(g)
+            tuples.append(rates)
     return np.array(gains, dtype=float).T, np.array(tuples, dtype=float).T
+
+
+@pytest.fixture(scope="module")
+def lifted_family(lifted_region) -> tuple[np.ndarray, np.ndarray]:
+    """The lifted region's columns with all four rates at least 1."""
+    gains, rates = lifted_region
+    keep = rates.min(axis=0) >= 1
+    return gains[:, keep], rates[:, keep]
 
 
 @pytest.mark.parametrize("s", _LIFT_SCALES)
@@ -1064,11 +1070,36 @@ def test_lifted_family_passes_the_cascade(lifted_family, s):
     assert set(stage.tolist()) == {"ok"}
     (up_rows, up_splits, _), (down_rows, down_splits, _) = reached["uplink"], reached["downlink"]
     assert up_rows.tolist() == down_rows.tolist() == list(range(rates.shape[1]))
-    assert Counter(zip(up_splits.case.tolist(), down_splits.case.tolist())) == {
+    names = np.array(gaussnet._CASES)  # the splits carry case codes
+    assert Counter(zip(names[up_splits.case].tolist(), names[down_splits.case].tolist())) == {
         ("I", "I"): 3546, ("I", "II"): 234, ("I", "III"): 792,
         ("II", "I"): 234, ("II", "II"): 20, ("II", "III"): 58,
         ("III", "I"): 796, ("III", "II"): 58, ("III", "III"): 186,
     }
+
+
+def test_lifted_zero_rate_faces_at_s8_stop_where_they_stop_today(lifted_region):
+    # ROADMAP item 19(b).  Each zero rate is raised to a target of 2 and the
+    # others sit at s R - 1, so the backed-off point is exactly (s R - 3)+.
+    # This records the stage each such target reaches today; it does not
+    # assert that the claim fails there.
+    gains, rates = lifted_region
+    zero = (rates == 0).any(axis=0)
+    gains, rates = gains[:, zero], rates[:, zero]
+    up, down = gaussian._sessions(2.0 ** (8 * gains / 2))
+    p = np.ones(rates.shape[1])
+    hop_terms = gaussnet._hop_terms(up, down, p)
+    target = np.where(rates == 0, 2.0, 8 * rates - 1.0)
+    inside = ~gaussnet._outside(gaussnet._min(*hop_terms), target)[0]
+    assert (rates.shape[1], inside.sum()) == (141_273, 95_013)
+    rates, target, up, down, p = rates[:, inside], target[:, inside], up[:, inside], down[:, inside], p[inside]
+    stage, _, _, detail, _, _ = gaussian._verify_columns(up, down, p, target, hop_terms[:, :, inside])
+    assert Counter(stage.tolist()) == {"ok": 93_465, "uplink-allocation": 1548}
+    failed = np.flatnonzero(stage == "uplink-allocation")
+    assert set((rates[:, failed] == 0).sum(axis=0).tolist()) == {3}
+    overspent = [re.fullmatch(r"uplink case (I+) power budget exceeded by (\S+) \(alphas .*\)", detail[i]) for i in failed]
+    assert Counter(m[1] for m in overspent) == {"I": 1428, "III": 120}
+    assert 0.102 <= min(float(m[2]) for m in overspent) <= max(float(m[2]) for m in overspent) <= 0.125
 
 
 def test_lifted_family_lies_in_the_cutset_region(lifted_family):
@@ -1170,6 +1201,46 @@ def test_sweep_config_takes_every_seed_numpy_takes():
     assert (type(cfg.trials), type(cfg.seed), cfg.seed) == (int, int, 2**64 - 1)
     with pytest.raises(ValueError, match="trial index"):
         run_trial(cfg, 2**32)
+
+
+def _log_form_accepts(up, down, p) -> np.ndarray:
+    """The sampler's acceptance through C itself: every link clears the SNR
+    floor, and every restricted family term holds (2, 2, 2, 2)."""
+    h = np.concatenate([up, down])
+    base = gaussnet._min(*gaussnet._hop_terms(up, down, p)) >= gaussnet._BASE_SUMS
+    return ((h * h * p).min(axis=0) >= MIN_LINK_SNR) & base.all(axis=0)
+
+
+def test_sampler_thresholds_match_capacity():
+    # C is non-decreasing, so C(x) >= c holds exactly from the least such
+    # float on: across 10^4 ulps on either side of each threshold.
+    for c, least in zip((2.0, 4.0), gaussian._snr_thresholds()):
+        window = (np.array([least]).view(np.int64) + np.arange(-10**4, 10**4 + 1)).view(float)
+        assert ((gaussnet._capacity(window) >= c) == (window >= least)).all(), c
+    # So the thresholds accept what the log form accepts: on draws at the
+    # default ranges, and on networks planted on each threshold (a pair's
+    # uplink sum, a pair's downlink maximum, a link's SNR floor) and 1 and
+    # 2 ulps either side of it.
+    rng = np.random.default_rng(43)
+    h, p = np.exp(rng.uniform(0.0, math.log(100.0), (8, 10**5))), np.exp(rng.uniform(0.0, math.log(100.0), 10**5))
+    up, down = gaussian._sessions(h)
+    assert np.array_equal(gaussian._accepts(up, down, p), _log_form_accepts(up, down, p))
+    ulps = np.arange(-2, 3)
+
+    def near(x):
+        return (np.array([x]).view(np.int64) + ulps).view(float)
+
+    ones, twos, fours = np.ones((4, 5)), np.full((4, 5), 2.0), np.full((4, 5), 4.0)
+    pair = gaussian._snr_thresholds()[1]
+    planted = [
+        (ones, twos, near(pair / 2)),  # every pair's uplink sum, (1 + 1) P
+        (twos, ones, near(pair)),  # every pair's downlink maximum, 1 P
+        (np.array([ones[0], *fours[1:]]), fours, near(MIN_LINK_SNR)),  # the A1 uplink's SNR, 1 P
+    ]
+    for up, down, p in planted:
+        accepts = gaussian._accepts(up, down, p)
+        assert accepts.tolist() == (ulps >= 0).tolist()
+        assert np.array_equal(accepts, _log_form_accepts(up, down, p))
 
 
 # --- the sweep streams against numpy's generators ---------------------------------------------
@@ -1367,7 +1438,7 @@ def test_sweep_libm_work_is_pinned(monkeypatch):
     # recomputes a value the block already holds, moves them.  Every other
     # module reaches libm through `gaussnet._each`, so the spy sees it all.
     assert not any(hasattr(module, "_each") for module in (hops, streams, gaussian))
-    pinned = (15, 6092, 147, 861)
+    pinned = (13, 5792, 140, 777)
     assert _libm_work(monkeypatch) == pinned
     # Planted: `_normalize` calling `_hop_terms` again, as it once did,
     # costs a map and 12 calls per trial.
@@ -1379,7 +1450,47 @@ def test_sweep_libm_work_is_pinned(monkeypatch):
         return normalized
 
     monkeypatch.setattr(gaussian, "_normalize", recomputing)
-    assert _libm_work(monkeypatch) == (15 + 1, 6092 + 12 * 150, 147 + 20, 861 + 12 * 20)
+    assert _libm_work(monkeypatch) == (13 + 1, 5792 + 12 * 150, 140 + 20, 777 + 12 * 20)
+
+
+def _sampling_work(monkeypatch, cfg) -> tuple[int, list[int]]:
+    """The redraw rounds `_sample_networks` runs on trials 0 .. cfg.trials - 1
+    as one block, and the size of each libm map it makes."""
+    each, draw, maps, rounds = gaussnet._each, streams._Streams.draw, [], []
+
+    def spy(fn, x, *args):
+        maps.append(x.size)
+        return each(fn, x, *args)
+
+    def counted(self, rows, k):
+        rounds.append(len(rows))
+        return draw(self, rows, k)
+
+    monkeypatch.setattr(gaussnet, "_each", spy)
+    monkeypatch.setattr(streams._Streams, "draw", counted)
+    indices = range(cfg.trials)
+    gaussian._sample_networks(cfg, streams._Streams(cfg.seed, indices), indices)
+    return len(rounds), maps
+
+
+def test_sampling_maps_libm_once_per_block(monkeypatch):
+    # Acceptance compares SNRs with thresholds, so however many rounds a
+    # block redraws, its one libm map is the kept networks' `_hop_terms`,
+    # 12 capacity terms a trial.  Here most draws are rejected.
+    cfg = SweepConfig(40, 7, 1.0, 8.0, 1.0, 1.0)
+    rounds, maps = _sampling_work(monkeypatch, cfg)
+    assert rounds > 100
+    assert maps == [12 * cfg.trials]
+    # Planted: a round computing its candidates' family terms, as the
+    # sampler once did, maps once more per round.
+    accepts = gaussian._accepts
+
+    def through_terms(up, down, p):
+        gaussnet._hop_terms(up, down, p)
+        return accepts(up, down, p)
+
+    monkeypatch.setattr(gaussian, "_accepts", through_terms)
+    assert len(_sampling_work(monkeypatch, cfg)[1]) == rounds + 1
 
 
 def test_exp_of_stacked_draws_matches_per_trial_calls():
