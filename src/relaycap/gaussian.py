@@ -5,8 +5,8 @@ The layers below hold the rest, and this module re-exports their public
 names, so `relaycap.gaussian` stays the Gaussian API: `gaussnet` has the
 network, its constraint families, the cut-set and restricted regions,
 normalisation and case classification; `hops` both hops' cancellation
-chains, power allocators and rate checks; `streams` the sweep's random
-streams.  None of them imports this module.
+chains, power allocators and rate checks, on `chains`' tables; `streams`
+the sweep's random streams.  None of them imports this module.
 
 Every computation runs on columns, one entry per trial (see `gaussnet`).
 One masked cascade, `_verify_columns`, normalises, then allocates and
@@ -167,8 +167,8 @@ def verify_constant_gap(net: GaussNetwork, rates: Sequence[float]) -> Achievabil
     hop_terms = _hop_terms(up, down, p)
     stage, excess, slack, detail, normalized, hops = _verify_columns(up, down, p, _one(target), hop_terms)
     reached = {
-        hop: (_HOPS[hop].allocation(splits, 0), _single_checks(groups))
-        for hop, (rows, splits, groups) in hops.items()
+        hop: (_HOPS[hop].allocation(splits, 0), _single_checks(splits.case[0], *checks))
+        for hop, (rows, splits, checks) in hops.items()
         if rows.size
     }
     (uplink, uplink_checks), (downlink, downlink_checks) = (reached.get(hop, (None, ())) for hop in _HOPS)
@@ -195,7 +195,7 @@ def _verify_columns(up, down, p, target, hop_terms):
     Returns each trial's stage, largest budget excess, smallest check slack
     and detail, as its report gives them; `_normalize`'s columns; and per
     hop reached, the trials that got a split, their `_Splits` and their
-    check groups.  Raises where `verify_constant_gap` raises, for some
+    `_chain_checks`.  Raises where `verify_constant_gap` raises, for some
     trial."""
     n = len(p)
     _require_hypothesis(target, up, down, p)
@@ -222,21 +222,20 @@ def _verify_columns(up, down, p, target, hop_terms):
         rows = rows[kept]
         excess[rows] = _max(excess[rows], spent)
 
-        bad = np.zeros(len(rows), dtype=bool)
-        groups = list(_HOPS[hop].checks(snr, splits))
-        for at, checks in groups:
-            trials = rows[at]
-            slacks = np.array([rhs - lhs for _, lhs, rhs in checks])
-            # min() over both hops' checks, in order: every trial that
-            # reaches the downlink checks holds its uplink checks' minimum.
-            held = [slack[trials]] if hops else []
-            slack[trials] = _fold(_min, [*held, *slacks])
-            failed = slacks < -TOL
-            bad[at] = failed.any(axis=0)
-            for j in np.flatnonzero(bad[at]).tolist():
-                detail[trials[j]] = ", ".join(name for (name, _, _), f in zip(checks, failed) if f[j])
+        names, lhs, rhs = checks = _HOPS[hop].checks(snr, splits)
+        slacks = rhs - lhs  # inf where a trial's case has no such check
+        # min() over both hops' checks; a trial reaching the downlink holds its uplink minimum.  A walk's
+        # powers are finite and at least +0.0: at normalised rates every need (2^r - 1 or 2^r) is at least
+        # +0.0, and the preconditions and the (2 max|h|)^2 P guard bound it.  So no slack is NaN or -0.0,
+        # and the fold over the check slots picks what min() picks in decoding order.
+        held = [slack[rows]] if hops else []
+        slack[rows] = _fold(_min, [*held, *slacks])
+        failed = slacks < -TOL
+        bad = failed.any(axis=0)
+        for j in np.flatnonzero(bad).tolist():
+            detail[rows[j]] = ", ".join(name for s, name in names[splits.case[j]] if failed[s, j])
         stage[rows[bad]] = f"{hop}-rate-check"
-        hops[hop] = (rows, splits, groups)
+        hops[hop] = (rows, splits, checks)
         rows = rows[~bad]
     return stage, excess, slack, detail, normalized, hops
 

@@ -27,7 +27,7 @@ call, entry by entry through `_each` (`_capacity`, `_lattice_cap` and
 `_pow2` too), since numpy's differ from libm's in the last bit.  A map
 costs a numpy call or two however many entries it has, so each stage makes
 as few as it can: a hop's decoding checks map each cap function once per
-case (`hops._chain_checks`).  A value two formulas share exactly is
+hop (`chains._chain_checks`).  A value two formulas share exactly is
 computed once: C(max(a, b) P) is whichever of C(a P) and C(b P) max
 picks; the single-family terms of both bounds are one formula; and the
 normalised network's `_hop_terms` are gathered from the input's, since
@@ -217,24 +217,6 @@ def _divide(a, b):
     if (b == 0).any():
         raise ZeroDivisionError("float division by zero")
     return a / b
-
-
-def _cap_quotients(parts) -> np.ndarray:
-    """``cap(_divide(num, den))`` of each (num, den, cap) of ``parts``, one
-    row each, with one `_divide` over all of them and one map per cap
-    function.  On an error it calls them part by part, in order, and so
-    raises what the first part to raise raises."""
-    num, den = np.array([n for n, _, _ in parts]), np.array([d for _, d, _ in parts])
-    try:
-        x = _divide(num, den)
-        for cap in dict.fromkeys(cap for _, _, cap in parts):
-            at = [i for i, part in enumerate(parts) if part[2] is cap]
-            x[at] = cap(x[at])
-    except (ZeroDivisionError, ValueError):
-        for n, d, cap in parts:
-            cap(_divide(n, d))
-        raise
-    return x
 
 
 def _row(columns, i: int) -> tuple:

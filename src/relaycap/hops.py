@@ -2,26 +2,18 @@
 the successive-cancellation chains, the power allocators and the
 decoding-rate checks, uplink and downlink.
 
-Lattice codewords themselves are never constructed -- streams are
-represented by their rate and their received power only.  The achievable
-scheme superposes, at the higher-rate user of each pair, a Gaussian
-codeword and a lattice codeword whose receive power matches the partner's
-lattice codeword, so the relay can decode the lattice sum.  Sorting the
-users by receive strength leaves three uplink and three downlink
-configurations.  Each configuration's successive-cancellation chain is
-written once, in `_UPLINK_CHAINS` or `_DOWNLINK_CHAINS`, as stages of a
-stream and the receivers that decode it (the uplink's one receiver is the
-relay, at SNR 1).  One walker, `_walk`, spends bottom-up exactly the power
-each stream's rate requires given the interference still standing under
-it, and one checker, `_chain_checks`, walks the same stages.
-
-Each libm map costs a numpy call or two whatever its length, so the hops
-make few: `_chain_checks` stacks each case's (check, receiver) quotients
-for one division and one map per cap function, and the walks read 2^r,
-which the constant-gap cascade computes once for both hops.  `_allocate`
-runs one hop for a batch of trials, and `_HOPS` gives the cascade each
-hop's functions.  The allocators and rate checks run the batch code on a
-batch of one.
+Streams are represented by their rate and received power only; no lattice
+codeword is constructed.  The scheme superposes, at the higher-rate user of
+each pair, a Gaussian codeword and a lattice codeword received at the
+partner's lattice power, so the relay can decode the lattice sum.  Sorting
+the users by receive strength leaves three configurations per hop, each
+with its successive-cancellation chain written once, in `_UPLINK_CHAINS` or
+`_DOWNLINK_CHAINS`, and laid out as a `chains._Table` indexed by case code:
+one pass of `chains._walk` per hop spends, bottom-up, exactly the power each
+stream needs over the interference still standing under it, and one pass of
+`chains._chain_checks` makes every trial's checks, with one division and one
+libm map per cap function.  `_HOPS` gives the cascade each hop's functions;
+the allocators and rate checks run the batch code on a batch of one.
 """
 
 from __future__ import annotations
@@ -31,6 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .chains import _chain_checks, _Table, _walk
 from .gaussnet import (
     _CASES,
     _FAMILIES,
@@ -39,7 +32,6 @@ from .gaussnet import (
     ConstraintCheck,
     GaussNetwork,
     InfeasibleRatesError,
-    _cap_quotients,
     _capacity,
     _case_codes,
     _fold,
@@ -65,11 +57,9 @@ class LowPowerError(ValueError):
 
 
 class AllocationInvalidError(RuntimeError):
-    """A computed power split exceeds a power budget.
-
-    The validity chains only guarantee the splits near-universally; see the
-    package notes on sum-rate corner cases.
-    """
+    """A computed power split exceeds a power budget: the validity chains only
+    guarantee the splits near-universally (see the package notes on sum-rate
+    corner cases)."""
 
 
 @dataclass
@@ -104,13 +94,12 @@ def _precondition_errors(direction: str, terms, r) -> dict[int, InfeasibleRatesE
 
 
 def _allocate(direction: str, mags, p, r, powers, terms):
-    """Walk each trial's cancellation chain for the hop at rates ``r``,
-    whose `_pow2` are ``powers``.  A trial is refused before any split at the
-    SNR floor, then at the hop's first failed rate precondition (from
-    ``terms``, the hop's `_hop_terms`), and after it where the split
-    overspends.  Returns the splits of the trials that get one, their
-    positions in the batch, SNRs and budget excess, and the refused trials'
-    errors."""
+    """Walk each trial's cancellation chain for the hop at rates ``r``, whose
+    `_pow2` are ``powers``.  A trial is refused at the SNR floor or at the
+    hop's first failed rate precondition (from ``terms``, the hop's
+    `_hop_terms`), and after the walk where its split overspends.  Returns
+    the splits made, their trials' positions, SNRs and budget excess, and
+    the refused trials' errors."""
     unsorted = (r[1::2] > r[0::2] + TOL).any(axis=0)
     if unsorted.any():
         raise ValueError(f"rates {_row(r, unsorted.argmax())} not normalized: each pair needs r_A >= r_B")
@@ -129,53 +118,6 @@ def _allocate(direction: str, mags, p, r, powers, terms):
     kept = np.flatnonzero(~over)
     rows = rows[kept]
     return splits.take(kept), rows, snr[:, rows], excess[kept], errors
-
-
-def _by_case(case: np.ndarray):
-    """Each case code present, with the positions of its trials."""
-    for c in range(len(_CASES)):
-        mask = case == c
-        if mask.any():
-            yield c, np.flatnonzero(mask)
-
-
-def _walk(chains, case, need, g) -> np.ndarray:
-    """Each stream's power for each trial's case, walking its chain in
-    ``chains`` from the bottom: a stream needs ``need`` (1 + g q) / g at a
-    receiver of SNR row g under interference q, and its worst receiver binds."""
-    power = np.zeros(need.shape)
-    for c, rows in _by_case(case):
-        n, gc, pc = need[:, rows], g[:, rows], [np.zeros(len(rows))] * len(need)
-        for stream, receivers in chains[c]:
-            if len(receivers) == 1:  # the closed form's association, bit for bit
-                ((k, under),) = receivers
-                pc[stream] = n[stream] * (1.0 + gc[k] * under(pc)) / gc[k]
-            else:
-                pc[stream] = n[stream] * _fold(_max, [(1.0 + gc[k] * under(pc)) / gc[k] for k, under in receivers])
-        power[:, rows] = pc
-    return power
-
-
-def _chain_checks(chains, checks, case, power, g, rates):
-    """Each trial's decoding checks, ``checks[case]``, per case present:
-    its trials' positions and (name, lhs, rhs) columns.  A check sums its
-    streams' rates and powers p, and takes the least cap(g p / (1 + g q))
-    over the receivers of its first stream's stage, as min() picks it.  A
-    case's receivers are stacked, for one `_divide` and one map per cap
-    function (`_cap_quotients`)."""
-    for c, rows in _by_case(case):
-        pc, gc, rc = power[:, rows], g[:, rows], rates[:, rows]
-        receivers = dict(chains[c])
-        stages = [receivers[streams[0]] for _, streams, _ in checks[c]]
-        parts = []
-        for (_, streams, cap), stage in zip(checks[c], stages):
-            p = _fold(np.add, [pc[s] for s in streams])
-            parts += [(gc[k] * p, 1.0 + gc[k] * under(pc), cap) for k, under in stage]
-        caps = iter(_cap_quotients(parts))
-        yield rows, [
-            (name, _fold(np.add, [rc[s] for s in streams]), _fold(_min, [next(caps) for _ in stage]))
-            for (name, streams, _), stage in zip(checks[c], stages)
-        ]
 
 
 # --- Uplink ------------------------------------------------------------------
@@ -203,24 +145,15 @@ _PRE_ORDER = [0, 1, 2, 3, 4, 6, 5, 7]  # the families in precondition checking o
 
 def _precondition_rows(direction: str) -> tuple[tuple[str, tuple[int, ...], float], ...]:
     """(name, sessions, back-off) of each rate precondition of one hop, in
-    checking order: the paper's, which puts A1+B2 before B1+B2.
-
-    A session's uplink is |h_A1R| for session A1; its downlink is the
-    relay's link to its destination, the partner `s ^ 1`: |h_RB1|.
-    """
-    rows = []
-    for k in _PRE_ORDER:
-        _, sessions, up_backoff, down_backoff = _FAMILIES[k]
-        if direction == "uplink":
-            powers = [f"|h_{_SESSIONS[s]}R|^2" for s in sessions]
-            snr, backoff = f"({'+'.join(powers)}) P", up_backoff
-        else:
-            powers = [f"|h_R{_SESSIONS[s ^ 1]}|^2" for s in sessions]
-            snr, backoff = f"max({','.join(powers)}) P", down_backoff
-        if len(sessions) == 1:
-            snr = f"{powers[0]} P"
-        lhs = " + ".join(f"r_{_SESSIONS[s]}" for s in sessions)
-        rows.append((f"{lhs} <= C({snr}) - {backoff:g}", sessions, backoff))
+    checking order: the paper's, which puts A1+B2 before B1+B2.  A session's
+    uplink is |h_A1R| for session A1; its downlink is the relay's link to its
+    destination, the partner `s ^ 1`: |h_RB1|."""
+    up, rows = direction == "uplink", []
+    for _, sessions, up_backoff, down_backoff in (_FAMILIES[k] for k in _PRE_ORDER):
+        powers = [f"|h_{_SESSIONS[s]}R|^2" if up else f"|h_R{_SESSIONS[s ^ 1]}|^2" for s in sessions]
+        snr = powers[0] if len(powers) == 1 else f"({'+'.join(powers)})" if up else f"max({','.join(powers)})"
+        backoff, lhs = up_backoff if up else down_backoff, " + ".join(f"r_{_SESSIONS[s]}" for s in sessions)
+        rows.append((f"{lhs} <= C({snr} P) - {backoff:g}", sessions, backoff))
     return tuple(rows)
 
 
@@ -228,27 +161,19 @@ _PRECONDITIONS = {direction: _precondition_rows(direction) for direction in ("up
 _BACKOFFS = {direction: np.array([[backoff] for _, _, backoff in rows]) for direction, rows in _PRECONDITIONS.items()}
 
 
-# The uplink cancellation chains, bottom stage first; the relay decodes
-# from the top.  It is the one receiver, `_RELAY`, at SNR 1, so the powers
+# The uplink cancellation chains, bottom stage first, each stage a stream
+# and the streams still standing under it at the relay, which decodes from
+# the top.  The relay is the one receiver, `_RELAY`, at SNR 1, so the powers
 # are the received ones, alpha * |h|^2 P: G1 and G2 of the Gaussian
 # codewords, T and W of each lattice codeword of pairs 1 and 2 (a lattice
-# sum arrives at twice that).  Cases II and III end in the same MAC: both
-# Gaussian codewords decoded jointly, two stages under one interference.
+# sum arrives at twice that).  Cases II and III end in the same MAC: x_A2's
+# codeword, then x_A1's, decoded jointly under both lattice sums.
 _G1, _T, _G2, _W = range(4)
 _RELAY = 0
-# The MAC's stages: x_A2's codeword, then x_A1's, at the relay under both lattice sums.
-_MAC_RECEIVERS = ((_RELAY, lambda q: 2.0 * q[_T] + 2.0 * q[_W]),)
-_MAC = ((_G2, _MAC_RECEIVERS), (_G1, _MAC_RECEIVERS))
 _UPLINK_CHAINS = (  # indexed by case code: I, II, III
-    (
-        (_W, ((_RELAY, lambda q: 0.0),)),
-        (_G2, ((_RELAY, lambda q: 2.0 * q[_W]),)),
-        (_T, ((_RELAY, lambda q: q[_G2] + 2.0 * q[_W]),)),
-        (_G1, ((_RELAY, lambda q: 2.0 * q[_T] + q[_G2] + 2.0 * q[_W]),)),
-    ),
-    ((_W, ((_RELAY, lambda q: 0.0),)), (_T, ((_RELAY, lambda q: 2.0 * q[_W]),)), *_MAC),
-    # III: pair 2's lattice sum is decoded before pair 1's
-    ((_T, ((_RELAY, lambda q: 0.0),)), (_W, ((_RELAY, lambda q: 2.0 * q[_T]),)), *_MAC),
+    ((_W, ()), (_G2, (_W,)), (_T, (_G2, _W)), (_G1, (_T, _G2, _W))),
+    ((_W, ()), (_T, (_W,)), (_G2, (_T, _W)), (_G1, (_T, _W))),
+    ((_T, ()), (_W, (_T,)), (_G2, (_T, _W)), (_G1, (_T, _W))),  # pair 2's lattice sum before pair 1's
 )
 # Each case's uplink checks, in decoding order: the MAC's sum after its two single-user checks.
 _LATTICE1 = ("decode pair-1 lattice sum", (_T,), _lattice_cap)
@@ -259,14 +184,12 @@ _MAC_CHECKS = (
     ("gaussian MAC sum", (_G1, _G2), _capacity),
 )
 _UPLINK_CHECKS = (  # indexed by case code: I, II, III
-    (
-        ("decode x_A1 gaussian", (_G1,), _capacity),
-        _LATTICE1,
-        ("decode x_A2 gaussian", (_G2,), _capacity),
-        _LATTICE2,
-    ),
+    (("decode x_A1 gaussian", (_G1,), _capacity), _LATTICE1, ("decode x_A2 gaussian", (_G2,), _capacity), _LATTICE2),
     (*_MAC_CHECKS, _LATTICE1, _LATTICE2),
     (*_MAC_CHECKS, _LATTICE2, _LATTICE1),
+)
+_UPLINK = _Table(  # a lattice sum's power arrives twice
+    [[(s, ((_RELAY, under),)) for s, under in chain] for chain in _UPLINK_CHAINS], _UPLINK_CHECKS, (1.0, 2.0, 1.0, 2.0)
 )
 
 
@@ -281,7 +204,7 @@ def _walk_uplink(mags, snr, r, powers) -> _Splits:
     need = powers.copy()
     need[0::2] = powers[0::2] / powers[1::2] - 1.0
     need[_G1] = np.where(case == 0, need[_G1], _max(need[_G1], (u * v) / (s * w) - v / w))
-    q = _walk(_UPLINK_CHAINS, case, need, np.ones((1, len(case))))
+    q = _walk(_UPLINK, case, need, np.ones((1, len(case))))
     # G1 / x1, T / x1, G2 / x3, W / x3, T / x2, W / x4
     alpha = q[[_G1, _T, _G2, _W, _T, _W]] / snr[[0, 0, 2, 2, 1, 3]]
     return _Splits(case, alpha, np.concatenate([r[0::2] - r[1::2], r[1::2]]))
@@ -294,25 +217,19 @@ def _uplink_allocation(splits: _Splits, i: int) -> UplinkAllocation:
 
 
 def _uplink_overspend(splits: _Splits, i: int, excess: float) -> str:
-    alloc = _uplink_allocation(splits, i)
-    return (
-        f"uplink case {alloc.case} power budget exceeded by {excess:.3g} "
-        f"(alphas A1={alloc.alpha_a1}, A2={alloc.alpha_a2}, "
-        f"B1={alloc.alpha_b1:.6g}, B2={alloc.alpha_b2:.6g})"
-    )
+    a = _uplink_allocation(splits, i)
+    return (f"uplink case {a.case} power budget exceeded by {excess:.3g} (alphas A1={a.alpha_a1}, "
+            f"A2={a.alpha_a2}, B1={a.alpha_b1:.6g}, B2={a.alpha_b2:.6g})")
 
 
 @_quiet
 def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     """Power splits letting the relay decode both Gaussian codewords and
-    both lattice sums at the component rates implied by ``r``.
-
-    Walks the case's chain in `_UPLINK_CHAINS` from the bottom: each stream
-    gets exactly the receive power that makes its decoding inequality an
-    equality given the streams still undecoded beneath it.  Lattice partners
-    then mirror powers through the alignment rule so each pair's lattice
-    codewords arrive level.
-    """
+    both lattice sums at the component rates implied by ``r``: the case's
+    chain in `_UPLINK_CHAINS`, walked from the bottom, gives each stream the
+    receive power that makes its decoding inequality an equality over the
+    streams still undecoded beneath it; lattice partners mirror powers through
+    the alignment rule, so each pair's lattice codewords arrive level."""
     up, down, p = net._columns()
     r = _one(_rate_quad(r))
     splits, *_, errors = _allocate("uplink", up, p, r, _pow2(r), _hop_terms(up, down, p)[0])
@@ -326,13 +243,12 @@ def _uplink_checks(snr, splits: _Splits):
     relay.  ``snr`` are the hop's |h|^2 P."""
     q = splits.alpha[[0, 4, 2, 5]] * snr  # received powers of G1, T, G2, W
     ones = np.ones((1, len(splits.case)))
-    return _chain_checks(_UPLINK_CHAINS, _UPLINK_CHECKS, splits.case, q, ones, splits.rates[[0, 2, 1, 3]])
+    return _chain_checks(_UPLINK, splits.case, q, ones, splits.rates[[0, 2, 1, 3]])
 
 
-def _single_checks(groups) -> tuple[ConstraintCheck, ...]:
-    """The checks of a batch of one."""
-    ((_, checks),) = groups
-    return tuple(ConstraintCheck(name, lhs.item(), rhs.item()) for name, lhs, rhs in checks)
+def _single_checks(case, names, lhs, rhs) -> tuple[ConstraintCheck, ...]:
+    """The `_chain_checks` of a batch of one, of case code ``case``, in decoding order."""
+    return tuple(ConstraintCheck(name, lhs[s, 0].item(), rhs[s, 0].item()) for s, name in names[case])
 
 
 @_quiet
@@ -346,7 +262,7 @@ def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[Const
     if expected != alloc.case:
         raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
     splits = _Splits(np.array([_CASES.index(expected)]), alpha, rates)
-    return _single_checks(_uplink_checks(up * up * p, splits))
+    return _single_checks(splits.case[0], *_uplink_checks(up * up * p, splits))
 
 
 # --- Downlink ----------------------------------------------------------------
@@ -355,11 +271,9 @@ def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[Const
 @dataclass(frozen=True)
 class DownlinkAllocation:
     """Relay power split over the four broadcast streams, indexed as in
-    `_DOWNLINK_CHAINS`: 0 = pair 1's solo stream, 1 = pair 1's shared
-    stream, 2 and 3 = pair 2's.  Pair 1 is the pair with the stronger
-    shared-stream receiver; when ``pairs_swapped`` is set, that is the
-    input's pair 2.
-    """
+    `_DOWNLINK_CHAINS`: 0 = pair 1's solo stream, 1 = pair 1's shared stream,
+    2 and 3 = pair 2's.  Pair 1 is the pair with the stronger shared-stream
+    receiver: the input's pair 2 when ``pairs_swapped`` is set."""
 
     case: str
     alpha_r: tuple[float, float, float, float]
@@ -371,34 +285,31 @@ def _downlink_excess(alpha) -> np.ndarray:
     return _max(sum(alpha) - 1.0, -_fold(_min, alpha))
 
 
-# The downlink cancellation chains, bottom stage first, over the relay
-# power fractions p of the streams.  A stage is a stream and each receiver
-# that decodes it: the position of its SNR in (b1, a1, b2, a2), that is
-# |h_RB1|^2 P, |h_RA1|^2 P, ..., and the interference fraction still
-# standing there.  Pair 1's A node already knows stream 0, and pair 2's A
-# node reconstructs its own solo stream 2.
+# The downlink cancellation chains, bottom stage first, over the relay power
+# fractions of the streams: a stage is a stream and each receiver that
+# decodes it, the position of its SNR in (b1, a1, b2, a2), that is |h_RB1|^2
+# P, |h_RA1|^2 P, ..., with the streams still standing there.  Pair 1's A
+# node already knows stream 0; pair 2's A node reconstructs its solo stream 2.
 _SOLO1, _SHARED1, _SOLO2, _SHARED2 = range(4)
 _B1, _A1, _B2, _A2 = range(4)
 _DOWNLINK_CHAINS = (  # indexed by case code: I, II, III
     (
-        (_SOLO1, ((_B1, lambda p: 0.0),)),
-        (_SHARED1, ((_B1, lambda p: p[0]), (_A1, lambda p: 0.0))),
-        (_SOLO2, ((_B2, lambda p: p[0] + p[1]),)),
-        (_SHARED2, ((_B2, lambda p: p[0] + p[1] + p[2]), (_A2, lambda p: p[0] + p[1]))),
+        (_SOLO1, ((_B1, ()),)),
+        (_SHARED1, ((_B1, (_SOLO1,)), (_A1, ()))),
+        (_SOLO2, ((_B2, (_SOLO1, _SHARED1)),)),
+        (_SHARED2, ((_B2, (_SOLO1, _SHARED1, _SOLO2)), (_A2, (_SOLO1, _SHARED1)))),
     ),
     (
-        (_SOLO1, ((_B1, lambda p: 0.0),)),
-        (_SOLO2, ((_B2, lambda p: p[0]),)),
-        (_SHARED1, ((_A1, lambda p: p[2]), (_B2, lambda p: p[0] + p[2]))),
-        (_SHARED2, ((_B2, lambda p: p[0] + p[1] + p[2]), (_A1, lambda p: p[1] + p[2]),
-                    (_A2, lambda p: p[0] + p[1]))),
+        (_SOLO1, ((_B1, ()),)),
+        (_SOLO2, ((_B2, (_SOLO1,)),)),
+        (_SHARED1, ((_A1, (_SOLO2,)), (_B2, (_SOLO1, _SOLO2)))),
+        (_SHARED2, ((_B2, (_SOLO1, _SHARED1, _SOLO2)), (_A1, (_SHARED1, _SOLO2)), (_A2, (_SOLO1, _SHARED1)))),
     ),
     (
-        (_SOLO1, ((_B1, lambda p: 0.0),)),
-        (_SOLO2, ((_B2, lambda p: p[0]),)),
-        (_SHARED2, ((_A2, lambda p: p[0]), (_B2, lambda p: p[0] + p[2]))),
-        (_SHARED1, ((_B2, lambda p: p[0] + p[2] + p[3]), (_A1, lambda p: p[2] + p[3]),
-                    (_A2, lambda p: p[0] + p[3]))),
+        (_SOLO1, ((_B1, ()),)),
+        (_SOLO2, ((_B2, (_SOLO1,)),)),
+        (_SHARED2, ((_A2, (_SOLO1,)), (_B2, (_SOLO1, _SOLO2)))),
+        (_SHARED1, ((_B2, (_SOLO1, _SOLO2, _SHARED2)), (_A1, (_SOLO2, _SHARED2)), (_A2, (_SOLO1, _SHARED2)))),
     ),
 )
 # Each case's downlink checks: each stream's rate against its worst receiver, shared streams first.
@@ -408,6 +319,7 @@ _DOWNLINK_CHECKS = ((
     ("pair-1 solo stream", (_SOLO1,), _capacity),
     ("pair-2 solo stream", (_SOLO2,), _capacity),
 ),) * len(_CASES)
+_DOWNLINK = _Table(_DOWNLINK_CHAINS, _DOWNLINK_CHECKS, (1.0, 1.0, 1.0, 1.0))
 
 
 def _walk_downlink(mags, snr, r, powers) -> _Splits:
@@ -422,13 +334,11 @@ def _walk_downlink(mags, snr, r, powers) -> _Splits:
     need[0::2] = powers[0::2] / powers[1::2] - 1.0
     rates = r.copy()
     rates[0::2] = r[0::2] - r[1::2]
-    return _Splits(case, _walk(_DOWNLINK_CHAINS, case, need, snr), rates, swapped)
+    return _Splits(case, _walk(_DOWNLINK, case, need, snr), rates, swapped)
 
 
-def _downlink_allocation(splits: _Splits, i: int) -> DownlinkAllocation:
-    return DownlinkAllocation(
-        _CASES[splits.case[i]], _row(splits.alpha, i), _row(splits.rates, i), bool(splits.swapped[i])
-    )
+def _downlink_allocation(s: _Splits, i: int) -> DownlinkAllocation:
+    return DownlinkAllocation(_CASES[s.case[i]], _row(s.alpha, i), _row(s.rates, i), bool(s.swapped[i]))
 
 
 def _downlink_overspend(splits: _Splits, i: int, excess: float) -> str:
@@ -438,16 +348,13 @@ def _downlink_overspend(splits: _Splits, i: int, excess: float) -> str:
 
 @_quiet
 def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocation:
-    """Relay power split delivering the four streams at their rates.
-
-    Walks the case's chain in `_DOWNLINK_CHAINS` from the bottom: a stream
-    of rate rho needs alpha >= (2^rho - 1) (1 + g q) / g at each receiver
-    of SNR g under interference fraction q.  The chains take pair 1 to be
-    the pair with the stronger shared-stream receiver (the B side, after
-    normalization); when the input has them the other way round the pairs
-    are relabeled internally, which the pair-symmetric rate preconditions
-    permit.
-    """
+    """Relay power split delivering the four streams at their rates: the
+    case's chain in `_DOWNLINK_CHAINS`, walked from the bottom, where a stream
+    of rate rho needs alpha >= (2^rho - 1) (1 + g q) / g at each receiver of
+    SNR g under interference fraction q.  The chains take pair 1 to be the
+    pair with the stronger shared-stream receiver (the B side, after
+    normalization), relabeling the pairs where the input has them the other
+    way round, as the pair-symmetric rate preconditions permit."""
     up, down, p = net._columns()
     r = _one(_rate_quad(r))
     splits, *_, errors = _allocate("downlink", down, p, r, _pow2(r), _hop_terms(up, down, p)[1])
@@ -460,7 +367,7 @@ def _downlink_checks(snr, splits: _Splits):
     """`_chain_checks` of each trial's case in `_DOWNLINK_CHECKS`, with the
     pairs as its chain takes them.  ``snr`` are the hop's |h|^2 P."""
     snr = _swap_pairs(snr, splits.swapped)
-    return _chain_checks(_DOWNLINK_CHAINS, _DOWNLINK_CHECKS, splits.case, splits.alpha, snr, splits.rates)
+    return _chain_checks(_DOWNLINK, splits.case, splits.alpha, snr, splits.rates)
 
 
 @_quiet
@@ -473,14 +380,14 @@ def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[C
     if case != alloc.case:
         raise ValueError("allocation case does not match the network ordering")
     splits = _Splits(np.array([_CASES.index(case)]), alpha, rates, swapped)
-    return _single_checks(_downlink_checks(down * down * p, splits))
+    return _single_checks(splits.case[0], *_downlink_checks(down * down * p, splits))
 
 
 class _Hop(NamedTuple):
     walk: Callable  # (magnitudes, SNRs, rates, 2^rates) -> _Splits
     excess: Callable  # alpha rows -> budget excess
     overspend: Callable  # (splits, trial, excess) -> AllocationInvalidError text
-    checks: Callable  # (SNRs, splits) -> per case: trials, (name, lhs, rhs)
+    checks: Callable  # (SNRs, splits) -> `_chain_checks`: names, lhs and rhs rows
     allocation: Callable  # (splits, trial) -> UplinkAllocation or DownlinkAllocation
 
 

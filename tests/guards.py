@@ -76,3 +76,24 @@ def import_cycle(graph: dict) -> list | None:
     except graphlib.CycleError as exc:
         return exc.args[1]
     return None
+
+
+_CASE_NAMES = frozenset({"I", "II", "III"})
+
+
+def case_dispatch(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing def or class, kind) of each place ``source`` dispatches on
+    a hop's case by hand: a loop, comprehensions included, whose iterable
+    names `_CASES`, and an == or != comparison with a case-name literal."""
+    found = []
+    for node, scopes, _ in walk(source):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.iter)}
+            if "_CASES" in names:
+                found.append((innermost(scopes), "loop over _CASES"))
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            operands = [node.left, *node.comparators]
+            names = [o.value for o in operands if isinstance(o, ast.Constant) and isinstance(o.value, str)]
+            if _CASE_NAMES.intersection(names):
+                found.append((innermost(scopes), "case-name compare"))
+    return found

@@ -415,9 +415,9 @@ def test_modules_are_short_and_import_in_layers():
     graph = guards.package_imports(sources)
     assert guards.import_cycle(graph) is None
     # The Gaussian layers import downward only: `gaussian` sits on `hops`,
-    # which sits on `gaussnet`, and `streams` stands alone.
-    assert graph["gaussnet"] == set() and graph["hops"] == {"gaussnet"} and graph["streams"] == set()
-    assert {"gaussnet", "hops", "streams"} <= graph["gaussian"]
+    # which sits on `chains`, which sits on `gaussnet`, and `streams` stands alone.
+    assert graph["gaussnet"] == set() and graph["chains"] == {"gaussnet"} and graph["streams"] == set()
+    assert graph["hops"] == {"chains", "gaussnet"} and {"gaussnet", "hops", "streams"} <= graph["gaussian"]
 
     assert _long_modules({"big": "x = 1\n" * 601, "fits": "x = 1\n" * 600}) == ["big"]
     planted = {

@@ -60,7 +60,7 @@ from relaycap import (
     uplink_rate_check,
     verify_constant_gap,
 )
-from relaycap import gaussian, gaussnet, hops, streams
+from relaycap import chains, gaussian, gaussnet, hops, streams
 from relaycap.gaussian import (
     MIN_LINK_SNR,
     TOL,
@@ -408,7 +408,7 @@ def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
     def forced_checks(snr, splits):
         calls.append("up")
         n = snr.shape[1]
-        return [(np.arange(n), [("forced", np.ones(n), np.zeros(n))])]
+        return (((0, "forced"),),) * 3, np.ones((1, n)), np.zeros((1, n))
 
     def recording_walk(mags, snr, r, powers):
         calls.append("down")
@@ -846,9 +846,8 @@ def _allocation_montecarlo(seed, direction, allocate, rate_check):
     splits, kept, snr, excess, errors = hops._allocate(direction, mags, p, r, gaussnet._pow2(r), terms)
     assert not errors and kept.tolist() == list(range(len(trials)))
     assert (excess <= 1e-9).all(), np.flatnonzero(excess > 1e-9)
-    for rows, checks in hops._HOPS[direction].checks(snr, splits):
-        for name, lhs, rhs in checks:
-            assert (rhs - lhs >= -1e-9).all(), (name, rows[rhs - lhs < -1e-9])
+    _, lhs, rhs = hops._HOPS[direction].checks(snr, splits)
+    assert (rhs - lhs >= -1e-9).all(), np.argwhere(rhs - lhs < -1e-9)
 
 
 def test_uplink_allocation_montecarlo():
@@ -1102,6 +1101,56 @@ def test_lifted_zero_rate_faces_at_s8_stop_where_they_stop_today(lifted_region):
     assert 0.102 <= min(float(m[2]) for m in overspent) <= max(float(m[2]) for m in overspent) <= 0.125
 
 
+def _assert_batch_independent(up, down, p, target):
+    """`_verify_columns` gives each trial of the batch the same stage,
+    budget excess, check slack and detail, bit for bit, in the batch, in a
+    permutation of its columns and alone."""
+    hop_terms = gaussnet._hop_terms(up, down, p)
+
+    def verdicts(cols):
+        stage, excess, slack, detail, _, _ = gaussian._verify_columns(
+            up[:, cols], down[:, cols], p[cols], target[:, cols], hop_terms[:, :, cols]
+        )
+        return list(zip(stage.tolist(), map(repr, excess.tolist()), map(repr, slack.tolist()), detail))
+
+    batch = verdicts(np.arange(len(p)))
+    order = np.random.default_rng(44).permutation(len(p))
+    assert verdicts(order) == [batch[i] for i in order]
+    assert [verdicts([i])[0] for i in range(len(p))] == batch
+
+
+def test_cascade_trials_do_not_depend_on_their_batch(lifted_family, monkeypatch):
+    # Each trial gathers its own case's rows of a hop's tables in one pass
+    # over the batch, so its columns may not depend on the trials beside
+    # it.  The batch mixes the lifted family's nine (uplink, downlink) case
+    # pairs with the 17 seed-0 trials that fail at the uplink allocation.
+    gains, rates = lifted_family
+    up, down = gaussian._sessions(2.0 ** (16 * gains / 2))
+    p, target = np.ones(rates.shape[1]), 16 * rates - 1.0
+    *_, reached = gaussian._verify_columns(up, down, p, target, gaussnet._hop_terms(up, down, p))
+    pairs = list(zip(reached["uplink"][1].case.tolist(), reached["downlink"][1].case.tolist()))
+    picks = [pairs.index(pair) for pair in itertools.product(range(3), repeat=2)]
+    indices = _SEED0_FAILURES
+    drawn = streams._Streams(0, indices)
+    h, fp, terms = gaussian._sample_networks(SweepConfig(10**6, 0), drawn, indices)
+    failing = (*gaussian._sessions(h), fp, gaussian._boundary_rates(drawn, gaussnet._min(*terms)))
+    batch = [np.concatenate([a[..., picks], b], axis=-1) for a, b in zip((up, down, p, target), failing)]
+    stage = gaussian._verify_columns(*batch, gaussnet._hop_terms(*batch[:3]))[0].tolist()
+    assert stage == ["ok"] * 9 + ["uplink-allocation"] * 17
+    _assert_batch_independent(*batch)
+    # Planted: each trial reading its neighbour's case rows, or its
+    # neighbour's powers, changes it with the batch around it.
+    take, walk = chains._take, hops._walk
+    for module, name, planted in (
+        (chains, "_take", lambda rows, case: take(rows, np.roll(case, 1))),
+        (hops, "_walk", lambda table, case, need, g: np.roll(walk(table, case, need, g), 1, axis=1)),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, planted)
+            with pytest.raises(AssertionError):
+                _assert_batch_independent(*batch)
+
+
 def test_lifted_family_lies_in_the_cutset_region(lifted_family):
     gains, rates = lifted_family
     outside = []
@@ -1299,7 +1348,7 @@ def test_seed_pool_is_numpys(seed):
 
 # The modules of the Gaussian side: `gaussian` and the layers it took code
 # from.  A source guard reads them all.
-GAUSSIAN_MODULES = (gaussnet, hops, streams, gaussian)
+GAUSSIAN_MODULES = (gaussnet, chains, hops, streams, gaussian)
 
 
 def _np_random_reads(source: str) -> list[tuple[str | None, str | None]]:
@@ -1382,6 +1431,22 @@ def test_no_module_calls_a_numpy_transcendental_but_the_samplers_exp():
         assert _np_transcendentals(planted) == use, planted
 
 
+def test_hop_code_never_dispatches_on_a_case_by_hand():
+    # Each trial gathers its own case's rows of the hop tables, so no code
+    # loops over the cases or compares a case with its name: a per-case
+    # pass pays every numpy call once per case present.
+    for module in (chains, hops, gaussian):
+        assert guards.case_dispatch(Path(module.__file__).read_text()) == [], module.__name__
+    for planted, found in (
+        ("for c in range(len(_CASES)):\n    pass", [(None, "loop over _CASES")]),
+        ("def f(case):\n    return [c for c in gaussnet._CASES if c]", [("f", "loop over _CASES")]),
+        ("def f(alloc):\n    return alloc.case == 'II'", [("f", "case-name compare")]),
+        ("class C:\n    def g(self, c):\n        return 'III' != c", [("g", "case-name compare")]),
+        ("def f(case):\n    return _CASES[case] if case == 0 else _CASES.index('I')", []),
+    ):
+        assert guards.case_dispatch(planted) == found, planted
+
+
 def _private_defaults(source: str) -> list[str]:
     """Each function whose name starts with a single underscore and that has
     a parameter default, positional or keyword-only."""
@@ -1432,14 +1497,27 @@ def _libm_work(monkeypatch) -> tuple[int, int, int, int]:
 def test_sweep_libm_work_is_pinned(monkeypatch):
     # A libm map costs a few numpy calls however short it is, and a libm
     # call about 60 ns, so each stage of the cascade maps once: a hop's
-    # decoding checks once per (case, cap function), the normalised
+    # decoding checks once per (hop, cap function), the normalised
     # network's family terms gathered from the sampler's, and 2^r once for
     # both hops.  The pins hold that work: a stage that maps again, or that
     # recomputes a value the block already holds, moves them.  Every other
     # module reaches libm through `gaussnet._each`, so the spy sees it all.
-    assert not any(hasattr(module, "_each") for module in (hops, streams, gaussian))
-    pinned = (13, 5792, 140, 777)
+    assert not any(hasattr(module, "_each") for module in (chains, hops, streams, gaussian))
+    pinned = (7, 5792, 140, 777)
     assert _libm_work(monkeypatch) == pinned
+    # Planted: a hop's checks mapping C once per case present, as they once
+    # did, cost a map per (hop, case): all three cases reach both hops in
+    # the block, and each map here takes C of the four stream powers.
+    chain_checks = hops._chain_checks
+
+    def per_case(table, case, power, g, rates):
+        for c in np.unique(case).tolist():
+            gaussnet._capacity(power[:, case == c])
+        return chain_checks(table, case, power, g, rates)
+
+    monkeypatch.setattr(hops, "_chain_checks", per_case)
+    assert _libm_work(monkeypatch) == (7 + 2 * 3, 5792 + 2 * 4 * 150, 140 + 2 * 20, 777 + 2 * 4 * 20)
+    monkeypatch.setattr(hops, "_chain_checks", chain_checks)
     # Planted: `_normalize` calling `_hop_terms` again, as it once did,
     # costs a map and 12 calls per trial.
     normalize = gaussian._normalize
@@ -1450,7 +1528,7 @@ def test_sweep_libm_work_is_pinned(monkeypatch):
         return normalized
 
     monkeypatch.setattr(gaussian, "_normalize", recomputing)
-    assert _libm_work(monkeypatch) == (13 + 1, 5792 + 12 * 150, 140 + 20, 777 + 12 * 20)
+    assert _libm_work(monkeypatch) == (7 + 1, 5792 + 12 * 150, 140 + 20, 777 + 12 * 20)
 
 
 def _sampling_work(monkeypatch, cfg) -> tuple[int, list[int]]:
