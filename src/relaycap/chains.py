@@ -3,9 +3,14 @@ of trials in one pass.  A hop (`hops`) writes each case's chain as stages,
 bottom first: a stream and each receiver that decodes it, an SNR row and
 the streams still standing there.  `_Table` lays a hop's chains and checks
 out as arrays indexed by case code, so each trial gathers its own case's
-rows (`_take`) and no code loops over the cases.  An interference adds the
-weighted powers of just the streams it reads, in stream order, as the
-closed forms do, so every float is theirs, bit for bit.
+rows (`_take`) and no code loops over the cases.  The table also holds
+each stage's widths, the most receivers and the most streams under one
+receiver over the cases, and which closed forms its cases need, fixed when
+it is built: `_walk` reads no padding past a stage's widths, and computes
+both forms only at a stage that has one receiver in some cases and more in
+others.  An interference adds the weighted powers of just the streams it
+reads, in stream order, as the closed forms do, so every float is theirs,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +43,10 @@ class _Table:
     of the check ``slots``, each one (streams, cap) at its first stream's
     stage (no receiver to check where the case lacks it); each cap's slots;
     each case's (slot, name) in decoding order; and each stream's weight in
-    an interference, `_ZERO`'s last."""
+    an interference, `_ZERO`'s last.  Per stage, over the cases: its widths,
+    the most receivers and the most streams under one receiver, past which
+    `_rows` only pads; whether it has one receiver in every case (``lone``);
+    and whether one receiver in some case and more in another (``mixed``)."""
 
     def __init__(self, chains, checks, weight):
         self.slots = tuple(dict.fromkeys((streams, cap) for case in checks for _, streams, cap in case))
@@ -50,6 +58,10 @@ class _Table:
         caps = dict.fromkeys(cap for _, cap in self.slots)
         self.caps = [(cap, np.array([c is cap for _, c in self.slots])[:, None, None]) for cap in caps]
         self.weight = np.array([*weight, 0.0])[:, None]
+        stages = [[row for _, row in stage] for stage in zip(*chains)]
+        self.widths = tuple((max(map(len, rows)), max(len(u) for row in rows for _, u in row)) for rows in stages)
+        self.lone = tuple(all(len(row) == 1 for row in rows) for rows in stages)
+        self.mixed = tuple(not lone and any(len(row) == 1 for row in rows) for lone, rows in zip(self.lone, stages))
 
 
 def _take(rows, case):
@@ -62,25 +74,37 @@ def _take(rows, case):
 
 def _interference(table: _Table, power, at) -> np.ndarray:
     """Each receiver's interference: the weighted powers, at ``at`` in the
-    flattened ``power``, of the streams under it, added in stream order.  It
-    reads no other power, so an unread inf cannot make a NaN of 0 * inf."""
+    flattened ``power``, of the streams under it, added in stream order (0.0
+    where ``at`` holds no stream).  It reads no other power, so an unread
+    inf cannot make a NaN of 0 * inf."""
+    if not at.shape[-3]:
+        return 0.0
     terms = (table.weight * power).take(at)
-    return _fold(np.add, [terms[..., t, :, :] for t in range(_TERMS)])
+    return _fold(np.add, [terms[..., t, :, :] for t in range(at.shape[-3])])
 
 
 def _walk(table: _Table, case, need, g) -> np.ndarray:
     """Each stream's power, walking each trial's chain from the bottom: a
     stream needs ``need`` (1 + g q) / g at a receiver of SNR row g under
-    interference q, and its worst receiver binds."""
+    interference q, and its worst receiver binds.  Each stage reads only its
+    `_Table.widths` of receivers and streams under them, and computes the
+    closed form of one receiver, of several, or both, as its cases need."""
     n = np.arange(len(case))
     stream, count, snr, under = _take(table.stages, case)
     gk, need, at = g[snr, n], need[stream, n], under * len(n) + n
     power = np.zeros((_ZERO + 1, len(n)))
-    for j, lone in enumerate((table.stages[:, 1] == 1).all(axis=0)):
-        a = 1.0 + gk[j] * _interference(table, power, at[j])
-        p = need[j] * a[0] / gk[j, 0]  # one receiver: the closed form's association, bit for bit
-        if not lone:
-            p = np.where(count[j] == 1, p, need[j] * _fold(_max, list(a / gk[j])))
+    # Past a stage's widths `_rows` holds only `_ZERO` terms, each adding
+    # +0.0 (which can turn a -0.0 q into +0.0, the same 1 + g q), and repeats
+    # of a receiver, which max() keeps: reading no further changes no bit.
+    for j, ((width, terms), lone, mixed) in enumerate(zip(table.widths, table.lone, table.mixed)):
+        gj = gk[j, :width]
+        a = 1.0 + gj * _interference(table, power, at[j, :terms, :width])
+        if lone:
+            p = need[j] * a[0] / gj[0]  # one receiver: the closed form's association, bit for bit
+        else:
+            p = need[j] * _fold(_max, list(a / gj))
+            if mixed:
+                p = np.where(count[j] == 1, need[j] * a[0] / gj[0], p)
         power[stream[j], n] = p
     return power[:_ZERO]
 

@@ -232,7 +232,7 @@ def _verify_columns(up, down, p, target, hop_terms):
         slack[rows] = _fold(_min, [*held, *slacks])
         failed = slacks < -TOL
         bad = failed.any(axis=0)
-        for j in np.flatnonzero(bad).tolist():
+        for j in bad.nonzero()[0].tolist():
             detail[rows[j]] = ", ".join(name for s, name in names[splits.case[j]] if failed[s, j])
         stage[rows[bad]] = f"{hop}-rate-check"
         hops[hop] = (rows, splits, checks)
@@ -356,13 +356,13 @@ def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]
     rows = np.arange(n)
     for _ in range(MAX_SAMPLE_DRAWS):
         d = streams.draw(rows, _ROUND)
-        hp = np.exp(_uniform(lo_h, hi_h, d[:, :8])).T
-        pp = np.exp(_uniform(lo_p, hi_p, d[:, 8]))
+        hp = np.exp(_uniform(lo_h, hi_h, d[:8]))
+        pp = np.exp(_uniform(lo_p, hi_p, d[8]))
         h[:, rows], p[rows] = hp, pp
         # A draw GaussNetwork might refuse (a square near overflow, or an
         # exp that underflowed) is built as one, so it raises as it would.
         top = 2.0 * hp.max(axis=0)
-        for j in np.flatnonzero(~((hp > 0).all(axis=0) & (pp > 0) & (top * top * pp < 1e300))).tolist():
+        for j in (~((hp > 0).all(axis=0) & (pp > 0) & (top * top * pp < 1e300))).nonzero()[0].tolist():
             h_j = hp[:, j].tolist()
             GaussNetwork(h_j[0:2], h_j[2:4], h_j[4:6], h_j[6:8], pp[j].item())
         rows = rows[~_accepts(*_sessions(hp), pp)]
@@ -382,13 +382,12 @@ def _boundary_rates(streams: _Streams, terms: np.ndarray) -> np.ndarray:
     direction, 4 doubles of the trial's stream redrawn while none exceeds
     1e-9, to the nearest constraint, then retreat `BOUNDARY_NUDGE` bits."""
     n = terms.shape[1]
-    d, rows = np.empty((n, 4)), np.arange(n)
+    d, rows = np.empty((4, n)), np.arange(n)
     while rows.size:
-        d[rows] = streams.draw(rows, 4)
-        rows = rows[d[rows].max(axis=1) <= 1e-9]
+        d[:, rows] = streams.draw(rows, 4)
+        rows = rows[d[:, rows].max(axis=0) <= 1e-9]
     # No room is NaN or -0.0: every term holds the base point, so the
     # smallest room is np.min's.
-    d = d.T
     steps = _session_sums(d)
     rooms = (terms - _BASE_SUMS) / np.where(steps > 0, steps, 1.0)
     t_star = np.where(steps > 0, rooms, math.inf).min(axis=0)

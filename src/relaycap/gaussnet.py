@@ -152,6 +152,7 @@ _PAIR_S, _PAIR_T = map(np.array, zip(*(sessions for _, sessions, _, _ in _FAMILI
 _PAIR_SWAP = [2, 3, 0, 1]  # a session 4-tuple with pair 1 and pair 2 exchanged
 _SIDE_SWAP = np.array([[1], [0], [3], [2]])  # the sessions with each pair's sides exchanged
 _SAME = np.arange(4)[:, None]
+_STACK = np.arange(3)[:, None, None]  # `_normalize`'s stacked (uplink, downlink, rates), indexed directly
 # Each family's first and last session (a single family's one session), and
 # `_FAMILY_OF[s, t]`, the family of sessions s and t either way round (-1
 # for two sessions of one pair, which no family sums).
@@ -395,22 +396,22 @@ def _normalize(up, down, rates, hop_terms):
     # pair's two sessions, a clamp lowers the B session's uplink or downlink
     # (|h_BiR|, |h_RAi|) to the A session's, and a pair swap exchanges the
     # two pairs.
-    q = np.array([up, down, rates])
+    q, n = np.array([up, down, rates]), np.arange(rates.shape[1])
     side_swapped = rates[1::2] > rates[0::2]  # one row per pair
-    src = np.array([np.where(np.repeat(side_swapped, 2, axis=0), _SIDE_SWAP, _SAME)] * 3)
-    mags = np.take_along_axis(q[:2], src[:2], 1)
+    src = np.array([np.where(side_swapped.repeat(2, axis=0), _SIDE_SWAP, _SAME)] * 3)
+    mags = q[_STACK[:2], src[:2], n]
     clamp = mags[:, 1::2] > mags[:, 0::2]  # (hop, pair, trial)
     src[:2, 1::2] = np.where(clamp, src[:2, 0::2], src[:2, 1::2])
     pairs_swapped = mags[0, 2] > mags[0, 0]
     src = _swap_pairs(src, pairs_swapped)
-    up, down, r = np.take_along_axis(q, src, 1)
+    up, down, r = q[_STACK, src, n]
     # So each family's normalised term on a hop is the input's term of its
     # sessions' sources there, bit for bit: the same floats enter, a pair
     # family's two sources lie one in each pair (a pair family too), and a
     # pair term reads its two sessions either way round: a + b == b + a in
     # IEEE, and C(max(a, b) P) picks the term of the larger square (on a tie
     # the two terms are one float).
-    hop_terms = np.take_along_axis(hop_terms, _FAMILY_OF[src[:2, _FIRST], src[:2, _LAST]], 1)
+    hop_terms = hop_terms[_STACK[:2], _FAMILY_OF[src[:2, _FIRST], src[:2, _LAST]], n]
 
     outside, slacks = _outside(_min(*hop_terms), r)
     if outside.any():

@@ -87,7 +87,7 @@ def _precondition_errors(direction: str, terms, r) -> dict[int, InfeasibleRatesE
     lhs, rhs = _session_sums(r)[_PRE_ORDER], terms[_PRE_ORDER] - _BACKOFFS[direction]
     failed = lhs > rhs + TOL
     errors = {}
-    for i in np.flatnonzero(failed.any(axis=0)).tolist():
+    for i in failed.any(axis=0).nonzero()[0].tolist():
         k = failed[:, i].argmax()
         errors[i] = InfeasibleRatesError(rows[k][0], f"lhs={lhs[k, i].item():.6g}, rhs={rhs[k, i].item():.6g}")
     return errors
@@ -106,16 +106,18 @@ def _allocate(direction: str, mags, p, r, powers, terms):
     snr = mags * mags * p
     floor = snr.min(axis=0)  # finite and positive, as the network is
     errors = _precondition_errors(direction, terms, r)
-    for i in np.flatnonzero(floor < MIN_PROVEN_SNR - TOL).tolist():
+    for i in (floor < MIN_PROVEN_SNR - TOL).nonzero()[0].tolist():
         errors[i] = LowPowerError(f"{direction} |h|^2 P floor {floor[i].item():.4g} below {MIN_PROVEN_SNR}")
-    rows = np.delete(np.arange(len(p)), list(errors))
+    refused = np.zeros(len(p), bool)
+    refused[list(errors)] = True
+    rows = (~refused).nonzero()[0]
     hop = _HOPS[direction]
     splits = hop.walk(mags[:, rows], snr[:, rows], r[:, rows], powers[:, rows])
     excess = hop.excess(splits.alpha)
     over = excess > TOL
-    for i in np.flatnonzero(over).tolist():
+    for i in over.nonzero()[0].tolist():
         errors[rows[i].item()] = AllocationInvalidError(hop.overspend(splits, i, excess[i].item()))
-    kept = np.flatnonzero(~over)
+    kept = (~over).nonzero()[0]
     rows = rows[kept]
     return splits.take(kept), rows, snr[:, rows], excess[kept], errors
 

@@ -597,6 +597,29 @@ def test_chain_tables_match_reference(inputs):
                 assert _outcome(rate_check, net, a) == _outcome(reference_check, net, a)
 
 
+def test_chain_tables_hold_each_stages_widths_and_forms():
+    # `_walk` reads each stage only as far as its widths, the most receivers
+    # and the most streams under one receiver over the cases, and computes
+    # one receiver's closed form, several receivers', or both, as the
+    # stage's cases need.  The downlink's receivers are (1, 2, 2, 3).
+    uplink = [[[under] for _, under in chain] for chain in hops._UPLINK_CHAINS]
+    downlink = [[[under for _, under in row] for _, row in chain] for chain in hops._DOWNLINK_CHAINS]
+    for table, cases, widths in (
+        (hops._UPLINK, uplink, ((1, 0), (1, 1), (1, 2), (1, 3))),
+        (hops._DOWNLINK, downlink, ((1, 0), (2, 1), (2, 2), (3, 3))),
+    ):
+        stages = list(zip(*cases))  # per stage, each case's receivers
+        assert table.widths == widths
+        assert table.widths == tuple(
+            (max(map(len, stage)), max(len(under) for receivers in stage for under in receivers)) for stage in stages
+        )
+        ones = [[len(receivers) == 1 for receivers in stage] for stage in stages]
+        assert table.lone == tuple(all(one) for one in ones)
+        assert table.mixed == tuple(any(one) and not all(one) for one in ones)
+    assert (hops._UPLINK.lone, hops._DOWNLINK.lone) == ((True,) * 4, (True, False, False, False))
+    assert hops._DOWNLINK.mixed == (False, True, True, False)
+
+
 # --- the engine's refusals ----------------------------------------------------------------------
 # Each refusal's exact type and text, so that a rewrite of the chain walker
 # or checker cannot drop or reword one unnoticed.
@@ -1328,10 +1351,26 @@ def test_sweep_streams_match_numpy(seed, indices, rounds, lo, hi):
             break
         rows = [j for j in range(len(indices)) if n == 0 or mask >> j & 1] or list(range(len(indices)))
         got = drawn.draw(np.array(rows), k)
-        for row, j in zip(got, rows):
+        for row, j in zip(got.T, rows):
             doubles, uniform = oracles[j]
             assert np.array_equal(row.view(np.uint64), doubles.random(k).view(np.uint64))
             assert np.array_equal(streams._uniform(lo, hi, row).view(np.uint64), uniform.uniform(lo, hi, k).view(np.uint64))
+
+
+def test_sweep_streams_match_numpy_at_the_sweeps_shapes():
+    # A 150-trial block draws in the sweep's order: a sampling round of 9
+    # doubles for every trial, a redraw round of 9 for 22 of them, then a
+    # boundary direction of 4 for every trial.  Every double, one column per
+    # trial, is its numpy generator's, bit for bit.
+    indices = range(150)
+    drawn = streams._Streams(1, indices)
+    oracles = [np.random.default_rng(np.random.SeedSequence(entropy=1, spawn_key=(i,))) for i in indices]
+    every, redrawn = np.arange(150), np.arange(0, 150, 7)
+    assert len(redrawn) == 22
+    for rows, k in ((every, 9), (redrawn, 9), (every, 4)):
+        got = drawn.draw(rows, k)
+        want = np.array([oracles[i].random(k) for i in rows.tolist()]).T
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1397,16 +1436,16 @@ _NP_TRANSCENDENTALS = frozenset(
 )
 
 
-def _np_transcendentals(source: str) -> list[tuple[str | None, str]]:
+def _numpy_reads(source: str, names) -> list[tuple[str | None, str]]:
     """(enclosing def, dotted under its class, and the name) of each read
-    of a numpy transcendental: `np.X` or `numpy.X`, called or not, and each
-    import of one from numpy."""
+    of a numpy function of ``names``: `np.X` or `numpy.X`, called or not,
+    and each import of one from numpy."""
     found = []
     for node, scopes, _ in guards.walk(source):
         owner = ".".join(name for _, name in scopes) or None
         if isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            found += [(owner, alias.name) for alias in node.names if alias.name in _NP_TRANSCENDENTALS]
-        elif getattr(node, "attr", None) in _NP_TRANSCENDENTALS and getattr(node.value, "id", None) in ("np", "numpy"):
+            found += [(owner, alias.name) for alias in node.names if alias.name in names]
+        elif getattr(node, "attr", None) in names and getattr(node.value, "id", None) in ("np", "numpy"):
             found.append((owner, node.attr))
     return found
 
@@ -1419,7 +1458,7 @@ def test_no_module_calls_a_numpy_transcendental_but_the_samplers_exp():
     package = Path(gaussian.__file__).parent
     for path in sorted(package.glob("*.py")):
         exempt = [("_sample_networks", "exp")] * 2 if path.stem == "gaussian" else []
-        assert _np_transcendentals(path.read_text()) == exempt, path.name
+        assert _numpy_reads(path.read_text(), _NP_TRANSCENDENTALS) == exempt, path.name
     for planted, use in (
         ("def _capacity(x):\n    return np.log1p(x) / _LN2", [("_capacity", "log1p")]),
         ("y = numpy.exp2(r)", [(None, "exp2")]),
@@ -1428,7 +1467,30 @@ def test_no_module_calls_a_numpy_transcendental_but_the_samplers_exp():
         ("from numpy import maximum, power as pw", [(None, "power")]),
         ("def _lattice_cap(x):\n    return _each(math.log2, np.maximum(x, 1.0))", []),
     ):
-        assert _np_transcendentals(planted) == use, planted
+        assert _numpy_reads(planted, _NP_TRANSCENDENTALS) == use, planted
+
+
+# numpy functions written in Python over what an ndarray does itself: each
+# pays a Python frame or two on every call, which at a batch of one is most
+# of its cost.
+_NP_WRAPPERS = frozenset({"take_along_axis", "delete", "flatnonzero"})
+
+
+def test_sweep_path_calls_no_numpy_python_wrapper():
+    # At a batch of one np.take_along_axis costs 9.5 us against 1.2 us for
+    # the same fancy index, np.delete 4.7 us, and np.flatnonzero(m).tolist()
+    # 1.4 us against 0.3 us for m.nonzero()[0].tolist(): the Gaussian
+    # modules index directly.
+    for module in GAUSSIAN_MODULES:
+        assert _numpy_reads(Path(module.__file__).read_text(), _NP_WRAPPERS) == [], module.__name__
+    for planted, use in (
+        ("def _normalize(q, src):\n    return np.take_along_axis(q, src, 1)", [("_normalize", "take_along_axis")]),
+        ("class C:\n    def f(self, m):\n        return np.flatnonzero(m).tolist()", [("C.f", "flatnonzero")]),
+        ("drop = numpy.delete", [(None, "delete")]),
+        ("from numpy import delete, nonzero", [(None, "delete")]),
+        ("def f(m, rows):\n    return m.nonzero()[0].tolist(), rows[~m]", []),
+    ):
+        assert _numpy_reads(planted, _NP_WRAPPERS) == use, planted
 
 
 def test_hop_code_never_dispatches_on_a_case_by_hand():
@@ -1572,18 +1634,19 @@ def test_sampling_maps_libm_once_per_block(monkeypatch):
 
 
 def test_exp_of_stacked_draws_matches_per_trial_calls():
-    # The sampler calls np.exp once on a (rows x 8) block of magnitude
-    # uniforms and once on a column of power uniforms, where the one-trial
-    # sweep called it on each trial's 8 and on each power alone: no row count
-    # from 1 to 2048 may change a bit (say, through a SIMD tail).
+    # The sampler calls np.exp once on an (8 x rows) block of magnitude
+    # uniforms, one column per trial, and once on a row of power uniforms,
+    # where the one-trial sweep called it on each trial's 8 and on each power
+    # alone: no row count from 1 to 2048 may change a bit (say, through a
+    # SIMD tail).
     rng = np.random.default_rng(17)
     for lo, hi in ((0.0, math.log(100.0)), (-700.0, 700.0)):
-        draws = rng.uniform(lo, hi, size=(2048, 9))
-        mags, powers = draws[:, :8].copy(), draws[:, 8].copy()
-        per_row = np.array([np.exp(r) for r in mags]).view(np.uint64)
+        draws = rng.uniform(lo, hi, size=(2048, 9)).T
+        mags, powers = draws[:8].copy(), draws[8].copy()
+        per_trial = np.array([np.exp(t) for t in mags.T]).T.view(np.uint64)
         per_power = np.array([np.exp(x) for x in powers]).view(np.uint64)
         for n in range(1, 2049):
-            assert np.array_equal(np.exp(mags[:n]).view(np.uint64), per_row[:n])
+            assert np.array_equal(np.exp(mags[:, :n].copy()).view(np.uint64), per_trial[:, :n])
             assert np.array_equal(np.exp(powers[:n]).view(np.uint64), per_power[:n])
 
 
@@ -1898,7 +1961,7 @@ def test_stacked_arrays_match_scalar_reference(trials):
     d = np.array([trials[i][2] for i in accepted])
     terms = gaussnet._restricted_terms(up[:, accepted], down[:, accepted], p[accepted])
     with np.errstate(over="ignore"):  # as in the sweep: a tiny step's room is inf
-        walked = gaussian._boundary_rates(SimpleNamespace(draw=lambda rows, k: d[rows]), terms)
+        walked = gaussian._boundary_rates(SimpleNamespace(draw=lambda rows, k: d[rows].T), terms)
     walks = [(nets[i], tuple(walked[:, j].tolist())) for j, i in enumerate(accepted)]
     for (net, got), i in zip(walks, accepted):
         # The reference sampler's walk, after a draw that gives this direction.
