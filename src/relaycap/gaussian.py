@@ -22,11 +22,12 @@ building that generator or importing numpy.random.  A sampling round takes
 9 doubles per pending trial, a boundary direction 4, and redraws advance
 only the rejected trials' streams.  The sampler tests a round's networks
 with no libm call, each SNR against the least float whose C reaches the
-2-bit base point's sum (`_accepts`), and maps C once per block, on the
-networks it keeps.  `sweep_blocks` yields a sweep block by
-block, so a caller that keeps only what it needs of each block runs in
-memory flat in the trial count; `monte_carlo_gap` joins the blocks into
-one `SweepColumns`.
+2-bit base point's sum (`_accepts`): two constants that
+`test_sampler_thresholds_match_capacity` checks against `_capacity`.  It
+maps C once per block, on the networks it keeps.  `sweep_blocks` yields a
+sweep block by block, so a caller that keeps only what it needs of each
+block runs in memory flat in the trial count; `monte_carlo_gap` joins the
+blocks into one `SweepColumns`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .gaussnet import (
     RateQuad,
     RegionVerdict,
     _bound_gaps,
-    _capacity,
     _cutset_terms,
     _fold,
     _hop_terms,
@@ -214,7 +214,7 @@ def _verify_columns(up, down, p, target, hop_terms):
             break
         # Past _normalize a precondition fails only by rounding, yet _allocate checks them all: uplink_allocate and
         # downlink_allocate need it, the cascade's ulp test spies on it, and a skip here would be a second code path.
-        splits, kept, snr, spent, errors = _allocate(
+        splits, kept, spent, errors = _allocate(
             hop, mags[:, rows], p[rows], r[:, rows], powers[:, rows], terms[:, rows]
         )
         for i, e in errors.items():
@@ -222,7 +222,7 @@ def _verify_columns(up, down, p, target, hop_terms):
         rows = rows[kept]
         excess[rows] = _max(excess[rows], spent)
 
-        names, lhs, rhs = checks = _HOPS[hop].checks(snr, splits)
+        names, lhs, rhs = checks = _HOPS[hop].checks(splits)
         slacks = rhs - lhs  # inf where a trial's case has no such check
         # min() over both hops' checks; a trial reaching the downlink holds its uplink minimum.  A walk's
         # powers are finite and at least +0.0: at normalised rates every need (2^r - 1 or 2^r) is at least
@@ -293,46 +293,32 @@ SweepColumns = namedtuple(
 )
 
 
-@functools.cache
-def _snr_thresholds() -> tuple[float, float]:
-    """The least floats whose C reaches 2 and 4 bits, the base point (2, 2,
-    2, 2)'s sums over a single session and over a pair.  C is
-    non-decreasing, so a family term C(x) holds its base sum exactly when
-    its SNR x reaches that float.  One `_capacity` map over the 17 floats
-    nearest 3 and 15, which must step once from below each sum to it, finds
-    them on first use, so an import that never samples pays no libm call."""
-    ulps, sums = np.arange(-8, 9), np.array([[2.0], [4.0]])
-    window = ((2.0**sums - 1.0).view(np.int64) + ulps).view(float)
-    reached = _capacity(window) >= sums
-    first = reached.argmax(axis=1)
-    if reached[:, 0].any() or (reached != (ulps >= ulps[first][:, None])).any():
-        raise AssertionError("C(x) does not step up once near 3 and 15")
-    return tuple(window[[0, 1], first].tolist())
+# The least floats whose C reaches 2 and 4 bits, the base point (2, 2, 2, 2)'s
+# sums over a single session and over a pair.  C is non-decreasing, so a
+# family term C(x) holds its base sum exactly when its SNR x reaches that
+# float.  They are C's switch points as `_capacity` computes it, log1p(x) /
+# ln 2; `test_sampler_thresholds_match_capacity` checks them against it.
+_SINGLE_SNR, _PAIR_SNR = 2.9999999999999996, 14.999999999999996
 
 
 def _accepts(up, down, p) -> np.ndarray:
     """Which networks the sampler keeps: every link clears the SNR floor
     and the 2-bit base point (2, 2, 2, 2) lies in the restricted region,
     compared exactly but with no libm call: each SNR of `_hop_terms`, in
-    its association, against its `_snr_thresholds`.  A link's SNR is a
-    single family's on its hop, so one floor covers both tests."""
-    single, pair = _snr_thresholds()
+    its association, against `_SINGLE_SNR` or `_PAIR_SNR`.  A link's SNR
+    is a single family's on its hop, so one floor covers both tests."""
     up2, down_snr = up * up, down * down * p
     pairs = np.concatenate([(up2[_PAIR_S] + up2[_PAIR_T]) * p, np.maximum(down_snr[_PAIR_S], down_snr[_PAIR_T])])
-    links = np.concatenate([up2 * p, down_snr]) >= max(MIN_LINK_SNR, single)
-    return links.all(axis=0) & (pairs >= pair).all(axis=0)
+    links = np.concatenate([up2 * p, down_snr]) >= max(MIN_LINK_SNR, _SINGLE_SNR)
+    return links.all(axis=0) & (pairs >= _PAIR_SNR).all(axis=0)
 
 
 @functools.lru_cache
+@_quiet
 def _ranges_hold(h_max: float, p_max: float) -> bool:
     """Whether the strongest network of a sweep's ranges passes the sampler."""
     h = (h_max, h_max)
-    return _sampler_accepts(GaussNetwork(h, h, h, h, p_max))
-
-
-@_quiet
-def _sampler_accepts(net: GaussNetwork) -> bool:
-    return bool(_accepts(*net._columns())[0])
+    return bool(_accepts(*GaussNetwork(h, h, h, h, p_max)._columns())[0])
 
 
 def _sessions(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

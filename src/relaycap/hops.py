@@ -66,16 +66,18 @@ class AllocationInvalidError(RuntimeError):
 class _Splits:
     """One hop's power splits for a batch: each trial's case code, the alpha
     rows and rate rows of `UplinkAllocation` or `DownlinkAllocation` in
-    field order, and the downlink's pair swap."""
+    field order, the |h|^2 P rows its chain read (the downlink's in the
+    chain's pair order), and the downlink's pair swap."""
 
     case: np.ndarray
     alpha: np.ndarray
     rates: np.ndarray
+    snr: np.ndarray
     swapped: np.ndarray | None = None
 
     def take(self, rows) -> "_Splits":
         swapped = None if self.swapped is None else self.swapped[rows]
-        return _Splits(self.case[rows], self.alpha[:, rows], self.rates[:, rows], swapped)
+        return _Splits(self.case[rows], self.alpha[:, rows], self.rates[:, rows], self.snr[:, rows], swapped)
 
 
 def _precondition_errors(direction: str, terms, r) -> dict[int, InfeasibleRatesError]:
@@ -98,8 +100,8 @@ def _allocate(direction: str, mags, p, r, powers, terms):
     `_pow2` are ``powers``.  A trial is refused at the SNR floor or at the
     hop's first failed rate precondition (from ``terms``, the hop's
     `_hop_terms`), and after the walk where its split overspends.  Returns
-    the splits made, their trials' positions, SNRs and budget excess, and
-    the refused trials' errors."""
+    the splits made, their trials' positions and budget excess, and the
+    refused trials' errors."""
     unsorted = (r[1::2] > r[0::2] + TOL).any(axis=0)
     if unsorted.any():
         raise ValueError(f"rates {_row(r, unsorted.argmax())} not normalized: each pair needs r_A >= r_B")
@@ -118,8 +120,7 @@ def _allocate(direction: str, mags, p, r, powers, terms):
     for i in over.nonzero()[0].tolist():
         errors[rows[i].item()] = AllocationInvalidError(hop.overspend(splits, i, excess[i].item()))
     kept = (~over).nonzero()[0]
-    rows = rows[kept]
-    return splits.take(kept), rows, snr[:, rows], excess[kept], errors
+    return splits.take(kept), rows[kept], excess[kept], errors
 
 
 # --- Uplink ------------------------------------------------------------------
@@ -209,7 +210,7 @@ def _walk_uplink(mags, snr, r, powers) -> _Splits:
     q = _walk(_UPLINK, case, need, np.ones((1, len(case))))
     # G1 / x1, T / x1, G2 / x3, W / x3, T / x2, W / x4
     alpha = q[[_G1, _T, _G2, _W, _T, _W]] / snr[[0, 0, 2, 2, 1, 3]]
-    return _Splits(case, alpha, np.concatenate([r[0::2] - r[1::2], r[1::2]]))
+    return _Splits(case, alpha, np.concatenate([r[0::2] - r[1::2], r[1::2]]), snr)
 
 
 def _uplink_allocation(splits: _Splits, i: int) -> UplinkAllocation:
@@ -240,10 +241,9 @@ def uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAllocation:
     return _uplink_allocation(splits, 0)
 
 
-def _uplink_checks(snr, splits: _Splits):
-    """`_chain_checks` of each trial's case in `_UPLINK_CHECKS`, at the
-    relay.  ``snr`` are the hop's |h|^2 P."""
-    q = splits.alpha[[0, 4, 2, 5]] * snr  # received powers of G1, T, G2, W
+def _uplink_checks(splits: _Splits):
+    """`_chain_checks` of each trial's case in `_UPLINK_CHECKS`, at the relay."""
+    q = splits.alpha[[0, 4, 2, 5]] * splits.snr  # received powers of G1, T, G2, W
     ones = np.ones((1, len(splits.case)))
     return _chain_checks(_UPLINK, splits.case, q, ones, splits.rates[[0, 2, 1, 3]])
 
@@ -263,8 +263,8 @@ def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[Const
     (expected,) = classify_case(up, "uplink")
     if expected != alloc.case:
         raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
-    splits = _Splits(np.array([_CASES.index(expected)]), alpha, rates)
-    return _single_checks(splits.case[0], *_uplink_checks(up * up * p, splits))
+    splits = _Splits(np.array([_CASES.index(expected)]), alpha, rates, up * up * p)
+    return _single_checks(splits.case[0], *_uplink_checks(splits))
 
 
 # --- Downlink ----------------------------------------------------------------
@@ -336,7 +336,7 @@ def _walk_downlink(mags, snr, r, powers) -> _Splits:
     need[0::2] = powers[0::2] / powers[1::2] - 1.0
     rates = r.copy()
     rates[0::2] = r[0::2] - r[1::2]
-    return _Splits(case, _walk(_DOWNLINK, case, need, snr), rates, swapped)
+    return _Splits(case, _walk(_DOWNLINK, case, need, snr), rates, snr, swapped)
 
 
 def _downlink_allocation(s: _Splits, i: int) -> DownlinkAllocation:
@@ -365,11 +365,10 @@ def downlink_allocate(net: GaussNetwork, r: Sequence[float]) -> DownlinkAllocati
     return _downlink_allocation(splits, 0)
 
 
-def _downlink_checks(snr, splits: _Splits):
+def _downlink_checks(splits: _Splits):
     """`_chain_checks` of each trial's case in `_DOWNLINK_CHECKS`, with the
-    pairs as its chain takes them.  ``snr`` are the hop's |h|^2 P."""
-    snr = _swap_pairs(snr, splits.swapped)
-    return _chain_checks(_DOWNLINK, splits.case, splits.alpha, snr, splits.rates)
+    pairs as its chain takes them."""
+    return _chain_checks(_DOWNLINK, splits.case, splits.alpha, splits.snr, splits.rates)
 
 
 @_quiet
@@ -378,18 +377,19 @@ def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[C
     case: each stream's rate against its worst receiver in the case's chain."""
     _, down, p = net._columns()
     alpha, rates, swapped = _one(alloc.alpha_r), _one(alloc.stream_rates), np.array([alloc.pairs_swapped])
-    (case,) = classify_case(_swap_pairs(down, swapped), "downlink")
+    down = _swap_pairs(down, swapped)
+    (case,) = classify_case(down, "downlink")
     if case != alloc.case:
         raise ValueError("allocation case does not match the network ordering")
-    splits = _Splits(np.array([_CASES.index(case)]), alpha, rates, swapped)
-    return _single_checks(splits.case[0], *_downlink_checks(down * down * p, splits))
+    splits = _Splits(np.array([_CASES.index(case)]), alpha, rates, down * down * p, swapped)
+    return _single_checks(splits.case[0], *_downlink_checks(splits))
 
 
 class _Hop(NamedTuple):
     walk: Callable  # (magnitudes, SNRs, rates, 2^rates) -> _Splits
     excess: Callable  # alpha rows -> budget excess
     overspend: Callable  # (splits, trial, excess) -> AllocationInvalidError text
-    checks: Callable  # (SNRs, splits) -> `_chain_checks`: names, lhs and rhs rows
+    checks: Callable  # splits -> `_chain_checks`: names, lhs and rhs rows
     allocation: Callable  # (splits, trial) -> UplinkAllocation or DownlinkAllocation
 
 

@@ -1,31 +1,45 @@
 """The deterministic side by brute force, as the test reference.
 
 One reference per computation, on a network's node gains ``n_ar``,
-``n_br``, ``n_ra`` and ``n_rb``: each cut's bound over `enumerate_cuts`,
-reading the duplex mode itself; built on it, membership with its violated
-cuts, the box region and each session's cap; each bit's reach, one
-reduction step n -> n - (n >= l) and a scan for a free level; the paper's
-induction by repeated reduction, its levels mapped back by
+``n_br``, ``n_ra`` and ``n_rb``: the cut list, built here, and each cut's
+bound, reading the duplex mode itself; built on them, membership with its
+violated cuts, the box region and each session's cap; each bit's reach,
+one reduction step n -> n - (n >= l) and a scan for a free level; the
+paper's induction by repeated reduction, its levels mapped back by
 `quadratic_replay`; and time expansion.  The differential tests require
 `relaycap` to reproduce every verdict, region, level and refusal here.
 
 Nothing here reads the session-ordered gains (`uplink`, `downlink`), the
-network's `hop_orders` or bit table, or any private helper: a wrong entry
-there then shows up as a difference, not as agreement with itself.
-`test_reference_reads_no_private_names` keeps it that way.
+network's `hop_orders` or bit table, any private helper, or any function
+of `relaycap`: a wrong entry there then shows up as a difference, not as
+agreement with itself.  `test_reference_reads_no_private_names` and
+`test_reference_imports_no_function` keep it that way.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from relaycap import (
-    FULL_DUPLEX, Cut, CutViolation, DetNetwork, FullDuplex, HalfDuplex, InductionInvariantError, enumerate_cuts,
-)
+from relaycap import FULL_DUPLEX, Cut, CutViolation, DetNetwork, FullDuplex, HalfDuplex, InductionInvariantError
 from relaycap.scheduler import SOLO, XOR
 
 
 # --- cut bounds and what is built on them -------------------------------------
+
+
+@functools.cache
+def cuts(pairs):
+    """Every cut of a ``pairs``-pair network, in the order `in_det_cutset`
+    lists them: by member count, then by members, then by orientation, 1
+    before 0.  Each pair stays out of a cut or joins it on one side, so
+    there are 3^M - 1."""
+    listed = []
+    for sides in itertools.product((None, 1, 0), repeat=pairs):
+        members = tuple(i for i, b in enumerate(sides) if b is not None)
+        if members:
+            listed.append(Cut(members, tuple(sides[i] for i in members)))
+    return tuple(sorted(listed, key=lambda c: (len(c.members), c.members, [1 - b for b in c.orientation])))
 
 
 def rate_sum(cut, rates):
@@ -51,10 +65,10 @@ def cut_bound(net, cut, mode=FULL_DUPLEX):
 
 
 def violations(net, rates, mode=FULL_DUPLEX):
-    """Every violated cut, in `enumerate_cuts` order, as `in_det_cutset`
-    lists them; a tuple is a member iff there is none."""
+    """Every violated cut, in `cuts` order, as `in_det_cutset` lists them;
+    a tuple is a member iff there is none."""
     out = []
-    for cut in enumerate_cuts(net.pairs):
+    for cut in cuts(net.pairs):
         lhs, bound = rate_sum(cut, rates), cut_bound(net, cut, mode)
         if lhs > bound:
             out.append(CutViolation(cut, Fraction(lhs), Fraction(bound)))
@@ -71,7 +85,7 @@ def region(net, mode=FULL_DUPLEX):
     """Every tuple of the box of `caps`, in lexicographic order, that no cut
     excludes."""
     # a tuple's rate sums are integers, so each bound may be floored
-    bounds = [(cut, math.floor(cut_bound(net, cut, mode))) for cut in enumerate_cuts(net.pairs)]
+    bounds = [(cut, math.floor(cut_bound(net, cut, mode))) for cut in cuts(net.pairs)]
     box = itertools.product(*(range(c + 1) for c in caps(net, mode)))
     return [t for t in box if all(rate_sum(cut, t) <= b for cut, b in bounds)]
 

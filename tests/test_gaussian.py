@@ -3,8 +3,11 @@ import importlib
 import inspect
 import itertools
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -35,6 +38,7 @@ from gauss_reference import (
     reference_sample_boundary_rates,
     reference_sampler_accepts,
     reference_snrs,
+    reference_swap_pairs,
     reference_uplink_allocate,
     reference_uplink_rate_check,
     reference_verify_constant_gap,
@@ -51,6 +55,7 @@ from relaycap import (
     classify_case,
     downlink_allocate,
     downlink_rate_check,
+    enumerate_cuts,
     enumerate_integral_region,
     gauss_cutset,
     gauss_restricted_cutset,
@@ -168,8 +173,8 @@ def test_network_squares_finite_below_the_overflow_bound():
     up, down, p = net._columns()
     r = gaussnet._one((0.0,) * 4)
     for direction, mags, terms in zip(("uplink", "downlink"), (up, down), gaussnet._hop_terms(up, down, p)):
-        _, kept, snr, _, errors = hops._allocate(direction, mags, p, r, gaussnet._pow2(r), terms)
-        assert not errors and kept.tolist() == [0] and np.isfinite(snr).all()
+        splits, kept, _, errors = hops._allocate(direction, mags, p, r, gaussnet._pow2(r), terms)
+        assert not errors and kept.tolist() == [0] and np.isfinite(splits.snr).all()
 
 
 def test_downlink_overspend_names_the_case_and_the_excess():
@@ -178,7 +183,7 @@ def test_downlink_overspend_names_the_case_and_the_excess():
     net = GaussNetwork((30, 20), (25, 15), (20, 10), (30, 15), 10)
     _, down, p = net._columns()
     r = gaussnet._one((12.0, 6.0, 11.0, 5.0))
-    _, kept, _, _, errors = hops._allocate("downlink", down, p, r, gaussnet._pow2(r), np.full((8, 1), 100.0))
+    _, kept, _, errors = hops._allocate("downlink", down, p, r, gaussnet._pow2(r), np.full((8, 1), 100.0))
     assert kept.tolist() == [] and isinstance(errors[0], AllocationInvalidError)
     assert str(errors[0]).startswith(
         "downlink case I relay budget exceeded by 932 (alphas (0.007, 0.448, 28.693, 903.60"
@@ -307,19 +312,23 @@ def test_family_table_matches_reference(h, power, rates):
         error = hops._precondition_errors(direction, terms, gaussnet._one(r)).get(0)
         got = None if error is None else str(error)
         assert got == _first_failure(reference_require_preconditions, direction, net, r)
-    # The SNRs each hop's allocator walks on, in session order, wherever a
-    # zero-rate trial of the network in normalised order gets a split.
+    # The SNRs each hop's allocator walks on, in its chain's pair order
+    # (the downlink's pair 1 has the stronger shared-stream receiver),
+    # wherever a zero-rate trial of the network in normalised order gets a
+    # split.
     ordered = reduce_orderings(net, (0.0,) * 4).net
     up, down, p = ordered._columns()
     per_hop = zip(("uplink", "downlink"), (up, down), (ordered.uplink, ordered.downlink), gaussnet._hop_terms(up, down, p))
     r = gaussnet._one((0.0,) * 4)
     for direction, mags, magnitudes, terms in per_hop:
-        _, kept, snr, _, _ = hops._allocate(direction, mags, p, r, gaussnet._pow2(r), terms)
+        splits, kept, _, _ = hops._allocate(direction, mags, p, r, gaussnet._pow2(r), terms)
         if kept.size:
-            assert tuple(snr[:, 0].tolist()) == reference_snrs(magnitudes, ordered.power)  # h * h * P
+            swapped = direction == "downlink" and ordered.h_rb[1] > ordered.h_rb[0]
+            want = reference_swap_pairs(reference_snrs(magnitudes, ordered.power), swapped)  # h * h * P
+            assert tuple(splits.snr[:, 0].tolist()) == want
     # The sweep sampler's acceptance: SNR floor, then the exact 2-bit base check.
     base_ok = all(res[name] >= family_sum(coefs, BASE_POINT) for name, coefs in FAMILY_COEFS.items())
-    assert gaussian._sampler_accepts(net) == (min(reference_link_snrs(net)) >= MIN_LINK_SNR and base_ok)
+    assert gaussian._accepts(*net._columns())[0] == (min(reference_link_snrs(net)) >= MIN_LINK_SNR and base_ok)
 
 
 @settings(max_examples=200, deadline=None)
@@ -405,9 +414,9 @@ def test_hop_loop_stops_at_first_failing_hop(monkeypatch):
     calls = []
     failing = ConstraintCheck("forced", 1.0, 0.0)
 
-    def forced_checks(snr, splits):
+    def forced_checks(splits):
         calls.append("up")
-        n = snr.shape[1]
+        n = len(splits.case)
         return (((0, "forced"),),) * 3, np.ones((1, n)), np.zeros((1, n))
 
     def recording_walk(mags, snr, r, powers):
@@ -866,10 +875,10 @@ def _allocation_montecarlo(seed, direction, allocate, rate_check):
     up, down, p, r = (np.asarray(q) for q in _trial_columns(trials))
     up_terms, down_terms = gaussnet._hop_terms(up, down, p)
     mags, terms = (up, up_terms) if direction == "uplink" else (down, down_terms)
-    splits, kept, snr, excess, errors = hops._allocate(direction, mags, p, r, gaussnet._pow2(r), terms)
+    splits, kept, excess, errors = hops._allocate(direction, mags, p, r, gaussnet._pow2(r), terms)
     assert not errors and kept.tolist() == list(range(len(trials)))
     assert (excess <= 1e-9).all(), np.flatnonzero(excess > 1e-9)
-    _, lhs, rhs = hops._HOPS[direction].checks(snr, splits)
+    _, lhs, rhs = hops._HOPS[direction].checks(splits)
     assert (rhs - lhs >= -1e-9).all(), np.argwhere(rhs - lhs < -1e-9)
 
 
@@ -1286,7 +1295,7 @@ def _log_form_accepts(up, down, p) -> np.ndarray:
 def test_sampler_thresholds_match_capacity():
     # C is non-decreasing, so C(x) >= c holds exactly from the least such
     # float on: across 10^4 ulps on either side of each threshold.
-    for c, least in zip((2.0, 4.0), gaussian._snr_thresholds()):
+    for c, least in zip((2.0, 4.0), (gaussian._SINGLE_SNR, gaussian._PAIR_SNR)):
         window = (np.array([least]).view(np.int64) + np.arange(-10**4, 10**4 + 1)).view(float)
         assert ((gaussnet._capacity(window) >= c) == (window >= least)).all(), c
     # So the thresholds accept what the log form accepts: on draws at the
@@ -1303,7 +1312,7 @@ def test_sampler_thresholds_match_capacity():
         return (np.array([x]).view(np.int64) + ulps).view(float)
 
     ones, twos, fours = np.ones((4, 5)), np.full((4, 5), 2.0), np.full((4, 5), 4.0)
-    pair = gaussian._snr_thresholds()[1]
+    pair = gaussian._PAIR_SNR
     planted = [
         (ones, twos, near(pair / 2)),  # every pair's uplink sum, (1 + 1) P
         (twos, ones, near(pair)),  # every pair's downlink maximum, 1 P
@@ -1591,6 +1600,27 @@ def test_sweep_libm_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(gaussian, "_normalize", recomputing)
     assert _libm_work(monkeypatch) == (7 + 1, 5792 + 12 * 150, 140 + 20, 777 + 12 * 20)
+
+
+def test_sweep_libm_work_from_a_cold_start():
+    # A fresh interpreter that builds a sweep's config and runs its first
+    # block makes the block's libm work and no more: the sampler's
+    # acceptance and the config's range check compare SNRs with constants,
+    # so no first use of either reads a libm result.
+    script = (
+        "from relaycap import gaussian, gaussnet\n"
+        "each, sizes = gaussnet._each, []\n"
+        "def spy(fn, x, *args):\n"
+        "    sizes.append(x.size)\n"
+        "    return each(fn, x, *args)\n"
+        "gaussnet._each = spy\n"
+        "gaussian._trial_block(gaussian.SweepConfig(150, 0), range(150))\n"
+        "print(len(sizes), sum(sizes))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(gaussian.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["7", "5792"]
 
 
 def _sampling_work(monkeypatch, cfg) -> tuple[int, list[int]]:
@@ -2047,9 +2077,10 @@ def _relaycap_code_imports(source: str) -> list[str]:
 
 
 def test_reference_imports_no_function():
-    # The Gaussian reference computes every formula itself, C(x) and
-    # (log2 x)+ included: a function it imported would agree with itself.
-    assert _relaycap_code_imports(Path(gauss_reference.__file__).read_text()) == []
+    # Each reference computes everything itself, C(x), (log2 x)+ and the cut
+    # list included: a function it imported would agree with itself.
+    for reference in (gauss_reference, det_reference):
+        assert _relaycap_code_imports(Path(reference.__file__).read_text()) == [], reference.__name__
     for planted, names in (
         ("from relaycap.gaussian import gauss_cutset", ["gauss_cutset"]),
         ("from relaycap import FULL_DUPLEX, GaussNetwork, verify_constant_gap", ["verify_constant_gap"]),
@@ -2059,3 +2090,16 @@ def test_reference_imports_no_function():
         ("import numpy as np\nfrom math import log1p", []),
     ):
         assert _relaycap_code_imports(planted) == names, planted
+
+
+def test_both_models_share_one_cut_list():
+    # `enumerate_cuts` lists what the deterministic reference lists, in its
+    # order; and the two-pair Gaussian families, as `gaussnet` and the
+    # reference each write the paper's table, are the session sets of the
+    # two-pair cuts.
+    for pairs in range(1, 6):
+        assert enumerate_cuts(pairs) == det_reference.cuts(pairs), pairs
+    families = Counter(frozenset(sessions) for _, sessions, _, _ in gaussnet._FAMILIES)
+    supports = Counter(frozenset(k for k, c in enumerate(coefs) if c) for coefs in FAMILY_COEFS.values())
+    crossing = Counter(frozenset(cut.sessions) for cut in enumerate_cuts(2))
+    assert len(crossing) == 8 and families == supports == crossing
