@@ -45,8 +45,9 @@ class _Table:
     each case's (slot, name) in decoding order; and each stream's weight in
     an interference, `_ZERO`'s last.  Per stage, over the cases: its widths,
     the most receivers and the most streams under one receiver, past which
-    `_rows` only pads; whether it has one receiver in every case (``lone``);
-    and whether one receiver in some case and more in another (``mixed``)."""
+    `_rows` only pads (a case has a receiver at every stage, so a stage one
+    receiver wide has one in every case); and whether one receiver in some
+    case and more in another (``mixed``)."""
 
     def __init__(self, chains, checks, weight):
         self.slots = tuple(dict.fromkeys((streams, cap) for case in checks for _, streams, cap in case))
@@ -60,8 +61,7 @@ class _Table:
         self.weight = np.array([*weight, 0.0])[:, None]
         stages = [[row for _, row in stage] for stage in zip(*chains)]
         self.widths = tuple((max(map(len, rows)), max(len(u) for row in rows for _, u in row)) for rows in stages)
-        self.lone = tuple(all(len(row) == 1 for row in rows) for rows in stages)
-        self.mixed = tuple(not lone and any(len(row) == 1 for row in rows) for lone, rows in zip(self.lone, stages))
+        self.mixed = tuple(w > 1 and any(len(row) == 1 for row in rows) for (w, _), rows in zip(self.widths, stages))
 
 
 def _take(rows, case):
@@ -96,10 +96,10 @@ def _walk(table: _Table, case, need, g) -> np.ndarray:
     # Past a stage's widths `_rows` holds only `_ZERO` terms, each adding
     # +0.0 (which can turn a -0.0 q into +0.0, the same 1 + g q), and repeats
     # of a receiver, which max() keeps: reading no further changes no bit.
-    for j, ((width, terms), lone, mixed) in enumerate(zip(table.widths, table.lone, table.mixed)):
+    for j, ((width, terms), mixed) in enumerate(zip(table.widths, table.mixed)):
         gj = gk[j, :width]
         a = 1.0 + gj * _interference(table, power, at[j, :terms, :width])
-        if lone:
+        if width == 1:
             p = need[j] * a[0] / gj[0]  # one receiver: the closed form's association, bit for bit
         else:
             p = need[j] * _fold(_max, list(a / gj))

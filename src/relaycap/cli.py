@@ -247,6 +247,15 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
+# The report fields gauss-verify leaves out: the normalised network and the allocations' stream rates.
+_UNPRINTED = frozenset({"net", "gaussian_rates", "lattice_rates", "stream_rates"})
+
+
+def _printed(report) -> dict:
+    """A report dataclass's fields as gauss-verify prints them."""
+    return {name: value for name, value in dataclasses.asdict(report).items() if name not in _UNPRINTED}
+
+
 def cmd_gauss_verify(args) -> int:
     net, _, digest = load_network(args.network)
     if not isinstance(net, GaussNetwork):
@@ -262,30 +271,15 @@ def cmd_gauss_verify(args) -> int:
         "achievable": report.achievable,
         "stage": report.stage,
         "detail": report.detail,
-        "normalized": {
-            "side_swapped": list(report.normalized.side_swapped),
-            "pairs_swapped": report.normalized.pairs_swapped,
-            "clamped": list(report.normalized.clamped),
-            "rates": list(report.normalized.rates),
-        },
+        "normalized": _printed(report.normalized),
         "max_alpha_excess": report.max_alpha_excess,
     }
-    if report.uplink is not None:
-        doc["uplink"] = {
-            "case": report.uplink.case,
-            "alpha_a1": list(report.uplink.alpha_a1),
-            "alpha_a2": list(report.uplink.alpha_a2),
-            "alpha_b1": report.uplink.alpha_b1,
-            "alpha_b2": report.uplink.alpha_b2,
-            "checks": _check_records(report.uplink_checks, slack=True),
-        }
-    if report.downlink is not None:
-        doc["downlink"] = {
-            "case": report.downlink.case,
-            "pairs_swapped": report.downlink.pairs_swapped,
-            "alpha_r": list(report.downlink.alpha_r),
-            "checks": _check_records(report.downlink_checks, slack=True),
-        }
+    for hop, alloc, checks in (
+        ("uplink", report.uplink, report.uplink_checks),
+        ("downlink", report.downlink, report.downlink_checks),
+    ):
+        if alloc is not None:
+            doc[hop] = {**_printed(alloc), "checks": _check_records(checks, slack=True)}
     _emit(doc)
     return EXIT_OK if report.achievable else EXIT_INFEASIBLE
 

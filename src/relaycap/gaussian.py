@@ -224,12 +224,11 @@ def _verify_columns(up, down, p, target, hop_terms):
 
         names, lhs, rhs = checks = _HOPS[hop].checks(splits)
         slacks = rhs - lhs  # inf where a trial's case has no such check
-        # min() over both hops' checks; a trial reaching the downlink holds its uplink minimum.  A walk's
+        # min() over both hops' checks, from the column's inf, which min() never picks over a slack.  A walk's
         # powers are finite and at least +0.0: at normalised rates every need (2^r - 1 or 2^r) is at least
         # +0.0, and the preconditions and the (2 max|h|)^2 P guard bound it.  So no slack is NaN or -0.0,
         # and the fold over the check slots picks what min() picks in decoding order.
-        held = [slack[rows]] if hops else []
-        slack[rows] = _fold(_min, [*held, *slacks])
+        slack[rows] = _fold(_min, [slack[rows], *slacks])
         failed = slacks < -TOL
         bad = failed.any(axis=0)
         for j in bad.nonzero()[0].tolist():

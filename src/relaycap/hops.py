@@ -12,8 +12,9 @@ with its successive-cancellation chain written once, in `_UPLINK_CHAINS` or
 one pass of `chains._walk` per hop spends, bottom-up, exactly the power each
 stream needs over the interference still standing under it, and one pass of
 `chains._chain_checks` makes every trial's checks, with one division and one
-libm map per cap function.  `_HOPS` gives the cascade each hop's functions;
-the allocators and rate checks run the batch code on a batch of one.
+libm map per cap function.  `_HOPS` gives the cascade each hop's functions
+and budgets; the allocators and rate checks run the batch code on a batch
+of one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .gaussnet import (
     _row,
     _session_sums,
     _swap_pairs,
-    classify_case,
 )
 
 MIN_PROVEN_SNR = 2.5  # every |h|^2 P must clear this for the splits to be proven valid
@@ -65,9 +65,10 @@ class AllocationInvalidError(RuntimeError):
 @dataclass
 class _Splits:
     """One hop's power splits for a batch: each trial's case code, the alpha
-    rows and rate rows of `UplinkAllocation` or `DownlinkAllocation` in
-    field order, the |h|^2 P rows its chain read (the downlink's in the
-    chain's pair order), and the downlink's pair swap."""
+    rows of `UplinkAllocation` or `DownlinkAllocation` in field order, the
+    stream rate rows in its chain's stream order, the |h|^2 P rows its chain
+    read (the downlink's, like its rates, in the chain's pair order), and
+    the downlink's pair swap."""
 
     case: np.ndarray
     alpha: np.ndarray
@@ -95,13 +96,21 @@ def _precondition_errors(direction: str, terms, r) -> dict[int, InfeasibleRatesE
     return errors
 
 
+def _excess(alpha, budgets) -> np.ndarray:
+    """Each trial's budget excess: the most any transmitter's ``budgets``
+    (each the alpha rows it sums) pass 1, or the most negative fraction."""
+    worst = _fold(_max, [_fold(np.add, [alpha[k] for k in budget]) - 1.0 for budget in budgets])
+    return _max(worst, -_fold(_min, alpha))
+
+
 def _allocate(direction: str, mags, p, r, powers, terms):
     """Walk each trial's cancellation chain for the hop at rates ``r``, whose
-    `_pow2` are ``powers``.  A trial is refused at the SNR floor or at the
-    hop's first failed rate precondition (from ``terms``, the hop's
-    `_hop_terms`), and after the walk where its split overspends.  Returns
-    the splits made, their trials' positions and budget excess, and the
-    refused trials' errors."""
+    `_pow2` are ``powers``: per pair a Gaussian (solo) stream at r_A - r_B,
+    then a lattice (shared) stream at r_B, in both chains' stream order.  A
+    trial is refused at the SNR floor or at the hop's first failed rate
+    precondition (from ``terms``, the hop's `_hop_terms`), and after the
+    walk where its split overspends.  Returns the splits made, their trials'
+    positions and budget excess, and the refused trials' errors."""
     unsorted = (r[1::2] > r[0::2] + TOL).any(axis=0)
     if unsorted.any():
         raise ValueError(f"rates {_row(r, unsorted.argmax())} not normalized: each pair needs r_A >= r_B")
@@ -113,9 +122,11 @@ def _allocate(direction: str, mags, p, r, powers, terms):
     refused = np.zeros(len(p), bool)
     refused[list(errors)] = True
     rows = (~refused).nonzero()[0]
+    rates = r[:, rows]
+    rates[0::2] -= rates[1::2]
     hop = _HOPS[direction]
-    splits = hop.walk(mags[:, rows], snr[:, rows], r[:, rows], powers[:, rows])
-    excess = hop.excess(splits.alpha)
+    splits = hop.walk(mags[:, rows], snr[:, rows], rates, powers[:, rows])
+    excess = _excess(splits.alpha, hop.budgets)
     over = excess > TOL
     for i in over.nonzero()[0].tolist():
         errors[rows[i].item()] = AllocationInvalidError(hop.overspend(splits, i, excess[i].item()))
@@ -135,12 +146,6 @@ class UplinkAllocation:
     alpha_b2: float
     gaussian_rates: tuple[float, float]  # r_Ai - r_Bi
     lattice_rates: tuple[float, float]  # r_Bi
-
-
-def _uplink_excess(alpha) -> np.ndarray:
-    a1g, a1l, a2g, a2l, b1, b2 = alpha
-    worst = _fold(_max, [a1g + a1l - 1.0, a2g + a2l - 1.0, b1 - 1.0, b2 - 1.0])
-    return _max(worst, -_fold(_min, alpha))
 
 
 _PRE_ORDER = [0, 1, 2, 3, 4, 6, 5, 7]  # the families in precondition checking order
@@ -196,9 +201,9 @@ _UPLINK = _Table(  # a lattice sum's power arrives twice
 )
 
 
-def _walk_uplink(mags, snr, r, powers) -> _Splits:
-    """The uplink power splits of each trial's case, walking its chain in
-    `_UPLINK_CHAINS` from the bottom; ``powers`` are 2^r."""
+def _walk_uplink(mags, snr, rates, powers) -> _Splits:
+    """The uplink power splits of each trial's case at stream ``rates``,
+    walking its chain in `_UPLINK_CHAINS` from the bottom; ``powers`` are 2^r."""
     case = _case_codes(mags, "uplink")
     u, s, v, w = powers
 
@@ -210,12 +215,12 @@ def _walk_uplink(mags, snr, r, powers) -> _Splits:
     q = _walk(_UPLINK, case, need, np.ones((1, len(case))))
     # G1 / x1, T / x1, G2 / x3, W / x3, T / x2, W / x4
     alpha = q[[_G1, _T, _G2, _W, _T, _W]] / snr[[0, 0, 2, 2, 1, 3]]
-    return _Splits(case, alpha, np.concatenate([r[0::2] - r[1::2], r[1::2]]), snr)
+    return _Splits(case, alpha, rates, snr)
 
 
 def _uplink_allocation(splits: _Splits, i: int) -> UplinkAllocation:
     a1g, a1l, a2g, a2l, b1, b2 = _row(splits.alpha, i)
-    rg1, rg2, rl1, rl2 = _row(splits.rates, i)
+    rg1, rl1, rg2, rl2 = _row(splits.rates, i)
     return UplinkAllocation(_CASES[splits.case[i]], (a1g, a1l), (a2g, a2l), b1, b2, (rg1, rg2), (rl1, rl2))
 
 
@@ -245,7 +250,7 @@ def _uplink_checks(splits: _Splits):
     """`_chain_checks` of each trial's case in `_UPLINK_CHECKS`, at the relay."""
     q = splits.alpha[[0, 4, 2, 5]] * splits.snr  # received powers of G1, T, G2, W
     ones = np.ones((1, len(splits.case)))
-    return _chain_checks(_UPLINK, splits.case, q, ones, splits.rates[[0, 2, 1, 3]])
+    return _chain_checks(_UPLINK, splits.case, q, ones, splits.rates)
 
 
 def _single_checks(case, names, lhs, rhs) -> tuple[ConstraintCheck, ...]:
@@ -259,12 +264,11 @@ def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[Const
     decoding order: the case's chain from the top."""
     up, _, p = net._columns()
     alpha = _one((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2))
-    rates = _one((*alloc.gaussian_rates, *alloc.lattice_rates))
-    (expected,) = classify_case(up, "uplink")
-    if expected != alloc.case:
-        raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
-    splits = _Splits(np.array([_CASES.index(expected)]), alpha, rates, up * up * p)
-    return _single_checks(splits.case[0], *_uplink_checks(splits))
+    rates = _one([rate for pair in zip(alloc.gaussian_rates, alloc.lattice_rates) for rate in pair])
+    case = _case_codes(up, "uplink")
+    if _CASES[case[0]] != alloc.case:
+        raise ValueError(f"allocation is for case {alloc.case}, network classifies as {_CASES[case[0]]}")
+    return _single_checks(case[0], *_uplink_checks(_Splits(case, alpha, rates, up * up * p)))
 
 
 # --- Downlink ----------------------------------------------------------------
@@ -281,10 +285,6 @@ class DownlinkAllocation:
     alpha_r: tuple[float, float, float, float]
     stream_rates: tuple[float, float, float, float]
     pairs_swapped: bool
-
-
-def _downlink_excess(alpha) -> np.ndarray:
-    return _max(sum(alpha) - 1.0, -_fold(_min, alpha))
 
 
 # The downlink cancellation chains, bottom stage first, over the relay power
@@ -324,18 +324,17 @@ _DOWNLINK_CHECKS = ((
 _DOWNLINK = _Table(_DOWNLINK_CHAINS, _DOWNLINK_CHECKS, (1.0, 1.0, 1.0, 1.0))
 
 
-def _walk_downlink(mags, snr, r, powers) -> _Splits:
-    """The relay's power split of each trial's case, walking its chain in
-    `_DOWNLINK_CHAINS` from the bottom; ``powers`` are 2^r.  The chains take
-    pair 1 to be the pair with the stronger shared-stream receiver."""
+def _walk_downlink(mags, snr, rates, powers) -> _Splits:
+    """The relay's power split of each trial's case at stream ``rates``,
+    walking its chain in `_DOWNLINK_CHAINS` from the bottom; ``powers`` are
+    2^r.  The chains take pair 1 to be the pair with the stronger
+    shared-stream receiver."""
     swapped = mags[2] > mags[0]
-    r, powers, mags, snr = _swap_pairs(np.array([r, powers, mags, snr]), swapped)
+    rates, powers, mags, snr = _swap_pairs(np.array([rates, powers, mags, snr]), swapped)
     case = _case_codes(mags, "downlink")
 
     need = powers - 1.0
     need[0::2] = powers[0::2] / powers[1::2] - 1.0
-    rates = r.copy()
-    rates[0::2] = r[0::2] - r[1::2]
     return _Splits(case, _walk(_DOWNLINK, case, need, snr), rates, snr, swapped)
 
 
@@ -378,22 +377,21 @@ def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[C
     _, down, p = net._columns()
     alpha, rates, swapped = _one(alloc.alpha_r), _one(alloc.stream_rates), np.array([alloc.pairs_swapped])
     down = _swap_pairs(down, swapped)
-    (case,) = classify_case(down, "downlink")
-    if case != alloc.case:
+    case = _case_codes(down, "downlink")
+    if _CASES[case[0]] != alloc.case:
         raise ValueError("allocation case does not match the network ordering")
-    splits = _Splits(np.array([_CASES.index(case)]), alpha, rates, down * down * p, swapped)
-    return _single_checks(splits.case[0], *_downlink_checks(splits))
+    return _single_checks(case[0], *_downlink_checks(_Splits(case, alpha, rates, down * down * p, swapped)))
 
 
 class _Hop(NamedTuple):
-    walk: Callable  # (magnitudes, SNRs, rates, 2^rates) -> _Splits
-    excess: Callable  # alpha rows -> budget excess
+    walk: Callable  # (magnitudes, SNRs, stream rates, 2^rates) -> _Splits
+    budgets: tuple  # each transmitter's alpha rows, in `_excess`
     overspend: Callable  # (splits, trial, excess) -> AllocationInvalidError text
     checks: Callable  # splits -> `_chain_checks`: names, lhs and rhs rows
     allocation: Callable  # (splits, trial) -> UplinkAllocation or DownlinkAllocation
 
 
 _HOPS = {
-    "uplink": _Hop(_walk_uplink, _uplink_excess, _uplink_overspend, _uplink_checks, _uplink_allocation),
-    "downlink": _Hop(_walk_downlink, _downlink_excess, _downlink_overspend, _downlink_checks, _downlink_allocation),
+    "uplink": _Hop(_walk_uplink, ((0, 1), (2, 3), (4,), (5,)), _uplink_overspend, _uplink_checks, _uplink_allocation),
+    "downlink": _Hop(_walk_downlink, ((0, 1, 2, 3),), _downlink_overspend, _downlink_checks, _downlink_allocation),
 }

@@ -97,3 +97,18 @@ def case_dispatch(source: str) -> list[tuple[str | None, str]]:
             if _CASE_NAMES.intersection(names):
                 found.append((innermost(scopes), "case-name compare"))
     return found
+
+
+def case_name_codes(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing def or class, call) of each place ``source`` turns a case
+    into its name and back: a call of `classify_case`, bare or as an
+    attribute, and of `_CASES.index`.  Importing either name is no call."""
+    found = []
+    for node, scopes, _ in walk(source):
+        name = called(node)
+        if name == "index" and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            name = f"{getattr(owner, 'id', None) or getattr(owner, 'attr', None)}.index"
+        if name in ("classify_case", "_CASES.index"):
+            found.append((innermost(scopes), name))
+    return found

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import guards
-from relaycap import cli, scheduler
+from relaycap import cli, hops, scheduler
 from relaycap.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -429,6 +429,42 @@ def test_a_gaussian_sweep_the_temporary_directory_cannot_hold_is_refused_up_fron
     free[0] = longest - 1
     assert run(capsys, "sweep", "--trials", "300", "--seed", "7", "--out", str(missing))[0] == EXIT_INPUT
     assert not missing.exists()
+
+
+_LONGEST_FLOAT = -2.2250738585072014e-308  # 24 characters, the longest float repr
+
+
+def test_the_spool_bound_holds_a_failing_row_of_every_stage(tmp_path, capsys, monkeypatch):
+    # `_GAUSS_ROW_CHARS` takes "downlink-allocation" as the longest stage.  A
+    # failing row of any stage the cascade can write, at the longest floats,
+    # fits in it less the row's trial and seed; and a sweep whose rows all
+    # fail so fits the bound `_check_spool_room` refuses past.
+    stages = ["ok", *(f"{hop}-{kind}" for hop in hops._HOPS for kind in ("allocation", "rate-check"))]
+    for stage in stages:
+        row = ",," + ",".join(["fail", stage, *[repr(_LONGEST_FLOAT)] * 11]) + "\n"
+        assert len(row) <= cli._GAUSS_ROW_CHARS, stage
+
+    floats = SweepColumns._fields[1:9] + ("power", "max_alpha_excess", "bound_gap")
+    sweep_blocks = cli.gaussian.sweep_blocks
+
+    def failing(cfg):
+        for block in sweep_blocks(cfg):
+            n = len(block.trial)
+            worst = {name: (_LONGEST_FLOAT,) * n for name in floats}
+            yield block._replace(stage=(max(stages, key=len),) * n, **worst)
+
+    trials, seed = 9, 2**64
+    with monkeypatch.context() as m, pytest.raises(InputError) as refused:
+        m.setattr(cli, "_SPOOL_CHARS", 0)  # the bound is checked only past it
+        m.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=0))
+        cli._check_spool_room(SweepConfig(trials, seed))
+    bound = int(str(refused.value).partition(" bytes")[0].rpartition(" ")[2])
+    monkeypatch.setattr(cli.gaussian, "sweep_blocks", failing)
+    path = tmp_path / "x.csv"
+    assert run(capsys, "sweep", "--trials", str(trials), "--seed", str(seed), "--out", str(path))[0] == EXIT_INFEASIBLE
+    rows = path.read_text().splitlines()
+    assert len(rows) == trials + 1 and all(",fail,downlink-allocation," in row for row in rows[1:])
+    assert len(path.read_bytes()) <= bound
 
 
 def _traced_sweep_peak(capsys, path, trials: int) -> int:

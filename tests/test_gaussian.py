@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import cut_reference
 import det_reference
 import gauss_reference
 import guards
@@ -602,7 +603,8 @@ def test_chain_tables_match_reference(inputs):
         alloc = got[0]
         if isinstance(alloc, (UplinkAllocation, DownlinkAllocation)):
             for a in (alloc, _tampered(alloc, stream, factor)):
-                assert repr(hops._HOPS[hop].excess(_alpha_column(a))[0].item()) == repr(reference_budget_excess(a))
+                excess = hops._excess(_alpha_column(a), hops._HOPS[hop].budgets)[0].item()
+                assert repr(excess) == repr(reference_budget_excess(a))
                 assert _outcome(rate_check, net, a) == _outcome(reference_check, net, a)
 
 
@@ -610,7 +612,8 @@ def test_chain_tables_hold_each_stages_widths_and_forms():
     # `_walk` reads each stage only as far as its widths, the most receivers
     # and the most streams under one receiver over the cases, and computes
     # one receiver's closed form, several receivers', or both, as the
-    # stage's cases need.  The downlink's receivers are (1, 2, 2, 3).
+    # stage's cases need: one receiver's alone where the stage is one
+    # receiver wide.  The downlink's receivers are (1, 2, 2, 3).
     uplink = [[[under] for _, under in chain] for chain in hops._UPLINK_CHAINS]
     downlink = [[[under for _, under in row] for _, row in chain] for chain in hops._DOWNLINK_CHAINS]
     for table, cases, widths in (
@@ -623,9 +626,10 @@ def test_chain_tables_hold_each_stages_widths_and_forms():
             (max(map(len, stage)), max(len(under) for receivers in stage for under in receivers)) for stage in stages
         )
         ones = [[len(receivers) == 1 for receivers in stage] for stage in stages]
-        assert table.lone == tuple(all(one) for one in ones)
+        assert tuple(width == 1 for width, _ in table.widths) == tuple(all(one) for one in ones)
         assert table.mixed == tuple(any(one) and not all(one) for one in ones)
-    assert (hops._UPLINK.lone, hops._DOWNLINK.lone) == ((True,) * 4, (True, False, False, False))
+    lone = [tuple(width == 1 for width, _ in table.widths) for table in (hops._UPLINK, hops._DOWNLINK)]
+    assert lone == [(True,) * 4, (True, False, False, False)]
     assert hops._DOWNLINK.mixed == (False, True, True, False)
 
 
@@ -1518,6 +1522,22 @@ def test_hop_code_never_dispatches_on_a_case_by_hand():
         assert guards.case_dispatch(planted) == found, planted
 
 
+def test_hop_code_never_maps_a_case_name_back_to_its_code():
+    # The walks and both rate checks classify with `_case_codes`, so no
+    # case's name is made inside the cascade only to be looked up again.
+    for module in (chains, hops, gaussian):
+        assert guards.case_name_codes(Path(module.__file__).read_text()) == [], module.__name__
+    for planted, found in (
+        ("def f(up):\n    (case,) = classify_case(up, 'uplink')", [("f", "classify_case")]),
+        ("class C:\n    def g(self, m):\n        return gaussnet.classify_case(m, 'downlink')", [("g", "classify_case")]),
+        ("code = _CASES.index(name)", [(None, "_CASES.index")]),
+        ("def f(c):\n    return np.array([gaussnet._CASES.index(c)])", [("f", "_CASES.index")]),
+        ("from .gaussnet import _CASES, classify_case\n__all__ = ['classify_case']", []),
+        ("def f(case, names):\n    return _CASES[case], names.index(case), index(case), classify_case", []),
+    ):
+        assert guards.case_name_codes(planted) == found, planted
+
+
 def _private_defaults(source: str) -> list[str]:
     """Each function whose name starts with a single underscore and that has
     a parameter default, positional or keyword-only."""
@@ -2042,7 +2062,7 @@ def _private_relaycap_reads(source: str) -> list[str]:
 def test_reference_reads_no_private_names():
     # Neither reference may drift back onto the package's own tables, where
     # a wrong entry would agree with itself.
-    for reference in (gauss_reference, det_reference):
+    for reference in (gauss_reference, det_reference, cut_reference):
         assert _private_relaycap_reads(Path(reference.__file__).read_text()) == [], reference.__name__
     # The deterministic one reads node gains, never session-ordered gains or the tables built from them.
     tree = ast.parse(Path(det_reference.__file__).read_text())
@@ -2079,7 +2099,7 @@ def _relaycap_code_imports(source: str) -> list[str]:
 def test_reference_imports_no_function():
     # Each reference computes everything itself, C(x), (log2 x)+ and the cut
     # list included: a function it imported would agree with itself.
-    for reference in (gauss_reference, det_reference):
+    for reference in (gauss_reference, det_reference, cut_reference):
         assert _relaycap_code_imports(Path(reference.__file__).read_text()) == [], reference.__name__
     for planted, names in (
         ("from relaycap.gaussian import gauss_cutset", ["gauss_cutset"]),
@@ -2103,3 +2123,45 @@ def test_both_models_share_one_cut_list():
     supports = Counter(frozenset(k for k, c in enumerate(coefs) if c) for coefs in FAMILY_COEFS.values())
     crossing = Counter(frozenset(cut.sessions) for cut in enumerate_cuts(2))
     assert len(crossing) == 8 and families == supports == crossing
+
+
+def _cut_mismatches(got: dict, want: dict, ulps: int = 0) -> list[tuple[str, tuple[int, ...]]]:
+    """Each crossing set one bound table has and the other lacks, and each
+    whose bounds differ by more than ``ulps`` of the wanted one."""
+    found = [("missing", key) for key in want.keys() - got.keys()] + [("extra", key) for key in got.keys() - want.keys()]
+    found += [("bound", key) for key in want.keys() & got.keys() if abs(got[key] - want[key]) > ulps * math.ulp(want[key])]
+    return sorted((kind, tuple(sorted(key))) for kind, key in found)
+
+
+def test_node_cuts_derive_the_deterministic_cut_list():
+    # Every node subset's crossing sessions, each set at its least GF(2)
+    # rank, are `enumerate_cuts`' cuts at `det_reference.cut_bound`.
+    rng = np.random.default_rng(22)
+    for pairs in range(1, 5):
+        for _ in range(10):
+            net = DetNetwork(*(tuple(g) for g in rng.integers(0, 7, size=(4, pairs)).tolist()))
+            want = {frozenset(cut.sessions): det_reference.cut_bound(net, cut) for cut in enumerate_cuts(pairs)}
+            assert _cut_mismatches(cut_reference.det_bounds(net), want) == [], net
+    # The rank of the stacked shift matrices is the largest gain.
+    assert cut_reference.gf2_rank(cut_reference.shift(6, 4) + cut_reference.shift(6, 2)) == 4
+
+
+def test_node_cuts_derive_the_gaussian_families():
+    # For two pairs the node cuts give the paper's eight families, at the
+    # general cut-set terms.  The reference computes C as log1p(x) / ln 2,
+    # this one as log2(1 + x), so they may differ in the last bits: at the
+    # sweep's ranges, where every x is at least 1, by at most 2 ulps of 300
+    # draws; 4 are allowed.
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        h, p = np.exp(rng.uniform(0.0, math.log(100.0), size=8)).tolist(), float(np.exp(rng.uniform(0.0, math.log(100.0))))
+        net = GaussNetwork(tuple(h[0:2]), tuple(h[2:4]), tuple(h[4:6]), tuple(h[6:8]), p)
+        rhs = family_rhs(net, restricted=False)
+        want = {frozenset(k for k, c in enumerate(coefs) if c): rhs[name] for name, coefs in FAMILY_COEFS.items()}
+        got = cut_reference.gauss_bounds(net)
+        assert _cut_mismatches(got, want, ulps=4) == [], net
+    # A family dropped, one too many, or one off by more than the ulps, fails.
+    assert _cut_mismatches({k: v for k, v in got.items() if k != {0, 3}}, want, 4) == [("missing", (0, 3))]
+    assert _cut_mismatches({**got, frozenset({0, 1}): 1.0}, want, 4) == [("extra", (0, 1))]
+    off = {**got, frozenset({2}): want[frozenset({2})] + 5 * math.ulp(want[frozenset({2})])}
+    assert _cut_mismatches(off, want, 4) == [("bound", (2,))]
