@@ -36,7 +36,6 @@ from .gaussian import (
     SweepConfig,
     UplinkAllocation,
     restricted_bound_gaps,
-    classify_case,
     downlink_allocate,
     downlink_rate_check,
     gauss_cutset,

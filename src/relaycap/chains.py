@@ -16,10 +16,11 @@ bit for bit.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
-from .gaussnet import _divide, _fold, _max, _min
+from .gaussnet import _divide, _max, _min
 
 _ZERO, _TERMS = 4, 3  # a hop's power row that stays 0; the most streams standing under one receiver
 
@@ -80,7 +81,7 @@ def _interference(table: _Table, power, at) -> np.ndarray:
     if not at.shape[-3]:
         return 0.0
     terms = (table.weight * power).take(at)
-    return _fold(np.add, [terms[..., t, :, :] for t in range(at.shape[-3])])
+    return reduce(np.add, [terms[..., t, :, :] for t in range(at.shape[-3])])
 
 
 def _walk(table: _Table, case, need, g) -> np.ndarray:
@@ -102,7 +103,7 @@ def _walk(table: _Table, case, need, g) -> np.ndarray:
         if width == 1:
             p = need[j] * a[0] / gj[0]  # one receiver: the closed form's association, bit for bit
         else:
-            p = need[j] * _fold(_max, list(a / gj))
+            p = need[j] * reduce(_max, a / gj)
             if mixed:
                 p = np.where(count[j] == 1, need[j] * a[0] / gj[0], p)
         power[stream[j], n] = p
@@ -119,7 +120,7 @@ def _chain_checks(table: _Table, case, power, g, rates):
     n = np.arange(len(case))
     _, count, snr, under = _take(table.checks, case)
     live = np.arange(snr.shape[1])[:, None] < count[:, None]
-    gk, p = g[snr, n], np.array([_fold(np.add, [power[s] for s in streams]) for streams, _ in table.slots])
+    gk, p = g[snr, n], np.array([reduce(np.add, [power[s] for s in streams]) for streams, _ in table.slots])
     q = _interference(table, np.concatenate([power, np.zeros((1, len(n)))]), under * len(n) + n)
     num, den = gk * p[:, None], 1.0 + gk * q
     try:
@@ -131,5 +132,5 @@ def _chain_checks(table: _Table, case, power, g, rates):
         for i, s, k in [(i, s, k) for i, c in enumerate(case) for s, _ in table.order[c] for k in range(count[s, i])]:
             table.slots[s][1](_divide(num[s, k, i:i + 1], den[s, k, i:i + 1]))
         raise
-    rhs = _fold(_min, list(np.where(live, x, math.inf).swapaxes(0, 1)))
-    return table.order, np.array([_fold(np.add, [rates[s] for s in streams]) for streams, _ in table.slots]), rhs
+    rhs = reduce(_min, np.where(live, x, math.inf).swapaxes(0, 1))
+    return table.order, np.array([reduce(np.add, [rates[s] for s in streams]) for streams, _ in table.slots]), rhs

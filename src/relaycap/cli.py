@@ -492,11 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """`build_parser`'s parser, built once per process: parsing reads it and
-    returns a fresh namespace, so no call sees another's arguments."""
-    return build_parser()
+# `build_parser`'s parser, built once per process: parsing reads it and
+# returns a fresh namespace, so no call sees another's arguments.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:

@@ -54,7 +54,6 @@ from .gaussnet import (
     RegionVerdict,
     _bound_gaps,
     _cutset_terms,
-    _fold,
     _hop_terms,
     _max,
     _min,
@@ -67,7 +66,6 @@ from .gaussnet import (
     _rate_quad,
     _row,
     _session_sums,
-    classify_case,
     gauss_cutset,
     gauss_restricted_cutset,
     reduce_orderings,
@@ -228,7 +226,7 @@ def _verify_columns(up, down, p, target, hop_terms):
         # powers are finite and at least +0.0: at normalised rates every need (2^r - 1 or 2^r) is at least
         # +0.0, and the preconditions and the (2 max|h|)^2 P guard bound it.  So no slack is NaN or -0.0,
         # and the fold over the check slots picks what min() picks in decoding order.
-        slack[rows] = _fold(_min, [slack[rows], *slacks])
+        slack[rows] = functools.reduce(_min, [slack[rows], *slacks])
         failed = slacks < -TOL
         bad = failed.any(axis=0)
         for j in bad.nonzero()[0].tolist():
@@ -391,7 +389,7 @@ def _trial_block(cfg: SweepConfig, indices: Sequence[int]) -> SweepColumns:
     stage, excess, slack, *_ = _verify_columns(up, down, p, rates, hop_terms)
     # Both bounds share the single-family terms, so their gaps are 0.0.
     gaps = _bound_gaps(_cutset_terms(up, down, p, terms), terms)
-    gap = _fold(_max, [0.0, *gaps])
+    gap = functools.reduce(_max, [0.0, *gaps])
     # h's rows are h_ar, h_br, h_ra, h_rb pair by pair; the columns take the CSV's order.
     columns = (*h[[0, 2, 1, 3, 4, 6, 5, 7]], p, *rates, stage, excess, slack, gap)
     return SweepColumns(tuple(indices), *(tuple(c.tolist()) for c in columns))

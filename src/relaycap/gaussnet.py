@@ -178,14 +178,6 @@ def _min(a, b):
     return np.where(b < a, b, a)
 
 
-def _fold(pick, columns):
-    """Python's max() or min() of several columns, per entry, in order."""
-    out = columns[0]
-    for c in columns[1:]:
-        out = pick(out, c)
-    return out
-
-
 def _each(fn, x: np.ndarray, *args) -> np.ndarray:
     """The Python call ``fn(entry, *args)`` on each entry."""
     return np.fromiter(map(fn, x.ravel().tolist(), *map(itertools.repeat, args)), float, x.size).reshape(x.shape)
@@ -244,11 +236,6 @@ def _hop_terms(up, down, p) -> np.ndarray:
     # C(max(a, b) P) is C(a P) or C(b P), whichever max picks.
     pair_down = np.where(down2[_PAIR_T] > down2[_PAIR_S], single_down[_PAIR_T], single_down[_PAIR_S])
     return np.array([np.concatenate([caps[:4], caps[8:]]), np.concatenate([single_down, pair_down])])
-
-
-def _restricted_terms(up, down, p) -> np.ndarray:
-    """Each family's restricted term, (8, n): the minimum of its two `_hop_terms`."""
-    return _min(*_hop_terms(up, down, p))
 
 
 def _cutset_terms(up, down, p, restricted: np.ndarray) -> np.ndarray:
@@ -312,7 +299,7 @@ def _violated_names(slacks: list, i: int) -> list[str]:
 def _region_verdict(net: GaussNetwork, rates: Sequence[float], restricted: bool) -> RegionVerdict:
     r = _rate_quad(rates)
     up, down, p = net._columns()
-    terms, sums = _restricted_terms(up, down, p), _session_sums(_one(r))
+    terms, sums = _min(*_hop_terms(up, down, p)), _session_sums(_one(r))
     if not restricted:
         terms = _cutset_terms(up, down, p, terms)
     checks = tuple(
@@ -355,7 +342,7 @@ def restricted_bound_gaps(net: GaussNetwork) -> dict[str, float]:
     C(2x) <= C(x) + 1.
     """
     up, down, p = net._columns()
-    terms = _restricted_terms(up, down, p)
+    terms = _min(*_hop_terms(up, down, p))
     gaps = _bound_gaps(_cutset_terms(up, down, p, terms), terms)
     return {name: g.item() for (name, _, _, _), g in zip(_FAMILIES, gaps)}
 
@@ -449,26 +436,17 @@ def _swap_pairs(q: np.ndarray, swapped) -> np.ndarray:
     return np.where(swapped, q[..., _PAIR_SWAP, :], q)
 
 
-def _case_codes(magnitudes, direction: str) -> np.ndarray:
-    """`classify_case` as codes, each an index into `_CASES`."""
-    if direction not in ("uplink", "downlink"):
-        raise ValueError(f"direction must be 'uplink' or 'downlink', got {direction!r}")
+def _case_codes(magnitudes: np.ndarray, direction: str) -> np.ndarray:
+    """Each trial's case on one hop, as an index into `_CASES`.
+
+    ``magnitudes`` is the hop's (4, n) role-ordered session array (strong1,
+    weak1, strong2, weak2): `GaussNetwork.uplink` or `.downlink` as
+    columns.  Requires the normalized ordering strong_i >= weak_i and
+    strong1 >= strong2, and names ``direction`` where a trial breaks it.
+    Ties resolve to the lowest-numbered case.
+    """
     s1, w1, s2, w2 = magnitudes
     unordered = (w1 > s1 + TOL) | (w2 > s2 + TOL) | (s2 > s1 + TOL)
-    if np.any(unordered):
-        shown = tuple(magnitudes) if np.ndim(s1) == 0 else _row(magnitudes, unordered.argmax())
-        raise ValueError(f"{direction} magnitudes {shown} are not in normalized order")
+    if unordered.any():
+        raise ValueError(f"{direction} magnitudes {_row(magnitudes, unordered.argmax())} are not in normalized order")
     return np.where(w1 >= s2, 0, np.where(w1 >= w2, 1, 2))
-
-
-def classify_case(magnitudes: Sequence, direction: str):
-    """Configuration tag for one hop.
-
-    ``magnitudes`` is the role-ordered quadruple (strong1, weak1, strong2,
-    weak2), a hop's session 4-tuple: `GaussNetwork.uplink` or `.downlink`,
-    as numbers or as a (4, n) array (then one tag per column).  Requires the
-    normalized ordering strong_i >= weak_i and strong1 >= strong2.  Ties
-    resolve to the lowest-numbered case.
-    """
-    case = np.array(_CASES)[_case_codes(magnitudes, direction)]
-    return case if case.ndim else str(case)

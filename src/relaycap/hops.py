@@ -20,6 +20,7 @@ of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ from .gaussnet import (
     InfeasibleRatesError,
     _capacity,
     _case_codes,
-    _fold,
     _hop_terms,
     _lattice_cap,
     _max,
@@ -99,8 +99,8 @@ def _precondition_errors(direction: str, terms, r) -> dict[int, InfeasibleRatesE
 def _excess(alpha, budgets) -> np.ndarray:
     """Each trial's budget excess: the most any transmitter's ``budgets``
     (each the alpha rows it sums) pass 1, or the most negative fraction."""
-    worst = _fold(_max, [_fold(np.add, [alpha[k] for k in budget]) - 1.0 for budget in budgets])
-    return _max(worst, -_fold(_min, alpha))
+    worst = reduce(_max, [reduce(np.add, [alpha[k] for k in budget]) - 1.0 for budget in budgets])
+    return _max(worst, -reduce(_min, alpha))
 
 
 def _allocate(direction: str, mags, p, r, powers, terms):

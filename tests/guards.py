@@ -112,3 +112,29 @@ def case_name_codes(source: str) -> list[tuple[str | None, str]]:
         if name in ("classify_case", "_CASES.index"):
             found.append((innermost(scopes), name))
     return found
+
+
+def unread(names, package, bench) -> list[str]:
+    """Those of ``names`` that no source of ``package`` reads and no source
+    of ``bench`` reads or spells, in the order of ``names``.  A read is a
+    `Name` loaded or an attribute read outside the name's own def; an
+    import binds a name and reads none.  A bench source also spells a name
+    as an exact string constant, as the tracer's table does."""
+
+    def reads(source: str, strings: bool) -> set:
+        found = set()
+        for node, scopes, _ in walk(source):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if ("def", name) not in scopes:
+                found.add(name)
+        return found
+
+    read = set().union(*(reads(s, False) for s in package), *(reads(s, True) for s in bench))
+    return [name for name in names if name not in read]

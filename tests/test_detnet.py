@@ -435,6 +435,29 @@ def test_modules_are_short_and_import_in_layers():
     assert guards.import_cycle(guards.package_imports(planted)) is None
 
 
+def test_every_public_function_has_a_reader():
+    # A public function stays only while a command or workload calls it:
+    # some module of the package reads it, or a perfbench workload or its
+    # tracer names it (the tracer's `WRAPPED` names are strings).
+    package = [path.read_text() for path in Path(relaycap.__file__).parent.glob("*.py")]
+    bench = [path.read_text() for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")]
+    functions = [
+        name for name in relaycap.__all__ if callable(value := getattr(relaycap, name)) and not isinstance(value, type)
+    ]
+    assert "enumerate_cuts" in functions  # an lru_cache wrapper is no class
+    assert guards.unread(functions, package, bench) == []
+
+    planted = [
+        "from .gaussnet import classify_case, uplink_allocate\n__all__ = ['classify_case']",
+        "def f(x):\n    return f(x - 1) + g.uplink_allocate(x)",
+        "def h():\n    pass",
+    ]
+    names = ["classify_case", "uplink_allocate", "f", "h", "run_trial", "monte_carlo_gap", "sweep"]
+    assert guards.unread(names, planted, []) == ["classify_case", "f", "h", "run_trial", "monte_carlo_gap", "sweep"]
+    bench = ["WRAPPED = ((gaussian, 'monte_carlo_gap', 'cli.sweep'),)\nrun_trial = None\nx = f"]
+    assert guards.unread(names, planted, bench) == ["classify_case", "h", "run_trial", "sweep"]
+
+
 def test_public_api_is_pinned():
     # What `relaycap` exports, stated once: a removal or a new re-export
     # shows up here as a diff.  The submodules are not exported.
@@ -446,7 +469,7 @@ def test_public_api_is_pinned():
         FULL_DUPLEX FullDuplex GaussNetwork HalfDuplex InductionInvariantError InfeasibleRatesError
         InvalidGainError LevelAssignment LowPowerError Membership NormalizedProblem NotInRegionError RegionSizeError
         Schedule ScheduleInvalidError ShapeError SimulationResult SweepColumns SweepConfig UplinkAllocation
-        chunk_schedule classify_case divide_and_conquer downlink_allocate downlink_rate_check
+        chunk_schedule divide_and_conquer downlink_allocate downlink_rate_check
         enumerate_cuts enumerate_integral_region gauss_cutset gauss_restricted_cutset in_det_cutset
         monte_carlo_gap node_downlink_receive random_messages reduce_orderings relay_uplink_receive
         restricted_bound_gaps schedule_fractional schedule_half_duplex shifted_contribution

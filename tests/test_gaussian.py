@@ -53,7 +53,6 @@ from relaycap import (
     SweepColumns,
     SweepConfig,
     restricted_bound_gaps,
-    classify_case,
     downlink_allocate,
     downlink_rate_check,
     enumerate_cuts,
@@ -696,11 +695,6 @@ def test_uplink_allocate_refuses_unnormalized_rates():
         uplink_allocate(_CASE_I_NET, (0.5, 1.0, 0.5, 0.0))
 
 
-def test_classify_case_refuses_an_unknown_direction():
-    with pytest.raises(ValueError, match="^direction must be 'uplink' or 'downlink', got 'sideways'$"):
-        classify_case((10, 5, 3, 1), "sideways")
-
-
 def test_network_refuses_a_magnitude_array_of_the_wrong_length():
     with pytest.raises(ValueError, match="^h_ar needs one magnitude per pair$"):
         GaussNetwork((16.0,), (16.0, 16.0), (16.0, 16.0), (16.0, 16.0), 1.0)
@@ -803,22 +797,27 @@ def test_reduce_orderings_requires_membership():
 # --- case classification --------------------------------------------------------------
 
 
+def _case_of(magnitudes, direction):
+    """The case name of one hop's role-ordered magnitudes, as the cascade reads it."""
+    return gaussnet._CASES[gaussnet._case_codes(gaussnet._one(magnitudes), direction)[0]]
+
+
 def test_classify_uplink_cases():
-    assert classify_case((10, 5, 3, 1), "uplink") == "I"
-    assert classify_case((10, 4, 5, 3), "uplink") == "II"
-    assert classify_case((10, 2, 5, 3), "uplink") == "III"
+    assert _case_of((10, 5, 3, 1), "uplink") == "I"
+    assert _case_of((10, 4, 5, 3), "uplink") == "II"
+    assert _case_of((10, 2, 5, 3), "uplink") == "III"
 
 
 def test_classify_tie_goes_to_lowest_case():
-    assert classify_case((5, 5, 5, 5), "uplink") == "I"
-    assert classify_case((5, 3, 3, 3), "downlink") == "I"
+    assert _case_of((5, 5, 5, 5), "uplink") == "I"
+    assert _case_of((5, 3, 3, 3), "downlink") == "I"
 
 
 def test_classify_rejects_unordered():
     with pytest.raises(ValueError):
-        classify_case((5, 6, 3, 1), "uplink")
+        _case_of((5, 6, 3, 1), "uplink")
     with pytest.raises(ValueError):
-        classify_case((5, 4, 6, 1), "downlink")
+        _case_of((5, 4, 6, 1), "downlink")
 
 
 # --- uplink allocation ------------------------------------------------------------------
@@ -1990,7 +1989,7 @@ def test_stacked_arrays_match_scalar_reference(trials):
 
     nets = [net for net, _, _ in trials]
     up, down, p, r = (np.asarray(q) for q in _trial_columns([(net, rates) for net, rates, _ in trials]))
-    restricted_terms = gaussnet._restricted_terms(up, down, p)
+    restricted_terms = gaussnet._min(*gaussnet._hop_terms(up, down, p))
     cutset_terms = gaussnet._cutset_terms(up, down, p, restricted_terms)
     for restricted, terms in ((False, cutset_terms), (True, restricted_terms)):
         for i, net in enumerate(nets):
@@ -2009,7 +2008,7 @@ def test_stacked_arrays_match_scalar_reference(trials):
     if not accepted:
         return
     d = np.array([trials[i][2] for i in accepted])
-    terms = gaussnet._restricted_terms(up[:, accepted], down[:, accepted], p[accepted])
+    terms = gaussnet._min(*gaussnet._hop_terms(up[:, accepted], down[:, accepted], p[accepted]))
     with np.errstate(over="ignore"):  # as in the sweep: a tiny step's room is inf
         walked = gaussian._boundary_rates(SimpleNamespace(draw=lambda rows, k: d[rows].T), terms)
     walks = [(nets[i], tuple(walked[:, j].tolist())) for j, i in enumerate(accepted)]
@@ -2104,7 +2103,7 @@ def test_reference_imports_no_function():
     for planted, names in (
         ("from relaycap.gaussian import gauss_cutset", ["gauss_cutset"]),
         ("from relaycap import FULL_DUPLEX, GaussNetwork, verify_constant_gap", ["verify_constant_gap"]),
-        ("from relaycap.gaussnet import InfeasibleRatesError, RateQuad, classify_case", ["classify_case"]),
+        ("from relaycap.gaussnet import InfeasibleRatesError, RateQuad, reduce_orderings", ["reduce_orderings"]),
         ("from relaycap import gaussian", ["gaussian"]),
         ("import relaycap.gaussian as g", ["relaycap.gaussian"]),
         ("import numpy as np\nfrom math import log1p", []),
