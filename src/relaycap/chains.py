@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .gaussnet import _divide, _max, _min
+from .gaussnet import _max, _min
 
 _ZERO, _TERMS = 4, 3  # a hop's power row that stays 0; the most streams standing under one receiver
 
@@ -115,22 +115,18 @@ def _chain_checks(table: _Table, case, power, g, rates):
     rhs rows, one per check slot (rhs inf where the case lacks the check).  A
     check sums its streams' rates and powers p, and takes the least cap(g p /
     (1 + g q)) over the receivers of its first stream's stage, as min() picks
-    it.  On an error the checks rerun trial by trial, each in decoding order,
-    to raise what the first trial to raise raises alone."""
+    it.  It never raises: the hop API takes only finite powers of at least
+    0 (`hops`), so every noise 1 + g q is at least 1 and no cap argument is
+    negative (an overflowing product makes an inf or a NaN, which no cap
+    refuses)."""
     n = np.arange(len(case))
     _, count, snr, under = _take(table.checks, case)
     live = np.arange(snr.shape[1])[:, None] < count[:, None]
     gk, p = g[snr, n], np.array([reduce(np.add, [power[s] for s in streams]) for streams, _ in table.slots])
     q = _interference(table, np.concatenate([power, np.zeros((1, len(n)))]), under * len(n) + n)
-    num, den = gk * p[:, None], 1.0 + gk * q
-    try:
-        x = _divide(num, den)
-        for cap, slots in table.caps:
-            at = live & slots
-            x[at] = cap(x[at])
-    except (ZeroDivisionError, ValueError):
-        for i, s, k in [(i, s, k) for i, c in enumerate(case) for s, _ in table.order[c] for k in range(count[s, i])]:
-            table.slots[s][1](_divide(num[s, k, i:i + 1], den[s, k, i:i + 1]))
-        raise
+    x = gk * p[:, None] / (1.0 + gk * q)
+    for cap, slots in table.caps:
+        at = live & slots
+        x[at] = cap(x[at])
     rhs = reduce(_min, np.where(live, x, math.inf).swapaxes(0, 1))
     return table.order, np.array([reduce(np.add, [rates[s] for s in streams]) for streams, _ in table.slots]), rhs

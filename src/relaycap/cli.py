@@ -284,10 +284,10 @@ def cmd_gauss_verify(args) -> int:
     return EXIT_OK if report.achievable else EXIT_INFEASIBLE
 
 
-_GAUSS_CSV_HEADER = (
-    "trial,seed,verdict,stage,max_alpha_slack,bound_gap,"
-    "h_a1r,h_b1r,h_a2r,h_b2r,h_ra1,h_rb1,h_ra2,h_rb2,power"
-)
+# The Gaussian CSV's float columns, as `SweepColumns` fields; the header
+# spells the first one max_alpha_slack.
+_GAUSS_FLOATS = ("max_alpha_excess", "bound_gap", *gaussian.SweepColumns._fields[1:10])
+_GAUSS_CSV_HEADER = ",".join(("trial", "seed", "verdict", "stage", "max_alpha_slack", *_GAUSS_FLOATS[1:]))
 _DET_CSV_HEADER = "trial,seed,verdict,pairs,n_ar,n_br,n_ra,n_rb,tuples_checked,failures"
 
 
@@ -295,10 +295,10 @@ _DET_CSV_HEADER = "trial,seed,verdict,pairs,n_ar,n_br,n_ra,n_rb,tuples_checked,f
 # unnamed temporary file, so a sweep's memory does not grow with its trials.
 # The CSV is ASCII, spooled as bytes, so a copy to --out decodes no text.
 _SPOOL_CHARS = 1 << 16
-# The longest Gaussian CSV row, less its trial and seed fields: the verdict,
-# the longest stage ("downlink-allocation"), eleven floats at the 24
-# characters of the longest float repr, 14 commas and the newline.
-_GAUSS_ROW_CHARS = len("pass") + len("downlink-allocation") + 11 * len(repr(-2.2250738585072014e-308)) + 15
+# The longest Gaussian CSV row, less its trial and seed fields: their commas,
+# the verdict, the longest stage ("downlink-allocation") and the newline,
+# and each float at the 24 characters of the longest float repr, with its comma.
+_GAUSS_ROW_CHARS = len(",,pass,downlink-allocation\n") + len(_GAUSS_FLOATS) * len(f",{-2.2250738585072014e-308!r}")
 
 
 def _check_spool_room(cfg: SweepConfig) -> None:
@@ -406,10 +406,7 @@ def _gauss_sweep(cfg: SweepConfig, spool):
     # columns hold floats in [0.0, 1 + TOL], none of them -0.0 (a test pins it).
     passed, peak_excess, peak_gap = 0, 0.0, 0.0
     for c in gaussian.sweep_blocks(cfg):
-        floats = (
-            c.max_alpha_excess, c.bound_gap, c.h_a1r, c.h_b1r, c.h_a2r, c.h_b2r,
-            c.h_ra1, c.h_rb1, c.h_ra2, c.h_rb2, c.power,
-        )
+        floats = [getattr(c, name) for name in _GAUSS_FLOATS]
         verdicts = ["pass" if s == "ok" else "fail" for s in c.stage]
         rows = zip(map(str, c.trial), repeat(str(cfg.seed)), verdicts, c.stage, *(map(repr, f) for f in floats))
         spool.write(("\n".join(map(",".join, rows)) + "\n").encode())

@@ -205,13 +205,6 @@ def _pow2(r: np.ndarray) -> np.ndarray:
     return np.where(big, math.inf, _each(functools.partial(pow, 2.0), np.where(big, 0.0, r)))
 
 
-def _divide(a, b):
-    """``a / b``, raising as Python's float division does where ``b`` is 0."""
-    if (b == 0).any():
-        raise ZeroDivisionError("float division by zero")
-    return a / b
-
-
 def _row(columns, i: int) -> tuple:
     """One trial's entries as Python floats."""
     return tuple(c[i].item() for c in columns)

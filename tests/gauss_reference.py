@@ -280,8 +280,8 @@ def reference_allocation_inputs(direction: str, net: GaussNetwork, rates: Sequen
     """The checked rates and the hop's |h|^2 P, once the rates are pair-
     normalised, the SNR floor holds and every precondition of the hop holds."""
     r = reference_rate_quad(rates)
-    if r[1] > r[0] + TOL or r[3] > r[2] + TOL:
-        raise ValueError(f"rates {r} not normalized: each pair needs r_A >= r_B")
+    if r[1] > r[0] or r[3] > r[2] or r[1] < 0 or r[3] < 0:
+        raise ValueError(f"rates {r} not normalized: each pair needs r_A >= r_B >= 0")
     snr = reference_snrs(net.uplink if direction == "uplink" else net.downlink, net.power)
     if min(snr) < MIN_PROVEN_SNR - TOL:
         raise LowPowerError(f"{direction} |h|^2 P floor {min(snr):.4g} below {MIN_PROVEN_SNR}")
@@ -355,11 +355,19 @@ def reference_uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAl
     return alloc
 
 
+def reference_require_fractions(fractions: Sequence[float]) -> None:
+    """Refuse an allocation with a power fraction that is negative, infinite or NaN."""
+    fractions = tuple(float(a) for a in fractions)
+    if not all(0.0 <= a < math.inf for a in fractions):
+        raise ValueError(f"power fractions must be finite and non-negative, got {fractions}")
+
+
 def reference_uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
     """Evaluate every decoding inequality of the allocation's case."""
     expected = reference_classify_case(net.uplink, "uplink")
     if expected != alloc.case:
         raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
+    reference_require_fractions((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2))
     x1, x2, x3, x4 = reference_snrs(net.uplink, net.power)
     G1 = alloc.alpha_a1[0] * x1
     T = alloc.alpha_b1 * x2
@@ -466,6 +474,7 @@ def reference_downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) 
     )
     if reference_classify_case(mags, "downlink") != alloc.case:
         raise ValueError("allocation case does not match the network ordering")
+    reference_require_fractions(alloc.alpha_r)
 
     p1, p2, p3, p4 = alloc.alpha_r
     g1, shared1, g2, shared2 = alloc.stream_rates

@@ -138,3 +138,19 @@ def unread(names, package, bench) -> list[str]:
 
     read = set().union(*(reads(s, False) for s in package), *(reads(s, True) for s in bench))
     return [name for name in names if name not in read]
+
+
+_TRIES = tuple(getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name))  # TryStar from 3.11
+
+
+def second_paths(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing def or class, kind) of each place ``source`` keeps a second
+    path for a computation's errors: a ``try`` statement, ``except*`` too
+    ("try"), and a def, name, attribute or import of `_divide` ("_divide")."""
+    found = []
+    for node, scopes, _ in walk(source):
+        if isinstance(node, _TRIES):
+            found.append((innermost(scopes), "try"))
+        elif "_divide" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+            found.append((innermost(scopes), "_divide"))
+    return found

@@ -578,8 +578,7 @@ _CORNER_TRIAL = (
           (10.985510956437869, 6.002404459109603, 0.6263337217555398, 0.07516004661066478), (0, 1.0)))
 @example((_normalized_net([8.61, 40.32, 1.84, 17.79, 76.61, 36.11, 20.56, 47.08], 4.72),
           (3.6621964973984475, 0.036621964973984476, 5.500213758738611, 2.4753826570967807), (0, 1.0)))
-# Negative powers: the first capacity argument below zero raises, in
-# check order.
+# Negative powers: refused at entry by both.
 @example((_normalized_net([3.66, 2.69, 19.0, 40.75, 84.59, 2.0, 9.21, 61.58], 7.01),
           (6.617076885160013, 0.5400246143493648, 2.9015082007705986, 2.7274177087243627), (3, -1.0)))
 # A budget that binds only once tampered: A2's, with its Gaussian fraction
@@ -667,32 +666,99 @@ def test_allocators_refuse_a_rate_whose_power_overflows_at_its_precondition(allo
         assert _outcome(allocate, _CASE_I_NET, rates) == _outcome(reference, _CASE_I_NET, rates)
 
 
-def test_uplink_rate_check_divides_by_a_zero_noise_as_python_does():
-    # W = alpha_b2 |h_B2R|^2 P = -0.5 exactly, so x_A2's noise 2 W + 1 is 0:
-    # the checks before it pass, and its division raises.
+def test_uplink_rate_check_refuses_a_fraction_that_would_zero_a_noise():
+    # W = alpha_b2 |h_B2R|^2 P = -0.5 exactly would make x_A2's noise 2 W + 1
+    # zero.  A negative fraction is refused at entry, before any check, with
+    # every fraction in field order.
     alloc = replace(uplink_allocate(_CASE_I_NET, _CASE_I_RATES), alpha_b2=-0.5 / 16.0)
-    with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+    message = (
+        r"^power fractions must be finite and non-negative, got \(0\.08838834764831845, 0\.035355339059327376, "
+        r"0\.057529661440707654, 0\.05555555555555555, 0\.2209708691207961, -0\.03125\)$"
+    )
+    with pytest.raises(ValueError, match=message):
         uplink_rate_check(_CASE_I_NET, alloc)
     assert _outcome(uplink_rate_check, _CASE_I_NET, alloc) == _outcome(reference_uplink_rate_check, _CASE_I_NET, alloc)
 
 
-def test_uplink_rate_check_raises_at_its_first_offending_check():
-    # A negative x_A1 Gaussian fraction makes the first check's capacity
-    # argument negative, and W = -0.5 zeroes the third check's noise, as
-    # above.  The checks raise in decoding order, so the first one's error
-    # wins, although a division over the case's stacked checks meets the
-    # zero before any capacity is taken.
+def test_uplink_rate_check_refuses_negative_fractions_after_its_case_check():
+    # A negative x_A1 Gaussian fraction, and W = -0.5 as above: one refusal
+    # at entry names both.  An allocation of another case is refused for
+    # its case first.
     alloc = uplink_allocate(_CASE_I_NET, _CASE_I_RATES)
     alloc = replace(alloc, alpha_a1=(-0.1, alloc.alpha_a1[1]), alpha_b2=-0.5 / (4.0**2 * 1.0))
-    with pytest.raises(ValueError, match=r"^capacity argument must be non-negative, got -1\.3177253570392613$"):
+    message = r"^power fractions must be finite and non-negative, got \(-0\.1, .*, -0\.03125\)$"
+    with pytest.raises(ValueError, match=message):
         uplink_rate_check(_CASE_I_NET, alloc)
-    assert _outcome(uplink_rate_check, _CASE_I_NET, alloc) == _outcome(reference_uplink_rate_check, _CASE_I_NET, alloc)
+    with pytest.raises(ValueError, match=r"^allocation is for case II, network classifies as I$"):
+        uplink_rate_check(_CASE_I_NET, replace(alloc, case="II"))
+    for a in (alloc, replace(alloc, case="II")):
+        assert _outcome(uplink_rate_check, _CASE_I_NET, a) == _outcome(reference_uplink_rate_check, _CASE_I_NET, a)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.0])
+def test_downlink_rate_check_takes_only_finite_fractions(bad):
+    # NaN and inf are refused as a negative fraction is; -0.0 is at least 0.
+    alloc = downlink_allocate(_CASE_I_NET, _CASE_I_RATES)
+    alloc = replace(alloc, alpha_r=(*alloc.alpha_r[:3], bad))
+    got = _outcome(downlink_rate_check, _CASE_I_NET, alloc)
+    assert got == _outcome(reference_downlink_rate_check, _CASE_I_NET, alloc)
+    refused = (ValueError, f"power fractions must be finite and non-negative, got {alloc.alpha_r}")
+    assert (got == refused) is (bad != 0.0)
 
 
 def test_uplink_allocate_refuses_unnormalized_rates():
-    message = r"^rates \(0\.5, 1\.0, 0\.5, 0\.0\) not normalized: each pair needs r_A >= r_B$"
+    message = r"^rates \(0\.5, 1\.0, 0\.5, 0\.0\) not normalized: each pair needs r_A >= r_B >= 0$"
     with pytest.raises(ValueError, match=message):
         uplink_allocate(_CASE_I_NET, (0.5, 1.0, 0.5, 0.0))
+
+
+def _near_tie_trials(count):
+    """``count`` normalised networks (|h| and P log-uniform on [1, 100]), each
+    with feasible rates, pair by pair as drawn, moved to a near tie (r_B - r_A
+    = k 1e-10 for k in -9..9) or with r_B moved into [-1e-9, 0]."""
+    rng = np.random.default_rng(50)
+    trials = []
+    while len(trials) < count:
+        net = random_normalized_net(rng, floor=1.0)
+        r = random_feasible_rates(rng, net)
+        if r is None:
+            continue
+        r = list(r)
+        for a, kind in zip((0, 2), rng.integers(3, size=2).tolist()):
+            if kind == 1:
+                r[a] = r[a + 1] - rng.integers(-9, 10).item() * 1e-10
+            elif kind == 2:
+                r[a + 1] = -rng.uniform(0.0, 1e-9) * rng.integers(2).item()  # -0.0 half the time
+        trials.append((net, tuple(r)))
+    return trials
+
+
+@pytest.mark.parametrize(
+    "allocate, rate_check",
+    [(uplink_allocate, uplink_rate_check), (downlink_allocate, downlink_rate_check)],
+    ids=["uplink", "downlink"],
+)
+def test_allocators_make_only_splits_their_rate_checks_take(allocate, rate_check):
+    # An allocator refuses, or makes a split of non-negative fractions that its
+    # own rate check takes.  Rates with r_B a hair above r_A, or a pair rate a
+    # hair below 0, would make a negative need and so a negative fraction,
+    # which the rate check refuses: the allocators refuse such rates exactly,
+    # not within TOL.
+    unsorted = r"rates \(.*\) not normalized: each pair needs r_A >= r_B >= 0|rates must be finite and non-negative.*"
+    made = 0
+    for net, rates in _near_tie_trials(300):
+        try:
+            alloc = allocate(net, rates)
+        except (InfeasibleRatesError, LowPowerError, AllocationInvalidError):
+            continue
+        except ValueError as exc:
+            assert re.fullmatch(unsorted, str(exc)), (net, rates, exc)
+            continue
+        checks = rate_check(net, alloc)
+        assert checks and all(isinstance(c, ConstraintCheck) for c in checks)
+        assert (_alpha_column(alloc) >= 0.0).all(), (net, rates, alloc)
+        made += 1
+    assert made >= 100, made
 
 
 def test_network_refuses_a_magnitude_array_of_the_wrong_length():
@@ -1535,6 +1601,25 @@ def test_hop_code_never_maps_a_case_name_back_to_its_code():
         ("def f(case, names):\n    return _CASES[case], names.index(case), index(case), classify_case", []),
     ):
         assert guards.case_name_codes(planted) == found, planted
+
+
+def test_hop_layers_check_in_one_pass():
+    # The hop API takes only finite powers of at least 0, so
+    # `chains._chain_checks` cannot raise: it keeps no error path that
+    # reruns the checks trial by trial, and no `_divide` that raises as
+    # Python's division does.
+    for path in sorted(Path(gaussian.__file__).parent.glob("*.py")):
+        found = guards.second_paths(path.read_text())
+        kinds = ("try", "_divide") if path.stem in ("chains", "hops") else ("_divide",)
+        assert [f for f in found if f[1] in kinds] == [], path.name
+    for planted, found in (
+        ("def f(x):\n    try:\n        return 1 / x\n    except ZeroDivisionError:\n        raise", [("f", "try")]),
+        ("def _divide(a, b):\n    return a / b", [(None, "_divide")]),
+        ("from .gaussnet import _divide, _max", [(None, "_divide")]),
+        ("class C:\n    def g(self, a, b):\n        return gaussnet._divide(a, b)", [("g", "_divide")]),
+        ("def f(a, b):\n    divide = np.divide\n    return divide(a, b), a / b", []),
+    ):
+        assert guards.second_paths(planted) == found, planted
 
 
 def _private_defaults(source: str) -> list[str]:
