@@ -15,14 +15,14 @@ checks each hop, each trial leaving at its first failing stage:
 `verify_constant_gap` on a batch of one, whose report it builds from the
 cascade's columns.
 
-The sweep's randomness is columns too (see `streams`): trial i's k-th
-double is a pure function of (seed, i, k), numpy's k-th draw of
-default_rng(SeedSequence(entropy=seed, spawn_key=(i,))) computed without
-building that generator or importing numpy.random.  A sampling round takes
-9 doubles per pending trial, a boundary direction 4, and redraws advance
-only the rejected trials' streams.  The sampler tests a round's networks
-with no libm call, each SNR against the least float whose C reaches the
-2-bit base point's sum (`_accepts`): two constants that
+The sweep's randomness is columns too (see `streams`): trial i's c-th
+double is f(seed, i, c), a pure function, SplitMix64's output i 2^32 + c + 1
+from the seed's key.  Sampling round r reads counters 9r to 9r + 8, and the
+boundary direction's a-th attempt counters 2^31 + 4a to 2^31 + 4a + 3, so
+a trial reads the same doubles in any block, and `run_trial` replays it.
+The sampler draws and tests `_ROUNDS_PER_PASS` rounds of every pending
+trial per pass, with no libm call, each SNR against the least float whose
+C reaches the 2-bit base point's sum (`_accepts`): two constants that
 `test_sampler_thresholds_match_capacity` checks against `_capacity`.  It
 maps C once per block, on the networks it keeps.  `sweep_blocks` yields a
 sweep block by block, so a caller that keeps only what it needs of each
@@ -85,15 +85,18 @@ from .hops import (
     uplink_allocate,
     uplink_rate_check,
 )
-from .streams import _M32, _ROUND, _Streams, _uniform
+from .streams import _BOUNDARY, _ROUND, _Streams
 
 # Sweep sampling: every link SNR of a sampled network clears MIN_LINK_SNR,
 # and boundary rates retreat BOUNDARY_NUDGE bits into the region.
 MIN_LINK_SNR = max(4.0, MIN_PROVEN_SNR)
 BOUNDARY_NUDGE = 1e-6
 # Draws per sampled network before a trial is refused; at the default ranges
-# no trial of 10^5 (seed 0) needed more than 10.
+# no trial of 10^5 (seed 0) needed more than 6.
 MAX_SAMPLE_DRAWS = 1000
+# Sampling rounds drawn and tested per pass: a draw of 18 doubles costs
+# about what one of 9 does, and 4 rounds cost time at 1024-trial blocks.
+_ROUNDS_PER_PASS = 2
 # Trials per block of the sweep's batch pipeline.  `sweep_blocks` yields each
 # block's columns once the block is done, and `cli.cmd_sweep` spools its CSV
 # rows then, so the block size, not the trial count, bounds a sweep's memory,
@@ -246,9 +249,9 @@ class SweepConfig:
     log-uniform on [h_min, h_max] and power log-uniform on [p_min, p_max].
 
     ``trials`` and ``seed`` are non-negative integers (bools refused).  A
-    seed of any size is taken, as numpy's SeedSequence takes it, but at most
-    2^32 trials, since a trial's index is one 32-bit spawn-key word.  The
-    range bounds are positive finite reals."""
+    seed of any size is taken, its bytes hashed to the streams' key, but at
+    most 2^32 trials, since each trial reads its own 2^32-counter block of
+    one SplitMix64 sequence.  The range bounds are positive finite reals."""
 
     trials: int
     seed: int = 0
@@ -264,7 +267,7 @@ class SweepConfig:
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
             object.__setattr__(self, name, int(v))
         if self.trials > 2**32:
-            raise ValueError(f"trials must be at most 2**32 (one spawn-key word per trial), got {self.trials}")
+            raise ValueError(f"trials must be at most 2**32 (one 2**32-counter stream block per trial), got {self.trials}")
         for name in ("h_min", "h_max", "p_min", "p_max"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
         if not (self.h_min <= self.h_max and self.p_min <= self.p_max):
@@ -326,29 +329,36 @@ def _sessions(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]):
     """Log-uniform magnitudes and power, each trial redrawn until `_accepts`
-    keeps its network, at most `MAX_SAMPLE_DRAWS` times.  A round takes
-    `_ROUND` doubles from each pending trial's stream (`np.exp` of 8
-    magnitude uniforms, then of a power uniform) and tests the round at once,
-    on SNR thresholds; the next round redraws the rejected trials.  Returns
-    the magnitudes (one row per link, one column per trial), the powers and
-    the `_hop_terms` of the kept networks, the block's one libm map."""
+    keeps its network, at most `MAX_SAMPLE_DRAWS` rounds.  Round r reads
+    counters 9r to 9r + 8 (`np.exp` of 8 magnitude uniforms, then of a power
+    uniform); a pass draws and tests `_ROUNDS_PER_PASS` rounds of every
+    pending trial and keeps each trial's first accepted round.  Returns the
+    magnitudes (one row per link, one column per trial), the powers and the
+    `_hop_terms` of the kept networks, the block's one libm map."""
     lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
     lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
     n = len(indices)
     h, p = np.empty((8, n)), np.empty(n)
     rows = np.arange(n)
-    for _ in range(MAX_SAMPLE_DRAWS):
-        d = streams.draw(rows, _ROUND)
-        hp = np.exp(_uniform(lo_h, hi_h, d[:8]))
-        pp = np.exp(_uniform(lo_p, hi_p, d[8]))
-        h[:, rows], p[rows] = hp, pp
+    for first in range(0, MAX_SAMPLE_DRAWS, _ROUNDS_PER_PASS):
+        k = min(_ROUNDS_PER_PASS, MAX_SAMPLE_DRAWS - first)
+        d = streams.draw(rows, _ROUND * first, _ROUND * k).reshape(k, _ROUND, -1)
+        hp = np.exp(lo_h + (hi_h - lo_h) * d[:, :8])  # (round, link, trial)
+        pp = np.exp(lo_p + (hi_p - lo_p) * d[:, 8])
+        kept = _accepts(*_sessions(hp.transpose(1, 0, 2)), pp)
+        done = kept.any(axis=0)
+        last = np.where(done, kept.argmax(axis=0), k - 1)  # each trial's first kept round, else the pass's last
         # A draw GaussNetwork might refuse (a square near overflow, or an
-        # exp that underflowed) is built as one, so it raises as it would.
-        top = 2.0 * hp.max(axis=0)
-        for j in (~((hp > 0).all(axis=0) & (pp > 0) & (top * top * pp < 1e300))).nonzero()[0].tolist():
-            h_j = hp[:, j].tolist()
-            GaussNetwork(h_j[0:2], h_j[2:4], h_j[4:6], h_j[6:8], pp[j].item())
-        rows = rows[~_accepts(*_sessions(hp), pp)]
+        # exp that underflowed) is built as one, so it raises as it would,
+        # round by round and trial by trial up to each trial's kept round.
+        top = 2.0 * hp.max(axis=1)
+        refused = ~((hp > 0).all(axis=1) & (pp > 0) & (top * top * pp < 1e300))
+        for q, j in zip(*(refused & (np.arange(k)[:, None] <= last)).nonzero()):
+            h_j = hp[q, :, j].tolist()
+            GaussNetwork(h_j[0:2], h_j[2:4], h_j[4:6], h_j[6:8], pp[q, j].item())
+        columns = np.arange(len(rows))
+        h[:, rows], p[rows] = hp[last, :, columns].T, pp[last, columns]
+        rows = rows[~done]
         if not rows.size:
             return h, p, _hop_terms(*_sessions(h), p)
     error = ValueError(
@@ -362,13 +372,16 @@ def _sample_networks(cfg: SweepConfig, streams: _Streams, indices: Sequence[int]
 def _boundary_rates(streams: _Streams, terms: np.ndarray) -> np.ndarray:
     """Per trial, a point of the restricted-region boundary at least 2 in
     every component: walk from (2,2,2,2) along a random non-negative
-    direction, 4 doubles of the trial's stream redrawn while none exceeds
-    1e-9, to the nearest constraint, then retreat `BOUNDARY_NUDGE` bits."""
+    direction, to the nearest constraint, then retreat `BOUNDARY_NUDGE`
+    bits.  Attempt a reads counters 2^31 + 4a to 2^31 + 4a + 3 of the
+    trial's stream, redrawn while none exceeds 1e-9."""
     n = terms.shape[1]
     d, rows = np.empty((4, n)), np.arange(n)
+    start = _BOUNDARY
     while rows.size:
-        d[:, rows] = streams.draw(rows, 4)
+        d[:, rows] = streams.draw(rows, start, 4)
         rows = rows[d[:, rows].max(axis=0) <= 1e-9]
+        start += 4
     # No room is NaN or -0.0: every term holds the base point, so the
     # smallest room is np.min's.
     steps = _session_sums(d)
@@ -418,8 +431,8 @@ def _sweep_block(cfg: SweepConfig, indices: Sequence[int]) -> SweepColumns:
 def run_trial(cfg: SweepConfig, index: int) -> SweepColumns:
     """One deterministic trial's columns, a batch of one; its stream depends
     only on (seed, index), so trials run in any order or split yield the
-    same columns.  ``index`` is one spawn-key word: an integer in [0, 2^32)."""
-    if not _integer(index) or not 0 <= index <= _M32:
+    same columns.  ``index`` is an integer in [0, 2^32)."""
+    if not _integer(index) or not 0 <= index < 2**32:
         raise ValueError(f"trial index must be an integer in [0, 2**32), got {index!r}")
     return _trial_block(cfg, (int(index),))
 

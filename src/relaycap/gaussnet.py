@@ -242,11 +242,11 @@ def _cutset_terms(up, down, p, restricted: np.ndarray) -> np.ndarray:
 
 def _rate_quad(rates: Sequence[float]) -> RateQuad:
     """The four session rates as floats: real numbers, finite, and none
-    below -TOL."""
+    below 0 (-0.0 passes)."""
     r = tuple(_real(x, "rates") for x in rates)
     if len(r) != 4:
         raise ValueError(f"expected 4 rate components, got {len(r)}")
-    if not all(-TOL <= x < math.inf for x in r):
+    if not all(0.0 <= x < math.inf for x in r):
         raise ValueError(f"rates must be finite and non-negative, got {r}")
     return r
 

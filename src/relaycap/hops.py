@@ -107,13 +107,14 @@ def _allocate(direction: str, mags, p, r, powers, terms):
     """Walk each trial's cancellation chain for the hop at rates ``r``, whose
     `_pow2` are ``powers``: per pair a Gaussian (solo) stream at r_A - r_B,
     then a lattice (shared) stream at r_B, in both chains' stream order.
-    Rates with a pair not r_A >= r_B >= 0, exactly, are refused, so no need
-    is negative.  A trial is refused at the SNR floor or at the hop's first
+    Rates with a pair not r_A >= r_B, exactly, are refused, so no need is
+    negative: every rate that reaches here is at least 0 (`_rate_quad`,
+    `_back_off`).  A trial is refused at the SNR floor or at the hop's first
     failed rate precondition (from ``terms``, the hop's `_hop_terms`), and
     after the walk where its split overspends.  Returns the splits made,
     their trials' positions and budget excess, and the refused trials'
     errors."""
-    unsorted = ((r[1::2] > r[0::2]) | (r[1::2] < 0.0)).any(axis=0)
+    unsorted = (r[1::2] > r[0::2]).any(axis=0)
     if unsorted.any():
         raise ValueError(f"rates {_row(r, unsorted.argmax())} not normalized: each pair needs r_A >= r_B >= 0")
     snr = mags * mags * p
@@ -255,11 +256,15 @@ def _uplink_checks(splits: _Splits):
     return _chain_checks(_UPLINK, splits.case, q, ones, splits.rates)
 
 
-def _require_fractions(alpha) -> None:
+def _require_fractions(hop: str, alpha) -> None:
     """Refuse a handed-in allocation whose power fractions, a batch of one,
-    are not all finite and at least 0: `_chain_checks` takes no other."""
+    are not all finite and at least 0, as `_chain_checks` takes no other,
+    or overspend a transmitter's budget on the hop, as no allocator makes."""
     if not (np.isfinite(alpha) & (alpha >= 0.0)).all():
         raise ValueError(f"power fractions must be finite and non-negative, got {_row(alpha, 0)}")
+    excess = _excess(alpha, _HOPS[hop].budgets)[0].item()
+    if excess > TOL:
+        raise ValueError(f"power fractions exceed the {hop} power budget by {excess:.3g}, got {_row(alpha, 0)}")
 
 
 def _single_checks(case, names, lhs, rhs) -> tuple[ConstraintCheck, ...]:
@@ -277,7 +282,7 @@ def uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[Const
     case = _case_codes(up, "uplink")
     if _CASES[case[0]] != alloc.case:
         raise ValueError(f"allocation is for case {alloc.case}, network classifies as {_CASES[case[0]]}")
-    _require_fractions(alpha)
+    _require_fractions("uplink", alpha)
     return _single_checks(case[0], *_uplink_checks(_Splits(case, alpha, rates, up * up * p)))
 
 
@@ -390,7 +395,7 @@ def downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) -> tuple[C
     case = _case_codes(down, "downlink")
     if _CASES[case[0]] != alloc.case:
         raise ValueError("allocation case does not match the network ordering")
-    _require_fractions(alpha)
+    _require_fractions("downlink", alpha)
     return _single_checks(case[0], *_downlink_checks(_Splits(case, alpha, rates, down * down * p, swapped)))
 
 

@@ -6,10 +6,10 @@ floats: the two rate limits C(x) and (log2 x)+ (`awgn_capacity`,
 `family_rhs`), both hops' rate preconditions (`PRECONDITIONS`), each hop's
 power allocation and rate check case by case, each node's power budget,
 the constant-gap cascade with its largest budget excess and smallest check
-slack, and the sweep's sampler and boundary walk on numpy's own per-trial
-generators.  The differential tests in `test_gaussian.py` require
-`relaycap.gaussian` to reproduce every value here bit for bit, and every
-exception with its text.
+slack, and the sweep's sampler and boundary walk on the stream function f
+in plain ints (`reference_double`).  The differential tests in
+`test_gaussian.py` require `relaycap.gaussian` to reproduce every value
+here bit for bit, and every exception with its text.
 
 Nothing here reads `relaycap.gaussian`'s tables, private helpers or
 functions, only its classes, exceptions and constants: a wrong table entry
@@ -18,6 +18,8 @@ itself.  `test_reference_reads_no_private_names` and
 `test_reference_imports_no_function` keep it that way.
 """
 
+import hashlib
+import itertools
 import math
 from typing import Sequence
 
@@ -184,11 +186,11 @@ def reference_require_preconditions(direction: str, net: GaussNetwork, r: RateQu
 
 
 def reference_rate_quad(rates: Sequence[float]) -> RateQuad:
-    """The four session rates as floats: finite, and none below -TOL."""
+    """The four session rates as floats: finite, and none below 0."""
     r = tuple(float(x) for x in rates)
     if len(r) != 4:
         raise ValueError(f"expected 4 rate components, got {len(r)}")
-    if not all(-TOL <= x < math.inf for x in r):
+    if not all(0.0 <= x < math.inf for x in r):
         raise ValueError(f"rates must be finite and non-negative, got {r}")
     return r
 
@@ -280,7 +282,7 @@ def reference_allocation_inputs(direction: str, net: GaussNetwork, rates: Sequen
     """The checked rates and the hop's |h|^2 P, once the rates are pair-
     normalised, the SNR floor holds and every precondition of the hop holds."""
     r = reference_rate_quad(rates)
-    if r[1] > r[0] or r[3] > r[2] or r[1] < 0 or r[3] < 0:
+    if r[1] > r[0] or r[3] > r[2]:
         raise ValueError(f"rates {r} not normalized: each pair needs r_A >= r_B >= 0")
     snr = reference_snrs(net.uplink if direction == "uplink" else net.downlink, net.power)
     if min(snr) < MIN_PROVEN_SNR - TOL:
@@ -355,11 +357,19 @@ def reference_uplink_allocate(net: GaussNetwork, r: Sequence[float]) -> UplinkAl
     return alloc
 
 
-def reference_require_fractions(fractions: Sequence[float]) -> None:
-    """Refuse an allocation with a power fraction that is negative, infinite or NaN."""
+def reference_require_fractions(alloc: UplinkAllocation | DownlinkAllocation) -> None:
+    """Refuse an allocation with a power fraction that is negative, infinite
+    or NaN, then one that exceeds a node's power budget by more than TOL."""
+    if isinstance(alloc, UplinkAllocation):
+        hop, fractions = "uplink", (*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2)
+    else:
+        hop, fractions = "downlink", alloc.alpha_r
     fractions = tuple(float(a) for a in fractions)
     if not all(0.0 <= a < math.inf for a in fractions):
         raise ValueError(f"power fractions must be finite and non-negative, got {fractions}")
+    excess = reference_budget_excess(alloc)
+    if excess > TOL:
+        raise ValueError(f"power fractions exceed the {hop} power budget by {excess:.3g}, got {fractions}")
 
 
 def reference_uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> tuple[ConstraintCheck, ...]:
@@ -367,7 +377,7 @@ def reference_uplink_rate_check(net: GaussNetwork, alloc: UplinkAllocation) -> t
     expected = reference_classify_case(net.uplink, "uplink")
     if expected != alloc.case:
         raise ValueError(f"allocation is for case {alloc.case}, network classifies as {expected}")
-    reference_require_fractions((*alloc.alpha_a1, *alloc.alpha_a2, alloc.alpha_b1, alloc.alpha_b2))
+    reference_require_fractions(alloc)
     x1, x2, x3, x4 = reference_snrs(net.uplink, net.power)
     G1 = alloc.alpha_a1[0] * x1
     T = alloc.alpha_b1 * x2
@@ -474,7 +484,7 @@ def reference_downlink_rate_check(net: GaussNetwork, alloc: DownlinkAllocation) 
     )
     if reference_classify_case(mags, "downlink") != alloc.case:
         raise ValueError("allocation case does not match the network ordering")
-    reference_require_fractions(alloc.alpha_r)
+    reference_require_fractions(alloc)
 
     p1, p2, p3, p4 = alloc.alpha_r
     g1, shared1, g2, shared2 = alloc.stream_rates
@@ -599,12 +609,32 @@ def reference_sampler_accepts(net: GaussNetwork) -> bool:
     )
 
 
-def reference_sample_network(rng: np.random.Generator, cfg: SweepConfig, trial: int) -> GaussNetwork:
+def reference_key(seed: int) -> int:
+    """The seed's SplitMix64 starting point: blake2b of the seed's
+    little-endian bytes (one at least), 8 digest bytes read little-endian."""
+    data = seed.to_bytes(max(1, math.ceil(seed.bit_length() / 8)), "little")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def reference_double(seed: int, trial: int, counter: int) -> float:
+    """f(seed, trial, counter): output trial 2^32 + counter + 1 of SplitMix64
+    started at the seed's key, as a double on [0, 1)."""
+    z = (reference_key(seed) + (trial * 2**32 + counter + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
+
+
+def reference_sample_network(cfg: SweepConfig, trial: int) -> GaussNetwork:
+    """Round r reads counters 9r to 9r + 8: 8 magnitude uniforms, then a
+    power uniform, each through np.exp as the sampler maps them."""
     lo_h, hi_h = math.log(cfg.h_min), math.log(cfg.h_max)
     lo_p, hi_p = math.log(cfg.p_min), math.log(cfg.p_max)
-    for _ in range(MAX_SAMPLE_DRAWS):
-        h = np.exp(rng.uniform(lo_h, hi_h, size=8)).tolist()
-        p = float(np.exp(rng.uniform(lo_p, hi_p)))
+    for r in range(MAX_SAMPLE_DRAWS):
+        d = [reference_double(cfg.seed, trial, 9 * r + c) for c in range(9)]
+        h = np.exp(np.array([lo_h + (hi_h - lo_h) * x for x in d[:8]])).tolist()
+        p = float(np.exp(lo_p + (hi_p - lo_p) * d[8]))
         net = GaussNetwork(h[0:2], h[2:4], h[4:6], h[6:8], p)
         if reference_sampler_accepts(net):
             return net
@@ -614,14 +644,18 @@ def reference_sample_network(rng: np.random.Generator, cfg: SweepConfig, trial: 
     )
 
 
-def reference_sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork) -> RateQuad:
-    """Draw a non-negative direction d until some entry exceeds 1e-9, walk
-    from the base point along it to the nearest restricted family, and
-    retreat `BOUNDARY_NUDGE` bits."""
-    while True:
-        d = rng.random(4)
-        if d.max() > 1e-9:
-            break
+def reference_boundary_direction(cfg: SweepConfig, trial: int) -> list[float]:
+    """A non-negative direction: attempt a reads counters 2^31 + 4a to
+    2^31 + 4a + 3, until some entry exceeds 1e-9."""
+    for start in itertools.count(2**31, 4):
+        d = [reference_double(cfg.seed, trial, start + c) for c in range(4)]
+        if max(d) > 1e-9:
+            return d
+
+
+def reference_boundary_walk(net: GaussNetwork, d: Sequence[float]) -> RateQuad:
+    """Walk from the base point along ``d`` to the nearest restricted
+    family, and retreat `BOUNDARY_NUDGE` bits."""
     t_star = math.inf
     rhs = family_rhs(net, True)
     for name, coefs in FAMILY_COEFS.items():
@@ -629,15 +663,14 @@ def reference_sample_boundary_rates(rng: np.random.Generator, net: GaussNetwork)
         if step > 0:
             room = rhs[name] - family_sum(coefs, BASE_POINT)
             t_star = min(t_star, room / step)
-    t = max(0.0, t_star - BOUNDARY_NUDGE / float(d.max()))
-    return tuple(2.0 + t * float(x) for x in d)
+    t = max(0.0, t_star - BOUNDARY_NUDGE / max(d))
+    return tuple(2.0 + t * x for x in d)
 
 
 def reference_run_trial(cfg: SweepConfig, index: int) -> tuple:
     """Trial ``index`` of the sweep as one row, in `SweepColumns` field order."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
-    net = reference_sample_network(rng, cfg, index)
-    rates = reference_sample_boundary_rates(rng, net)
+    net = reference_sample_network(cfg, index)
+    rates = reference_boundary_walk(net, reference_boundary_direction(cfg, index))
     report = reference_verify_constant_gap(net, rates)
     gaps = reference_restricted_bound_gaps(net)
     return (

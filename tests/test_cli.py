@@ -355,8 +355,8 @@ def test_a_failed_sweep_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, mode
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 def test_a_sweep_failing_in_a_later_block_writes_no_csv(tmp_path, capsys, monkeypatch, to_file):
-    # Blocks of 5 trials: trial 23 runs out of draws in the fifth block, once
-    # the first four blocks' rows were spooled.  Not one CSV byte reaches
+    # Blocks of 5 trials: trial 8 runs out of draws in the second block, once
+    # the first block's rows were spooled.  Not one CSV byte reaches
     # --out, which keeps its old contents, or stdout.
     monkeypatch.setattr(cli.gaussian, "SWEEP_BLOCK", 5)
     spooled, sweep_blocks = [], cli.gaussian.sweep_blocks
@@ -372,8 +372,8 @@ def test_a_sweep_failing_in_a_later_block_writes_no_csv(tmp_path, capsys, monkey
     argv = ["sweep", "--trials", "40", "--seed", "7", "--hmax", "4", "--pmax", "2"]
     code = main([*argv, "--out", str(path)] if to_file else argv)
     out, err = capsys.readouterr()
-    assert spooled == [tuple(range(start, start + 5)) for start in range(0, 20, 5)]
-    assert code == EXIT_INPUT and out == "" and err.startswith("error: trial 23: none of 1000 sampled networks")
+    assert spooled == [tuple(range(5))]
+    assert code == EXIT_INPUT and out == "" and err.startswith("error: trial 8: none of 1000 sampled networks")
     assert path.read_text() == "earlier results\n"
 
 
@@ -545,8 +545,8 @@ def test_sweep_without_out_writes_its_csv_then_its_summary_to_stdout(tmp_path, c
 
 
 def test_a_gaussian_sweep_never_imports_numpy_random():
-    # numpy 2 loads numpy.random lazily, and loading it costs a process about
-    # 10 ms and 1.7 MB: the sweep streams mix SeedSequence's pool themselves.
+    # numpy 2 loads numpy.random lazily, and loading it with a generator costs
+    # a process about 10 ms and 6 MB: the sweep streams are computed in place.
     script = (
         "import sys\n"
         "from relaycap.cli import main\n"
@@ -722,7 +722,7 @@ def test_schedule_integral_over_budget(tmp_path, capsys):
         (["sweep", "--det", "--trials", "0", "--max-gain", "-1"], "--max-gain"),
         # Once numpy's "expected non-negative integer".
         (["sweep", "--trials", "2", "--seed", "-1"], "seed must be a non-negative integer"),
-        # A trial index is one 32-bit spawn-key word.
+        # Each trial reads its own 2^32-counter block of one stream.
         (["sweep", "--trials", str(2**32 + 1)], "trials must be at most 2**32"),
         (["sweep", "--trials", "2", "--hmin", "0"], "h_min must be positive"),
         # Once numpy's bare "expected non-negative integer".
@@ -1015,7 +1015,7 @@ def test_sweep_refuses_unsampleable_ranges(capsys, argv, message):
 
 
 def test_sweep_csv_pinned(tmp_path, capsys):
-    # `sweep --trials 300 --seed 5` captured before the same change.
+    # `sweep --trials 300 --seed 5`, captured when the sweep took its counter streams.
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--trials", "300", "--seed", "5", "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
@@ -1050,13 +1050,13 @@ def test_sweep_csv_builds_no_record_or_network_per_trial(tmp_path, capsys, monke
 @pytest.mark.parametrize(
     "seed,digest",
     [
-        (0, "22c2daed04eaab0c9af3d8b37628eb647b5931f7858a617e6ef68ad6149118e3"),
-        (99, "7a883b8d93340708c916d01d335decf10e8e46276de9929fa6c9f7d100ad0c08"),
+        (0, "dd5203c5a4a58b12b199e44da5df506998a790b0bef3745085e56bb785909769"),
+        (99, "3cb62e3a4080ab5269c5b887dfbd2bfa905388834931966f69db1839f15ca039"),
     ],
 )
 def test_sweep_csv_pinned_at_full_size(tmp_path, capsys, seed, digest):
-    # sha256 of `sweep --trials 100000 --seed N` as the one-trial-at-a-time
-    # sweep wrote it, before the sweep ran as one batch pipeline.
+    # sha256 of `sweep --trials 100000 --seed N`, pinned when the sweep took
+    # its counter streams.
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--trials", "100000", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
     capsys.readouterr()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import det_reference
+from relaycap import cutset
 from relaycap import (
     Cut,
     DetNetwork,
@@ -250,6 +251,22 @@ def test_enumerate_beyond_int64():
     assert enumerate_integral_region(net, mode) == [(0, 0), (1, 0), (2, 0)]
     big = (10**19,)
     assert enumerate_integral_region(DetNetwork(big, big, big, big), mode) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3, 4])
+def test_enumerate_cuts_at_its_exact_budget(monkeypatch, pairs):
+    # M reads per cut: a budget of exactly M (3^M - 1) reads lists the cuts,
+    # and one read less refuses them before any is built.
+    budget = pairs * (3**pairs - 1)
+    for allowed, listed in ((budget, True), (budget - 1, False)):
+        monkeypatch.setattr(cutset, "READ_BUDGET", allowed)
+        enumerate_cuts.cache_clear()  # a cached listing would skip the budget check
+        if listed:
+            assert len(enumerate_cuts(pairs)) == 3**pairs - 1
+        else:
+            with pytest.raises(RegionSizeError, match=rf"the 3\^{pairs} - 1 cuts to list exceed work budget {allowed}$"):
+                enumerate_cuts(pairs)
+    enumerate_cuts.cache_clear()
 
 
 def test_non_member_cut_listing_is_budgeted():

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import itertools
+import json
 import math
 import os
 import pickle
@@ -29,14 +30,17 @@ from gauss_reference import (
     family_rhs,
     family_sum,
     lattice_rate_cap,
+    reference_boundary_walk,
     reference_budget_excess,
+    reference_double,
     reference_downlink_allocate,
     reference_downlink_rate_check,
     reference_link_snrs,
     reference_precondition_rhs,
+    reference_reduce_orderings,
+    reference_region_verdict,
     reference_require_preconditions,
     reference_run_trial,
-    reference_sample_boundary_rates,
     reference_sampler_accepts,
     reference_snrs,
     reference_swap_pairs,
@@ -712,6 +716,49 @@ def test_uplink_allocate_refuses_unnormalized_rates():
         uplink_allocate(_CASE_I_NET, (0.5, 1.0, 0.5, 0.0))
 
 
+@pytest.mark.parametrize("bad", [-5e-10, -2e-9, -0.0])
+def test_every_gaussian_entry_refuses_a_negative_rate_alike(bad):
+    # One rule at every entry that takes rates: a rate below 0 is refused
+    # with one text, within TOL of 0 or not, as the reference refuses it;
+    # -0.0 is at least 0 and passes.
+    rates = (2.0, bad, 1.5, 1.0)
+    refused = (ValueError, f"rates must be finite and non-negative, got {rates}")
+    for entry, reference in (
+        (uplink_allocate, reference_uplink_allocate),
+        (downlink_allocate, reference_downlink_allocate),
+        (gauss_cutset, lambda net, r: reference_region_verdict(net, r, False)),
+        (gauss_restricted_cutset, lambda net, r: reference_region_verdict(net, r, True)),
+        (reduce_orderings, reference_reduce_orderings),
+        (verify_constant_gap, reference_verify_constant_gap),
+    ):
+        got = _outcome(entry, _CASE_I_NET, rates)
+        assert got == _outcome(reference, _CASE_I_NET, rates), entry.__name__
+        assert (got == refused) is (bad != 0.0), (entry.__name__, got)
+
+
+@pytest.mark.parametrize(
+    "allocate, rate_check, field, reference",
+    [
+        (uplink_allocate, uplink_rate_check, "alpha_a1", reference_uplink_rate_check),
+        (downlink_allocate, downlink_rate_check, "alpha_r", reference_downlink_rate_check),
+    ],
+    ids=["uplink", "downlink"],
+)
+def test_rate_checks_refuse_an_over_budget_allocation(allocate, rate_check, field, reference):
+    # Fractions that overspend a transmitter's power are refused at entry,
+    # however the decoding checks would read them: multiplied by 100, the
+    # relay's fractions once passed every downlink check while summing to
+    # 1.37.  Within TOL of the budget they are taken.
+    alloc = allocate(_CASE_I_NET, _CASE_I_RATES)
+    spent = sum(getattr(alloc, field))
+    for scale, taken in ((100.0, False), ((1.0 + 5e-10) / spent, True), ((1.0 + 2e-9) / spent, False)):
+        tampered = replace(alloc, **{field: tuple(scale * a for a in getattr(alloc, field))})
+        got = _outcome(rate_check, _CASE_I_NET, tampered)
+        assert got == _outcome(reference, _CASE_I_NET, tampered)
+        hop = rate_check.__name__.split("_")[0]
+        assert (got[0] is ValueError and got[1].startswith(f"power fractions exceed the {hop} power budget by ")) is not taken, got
+
+
 def _near_tie_trials(count):
     """``count`` normalised networks (|h| and P log-uniform on [1, 100]), each
     with feasible rates, pair by pair as drawn, moved to a near tie (r_B - r_A
@@ -993,8 +1040,8 @@ def test_uplink_power_budget_corner_detected():
         (190.54601133459386, 74.65578649469327), (173.3412390723331, 259.136978527644), 1.0,
     )
     corners = [(*_CORNER_TRIAL, "I"), (unequal, (7.413382952223102, 2.0, 6.571257162093544, 2.0), "I")]
-    for cfg, index, case in ((SweepConfig(150, 2162487093), 146, "II"), (SweepConfig(150, 1552185256), 138, "III")):
-        corners.append((*_row_trial(next(zip(*run_trial(cfg, index)))), case))
+    corners += [(*_row_trial(row), case) for seed, row, case in _FROZEN_CORNERS if seed != 0]
+    assert [case for *_, case in corners] == ["I", "I", "II", "III"]
     for net, target, case in corners:
         report = verify_constant_gap(net, target)
         assert report.stage == "uplink-allocation", (net, target, report.stage)
@@ -1004,15 +1051,41 @@ def test_uplink_power_budget_corner_detected():
             uplink_allocate(report.normalized.net, backed_off)
 
 
+def _frozen_corners() -> list[tuple[int, tuple, str]]:
+    """The seed, `SweepConfig` field-order row (trial, network, rates) and
+    uplink case of each frozen sweep trial that fails at the uplink
+    allocation: the 17 failures of the seed-0 10^6-trial sweep, then two
+    default-range trials of seeds 2162487093 and 1552185256, as the sweep
+    drew them before its counter streams."""
+    frozen = json.loads((Path(__file__).parent / "data" / "uplink_budget_corners.json").read_text())
+    return [(seed, tuple(row), case) for seed, *row, case in frozen["rows"]]
+
+
+_FROZEN_CORNERS = _frozen_corners()
+
+
+def test_frozen_corners_fail_at_the_uplink_allocation():
+    # Each instance fails in the corner above: a fact about the scheme as the
+    # paper states it, whatever stream drew it.  A fix for the corner updates
+    # this test, and no instance is dropped to hide it.
+    reports = [verify_constant_gap(*_row_trial(row)) for _, row, _ in _FROZEN_CORNERS]
+    assert {r.stage for r in reports} == {"uplink-allocation"}
+    found = [re.fullmatch(r"uplink case (I+) power budget exceeded by (\S+) \(alphas .*\)", r.detail) for r in reports]
+    assert [m[1] for m in found] == [case for *_, case in _FROZEN_CORNERS]
+    seed0 = [m for m, (seed, _, _) in zip(found, _FROZEN_CORNERS) if seed == 0]
+    assert Counter(m[1] for m in seed0) == {"I": 11, "III": 6}
+    assert all(0.00251 <= float(m[2]) <= 0.0785 for m in seed0), [m[2] for m in seed0]
+
+
 # The trials of `sweep --trials 1000000 --seed 0` that fail, each in the corner above.
 _SEED0_FAILURES = (
-    224589, 332987, 340107, 361695, 401623, 424010, 448439, 481193, 537608,
-    569635, 640500, 774775, 807456, 903148, 913253, 915437, 978317,
+    147684, 168459, 180685, 218482, 221717, 274177, 357875, 397994,
+    526882, 542454, 656382, 736549, 778448, 787878, 834027, 996472,
 )
 
 
 def test_seed0_million_trial_sweep_failures():
-    # A trial's draws do not depend on its block, so the 17 failures of the
+    # A trial's draws do not depend on its block, so the failures of the
     # 10^6-trial seed-0 sweep run cheaply as one block of their own.  The test
     # records the scheme as the paper states it: a fix for the corner updates
     # it, and no seed is changed to hide these trials.
@@ -1023,8 +1096,8 @@ def test_seed0_million_trial_sweep_failures():
     reports = [verify_constant_gap(*_row_trial(row)) for row in zip(*c)]
     assert [r.stage for r in reports] == list(c.stage)
     found = [re.fullmatch(r"uplink case (I+) power budget exceeded by (\S+) \(alphas .*\)", r.detail) for r in reports]
-    assert Counter(m[1] for m in found) == {"I": 11, "III": 6}
-    assert all(0.00251 <= float(m[2]) <= 0.0785 for m in found), [m[2] for m in found]
+    assert Counter(m[1] for m in found) == {"I": 4, "II": 2, "III": 10}
+    assert all(0.0065 <= float(m[2]) <= 0.0905 for m in found), [m[2] for m in found]
     assert run_trial(cfg, _SEED0_FAILURES[3]) == SweepColumns._make((column[3],) for column in c)
 
 
@@ -1224,20 +1297,19 @@ def test_cascade_trials_do_not_depend_on_their_batch(lifted_family, monkeypatch)
     # Each trial gathers its own case's rows of a hop's tables in one pass
     # over the batch, so its columns may not depend on the trials beside
     # it.  The batch mixes the lifted family's nine (uplink, downlink) case
-    # pairs with the 17 seed-0 trials that fail at the uplink allocation.
+    # pairs with the 19 frozen trials that fail at the uplink allocation.
     gains, rates = lifted_family
     up, down = gaussian._sessions(2.0 ** (16 * gains / 2))
     p, target = np.ones(rates.shape[1]), 16 * rates - 1.0
     *_, reached = gaussian._verify_columns(up, down, p, target, gaussnet._hop_terms(up, down, p))
     pairs = list(zip(reached["uplink"][1].case.tolist(), reached["downlink"][1].case.tolist()))
     picks = [pairs.index(pair) for pair in itertools.product(range(3), repeat=2)]
-    indices = _SEED0_FAILURES
-    drawn = streams._Streams(0, indices)
-    h, fp, terms = gaussian._sample_networks(SweepConfig(10**6, 0), drawn, indices)
-    failing = (*gaussian._sessions(h), fp, gaussian._boundary_rates(drawn, gaussnet._min(*terms)))
+    frozen = np.array([row[1:] for _, row, _ in _FROZEN_CORNERS]).T
+    h = frozen[[0, 2, 1, 3, 4, 6, 5, 7]]  # `_sessions`' row order, from the CSV's
+    failing = (*gaussian._sessions(h), frozen[8], frozen[9:])
     batch = [np.concatenate([a[..., picks], b], axis=-1) for a, b in zip((up, down, p, target), failing)]
     stage = gaussian._verify_columns(*batch, gaussnet._hop_terms(*batch[:3]))[0].tolist()
-    assert stage == ["ok"] * 9 + ["uplink-allocation"] * 17
+    assert stage == ["ok"] * 9 + ["uplink-allocation"] * len(_FROZEN_CORNERS)
     _assert_batch_independent(*batch)
     # Planted: each trial reading its neighbour's case rows, or its
     # neighbour's powers, changes it with the batch around it.
@@ -1353,6 +1425,17 @@ def test_sweep_config_takes_every_seed_numpy_takes():
         run_trial(cfg, 2**32)
 
 
+def test_run_trial_takes_the_top_index():
+    # Trial i reads counters i 2^32 + c + 1 of one SplitMix64 sequence, so the
+    # top index reads the sequence's last block, and a sampler that runs out
+    # of draws reads counters below the boundary walk's.
+    assert 9 * gaussian.MAX_SAMPLE_DRAWS <= 2**31 == streams._BOUNDARY
+    cfg = SweepConfig(2**32, 3)
+    block = gaussian._trial_block(cfg, (0, 2**32 - 1))
+    assert run_trial(cfg, 2**32 - 1) == SweepColumns._make((column[1],) for column in block)
+    assert run_trial(cfg, 2**32 - 1).stage == ("ok",)
+
+
 def _log_form_accepts(up, down, p) -> np.ndarray:
     """The sampler's acceptance through C itself: every link clears the SNR
     floor, and every restricted family term holds (2, 2, 2, 2)."""
@@ -1393,74 +1476,70 @@ def test_sampler_thresholds_match_capacity():
         assert np.array_equal(accepts, _log_form_accepts(up, down, p))
 
 
-# --- the sweep streams against numpy's generators ---------------------------------------------
+# --- the sweep streams against the reference f --------------------------------------------
+
+
+# Counters a sweep reads, and the ends of a trial's block: the first and last
+# sampling rounds a trial may draw, and the first boundary directions.
+_COUNTERS = [*range(18), *range(8982, 9000), *range(2**31, 2**31 + 8), 2**32 - 1]
+
+
+def _assert_draws(seed, indices, rows, start, k):
+    """`_Streams.draw` gives f(seed, trial, counter) bit for bit, one row per
+    counter and one column per trial of ``rows``."""
+    got = streams._Streams(seed, indices).draw(np.array(rows, dtype=np.intp), start, k)
+    want = [[reference_double(seed, indices[j], c) for j in rows] for c in range(start, start + k)]
+    assert np.array_equal(got.view(np.uint64), np.array(want).reshape(k, len(rows)).view(np.uint64))
+
+
+def test_sweep_streams_match_reference():
+    # 8 seeds x 6 trials x 45 counters: seeds of one to seven 32-bit words,
+    # the trials at both ends of the index range, and each counter run read
+    # as one draw and as the single doubles it holds.
+    indices = [0, 1, 12345, 2**31, 2**32 - 2, 2**32 - 1]
+    for seed in (0, 1, 2**32 - 1, 2**64, 2**64 + 1, 2**128, 2**160, 2**200 + 7):
+        for start, k in ((0, 18), (8982, 18), (2**31, 8)):
+            _assert_draws(seed, indices, [5, 0, 3, 1, 4, 2], start, k)
+        for c in _COUNTERS:
+            _assert_draws(seed, indices, range(6), c, 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**128, 2**200 + 7]), st.integers(0, 2**256)),
+    seed=st.one_of(st.sampled_from([0, 2**64, 2**160]), st.integers(0, 2**256)),
     indices=st.lists(st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)), min_size=1, max_size=5),
-    rounds=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 31)), min_size=1, max_size=8),
-    lo=st.floats(-50.0, 50.0).filter(bool),
-    hi=st.floats(-50.0, 150.0),
+    start=st.one_of(st.sampled_from(_COUNTERS[:-1]), st.integers(0, 2**32 - 36)),
+    k=st.integers(1, 36),
+    mask=st.integers(1, 31),
 )
-@example(seed=0, indices=[0, 2**32 - 1], rounds=[(9, 31), (4, 1), (9, 2)], lo=math.log(2), hi=math.log(3))
-@example(seed=2**32 - 1, indices=[2**32 - 1, 0, 5], rounds=[(1, 31)] * 40, lo=math.log(2), hi=math.log(3))
-@example(seed=2**32, indices=[7], rounds=[(9, 1)] * 4 + [(4, 1)], lo=-3.0, hi=3.0)
-@example(seed=2**64 + 1, indices=[0, 1], rounds=[(9, 3), (9, 2), (9, 1)], lo=1e-3, hi=math.log(100))
-@example(seed=2**128 + 3, indices=[2**32 - 1, 0], rounds=[(5, 3), (9, 1)], lo=math.log(2), hi=math.log(3))
-@example(seed=2**128 - 1, indices=[2**32 - 1, 3], rounds=[(9, 3), (9, 1)], lo=math.log(2), hi=math.log(3))
-@example(seed=2**160, indices=[0, 2**32 - 1], rounds=[(9, 3), (4, 2)], lo=-3.0, hi=3.0)
-def test_sweep_streams_match_numpy(seed, indices, rounds, lo, hi):
-    # Each trial's column draws are the doubles of its numpy generator, bit
-    # for bit, and lo + (hi - lo) d its uniform(lo, hi) draws: in rounds of 1
-    # to 9 draws, the first for every trial and each later one for a subset
-    # (a mask over the trials), at most 40 draws in all.
-    assume(hi >= lo)
-    drawn = streams._Streams(seed, indices)
-    oracles = [
-        [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for _ in range(2)]
-        for i in indices
-    ]
-    total = 0
-    for n, (k, mask) in enumerate(rounds):
-        total += k
-        if total > 40:
-            break
-        rows = [j for j in range(len(indices)) if n == 0 or mask >> j & 1] or list(range(len(indices)))
-        got = drawn.draw(np.array(rows), k)
-        for row, j in zip(got.T, rows):
-            doubles, uniform = oracles[j]
-            assert np.array_equal(row.view(np.uint64), doubles.random(k).view(np.uint64))
-            assert np.array_equal(streams._uniform(lo, hi, row).view(np.uint64), uniform.uniform(lo, hi, k).view(np.uint64))
+def test_sweep_streams_match_reference_on_any_rows(seed, indices, start, k, mask):
+    # Any subset of a block's trials, in block order, draws its own doubles.
+    rows = [j for j in range(len(indices)) if mask >> j & 1] or [0]
+    _assert_draws(seed, indices, rows, start, k)
 
 
-def test_sweep_streams_match_numpy_at_the_sweeps_shapes():
-    # A 150-trial block draws in the sweep's order: a sampling round of 9
-    # doubles for every trial, a redraw round of 9 for 22 of them, then a
-    # boundary direction of 4 for every trial.  Every double, one column per
-    # trial, is its numpy generator's, bit for bit.
+def test_sweep_streams_match_reference_at_the_sweeps_shapes():
+    # A 150-trial block draws in the sweep's order: a pass of two sampling
+    # rounds for every trial, a pass of the next two for 22 of them, then a
+    # boundary direction for every trial.
     indices = range(150)
-    drawn = streams._Streams(1, indices)
-    oracles = [np.random.default_rng(np.random.SeedSequence(entropy=1, spawn_key=(i,))) for i in indices]
-    every, redrawn = np.arange(150), np.arange(0, 150, 7)
+    every, redrawn = list(range(150)), list(range(0, 150, 7))
     assert len(redrawn) == 22
-    for rows, k in ((every, 9), (redrawn, 9), (every, 4)):
-        got = drawn.draw(rows, k)
-        want = np.array([oracles[i].random(k) for i in rows.tolist()]).T
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for rows, start, k in ((every, 0, 18), (redrawn, 18, 18), (every, 2**31, 4)):
+        _assert_draws(1, indices, rows, start, k)
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(1, 40).flatmap(lambda words: st.integers(2 ** (32 * words - 32), 2 ** (32 * words) - 1)))
 @example(seed=0)
-@example(seed=2**32)
+@example(seed=255)
+@example(seed=256)
 @example(seed=2**128 - 1)
 @example(seed=2**128)
 @example(seed=2**1279 - 1)
-def test_seed_pool_is_numpys(seed):
-    # Seeds of 1 to 40 32-bit words, on both sides of the four-word pool.
-    assert streams._seed_pool(seed)[0] == np.random.SeedSequence(seed).pool.tolist()
+def test_stream_key_takes_every_seed_size(seed):
+    # Seeds of 1 to 40 32-bit words, and either side of a byte boundary.
+    _assert_draws(seed, [0, 2**32 - 1], [0, 1], 0, 2)
 
 
 # The modules of the Gaussian side: `gaussian` and the layers it took code
@@ -1487,9 +1566,9 @@ def _np_random_reads(source: str) -> list[tuple[str | None, str | None]]:
 
 def test_streams_read_only_the_seed_pool_from_numpy_random():
     # A per-trial SeedSequence plus generate_state costs about 20 us, half a
-    # sweep trial, and importing numpy.random costs a process about 10 ms and
-    # 1.7 MB: `_Streams` mixes the seed's pool itself, once per block, and
-    # computes every stream itself.  No Gaussian module, `streams` among
+    # sweep trial, and importing numpy.random and building a generator costs
+    # a process about 10 ms and 6 MB of RSS: `_Streams` computes every stream
+    # itself, from the seed's key.  No Gaussian module, `streams` among
     # them, reads a numpy.random name: no SeedSequence, default_rng,
     # Generator or PCG64.
     for module in GAUSSIAN_MODULES:
@@ -1678,7 +1757,7 @@ def test_sweep_libm_work_is_pinned(monkeypatch):
     # recomputes a value the block already holds, moves them.  Every other
     # module reaches libm through `gaussnet._each`, so the spy sees it all.
     assert not any(hasattr(module, "_each") for module in (chains, hops, streams, gaussian))
-    pinned = (7, 5792, 140, 777)
+    pinned = (7, 5791, 140, 775)
     assert _libm_work(monkeypatch) == pinned
     # Planted: a hop's checks mapping C once per case present, as they once
     # did, cost a map per (hop, case): all three cases reach both hops in
@@ -1691,7 +1770,7 @@ def test_sweep_libm_work_is_pinned(monkeypatch):
         return chain_checks(table, case, power, g, rates)
 
     monkeypatch.setattr(hops, "_chain_checks", per_case)
-    assert _libm_work(monkeypatch) == (7 + 2 * 3, 5792 + 2 * 4 * 150, 140 + 2 * 20, 777 + 2 * 4 * 20)
+    assert _libm_work(monkeypatch) == (7 + 2 * 3, 5791 + 2 * 4 * 150, 140 + 2 * 20, 775 + 2 * 4 * 20)
     monkeypatch.setattr(hops, "_chain_checks", chain_checks)
     # Planted: `_normalize` calling `_hop_terms` again, as it once did,
     # costs a map and 12 calls per trial.
@@ -1703,7 +1782,7 @@ def test_sweep_libm_work_is_pinned(monkeypatch):
         return normalized
 
     monkeypatch.setattr(gaussian, "_normalize", recomputing)
-    assert _libm_work(monkeypatch) == (7 + 1, 5792 + 12 * 150, 140 + 20, 777 + 12 * 20)
+    assert _libm_work(monkeypatch) == (7 + 1, 5791 + 12 * 150, 140 + 20, 775 + 12 * 20)
 
 
 def test_sweep_libm_work_from_a_cold_start():
@@ -1724,39 +1803,39 @@ def test_sweep_libm_work_from_a_cold_start():
     env = {**os.environ, "PYTHONPATH": str(Path(gaussian.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["7", "5792"]
+    assert done.stdout.split() == ["7", "5791"]
 
 
 def _sampling_work(monkeypatch, cfg) -> tuple[int, list[int]]:
-    """The redraw rounds `_sample_networks` runs on trials 0 .. cfg.trials - 1
-    as one block, and the size of each libm map it makes."""
-    each, draw, maps, rounds = gaussnet._each, streams._Streams.draw, [], []
+    """The passes `_sample_networks` runs on trials 0 .. cfg.trials - 1 as one
+    block, and the size of each libm map it makes."""
+    each, draw, maps, passes = gaussnet._each, streams._Streams.draw, [], []
 
     def spy(fn, x, *args):
         maps.append(x.size)
         return each(fn, x, *args)
 
-    def counted(self, rows, k):
-        rounds.append(len(rows))
-        return draw(self, rows, k)
+    def counted(self, rows, start, k):
+        passes.append(len(rows))
+        return draw(self, rows, start, k)
 
     monkeypatch.setattr(gaussnet, "_each", spy)
     monkeypatch.setattr(streams._Streams, "draw", counted)
     indices = range(cfg.trials)
     gaussian._sample_networks(cfg, streams._Streams(cfg.seed, indices), indices)
-    return len(rounds), maps
+    return len(passes), maps
 
 
 def test_sampling_maps_libm_once_per_block(monkeypatch):
-    # Acceptance compares SNRs with thresholds, so however many rounds a
+    # Acceptance compares SNRs with thresholds, so however many passes a
     # block redraws, its one libm map is the kept networks' `_hop_terms`,
     # 12 capacity terms a trial.  Here most draws are rejected.
     cfg = SweepConfig(40, 7, 1.0, 8.0, 1.0, 1.0)
-    rounds, maps = _sampling_work(monkeypatch, cfg)
-    assert rounds > 100
+    passes, maps = _sampling_work(monkeypatch, cfg)
+    assert passes > 100
     assert maps == [12 * cfg.trials]
-    # Planted: a round computing its candidates' family terms, as the
-    # sampler once did, maps once more per round.
+    # Planted: a pass computing its candidates' family terms, as the
+    # sampler once did each round, maps once more per pass.
     accepts = gaussian._accepts
 
     def through_terms(up, down, p):
@@ -1764,7 +1843,7 @@ def test_sampling_maps_libm_once_per_block(monkeypatch):
         return accepts(up, down, p)
 
     monkeypatch.setattr(gaussian, "_accepts", through_terms)
-    assert len(_sampling_work(monkeypatch, cfg)[1]) == rounds + 1
+    assert len(_sampling_work(monkeypatch, cfg)[1]) == passes + 1
 
 
 def test_exp_of_stacked_draws_matches_per_trial_calls():
@@ -1800,11 +1879,8 @@ def _sweep_rows(cfg):
     return tuple(zip(*monte_carlo_gap(cfg)))
 
 
-def _reference_float_rows(cfg):
-    """The reference rows with each rate passed through float(): the
-    reference keeps numpy floats where the boundary walk left the base point."""
-    rows = (reference_run_trial(cfg, i) for i in range(cfg.trials))
-    return tuple((*row[:10], *map(float, row[10:14]), *row[14:]) for row in rows)
+def _reference_rows(cfg):
+    return tuple(reference_run_trial(cfg, i) for i in range(cfg.trials))
 
 
 @st.composite
@@ -1826,9 +1902,9 @@ def _sweep_configs(draw):
 @given(_sweep_configs())
 @example(SweepConfig(64, 13))
 @example(SweepConfig(64, 99))
-# Up to 447 draws for one network.
+# Up to 204 draws for one network.
 @example(SweepConfig(40, 7, 1.0, 8.0, 1.0, 1.0))
-# Trial 0 runs out of draws; then trial 23 does, after 0 to 22 were sampled.
+# Trial 0 runs out of draws; then trial 8 does, after 0 to 7 were sampled.
 @example(SweepConfig(20, 0, 1.0, 4.0, 1.0, 1.0))
 @example(SweepConfig(40, 7, 1.0, 4.0, 1.0, 2.0))
 # Seeds past one 32-bit word, and past the four-word pool.
@@ -1837,29 +1913,82 @@ def _sweep_configs(draw):
 def test_sweep_matches_reference(cfg):
     # Rows equal and print the same (every rate a plain float, bit for bit
     # the reference's), or the same exception.
-    assert _sweep_outcome(_sweep_rows, cfg) == _sweep_outcome(_reference_float_rows, cfg)
+    assert _sweep_outcome(_sweep_rows, cfg) == _sweep_outcome(_reference_rows, cfg)
 
 
 @pytest.mark.parametrize(
     "cfg",
     [SweepConfig(23, 3), SweepConfig(40, 7, 1.0, 8.0, 1.0, 1.0), SweepConfig(40, 7, 1.0, 4.0, 1.0, 2.0)],
-    ids=["default", "many-redraws", "trial-23-out-of-draws"],
+    ids=["default", "many-redraws", "trial-8-out-of-draws"],
 )
 def test_sweep_blocks_match_reference(monkeypatch, cfg):
     # Blocks of 5 trials: block edges, redraw rounds and a failing block
     # rerun trial by trial give the same rows, or the same exception for
     # the same trial.
     monkeypatch.setattr(gaussian, "SWEEP_BLOCK", 5)
-    assert _sweep_outcome(_sweep_rows, cfg) == _sweep_outcome(_reference_float_rows, cfg)
+    assert _sweep_outcome(_sweep_rows, cfg) == _sweep_outcome(_reference_rows, cfg)
 
 
-# Trial 23 runs out of draws; trials 0 to 22 are all sampled before it does.
+# Trial 8 runs out of draws; trials 0 to 7 are all sampled before it does.
 _OUT_OF_DRAWS = SweepConfig(40, 7, 1.0, 4.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("rounds_per_pass", [1, 3, 4])
+def test_sweep_rows_do_not_depend_on_the_rounds_per_pass(monkeypatch, rounds_per_pass):
+    # A round's doubles are a pure function of (seed, trial, counter), so a
+    # pass of any number of rounds, at any block size, and each trial alone
+    # give the same rows, or the same exception.  Three rounds do not divide
+    # `MAX_SAMPLE_DRAWS`, so a trial that runs out of draws ends on a short pass.
+    configs = (SweepConfig(64, 13), SweepConfig(40, 7, 1.0, 8.0, 1.0, 1.0), _OUT_OF_DRAWS)
+    want = [_sweep_outcome(_sweep_rows, cfg) for cfg in configs]
+    monkeypatch.setattr(gaussian, "_ROUNDS_PER_PASS", rounds_per_pass)
+    for block in (gaussian.SWEEP_BLOCK, 7):
+        monkeypatch.setattr(gaussian, "SWEEP_BLOCK", block)
+        assert [_sweep_outcome(_sweep_rows, cfg) for cfg in configs] == want
+    for cfg, (rows, _) in zip(configs[:2], want):
+        assert tuple(next(zip(*run_trial(cfg, i))) for i in range(cfg.trials)) == rows
+    assert _sweep_outcome(lambda cfg: run_trial(cfg, 8), _OUT_OF_DRAWS) == want[2]
+
+
+def _planted_stream(rounds):
+    """A stream whose trial j draws ``rounds[j][r]`` for each of round r's 9
+    doubles, and its last entry in every later round."""
+
+    def draw(rows, start, k):
+        return np.array([[rounds[j][min((start + c) // 9, len(rounds[j]) - 1)] for j in rows.tolist()] for c in range(k)])
+
+    return SimpleNamespace(draw=draw)
+
+
+@pytest.mark.parametrize("rounds_per_pass", [1, 2])
+def test_sampler_refuses_draws_in_round_then_trial_order(monkeypatch, rounds_per_pass):
+    # At the default ranges a uniform double of 0 gives |h| = P = 1, which the
+    # sampler rejects; 0.99 gives a network it keeps; 100 and 110 give
+    # magnitudes of about 1e200 and 1e220, whose square GaussNetwork refuses.
+    # A pass draws every round of every pending trial, yet raises only for
+    # rounds its trial reaches, the first in round-then-trial order.
+    monkeypatch.setattr(gaussian, "_ROUNDS_PER_PASS", rounds_per_pass)
+    cfg = SweepConfig(3, 0)
+    # As in the sweep, a refused draw's SNRs may overflow before it is built.
+    sample = gaussnet._quiet(gaussian._sample_networks)
+
+    def refused(rounds):
+        with pytest.raises(ValueError, match=r"^\(2 max\|h\|\)\^2 P overflows a float") as raised:
+            sample(cfg, _planted_stream(rounds), range(3))
+        return float(re.search(r"max\|h\| = (\S+),", str(raised.value))[1])
+
+    # Trial 0 is kept at round 0 and never reaches its refused round 1;
+    # trial 1 reaches its round 1 before trial 2 does.
+    assert refused([[0.99, 110.0], [0.0, 110.0], [0.0, 100.0]]) == 1e220
+    # Trial 2's round 0 comes before trial 1's round 1.
+    assert refused([[0.99, 110.0], [0.0, 110.0], [100.0]]) == 1e200
+    h, p, _ = sample(cfg, _planted_stream([[0.99, 110.0]] * 3), range(3))
+    assert h.tolist() == [[np.exp(math.log(100.0) * 0.99).item()] * 3] * 8
 
 
 def test_sweep_out_of_draws_reruns_only_the_trials_below(monkeypatch):
     # The sampler's error names the lowest trial still drawing, which is what
-    # that trial raises alone, so only trials 0 to 22 are rerun, as one block.
+    # that trial raises alone, so only trials 0 to 7 are rerun, as one block.
     blocks = []
     trial_block = gaussian._trial_block
 
@@ -1868,13 +1997,13 @@ def test_sweep_out_of_draws_reruns_only_the_trials_below(monkeypatch):
         return trial_block(cfg, indices)
 
     monkeypatch.setattr(gaussian, "_trial_block", recorded)
-    with pytest.raises(ValueError, match="^trial 23: none of 1000 sampled networks"):
+    with pytest.raises(ValueError, match="^trial 8: none of 1000 sampled networks"):
         monte_carlo_gap(_OUT_OF_DRAWS)
-    assert blocks == [list(range(40)), list(range(23))]
+    assert blocks == [list(range(40)), list(range(8))]
 
 
 def test_sweep_lower_trial_failing_later_wins_over_out_of_draws(monkeypatch):
-    # Trial 5 is sampled and then fails at a later stage, while trial 23 runs
+    # Trial 5 is sampled and then fails at a later stage, while trial 8 runs
     # out of draws: trial 5 is the lowest trial that raises alone, so its
     # error is the sweep's.
     sample_networks = gaussian._sample_networks
@@ -2095,12 +2224,11 @@ def test_stacked_arrays_match_scalar_reference(trials):
     d = np.array([trials[i][2] for i in accepted])
     terms = gaussnet._min(*gaussnet._hop_terms(up[:, accepted], down[:, accepted], p[accepted]))
     with np.errstate(over="ignore"):  # as in the sweep: a tiny step's room is inf
-        walked = gaussian._boundary_rates(SimpleNamespace(draw=lambda rows, k: d[rows].T), terms)
+        walked = gaussian._boundary_rates(SimpleNamespace(draw=lambda rows, start, k: d[rows].T), terms)
     walks = [(nets[i], tuple(walked[:, j].tolist())) for j, i in enumerate(accepted)]
     for (net, got), i in zip(walks, accepted):
-        # The reference sampler's walk, after a draw that gives this direction.
-        drawn = SimpleNamespace(random=lambda size, d=trials[i][2]: np.array(d))
-        same(got, tuple(map(float, reference_sample_boundary_rates(drawn, net))))
+        # The reference sampler's walk along this direction.
+        same(got, reference_boundary_walk(net, trials[i][2]))
     # Each trial's smallest check slack over both hops, as min() picks it,
     # and its splits.
     expected = [_outcome(_reference_verdict, *walk) for walk in walks]
